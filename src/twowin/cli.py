@@ -278,6 +278,8 @@ def report_to_obj(rep: ReconstructionReport) -> Dict[str, Any]:
         "residual": float(rep.residual),
         "lambda": [_c2l(complex(l)) for l in rep.lambdas],
         "signal": signal_to_obj(rep.signal),
+        "anchor_used": bool(rep.anchor_used),
+        "alternative": None if rep.alternative is None else signal_to_obj(rep.alternative),
     }
 
 
@@ -639,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("signal", help="signal JSON file")
     sp.add_argument("--out", required=True, help="measurement JSON output")
     sp.add_argument("--csv", help="optional long-format CSV output")
-    _add_common(sp, "B", "L", "a", "b", "horizon", "anchor", "profile", "tol")
+    _add_common(sp, "B", "L", "a", "b", "horizon", "anchor", "profile")
     sp.set_defaults(func=cmd_measure)
 
     sp = sub.add_parser("recover", help="reconstruct a signal from measurements")

@@ -10,7 +10,6 @@ when both survive.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -128,20 +127,6 @@ def _phase_match(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     return float(np.linalg.norm(u - lam * v)) <= tol * ref
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    mags = np.abs(v)
-    if not mags.any():
-        return v.copy()
-    k = int(np.argmax(mags))
-    return v * (np.conj(v[k]) / mags[k])
-
-
-def _candidate_key(v: np.ndarray) -> bytes:
-    scale = float(np.max(np.abs(v))) or 1.0
-    q = np.round(v / scale, 9)
-    return np.ascontiguousarray(q).tobytes()
-
-
 def _cluster_circle_roots(roots: List[complex], chord_tol: float) -> List[List[complex]]:
     """Group near-circle roots into clusters of numerically split copies."""
     if not roots:
@@ -158,15 +143,37 @@ def _cluster_circle_roots(roots: List[complex], chord_tol: float) -> List[List[c
     return clusters
 
 
-def _lag_residual(core: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
-    F = np.fft.fft(core, n=2 * s_eff)
-    ac = np.fft.ifft(np.abs(F) ** 2)[:s_eff]
-    d = ac - lags[:s_eff]
-    return np.concatenate([d.real, d.imag])
+def _poly_batch(roots: np.ndarray) -> np.ndarray:
+    """Monic coefficients, highest degree first, for each row of ``roots``.
+
+    Multiplies in one linear factor per step for the whole batch, in the
+    root order np.poly uses, and like np.poly drops the imaginary part of a
+    row whose roots are closed under conjugation.
+    """
+    n, k = roots.shape
+    c = np.zeros((n, k + 1), dtype=np.complex128)
+    c[:, 0] = 1.0
+    for j in range(k):
+        c[:, 1 : j + 2] -= roots[:, j : j + 1] * c[:, : j + 1]
+    real = np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1), axis=1)
+    c[real] = c[real].real
+    return c
+
+
+def _normalized_cores(roots: np.ndarray, a0: float) -> np.ndarray:
+    """Ascending coefficients of each root row, scaled to energy a0."""
+    c = _poly_batch(roots)[:, ::-1]
+    return c * np.sqrt(a0 / np.sum(np.abs(c) ** 2, axis=1))[:, None]
+
+
+def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
+    """Autocorrelation of each core minus the target lags 0 .. s_eff-1."""
+    F = np.fft.fft(cores, n=2 * s_eff, axis=-1)
+    return np.fft.ifft(np.abs(F) ** 2, axis=-1)[..., :s_eff] - lags[:s_eff]
 
 
 def _refine_circle_angles(
-    fixed: List[complex],
+    fixed: np.ndarray,
     angles: np.ndarray,
     lags: np.ndarray,
     s_eff: int,
@@ -179,38 +186,50 @@ def _refine_circle_angles(
     The lag map as a function of the angles has no such degeneracy (radial
     root motion is what cancels at first order, tangential motion is not),
     so a few least-squares steps recover machine accuracy.
-    """
 
-    def build(th: np.ndarray) -> np.ndarray:
-        c = np.poly(fixed + [np.exp(1j * t) for t in th])[::-1]
-        return c * np.sqrt(a0 / np.sum(np.abs(c) ** 2))
+    Each row of ``fixed`` (roots that stay put) and ``angles`` is one branch,
+    refined on its own: a branch stops when it converges or a step fails to
+    lower its residual.  Returns the refined cores, one per row.
+    """
+    n, k = angles.shape
+    # row 0 is the angle vector itself, row 1 + j moves angle j by the
+    # finite-difference step: a trial point and its Jacobian share one batch
+    probe = np.vstack([np.zeros(k), 1e-7 * np.eye(k)])
+
+    def evaluate(fx: np.ndarray, th: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = th.shape[0]
+        circle = np.exp(1j * (th[:, None, :] + probe)).reshape(m * (k + 1), k)
+        roots = np.concatenate([np.repeat(fx, k + 1, axis=0), circle], axis=1)
+        cores = _normalized_cores(roots, a0).reshape(m, k + 1, s_eff)
+        d = _lag_defect(cores, lags, s_eff)
+        res = np.concatenate([d.real, d.imag], axis=2)
+        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
 
     th = angles.copy()
-    core = build(th)
-    r = _lag_residual(core, lags, s_eff)
-    best_norm = float(np.linalg.norm(r))
-    best = core
+    best, res, best_norm = evaluate(fixed, th)
+    active = np.ones(n, dtype=bool)
     for _ in range(10):
-        if best_norm <= 1e-14 * max(1.0, a0) * np.sqrt(r.size):
+        active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        J = np.empty((r.size, th.size))
-        for j in range(th.size):
-            tp = th.copy()
-            tp[j] += 1e-7
-            J[:, j] = (_lag_residual(build(tp), lags, s_eff) - r) / 1e-7
-        dth, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        if not np.all(np.isfinite(dth)):
-            break
-        span = float(np.max(np.abs(dth)))
-        if span > 0.3:
-            dth *= 0.3 / span
-        tn = th + dth
-        cn = build(tn)
-        rn = _lag_residual(cn, lags, s_eff)
-        nn = float(np.linalg.norm(rn))
-        if nn >= best_norm:
-            break
-        th, r, best_norm, best = tn, rn, nn, cn
+        r = res[idx, 0]
+        J = np.swapaxes(res[idx, 1:] - r[:, None, :], 1, 2) / 1e-7
+        # the singular-value cutoff that lstsq applies with rcond=None
+        cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
+        dth = -(np.linalg.pinv(J, rcond=cutoff) @ r[:, :, None])[:, :, 0]
+        finite = np.all(np.isfinite(dth), axis=1)
+        dth[~finite] = 0.0
+        span = np.max(np.abs(dth), axis=1)
+        over = span > 0.3
+        dth[over] *= (0.3 / span[over])[:, None]
+        tn = th[idx] + dth
+        cn, rn, nn = evaluate(fixed[idx], tn)
+        better = finite & (nn < best_norm[idx])
+        keep = idx[better]
+        th[keep], res[keep] = tn[better], rn[better]
+        best_norm[keep], best[keep] = nn[better], cn[better]
+        active[idx[~better]] = False
     return best
 
 
@@ -220,8 +239,11 @@ def _factor_once(
     s_eff: int,
     a0: float,
     circle_tol: float,
-) -> List[np.ndarray]:
-    """One classify/pair/build/refine/validate pass at a given circle tolerance."""
+) -> np.ndarray:
+    """One classify/pair/build/refine/validate pass at a given circle tolerance.
+
+    Returns the validated cores, one per row.
+    """
     on_circle = [complex(r) for r in roots if abs(abs(r) - 1.0) <= circle_tol]
     off_circle = [complex(r) for r in roots if abs(abs(r) - 1.0) > circle_tol]
 
@@ -281,30 +303,35 @@ def _factor_once(
         options.append(opts)
         branch_count *= len(opts)
 
-    rows: List[np.ndarray] = []
-    for combo in itertools.product(*options):
-        chosen = list(forced) + [r for r, _ in combo]
-        circle_mask = [True] * len(forced) + [circ for _, circ in combo]
-        core = np.poly(chosen)[::-1]
-        core *= np.sqrt(a0 / np.sum(np.abs(core) ** 2))
-        n_circle = sum(circle_mask)
-        if n_circle:
-            fixed = [z for z, circ in zip(chosen, circle_mask) if not circ]
-            angles = np.array(
-                [np.angle(z) for z, circ in zip(chosen, circle_mask) if circ]
-            )
-            core = _refine_circle_angles(fixed, angles, lags, s_eff, a0)
-        rows.append(core)
+    # one row per branch, in the order of itertools.product over the pairs:
+    # the forced roots, then one choice per pair
+    pick = np.indices([len(o) for o in options]).reshape(len(options), branch_count).T
+    chosen = np.empty((branch_count, len(forced) + len(options)), dtype=np.complex128)
+    circ = np.ones(chosen.shape, dtype=bool)
+    chosen[:, : len(forced)] = forced
+    for j, opts in enumerate(options):
+        chosen[:, len(forced) + j] = np.array([z for z, _ in opts])[pick[:, j]]
+        circ[:, len(forced) + j] = np.array([c for _, c in opts])[pick[:, j]]
 
-    raw = np.array(rows)
-    F = np.fft.fft(raw, n=2 * s_eff, axis=1)
-    got = np.fft.ifft(np.abs(F) ** 2, axis=1)[:, :s_eff]
-    ok = np.max(np.abs(got - lags[:s_eff]), axis=1) <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    raw = _normalized_cores(chosen, a0)
+    # branches holding unit-circle roots are refined, one batch per count
+    n_circ = circ.sum(axis=1)
+    for k in np.unique(n_circ[n_circ > 0]):
+        rows = np.flatnonzero(n_circ == k)
+        on = circ[rows]
+        raw[rows] = _refine_circle_angles(
+            chosen[rows][~on].reshape(rows.size, -1),
+            np.angle(chosen[rows][on]).reshape(rows.size, k),
+            lags, s_eff, a0,
+        )
+
+    defect = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1)
+    ok = defect <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
     if not ok.any():
         raise UnrealizableAutocorrelation(
             "autocorrelation not realizable: every pairing branch failed validation"
         )
-    return list(raw[ok])
+    return raw[ok]
 
 
 def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
@@ -317,8 +344,11 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
     see where inside the cell range the content sits.
 
     The count is at most 2^(s-1) pairings times L - s + 1 placements for
-    effective support length s.  Raises UnrealizableAutocorrelation when
-    some root has no mirror partner.
+    effective support length s.  All branches of a node are built as one
+    batch: one array row per branch, one linear factor applied to every row
+    per step; placement, phase canonicalization and dedup run over the same
+    batch.  Candidates come back sorted by their quantized byte keys.
+    Raises UnrealizableAutocorrelation when some root has no mirror partner.
     """
     a = np.asarray(acorr, dtype=np.complex128)
     if L > L_MAX:
@@ -332,14 +362,14 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
     s_eff = 1 + max([l for l in range(a.size) if abs(a[l]) > 1e-12 * a0], default=0)
 
     if s_eff == 1:
-        cores = [np.array([np.sqrt(a0)], dtype=np.complex128)]
+        cores = np.array([[np.sqrt(a0)]], dtype=np.complex128)
     else:
         two_sided = np.concatenate([np.conj(a[1:s_eff][::-1]), a[:s_eff]])
         roots = np.roots(two_sided[::-1])
         # a multiplicity-m root only comes back from np.roots to within about
         # eps**(1/m), so circle classification retries on a widening ladder;
         # the lag validation inside each pass arbitrates what to accept
-        cores = []
+        cores = None
         error: Optional[UnrealizableAutocorrelation] = None
         for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
             try:
@@ -347,18 +377,26 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
                 break
             except UnrealizableAutocorrelation as exc:
                 error = exc
-        if not cores:
+        if cores is None:
             assert error is not None
             raise error
 
-    out: dict = {}
-    for core in cores:
-        for p in range(L - s_eff + 1):
-            cand = np.zeros(L, dtype=np.complex128)
-            cand[p : p + s_eff] = core
-            cand = _canonical_phase(cand)
-            out.setdefault(_candidate_key(cand), cand)
-    return [out[k] for k in sorted(out)]
+    # every core at every placement, rows ordered core-major
+    P = L - s_eff + 1
+    placed = np.zeros((len(cores), P, L), dtype=np.complex128)
+    for p in range(P):
+        placed[:, p, p : p + s_eff] = cores
+    cand = placed.reshape(-1, L)
+    # global phase: the first largest entry becomes real and positive (every
+    # row holds a core of energy a0 > 0, so the peak is never zero)
+    rows = np.arange(cand.shape[0])
+    k = np.argmax(np.abs(cand), axis=1)
+    cand *= (np.conj(cand[rows, k]) / np.abs(cand[rows, k]))[:, None]
+    q = np.round(cand / np.max(np.abs(cand), axis=1)[:, None], 9)
+    keys = np.ascontiguousarray(q).view(np.dtype((np.void, q.itemsize * L))).ravel()
+    # np.unique sorts the keys bytewise and reports each key's first row
+    _, first = np.unique(keys, return_index=True)
+    return list(cand[first])
 
 
 @dataclass(frozen=True)
@@ -375,12 +413,48 @@ class LocalClass:
         return self.representatives[0]
 
 
+def _spectrum_matrix(grid, omegas: np.ndarray) -> np.ndarray:
+    """exp(-2 i pi u_j omega) for the node's cell offsets u_j, one row per j."""
+    u = (np.arange(grid.L) - grid.L // 2) * grid.delta
+    return np.exp(-2j * np.pi * np.outer(u, omegas))
+
+
 def _content_spectrum(cands: np.ndarray, grid, omegas: np.ndarray) -> np.ndarray:
     """delta * sum_j h_j exp(-2 i pi u_j omega) for a batch of contents."""
-    L = grid.L
-    u = (np.arange(L) - L // 2) * grid.delta
-    E = np.exp(-2j * np.pi * np.outer(u, omegas))
-    return grid.delta * (cands @ E)
+    return grid.delta * (cands @ _spectrum_matrix(grid, omegas))
+
+
+def _polish_content(
+    h: np.ndarray, blocks: Sequence[Tuple[np.ndarray, np.ndarray]], scale: float
+) -> np.ndarray:
+    """Gauss-Newton on a content vector against magnitude rows |h @ M| = m.
+
+    ``blocks`` holds (M, m) pairs; the real and imaginary parts of h are the
+    unknowns.  Steps stop as soon as the residual stops falling.
+    """
+
+    def linearize(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        rs, Js = [], []
+        for M, m in blocks:
+            H = v @ M
+            mag = np.abs(H)
+            # d|H_n| = Re(conj(H_n) M_jn dh_j) / |H_n|, zero where H_n = 0
+            g = (np.conj(H) / np.where(mag > 0, mag, 1.0))[:, None] * M.T
+            rs.append(mag - m)
+            Js.append(np.hstack([g.real, -g.imag]))
+        return np.concatenate(rs) / scale, np.vstack(Js) / scale
+
+    r, J = linearize(h)
+    best = float(np.linalg.norm(r))
+    for _ in range(8):
+        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        hn = h + step[: h.size] + 1j * step[h.size :]
+        rn, Jn = linearize(hn)
+        nn = float(np.linalg.norm(rn))
+        if not nn < best:
+            break
+        h, r, J, best = hn, rn, Jn, nn
+    return h
 
 
 def prune_with_second_window(
@@ -397,31 +471,51 @@ def prune_with_second_window(
     content spectrum, |V_psi| at bin n equals |H(omega_n + b) - H(omega_n)|.
     Survivors are grouped into phase classes; the dichotomy permits one
     class, or two that are conjugate slot reflections of each other.
+
+    When no candidate passes and ``phi_mags`` is given, the one with the
+    lowest defect is polished by Gauss-Newton against both windows'
+    magnitudes and tested again at the same ``accept_tol``: a mirror root
+    pair within about sqrt(eps) of the unit circle comes back from np.roots
+    only to about sqrt(eps), which leaves a genuine candidate with a defect
+    far above the tolerance.
     """
     grid = pair.grid
     L = grid.L
     psi = np.asarray(psi_mags, dtype=np.float64)
     if psi.size != 2 * L:
         raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
+    phi = None if phi_mags is None else np.asarray(phi_mags, dtype=np.float64)
     C = np.asarray(candidates, dtype=np.complex128).reshape(-1, L)
     omegas = np.arange(-L, L) / (4.0 * grid.B)
 
-    H1 = _content_spectrum(C, grid, omegas)
-    H2 = _content_spectrum(C, grid, omegas + pair.b)
-    pred_psi = np.abs(H2 - H1)
-
     a0 = float(np.max(np.sum(np.abs(C) ** 2, axis=1))) if C.size else 0.0
     scale = grid.delta * np.sqrt(2 * L * a0) if a0 > 0 else 1.0
-    defects = np.linalg.norm(pred_psi - psi, axis=1) / scale
-    if phi_mags is not None:
-        phi = np.asarray(phi_mags, dtype=np.float64)
-        defects = np.hypot(defects, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
+
+    def defects_of(X: np.ndarray) -> np.ndarray:
+        H1 = _content_spectrum(X, grid, omegas)
+        H2 = _content_spectrum(X, grid, omegas + pair.b)
+        d = np.linalg.norm(np.abs(H2 - H1) - psi, axis=1) / scale
+        if phi is not None:
+            d = np.hypot(d, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
+        return d
+
+    defects = defects_of(C)
+    best = defects.min() if defects.size else np.inf
+    # the second window alone has as many equations as a content vector has
+    # unknowns, so only both windows together can vouch for a polished fit
+    if C.size and phi is not None and not best <= accept_tol:
+        M1 = grid.delta * _spectrum_matrix(grid, omegas)
+        M2 = grid.delta * _spectrum_matrix(grid, omegas + pair.b)
+        blocks = [(M2 - M1, psi), (M1, phi)]
+        C = _polish_content(C[int(np.argmin(defects))], blocks, scale)[None, :]
+        defects = defects_of(C)
+        best = min(best, defects[0])
 
     order = [i for i in range(C.shape[0]) if defects[i] <= accept_tol]
     if not order:
         raise InconsistentMeasurements(
             f"no factorization candidate matches the second window's data "
-            f"(best relative defect {defects.min() if defects.size else np.inf:.3e})"
+            f"(best relative defect {best:.3e})"
         )
 
     classes: List[int] = []
@@ -440,22 +534,12 @@ def prune_with_second_window(
                 "ambiguity violation: two surviving classes are not conjugate mates"
             )
 
-    rep = C[classes[0]]
-    includes_reflection = False
-    mate = slot_reflect(rep)
-    if mate is not None:
-        m1 = _content_spectrum(mate[None, :], grid, omegas)
-        m2 = _content_spectrum(mate[None, :], grid, omegas + pair.b)
-        mate_defect = float(np.linalg.norm(np.abs(m2 - m1)[0] - psi)) / scale
-        if phi_mags is not None:
-            mate_defect = float(
-                np.hypot(mate_defect, np.linalg.norm(np.abs(m1)[0] - phi) / scale)
-            )
-        includes_reflection = mate_defect <= accept_tol
+    mate = slot_reflect(C[classes[0]])
+    includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= accept_tol
 
     return LocalClass(
         representatives=tuple(C[i] for i in classes),
-        includes_reflection=includes_reflection,
+        includes_reflection=bool(includes_reflection),
         residual=float(min(defects[i] for i in classes)),
     )
 

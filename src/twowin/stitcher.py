@@ -161,9 +161,13 @@ def align_overlaps(
     deepest: List[Tuple[int, str]] = [(-1, "")]
     budget = [100_000]
 
-    def search(
-        pos: int, assembled: np.ndarray, filled: np.ndarray, lams: List[Tuple[int, complex]]
-    ) -> Optional[Tuple[np.ndarray, List[Tuple[int, complex]]]]:
+    # one assembly buffer and one phase list, written on the way down and
+    # undone on backtracking, so a search level holds O(L), not O(horizon)
+    assembled = np.zeros(grid.horizon, dtype=np.complex128)
+    filled = np.zeros(grid.horizon, dtype=bool)
+    lams: List[Tuple[int, complex]] = []
+
+    def search(pos: int) -> Optional[Tuple[np.ndarray, List[Tuple[int, complex]]]]:
         if budget[0] <= 0:
             raise InconsistentMeasurements("orientation search budget exhausted")
         budget[0] -= 1
@@ -182,57 +186,52 @@ def align_overlaps(
             return assembled, lams
         ci, t, k, on, patches = live[pos]
         if pos == 0:
+            options = [(k[on], patch[on], 1.0 + 0.0j) for patch in patches]
+        else:
+            ov = on & filled[np.clip(k, 0, grid.horizon - 1)]
+            u = assembled[k[ov]]
+            if u.size == 0 or np.max(np.abs(u)) <= DEAD_OVERLAP_RTOL * scale:
+                if sep_error[0] is None:
+                    m_label = round(t / a) if a else ci
+                    sep_error[0] = SeparableInputError(
+                        f"separable input: propagation broken at node {m_label}"
+                    )
+                return None
+            scored = []
             for patch in patches:
-                asm = assembled.copy()
-                fl = filled.copy()
-                asm[k[on]] = patch[on]
-                fl[k[on]] = True
-                res = search(pos + 1, asm, fl, lams + [(ci, 1.0 + 0.0j)])
-                if res is not None:
-                    return res
-            return None
-        ov = on & filled[np.clip(k, 0, grid.horizon - 1)]
-        u = assembled[k[ov]]
-        if u.size == 0 or np.max(np.abs(u)) <= DEAD_OVERLAP_RTOL * scale:
-            if sep_error[0] is None:
-                m_label = round(t / a) if a else ci
-                sep_error[0] = SeparableInputError(
-                    f"separable input: propagation broken at node {m_label}"
+                v = patch[ov]
+                ip = np.vdot(v, u)
+                lam = ip / abs(ip) if abs(ip) > 0 else 1.0 + 0.0j
+                mismatch = float(
+                    np.linalg.norm(u - lam * v) / max(np.linalg.norm(u), np.linalg.norm(v))
                 )
-            return None
-        scored = []
-        for patch in patches:
-            v = patch[ov]
-            ip = np.vdot(v, u)
-            lam = ip / abs(ip) if abs(ip) > 0 else 1.0 + 0.0j
-            mismatch = float(
-                np.linalg.norm(u - lam * v) / max(np.linalg.norm(u), np.linalg.norm(v))
-            )
-            scored.append((mismatch, lam, patch))
-        scored.sort(key=lambda s: s[0])
-        if scored[0][0] > ORIENT_TOL:
-            if pos > deepest[0][0]:
-                deepest[0] = (pos, f"overlap mismatch {scored[0][0]:.3e} at node index {ci}")
-            return None
-        for mismatch, lam, patch in scored:
-            if mismatch > ORIENT_TOL:
-                break
+                scored.append((mismatch, lam, patch))
+            scored.sort(key=lambda s: s[0])
+            if scored[0][0] > ORIENT_TOL:
+                if pos > deepest[0][0]:
+                    deepest[0] = (pos, f"overlap mismatch {scored[0][0]:.3e} at node index {ci}")
+                return None
             new = on & ~filled[np.clip(k, 0, grid.horizon - 1)]
-            asm = assembled.copy()
-            fl = filled.copy()
-            asm[k[new]] = lam * patch[new]
-            fl[k[new]] = True
-            res = search(pos + 1, asm, fl, lams + [(ci, complex(lam))])
+            options = []
+            for mismatch, lam, patch in scored:
+                if mismatch > ORIENT_TOL:
+                    break
+                options.append((k[new], lam * patch[new], complex(lam)))
+        # place each orientation in turn; the cells it fills were empty, so
+        # backtracking clears them again
+        for cells, values, lam in options:
+            assembled[cells] = values
+            filled[cells] = True
+            lams.append((ci, lam))
+            res = search(pos + 1)
             if res is not None:
                 return res
+            assembled[cells] = 0.0
+            filled[cells] = False
+            lams.pop()
         return None
 
-    result = search(
-        0,
-        np.zeros(grid.horizon, dtype=np.complex128),
-        np.zeros(grid.horizon, dtype=bool),
-        [],
-    )
+    result = search(0)
     if result is None:
         if sep_error[0] is not None:
             raise sep_error[0]

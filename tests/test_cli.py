@@ -8,7 +8,10 @@ from twowin import (
     GridSpec,
     ReconstructionReport,
     Signal,
+    build_window,
     global_phase_align,
+    measure,
+    measurements_equal,
     random_nonseparable,
 )
 from twowin import cli
@@ -44,9 +47,13 @@ def test_measure_then_recover_roundtrip(run_cli, tmp_path, generic_signal):
     assert "ambiguity=phase_only" in out
 
     report = json.loads(r_path.read_text())
-    assert sorted(report) == ["ambiguity", "lambda", "residual", "signal"]
+    assert sorted(report) == [
+        "alternative", "ambiguity", "anchor_used", "lambda", "residual", "signal"
+    ]
     assert report["ambiguity"] == "phase_only"
     assert report["residual"] <= 1e-8
+    assert report["anchor_used"] is False
+    assert report["alternative"] is None
     rec = cli.load_signal(s_path)
     assert global_phase_align(rec, sig).residual <= 1e-8
 
@@ -139,6 +146,33 @@ def test_unresolved_ambiguity_maps_to_exit_two(
     code, out, _ = run_cli("recover", m_path, "--report", tmp_path / "r.json")
     assert code == 2
     assert "ambiguity=phase_or_reflection" in out
+
+
+def test_bare_lattice_recovery_exits_two_with_its_alternative(run_cli, tmp_path):
+    # the rational_lattice forge's f, measured on the forge's bare lattice
+    # (no anchor), keeps its conjugate reflection as an honest alternative
+    outdir = tmp_path / "forged"
+    assert run_cli("forge", "rational_lattice", "--outdir", outdir)[0] == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    f = cli.load_signal(outdir / "f.json")
+    nodes = cli.nodes_from_obj(manifest["nodes"], "manifest")
+    pair = build_window(manifest["window"]["profile"], f.grid, b=manifest["window"]["b"])
+    ms = measure(f, pair, nodes)
+    m_path = tmp_path / "m.json"
+    cli.dump_json(cli.measurement_to_obj(ms), m_path)
+
+    r_path = tmp_path / "r.json"
+    code, out, _ = run_cli("recover", m_path, "--report", r_path)
+    assert code == 2
+    assert "ambiguity=phase_or_reflection" in out
+    report = json.loads(r_path.read_text())
+    assert report["ambiguity"] == "phase_or_reflection"
+    assert report["anchor_used"] is False
+    alt = cli.signal_from_obj(report["alternative"], "alternative")
+    rec = cli.signal_from_obj(report["signal"], "signal")
+    assert global_phase_align(alt, rec).residual > 0.1
+    equal, _ = measurements_equal(measure(alt, pair, nodes), ms, tol=1e-8)
+    assert equal
 
 
 def test_forge_and_verify_pair_manifest(run_cli, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from twowin import (
     recover_local,
     slot_reflect,
 )
-from twowin.local_recovery import L_MAX, _phase_match
+from twowin.local_recovery import L_MAX, _phase_match, _poly_batch
 
 
 def _node_mags(content, L):
@@ -80,6 +82,58 @@ def test_enumerate_candidates_places_short_support():
     assert all(c.size == 4 for c in cands)
 
 
+@pytest.mark.parametrize("n_branches", [1, 2, 2**5, 2**10])
+def test_poly_batch_matches_np_poly(n_branches):
+    rng = np.random.default_rng(n_branches)
+    roots = rng.standard_normal((n_branches, 7)) + 1j * rng.standard_normal((n_branches, 7))
+    # a fused branch: a near-circle mirror pair read as one doubled circle root
+    roots[0, -2:] = np.exp(0.7j)
+    if n_branches > 1:
+        # a conjugate-closed row, which np.poly returns with real coefficients
+        roots[1, :3] = np.conj(roots[1, 3:6])
+        roots[1, 6] = 0.5
+    got = _poly_batch(roots)
+    want = np.array([np.poly(r) for r in roots])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    if n_branches > 1:
+        assert np.all(got[1].imag == 0.0)
+
+
+def _reference_candidates(h, L):
+    """Per-branch reference for content without unit-circle roots: one
+    np.poly call per mirror choice, every placement, dedup up to phase."""
+    acorr = direct_autocorrelation(h)
+    a0 = acorr[0].real
+    s = 1 + max(l for l in range(L) if abs(acorr[l]) > 1e-12 * a0)
+    roots = np.roots(np.concatenate([np.conj(acorr[1:s][::-1]), acorr[:s]])[::-1])
+    inside = roots[np.abs(roots) < 1.0]
+    assert inside.size == s - 1
+    out = []
+    for flips in itertools.product([False, True], repeat=inside.size):
+        core = np.poly([1 / np.conj(r) if f else r for r, f in zip(inside, flips)])[::-1]
+        core = core * np.sqrt(a0 / np.sum(np.abs(core) ** 2))
+        for p in range(L - s + 1):
+            cand = np.zeros(L, dtype=np.complex128)
+            cand[p : p + s] = core
+            if not any(_phase_match(cand, c, 1e-9) for c in out):
+                out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("L, cells", [(4, range(4)), (6, range(6)), (8, range(8)), (8, range(2, 7))])
+def test_enumerate_candidates_matches_per_branch_reference(L, cells):
+    rng = np.random.default_rng(10 * L + len(cells))
+    h = np.zeros(L, dtype=np.complex128)
+    h[list(cells)] = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+    got = enumerate_candidates(direct_autocorrelation(h), L)
+    want = _reference_candidates(h, L)
+    assert len(got) == len(want)
+    for c in got:
+        assert any(_phase_match(c, w, 1e-9) for w in want)
+    for w in want:
+        assert any(_phase_match(w, c, 1e-9) for c in got)
+
+
 def test_enumerate_candidates_validation():
     with pytest.raises(ValueError):
         enumerate_candidates([1.0], L_MAX + 1)
@@ -108,6 +162,15 @@ def test_recover_local_roundtrip(L):
             mate is not None and _phase_match(rep, mate, 1e-6)
         )
         assert ok
+
+
+def test_recover_local_at_l_max():
+    # 2^15 factorization branches in one batch
+    rng = np.random.default_rng(16)
+    h = rng.standard_normal(L_MAX) + 1j * rng.standard_normal(L_MAX)
+    phi_mags, psi_mags, pair = _node_mags(h, L_MAX)
+    cls = recover_local(phi_mags, psi_mags, pair)
+    assert any(_phase_match(rep, h, 1e-7) for rep in cls.representatives)
 
 
 def test_recover_local_zero_node():

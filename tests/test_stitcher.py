@@ -37,6 +37,20 @@ def _roundtrip(f, pair, a, anchor=None):
     return rep, res
 
 
+@pytest.mark.parametrize("a, b, seed", [(1.0, 0.5, 1495495394), (0.5, 0.25, 349134471)])
+def test_roundtrip_with_a_near_circle_mirror_pair(a, b, seed):
+    # on criterion 1's grid, each signal has one node whose autocorrelation
+    # holds a mirror root pair within 1e-6 of the unit circle; np.roots
+    # resolves it only to about sqrt(eps), so no raw candidate meets the
+    # acceptance tolerance and the best one must be polished, not refused
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    gap = 2 * grid.B - a
+    n_gap = int(np.ceil(gap / grid.delta - 1e-9))
+    f = random_nonseparable(grid, grid.horizon - n_gap + 1, gap, seed=seed)
+    rep, res = _roundtrip(f, build_window("rectangular", grid, b=b), a)
+    assert res <= 1e-8
+
+
 @pytest.mark.parametrize("a", [1.0, 0.5])
 def test_reconstruct_roundtrip(a):
     for seed in range(4):
