@@ -42,7 +42,6 @@ from .counterexample_forge import (
     forge_wide_step,
 )
 from .verifier import (
-    FINGERPRINT_QUANTUM,
     OracleConfig,
     _phase_residual,
     alphabet_family,
@@ -52,7 +51,6 @@ from .verifier import (
     trig_family,
     uniqueness_oracle,
 )
-from .stft_engine import measure_batch
 
 
 @dataclass(frozen=True)
@@ -250,13 +248,8 @@ def criterion_7() -> CriterionResult:
         desc,
         violation_cap=10 ** 6,
     )
-    index = {np.round(row, 12).tobytes(): i for i, row in enumerate(samples)}
     structural = all(
-        is_conjugate_twist_mate(
-            coeffs[index[np.round(f.samples, 12).tobytes()]],
-            coeffs[index[np.round(g.samples, 12).tobytes()]],
-        )
-        for f, g in rat.violations
+        is_conjugate_twist_mate(coeffs[i], coeffs[j]) for i, j in rat.violation_rows
     )
     passed = inc.violation_count == 0 and rat.violation_count > 0 and structural
     return _result(
@@ -335,40 +328,24 @@ def criterion_10() -> CriterionResult:
     scanned = 0
     for a in (1.0, 0.5):
         nodes = TimeNodes.lattice_covering(grid, a)
-        report = uniqueness_oracle(OracleConfig(grid, pair, nodes), family, desc,
-                                   violation_cap=10 ** 6)
-        mags = measure_batch(family, grid, pair, nodes)
-        keys = np.round(mags.reshape(len(family), -1) / FINGERPRINT_QUANTUM).astype(np.int64)
-        groups: Dict[bytes, List[int]] = {}
+        report = uniqueness_oracle(OracleConfig(grid, pair, nodes), family, desc)
+        ambiguous = set(report.ambiguous_rows)
         for i in range(len(family)):
-            groups.setdefault(keys[i].tobytes(), []).append(i)
-        violating_classes = set()
-        for members in groups.values():
-            for ai in range(len(members) - 1):
-                for bi in range(ai + 1, len(members)):
-                    if not pair_equivalent(
-                        family[members[ai]], family[members[bi]], allow_reflection=True
-                    ):
-                        violating_classes.add(keys[members[ai]].tobytes())
-        if (len(violating_classes) > 0) != (report.violation_count > 0):
-            disagreements += 1
-        for key, members in groups.items():
-            unique = key not in violating_classes
-            for i in members:
-                scanned += 1
-                f = Signal(grid, family[i].copy())
-                try:
-                    rep = reconstruct(measure(f, pair, nodes), pair)
-                    ok = pair_equivalent(
-                        rep.signal.samples, f.samples, allow_reflection=True, tol=1e-6
-                    )
-                    outcome_unique = ok and rep.ambiguity in (
-                        "phase_only", "phase_or_reflection"
-                    )
-                except Exception:
-                    outcome_unique = False
-                if unique != outcome_unique:
-                    disagreements += 1
+            unique = i not in ambiguous
+            scanned += 1
+            f = Signal(grid, family[i].copy())
+            try:
+                rep = reconstruct(measure(f, pair, nodes), pair)
+                ok = pair_equivalent(
+                    rep.signal.samples, f.samples, allow_reflection=True, tol=1e-6
+                )
+                outcome_unique = ok and rep.ambiguity in (
+                    "phase_only", "phase_or_reflection"
+                )
+            except Exception:
+                outcome_unique = False
+            if unique != outcome_unique:
+                disagreements += 1
     passed = disagreements == 0
     return _result(
         10, "oracle/pipeline consistency", passed,

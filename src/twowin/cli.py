@@ -565,8 +565,8 @@ def _oracle_report_obj(report: OracleReport, keep: int = 8) -> Dict[str, Any]:
         "unique": report.unique,
         "elapsed": float(report.elapsed),
         "violations": [
-            {"f": signal_to_obj(u), "g": signal_to_obj(v)}
-            for u, v in report.violations[:keep]
+            {"f": signal_to_obj(u), "g": signal_to_obj(v), "rows": [i, j]}
+            for (u, v), (i, j) in zip(report.violations[:keep], report.violation_rows)
         ],
     }
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,10 @@ VIOLATION_CAP = 64
 
 EQUIV_TOL = 1e-8
 
+#: Within-group pairs are checked this many at a time, which bounds the
+#: oracle's working memory whatever the family's group sizes.
+PAIR_CHUNK = 16384
+
 
 def measurements_equal(
     m1: MeasurementSet, m2: MeasurementSet, tol: float = 1e-10
@@ -56,14 +61,22 @@ def measurements_equal(
     return dev <= tol, dev
 
 
+def _phase_residuals(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise distance of u from v after the best global phase, relative to
+    their joint norm; 0 for two zero rows, and the phase is 1 when the rows
+    are orthogonal."""
+    nu = np.linalg.norm(u, axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    ip = np.einsum("ij,ij->i", np.conj(v), u)
+    mod = np.abs(ip)
+    lam = np.divide(ip, mod, out=np.ones_like(ip), where=mod > 0)
+    dist = np.linalg.norm(u - lam[:, None] * v, axis=1)
+    scale = np.hypot(nu, nv)
+    return np.divide(dist, scale, out=np.zeros_like(dist), where=scale > 0)
+
+
 def _phase_residual(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 and nv == 0.0:
-        return 0.0
-    ip = np.vdot(v, u)
-    lam = ip / abs(ip) if abs(ip) > 0 else 1.0
-    return float(np.linalg.norm(u - lam * v)) / float(np.hypot(nu, nv))
+    return float(_phase_residuals(u[None], v[None])[0])
 
 
 def _reflection_residual(u: np.ndarray, v: np.ndarray) -> float:
@@ -108,10 +121,38 @@ class OracleReport:
     violations: Tuple[Tuple[Signal, Signal], ...]
     violation_count: int
     elapsed: float
+    #: family row indices (i, j), i < j, of each materialized violation
+    violation_rows: Tuple[Tuple[int, int], ...]
+    #: sorted row indices of every member of a fingerprint group that holds
+    #: at least one violating pair (all of them, whatever the cap)
+    ambiguous_rows: Tuple[int, ...]
 
     @property
     def unique(self) -> bool:
         return self.violation_count == 0
+
+
+def _within_group_pairs(
+    groups: dict, chunk: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every within-group pair of the grouping, in group order, then by the
+    member position of i, then of j (so i < j when members are in row order).
+    Yields row arrays (i, j) and each pair's group index, ``chunk`` pairs at a
+    time, so memory stays linear in the family size whatever the group sizes."""
+    sizes = np.fromiter(map(len, groups.values()), dtype=np.intp, count=len(groups))
+    order = np.fromiter(
+        chain.from_iterable(groups.values()), dtype=np.intp, count=int(sizes.sum())
+    )
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    led = sizes[group] - 1 - rank  # pairs whose first member sits at each position
+    ends = np.cumsum(led)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, chunk):
+        q = np.arange(lo, min(lo + chunk, total))
+        first = np.searchsorted(ends, q, side="right")
+        second = first + 1 + q - (ends[first] - led[first])
+        yield order[first], order[second], group[first]
 
 
 def uniqueness_oracle(
@@ -122,9 +163,18 @@ def uniqueness_oracle(
 ) -> OracleReport:
     """Exhaustive measurement-collision scan over a family of sample rows.
 
-    Equivalence is global phase, plus the support-aligned conjugate reversal
-    when the nodes form a bare lattice (no anchor, no second line), matching
-    what such measurements can possibly determine.
+    Rows are grouped by their measurements, quantized to
+    ``FINGERPRINT_QUANTUM``; every within-group pair that is not equivalent
+    is a violation.  Equivalence is global phase, plus the support-aligned
+    conjugate reversal when the nodes form a bare lattice (no anchor, no
+    second line), matching what such measurements can possibly determine.
+    The phase test runs on ``PAIR_CHUNK`` pairs at a time, and the reflection
+    test only on the pairs that fail it.
+
+    Violations come in group order (groups by first appearance), then member
+    order; the first ``violation_cap`` are materialized as Signal pairs, with
+    their row indices in ``violation_rows``.  ``ambiguous_rows`` lists every
+    row whose group holds a violation.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim != 2 or samples.shape[1] != config.grid.horizon:
@@ -136,31 +186,41 @@ def uniqueness_oracle(
         raise ValueError(f"family too large: {n} instances exceeds the {ORACLE_CAP} cap")
     start = time.perf_counter()
     mags = measure_batch(samples, config.grid, config.pair, config.nodes, config.freqs)
-    keys = np.round(mags.reshape(n, -1) / FINGERPRINT_QUANTUM).astype(np.int64)
+    width = int(np.prod(mags.shape[1:]))  # reshape(n, -1) fails on an empty family
+    keys = np.round(mags.reshape(n, width) / FINGERPRINT_QUANTUM).astype(np.int64)
     groups: dict = {}
     for i in range(n):
         groups.setdefault(keys[i].tobytes(), []).append(i)
     allow_reflection = config.nodes.mode == "lattice"
-    violations: List[Tuple[Signal, Signal]] = []
+    kept: List[Tuple[int, int]] = []
     violation_count = 0
-    for members in groups.values():
-        for ai in range(len(members) - 1):
-            for bi in range(ai + 1, len(members)):
-                i, j = members[ai], members[bi]
-                if not pair_equivalent(samples[i], samples[j], allow_reflection):
-                    violation_count += 1
-                    if len(violations) < violation_cap:
-                        violations.append(
-                            (Signal(config.grid, samples[i].copy()),
-                             Signal(config.grid, samples[j].copy()))
-                        )
+    violating = np.zeros(len(groups), dtype=bool)
+    for rows_i, rows_j, pair_group in _within_group_pairs(groups, PAIR_CHUNK):
+        equivalent = _phase_residuals(samples[rows_i], samples[rows_j]) <= EQUIV_TOL
+        if allow_reflection:
+            for p in np.flatnonzero(~equivalent):
+                equivalent[p] = (
+                    _reflection_residual(samples[rows_i[p]], samples[rows_j[p]]) <= EQUIV_TOL
+                )
+        bad = np.flatnonzero(~equivalent)
+        violation_count += len(bad)
+        violating[pair_group[bad]] = True
+        keep = bad[:max(violation_cap - len(kept), 0)]
+        kept.extend(zip(rows_i[keep].tolist(), rows_j[keep].tolist()))
+    members = list(groups.values())
+    ambiguous = chain.from_iterable(members[g] for g in np.flatnonzero(violating))
     return OracleReport(
         description=description,
         instance_count=n,
         class_count=len(groups),
-        violations=tuple(violations),
+        violations=tuple(
+            (Signal(config.grid, samples[i].copy()), Signal(config.grid, samples[j].copy()))
+            for i, j in kept
+        ),
         violation_count=violation_count,
         elapsed=time.perf_counter() - start,
+        violation_rows=tuple(kept),
+        ambiguous_rows=tuple(sorted(ambiguous)),
     )
 
 

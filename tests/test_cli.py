@@ -8,6 +8,7 @@ from twowin import (
     GridSpec,
     ReconstructionReport,
     Signal,
+    alphabet_family,
     build_window,
     global_phase_align,
     measure,
@@ -224,8 +225,21 @@ def test_verify_oracle_runs(run_cli, tmp_path):
     )
     assert code == 0
     report = json.loads(out_path.read_text())
+    assert set(report) == {
+        "description", "instance_count", "class_count", "violation_count", "unique",
+        "elapsed", "violations",
+    }
     assert report["violation_count"] >= 1
     assert not report["unique"]
+    assert 1 <= len(report["violations"]) <= 8
+    grid = GridSpec(B=1.0, L=4, origin=4, horizon=8)
+    family, _ = alphabet_family(grid, [3, 4, 5, 6])
+    for pair in report["violations"]:
+        assert set(pair) == {"f", "g", "rows"}
+        i, j = pair["rows"]
+        assert i < j
+        assert np.array_equal(cli.signal_from_obj(pair["f"], "f").samples, family[i])
+        assert np.array_equal(cli.signal_from_obj(pair["g"], "g").samples, family[j])
 
 
 def test_plot_measurement_and_signal(run_cli, tmp_path, generic_signal):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twowin import verifier
 from twowin import (
     GridSpec,
     OracleConfig,
@@ -103,6 +104,98 @@ def test_oracle_rejects_misshapen_family():
     )
     with pytest.raises(ValueError, match="sample rows"):
         uniqueness_oracle(config, np.ones((3, 5), dtype=np.complex128))
+
+
+def test_oracle_reports_an_empty_family_as_empty():
+    config = OracleConfig(
+        grid=TINY, pair=TINY_PAIR, nodes=TimeNodes.lattice_covering(TINY, 1.0)
+    )
+    report = uniqueness_oracle(config, np.zeros((0, TINY.horizon), dtype=np.complex128))
+    assert (report.instance_count, report.class_count, report.violation_count) == (0, 0, 0)
+    assert report.violations == report.violation_rows == report.ambiguous_rows == ()
+    assert report.unique
+
+
+def _scalar_phase_residual(u, v):
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 and nv == 0.0:
+        return 0.0
+    ip = np.vdot(v, u)
+    lam = ip / abs(ip) if abs(ip) > 0 else 1.0
+    return float(np.linalg.norm(u - lam * v)) / float(np.hypot(nu, nv))
+
+
+def _scalar_oracle(config, samples):
+    """The scalar within-group pair loop that the batched oracle replaced;
+    run it with ``_scalar_phase_residual`` patched in, the formula it used."""
+    n = len(samples)
+    mags = verifier.measure_batch(samples, config.grid, config.pair, config.nodes)
+    keys = np.round(mags.reshape(n, -1) / verifier.FINGERPRINT_QUANTUM).astype(np.int64)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(keys[i].tobytes(), []).append(i)
+    allow_reflection = config.nodes.mode == "lattice"
+    rows, ambiguous = [], set()
+    for members in groups.values():
+        for ai in range(len(members) - 1):
+            for bi in range(ai + 1, len(members)):
+                i, j = members[ai], members[bi]
+                if not verifier.pair_equivalent(samples[i], samples[j], allow_reflection):
+                    rows.append((i, j))
+                    ambiguous.update(members)
+    return len(groups), rows, sorted(ambiguous)
+
+
+def _oracle_cases():
+    grid2 = GridSpec(B=1.0, L=4, origin=4, horizon=8)
+    family2, _ = alphabet_family(grid2, [3, 4, 5, 6])
+    crit2 = OracleConfig(grid2, build_window("rectangular", grid2),
+                         TimeNodes.lattice(1.5, range(-1, 2)))
+    for cap in (1, 64, 10 ** 6):
+        yield f"criterion-2 cap {cap}", crit2, family2, cap, 172
+
+    grid7 = GridSpec(B=1.0, L=9, origin=9, horizon=18)
+    trig, _, _ = trig_family(grid7, 2.0, degree=2)
+    trig = trig[np.random.default_rng(7).permutation(len(trig))]
+    config = OracleConfig(grid7, build_window("rectangular", grid7),
+                          TimeNodes.two_lines(0.0, 3 * grid7.delta))
+    yield "shuffled trig", config, trig, 64, None
+
+    family10, _ = alphabet_family(TINY, [0, 1, 2, 3])
+    for a in (1.0, 0.5):
+        config = OracleConfig(TINY, TINY_PAIR, TimeNodes.lattice_covering(TINY, a))
+        yield f"criterion-10 a={a}", config, family10, 10 ** 6, None
+
+    # a colliding pair of criterion 2's family, with copies, rotations by i
+    # and -1, all-zero rows, a reflection mate, and a row on cell 0 alone,
+    # which two lines near 0 do not see (so it meets a zero row at ip == 0)
+    f, g, e0 = np.zeros((3, 8), dtype=np.complex128)
+    f[3:7], g[3:7], e0[0] = [0, 1, 0, 1], [0, 1, 0, 1j], 1
+    edge = np.stack([f, 1j * f, 0 * f, g, -f, f, -1j * g, np.conj(f[::-1]), 0 * f, g, e0])
+    yield "edge rows", crit2, edge, 64, 12
+    two_lines = OracleConfig(grid2, crit2.pair, TimeNodes.two_lines(0.0, 0.5))
+    yield "edge rows, two lines", two_lines, edge, 64, 2
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_oracle_matches_the_scalar_pair_loop(case, monkeypatch):
+    _, config, samples, cap, want_count = case
+    monkeypatch.setattr(verifier, "PAIR_CHUNK", 100)  # many chunks, ragged last one
+    report = uniqueness_oracle(config, samples, violation_cap=cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_phase_residual", _scalar_phase_residual)
+        class_count, rows, ambiguous = _scalar_oracle(config, samples)
+    if want_count is not None:
+        assert report.violation_count == want_count
+    assert report.class_count == class_count
+    assert report.violation_count == len(rows)
+    assert report.violation_rows == tuple(rows[:cap])
+    got = b"".join(f.samples.tobytes() + g.samples.tobytes() for f, g in report.violations)
+    want = b"".join(samples[i].tobytes() + samples[j].tobytes() for i, j in rows[:cap])
+    assert got == want
+    assert report.ambiguous_rows == tuple(ambiguous)
+    assert (len(report.ambiguous_rows) > 0) == (report.violation_count > 0)
 
 
 def test_alphabet_family_shape():
