@@ -18,10 +18,12 @@ from .signal_model import (
     GridSpec,
     Signal,
     global_phase_align,
+    phase_residuals,
     random_nonseparable,
 )
 from .window_engine import build_window
 from .stft_engine import (
+    DIFFERENCE_IDENTITY_TOL,
     TimeNodes,
     check_difference_identity,
     default_anchor,
@@ -43,7 +45,6 @@ from .counterexample_forge import (
 )
 from .verifier import (
     OracleConfig,
-    _phase_residual,
     alphabet_family,
     is_conjugate_twist_mate,
     measurements_equal,
@@ -166,7 +167,7 @@ def criterion_4() -> CriterionResult:
         for t in nodes.times:
             for n in range(-grid.L, grid.L):
                 max_defect = max(max_defect, check_difference_identity(f, pair, t, n))
-    passed = max_defect <= 1e-10
+    passed = max_defect <= DIFFERENCE_IDENTITY_TOL
     return _result(
         4, "difference identity", passed,
         f"max defect {max_defect:.2e} over 50 signals x {len(nodes.times)} nodes x "
@@ -195,10 +196,10 @@ def criterion_5() -> CriterionResult:
             continue
         mate = slot_reflect(h)
         allowed = [h] + ([mate] if mate is not None else [])
-        if not any(_phase_residual(rep, h) <= 1e-6 for rep in cls.representatives):
+        if not any(phase_residuals(rep, h) <= 1e-6 for rep in cls.representatives):
             missing_truth += 1
         for rep in cls.representatives:
-            if not any(_phase_residual(rep, cand) <= 1e-6 for cand in allowed):
+            if not any(phase_residuals(rep, cand) <= 1e-6 for cand in allowed):
                 bad_survivors += 1
     passed = ambiguity_errors == 0 and bad_survivors == 0 and missing_truth == 0
     return _result(

@@ -30,7 +30,7 @@ from .stft_engine import (
     measure,
 )
 from .stitcher import ReconstructionReport, reconstruct
-from .counterexample_forge import CLAIMS, forge
+from .counterexample_forge import CLAIMS, FORGES, forge
 from .verifier import (
     OracleConfig,
     OracleReport,
@@ -39,7 +39,6 @@ from .verifier import (
     pair_equivalent,
     uniqueness_oracle,
 )
-from . import counterexample_forge
 from .acceptance import run_all
 
 
@@ -280,6 +279,7 @@ def report_to_obj(rep: ReconstructionReport) -> Dict[str, Any]:
         "signal": signal_to_obj(rep.signal),
         "anchor_used": bool(rep.anchor_used),
         "alternative": None if rep.alternative is None else signal_to_obj(rep.alternative),
+        "uncovered": list(rep.uncovered),
     }
 
 
@@ -433,14 +433,7 @@ def cmd_recover(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_forge(config: RunConfig, args: argparse.Namespace) -> int:
-    table = {
-        "separable_gap": counterexample_forge.forge_separable,
-        "wide_step": counterexample_forge.forge_wide_step,
-        "rational_periodic": counterexample_forge.forge_rational_periodic,
-        "quasiperiodic_flip": counterexample_forge.forge_quasiperiodic_flip,
-        "rational_lattice": counterexample_forge.forge_rational_lattice,
-    }
-    accepted = inspect.signature(table[args.claim]).parameters
+    accepted = inspect.signature(FORGES[args.claim]).parameters
     kwargs = {
         name: val
         for name, val in (("B", config.B), ("a", config.a), ("seed", config.seed))
@@ -497,9 +490,7 @@ def _verify_pair(config: RunConfig, args: argparse.Namespace) -> int:
     equivalent = pair_equivalent(
         f.samples, g.samples, allow_reflection=(nodes.mode == "lattice")
     )
-    distance = min(
-        global_phase_align(f, g).residual, global_phase_align(g, f).residual
-    )
+    distance = global_phase_align(f, g).residual
     if equivalent:
         verdict = "equivalent"
     elif equal:

@@ -35,14 +35,6 @@ MIN_FORGE_DISTANCE = 0.1
 #: Their measurements must agree to this absolute sup deviation.
 FORGE_EQUALITY_TOL = 1e-10
 
-CLAIMS = (
-    "separable_gap",
-    "wide_step",
-    "rational_periodic",
-    "quasiperiodic_flip",
-    "rational_lattice",
-)
-
 
 @dataclass(frozen=True)
 class ForgedPair:
@@ -53,11 +45,6 @@ class ForgedPair:
     claim: str
     min_distance: float
     params: Dict[str, object] = field(default_factory=dict)
-
-
-def _aligned_distance(f: Signal, g: Signal) -> float:
-    """Relative distance after global phase alignment, both orientations."""
-    return min(global_phase_align(f, g).residual, global_phase_align(g, f).residual)
 
 
 def _seal(pair: ForgedPair) -> ForgedPair:
@@ -117,7 +104,7 @@ def forge_separable(
             nodes=nodes,
             pair=build_window("rectangular", grid),
             claim="separable_gap",
-            min_distance=_aligned_distance(f, g),
+            min_distance=global_phase_align(f, g).residual,
             params={"B": grid.B, "a": a, "seed": seed},
         )
     )
@@ -167,7 +154,7 @@ def forge_wide_step(
             nodes=nodes,
             pair=build_window("rectangular", grid),
             claim="wide_step",
-            min_distance=_aligned_distance(f, g),
+            min_distance=global_phase_align(f, g).residual,
             params={"B": grid.B, "a": a, "seed": seed, "strip": (-half, half)},
         )
     )
@@ -249,7 +236,7 @@ def forge_rational_periodic(
             nodes=nodes,
             pair=build_window("rectangular", grid),
             claim="rational_periodic",
-            min_distance=_aligned_distance(f, g),
+            min_distance=global_phase_align(f, g).residual,
             params={"T": T, "q": q, "t0": t0, "t1": t1, "p": p, "c0": c0, "cq": cq},
         )
     )
@@ -312,7 +299,7 @@ def forge_quasiperiodic_flip(
             nodes=nodes,
             pair=build_window("rectangular", grid),
             claim="quasiperiodic_flip",
-            min_distance=_aligned_distance(f, g),
+            min_distance=global_phase_align(f, g).residual,
             params={"T": T, "alpha": alpha, "c": c, "figure_abscissae": labels},
         )
     )
@@ -359,21 +346,26 @@ def forge_rational_lattice(
             nodes=nodes,
             pair=build_window("rectangular", grid),
             claim="rational_lattice",
-            min_distance=_aligned_distance(f, g),
+            min_distance=global_phase_align(f, g).residual,
             params={"a": a, "k_a": k_a},
         )
     )
 
 
+#: Every forge by its claim name.
+FORGES = {
+    "separable_gap": forge_separable,
+    "wide_step": forge_wide_step,
+    "rational_periodic": forge_rational_periodic,
+    "quasiperiodic_flip": forge_quasiperiodic_flip,
+    "rational_lattice": forge_rational_lattice,
+}
+
+CLAIMS = tuple(FORGES)
+
+
 def forge(claim: str, **kwargs) -> ForgedPair:
     """Dispatch by claim name; see the individual forges for parameters."""
-    table = {
-        "separable_gap": forge_separable,
-        "wide_step": forge_wide_step,
-        "rational_periodic": forge_rational_periodic,
-        "quasiperiodic_flip": forge_quasiperiodic_flip,
-        "rational_lattice": forge_rational_lattice,
-    }
-    if claim not in table:
+    if claim not in FORGES:
         raise ValueError(f"unknown claim {claim!r}; pick one of {', '.join(CLAIMS)}")
-    return table[claim](**kwargs)
+    return FORGES[claim](**kwargs)

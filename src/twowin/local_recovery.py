@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .signal_model import phase_fit
 from .window_engine import WindowPair
 
 #: Relative threshold for matching a root with its mirror partner 1/conj(r).
@@ -122,9 +123,7 @@ def _phase_match(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     ref = max(nu, nv)
     if ref == 0.0:
         return True
-    ip = np.vdot(v, u)
-    lam = ip / abs(ip) if abs(ip) > 0 else 1.0
-    return float(np.linalg.norm(u - lam * v)) <= tol * ref
+    return float(phase_fit(u, v)[1]) <= tol * ref
 
 
 def _cluster_circle_roots(roots: List[complex], chord_tol: float) -> List[List[complex]]:

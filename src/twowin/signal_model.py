@@ -178,11 +178,39 @@ class PhaseAlignment:
     residual: float
 
 
+def phase_fit(u: np.ndarray, v: np.ndarray):
+    """Best unit scalar lambda aligning v to u, and the distance ||u - lambda v||.
+
+    Works row-wise on 2-D inputs and returns arrays there; a pair of 1-D
+    vectors takes a scalar path, which is several times cheaper for short
+    vectors.  lambda is 1 where u and v are orthogonal (zero rows included).
+    """
+    if u.ndim == 1:
+        ip = np.vdot(v, u)
+        lam = ip / abs(ip) if abs(ip) > 0 else 1.0 + 0.0j
+        return lam, np.linalg.norm(u - lam * v)
+    ip = np.einsum("ij,ij->i", np.conj(v), u)
+    mod = np.abs(ip)
+    lam = np.divide(ip, mod, out=np.ones_like(ip), where=mod > 0)
+    return lam, np.linalg.norm(u - lam[:, None] * v, axis=1)
+
+
+def phase_residuals(u: np.ndarray, v: np.ndarray):
+    """``phase_fit``'s distance relative to the joint norm sqrt(||u||^2 + ||v||^2),
+    row-wise on 2-D inputs; 0 for two zero vectors."""
+    _, dist = phase_fit(u, v)
+    scale = np.hypot(np.linalg.norm(u, axis=-1), np.linalg.norm(v, axis=-1))
+    if u.ndim == 1:
+        return float(dist / scale) if scale > 0 else 0.0
+    return np.divide(dist, scale, out=np.zeros_like(dist), where=scale > 0)
+
+
 def global_phase_align(f: Signal, g: Signal) -> PhaseAlignment:
     """Best unit scalar aligning g to f, with the relative l2 residual.
 
     Degenerate cases: if both signals are zero the residual is 0; if exactly
-    one is zero no phase helps and lambda defaults to 1.
+    one is zero no phase helps and lambda defaults to 1.  The residual is
+    symmetric in f and g.
     """
     require_same_grid(f, g)
     fv = f.samples
@@ -190,13 +218,8 @@ def global_phase_align(f: Signal, g: Signal) -> PhaseAlignment:
     scale = float(np.sqrt(np.linalg.norm(fv) ** 2 + np.linalg.norm(gv) ** 2))
     if scale == 0.0:
         return PhaseAlignment(lam=1.0 + 0.0j, residual=0.0)
-    inner = complex(np.vdot(gv, fv))  # sum f * conj(g)
-    if inner == 0:
-        lam = 1.0 + 0.0j
-    else:
-        lam = inner / abs(inner)
-    residual = float(np.linalg.norm(fv - lam * gv) / scale)
-    return PhaseAlignment(lam=lam, residual=residual)
+    lam, dist = phase_fit(fv, gv)
+    return PhaseAlignment(lam=complex(lam), residual=float(dist / scale))
 
 
 def equivalent_up_to_phase(f: Signal, g: Signal, tol: float = 1e-8) -> bool:
@@ -286,6 +309,21 @@ class PeriodicSpec:
             raise ValueError(f"|mu| must be 1, got |{self.mu}| = {abs(self.mu)}")
 
 
+def _mu_powers(mu: complex, exps: np.ndarray) -> np.ndarray:
+    """mu ** e for each integer in ``exps``.
+
+    The powers are built by integer exponentiation, which keeps sign flips
+    (mu = -1) and quarter turns (mu = +-i) exact instead of routing through
+    exp/log.
+    """
+    e_lo = int(exps.min())
+    table = np.empty(int(exps.max()) - e_lo + 1, dtype=np.complex128)
+    table[0] = complex(mu) ** e_lo
+    for idx in range(1, table.size):
+        table[idx] = table[idx - 1] * mu
+    return table[exps - e_lo]
+
+
 def make_periodic(spec: PeriodicSpec, grid: GridSpec) -> Signal:
     """Sample the quasi-periodic extension of a trigonometric base cell.
 
@@ -310,16 +348,8 @@ def make_periodic(spec: PeriodicSpec, grid: GridSpec) -> Signal:
     j = np.arange(grid.horizon) - grid.origin
     cell = j // k_Ti
     rem = j - cell * k_Ti
-    # f((r + m*k_T) * delta) = mu^(-m) * p(r * delta).  Powers of mu are
-    # built by integer exponentiation, which keeps sign flips (mu = -1) and
-    # quarter turns (mu = +-i) exact instead of routing through exp/log.
-    exps = -cell
-    e_lo = int(exps.min())
-    table = np.empty(int(exps.max()) - e_lo + 1, dtype=np.complex128)
-    table[0] = complex(spec.mu) ** e_lo
-    for idx in range(1, table.size):
-        table[idx] = table[idx - 1] * spec.mu
-    return Signal(grid, table[exps - e_lo] * base[rem])
+    # f((r + m*k_T) * delta) = mu^(-m) * p(r * delta)
+    return Signal(grid, _mu_powers(spec.mu, -cell) * base[rem])
 
 
 def periodic_eval(spec: PeriodicSpec, x) -> np.ndarray:
@@ -337,13 +367,7 @@ def periodic_eval(spec: PeriodicSpec, x) -> np.ndarray:
     vals = np.zeros_like(xv, dtype=np.complex128)
     for k, c in spec.coefficients.items():
         vals += c * np.exp(2j * np.pi * k * rem / spec.T)
-    exps = -m
-    e_lo = int(exps.min())
-    table = np.empty(int(exps.max()) - e_lo + 1, dtype=np.complex128)
-    table[0] = complex(spec.mu) ** e_lo
-    for idx in range(1, table.size):
-        table[idx] = table[idx - 1] * spec.mu
-    out = table[exps - e_lo] * vals
+    out = _mu_powers(spec.mu, -m) * vals
     return out if np.ndim(x) else out[0]
 
 

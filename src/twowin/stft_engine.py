@@ -18,8 +18,8 @@ n = -N .. N-1 (N = L by default) carries everything there is to know.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,10 +185,6 @@ class MeasurementSet:
     def grid(self) -> GridSpec:
         return self.pair.grid
 
-    def mags_at(self, which: str, node_index: int) -> np.ndarray:
-        w = WINDOW_NAMES.index(which)
-        return self.mags[w, node_index]
-
     def to_rows(self) -> Iterator[Tuple[str, float, int, float, float]]:
         """Deterministic long-format rows (w, t, n, omega, value)."""
         omegas = self.freqs.omegas
@@ -203,60 +199,68 @@ class MeasurementSet:
                     yield (wname, t, int(ns[bi]), float(omegas[bi]), float(self.mags[wi, ti, bi]))
 
 
-def _segment_start(grid: GridSpec, t: float) -> int:
-    """First grid index k with x_k - t >= -B; the window then holds indices
-    k .. k+L-1 (boundary snapped to 1e-9 of a cell so grid-aligned t keeps
-    the -B endpoint)."""
-    v = (t - grid.B) / grid.delta + grid.origin
-    return int(math.ceil(v - 1e-9))
+class NodeSegment(NamedTuple):
+    """What the window at one node time sees.
+
+    ``cells`` are the L absolute grid indices k with x_k - t in [-B, B) (the
+    -B edge snapped to 1e-9 of a cell, so a grid-aligned t keeps it), ``on``
+    marks those inside the horizon, ``samples`` holds the signal values
+    gathered there (zero off the horizon; any leading batch axes are kept)
+    and ``windows`` the requested windows' values at the offsets x_k - t.
+    """
+
+    cells: np.ndarray
+    on: np.ndarray
+    samples: Optional[np.ndarray]
+    windows: Tuple[np.ndarray, ...]
 
 
-def _window_slot_values(pair: WindowPair, which: str, grid_aligned: bool, u: np.ndarray) -> np.ndarray:
-    if grid_aligned:
-        return pair.slot_values(which)
-    if not pair.supports_offgrid:
-        raise OffGridError(
-            "user-sampled windows require grid-multiple node times", float(u[0]), 0.0
-        )
-    return pair.values_at(which, u)
-
-
-def _gather(samples: np.ndarray, k_lo: int, L: int) -> np.ndarray:
-    """Signal values on window indices, zero outside the horizon."""
-    horizon = samples.shape[-1]
-    k = np.arange(k_lo, k_lo + L)
-    inside = (k >= 0) & (k < horizon)
-    out = np.zeros(samples.shape[:-1] + (L,), dtype=np.complex128)
-    out[..., inside] = samples[..., k[inside]]
-    return out
+def node_segment(
+    grid: GridSpec,
+    t: float,
+    samples: Optional[np.ndarray] = None,
+    pair: Optional[WindowPair] = None,
+    which: Sequence[str] = WINDOW_NAMES,
+) -> NodeSegment:
+    """The cells under the window at t, with the samples and window values
+    there when ``samples`` and ``pair`` are given."""
+    k_lo = int(math.ceil((t - grid.B) / grid.delta + grid.origin - 1e-9))
+    k = np.arange(k_lo, k_lo + grid.L)
+    on = (k >= 0) & (k < grid.horizon)
+    fv = None
+    if samples is not None:
+        fv = np.zeros(samples.shape[:-1] + (grid.L,), dtype=np.complex128)
+        fv[..., on] = samples[..., k[on]]
+    windows: Tuple[np.ndarray, ...] = ()
+    if pair is not None:
+        if grid.is_multiple(t):
+            windows = tuple([pair.slot_values(w) for w in which])
+        elif not pair.supports_offgrid:
+            raise OffGridError(
+                "user-sampled windows require grid-multiple node times",
+                float(grid.x(k[0]) - t),
+                0.0,
+            )
+        else:
+            windows = tuple([pair.values_at(w, grid.x(k) - t) for w in which])
+    return NodeSegment(k, on, fv, windows)
 
 
 def stft_value(f: Signal, pair: WindowPair, which: str, t: float, omega: float) -> complex:
     """Single transform value at an arbitrary node time and frequency."""
-    grid = f.grid
     if which not in WINDOW_NAMES:
         raise ValueError(f"window must be one of {WINDOW_NAMES}, got {which!r}")
-    k_lo = _segment_start(grid, t)
-    k = np.arange(k_lo, k_lo + grid.L)
-    x = (k - grid.origin) * grid.delta
-    u = x - t
-    aligned = grid.is_multiple(t)
-    w = _window_slot_values(pair, which, aligned, u)
-    fv = _gather(f.samples, k_lo, grid.L)
-    val = grid.delta * np.sum(fv * np.conj(w) * np.exp(-2j * np.pi * x * omega))
+    seg = node_segment(f.grid, t, f.samples, pair, (which,))
+    w = seg.windows[0]
+    x = f.grid.x(seg.cells)
+    val = f.grid.delta * np.sum(seg.samples * np.conj(w) * np.exp(-2j * np.pi * x * omega))
     return complex(val)
 
 
 def windowed_segment(f: Signal, pair: WindowPair, t: float, which: str = "phi") -> np.ndarray:
     """The length-L vector h_j = f(t + u_j) * conj(w(u_j)) seen by the node at t."""
-    grid = f.grid
-    k_lo = _segment_start(grid, t)
-    k = np.arange(k_lo, k_lo + grid.L)
-    u = (k - grid.origin) * grid.delta - t
-    aligned = grid.is_multiple(t)
-    w = _window_slot_values(pair, which, aligned, u)
-    fv = _gather(f.samples, k_lo, grid.L)
-    return fv * np.conj(w)
+    seg = node_segment(f.grid, t, f.samples, pair, (which,))
+    return seg.samples * np.conj(seg.windows[0])
 
 
 def _validate_nodes(grid: GridSpec, pair: WindowPair, nodes: TimeNodes) -> None:
@@ -281,29 +285,12 @@ def measure(
 ) -> MeasurementSet:
     """Collect |V_phi| and |V_psi| at every node over the frequency grid.
 
-    Defaults to the critical grid with one full alias period (N = L).
+    Defaults to the critical grid with one full alias period (N = L).  The
+    magnitudes are ``measure_batch`` of the one signal, made read-only.
     """
-    grid = f.grid
-    if pair.grid != grid:
-        raise ValueError("window pair and signal live on different grids")
     if freqs is None:
-        freqs = FrequencyGrid.critical(grid.L, grid.B)
-    if freqs.mode == "critical" and abs(freqs.B - grid.B) > 1e-12 * grid.B:
-        raise ValueError("frequency grid was built for a different half-width B")
-    _validate_nodes(grid, pair, nodes)
-    omegas = freqs.omegas
-    mags = np.empty((2, len(nodes.times), len(omegas)), dtype=float)
-    for ti, t in enumerate(nodes.times):
-        k_lo = _segment_start(grid, t)
-        k = np.arange(k_lo, k_lo + grid.L)
-        x = (k - grid.origin) * grid.delta
-        u = x - t
-        aligned = grid.is_multiple(t)
-        fv = _gather(f.samples, k_lo, grid.L)
-        E = np.exp(-2j * np.pi * np.outer(x, omegas))
-        for wi, wname in enumerate(WINDOW_NAMES):
-            w = _window_slot_values(pair, wname, aligned, u)
-            mags[wi, ti] = np.abs(grid.delta * ((fv * np.conj(w)) @ E))
+        freqs = FrequencyGrid.critical(f.grid.L, f.grid.B)
+    mags = measure_batch(f.samples[None], f.grid, pair, nodes, freqs)[0]
     mags.setflags(write=False)
     return MeasurementSet(pair=pair, nodes=nodes, freqs=freqs, mags=mags)
 
@@ -315,29 +302,37 @@ def measure_batch(
     nodes: TimeNodes,
     freqs: Optional[FrequencyGrid] = None,
 ) -> np.ndarray:
-    """Vectorized magnitudes for many signals sharing one grid.
+    """Magnitudes for many signals sharing one grid.
 
     samples_matrix has shape (n_signals, horizon); the result has shape
-    (n_signals, 2, n_nodes, n_bins).  Used by the brute-force oracles, where
-    per-signal measure() calls would dominate the runtime.
+    (n_signals, 2, n_nodes, n_bins).  The window pair, a critical frequency
+    grid and the rows must all belong to ``grid``.
     """
+    if pair.grid != grid:
+        raise ValueError("window pair and signal live on different grids")
+    if samples_matrix.ndim != 2 or samples_matrix.shape[1] != grid.horizon:
+        raise ValueError(
+            f"samples must be (n, {grid.horizon}) sample rows to match the grid "
+            f"horizon, got {samples_matrix.shape}"
+        )
     if freqs is None:
         freqs = FrequencyGrid.critical(grid.L, grid.B)
+    if freqs.mode == "critical" and abs(freqs.B - grid.B) > 1e-12 * grid.B:
+        raise ValueError("frequency grid was built for a different half-width B")
     _validate_nodes(grid, pair, nodes)
     omegas = freqs.omegas
     n_sig = samples_matrix.shape[0]
     mags = np.empty((n_sig, 2, len(nodes.times), len(omegas)), dtype=float)
-    for ti, t in enumerate(nodes.times):
-        k_lo = _segment_start(grid, t)
-        k = np.arange(k_lo, k_lo + grid.L)
-        x = (k - grid.origin) * grid.delta
-        u = x - t
-        aligned = grid.is_multiple(t)
-        fv = _gather(samples_matrix, k_lo, grid.L)
-        E = np.exp(-2j * np.pi * np.outer(x, omegas))
-        for wi, wname in enumerate(WINDOW_NAMES):
-            w = _window_slot_values(pair, wname, aligned, u)
-            mags[:, wi, ti, :] = np.abs(grid.delta * ((fv * np.conj(w)) @ E))
+    segs = [node_segment(grid, t, samples_matrix, pair) for t in nodes.times]
+    # every node's exp(-2 i pi x omega) in one pass; the per-node products stay
+    # as they are, because BLAS may round a stacked product differently
+    x = grid.x(np.array([seg.cells for seg in segs]))
+    E = np.exp(-2j * np.pi * (x[:, :, None] * omegas))
+    for ti, seg in enumerate(segs):
+        for wi, w in enumerate(seg.windows):
+            V = (seg.samples * np.conj(w)) @ E[ti]
+            V *= grid.delta
+            np.abs(V, out=mags[:, wi, ti])
     return mags
 
 

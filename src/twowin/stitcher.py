@@ -25,9 +25,10 @@ from .signal_model import (
     equivalent_up_to_phase,
     make_periodic,
     periodic_eval,
+    phase_fit,
 )
 from .window_engine import WindowPair
-from .stft_engine import FrequencyGrid, MeasurementSet, TimeNodes, _segment_start, measure
+from .stft_engine import FrequencyGrid, MeasurementSet, TimeNodes, measure, node_segment
 from .local_recovery import (
     ACCEPT_TOL,
     InconsistentMeasurements,
@@ -64,6 +65,9 @@ class ReconstructionReport:
     lambdas: Tuple[complex, ...]
     anchor_used: bool = False
     alternative: Optional[Signal] = None
+    #: horizon cells that no lattice node window holds; the data says nothing
+    #: about them and the signal is zero there
+    uncovered: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,8 @@ class AlignedAssembly:
     signal: Signal
     ambiguity: str
     lambdas: Tuple[complex, ...]
-
-
-def _window_cells(grid: GridSpec, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Absolute sample indices under the window at t, and which are on-horizon."""
-    k_lo = _segment_start(grid, t)
-    k = np.arange(k_lo, k_lo + grid.L)
-    return k, (k >= 0) & (k < grid.horizon)
+    #: horizon cells under none of the node windows
+    uncovered: Tuple[int, ...] = ()
 
 
 def align_overlaps(
@@ -102,7 +101,8 @@ def align_overlaps(
     assignment is only accepted if it re-measures to that data, which
     rejects chains that glued a mate through an overlap too small to expose
     it.  Ambiguity is phase_or_reflection exactly when every node would
-    tolerate the reflected world.
+    tolerate the reflected world.  ``uncovered`` lists the horizon cells
+    that no node window holds.
 
     A live overlap that fits neither orientation means the magnitudes were
     inconsistent; an overlap with no energy means the input is separable
@@ -131,10 +131,13 @@ def align_overlaps(
     )
 
     live: List[Tuple[int, float, np.ndarray, np.ndarray, List[np.ndarray]]] = []
+    covered = np.zeros(grid.horizon, dtype=bool)
     for ci, (cls, t) in enumerate(zip(classes, times)):
+        seg = node_segment(grid, t)
+        k, on = seg.cells, seg.on
+        covered[k[on]] = True
         if cls.is_zero:
             continue
-        k, on = _window_cells(grid, t)
         # an orientation claiming content on off-horizon cells cannot come
         # from any representable signal; only the stitcher can see this, the
         # single-node data is blind to it
@@ -200,11 +203,8 @@ def align_overlaps(
             scored = []
             for patch in patches:
                 v = patch[ov]
-                ip = np.vdot(v, u)
-                lam = ip / abs(ip) if abs(ip) > 0 else 1.0 + 0.0j
-                mismatch = float(
-                    np.linalg.norm(u - lam * v) / max(np.linalg.norm(u), np.linalg.norm(v))
-                )
+                lam, dist = phase_fit(u, v)
+                mismatch = float(dist / max(np.linalg.norm(u), np.linalg.norm(v)))
                 scored.append((mismatch, lam, patch))
             scored.sort(key=lambda s: s[0])
             if scored[0][0] > ORIENT_TOL:
@@ -252,6 +252,7 @@ def align_overlaps(
         signal=Signal(grid, assembled),
         ambiguity=ambiguity,
         lambdas=lambdas,
+        uncovered=tuple(np.flatnonzero(~covered).tolist()),
     )
 
 
@@ -349,6 +350,7 @@ def resolve_reflection(
         lambdas=assembly.lambdas,
         anchor_used=anchor_used,
         alternative=alternative,
+        uncovered=assembly.uncovered,
     )
 
 
@@ -364,7 +366,9 @@ def reconstruct(
     overlaps, and settles the reflection branch (with anchor data when the
     node set carries an anchor).  The output always re-measures to the input
     within ``accept_tol``; failures surface as declared errors, never as a
-    silently wrong signal.
+    silently wrong signal.  Horizon cells under no lattice node window are
+    beyond the data: they come back zero and are listed in the report's
+    ``uncovered`` (with a <= B they can only sit at the two ends).
     """
     grid = pair.grid
     nodes = ms.nodes
@@ -464,10 +468,9 @@ def periodic_verdict(
 
     # unwind the window on the first line and fit the family coefficients
     phi = pair.slot_values("phi")
-    k, on = _window_cells(grid, t0)
-    x = (k - grid.origin) * grid.delta
-    vals = (cls0.representative / np.conj(phi))[on]
-    xs = x[on]
+    seg = node_segment(grid, t0)
+    vals = (cls0.representative / np.conj(phi))[seg.on]
+    xs = grid.x(seg.cells)[seg.on]
     cell = np.floor(xs / spec.T + 1e-9)
     rem = xs - cell * spec.T
     ks = np.arange(-Q, Q + 1)

@@ -16,16 +16,15 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import GridSpec, Signal, equivalent_up_to_phase
+from .signal_model import GridSpec, Signal, equivalent_up_to_phase, phase_residuals
 from .window_engine import WindowPair
 from .stft_engine import (
     FrequencyGrid,
     MeasurementSet,
     TimeNodes,
-    _gather,
-    _segment_start,
     measure,
     measure_batch,
+    node_segment,
     windowed_segment,
 )
 from .local_recovery import slot_reflect
@@ -61,24 +60,6 @@ def measurements_equal(
     return dev <= tol, dev
 
 
-def _phase_residuals(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise distance of u from v after the best global phase, relative to
-    their joint norm; 0 for two zero rows, and the phase is 1 when the rows
-    are orthogonal."""
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    ip = np.einsum("ij,ij->i", np.conj(v), u)
-    mod = np.abs(ip)
-    lam = np.divide(ip, mod, out=np.ones_like(ip), where=mod > 0)
-    dist = np.linalg.norm(u - lam[:, None] * v, axis=1)
-    scale = np.hypot(nu, nv)
-    return np.divide(dist, scale, out=np.zeros_like(dist), where=scale > 0)
-
-
-def _phase_residual(u: np.ndarray, v: np.ndarray) -> float:
-    return float(_phase_residuals(u[None], v[None])[0])
-
-
 def _reflection_residual(u: np.ndarray, v: np.ndarray) -> float:
     """Residual of v against the support-aligned conjugate reversal of u."""
     scale = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
@@ -94,13 +75,13 @@ def _reflection_residual(u: np.ndarray, v: np.ndarray) -> float:
     w = np.zeros_like(v)
     idx = np.arange(sv[0], sv[-1] + 1)
     w[idx] = np.conj(u[mirror - idx])
-    return _phase_residual(w, v)
+    return phase_residuals(w, v)
 
 
 def pair_equivalent(
     u: np.ndarray, v: np.ndarray, allow_reflection: bool, tol: float = EQUIV_TOL
 ) -> bool:
-    if _phase_residual(u, v) <= tol:
+    if phase_residuals(u, v) <= tol:
         return True
     return allow_reflection and _reflection_residual(u, v) <= tol
 
@@ -177,10 +158,6 @@ def uniqueness_oracle(
     row whose group holds a violation.
     """
     samples = np.asarray(samples, dtype=np.complex128)
-    if samples.ndim != 2 or samples.shape[1] != config.grid.horizon:
-        raise ValueError(
-            f"family must be (n, {config.grid.horizon}) sample rows, got {samples.shape}"
-        )
     n = samples.shape[0]
     if n > ORACLE_CAP:
         raise ValueError(f"family too large: {n} instances exceeds the {ORACLE_CAP} cap")
@@ -196,7 +173,7 @@ def uniqueness_oracle(
     violation_count = 0
     violating = np.zeros(len(groups), dtype=bool)
     for rows_i, rows_j, pair_group in _within_group_pairs(groups, PAIR_CHUNK):
-        equivalent = _phase_residuals(samples[rows_i], samples[rows_j]) <= EQUIV_TOL
+        equivalent = phase_residuals(samples[rows_i], samples[rows_j]) <= EQUIV_TOL
         if allow_reflection:
             for p in np.flatnonzero(~equivalent):
                 equivalent[p] = (
@@ -323,18 +300,17 @@ def per_window_gluing_check(
         hg = windowed_segment(g, pair, t)
         if max(np.max(np.abs(hf)), np.max(np.abs(hg))) <= 1e-12 * scale:
             continue
-        if _phase_residual(hf, hg) <= tol:
+        if phase_residuals(hf, hg) <= tol:
             continue
         mate = slot_reflect(hf)
-        if mate is not None and _phase_residual(mate, hg) <= tol:
+        if mate is not None and phase_residuals(mate, hg) <= tol:
             continue
         return False
     return True
 
 
 def _raw_segment(f: Signal, t: float) -> np.ndarray:
-    k_lo = _segment_start(f.grid, t)
-    return _gather(f.samples, k_lo, f.grid.L)
+    return node_segment(f.grid, t, f.samples).samples
 
 
 def lemma32_equivalence_check(
@@ -360,10 +336,10 @@ def lemma32_equivalence_check(
         scale = max(float(np.max(mf.mags)), float(np.max(mg.mags)), 1.0)
         lhs = float(np.max(np.abs(mf.mags - mg.mags))) <= 1e-10 * scale
         hg = _raw_segment(gs, t)
-        rhs = _phase_residual(hf, hg) <= EQUIV_TOL
+        rhs = phase_residuals(hf, hg) <= EQUIV_TOL
         if not rhs:
             mate = slot_reflect(hg)
-            rhs = mate is not None and _phase_residual(hf, mate) <= EQUIV_TOL
+            rhs = mate is not None and phase_residuals(hf, mate) <= EQUIV_TOL
         outcomes.append(lhs == rhs)
     return all(outcomes)
 

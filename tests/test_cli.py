@@ -49,12 +49,14 @@ def test_measure_then_recover_roundtrip(run_cli, tmp_path, generic_signal):
 
     report = json.loads(r_path.read_text())
     assert sorted(report) == [
-        "alternative", "ambiguity", "anchor_used", "lambda", "residual", "signal"
+        "alternative", "ambiguity", "anchor_used", "lambda", "residual", "signal",
+        "uncovered",
     ]
     assert report["ambiguity"] == "phase_only"
     assert report["residual"] <= 1e-8
     assert report["anchor_used"] is False
     assert report["alternative"] is None
+    assert report["uncovered"] == []
     rec = cli.load_signal(s_path)
     assert global_phase_align(rec, sig).residual <= 1e-8
 
@@ -169,6 +171,8 @@ def test_bare_lattice_recovery_exits_two_with_its_alternative(run_cli, tmp_path)
     report = json.loads(r_path.read_text())
     assert report["ambiguity"] == "phase_or_reflection"
     assert report["anchor_used"] is False
+    # cells 0, 1 and 95 lie under no node window of the bare lattice
+    assert report["uncovered"] == [0, 1, 95]
     alt = cli.signal_from_obj(report["alternative"], "alternative")
     rec = cli.signal_from_obj(report["signal"], "signal")
     assert global_phase_align(alt, rec).residual > 0.1

@@ -1,0 +1,33 @@
+"""Module boundaries inside the package.
+
+A name with a leading underscore is private to the module that defines it:
+another ``twowin`` module that imports it has reached behind that module's
+interface.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "twowin"
+
+
+def _private_imports(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        inside = node.level > 0 or module == "twowin" or module.startswith("twowin.")
+        if not inside:
+            continue
+        source = "." * node.level + module
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                yield f"{path.name}:{node.lineno} imports {alias.name} from {source}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    assert list(_private_imports(path)) == []

@@ -13,9 +13,13 @@ from twowin import (
     global_phase_align,
     is_separable,
     make_periodic,
+    phase_fit,
+    phase_residuals,
     random_nonseparable,
 )
+from twowin.local_recovery import CLASS_TOL, _phase_match
 from twowin.signal_model import periodic_eval
+from twowin.stitcher import ORIENT_TOL
 
 
 GRID = GridSpec(B=1.0, L=4, origin=8, horizon=16)
@@ -75,6 +79,91 @@ def test_global_phase_align_recovers_lambda(make_signal):
     assert al.residual < 1e-12
     assert equivalent_up_to_phase(f, g)
     assert not equivalent_up_to_phase(f, make_signal(GRID, 8))
+
+
+# The scalar phase formulas that phase_fit replaced, kept as references.
+
+
+def _reference_global_phase_align(fv, gv):
+    scale = float(np.sqrt(np.linalg.norm(fv) ** 2 + np.linalg.norm(gv) ** 2))
+    if scale == 0.0:
+        return 1.0 + 0.0j, 0.0
+    inner = complex(np.vdot(gv, fv))
+    lam = 1.0 + 0.0j if inner == 0 else inner / abs(inner)
+    return lam, float(np.linalg.norm(fv - lam * gv) / scale)
+
+
+def _reference_phase_match(u, v, tol):
+    ref = max(np.linalg.norm(u), np.linalg.norm(v))
+    if ref == 0.0:
+        return True
+    ip = np.vdot(v, u)
+    lam = ip / abs(ip) if abs(ip) > 0 else 1.0
+    return float(np.linalg.norm(u - lam * v)) <= tol * ref
+
+
+def _reference_overlap_mismatch(u, v):
+    ip = np.vdot(v, u)
+    lam = ip / abs(ip) if abs(ip) > 0 else 1.0 + 0.0j
+    return lam, float(np.linalg.norm(u - lam * v) / max(np.linalg.norm(u), np.linalg.norm(v)))
+
+
+def _phase_pair(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "zero u":
+        u[:] = 0
+    elif kind == "zero v":
+        v[:] = 0
+    elif kind == "both zero":
+        u[:] = v[:] = 0
+    elif kind == "orthogonal":
+        v = np.concatenate([np.zeros(n // 2), v[n // 2:]])
+        u = np.concatenate([u[: n // 2], np.zeros(n - n // 2)])
+    elif kind == "times i":
+        v = 1j * u
+    elif kind == "times -1":
+        v = -u
+    elif kind == "rotated, noisy":
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi)) * u + 1e-9 * v
+    return u, v
+
+
+PHASE_KINDS = (
+    "generic", "zero u", "zero v", "both zero", "orthogonal", "times i", "times -1",
+    "rotated, noisy",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    kind=st.sampled_from(PHASE_KINDS),
+    n=st.integers(1, 16),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_phase_helpers_match_the_scalar_formulas(kind, n, seed):
+    u, v = _phase_pair(kind, n, seed)
+    grid = GridSpec(B=1.0, L=1, origin=0, horizon=n)
+    got = global_phase_align(Signal(grid, u), Signal(grid, v))
+    lam, res = _reference_global_phase_align(u, v)
+    assert abs(got.lam - lam) <= 1e-15 and abs(got.residual - res) <= 1e-15
+    for tol in (1e-8, 1e-6):
+        assert (got.residual <= tol) == (res <= tol)
+    for tol in (CLASS_TOL, 1e-8):
+        assert _phase_match(u, v, tol) == _reference_phase_match(u, v, tol)
+    if np.any(u) or np.any(v):
+        lam, dist = phase_fit(u, v)
+        mismatch = float(dist / max(np.linalg.norm(u), np.linalg.norm(v)))
+        want_lam, want = _reference_overlap_mismatch(u, v)
+        assert lam == want_lam and mismatch == want
+        assert (mismatch <= ORIENT_TOL) == (want <= ORIENT_TOL)
+    # the row-wise path gives each row what the vector path gives it, up to
+    # the summation order of the inner product
+    rows_u, rows_v = np.stack([u, v, u]), np.stack([v, u, 1j * u])
+    residuals = phase_residuals(rows_u, rows_v)
+    for r in range(3):
+        assert abs(residuals[r] - phase_residuals(rows_u[r], rows_v[r])) <= 1e-14
 
 
 def test_conj_reflect_is_an_involution(make_signal):

@@ -127,12 +127,38 @@ def test_off_grid_node_analytic_vs_user():
 
 
 def test_measure_batch_agrees_with_measure(make_signal):
-    nodes = TimeNodes.lattice_covering(GRID, 1.0)
+    raised = build_window("raised_cosine", GRID)
+    cases = [
+        (PAIR, TimeNodes.lattice_covering(GRID, 1.0), None),
+        (raised, TimeNodes.lattice_covering(GRID, 0.5, anchor=default_anchor(0.5, 16)), None),
+        (PAIR, TimeNodes.two_lines(0.0, 0.7), None),
+        (raised, TimeNodes.lattice_covering(GRID, 1.0),
+         FrequencyGrid.custom([0.1, 0.3, -0.7, 1.9], B=1.0)),
+    ]
     rows = np.stack([make_signal(GRID, s).samples for s in range(5)])
-    batch = measure_batch(rows, GRID, PAIR, nodes)
-    for i in range(5):
-        single = measure(Signal(GRID, rows[i]), PAIR, nodes)
-        np.testing.assert_allclose(batch[i], single.mags, atol=1e-13)
+    for pair, nodes, freqs in cases:
+        batch = measure_batch(rows, GRID, pair, nodes, freqs)
+        for i in range(5):
+            single = measure(Signal(GRID, rows[i]), pair, nodes, freqs)
+            assert not single.mags.flags.writeable
+            np.testing.assert_allclose(batch[i], single.mags, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "pair, freqs, horizon, message",
+    [
+        (build_window("rectangular", GridSpec(B=1.0, L=4, origin=8, horizon=20)),
+         None, 16, "different grids"),
+        (PAIR, FrequencyGrid.critical(4, B=0.5), 16, "different half-width B"),
+        (PAIR, None, 12, r"\(n, 16\) sample rows"),
+    ],
+    ids=["foreign-window-grid", "foreign-frequency-B", "short-horizon"],
+)
+def test_measure_batch_rejects_inputs_from_another_grid(pair, freqs, horizon, message):
+    rows = np.ones((3, horizon), dtype=np.complex128)
+    nodes = TimeNodes.lattice_covering(GRID, 1.0)
+    with pytest.raises(ValueError, match=message):
+        measure_batch(rows, GRID, pair, nodes, freqs)
 
 
 def test_measurement_rows_are_deterministic(make_signal):

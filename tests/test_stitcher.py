@@ -62,6 +62,22 @@ def test_reconstruct_roundtrip(a):
         assert all(abs(abs(l) - 1.0) < 1e-9 for l in rep.lambdas)
 
 
+def test_report_lists_the_cells_no_lattice_window_holds():
+    # the rational_lattice forge's f on its bare lattice: no node window
+    # holds cells 0, 1 and 95, so the data cannot speak for them
+    fp = forge("rational_lattice")
+    rep = reconstruct(measure(fp.f, fp.pair, fp.nodes), fp.pair)
+    assert rep.uncovered == (0, 1, 95)
+    assert not np.any(rep.signal.samples[list(rep.uncovered)])
+    assert np.all(np.abs(fp.f.samples[list(rep.uncovered)]) >= 1.0)
+    # criterion 1's lattices cover their whole horizon
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    f = random_nonseparable(grid, support_len=61, gap_bound=1.0, seed=0)
+    for a in (1.0, 0.5):
+        rep, res = _roundtrip(f, build_window("rectangular", grid), a)
+        assert res <= 1e-8 and rep.uncovered == ()
+
+
 def test_reconstruct_with_raised_cosine_window():
     pair = build_window("raised_cosine", GRID, c0=1.0, c1=0.4)
     f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=9)

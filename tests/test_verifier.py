@@ -184,7 +184,7 @@ def test_oracle_matches_the_scalar_pair_loop(case, monkeypatch):
     monkeypatch.setattr(verifier, "PAIR_CHUNK", 100)  # many chunks, ragged last one
     report = uniqueness_oracle(config, samples, violation_cap=cap)
     with monkeypatch.context() as patch:
-        patch.setattr(verifier, "_phase_residual", _scalar_phase_residual)
+        patch.setattr(verifier, "phase_residuals", _scalar_phase_residual)
         class_count, rows, ambiguous = _scalar_oracle(config, samples)
     if want_count is not None:
         assert report.violation_count == want_count
