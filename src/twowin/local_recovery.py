@@ -28,6 +28,10 @@ ACCEPT_TOL = 1e-8
 #: the same class.
 CLASS_TOL = 1e-6
 
+#: Survivors whose relative defect exceeds this are polished against both
+#: windows before the classes are formed.
+POLISH_ABOVE = 1e-10
+
 #: Enumeration is exponential in the window cell count; refuse beyond this.
 L_MAX = 16
 
@@ -476,7 +480,9 @@ def prune_with_second_window(
     magnitudes and tested again at the same ``accept_tol``: a mirror root
     pair within about sqrt(eps) of the unit circle comes back from np.roots
     only to about sqrt(eps), which leaves a genuine candidate with a defect
-    far above the tolerance.
+    far above the tolerance.  For the same reason, with ``phi_mags`` given,
+    every survivor whose defect exceeds ``POLISH_ABOVE`` is polished in
+    place and tested again before the classes are formed.
     """
     grid = pair.grid
     L = grid.L
@@ -484,7 +490,7 @@ def prune_with_second_window(
     if psi.size != 2 * L:
         raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
     phi = None if phi_mags is None else np.asarray(phi_mags, dtype=np.float64)
-    C = np.asarray(candidates, dtype=np.complex128).reshape(-1, L)
+    C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
     omegas = np.arange(-L, L) / (4.0 * grid.B)
 
     a0 = float(np.max(np.sum(np.abs(C) ** 2, axis=1))) if C.size else 0.0
@@ -498,19 +504,29 @@ def prune_with_second_window(
             d = np.hypot(d, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
         return d
 
+    def polish(X: np.ndarray) -> np.ndarray:
+        M1 = grid.delta * _spectrum_matrix(grid, omegas)
+        M2 = grid.delta * _spectrum_matrix(grid, omegas + pair.b)
+        blocks = [(M2 - M1, psi), (M1, phi)]
+        return np.array([_polish_content(h, blocks, scale) for h in X])
+
     defects = defects_of(C)
     best = defects.min() if defects.size else np.inf
     # the second window alone has as many equations as a content vector has
     # unknowns, so only both windows together can vouch for a polished fit
     if C.size and phi is not None and not best <= accept_tol:
-        M1 = grid.delta * _spectrum_matrix(grid, omegas)
-        M2 = grid.delta * _spectrum_matrix(grid, omegas + pair.b)
-        blocks = [(M2 - M1, psi), (M1, phi)]
-        C = _polish_content(C[int(np.argmin(defects))], blocks, scale)[None, :]
+        C = polish(C[[int(np.argmin(defects))]])
         defects = defects_of(C)
         best = min(best, defects[0])
 
     order = [i for i in range(C.shape[0]) if defects[i] <= accept_tol]
+    # a survivor that passes but is not machine-accurate would carry its
+    # defect into the glued neighbours, so it is polished in place
+    rough = [i for i in order if defects[i] > POLISH_ABOVE]
+    if phi is not None and rough:
+        C[rough] = polish(C[rough])
+        defects[rough] = defects_of(C[rough])
+        order = [i for i in order if defects[i] <= accept_tol]
     if not order:
         raise InconsistentMeasurements(
             f"no factorization candidate matches the second window's data "

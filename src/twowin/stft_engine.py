@@ -324,16 +324,32 @@ def measure_batch(
     n_sig = samples_matrix.shape[0]
     mags = np.empty((n_sig, 2, len(nodes.times), len(omegas)), dtype=float)
     segs = [node_segment(grid, t, samples_matrix, pair) for t in nodes.times]
-    # every node's exp(-2 i pi x omega) in one pass; the per-node products stay
-    # as they are, because BLAS may round a stacked product differently
-    x = grid.x(np.array([seg.cells for seg in segs]))
-    E = np.exp(-2j * np.pi * (x[:, :, None] * omegas))
+    E = node_exponentials(grid, segs, omegas)
     for ti, seg in enumerate(segs):
-        for wi, w in enumerate(seg.windows):
-            V = (seg.samples * np.conj(w)) @ E[ti]
-            V *= grid.delta
-            np.abs(V, out=mags[:, wi, ti])
+        node_magnitudes(seg, E[ti], grid.delta, mags[:, :, ti])
     return mags
+
+
+def node_exponentials(
+    grid: GridSpec, segs: Sequence[NodeSegment], omegas: np.ndarray
+) -> np.ndarray:
+    """exp(-2 i pi x_k omega) for every node's cells, shape (nodes, L, bins)."""
+    x = grid.x(np.array([seg.cells for seg in segs]))
+    return np.exp(-2j * np.pi * (x[:, :, None] * omegas))
+
+
+def node_magnitudes(seg: NodeSegment, E: np.ndarray, delta: float, out: np.ndarray) -> None:
+    """Write |delta * (samples * conj(w)) @ E| for each window of ``seg`` to
+    ``out[..., w, :]``.
+
+    The one forward-map product: ``measure_batch`` and the stitcher's node
+    checks both call it, one node at a time, because BLAS may round a
+    stacked product differently.
+    """
+    for wi, w in enumerate(seg.windows):
+        V = (seg.samples * np.conj(w)) @ E
+        V *= delta
+        np.abs(V, out=out[..., wi, :])
 
 
 def check_difference_identity(f: Signal, pair: WindowPair, t: float, n: int) -> float:

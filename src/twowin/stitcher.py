@@ -28,7 +28,15 @@ from .signal_model import (
     phase_fit,
 )
 from .window_engine import WindowPair
-from .stft_engine import FrequencyGrid, MeasurementSet, TimeNodes, measure, node_segment
+from .stft_engine import (
+    FrequencyGrid,
+    MeasurementSet,
+    TimeNodes,
+    measure,
+    node_exponentials,
+    node_magnitudes,
+    node_segment,
+)
 from .local_recovery import (
     ACCEPT_TOL,
     InconsistentMeasurements,
@@ -96,11 +104,12 @@ def align_overlaps(
     aligning every later patch on the samples it shares with what has been
     assembled so far.  A node whose class carries a reflected mate gives the
     chain a branch point; a nearly symmetric overlap can fit both, so the
-    orientations are searched depth first (best fit first) instead of
-    greedily locked in.  When ``lattice_mags`` is given, a completed
-    assignment is only accepted if it re-measures to that data, which
-    rejects chains that glued a mate through an overlap too small to expose
-    it.  Ambiguity is phase_or_reflection exactly when every node would
+    orientations are searched depth first (best fit first, on an explicit
+    stack) instead of greedily locked in.  When ``lattice_mags`` is given,
+    each node's magnitudes are checked against that data as soon as every
+    cell of its window is filled, which rejects chains that glued a mate
+    through an overlap too small to expose it, without waiting for the last
+    node.  Ambiguity is phase_or_reflection exactly when every node would
     tolerate the reflected world.  ``uncovered`` lists the horizon cells
     that no node window holds.
 
@@ -155,90 +164,128 @@ def align_overlaps(
             )
         live.append((ci, t, k, on, patches))
 
-    validating = lattice_mags is not None and any(len(n[4]) > 1 for n in live)
-    if validating:
-        lat_nodes = TimeNodes(mode="lattice", times=tuple(times), a=a)
-        mag_scale = max(float(np.max(lattice_mags)), 1e-300)
-
-    sep_error: List[Optional[SeparableInputError]] = [None]
-    deepest: List[Tuple[int, str]] = [(-1, "")]
-    budget = [100_000]
-
     # one assembly buffer and one phase list, written on the way down and
-    # undone on backtracking, so a search level holds O(L), not O(horizon)
+    # undone on backtracking, so a search position holds O(L), not O(horizon)
     assembled = np.zeros(grid.horizon, dtype=np.complex128)
     filled = np.zeros(grid.horizon, dtype=bool)
     lams: List[Tuple[int, complex]] = []
+    sep_error: Optional[SeparableInputError] = None
+    deepest: Tuple[int, str] = (-1, "")
 
-    def search(pos: int) -> Optional[Tuple[np.ndarray, List[Tuple[int, complex]]]]:
-        if budget[0] <= 0:
-            raise InconsistentMeasurements("orientation search budget exhausted")
-        budget[0] -= 1
-        if pos == len(live):
-            if validating:
-                got = measure(Signal(grid, assembled), pair, lat_nodes, freqs).mags
-                dev = float(np.max(np.abs(got - lattice_mags)))
-                if dev > accept_tol * mag_scale:
-                    if pos > deepest[0][0]:
-                        deepest[0] = (
-                            pos,
-                            f"no phase assignment reproduces the lattice magnitudes "
-                            f"(best deviation {dev:.3e})",
-                        )
-                    return None
-            return assembled, lams
+    # ready[d] lists the lattice nodes (zero-class ones too) whose on-horizon
+    # cells are all filled once d search positions are placed: every
+    # orientation at a position fills the same cells, and a filled cell never
+    # changes below it, so a node's magnitudes are final there.  A node with
+    # a cell no live window fills is checked with the last position.
+    ready: List[List[int]] = [[] for _ in range(len(live) + 1)]
+    if lattice_mags is not None and any(len(n[4]) > 1 for n in live):
+        depth = np.full(grid.horizon, len(live))
+        for pos in range(len(live) - 1, -1, -1):
+            k, on = live[pos][2], live[pos][3]
+            depth[k[on]] = pos + 1
+        if freqs is None:
+            freqs = FrequencyGrid.critical(grid.L, grid.B)
+        omegas = freqs.omegas
+        segs = [node_segment(grid, t, None, pair) for t in times]
+        E = node_exponentials(grid, segs, omegas)
+        for j, seg in enumerate(segs):
+            ready[int(np.max(depth[seg.cells[seg.on]], initial=1))].append(j)
+        mag_tol = accept_tol * max(float(np.max(lattice_mags)), 1e-300)
+        got = np.empty((1, 2, len(omegas)))
+
+    def fits(d: int) -> bool:
+        """Whether the nodes completed at depth d reproduce their lattice
+        magnitudes; the maximum over nodes is the whole-horizon deviation."""
+        nonlocal deepest
+        for j in ready[d]:
+            seg = segs[j]
+            fv = np.zeros((1, grid.L), dtype=np.complex128)
+            fv[:, seg.on] = assembled[seg.cells[seg.on]]
+            node_magnitudes(seg._replace(samples=fv), E[j], grid.delta, got)
+            dev = float(np.max(np.abs(got[0] - lattice_mags[:, j])))
+            if dev > mag_tol:
+                if d > deepest[0]:
+                    deepest = (
+                        d,
+                        f"no phase assignment reproduces the lattice magnitudes "
+                        f"(best deviation {dev:.3e} at node index {j})",
+                    )
+                return False
+        return True
+
+    def options_at(pos: int) -> List[Tuple[np.ndarray, np.ndarray, complex]]:
+        """The orientations to try at ``pos``, best fit first, as (cells,
+        values, lambda); empty, with the reason noted, when none fits."""
+        nonlocal sep_error, deepest
         ci, t, k, on, patches = live[pos]
         if pos == 0:
-            options = [(k[on], patch[on], 1.0 + 0.0j) for patch in patches]
-        else:
-            ov = on & filled[np.clip(k, 0, grid.horizon - 1)]
-            u = assembled[k[ov]]
-            if u.size == 0 or np.max(np.abs(u)) <= DEAD_OVERLAP_RTOL * scale:
-                if sep_error[0] is None:
-                    m_label = round(t / a) if a else ci
-                    sep_error[0] = SeparableInputError(
-                        f"separable input: propagation broken at node {m_label}"
-                    )
-                return None
-            scored = []
-            for patch in patches:
-                v = patch[ov]
-                lam, dist = phase_fit(u, v)
-                mismatch = float(dist / max(np.linalg.norm(u), np.linalg.norm(v)))
-                scored.append((mismatch, lam, patch))
-            scored.sort(key=lambda s: s[0])
-            if scored[0][0] > ORIENT_TOL:
-                if pos > deepest[0][0]:
-                    deepest[0] = (pos, f"overlap mismatch {scored[0][0]:.3e} at node index {ci}")
-                return None
-            new = on & ~filled[np.clip(k, 0, grid.horizon - 1)]
-            options = []
-            for mismatch, lam, patch in scored:
-                if mismatch > ORIENT_TOL:
-                    break
-                options.append((k[new], lam * patch[new], complex(lam)))
-        # place each orientation in turn; the cells it fills were empty, so
-        # backtracking clears them again
-        for cells, values, lam in options:
+            return [(k[on], patch[on], 1.0 + 0.0j) for patch in patches]
+        ov = on & filled[np.clip(k, 0, grid.horizon - 1)]
+        u = assembled[k[ov]]
+        if u.size == 0 or np.max(np.abs(u)) <= DEAD_OVERLAP_RTOL * scale:
+            if sep_error is None:
+                m_label = round(t / a) if a else ci
+                sep_error = SeparableInputError(
+                    f"separable input: propagation broken at node {m_label}"
+                )
+            return []
+        scored = []
+        for patch in patches:
+            v = patch[ov]
+            lam, dist = phase_fit(u, v)
+            mismatch = float(dist / max(np.linalg.norm(u), np.linalg.norm(v)))
+            scored.append((mismatch, lam, patch))
+        scored.sort(key=lambda s: s[0])
+        if scored[0][0] > ORIENT_TOL:
+            if pos > deepest[0]:
+                deepest = (pos, f"overlap mismatch {scored[0][0]:.3e} at node index {ci}")
+            return []
+        new = on & ~filled[np.clip(k, 0, grid.horizon - 1)]
+        options = []
+        for mismatch, lam, patch in scored:
+            if mismatch > ORIENT_TOL:
+                break
+            options.append((k[new], lam * patch[new], complex(lam)))
+        return options
+
+    # depth first with an explicit stack: frames[p] holds position p's
+    # options and how many of them have been placed; the next position to
+    # enter is always len(frames), and entering one costs a budget step
+    frames: List[list] = []
+    budget = 100_000
+    while True:
+        if budget <= 0:
+            raise InconsistentMeasurements("orientation search budget exhausted")
+        budget -= 1
+        if len(frames) == len(live):
+            break
+        frames.append([options_at(len(frames)), 0])
+        # place the next untried orientation at the deepest open position,
+        # undoing the one placed there before (the cells it fills were
+        # empty) and closing exhausted positions
+        while frames:
+            options, i = frames[-1]
+            if i:
+                cells = options[i - 1][0]
+                assembled[cells] = 0.0
+                filled[cells] = False
+                lams.pop()
+            if i == len(options):
+                frames.pop()
+                continue
+            frames[-1][1] = i + 1
+            cells, values, lam = options[i]
             assembled[cells] = values
             filled[cells] = True
-            lams.append((ci, lam))
-            res = search(pos + 1)
-            if res is not None:
-                return res
-            assembled[cells] = 0.0
-            filled[cells] = False
-            lams.pop()
-        return None
-
-    result = search(0)
-    if result is None:
-        if sep_error[0] is not None:
-            raise sep_error[0]
-        if deepest[0][0] >= 0:
-            raise InconsistentMeasurements(deepest[0][1])
-        raise InconsistentMeasurements("no phase assignment fits the overlaps")
-    assembled, lams = result
+            lams.append((live[len(frames) - 1][0], lam))
+            if fits(len(frames)):
+                break
+        else:
+            if sep_error is not None:
+                raise sep_error
+            if deepest[0] >= 0:
+                raise InconsistentMeasurements(deepest[1])
+            raise InconsistentMeasurements("no phase assignment fits the overlaps")
     lam_map = dict(lams)
     lambdas = tuple(lam_map.get(ci, 1.0 + 0.0j) for ci in range(len(classes)))
 

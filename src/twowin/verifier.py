@@ -54,7 +54,7 @@ def measurements_equal(
     t1, t2 = m1.nodes.times, m2.nodes.times
     if len(t1) != len(t2) or any(abs(a - b) > 1e-12 for a, b in zip(t1, t2)):
         raise ValueError("measurement sets index different node times")
-    if not np.array_equal(m1.freqs.ns, m2.freqs.ns):
+    if not np.array_equal(m1.freqs.omegas, m2.freqs.omegas):
         raise ValueError("measurement sets index different frequency bins")
     dev = float(np.max(np.abs(m1.mags - m2.mags))) if m1.mags.size else 0.0
     return dev <= tol, dev

@@ -31,3 +31,30 @@ def _private_imports(path: Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_names(path):
     assert list(_private_imports(path)) == []
+
+
+#: Functions whose recursion depth the report schema bounds.
+RECURSION_ALLOWED = {("cli.py", "_render"), ("cli.py", "_plain")}
+
+
+def _self_calls(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (path.name, fn.name) in RECURSION_ALLOWED:
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == fn.name
+            ):
+                yield f"{path.name}:{node.lineno} {fn.name} calls itself"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # a data-path recursion grows a Python frame per item and raises
+    # RecursionError at long horizons
+    assert list(_self_calls(path)) == []

@@ -1,9 +1,23 @@
+import sys
+from typing import List, Optional, Tuple
+
 import numpy as np
 import pytest
 
+from twowin import stitcher
+from twowin.stitcher import (
+    COND_MAX,
+    DEAD_OVERLAP_RTOL,
+    ORIENT_TOL,
+    AlignedAssembly,
+    align_overlaps,
+)
+from twowin.stft_engine import node_segment
 from twowin import (
+    FORGES,
     FrequencyGrid,
     GridSpec,
+    InconsistentMeasurements,
     OffGridError,
     PeriodicSpec,
     RecoveryError,
@@ -11,6 +25,7 @@ from twowin import (
     Signal,
     StitchError,
     TimeNodes,
+    alphabet_family,
     build_window,
     default_anchor,
     forge,
@@ -18,8 +33,10 @@ from twowin import (
     make_periodic,
     measure,
     periodic_verdict,
+    phase_fit,
     random_nonseparable,
     reconstruct,
+    recover_local,
 )
 
 
@@ -200,3 +217,276 @@ def test_periodic_verdict_validation():
         )
     with pytest.raises(ValueError):
         periodic_verdict(ms, fp.pair, PeriodicSpec(T=fp.params["T"], mu=1.0), Q=7)
+
+
+# --- the orientation search against its recursive reference -----------------
+
+
+def _recursive_align_overlaps(
+    classes, pair, a, gap, *, times=None, lattice_mags=None, freqs=None, accept_tol=1e-8
+):
+    """The depth-first orientation search as it was written before the
+    explicit stack: one Python frame per live node, and a completed
+    assignment re-measured over the whole horizon before it is accepted."""
+    grid = pair.grid
+    phi = pair.slot_values("phi")
+    assert float(np.max(np.abs(phi)) / np.min(np.abs(phi))) <= COND_MAX
+    inv_phi = 1.0 / np.conj(phi)
+    if times is None:
+        times = [m * a for m in range(len(classes))]
+    scale = max(
+        (float(np.max(np.abs(c.representative))) for c in classes if not c.is_zero),
+        default=0.0,
+    )
+    live = []
+    covered = np.zeros(grid.horizon, dtype=bool)
+    for ci, (cls, t) in enumerate(zip(classes, times)):
+        seg = node_segment(grid, t)
+        k, on = seg.cells, seg.on
+        covered[k[on]] = True
+        if cls.is_zero:
+            continue
+        patches = [
+            o * inv_phi
+            for o in cls.representatives
+            if not np.any(on)
+            or np.all(on)
+            or np.max(np.abs((o * inv_phi)[~on]), initial=0.0)
+            <= DEAD_OVERLAP_RTOL * scale
+        ]
+        if not patches:
+            raise InconsistentMeasurements(f"no horizon-consistent orientation at node index {ci}")
+        live.append((ci, t, k, on, patches))
+
+    validating = lattice_mags is not None and any(len(n[4]) > 1 for n in live)
+    if validating:
+        lat_nodes = TimeNodes(mode="lattice", times=tuple(times), a=a)
+        mag_scale = max(float(np.max(lattice_mags)), 1e-300)
+    sep_error: List[Optional[SeparableInputError]] = [None]
+    deepest: List[Tuple[int, str]] = [(-1, "")]
+    budget = [100_000]
+    assembled = np.zeros(grid.horizon, dtype=np.complex128)
+    filled = np.zeros(grid.horizon, dtype=bool)
+    lams: List[Tuple[int, complex]] = []
+
+    def search(pos):
+        if budget[0] <= 0:
+            raise InconsistentMeasurements("orientation search budget exhausted")
+        budget[0] -= 1
+        if pos == len(live):
+            if validating:
+                got = measure(Signal(grid, assembled), pair, lat_nodes, freqs).mags
+                dev = float(np.max(np.abs(got - lattice_mags)))
+                if dev > accept_tol * mag_scale:
+                    if pos > deepest[0][0]:
+                        deepest[0] = (
+                            pos,
+                            f"no phase assignment reproduces the lattice magnitudes "
+                            f"(best deviation {dev:.3e})",
+                        )
+                    return None
+            return assembled, lams
+        ci, t, k, on, patches = live[pos]
+        if pos == 0:
+            options = [(k[on], patch[on], 1.0 + 0.0j) for patch in patches]
+        else:
+            ov = on & filled[np.clip(k, 0, grid.horizon - 1)]
+            u = assembled[k[ov]]
+            if u.size == 0 or np.max(np.abs(u)) <= DEAD_OVERLAP_RTOL * scale:
+                if sep_error[0] is None:
+                    sep_error[0] = SeparableInputError(
+                        "separable input: propagation broken at node "
+                        f"{round(t / a) if a else ci}"
+                    )
+                return None
+            scored = []
+            for patch in patches:
+                v = patch[ov]
+                lam, dist = phase_fit(u, v)
+                mismatch = float(dist / max(np.linalg.norm(u), np.linalg.norm(v)))
+                scored.append((mismatch, lam, patch))
+            scored.sort(key=lambda s: s[0])
+            if scored[0][0] > ORIENT_TOL:
+                if pos > deepest[0][0]:
+                    deepest[0] = (pos, f"overlap mismatch {scored[0][0]:.3e} at node index {ci}")
+                return None
+            new = on & ~filled[np.clip(k, 0, grid.horizon - 1)]
+            options = []
+            for mismatch, lam, patch in scored:
+                if mismatch > ORIENT_TOL:
+                    break
+                options.append((k[new], lam * patch[new], complex(lam)))
+        for cells, values, lam in options:
+            assembled[cells] = values
+            filled[cells] = True
+            lams.append((ci, lam))
+            res = search(pos + 1)
+            if res is not None:
+                return res
+            assembled[cells] = 0.0
+            filled[cells] = False
+            lams.pop()
+        return None
+
+    result = search(0)
+    if result is None:
+        if sep_error[0] is not None:
+            raise sep_error[0]
+        if deepest[0][0] >= 0:
+            raise InconsistentMeasurements(deepest[0][1])
+        raise InconsistentMeasurements("no phase assignment fits the overlaps")
+    lam_map = dict(lams)
+    if not live:
+        ambiguity = "phase_only"
+    elif all(c.includes_reflection for c in classes):
+        ambiguity = "phase_or_reflection"
+    else:
+        ambiguity = "phase_only"
+    return AlignedAssembly(
+        signal=Signal(grid, assembled),
+        ambiguity=ambiguity,
+        lambdas=tuple(lam_map.get(ci, 1.0 + 0.0j) for ci in range(len(classes))),
+        uncovered=tuple(np.flatnonzero(~covered).tolist()),
+    )
+
+
+def _outcome(run):
+    """What a search returns, in comparable bytes, or its error class."""
+    try:
+        out = run()
+    except Exception as exc:
+        return type(exc).__name__
+    return (
+        out.signal.samples.tobytes(),
+        np.array(out.lambdas).tobytes(),
+        out.ambiguity,
+        out.uncovered,
+    )
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Runs the recursive reference beside every ``align_overlaps`` call that
+    ``reconstruct`` makes, on the same classes; yields the outcome pairs."""
+    pairs = []
+
+    def both(*args, **kwargs):
+        pairs.append(
+            (
+                _outcome(lambda: align_overlaps(*args, **kwargs)),
+                _outcome(lambda: _recursive_align_overlaps(*args, **kwargs)),
+            )
+        )
+        return align_overlaps(*args, **kwargs)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    monkeypatch.setattr(stitcher, "align_overlaps", both)
+    yield pairs
+    sys.setrecursionlimit(limit)
+
+
+def _reconstruct_outcome(f, pair, nodes):
+    try:
+        reconstruct(measure(f, pair, nodes), pair)
+    except Exception as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5])
+def test_search_matches_the_recursive_reference_on_criterion_10(a, against_reference):
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    nodes = TimeNodes.lattice_covering(grid, a)
+    for row in family:
+        _reconstruct_outcome(Signal(grid, row.copy()), pair, nodes)
+    assert len(against_reference) == len(family)
+    for new, ref in against_reference:
+        assert new == ref
+
+
+def test_search_matches_the_recursive_reference_on_the_forges(against_reference):
+    outcomes = [
+        _reconstruct_outcome(getattr(fp, w), fp.pair, fp.nodes)
+        for fp in (forge(name) for name in FORGES)
+        for w in ("f", "g")
+    ]
+    assert "SeparableInputError" in outcomes and "ok" in outcomes
+    assert against_reference
+    for new, ref in against_reference:
+        assert new == ref
+
+
+@pytest.mark.parametrize("a, b, seed", [(1.0, 0.5, 1495495394), (0.5, 0.25, 349134471)])
+def test_search_matches_the_recursive_reference_near_the_circle(a, b, seed, against_reference):
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    gap = 2 * grid.B - a
+    n_gap = int(np.ceil(gap / grid.delta - 1e-9))
+    f = random_nonseparable(grid, grid.horizon - n_gap + 1, gap, seed=seed)
+    pair = build_window("rectangular", grid, b=b)
+    assert _reconstruct_outcome(f, pair, TimeNodes.lattice_covering(grid, a)) == "ok"
+    [(new, ref)] = against_reference
+    assert new == ref
+
+
+def test_node_check_rejects_a_mate_before_the_leaf():
+    # member 22 of criterion 10's family at a = 1: three live nodes, and the
+    # best-fitting orientation at the second one is a reflected mate; node 2's
+    # window is filled once two positions are placed, so its lattice data
+    # rejects the mate before the last node is placed
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    f = Signal(grid, family[22].copy())
+    ms = measure(f, pair, TimeNodes.lattice_covering(grid, 1.0))
+    scale = float(np.max(ms.mags))
+    classes = [
+        recover_local(ms.mags[0, i], ms.mags[1, i], pair, scale=scale)
+        for i in range(len(ms.nodes.times))
+    ]
+    assert sum(len(c.representatives) for c in classes if not c.is_zero) > 3
+
+    def search(fn, mags):
+        return fn(
+            classes, pair, 1.0, 1.0, times=list(ms.nodes.times), lattice_mags=mags, freqs=ms.freqs
+        )
+
+    def run(fn, mags):
+        return _outcome(lambda: search(fn, mags))
+
+    assert run(align_overlaps, ms.mags) == run(_recursive_align_overlaps, ms.mags)
+    assert run(align_overlaps, ms.mags)[2] == "phase_only"
+
+    # with node 2's data bumped, no assignment fits: the same decision, and
+    # the message now names the node that refused
+    bad = ms.mags.copy()
+    bad[:, 2] *= 1.5
+    assert run(align_overlaps, bad) == "InconsistentMeasurements"
+    assert run(_recursive_align_overlaps, bad) == "InconsistentMeasurements"
+    with pytest.raises(InconsistentMeasurements, match=r"best deviation .* at node index 2"):
+        search(align_overlaps, bad)
+
+
+# --- long horizons ------------------------------------------------------------
+
+
+def _long_roundtrip(horizon, seed):
+    grid = GridSpec(B=1.0, L=8, origin=horizon // 2, horizon=horizon)
+    f = random_nonseparable(grid, horizon - 3, 1.0, seed=seed)
+    return _roundtrip(f, build_window("rectangular", grid, b=0.25), 1.0)
+
+
+def test_roundtrip_at_horizon_4096():
+    # 1,025 lattice nodes: the orientation search holds no Python frame per node
+    rep, res = _long_roundtrip(4096, 1)
+    assert res <= 1e-8 and rep.residual <= 1e-8
+
+
+@pytest.mark.slow
+def test_roundtrip_at_horizon_16384():
+    # 4,097 nodes; node 179's survivor resolves a near-circle mirror pair only
+    # to about sqrt(eps) and is polished before it is glued to its neighbours
+    rep, res = _long_roundtrip(16384, 11)
+    assert res <= 1e-8 and rep.residual <= 1e-8

@@ -55,6 +55,29 @@ def test_measurements_equal_and_mismatch_checks():
         measurements_equal(m1, coarse)
 
 
+def test_measurements_equal_compares_custom_frequency_grids():
+    from twowin import FrequencyGrid
+
+    f = Signal(TINY, _rand(4, 0))
+    nodes = TimeNodes.lattice_covering(TINY, 1.0)
+
+    def at(freqs):
+        return measure(f, TINY_PAIR, nodes, freqs)
+
+    custom = FrequencyGrid.custom([0.1, 0.3], 1.0)
+    assert measurements_equal(at(custom), at(FrequencyGrid.custom([0.1, 0.3], 1.0))) == (
+        True,
+        0.0,
+    )
+    for other in ([0.1, 0.2], [0.1, 0.3, 0.5]):
+        with pytest.raises(ValueError, match="frequency bins"):
+            measurements_equal(at(custom), at(FrequencyGrid.custom(other, 1.0)))
+    critical = FrequencyGrid.critical(TINY.L, TINY.B)
+    assert measurements_equal(at(critical), at(critical)) == (True, 0.0)
+    with pytest.raises(ValueError, match="frequency bins"):
+        measurements_equal(at(critical), at(custom))
+
+
 def test_pair_equivalent_phase_and_reflection():
     u = _rand(6, 1)
     assert pair_equivalent(u, np.exp(0.9j) * u, allow_reflection=False)
