@@ -106,17 +106,13 @@ def slot_reflect(h: np.ndarray) -> Optional[np.ndarray]:
     """
     hv = np.asarray(h, dtype=np.complex128)
     L = hv.size
-    s = L // 2
-    scale = float(np.max(np.abs(hv))) if L else 0.0
     out = np.zeros(L, dtype=np.complex128)
-    for j in range(L):
-        src = 2 * s - j
-        if 0 <= src < L:
-            out[j] = np.conj(hv[src])
-        elif abs(hv[j]) > 1e-12 * scale:
-            # j -> 2s - j is an involution, so "source out of range for j"
-            # is the same as "content at j has nowhere to land"
-            return None
+    # for even L, slot 0 maps to 2s = L, outside the window; j -> 2s - j is
+    # an involution, so slot 0 is also the one slot that nothing maps to
+    blocked = L % 2 == 0 and L > 0
+    if blocked and abs(hv[0]) > 1e-12 * float(np.max(np.abs(hv))):
+        return None
+    out[int(blocked):] = np.conj(hv[::-1][: L - int(blocked)])
     return out
 
 
@@ -146,6 +142,11 @@ def _cluster_circle_roots(roots: List[complex], chord_tol: float) -> List[List[c
     return clusters
 
 
+def _conjugate_closed(roots: np.ndarray) -> np.ndarray:
+    """Rows of ``roots`` closed under conjugation, which np.poly returns real."""
+    return np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1), axis=1)
+
+
 def _poly_batch(roots: np.ndarray) -> np.ndarray:
     """Monic coefficients, highest degree first, for each row of ``roots``.
 
@@ -158,14 +159,64 @@ def _poly_batch(roots: np.ndarray) -> np.ndarray:
     c[:, 0] = 1.0
     for j in range(k):
         c[:, 1 : j + 2] -= roots[:, j : j + 1] * c[:, : j + 1]
-    real = np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1), axis=1)
+    real = _conjugate_closed(roots)
     c[real] = c[real].real
     return c
 
 
-def _normalized_cores(roots: np.ndarray, a0: float) -> np.ndarray:
-    """Ascending coefficients of each root row, scaled to energy a0."""
-    c = _poly_batch(roots)[:, ::-1]
+def _branch_rows(
+    forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The roots of every branch and which of them sit on the circle.
+
+    One row per branch, in the order of itertools.product over the pairs:
+    the forced roots, then one choice per pair.
+    """
+    count = int(np.prod([len(o) for o in options]))
+    pick = np.indices([len(o) for o in options]).reshape(len(options), count).T
+    chosen = np.empty((count, len(forced) + len(options)), dtype=np.complex128)
+    circ = np.ones(chosen.shape, dtype=bool)
+    chosen[:, : len(forced)] = forced
+    for j, opts in enumerate(options):
+        chosen[:, len(forced) + j] = np.array([z for z, _ in opts])[pick[:, j]]
+        circ[:, len(forced) + j] = np.array([c for _, c in opts])[pick[:, j]]
+    return chosen, circ
+
+
+def _fan_out(
+    forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
+) -> np.ndarray:
+    """``_poly_batch`` of ``_branch_rows``' roots, bit for bit, by shared prefix.
+
+    Branches that agree on their first choices share those factors, so each
+    factor is multiplied into one row per distinct prefix (the forced roots
+    into a single row), with the per-row arithmetic of ``_poly_batch``.  The
+    conjugation check runs only when every pair offers a root whose
+    conjugate is among the roots, without which no row can be closed.
+    """
+    k = len(forced) + len(options)
+    c = np.zeros((1, k + 1), dtype=np.complex128)
+    c[:, 0] = 1.0
+    for j, r in enumerate(forced):
+        c[:, 1 : j + 2] -= r * c[:, : j + 1]
+    for j, opts in enumerate(options, start=len(forced)):
+        choice = np.array([r for r, _ in opts])
+        c = c.repeat(choice.size, axis=0)
+        # (prefix, choice, coefficient): every prefix row takes each choice
+        fan = c.reshape(-1, choice.size, k + 1)
+        fan[:, :, 1 : j + 2] -= choice[:, None] * fan[:, :, : j + 1]
+    pool = set(forced).union(*[[r for r, _ in o] for o in options])
+    if all(r.conjugate() in pool for r in forced) and all(
+        any(r.conjugate() in pool for r, _ in o) for o in options
+    ):
+        real = _conjugate_closed(_branch_rows(forced, options)[0])
+        c[real] = c[real].real
+    return c
+
+
+def _unit_cores(poly: np.ndarray, a0: float) -> np.ndarray:
+    """Ascending coefficients of each monic row, scaled to energy a0."""
+    c = poly[:, ::-1]
     return c * np.sqrt(a0 / np.sum(np.abs(c) ** 2, axis=1))[:, None]
 
 
@@ -203,7 +254,7 @@ def _refine_circle_angles(
         m = th.shape[0]
         circle = np.exp(1j * (th[:, None, :] + probe)).reshape(m * (k + 1), k)
         roots = np.concatenate([np.repeat(fx, k + 1, axis=0), circle], axis=1)
-        cores = _normalized_cores(roots, a0).reshape(m, k + 1, s_eff)
+        cores = _unit_cores(_poly_batch(roots), a0).reshape(m, k + 1, s_eff)
         d = _lag_defect(cores, lags, s_eff)
         res = np.concatenate([d.real, d.imag], axis=2)
         return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
@@ -236,6 +287,33 @@ def _refine_circle_angles(
     return best
 
 
+def _mirror_pairs(off: np.ndarray, pairing_tol: float) -> List[Tuple[complex, complex]]:
+    """Greedy mirror pairing of the off-circle roots.
+
+    The last unpaired root takes the remaining root of least cost, the
+    first one in root order on a tie.  Every cost is one entry of a matrix
+    built up front, with the arithmetic of a scalar cost per pair.
+    """
+    mod = np.hypot(off.real, off.imag)  # abs() of each root, to the last bit
+    d = off[None, :] - 1.0 / np.conj(off)[:, None]  # [r, w]: w - 1/conj(r)
+    gap = np.hypot(d.real, d.imag)
+    # [r, w]: max(|w - 1/conj(r)|, |r - 1/conj(w)|) / (1 + |r| + |w|)
+    cost = (np.maximum(gap, gap.T) / (1 + mod[:, None] + mod[None, :])).tolist()
+    roots = off.tolist()
+    pairs: List[Tuple[complex, complex]] = []
+    pool = list(range(off.size))
+    while pool:
+        i = pool.pop()
+        w = min(pool, key=cost[i].__getitem__, default=None)
+        if w is None or cost[i][w] > pairing_tol:
+            raise UnrealizableAutocorrelation(
+                f"autocorrelation not realizable: unpaired root {roots[i]!r}"
+            )
+        pool.remove(w)
+        pairs.append((roots[i], roots[w]))
+    return pairs
+
+
 def _factor_once(
     roots: np.ndarray,
     lags: np.ndarray,
@@ -247,8 +325,8 @@ def _factor_once(
 
     Returns the validated cores, one per row.
     """
-    on_circle = [complex(r) for r in roots if abs(abs(r) - 1.0) <= circle_tol]
-    off_circle = [complex(r) for r in roots if abs(abs(r) - 1.0) > circle_tol]
+    dist = np.abs(np.hypot(roots.real, roots.imag) - 1.0)
+    on_circle = [complex(r) for r in roots[dist <= circle_tol]]
 
     # unit-circle roots arrive as even-multiplicity clusters; each cluster of
     # 2m split copies stands for one root of multiplicity m in the factor
@@ -266,26 +344,7 @@ def _factor_once(
             )
         forced.extend([centroid / abs(centroid)] * (len(cluster) // 2))
 
-    pairing_tol = max(PAIRING_TOL, circle_tol)
-    pairs: List[Tuple[complex, complex]] = []
-    pool = list(off_circle)
-    while pool:
-        r = pool.pop()
-        if not pool:
-            raise UnrealizableAutocorrelation(
-                f"autocorrelation not realizable: unpaired root {r!r}"
-            )
-        mirror = 1.0 / np.conj(r)
-
-        def cost(w: complex) -> float:
-            return max(abs(w - mirror), abs(r - 1.0 / np.conj(w))) / (1 + abs(r) + abs(w))
-
-        j = min(range(len(pool)), key=lambda i: cost(pool[i]))
-        if cost(pool[j]) > pairing_tol:
-            raise UnrealizableAutocorrelation(
-                f"autocorrelation not realizable: unpaired root {r!r}"
-            )
-        pairs.append((r, pool.pop(j)))
+    pairs = _mirror_pairs(roots[dist > circle_tol], max(PAIRING_TOL, circle_tol))
 
     # a mirror pair sitting right on the circle is indistinguishable from a
     # split double circle root; offer the fused reading as an extra branch
@@ -306,30 +365,22 @@ def _factor_once(
         options.append(opts)
         branch_count *= len(opts)
 
-    # one row per branch, in the order of itertools.product over the pairs:
-    # the forced roots, then one choice per pair
-    pick = np.indices([len(o) for o in options]).reshape(len(options), branch_count).T
-    chosen = np.empty((branch_count, len(forced) + len(options)), dtype=np.complex128)
-    circ = np.ones(chosen.shape, dtype=bool)
-    chosen[:, : len(forced)] = forced
-    for j, opts in enumerate(options):
-        chosen[:, len(forced) + j] = np.array([z for z, _ in opts])[pick[:, j]]
-        circ[:, len(forced) + j] = np.array([c for _, c in opts])[pick[:, j]]
-
-    raw = _normalized_cores(chosen, a0)
+    raw = _unit_cores(_fan_out(forced, options), a0)
     # branches holding unit-circle roots are refined, one batch per count
-    n_circ = circ.sum(axis=1)
-    for k in np.unique(n_circ[n_circ > 0]):
-        rows = np.flatnonzero(n_circ == k)
-        on = circ[rows]
-        raw[rows] = _refine_circle_angles(
-            chosen[rows][~on].reshape(rows.size, -1),
-            np.angle(chosen[rows][on]).reshape(rows.size, k),
-            lags, s_eff, a0,
-        )
+    if forced or any(len(opts) > 2 for opts in options):
+        chosen, circ = _branch_rows(forced, options)
+        n_circ = circ.sum(axis=1)
+        for k in np.unique(n_circ[n_circ > 0]):
+            rows = np.flatnonzero(n_circ == k)
+            on = circ[rows]
+            raw[rows] = _refine_circle_angles(
+                chosen[rows][~on].reshape(rows.size, -1),
+                np.angle(chosen[rows][on]).reshape(rows.size, k),
+                lags, s_eff, a0,
+            )
 
-    defect = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1)
-    ok = defect <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    defect = np.abs(_lag_defect(raw, lags, s_eff))
+    ok = np.all(defect <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0), axis=1)
     if not ok.any():
         raise UnrealizableAutocorrelation(
             "autocorrelation not realizable: every pairing branch failed validation"
@@ -337,7 +388,7 @@ def _factor_once(
     return raw[ok]
 
 
-def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
+def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
     """All length-L content vectors whose autocorrelation matches ``acorr``.
 
     Factors the two-sided lag polynomial; its roots pair off as mirror
@@ -347,10 +398,12 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
     see where inside the cell range the content sits.
 
     The count is at most 2^(s-1) pairings times L - s + 1 placements for
-    effective support length s.  All branches of a node are built as one
-    batch: one array row per branch, one linear factor applied to every row
-    per step; placement, phase canonicalization and dedup run over the same
-    batch.  Candidates come back sorted by their quantized byte keys.
+    effective support length s.  The branch cores of a node are built by a
+    shared-prefix fan-out: each linear factor is multiplied once into every
+    distinct prefix of choices, the forced roots once for all branches.
+    Placement, phase canonicalization and dedup run over the whole batch.
+    Returns one array, one candidate per row, sorted by the candidates'
+    quantized byte keys.
     Raises UnrealizableAutocorrelation when some root has no mirror partner.
     """
     a = np.asarray(acorr, dtype=np.complex128)
@@ -367,11 +420,15 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
     if s_eff == 1:
         cores = np.array([[np.sqrt(a0)]], dtype=np.complex128)
     else:
-        two_sided = np.concatenate([np.conj(a[1:s_eff][::-1]), a[:s_eff]])
-        roots = np.roots(two_sided[::-1])
-        # a multiplicity-m root only comes back from np.roots to within about
-        # eps**(1/m), so circle classification retries on a widening ladder;
-        # the lag validation inside each pass arbitrates what to accept
+        # the roots of the two-sided lag polynomial, as np.roots finds them:
+        # its end coefficients are a_{s-1} and conj(a_{s-1}), both nonzero
+        p = np.concatenate([np.conj(a[1:s_eff][::-1]), a[:s_eff]])[::-1]
+        companion = np.diag(np.ones(p.size - 2, dtype=np.complex128), -1)
+        companion[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion)
+        # a multiplicity-m root only comes back from the eigensolver to within
+        # about eps**(1/m), so circle classification retries on a widening
+        # ladder; the lag validation inside each pass arbitrates what to accept
         cores = None
         error: Optional[UnrealizableAutocorrelation] = None
         for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
@@ -392,14 +449,16 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
     cand = placed.reshape(-1, L)
     # global phase: the first largest entry becomes real and positive (every
     # row holds a core of energy a0 > 0, so the peak is never zero)
-    rows = np.arange(cand.shape[0])
-    k = np.argmax(np.abs(cand), axis=1)
-    cand *= (np.conj(cand[rows, k]) / np.abs(cand[rows, k]))[:, None]
-    q = np.round(cand / np.max(np.abs(cand), axis=1)[:, None], 9)
-    keys = np.ascontiguousarray(q).view(np.dtype((np.void, q.itemsize * L))).ravel()
-    # np.unique sorts the keys bytewise and reports each key's first row
-    _, first = np.unique(keys, return_index=True)
-    return list(cand[first])
+    peak = cand[np.arange(cand.shape[0]), np.abs(cand).argmax(axis=1)]
+    cand *= (np.conj(peak) / np.abs(peak))[:, None]
+    # np.round(z, 9) on the real and imaginary parts at once, same arithmetic
+    q = np.rint((cand / np.abs(cand).max(axis=1)[:, None]).view(np.float64) * 1e9) / 1e9
+    # sort the keys bytewise, stably, and keep each key's first row
+    keys = q.view(np.dtype((np.void, q.itemsize * 2 * L))).ravel()
+    order = keys.argsort(kind="stable")
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    return cand[order[first]]
 
 
 @dataclass(frozen=True)
@@ -416,15 +475,11 @@ class LocalClass:
         return self.representatives[0]
 
 
-def _spectrum_matrix(grid, omegas: np.ndarray) -> np.ndarray:
-    """exp(-2 i pi u_j omega) for the node's cell offsets u_j, one row per j."""
+def _spectrum_tables(grid, omegas: np.ndarray) -> np.ndarray:
+    """exp(-2 i pi u_j omega) for the node's cell offsets u_j: for each row
+    of ``omegas``, one table with a row per j."""
     u = (np.arange(grid.L) - grid.L // 2) * grid.delta
-    return np.exp(-2j * np.pi * np.outer(u, omegas))
-
-
-def _content_spectrum(cands: np.ndarray, grid, omegas: np.ndarray) -> np.ndarray:
-    """delta * sum_j h_j exp(-2 i pi u_j omega) for a batch of contents."""
-    return grid.delta * (cands @ _spectrum_matrix(grid, omegas))
+    return np.exp(-2j * np.pi * (u[:, None] * omegas[:, None, :]))
 
 
 def _polish_content(
@@ -491,23 +546,25 @@ def prune_with_second_window(
         raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
     phi = None if phi_mags is None else np.asarray(phi_mags, dtype=np.float64)
     C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
-    omegas = np.arange(-L, L) / (4.0 * grid.B)
+    # the spectrum tables at omega_n and omega_n + b, built once and shared by
+    # pricing, polish and the mate test
+    omegas = np.arange(-L, L) / (4.0 * grid.B) + np.array([[0.0], [pair.b]])
+    E1, E2 = _spectrum_tables(grid, omegas)
 
     a0 = float(np.max(np.sum(np.abs(C) ** 2, axis=1))) if C.size else 0.0
     scale = grid.delta * np.sqrt(2 * L * a0) if a0 > 0 else 1.0
 
     def defects_of(X: np.ndarray) -> np.ndarray:
-        H1 = _content_spectrum(X, grid, omegas)
-        H2 = _content_spectrum(X, grid, omegas + pair.b)
+        H1 = grid.delta * (X @ E1)
+        H2 = grid.delta * (X @ E2)
         d = np.linalg.norm(np.abs(H2 - H1) - psi, axis=1) / scale
         if phi is not None:
             d = np.hypot(d, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
         return d
 
     def polish(X: np.ndarray) -> np.ndarray:
-        M1 = grid.delta * _spectrum_matrix(grid, omegas)
-        M2 = grid.delta * _spectrum_matrix(grid, omegas + pair.b)
-        blocks = [(M2 - M1, psi), (M1, phi)]
+        M1 = grid.delta * E1
+        blocks = [(grid.delta * E2 - M1, psi), (M1, phi)]
         return np.array([_polish_content(h, blocks, scale) for h in X])
 
     defects = defects_of(C)
@@ -519,15 +576,15 @@ def prune_with_second_window(
         defects = defects_of(C)
         best = min(best, defects[0])
 
-    order = [i for i in range(C.shape[0]) if defects[i] <= accept_tol]
+    order = np.flatnonzero(defects <= accept_tol)
     # a survivor that passes but is not machine-accurate would carry its
     # defect into the glued neighbours, so it is polished in place
-    rough = [i for i in order if defects[i] > POLISH_ABOVE]
-    if phi is not None and rough:
+    rough = order[defects[order] > POLISH_ABOVE]
+    if phi is not None and rough.size:
         C[rough] = polish(C[rough])
         defects[rough] = defects_of(C[rough])
-        order = [i for i in order if defects[i] <= accept_tol]
-    if not order:
+        order = order[defects[order] <= accept_tol]
+    if not order.size:
         raise InconsistentMeasurements(
             f"no factorization candidate matches the second window's data "
             f"(best relative defect {best:.3e})"
@@ -542,14 +599,11 @@ def prune_with_second_window(
         raise AmbiguityViolation(
             f"ambiguity violation: {len(classes)} phase classes survive the second window"
         )
-    if len(classes) == 2:
-        mate = slot_reflect(C[classes[0]])
-        if mate is None or not _phase_match(mate, C[classes[1]], CLASS_TOL):
-            raise AmbiguityViolation(
-                "ambiguity violation: two surviving classes are not conjugate mates"
-            )
-
     mate = slot_reflect(C[classes[0]])
+    if len(classes) == 2 and (mate is None or not _phase_match(mate, C[classes[1]], CLASS_TOL)):
+        raise AmbiguityViolation(
+            "ambiguity violation: two surviving classes are not conjugate mates"
+        )
     includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= accept_tol
 
     return LocalClass(

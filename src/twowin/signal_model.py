@@ -309,13 +309,15 @@ class PeriodicSpec:
             raise ValueError(f"|mu| must be 1, got |{self.mu}| = {abs(self.mu)}")
 
 
-def _mu_powers(mu: complex, exps: np.ndarray) -> np.ndarray:
+def mu_powers(mu: complex, exps: np.ndarray) -> np.ndarray:
     """mu ** e for each integer in ``exps``.
 
     The powers are built by integer exponentiation, which keeps sign flips
     (mu = -1) and quarter turns (mu = +-i) exact instead of routing through
     exp/log.
     """
+    if not exps.size:
+        return np.ones(0, dtype=np.complex128)
     e_lo = int(exps.min())
     table = np.empty(int(exps.max()) - e_lo + 1, dtype=np.complex128)
     table[0] = complex(mu) ** e_lo
@@ -349,7 +351,7 @@ def make_periodic(spec: PeriodicSpec, grid: GridSpec) -> Signal:
     cell = j // k_Ti
     rem = j - cell * k_Ti
     # f((r + m*k_T) * delta) = mu^(-m) * p(r * delta)
-    return Signal(grid, _mu_powers(spec.mu, -cell) * base[rem])
+    return Signal(grid, mu_powers(spec.mu, -cell) * base[rem])
 
 
 def periodic_eval(spec: PeriodicSpec, x) -> np.ndarray:
@@ -367,7 +369,7 @@ def periodic_eval(spec: PeriodicSpec, x) -> np.ndarray:
     vals = np.zeros_like(xv, dtype=np.complex128)
     for k, c in spec.coefficients.items():
         vals += c * np.exp(2j * np.pi * k * rem / spec.T)
-    out = _mu_powers(spec.mu, -m) * vals
+    out = mu_powers(spec.mu, -m) * vals
     return out if np.ndim(x) else out[0]
 
 

@@ -24,6 +24,7 @@ from .signal_model import (
     conj_reflect,
     equivalent_up_to_phase,
     make_periodic,
+    mu_powers,
     periodic_eval,
     phase_fit,
 )
@@ -521,7 +522,7 @@ def periodic_verdict(
     cell = np.floor(xs / spec.T + 1e-9)
     rem = xs - cell * spec.T
     ks = np.arange(-Q, Q + 1)
-    mu_pow = np.array([complex(spec.mu) ** int(-c) for c in cell])
+    mu_pow = mu_powers(spec.mu, -cell.astype(np.int64))
     A = mu_pow[:, None] * np.exp(2j * np.pi * np.outer(rem, ks) / spec.T)
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
 

@@ -1,7 +1,10 @@
 import itertools
+import sys
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twowin import (
     GridSpec,
@@ -12,11 +15,34 @@ from twowin import (
     build_window,
     direct_autocorrelation,
     enumerate_candidates,
+    local_recovery,
     measure,
+    random_nonseparable,
     recover_local,
     slot_reflect,
 )
-from twowin.local_recovery import L_MAX, _phase_match, _poly_batch
+from twowin.local_recovery import (
+    ACCEPT_TOL,
+    CANDIDATE_AUTOCORR_TOL,
+    CLASS_TOL,
+    L_MAX,
+    PAIRING_TOL,
+    POLISH_ABOVE,
+    AmbiguityViolation,
+    InconsistentMeasurements,
+    LocalClass,
+    RecoveryError,
+    _branch_rows,
+    _cluster_circle_roots,
+    _fan_out,
+    _lag_defect,
+    _phase_match,
+    _polish_content,
+    _poly_batch,
+    _refine_circle_angles,
+    _unit_cores,
+)
+from twowin.window_engine import WindowPair
 
 
 def _node_mags(content, L):
@@ -219,3 +245,520 @@ def test_recover_local_flags_reflection_symmetry():
     phi_mags, psi_mags, pair = _node_mags([1.0, 0.5j, -0.25], 3)
     cls = recover_local(phi_mags, psi_mags, pair)
     assert cls.includes_reflection
+
+
+def _reference_slot_reflect(h):
+    """slot_reflect as a loop over the slots, the form it replaced."""
+    hv = np.asarray(h, dtype=np.complex128)
+    L = hv.size
+    s = L // 2
+    scale = float(np.max(np.abs(hv))) if L else 0.0
+    out = np.zeros(L, dtype=np.complex128)
+    for j in range(L):
+        src = 2 * s - j
+        if 0 <= src < L:
+            out[j] = np.conj(hv[src])
+        elif abs(hv[j]) > 1e-12 * scale:
+            return None
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    L=st.integers(0, 17),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.sampled_from(["live", "zero", "tiny"]),
+)
+def test_slot_reflect_matches_the_loop(L, seed, first):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    if L:
+        # a vanishing first slot unblocks even lengths; a tiny one sits
+        # under the 1e-12 relative cutoff
+        h[0] = {"live": h[0], "zero": 0.0, "tiny": 1e-13 * np.max(np.abs(h[1:]), initial=0.0)}[first]
+    got, want = slot_reflect(h), _reference_slot_reflect(h)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.tobytes() == want.tobytes()
+    assert (got is None) == (L % 2 == 0 and first == "live" and L > 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fan_out_matches_poly_batch_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+
+    def z():
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    theta = rng.uniform(0, 2 * np.pi)
+    forced = [
+        [],
+        [complex(np.exp(1j * theta)), complex(np.exp(-1j * theta))],
+        [complex(np.exp(1j * theta))],
+        [-1.0 + 0j, 1j, -1j],
+    ][seed]
+    # rows choosing r and conj(r), and either root of each real pair, are
+    # closed under conjugation; so are rows taking both fused readings of a
+    # conjugate pair of near-circle pairs
+    r, w = z(), complex((1 + 1e-4) * np.exp(0.3j))
+    options = [
+        [(r, False), (z(), False)],
+        [(z(), False), (r.conjugate(), False)],
+        [(0.5 + 0j, False), (2.0 + 0j, False)],
+        [(1 + 1e-4 + 0j, False), (1 / (1 + 1e-4) + 0j, False), (1 + 0j, True)],
+        [(w, False), (1 / w.conjugate(), False), (complex(np.exp(0.3j)), True)],
+        [(w.conjugate(), False), (1 / w, False), (complex(np.exp(-0.3j)), True)],
+    ]
+    got = _fan_out(forced, options)
+    want = _poly_batch(_branch_rows(forced, options)[0])
+    assert got.tobytes() == want.tobytes()
+    if seed != 2:
+        assert np.any(np.all(got.imag == 0.0, axis=1))
+
+
+# --- the per-node path against the code it replaced ----------------------------
+#
+# The functions below are the enumeration and pruning as they were before the
+# shared-prefix fan-out: np.roots, scalar mirror-pairing costs, every branch
+# through _poly_batch with its conjugation sort, np.unique over the quantized
+# keys, a list of rows, and spectrum tables rebuilt at every defect call.
+# The current code must reproduce them bit for bit, errors included.
+
+def _reference_spectrum_matrix(grid, omegas: np.ndarray) -> np.ndarray:
+    """The parent's per-call spectrum table."""
+    u = (np.arange(grid.L) - grid.L // 2) * grid.delta
+    return np.exp(-2j * np.pi * np.outer(u, omegas))
+
+
+def _reference_content_spectrum(cands: np.ndarray, grid, omegas: np.ndarray) -> np.ndarray:
+    """delta * sum_j h_j exp(-2 i pi u_j omega), one table per call."""
+    return grid.delta * (cands @ _reference_spectrum_matrix(grid, omegas))
+
+
+def _reference_factor_once(
+    roots: np.ndarray,
+    lags: np.ndarray,
+    s_eff: int,
+    a0: float,
+    circle_tol: float,
+) -> np.ndarray:
+    """The parent's factoring pass: scalar pairing costs, the full branch
+    batch through _poly_batch, chosen/circ for every branch."""
+    on_circle = [complex(r) for r in roots if abs(abs(r) - 1.0) <= circle_tol]
+    off_circle = [complex(r) for r in roots if abs(abs(r) - 1.0) > circle_tol]
+
+    # unit-circle roots arrive as even-multiplicity clusters; each cluster of
+    # 2m split copies stands for one root of multiplicity m in the factor
+    forced: List[complex] = []
+    chord = max(2 * np.sqrt(PAIRING_TOL), 4 * circle_tol)
+    for cluster in _cluster_circle_roots(on_circle, chord):
+        if len(cluster) % 2:
+            raise UnrealizableAutocorrelation(
+                f"autocorrelation not realizable: unit-circle root {cluster[0]!r} has odd multiplicity"
+            )
+        centroid = sum(cluster) / len(cluster)
+        if centroid == 0:
+            raise UnrealizableAutocorrelation(
+                f"autocorrelation not realizable: unit-circle cluster near {cluster[0]!r} is degenerate"
+            )
+        forced.extend([centroid / abs(centroid)] * (len(cluster) // 2))
+
+    pairing_tol = max(PAIRING_TOL, circle_tol)
+    pairs: List[Tuple[complex, complex]] = []
+    pool = list(off_circle)
+    while pool:
+        r = pool.pop()
+        if not pool:
+            raise UnrealizableAutocorrelation(
+                f"autocorrelation not realizable: unpaired root {r!r}"
+            )
+        mirror = 1.0 / np.conj(r)
+
+        def cost(w: complex) -> float:
+            return max(abs(w - mirror), abs(r - 1.0 / np.conj(w))) / (1 + abs(r) + abs(w))
+
+        j = min(range(len(pool)), key=lambda i: cost(pool[i]))
+        if cost(pool[j]) > pairing_tol:
+            raise UnrealizableAutocorrelation(
+                f"autocorrelation not realizable: unpaired root {r!r}"
+            )
+        pairs.append((r, pool.pop(j)))
+
+    # a mirror pair sitting right on the circle is indistinguishable from a
+    # split double circle root; offer the fused reading as an extra branch
+    # and let validation and the second window decide
+    options: List[List[Tuple[complex, bool]]] = []
+    branch_count = 1
+    for r1, r2 in pairs:
+        opts = [(r1, False), (r2, False)]
+        fusable = (
+            abs(abs(r1) - 1.0) <= 5e-2
+            and abs(abs(r2) - 1.0) <= 5e-2
+            and abs(r1 - r2) <= chord
+        )
+        if fusable and branch_count * 3 <= 8192:
+            mid = (r1 + r2) / 2
+            if mid != 0:
+                opts.append((mid / abs(mid), True))
+        options.append(opts)
+        branch_count *= len(opts)
+
+    # one row per branch, in the order of itertools.product over the pairs:
+    # the forced roots, then one choice per pair
+    pick = np.indices([len(o) for o in options]).reshape(len(options), branch_count).T
+    chosen = np.empty((branch_count, len(forced) + len(options)), dtype=np.complex128)
+    circ = np.ones(chosen.shape, dtype=bool)
+    chosen[:, : len(forced)] = forced
+    for j, opts in enumerate(options):
+        chosen[:, len(forced) + j] = np.array([z for z, _ in opts])[pick[:, j]]
+        circ[:, len(forced) + j] = np.array([c for _, c in opts])[pick[:, j]]
+
+    raw = _unit_cores(_poly_batch(chosen), a0)
+    # branches holding unit-circle roots are refined, one batch per count
+    n_circ = circ.sum(axis=1)
+    for k in np.unique(n_circ[n_circ > 0]):
+        rows = np.flatnonzero(n_circ == k)
+        on = circ[rows]
+        raw[rows] = _refine_circle_angles(
+            chosen[rows][~on].reshape(rows.size, -1),
+            np.angle(chosen[rows][on]).reshape(rows.size, k),
+            lags, s_eff, a0,
+        )
+
+    defect = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1)
+    ok = defect <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    if not ok.any():
+        raise UnrealizableAutocorrelation(
+            "autocorrelation not realizable: every pairing branch failed validation"
+        )
+    return raw[ok]
+
+
+def _reference_enumerate_candidates(acorr: Sequence[complex], L: int) -> List[np.ndarray]:
+    """The parent's enumeration: np.roots, the ladder, np.unique on the
+    quantized keys, and a list of rows."""
+    a = np.asarray(acorr, dtype=np.complex128)
+    if L > L_MAX:
+        raise ValueError(f"enumeration bound exceeded: L = {L} > {L_MAX}")
+    if a.size > L:
+        raise ValueError(f"got {a.size} lags for window cell count {L}")
+    a0 = float(a[0].real)
+    if a0 <= 0:
+        raise ValueError("zero autocorrelation has no nonzero factorization")
+
+    s_eff = 1 + max([l for l in range(a.size) if abs(a[l]) > 1e-12 * a0], default=0)
+
+    if s_eff == 1:
+        cores = np.array([[np.sqrt(a0)]], dtype=np.complex128)
+    else:
+        two_sided = np.concatenate([np.conj(a[1:s_eff][::-1]), a[:s_eff]])
+        roots = np.roots(two_sided[::-1])
+        # a multiplicity-m root only comes back from np.roots to within about
+        # eps**(1/m), so circle classification retries on a widening ladder;
+        # the lag validation inside each pass arbitrates what to accept
+        cores = None
+        error: Optional[UnrealizableAutocorrelation] = None
+        for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
+            try:
+                cores = _reference_factor_once(roots, a, s_eff, a0, circle_tol)
+                break
+            except UnrealizableAutocorrelation as exc:
+                error = exc
+        if cores is None:
+            assert error is not None
+            raise error
+
+    # every core at every placement, rows ordered core-major
+    P = L - s_eff + 1
+    placed = np.zeros((len(cores), P, L), dtype=np.complex128)
+    for p in range(P):
+        placed[:, p, p : p + s_eff] = cores
+    cand = placed.reshape(-1, L)
+    # global phase: the first largest entry becomes real and positive (every
+    # row holds a core of energy a0 > 0, so the peak is never zero)
+    rows = np.arange(cand.shape[0])
+    k = np.argmax(np.abs(cand), axis=1)
+    cand *= (np.conj(cand[rows, k]) / np.abs(cand[rows, k]))[:, None]
+    q = np.round(cand / np.max(np.abs(cand), axis=1)[:, None], 9)
+    keys = np.ascontiguousarray(q).view(np.dtype((np.void, q.itemsize * L))).ravel()
+    # np.unique sorts the keys bytewise and reports each key's first row
+    _, first = np.unique(keys, return_index=True)
+    return list(cand[first])
+
+
+def _reference_prune(
+    candidates: Sequence[np.ndarray],
+    psi_mags: Sequence[float],
+    pair: WindowPair,
+    *,
+    phi_mags: Optional[Sequence[float]] = None,
+    accept_tol: float = ACCEPT_TOL,
+) -> LocalClass:
+    """The parent's pruning: both spectrum tables rebuilt per defect call,
+    list filters, and the mate reflected twice for two classes."""
+    grid = pair.grid
+    L = grid.L
+    psi = np.asarray(psi_mags, dtype=np.float64)
+    if psi.size != 2 * L:
+        raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
+    phi = None if phi_mags is None else np.asarray(phi_mags, dtype=np.float64)
+    C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
+    omegas = np.arange(-L, L) / (4.0 * grid.B)
+
+    a0 = float(np.max(np.sum(np.abs(C) ** 2, axis=1))) if C.size else 0.0
+    scale = grid.delta * np.sqrt(2 * L * a0) if a0 > 0 else 1.0
+
+    def defects_of(X: np.ndarray) -> np.ndarray:
+        H1 = _reference_content_spectrum(X, grid, omegas)
+        H2 = _reference_content_spectrum(X, grid, omegas + pair.b)
+        d = np.linalg.norm(np.abs(H2 - H1) - psi, axis=1) / scale
+        if phi is not None:
+            d = np.hypot(d, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
+        return d
+
+    def polish(X: np.ndarray) -> np.ndarray:
+        M1 = grid.delta * _reference_spectrum_matrix(grid, omegas)
+        M2 = grid.delta * _reference_spectrum_matrix(grid, omegas + pair.b)
+        blocks = [(M2 - M1, psi), (M1, phi)]
+        return np.array([_polish_content(h, blocks, scale) for h in X])
+
+    defects = defects_of(C)
+    best = defects.min() if defects.size else np.inf
+    # the second window alone has as many equations as a content vector has
+    # unknowns, so only both windows together can vouch for a polished fit
+    if C.size and phi is not None and not best <= accept_tol:
+        C = polish(C[[int(np.argmin(defects))]])
+        defects = defects_of(C)
+        best = min(best, defects[0])
+
+    order = [i for i in range(C.shape[0]) if defects[i] <= accept_tol]
+    # a survivor that passes but is not machine-accurate would carry its
+    # defect into the glued neighbours, so it is polished in place
+    rough = [i for i in order if defects[i] > POLISH_ABOVE]
+    if phi is not None and rough:
+        C[rough] = polish(C[rough])
+        defects[rough] = defects_of(C[rough])
+        order = [i for i in order if defects[i] <= accept_tol]
+    if not order:
+        raise InconsistentMeasurements(
+            f"no factorization candidate matches the second window's data "
+            f"(best relative defect {best:.3e})"
+        )
+
+    classes: List[int] = []
+    for i in order:
+        if not any(_phase_match(C[i], C[j], CLASS_TOL) for j in classes):
+            classes.append(i)
+
+    if len(classes) > 2:
+        raise AmbiguityViolation(
+            f"ambiguity violation: {len(classes)} phase classes survive the second window"
+        )
+    if len(classes) == 2:
+        mate = _reference_slot_reflect(C[classes[0]])
+        if mate is None or not _phase_match(mate, C[classes[1]], CLASS_TOL):
+            raise AmbiguityViolation(
+                "ambiguity violation: two surviving classes are not conjugate mates"
+            )
+
+    mate = _reference_slot_reflect(C[classes[0]])
+    includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= accept_tol
+
+    return LocalClass(
+        representatives=tuple(C[i] for i in classes),
+        includes_reflection=bool(includes_reflection),
+        residual=float(min(defects[i] for i in classes)),
+    )
+
+
+
+def _circle_content(roots, L):
+    """Content whose z-transform has the given roots, zero-padded to L."""
+    c = np.poly(roots)[::-1]
+    h = np.zeros(L, dtype=np.complex128)
+    h[: c.size] = c
+    return h
+
+
+def _special_contents():
+    """Contents whose autocorrelations force unit-circle clusters, offer fused
+    near-circle pairs, climb the circle-tolerance ladder, or are refused."""
+    cases = []
+    for L in (4, 6, 8, 10, 12):
+        rng = np.random.default_rng(L)
+        free = list(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+        on = np.exp(0.7j)
+        near = np.exp(1.1j)
+        cases += [
+            (f"circle-L{L}", _circle_content([on] + free[: L - 2], L)),
+            (f"double-circle-L{L}", _circle_content([on, on] + free[: L - 3], L)),
+            (f"near-1e-3-L{L}", _circle_content([(1 + 1e-3) * near] + free[: L - 2], L)),
+            (f"near-1e-5-L{L}", _circle_content([(1 + 1e-5) * near] + free[: L - 2], L)),
+            (
+                f"near-pair-1e-4-L{L}",
+                _circle_content([(1 + 1e-4) * near, near / (1 + 1e-4)] + free[: L - 3], L),
+            ),
+            (
+                f"near-pair-1e-7-L{L}",
+                _circle_content([(1 + 1e-7) * near, near / (1 + 1e-7)] + free[: L - 3], L),
+            ),
+        ]
+    cases += [
+        ("repeated-4a", np.array([1.0, 1.0, -1.0, -1.0], dtype=np.complex128)),
+        ("repeated-4b", np.array([1.0, 1j, 1.0, 1j])),
+        ("repeated-4c", np.array([1j, 1j, 1j, 1j])),
+        ("triple-circle", _circle_content([np.exp(0.3j)] * 3 + [0.5 + 0.2j], 5)),
+    ]
+    return cases
+
+
+def _seeded_contents():
+    cases = []
+    for L in range(4, 13):
+        rng = np.random.default_rng(1000 + L)
+        for cells in (range(L), range(1, L - 1), range(0, L // 2)):
+            h = np.zeros(L, dtype=np.complex128)
+            h[list(cells)] = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+            cases.append((f"seeded-L{L}-{cells.start}:{cells.stop}", h))
+    return cases
+
+
+def _criterion1_nodes():
+    """Every lattice node of one criterion-1 signal per (a, b), plus the two
+    signals whose nodes hold a mirror pair within 1e-6 of the circle."""
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    nodes = []
+    for a, b, seed in [
+        (1.0, 0.25, 0), (1.0, 0.5, 1), (0.5, 0.25, 2), (0.5, 0.5, 3),
+        (1.0, 0.5, 1495495394), (0.5, 0.25, 349134471),
+    ]:
+        gap = 2 * grid.B - a
+        n_gap = int(np.ceil(gap / grid.delta - 1e-9))
+        f = random_nonseparable(grid, grid.horizon - n_gap + 1, gap, seed=seed)
+        pair = build_window("rectangular", grid, b=b)
+        ms = measure(f, pair, TimeNodes.lattice_covering(grid, a))
+        scale = float(np.max(ms.mags))
+        nodes += [(ms.mags[0, i], ms.mags[1, i], pair, scale) for i in range(ms.mags.shape[1])]
+    return nodes
+
+
+def _outcome(fn):
+    try:
+        out = fn()
+    except RecoveryError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, LocalClass):
+        return (
+            tuple(r.tobytes() for r in out.representatives),
+            out.includes_reflection,
+            repr(out.residual),
+            out.is_zero,
+        )
+    return np.asarray(out).tobytes(), len(out)
+
+
+def _as_before(monkeypatch):
+    monkeypatch.setattr(local_recovery, "enumerate_candidates", _reference_enumerate_candidates)
+    monkeypatch.setattr(local_recovery, "prune_with_second_window", _reference_prune)
+
+
+@pytest.mark.parametrize(
+    "h", [pytest.param(h, id=name) for name, h in _seeded_contents() + _special_contents()]
+)
+def test_enumeration_and_recovery_match_the_replaced_code(h, monkeypatch):
+    L = h.size
+    acorr = direct_autocorrelation(h)
+    got = enumerate_candidates(acorr, L)
+    if not isinstance(got, np.ndarray):
+        pytest.fail("enumerate_candidates must return one array")
+    assert got.ndim == 2 and got.shape[1] == L
+    assert _outcome(lambda: got) == _outcome(lambda: _reference_enumerate_candidates(acorr, L))
+    phi_mags, psi_mags, pair = _node_mags(h, L)
+    new = _outcome(lambda: recover_local(phi_mags, psi_mags, pair))
+    _as_before(monkeypatch)
+    assert new == _outcome(lambda: recover_local(phi_mags, psi_mags, pair))
+
+
+def test_refusals_match_the_replaced_code():
+    # lag sets no content realizes: their lag polynomials hold simple
+    # unit-circle roots, which every rung of the ladder refuses, so the last
+    # rung's message comes out
+    rng = np.random.default_rng(3)
+    lags = [([1.0, 0.6], 2), ([1.0, 0.3, 0.9], 3)]
+    lags += [(np.r_[1.0, 0.6 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))], 5) for _ in range(3)]
+    for acorr, L in lags:
+        want = _outcome(lambda: _reference_enumerate_candidates(acorr, L))
+        assert want[0] == "UnrealizableAutocorrelation"
+        assert _outcome(lambda: enumerate_candidates(acorr, L)) == want
+
+
+def test_criterion1_nodes_match_the_replaced_code(monkeypatch):
+    nodes = _criterion1_nodes()
+    new = [_outcome(lambda: recover_local(phi, psi, pair, scale=scale)) for phi, psi, pair, scale in nodes]
+    _as_before(monkeypatch)
+    old = [_outcome(lambda: recover_local(phi, psi, pair, scale=scale)) for phi, psi, pair, scale in nodes]
+    assert new == old
+    assert sum(len(o[0]) == 2 for o in new if not isinstance(o[0], str)) > 0
+
+
+def test_criterion10_family_matches_the_replaced_code(monkeypatch):
+    # real integer contents: conjugate-closed branches, circle roots, and
+    # branches that coincide after quantization, so the dedup keeps a first row
+    family = np.array(list(itertools.product([0, 1, 2, 3], repeat=4)), dtype=np.complex128)[1:]
+    mags = [_node_mags(h, 4) for h in family]
+    new = [
+        (_outcome(lambda: enumerate_candidates(direct_autocorrelation(h), 4)),
+         _outcome(lambda: recover_local(phi, psi, pair)))
+        for h, (phi, psi, pair) in zip(family, mags)
+    ]
+    _as_before(monkeypatch)
+    old = [
+        (_outcome(lambda: _reference_enumerate_candidates(direct_autocorrelation(h), 4)),
+         _outcome(lambda: recover_local(phi, psi, pair)))
+        for h, (phi, psi, pair) in zip(family, mags)
+    ]
+    assert new == old
+
+
+def test_dedup_keeps_each_keys_first_row_like_the_replaced_code(monkeypatch):
+    # factored nodes hardly ever give two rows one key (a repeated root comes
+    # back split by about 1e-8, above the 1e-9 key quantum), so the dedup is
+    # fed cores directly: a core, the same core off by a rounding error and
+    # by a phase (one key, different bytes), and a second core
+    rng = np.random.default_rng(7)
+    c, d = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    cores = np.array([c * (1 + 1e-12), d, c, c * np.exp(0.3j), d * (1 - 1e-12)])
+
+    def factored(*args):
+        return cores.copy()
+
+    monkeypatch.setattr(local_recovery, "_factor_once", factored)
+    monkeypatch.setattr(sys.modules[__name__], "_reference_factor_once", factored)
+    acorr = direct_autocorrelation(c)
+    got = enumerate_candidates(acorr, 3)
+    assert len(got) < len(cores)
+    assert got.tobytes() == np.array(_reference_enumerate_candidates(acorr, 3)).tobytes()
+
+
+def test_reference_cases_reach_every_factoring_path(monkeypatch):
+    seen = {"forced": 0, "fused": 0, "retried": 0}
+    fan_out, factor_once = local_recovery._fan_out, local_recovery._factor_once
+    rungs = []
+
+    def counted_fan_out(forced, options):
+        seen["forced"] += bool(forced)
+        seen["fused"] += any(len(o) > 2 for o in options)
+        return fan_out(forced, options)
+
+    def counted_factor_once(*args):
+        rungs[-1] += 1
+        return factor_once(*args)
+
+    monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
+    monkeypatch.setattr(local_recovery, "_factor_once", counted_factor_once)
+    for _, h in _special_contents():
+        rungs.append(0)
+        enumerate_candidates(direct_autocorrelation(h), h.size)
+        seen["retried"] += rungs[-1] > 1
+    assert all(count > 0 for count in seen.values()), seen

@@ -18,7 +18,7 @@ from twowin import (
     random_nonseparable,
 )
 from twowin.local_recovery import CLASS_TOL, _phase_match
-from twowin.signal_model import periodic_eval
+from twowin.signal_model import mu_powers, periodic_eval
 from twowin.stitcher import ORIENT_TOL
 
 
@@ -242,6 +242,17 @@ def test_make_periodic_relation():
     np.testing.assert_allclose(
         f.samples, periodic_eval(spec, grid.coords()), atol=1e-12
     )
+
+
+def test_mu_powers_table():
+    exps = np.array([3, -2, 0, 5, -2, 1])
+    for mu in (1.0, -1.0, 1j, -1j):
+        # sign flips and quarter turns stay exact
+        assert mu_powers(mu, exps).tolist() == [complex(mu) ** int(e) for e in exps]
+    mu = np.exp(0.7j)
+    np.testing.assert_allclose(mu_powers(mu, exps), mu ** exps.astype(float), rtol=0, atol=1e-14)
+    # a window with no on-horizon cell asks for no powers at all
+    assert mu_powers(mu, np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_make_periodic_rejects_off_grid_period():

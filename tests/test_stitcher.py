@@ -4,7 +4,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 
-from twowin import stitcher
+from twowin import local_recovery, stitcher
 from twowin.stitcher import (
     COND_MAX,
     DEAD_OVERLAP_RTOL,
@@ -12,7 +12,7 @@ from twowin.stitcher import (
     AlignedAssembly,
     align_overlaps,
 )
-from twowin.stft_engine import node_segment
+from twowin.stft_engine import node_segment, windowed_segment
 from twowin import (
     FORGES,
     FrequencyGrid,
@@ -108,6 +108,57 @@ def test_reconstruct_with_anchor_node():
     rep, res = _roundtrip(f, PAIR, 1.0, anchor=default_anchor(1.0, GRID.horizon))
     assert res <= 1e-8
     assert rep.ambiguity == "phase_only"
+
+
+def test_reconstruct_reaches_local_recovery_once_per_lattice_row(monkeypatch):
+    # reconstruct looks up stitcher.recover_local once per lattice row (the
+    # anchor row is not a lattice row), and recover_local reaches the
+    # enumeration and the pruning through local_recovery's module attributes
+    f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=2)
+    nodes = TimeNodes.lattice_covering(GRID, 1.0, anchor=default_anchor(1.0, GRID.horizon))
+    ms = measure(f, PAIR, nodes)
+    plain = reconstruct(ms, PAIR)
+
+    calls = []
+    recover, enumerate_, prune = (
+        stitcher.recover_local,
+        local_recovery.enumerate_candidates,
+        local_recovery.prune_with_second_window,
+    )
+
+    def counted_recover(*args, **kwargs):
+        calls.append({"enumerate": [], "prune": []})
+        return recover(*args, **kwargs)
+
+    def counted_enumerate(*args, **kwargs):
+        out = enumerate_(*args, **kwargs)
+        calls[-1]["enumerate"].append(len(out))
+        return out
+
+    def counted_prune(*args, **kwargs):
+        out = prune(*args, **kwargs)
+        calls[-1]["prune"].append(len(out.representatives))
+        return out
+
+    monkeypatch.setattr(stitcher, "recover_local", counted_recover)
+    monkeypatch.setattr(local_recovery, "enumerate_candidates", counted_enumerate)
+    monkeypatch.setattr(local_recovery, "prune_with_second_window", counted_prune)
+    wrapped = reconstruct(ms, PAIR)
+
+    lattice = [t for i, t in enumerate(nodes.times) if i != nodes.anchor_index]
+    assert len(calls) == len(lattice) < len(nodes.times)
+    L = GRID.L
+    for call, t in zip(calls, lattice):
+        support = np.flatnonzero(np.abs(windowed_segment(f, PAIR, t)) > 1e-12)
+        s = int(support[-1] - support[0] + 1)
+        [rows] = call["enumerate"]
+        assert 1 <= rows <= 2 ** (s - 1) * (L - s + 1)
+        [survivors] = call["prune"]
+        assert 1 <= survivors <= 2
+    assert wrapped.signal.samples.tobytes() == plain.signal.samples.tobytes()
+    assert (wrapped.ambiguity, wrapped.residual, wrapped.lambdas) == (
+        plain.ambiguity, plain.residual, plain.lambdas
+    )
 
 
 def test_conjugate_palindromic_input_collapses_to_phase_only():
