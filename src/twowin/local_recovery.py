@@ -520,7 +520,7 @@ def prune_with_second_window(
     psi_mags: Sequence[float],
     pair: WindowPair,
     *,
-    phi_mags: Optional[Sequence[float]] = None,
+    phi_mags: Sequence[float],
     accept_tol: float = ACCEPT_TOL,
 ) -> LocalClass:
     """Score factorization candidates against the second window's magnitudes.
@@ -530,21 +530,20 @@ def prune_with_second_window(
     Survivors are grouped into phase classes; the dichotomy permits one
     class, or two that are conjugate slot reflections of each other.
 
-    When no candidate passes and ``phi_mags`` is given, the one with the
-    lowest defect is polished by Gauss-Newton against both windows'
-    magnitudes and tested again at the same ``accept_tol``: a mirror root
-    pair within about sqrt(eps) of the unit circle comes back from np.roots
-    only to about sqrt(eps), which leaves a genuine candidate with a defect
-    far above the tolerance.  For the same reason, with ``phi_mags`` given,
-    every survivor whose defect exceeds ``POLISH_ABOVE`` is polished in
-    place and tested again before the classes are formed.
+    When no candidate passes, the one with the lowest defect is polished by
+    Gauss-Newton against both windows' magnitudes and tested again at the
+    same ``accept_tol``: a mirror root pair within about sqrt(eps) of the
+    unit circle comes back from np.roots only to about sqrt(eps), which
+    leaves a genuine candidate with a defect far above the tolerance.  For
+    the same reason, every survivor whose defect exceeds ``POLISH_ABOVE`` is
+    polished in place and tested again before the classes are formed.
     """
     grid = pair.grid
     L = grid.L
     psi = np.asarray(psi_mags, dtype=np.float64)
     if psi.size != 2 * L:
         raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
-    phi = None if phi_mags is None else np.asarray(phi_mags, dtype=np.float64)
+    phi = np.asarray(phi_mags, dtype=np.float64)
     C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
     # the spectrum tables at omega_n and omega_n + b, built once and shared by
     # pricing, polish and the mate test
@@ -558,9 +557,7 @@ def prune_with_second_window(
         H1 = grid.delta * (X @ E1)
         H2 = grid.delta * (X @ E2)
         d = np.linalg.norm(np.abs(H2 - H1) - psi, axis=1) / scale
-        if phi is not None:
-            d = np.hypot(d, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
-        return d
+        return np.hypot(d, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
 
     def polish(X: np.ndarray) -> np.ndarray:
         M1 = grid.delta * E1
@@ -571,7 +568,7 @@ def prune_with_second_window(
     best = defects.min() if defects.size else np.inf
     # the second window alone has as many equations as a content vector has
     # unknowns, so only both windows together can vouch for a polished fit
-    if C.size and phi is not None and not best <= accept_tol:
+    if C.size and not best <= accept_tol:
         C = polish(C[[int(np.argmin(defects))]])
         defects = defects_of(C)
         best = min(best, defects[0])
@@ -580,7 +577,7 @@ def prune_with_second_window(
     # a survivor that passes but is not machine-accurate would carry its
     # defect into the glued neighbours, so it is polished in place
     rough = order[defects[order] > POLISH_ABOVE]
-    if phi is not None and rough.size:
+    if rough.size:
         C[rough] = polish(C[rough])
         defects[rough] = defects_of(C[rough])
         order = order[defects[order] <= accept_tol]

@@ -12,7 +12,7 @@ detection, quasi-periodic extension, and seeded random test signals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 

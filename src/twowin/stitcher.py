@@ -10,13 +10,12 @@ by re-measuring the reflected branch, and by anchor data when present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .signal_model import (
-    GridSpec,
     OffGridError,
     PeriodicSpec,
     ReflectionRangeError,
@@ -43,7 +42,6 @@ from .local_recovery import (
     InconsistentMeasurements,
     LocalClass,
     recover_local,
-    slot_reflect,
 )
 
 #: Aligned overlaps must agree to this relative mismatch.
@@ -92,11 +90,10 @@ def align_overlaps(
     classes: Sequence[LocalClass],
     pair: WindowPair,
     a: float,
-    gap: float,
     *,
-    times: Optional[Sequence[float]] = None,
-    lattice_mags: Optional[np.ndarray] = None,
-    freqs: Optional[FrequencyGrid] = None,
+    times: Sequence[float],
+    lattice_mags: np.ndarray,
+    freqs: FrequencyGrid,
     accept_tol: float = ACCEPT_TOL,
 ) -> AlignedAssembly:
     """Chain per-node phases across window overlaps and divide out the window.
@@ -106,21 +103,18 @@ def align_overlaps(
     assembled so far.  A node whose class carries a reflected mate gives the
     chain a branch point; a nearly symmetric overlap can fit both, so the
     orientations are searched depth first (best fit first, on an explicit
-    stack) instead of greedily locked in.  When ``lattice_mags`` is given,
-    each node's magnitudes are checked against that data as soon as every
-    cell of its window is filled, which rejects chains that glued a mate
-    through an overlap too small to expose it, without waiting for the last
-    node.  Ambiguity is phase_or_reflection exactly when every node would
-    tolerate the reflected world.  ``uncovered`` lists the horizon cells
-    that no node window holds.
+    stack) instead of greedily locked in.  Each node's magnitudes are
+    checked against ``lattice_mags`` as soon as every cell of its window is
+    filled, which rejects chains that glued a mate through an overlap too
+    small to expose it, without waiting for the last node.  Ambiguity is
+    phase_or_reflection exactly when every node would tolerate the reflected
+    world.  ``uncovered`` lists the horizon cells that no node window holds.
 
     A live overlap that fits neither orientation means the magnitudes were
     inconsistent; an overlap with no energy means the input is separable
     there and propagation stops with a declared error.
     """
     grid = pair.grid
-    if abs(gap - (2 * grid.B - a)) > 1e-9:
-        raise ValueError(f"gap {gap!r} is not 2B - a = {2 * grid.B - a!r}")
     if a > grid.B + 1e-12:
         raise ValueError(f"lattice step a = {a!r} exceeds B = {grid.B!r}")
     phi = pair.slot_values("phi")
@@ -130,8 +124,6 @@ def align_overlaps(
             f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"
         )
     inv_phi = 1.0 / np.conj(phi)
-    if times is None:
-        times = [m * a for m in range(len(classes))]
     if len(times) != len(classes):
         raise ValueError(f"{len(classes)} classes for {len(times)} node times")
 
@@ -179,13 +171,11 @@ def align_overlaps(
     # changes below it, so a node's magnitudes are final there.  A node with
     # a cell no live window fills is checked with the last position.
     ready: List[List[int]] = [[] for _ in range(len(live) + 1)]
-    if lattice_mags is not None and any(len(n[4]) > 1 for n in live):
+    if any(len(n[4]) > 1 for n in live):
         depth = np.full(grid.horizon, len(live))
         for pos in range(len(live) - 1, -1, -1):
             k, on = live[pos][2], live[pos][3]
             depth[k[on]] = pos + 1
-        if freqs is None:
-            freqs = FrequencyGrid.critical(grid.L, grid.B)
         omegas = freqs.omegas
         segs = [node_segment(grid, t, None, pair) for t in times]
         E = node_exponentials(grid, segs, omegas)
@@ -290,15 +280,11 @@ def align_overlaps(
     lam_map = dict(lams)
     lambdas = tuple(lam_map.get(ci, 1.0 + 0.0j) for ci in range(len(classes)))
 
-    if not live:
-        ambiguity = "phase_only"  # the zero signal has no second branch
-    elif all(c.includes_reflection for c in classes):
-        ambiguity = "phase_or_reflection"
-    else:
-        ambiguity = "phase_only"
+    # the zero signal has no second branch
+    reflectable = bool(live) and all(c.includes_reflection for c in classes)
     return AlignedAssembly(
         signal=Signal(grid, assembled),
-        ambiguity=ambiguity,
+        ambiguity="phase_or_reflection" if reflectable else "phase_only",
         lambdas=lambdas,
         uncovered=tuple(np.flatnonzero(~covered).tolist()),
     )
@@ -308,10 +294,29 @@ def _sup_dev(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) if want.size else 0.0
 
 
-def _lattice_only(nodes: TimeNodes) -> TimeNodes:
-    if nodes.mode == "lattice":
-        return nodes
-    return TimeNodes(mode="lattice", times=tuple(nodes.lattice_times), a=nodes.a)
+def _branch_verdict(
+    direct: Tuple[Signal, np.ndarray],
+    reflected: Tuple[Signal, np.ndarray],
+    ms: MeasurementSet,
+    rows: Sequence[int],
+    accept_tol: float,
+    refusal: str,
+) -> Tuple[Tuple[Signal, np.ndarray], Optional[Signal]]:
+    """Judge two (signal, magnitudes at every node) branches on the data
+    ``rows`` and return (chosen, alternative): the direct branch if it fits,
+    else the reflected one; the reflected signal is the alternative only when
+    both fit, and neither fitting is refused with both deviations."""
+    tol = accept_tol * max(float(np.max(ms.mags)), 1e-300)
+    dev_direct = _sup_dev(direct[1][:, rows, :], ms.mags[:, rows, :])
+    dev_reflect = _sup_dev(reflected[1][:, rows, :], ms.mags[:, rows, :])
+    if dev_direct <= tol:
+        return direct, reflected[0] if dev_reflect <= tol else None
+    if dev_reflect <= tol:
+        return reflected, None
+    raise InconsistentMeasurements(
+        f"inconsistent measurements: {refusal} "
+        f"(direct {dev_direct:.3e}, reflected {dev_reflect:.3e})"
+    )
 
 
 def resolve_reflection(
@@ -330,70 +335,39 @@ def resolve_reflection(
     inputs the reflected world forces magnitude relations that fail on
     re-measurement).  With an anchor node, whichever branch reproduces the
     anchor magnitudes is selected; if both do, the ambiguity is reported
-    unresolved rather than silently picked.
+    unresolved rather than silently picked.  Each branch is measured once at
+    every node, and every judgment and the residual read those magnitudes.
     """
-    grid = pair.grid
-    cand = assembly.signal
     mag_scale = max(float(np.max(ms.mags)), 1e-300)
-    anchor_used = False
+    chosen = (assembly.signal, measure(assembly.signal, pair, nodes, ms.freqs).mags)
     alternative: Optional[Signal] = None
-    ambiguity = assembly.ambiguity
-
-    if ambiguity == "phase_or_reflection":
+    anchor_used = False
+    if assembly.ambiguity == "phase_or_reflection":
         lat_times = nodes.lattice_times
-        center = (lat_times[0] + lat_times[-1]) / 2.0
-        reflected: Optional[Signal] = None
         try:
-            reflected = conj_reflect(cand, center)
+            reflected = conj_reflect(assembly.signal, (lat_times[0] + lat_times[-1]) / 2.0)
         except (ReflectionRangeError, OffGridError):
             reflected = None
-
-        if reflected is None or equivalent_up_to_phase(cand, reflected):
-            ambiguity = "phase_only"
-        else:
-            lat_nodes = _lattice_only(nodes)
-            lat_rows = [i for i, t in enumerate(nodes.times) if i != nodes.anchor_index]
-            got = measure(reflected, pair, lat_nodes, ms.freqs).mags
-            want = ms.mags[:, lat_rows, :]
-            if _sup_dev(got, want) > accept_tol * mag_scale:
-                ambiguity = "phase_only"
-            elif nodes.anchor_index is None:
-                alternative = reflected
-            else:
-                t0 = nodes.times[nodes.anchor_index]
-                anchor_nodes = TimeNodes(mode="lattice", times=(t0,), a=None)
-                want_anchor = ms.mags[:, [nodes.anchor_index], :]
-                dev_direct = _sup_dev(
-                    measure(cand, pair, anchor_nodes, ms.freqs).mags, want_anchor
+        if reflected is not None and not equivalent_up_to_phase(assembly.signal, reflected):
+            got = measure(reflected, pair, nodes, ms.freqs).mags
+            lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
+            if _sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= accept_tol * mag_scale:
+                # with no anchor row to judge them, both branches fit
+                anchor_used = nodes.anchor_index is not None
+                anchor_rows = [nodes.anchor_index] if anchor_used else []
+                chosen, alternative = _branch_verdict(
+                    chosen, (reflected, got), ms, anchor_rows, accept_tol,
+                    "neither branch matches the anchor data",
                 )
-                dev_reflect = _sup_dev(
-                    measure(reflected, pair, anchor_nodes, ms.freqs).mags, want_anchor
-                )
-                ok_direct = dev_direct <= accept_tol * mag_scale
-                ok_reflect = dev_reflect <= accept_tol * mag_scale
-                anchor_used = True
-                if ok_direct and ok_reflect:
-                    alternative = reflected
-                elif ok_direct:
-                    ambiguity = "phase_only"
-                elif ok_reflect:
-                    cand = reflected
-                    ambiguity = "phase_only"
-                else:
-                    raise InconsistentMeasurements(
-                        "inconsistent measurements: neither branch matches the anchor data "
-                        f"(direct {dev_direct:.3e}, reflected {dev_reflect:.3e})"
-                    )
 
-    final = measure(cand, pair, nodes, ms.freqs).mags
-    residual = _sup_dev(final, ms.mags) / mag_scale
+    residual = _sup_dev(chosen[1], ms.mags) / mag_scale
     if residual > accept_tol:
         raise InconsistentMeasurements(
             f"reconstruction residual {residual:.3e} exceeds accept_tol {accept_tol:.1e}"
         )
     return ReconstructionReport(
-        signal=cand,
-        ambiguity=ambiguity,
+        signal=chosen[0],
+        ambiguity="phase_only" if alternative is None else "phase_or_reflection",
         residual=residual,
         lambdas=assembly.lambdas,
         anchor_used=anchor_used,
@@ -454,7 +428,6 @@ def reconstruct(
         classes,
         pair,
         a,
-        2 * grid.B - a,
         times=[nodes.times[i] for i in lat_rows],
         lattice_mags=ms.mags[:, lat_rows, :],
         freqs=ms.freqs,
@@ -476,9 +449,12 @@ def periodic_verdict(
     Fits a degree-Q trigonometric polynomial (quasi-period phase from
     ``spec``) to the first line's recovered content, then scores the fitted
     signal and its conjugate reflection about the first line against the
-    full data.  Both branches surviving means the line offset failed to
-    separate them: that is the exponential family when only one coefficient
-    is live, and reported non-uniqueness otherwise.
+    full data, each measured once at both lines.  Every class of the first
+    line is tried in turn, because the one the family lives on may be the
+    reflected mate; when none explains both lines, the first class's
+    refusal is raised.  Both branches surviving means the line offset failed
+    to separate them: that is the exponential family when only one
+    coefficient is live, and reported non-uniqueness otherwise.
     """
     grid = pair.grid
     nodes = ms.nodes
@@ -504,7 +480,7 @@ def periodic_verdict(
             f"alias period (N = L = {grid.L})"
         )
 
-    t0, t1 = nodes.times
+    t0 = nodes.times[0]
     scale = float(np.max(ms.mags))
     cls0 = recover_local(ms.mags[0, 0], ms.mags[1, 0], pair, scale=scale, accept_tol=accept_tol)
     cls1 = recover_local(ms.mags[0, 1], ms.mags[1, 1], pair, scale=scale, accept_tol=accept_tol)
@@ -514,54 +490,41 @@ def periodic_verdict(
             signal=zero, ambiguity="phase_only", residual=0.0, lambdas=(1.0 + 0j, 1.0 + 0j)
         )
 
-    # unwind the window on the first line and fit the family coefficients
+    # unwind the window on the first line; each of its classes is fitted in
+    # turn, since the one that carries the family may be the reflected mate
     phi = pair.slot_values("phi")
     seg = node_segment(grid, t0)
-    vals = (cls0.representative / np.conj(phi))[seg.on]
     xs = grid.x(seg.cells)[seg.on]
     cell = np.floor(xs / spec.T + 1e-9)
     rem = xs - cell * spec.T
     ks = np.arange(-Q, Q + 1)
     mu_pow = mu_powers(spec.mu, -cell.astype(np.int64))
     A = mu_pow[:, None] * np.exp(2j * np.pi * np.outer(rem, ks) / spec.T)
-    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-
-    fitted = PeriodicSpec(
-        T=spec.T,
-        mu=spec.mu,
-        coefficients={int(kk): complex(cc) for kk, cc in zip(ks, coef)},
-    )
-    direct = make_periodic(fitted, grid)
-    refl_vals = np.conj(periodic_eval(fitted, 2 * t0 - grid.coords()))
-    reflected = Signal(grid, refl_vals)
-
-    mag_scale = max(scale, 1e-300)
-    dev_direct = _sup_dev(measure(direct, pair, nodes, ms.freqs).mags, ms.mags)
-    dev_reflect = _sup_dev(measure(reflected, pair, nodes, ms.freqs).mags, ms.mags)
-    ok_direct = dev_direct <= accept_tol * mag_scale
-    ok_reflect = dev_reflect <= accept_tol * mag_scale
-
-    live = [int(kk) for kk, cc in zip(ks, coef) if abs(cc) > 1e-8 * max(np.abs(coef))]
-    if ok_direct and ok_reflect:
-        if len(live) <= 1:
-            ambiguity, cand, alt = "exponential_family", direct, None
+    refusals = []
+    for content in cls0.representatives:
+        coef, *_ = np.linalg.lstsq(A, (content / np.conj(phi))[seg.on], rcond=None)
+        fitted = replace(spec, coefficients={int(kk): complex(cc) for kk, cc in zip(ks, coef)})
+        direct = make_periodic(fitted, grid)
+        reflected = Signal(grid, np.conj(periodic_eval(fitted, 2 * t0 - grid.coords())))
+        try:
+            (cand, got), alt = _branch_verdict(
+                (direct, measure(direct, pair, nodes, ms.freqs).mags),
+                (reflected, measure(reflected, pair, nodes, ms.freqs).mags),
+                ms, [0, 1], accept_tol, "no family member explains both lines",
+            )
+        except InconsistentMeasurements as exc:
+            refusals.append(exc)
+            continue
+        live = [int(kk) for kk, cc in zip(ks, coef) if abs(cc) > 1e-8 * max(np.abs(coef))]
+        if alt is not None and len(live) <= 1:
+            ambiguity, alt = "exponential_family", None
         else:
-            ambiguity, cand, alt = "phase_or_reflection", direct, reflected
-    elif ok_direct:
-        ambiguity, cand, alt = "phase_only", direct, None
-    elif ok_reflect:
-        ambiguity, cand, alt = "phase_only", reflected, None
-    else:
-        raise InconsistentMeasurements(
-            "inconsistent measurements: no family member explains both lines "
-            f"(direct {dev_direct:.3e}, reflected {dev_reflect:.3e})"
+            ambiguity = "phase_only" if alt is None else "phase_or_reflection"
+        return ReconstructionReport(
+            signal=cand,
+            ambiguity=ambiguity,
+            residual=_sup_dev(got, ms.mags) / max(scale, 1e-300),
+            lambdas=(1.0 + 0j, 1.0 + 0j),
+            alternative=alt,
         )
-
-    residual = _sup_dev(measure(cand, pair, nodes, ms.freqs).mags, ms.mags) / mag_scale
-    return ReconstructionReport(
-        signal=cand,
-        ambiguity=ambiguity,
-        residual=residual,
-        lambdas=(1.0 + 0j, 1.0 + 0j),
-        alternative=alt,
-    )
+    raise refusals[0]

@@ -58,3 +58,48 @@ def test_no_function_calls_itself(path):
     # a data-path recursion grows a Python frame per item and raises
     # RecursionError at long horizons
     assert list(_self_calls(path)) == []
+
+
+def _annotation_names(tree: ast.AST):
+    """Names inside string annotations, which the AST keeps as constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            notes = [p.annotation for p in params if p is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        for note in filter(None, notes):
+            for const in ast.walk(note):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    for name in ast.walk(ast.parse(const.value, mode="eval")):
+                        if isinstance(name, ast.Name):
+                            yield name.id
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_annotation_names(tree))
+    for node in ast.walk(tree):
+        # a re-export listed in __all__ is the module's interface, not a leftover
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                yield f"{path.name}:{node.lineno} imports {alias.name} and never uses it"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert list(_unused_imports(path)) == []

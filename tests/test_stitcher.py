@@ -27,6 +27,7 @@ from twowin import (
     TimeNodes,
     alphabet_family,
     build_window,
+    conj_reflect,
     default_anchor,
     forge,
     global_phase_align,
@@ -161,6 +162,63 @@ def test_reconstruct_reaches_local_recovery_once_per_lattice_row(monkeypatch):
     )
 
 
+# --- the anchor's reflection decision ------------------------------------------
+
+
+def _anchored_rational_lattice():
+    """The rational_lattice forge's nodes plus the default anchor.  f and g
+    share the lattice data, so they are stitched to one assembly; only the
+    anchor row tells them apart."""
+    fp = forge("rational_lattice")
+    a = fp.params["a"]
+    m_range = [round(t / a) for t in fp.nodes.times]
+    nodes = TimeNodes.lattice_plus_anchor(a, m_range, default_anchor(a, fp.f.grid.horizon))
+    return fp, nodes
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """The assemblies that ``reconstruct`` hands to the reflection decision."""
+    seen = []
+    align = stitcher.align_overlaps
+
+    def recorded(*args, **kwargs):
+        seen.append(align(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(stitcher, "align_overlaps", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("which, picks_reflection", [("f", False), ("g", True)])
+def test_anchor_picks_the_branch_that_matches_its_row(which, picks_reflection, assemblies):
+    fp, nodes = _anchored_rational_lattice()
+    truth = getattr(fp, which)
+    rep = reconstruct(measure(truth, fp.pair, nodes), fp.pair)
+    [assembly] = assemblies
+    assert assembly.ambiguity == "phase_or_reflection"
+    lat = nodes.lattice_times
+    reflected = conj_reflect(assembly.signal, (lat[0] + lat[-1]) / 2.0)
+    picked = reflected if picks_reflection else assembly.signal
+    assert rep.signal.samples.tobytes() == picked.samples.tobytes()
+    assert rep.ambiguity == "phase_only" and rep.anchor_used and rep.alternative is None
+    covered = np.ones(truth.grid.horizon, dtype=bool)
+    covered[list(rep.uncovered)] = False
+    on_cover = [Signal(truth.grid, np.where(covered, s.samples, 0)) for s in (rep.signal, truth)]
+    assert global_phase_align(*on_cover).residual <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_anchor_row_that_fits_neither_branch_is_refused(which):
+    fp, nodes = _anchored_rational_lattice()
+    ms = measure(getattr(fp, which), fp.pair, nodes)
+    bad = ms.mags.copy()
+    bad[:, nodes.anchor_index] *= 1.3
+    ms_bad = type(ms)(pair=ms.pair, nodes=ms.nodes, freqs=ms.freqs, mags=bad)
+    with pytest.raises(InconsistentMeasurements, match="neither branch matches the anchor data"):
+        reconstruct(ms_bad, fp.pair)
+
+
 def test_conjugate_palindromic_input_collapses_to_phase_only():
     # the reflected branch coincides with the signal up to phase, so the
     # reported ambiguity must collapse rather than advertise two worlds
@@ -270,11 +328,78 @@ def test_periodic_verdict_validation():
         periodic_verdict(ms, fp.pair, PeriodicSpec(T=fp.params["T"], mu=1.0), Q=7)
 
 
+def _two_line_family(spec, offset_cells):
+    fp = forge("rational_periodic")
+    grid = fp.f.grid
+    f = make_periodic(spec, grid)
+    return f, fp.pair, measure(f, fp.pair, TimeNodes.two_lines(0.0, offset_cells * grid.delta))
+
+
+def test_periodic_verdict_fits_the_class_that_carries_the_family():
+    # line 0's node has two classes and only the second is the truth; a fit
+    # to the first alone refuses this genuine mu = -1 data
+    spec = PeriodicSpec(T=16 / 9, mu=-1, coefficients={1: 1 + 0.5j})
+    f, pair, ms = _two_line_family(spec, 3)
+    scale = float(np.max(ms.mags))
+    assert len(recover_local(ms.mags[0, 0], ms.mags[1, 0], pair, scale=scale).representatives) == 2
+    rep = periodic_verdict(ms, pair, PeriodicSpec(T=spec.T, mu=spec.mu), Q=2)
+    assert rep.ambiguity == "phase_only"
+    assert global_phase_align(rep.signal, f).residual <= 1e-10
+
+
+@pytest.mark.parametrize("offset_cells", [1, 3])
+@pytest.mark.parametrize("period_cells", range(3, 9))
+@pytest.mark.parametrize("mu", [1.0, -1.0, 1j, np.exp(0.6j * np.pi)], ids=["1", "-1", "i", "e0.6pi"])
+def test_periodic_verdict_accepts_genuine_family_data(mu, period_cells, offset_cells):
+    grid = forge("rational_periodic").f.grid
+    Q = min(2, (period_cells - 1) // 2)
+    rng = np.random.default_rng(period_cells)
+    for coefficients in (
+        {1: 1 + 0.5j},
+        {k: complex(*rng.standard_normal(2)) for k in range(-Q, Q + 1)},
+    ):
+        spec = PeriodicSpec(T=period_cells * grid.delta, mu=mu, coefficients=coefficients)
+        f, pair, ms = _two_line_family(spec, offset_cells)
+        rep = periodic_verdict(ms, pair, PeriodicSpec(T=spec.T, mu=mu), Q=Q)
+        assert rep.residual <= 1e-10
+        if rep.ambiguity == "exponential_family":
+            continue
+        branches = [s for s in (rep.signal, rep.alternative) if s is not None]
+        assert min(global_phase_align(s, f).residual for s in branches) <= 1e-10
+
+
+def test_each_branch_is_measured_once(monkeypatch):
+    # anchored reconstruct with a reflection ambiguity: the direct and the
+    # reflected branch, once each over the whole node set
+    calls = []
+
+    def counted(f, pair, nodes, freqs=None):
+        calls.append(nodes)
+        return measure(f, pair, nodes, freqs)
+
+    fp, nodes = _anchored_rational_lattice()
+    ms = measure(fp.g, fp.pair, nodes)
+    monkeypatch.setattr(stitcher, "measure", counted)
+    rep = reconstruct(ms, fp.pair)
+    assert rep.anchor_used and calls == [nodes, nodes]
+
+    # two-line verdicts: the same two per class of line 0 that is tried
+    fpp = forge("rational_periodic")
+    ms = measure(fpp.f, fpp.pair, fpp.nodes)
+    calls.clear()
+    periodic_verdict(ms, fpp.pair, PeriodicSpec(T=fpp.params["T"], mu=1.0), Q=2)
+    assert calls == [fpp.nodes] * 2
+    _, pair, ms = _two_line_family(PeriodicSpec(T=16 / 9, mu=-1, coefficients={1: 1 + 0.5j}), 3)
+    calls.clear()
+    periodic_verdict(ms, pair, PeriodicSpec(T=16 / 9, mu=-1), Q=2)
+    assert calls == [ms.nodes] * 4
+
+
 # --- the orientation search against its recursive reference -----------------
 
 
 def _recursive_align_overlaps(
-    classes, pair, a, gap, *, times=None, lattice_mags=None, freqs=None, accept_tol=1e-8
+    classes, pair, a, *, times=None, lattice_mags=None, freqs=None, accept_tol=1e-8
 ):
     """The depth-first orientation search as it was written before the
     explicit stack: one Python frame per live node, and a completed
@@ -501,7 +626,7 @@ def test_node_check_rejects_a_mate_before_the_leaf():
 
     def search(fn, mags):
         return fn(
-            classes, pair, 1.0, 1.0, times=list(ms.nodes.times), lattice_mags=mags, freqs=ms.freqs
+            classes, pair, 1.0, times=list(ms.nodes.times), lattice_mags=mags, freqs=ms.freqs
         )
 
     def run(fn, mags):
