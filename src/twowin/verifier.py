@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +41,10 @@ VIOLATION_CAP = 64
 
 EQUIV_TOL = 1e-8
 
-#: Within-group pairs are checked this many at a time, which bounds the
-#: oracle's working memory whatever the family's group sizes.
-PAIR_CHUNK = 16384
+#: The oracle measures this many rows per block and phase-checks this many
+#: pairs at a time, which bounds its working memory whatever the family's
+#: size and group sizes.
+CHUNK = 2048
 
 
 def measurements_equal(
@@ -113,17 +113,56 @@ class OracleReport:
         return self.violation_count == 0
 
 
+def _hash_multipliers(width: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers, one per key column, of the row hash."""
+    rng = np.random.default_rng(0)
+    return rng.integers(0, 2**64, size=width, dtype=np.uint64) | np.uint64(1)
+
+
+def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows with equal key rows, grouped: (order, sizes), where ``order`` lists
+    the rows group by group and ``sizes`` the group sizes.  Groups come in
+    order of first appearance, members in ascending row order.
+
+    A stable sort on a 64-bit hash of each key row makes every run of equal
+    hashes a candidate group, led by its lowest row.  Each member's key is
+    checked against its leader's, and a run where one differs (a hash
+    collision) is regrouped by full keys, so the grouping is exact."""
+    n = len(keys)
+    hashes = keys.view(np.uint64) @ _hash_multipliers(keys.shape[1])
+    by_hash = np.argsort(hashes, kind="stable")
+    sorted_hashes = hashes[by_hash]
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
+    starts = np.flatnonzero(new_run)
+    run = np.cumsum(new_run) - 1
+    leader = by_hash[starts][run]
+    clash = np.zeros(len(starts), dtype=bool)
+    for lo in range(0, n, CHUNK):
+        block = slice(lo, lo + CHUNK)
+        differs = np.any(keys[by_hash[block]] != keys[leader[block]], axis=1)
+        clash[run[block][differs]] = True
+    ends = np.append(starts[1:], n)
+    for r in np.flatnonzero(clash):
+        members = by_hash[starts[r]:ends[r]]
+        _, first, inverse = np.unique(
+            keys[members], axis=0, return_index=True, return_inverse=True
+        )
+        leader[starts[r]:ends[r]] = members[first][inverse]
+    label = np.empty(n, dtype=np.intp)
+    label[by_hash] = leader  # each row's group, named by its lowest row
+    sizes = np.bincount(label, minlength=n)
+    return np.argsort(label, kind="stable"), sizes[sizes > 0]
+
+
 def _within_group_pairs(
-    groups: dict, chunk: int
+    order: np.ndarray, sizes: np.ndarray, chunk: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every within-group pair of the grouping, in group order, then by the
-    member position of i, then of j (so i < j when members are in row order).
-    Yields row arrays (i, j) and each pair's group index, ``chunk`` pairs at a
-    time, so memory stays linear in the family size whatever the group sizes."""
-    sizes = np.fromiter(map(len, groups.values()), dtype=np.intp, count=len(groups))
-    order = np.fromiter(
-        chain.from_iterable(groups.values()), dtype=np.intp, count=int(sizes.sum())
-    )
+    """Every within-group pair of a grouping (``_group_rows``'s arrays), in
+    group order, then by the member position of i, then of j (so i < j when
+    members are in row order).  Yields row arrays (i, j) and each pair's group
+    index, ``chunk`` pairs at a time, so memory stays linear in the family size
+    whatever the group sizes."""
     group = np.repeat(np.arange(len(sizes)), sizes)
     rank = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     led = sizes[group] - 1 - rank  # pairs whose first member sits at each position
@@ -149,8 +188,13 @@ def uniqueness_oracle(
     is a violation.  Equivalence is global phase, plus the support-aligned
     conjugate reversal when the nodes form a bare lattice (no anchor, no
     second line), matching what such measurements can possibly determine.
-    The phase test runs on ``PAIR_CHUNK`` pairs at a time, and the reflection
-    test only on the pairs that fail it.
+
+    The family is measured in blocks of ``CHUNK`` rows, each through
+    ``measure_batch`` and straight into one integer key array, so no
+    family-sized float array is built; rows are then grouped exactly by a
+    sort on the keys' hashes (``_group_rows``).  The phase test runs on
+    ``CHUNK`` pairs at a time, and the reflection test only on the pairs that
+    fail it.
 
     Violations come in group order (groups by first appearance), then member
     order; the first ``violation_cap`` are materialized as Signal pairs, with
@@ -158,21 +202,35 @@ def uniqueness_oracle(
     row whose group holds a violation.
     """
     samples = np.asarray(samples, dtype=np.complex128)
+    horizon = config.grid.horizon
+    if samples.ndim != 2 or samples.shape[1] != horizon:
+        raise ValueError(
+            f"samples must be (n, {horizon}) sample rows to match the grid "
+            f"horizon, got {samples.shape}"
+        )
     n = samples.shape[0]
     if n > ORACLE_CAP:
         raise ValueError(f"family too large: {n} instances exceeds the {ORACLE_CAP} cap")
     start = time.perf_counter()
-    mags = measure_batch(samples, config.grid, config.pair, config.nodes, config.freqs)
-    width = int(np.prod(mags.shape[1:]))  # reshape(n, -1) fails on an empty family
-    keys = np.round(mags.reshape(n, width) / FINGERPRINT_QUANTUM).astype(np.int64)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(keys[i].tobytes(), []).append(i)
+    # One block even for an empty family, so that measure_batch checks the
+    # config.  A lone last row joins the block before it: a one-row product
+    # takes BLAS's matrix-vector path, which may round the last bit apart.
+    edges = list(range(0, max(n - 1, 1), CHUNK)) + [n]
+    for lo, hi in zip(edges, edges[1:]):
+        mags = measure_batch(
+            samples[lo:hi], config.grid, config.pair, config.nodes, config.freqs
+        )
+        mags = mags.reshape(hi - lo, int(np.prod(mags.shape[1:])))
+        if lo == 0:
+            keys = np.empty((n, mags.shape[1]), dtype=np.int64)
+        np.divide(mags, FINGERPRINT_QUANTUM, out=mags)
+        keys[lo:hi] = np.round(mags, out=mags)
+    order, sizes = _group_rows(keys)
     allow_reflection = config.nodes.mode == "lattice"
     kept: List[Tuple[int, int]] = []
     violation_count = 0
-    violating = np.zeros(len(groups), dtype=bool)
-    for rows_i, rows_j, pair_group in _within_group_pairs(groups, PAIR_CHUNK):
+    violating = np.zeros(len(sizes), dtype=bool)
+    for rows_i, rows_j, pair_group in _within_group_pairs(order, sizes, CHUNK):
         equivalent = phase_residuals(samples[rows_i], samples[rows_j]) <= EQUIV_TOL
         if allow_reflection:
             for p in np.flatnonzero(~equivalent):
@@ -184,12 +242,11 @@ def uniqueness_oracle(
         violating[pair_group[bad]] = True
         keep = bad[:max(violation_cap - len(kept), 0)]
         kept.extend(zip(rows_i[keep].tolist(), rows_j[keep].tolist()))
-    members = list(groups.values())
-    ambiguous = chain.from_iterable(members[g] for g in np.flatnonzero(violating))
+    ambiguous = np.sort(order[np.repeat(violating, sizes)])
     return OracleReport(
         description=description,
         instance_count=n,
-        class_count=len(groups),
+        class_count=len(sizes),
         violations=tuple(
             (Signal(config.grid, samples[i].copy()), Signal(config.grid, samples[j].copy()))
             for i, j in kept
@@ -197,7 +254,7 @@ def uniqueness_oracle(
         violation_count=violation_count,
         elapsed=time.perf_counter() - start,
         violation_rows=tuple(kept),
-        ambiguous_rows=tuple(sorted(ambiguous)),
+        ambiguous_rows=tuple(ambiguous.tolist()),
     )
 
 

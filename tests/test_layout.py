@@ -103,3 +103,41 @@ def _unused_imports(path: Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert list(_unused_imports(path)) == []
+
+
+def _loads(tree: ast.AST):
+    """Names read anywhere in ``tree``, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def _unread_constants(path: Path):
+    read = set()
+    for other in SRC.glob("*.py"):
+        read.update(_loads(ast.parse(other.read_text(encoding="utf-8"), filename=str(other))))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if (
+                isinstance(target, ast.Name)
+                and target.id.lstrip("_")[:1].isupper()
+                and target.id.upper() == target.id
+                and target.id not in read
+            ):
+                yield f"{path.name}:{node.lineno} defines {target.id} and nothing reads it"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_constant_goes_unread(path):
+    # a tuning constant that no code path reads still looks like it bounds
+    # something, e.g. a chunk size left behind when its loop was rewritten
+    assert list(_unread_constants(path)) == []

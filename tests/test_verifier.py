@@ -9,6 +9,7 @@ from twowin import (
     TimeNodes,
     alphabet_family,
     build_window,
+    default_anchor,
     forge,
     is_conjugate_twist_mate,
     lemma32_equivalence_check,
@@ -129,6 +130,21 @@ def test_oracle_rejects_misshapen_family():
         uniqueness_oracle(config, np.ones((3, 5), dtype=np.complex128))
 
 
+def test_oracle_refuses_a_misshapen_family_before_any_block(monkeypatch):
+    config = OracleConfig(
+        grid=TINY, pair=TINY_PAIR, nodes=TimeNodes.lattice_covering(TINY, 1.0)
+    )
+    calls = []
+    monkeypatch.setattr(verifier, "measure_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(verifier, "CHUNK", 2)
+    with pytest.raises(ValueError, match=r"sample rows .* got \(4,\)$"):
+        uniqueness_oracle(config, np.ones(4, dtype=np.complex128))
+    # longer than one block: the message names the whole family, not a block
+    with pytest.raises(ValueError, match=r"sample rows .* got \(5, 5\)$"):
+        uniqueness_oracle(config, np.ones((5, 5), dtype=np.complex128))
+    assert calls == []
+
+
 def test_oracle_reports_an_empty_family_as_empty():
     config = OracleConfig(
         grid=TINY, pair=TINY_PAIR, nodes=TimeNodes.lattice_covering(TINY, 1.0)
@@ -177,6 +193,8 @@ def _oracle_cases():
                          TimeNodes.lattice(1.5, range(-1, 2)))
     for cap in (1, 64, 10 ** 6):
         yield f"criterion-2 cap {cap}", crit2, family2, cap, 172
+    yield "criterion-2, 200 rows", crit2, family2[:200], 64, 115  # whole blocks only
+    yield "criterion-2, 201 rows", crit2, family2[:201], 64, 115  # a lone last row
 
     grid7 = GridSpec(B=1.0, L=9, origin=9, horizon=18)
     trig, _, _ = trig_family(grid7, 2.0, degree=2)
@@ -199,18 +217,14 @@ def _oracle_cases():
     yield "edge rows", crit2, edge, 64, 12
     two_lines = OracleConfig(grid2, crit2.pair, TimeNodes.two_lines(0.0, 0.5))
     yield "edge rows, two lines", two_lines, edge, 64, 2
+    # two distinct fingerprints whose rows interleave
+    yield "interleaved classes", crit2, np.stack([f, e0, 1j * f, -e0, g, 1j * e0]), 64, 2
 
 
-@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
-def test_oracle_matches_the_scalar_pair_loop(case, monkeypatch):
-    _, config, samples, cap, want_count = case
-    monkeypatch.setattr(verifier, "PAIR_CHUNK", 100)  # many chunks, ragged last one
-    report = uniqueness_oracle(config, samples, violation_cap=cap)
+def _check_against_scalar(report, config, samples, cap, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(verifier, "phase_residuals", _scalar_phase_residual)
         class_count, rows, ambiguous = _scalar_oracle(config, samples)
-    if want_count is not None:
-        assert report.violation_count == want_count
     assert report.class_count == class_count
     assert report.violation_count == len(rows)
     assert report.violation_rows == tuple(rows[:cap])
@@ -218,7 +232,103 @@ def test_oracle_matches_the_scalar_pair_loop(case, monkeypatch):
     want = b"".join(samples[i].tobytes() + samples[j].tobytes() for i, j in rows[:cap])
     assert got == want
     assert report.ambiguous_rows == tuple(ambiguous)
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_oracle_matches_the_scalar_pair_loop(case, monkeypatch):
+    _, config, samples, cap, want_count = case
+    # many row blocks and pair chunks, with a ragged last one
+    monkeypatch.setattr(verifier, "CHUNK", 100)
+    report = uniqueness_oracle(config, samples, violation_cap=cap)
+    if want_count is not None:
+        assert report.violation_count == want_count
+    _check_against_scalar(report, config, samples, cap, monkeypatch)
     assert (len(report.ambiguous_rows) > 0) == (report.violation_count > 0)
+
+
+def _colliding_multipliers(width):
+    """Multipliers that hash every key row to 0."""
+    return np.zeros(width, dtype=np.uint64)
+
+
+def _first_column_multipliers(width):
+    """Multipliers that hash a key row to its first column alone."""
+    return np.eye(1, width, dtype=np.uint64)[0]
+
+
+@pytest.mark.parametrize("multipliers", [_colliding_multipliers, _first_column_multipliers])
+@pytest.mark.parametrize(
+    "case",
+    [c for c in _oracle_cases()
+     if c[0] in ("criterion-2 cap 64", "edge rows", "interleaved classes")],
+    ids=lambda c: c[0],
+)
+def test_oracle_grouping_is_exact_under_hash_collisions(case, multipliers, monkeypatch):
+    _, config, samples, cap, want_count = case
+    monkeypatch.setattr(verifier, "_hash_multipliers", multipliers)
+    report = uniqueness_oracle(config, samples, violation_cap=cap)
+    assert report.violation_count == want_count
+    _check_against_scalar(report, config, samples, cap, monkeypatch)
+
+
+def _separability_cases():
+    grid7 = GridSpec(B=1.0, L=9, origin=9, horizon=18)
+    pair7 = build_window("rectangular", grid7)
+    trig, _, _ = trig_family(grid7, 2.0, degree=3)
+    for k in (1, 3):
+        yield f"criterion-7 offset {k} delta", trig, grid7, pair7, TimeNodes.two_lines(
+            0.0, k * grid7.delta)
+    family10, _ = alphabet_family(TINY, [0, 1, 2, 3])
+    for a in (1.0, 0.5):
+        yield f"criterion-10 a={a}", family10, TINY, TINY_PAIR, TimeNodes.lattice_covering(
+            TINY, a)
+    nodes = TimeNodes.lattice_covering(TINY, 1.0, anchor=default_anchor(1.0, TINY.horizon))
+    yield "lattice plus anchor", family10, TINY, TINY_PAIR, nodes
+
+
+@pytest.mark.parametrize("case", list(_separability_cases()), ids=lambda c: c[0])
+def test_measure_batch_is_row_separable_bit_for_bit(case):
+    # the oracle measures its family in row blocks and must see the bytes
+    # one whole-family call would give
+    _, family, grid, pair, nodes = case
+    whole = verifier.measure_batch(family, grid, pair, nodes)
+    n = len(family)
+    # every split leaves a ragged last block where the family is long enough
+    for edges in (
+        [*range(0, n, verifier.CHUNK), n],
+        [*range(0, n, 1000), n],
+        [*range(0, n, 37), n],
+        [0, n - 2, n],
+    ):
+        blocks = [verifier.measure_batch(family[lo:hi], grid, pair, nodes)
+                  for lo, hi in zip(edges, edges[1:])]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    # A one-row batch takes BLAS's matrix-vector path and may differ in the
+    # last bit, which is why the oracle never measures a lone row of a
+    # longer family.
+    for i in sorted({*range(0, n, max(n // 64, 1)), n - 1}):
+        row = verifier.measure_batch(family[i:i + 1], grid, pair, nodes)
+        np.testing.assert_allclose(row, whole[i:i + 1], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [(0, [0]), (1, [1]), (2, [2]), (3, [3]), (4, [4]), (5, [3, 2]), (6, [3, 3]), (7, [3, 4])],
+)
+def test_oracle_never_measures_a_lone_row_of_a_longer_family(n, want, monkeypatch):
+    family, _ = alphabet_family(TINY, [0, 1, 2, 3])
+    config = OracleConfig(TINY, TINY_PAIR, TimeNodes.lattice_covering(TINY, 0.5))
+    sizes = []
+    measure_batch = verifier.measure_batch
+
+    def recorded(rows, *args):
+        sizes.append(len(rows))
+        return measure_batch(rows, *args)
+
+    monkeypatch.setattr(verifier, "measure_batch", recorded)
+    monkeypatch.setattr(verifier, "CHUNK", 3)
+    uniqueness_oracle(config, family[:n])
+    assert sizes == want
 
 
 def test_alphabet_family_shape():
