@@ -421,10 +421,7 @@ def cmd_measure(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_recover(config: RunConfig, args: argparse.Namespace) -> int:
     ms = load_measurement(Path(args.measurement))
-    kwargs = {}
-    if config.tol is not None:
-        kwargs["accept_tol"] = config.tol
-    rep = reconstruct(ms, ms.pair, **kwargs)
+    rep = reconstruct(ms, ms.pair)
     dump_json(report_to_obj(rep), Path(args.report))
     if args.signal_out:
         dump_json(signal_to_obj(rep.signal), Path(args.signal_out))
@@ -463,7 +460,6 @@ def cmd_forge(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _verify_pair(config: RunConfig, args: argparse.Namespace) -> int:
-    tol = config.tol if config.tol is not None else 1e-10
     if args.manifest:
         mpath = Path(args.manifest)
         man = load_json(mpath)
@@ -486,7 +482,8 @@ def _verify_pair(config: RunConfig, args: argparse.Namespace) -> int:
         raise CliError("the two signals live on different grids")
     ms_f = measure(f, pair, nodes)
     ms_g = measure(g, pair, nodes)
-    equal, dev = measurements_equal(ms_f, ms_g, tol=tol)
+    tol = {} if config.tol is None else {"tol": config.tol}
+    equal, dev = measurements_equal(ms_f, ms_g, **tol)
     equivalent = pair_equivalent(
         f.samples, g.samples, allow_reflection=(nodes.mode == "lattice")
     )
@@ -547,7 +544,8 @@ def _verify_oracle(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_report_obj(report: OracleReport, keep: int = 8) -> Dict[str, Any]:
+def _oracle_report_obj(report: OracleReport) -> Dict[str, Any]:
+    """The report's counts and its first eight violating pairs."""
     return {
         "description": report.description,
         "instance_count": report.instance_count,
@@ -557,7 +555,7 @@ def _oracle_report_obj(report: OracleReport, keep: int = 8) -> Dict[str, Any]:
         "elapsed": float(report.elapsed),
         "violations": [
             {"f": signal_to_obj(u), "g": signal_to_obj(v), "rows": [i, j]}
-            for (u, v), (i, j) in zip(report.violations[:keep], report.violation_rows)
+            for (u, v), (i, j) in zip(report.violations[:8], report.violation_rows)
         ],
     }
 
@@ -603,7 +601,7 @@ def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
     if "seed" in names:
         sp.add_argument("--seed", type=int, help="deterministic seed")
     if "tol" in names:
-        sp.add_argument("--tol", type=float, help="tolerance override")
+        sp.add_argument("--tol", type=float, help="sup-norm bound for equal measurements")
     if "anchor" in names:
         sp.add_argument(
             "--anchor",
@@ -639,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("measurement", help="measurement JSON file")
     sp.add_argument("--report", required=True, help="report JSON output")
     sp.add_argument("--signal-out", help="optional recovered-signal JSON output")
-    _add_common(sp, "tol")
     sp.set_defaults(func=cmd_recover)
 
     sp = sub.add_parser("forge", help="build a counterexample pair")

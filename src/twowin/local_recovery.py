@@ -521,7 +521,6 @@ def prune_with_second_window(
     pair: WindowPair,
     *,
     phi_mags: Sequence[float],
-    accept_tol: float = ACCEPT_TOL,
 ) -> LocalClass:
     """Score factorization candidates against the second window's magnitudes.
 
@@ -532,7 +531,7 @@ def prune_with_second_window(
 
     When no candidate passes, the one with the lowest defect is polished by
     Gauss-Newton against both windows' magnitudes and tested again at the
-    same ``accept_tol``: a mirror root pair within about sqrt(eps) of the
+    same ``ACCEPT_TOL``: a mirror root pair within about sqrt(eps) of the
     unit circle comes back from np.roots only to about sqrt(eps), which
     leaves a genuine candidate with a defect far above the tolerance.  For
     the same reason, every survivor whose defect exceeds ``POLISH_ABOVE`` is
@@ -568,19 +567,19 @@ def prune_with_second_window(
     best = defects.min() if defects.size else np.inf
     # the second window alone has as many equations as a content vector has
     # unknowns, so only both windows together can vouch for a polished fit
-    if C.size and not best <= accept_tol:
+    if C.size and not best <= ACCEPT_TOL:
         C = polish(C[[int(np.argmin(defects))]])
         defects = defects_of(C)
         best = min(best, defects[0])
 
-    order = np.flatnonzero(defects <= accept_tol)
+    order = np.flatnonzero(defects <= ACCEPT_TOL)
     # a survivor that passes but is not machine-accurate would carry its
     # defect into the glued neighbours, so it is polished in place
     rough = order[defects[order] > POLISH_ABOVE]
     if rough.size:
         C[rough] = polish(C[rough])
         defects[rough] = defects_of(C[rough])
-        order = order[defects[order] <= accept_tol]
+        order = order[defects[order] <= ACCEPT_TOL]
     if not order.size:
         raise InconsistentMeasurements(
             f"no factorization candidate matches the second window's data "
@@ -601,7 +600,7 @@ def prune_with_second_window(
         raise AmbiguityViolation(
             "ambiguity violation: two surviving classes are not conjugate mates"
         )
-    includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= accept_tol
+    includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= ACCEPT_TOL
 
     return LocalClass(
         representatives=tuple(C[i] for i in classes),
@@ -616,7 +615,6 @@ def recover_local(
     pair: WindowPair,
     *,
     scale: Optional[float] = None,
-    accept_tol: float = ACCEPT_TOL,
 ) -> LocalClass:
     """Recover the windowed content at one node up to the local dichotomy.
 
@@ -645,6 +643,4 @@ def recover_local(
         )
     acorr = autocorrelation_from_magnitudes(phi, grid.delta)
     candidates = enumerate_candidates(acorr, L)
-    return prune_with_second_window(
-        candidates, psi, pair, phi_mags=phi, accept_tol=accept_tol
-    )
+    return prune_with_second_window(candidates, psi, pair, phi_mags=phi)

@@ -87,14 +87,12 @@ class GridSpec:
         """Coordinate of a grid index (vectorized)."""
         return (np.asarray(index) - self.origin) * self.delta
 
-    def index_of(self, coord: float, tol: float = 1e-9) -> int:
-        """Exact grid index of a coordinate, or OffGridError.
-
-        The tolerance is relative to the grid step.
-        """
+    def index_of(self, coord: float) -> int:
+        """Exact grid index of a coordinate (to 1e-9 of the grid step), or
+        OffGridError."""
         j = coord / self.delta + self.origin
         ji = int(round(j))
-        if abs(j - ji) > tol:
+        if abs(j - ji) > 1e-9:
             nearest = (ji - self.origin) * self.delta
             raise OffGridError(
                 f"coordinate {coord!r} is not a grid point (nearest is {nearest!r})",
@@ -103,10 +101,11 @@ class GridSpec:
             )
         return ji
 
-    def is_multiple(self, t: float, tol: float = 1e-9) -> bool:
-        """True when ``t`` is an integer multiple of the grid step."""
+    def is_multiple(self, t: float) -> bool:
+        """True when ``t`` is an integer multiple of the grid step (to 1e-9
+        of a step)."""
         j = t / self.delta
-        return abs(j - round(j)) <= tol
+        return abs(j - round(j)) <= 1e-9
 
     def coords(self) -> np.ndarray:
         """All modeled coordinates, index 0 through horizon-1."""
@@ -222,8 +221,8 @@ def global_phase_align(f: Signal, g: Signal) -> PhaseAlignment:
     return PhaseAlignment(lam=complex(lam), residual=float(dist / scale))
 
 
-def equivalent_up_to_phase(f: Signal, g: Signal, tol: float = 1e-8) -> bool:
-    return global_phase_align(f, g).residual <= tol
+def equivalent_up_to_phase(f: Signal, g: Signal) -> bool:
+    return global_phase_align(f, g).residual <= 1e-8
 
 
 def conj_reflect(f: Signal, center: float) -> Signal:
@@ -378,13 +377,13 @@ def random_nonseparable(
     support_len: int,
     gap_bound: float,
     seed: int,
-    max_tries: int = 64,
 ) -> Signal:
     """Seeded random complex signal that is NOT separable at ``gap_bound``.
 
     Support occupies ``support_len`` cells starting at index 0; complex
-    standard normal samples are redrawn until the separability predicate
-    fails, which for generic draws happens on the first try.
+    standard normal samples are redrawn, at most 64 times, until the
+    separability predicate fails, which for generic draws happens on the
+    first try.
     """
     if not 1 <= support_len <= grid.horizon:
         raise ValueError(
@@ -403,7 +402,7 @@ def random_nonseparable(
             f"forms a gap of length >= {gap_bound!r}; enlarge support_len or shrink the horizon"
         )
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(64):
         vals = np.zeros(grid.horizon, dtype=np.complex128)
         vals[:support_len] = rng.standard_normal(support_len) + 1j * rng.standard_normal(
             support_len
@@ -412,6 +411,6 @@ def random_nonseparable(
         if not is_separable(f, gap_bound, tol=1e-9):
             return f
     raise RuntimeError(
-        f"failed to draw a nonseparable signal in {max_tries} tries; "
+        "failed to draw a nonseparable signal in 64 tries; "
         f"gap_bound={gap_bound!r} is too close to the support span"
     )

@@ -94,7 +94,6 @@ def align_overlaps(
     times: Sequence[float],
     lattice_mags: np.ndarray,
     freqs: FrequencyGrid,
-    accept_tol: float = ACCEPT_TOL,
 ) -> AlignedAssembly:
     """Chain per-node phases across window overlaps and divide out the window.
 
@@ -181,7 +180,7 @@ def align_overlaps(
         E = node_exponentials(grid, segs, omegas)
         for j, seg in enumerate(segs):
             ready[int(np.max(depth[seg.cells[seg.on]], initial=1))].append(j)
-        mag_tol = accept_tol * max(float(np.max(lattice_mags)), 1e-300)
+        mag_tol = ACCEPT_TOL * max(float(np.max(lattice_mags)), 1e-300)
         got = np.empty((1, 2, len(omegas)))
 
     def fits(d: int) -> bool:
@@ -299,14 +298,13 @@ def _branch_verdict(
     reflected: Tuple[Signal, np.ndarray],
     ms: MeasurementSet,
     rows: Sequence[int],
-    accept_tol: float,
     refusal: str,
 ) -> Tuple[Tuple[Signal, np.ndarray], Optional[Signal]]:
     """Judge two (signal, magnitudes at every node) branches on the data
     ``rows`` and return (chosen, alternative): the direct branch if it fits,
     else the reflected one; the reflected signal is the alternative only when
     both fit, and neither fitting is refused with both deviations."""
-    tol = accept_tol * max(float(np.max(ms.mags)), 1e-300)
+    tol = ACCEPT_TOL * max(float(np.max(ms.mags)), 1e-300)
     dev_direct = _sup_dev(direct[1][:, rows, :], ms.mags[:, rows, :])
     dev_reflect = _sup_dev(reflected[1][:, rows, :], ms.mags[:, rows, :])
     if dev_direct <= tol:
@@ -324,8 +322,6 @@ def resolve_reflection(
     ms: MeasurementSet,
     pair: WindowPair,
     nodes: TimeNodes,
-    *,
-    accept_tol: float = ACCEPT_TOL,
 ) -> ReconstructionReport:
     """Decide between the assembled signal and its conjugate reflection.
 
@@ -351,19 +347,19 @@ def resolve_reflection(
         if reflected is not None and not equivalent_up_to_phase(assembly.signal, reflected):
             got = measure(reflected, pair, nodes, ms.freqs).mags
             lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
-            if _sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= accept_tol * mag_scale:
+            if _sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= ACCEPT_TOL * mag_scale:
                 # with no anchor row to judge them, both branches fit
                 anchor_used = nodes.anchor_index is not None
                 anchor_rows = [nodes.anchor_index] if anchor_used else []
                 chosen, alternative = _branch_verdict(
-                    chosen, (reflected, got), ms, anchor_rows, accept_tol,
+                    chosen, (reflected, got), ms, anchor_rows,
                     "neither branch matches the anchor data",
                 )
 
     residual = _sup_dev(chosen[1], ms.mags) / mag_scale
-    if residual > accept_tol:
+    if residual > ACCEPT_TOL:
         raise InconsistentMeasurements(
-            f"reconstruction residual {residual:.3e} exceeds accept_tol {accept_tol:.1e}"
+            f"reconstruction residual {residual:.3e} exceeds accept_tol {ACCEPT_TOL:.1e}"
         )
     return ReconstructionReport(
         signal=chosen[0],
@@ -379,15 +375,13 @@ def resolve_reflection(
 def reconstruct(
     ms: MeasurementSet,
     pair: WindowPair,
-    *,
-    accept_tol: float = ACCEPT_TOL,
 ) -> ReconstructionReport:
     """Recover the signal from lattice magnitude data, up to global phase.
 
     Runs local recovery at every lattice node, chains phases across the
     overlaps, and settles the reflection branch (with anchor data when the
     node set carries an anchor).  The output always re-measures to the input
-    within ``accept_tol``; failures surface as declared errors, never as a
+    within ``ACCEPT_TOL``; failures surface as declared errors, never as a
     silently wrong signal.  Horizon cells under no lattice node window are
     beyond the data: they come back zero and are listed in the report's
     ``uncovered`` (with a <= B they can only sit at the two ends).
@@ -419,10 +413,7 @@ def reconstruct(
     lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
     scale = float(np.max(ms.mags[:, lat_rows, :])) if lat_rows else 0.0
     classes = [
-        recover_local(
-            ms.mags[0, i], ms.mags[1, i], pair, scale=scale, accept_tol=accept_tol
-        )
-        for i in lat_rows
+        recover_local(ms.mags[0, i], ms.mags[1, i], pair, scale=scale) for i in lat_rows
     ]
     assembly = align_overlaps(
         classes,
@@ -431,9 +422,8 @@ def reconstruct(
         times=[nodes.times[i] for i in lat_rows],
         lattice_mags=ms.mags[:, lat_rows, :],
         freqs=ms.freqs,
-        accept_tol=accept_tol,
     )
-    return resolve_reflection(assembly, ms, pair, nodes, accept_tol=accept_tol)
+    return resolve_reflection(assembly, ms, pair, nodes)
 
 
 def periodic_verdict(
@@ -441,8 +431,6 @@ def periodic_verdict(
     pair: WindowPair,
     spec: PeriodicSpec,
     Q: int,
-    *,
-    accept_tol: float = ACCEPT_TOL,
 ) -> ReconstructionReport:
     """Judge two-line magnitude data against the quasi-periodic family.
 
@@ -482,9 +470,10 @@ def periodic_verdict(
 
     t0 = nodes.times[0]
     scale = float(np.max(ms.mags))
-    cls0 = recover_local(ms.mags[0, 0], ms.mags[1, 0], pair, scale=scale, accept_tol=accept_tol)
-    cls1 = recover_local(ms.mags[0, 1], ms.mags[1, 1], pair, scale=scale, accept_tol=accept_tol)
-    if cls0.is_zero and cls1.is_zero:
+    cls0 = recover_local(ms.mags[0, 0], ms.mags[1, 0], pair, scale=scale)
+    # line 1 is recovered only to detect all-zero data; otherwise the branch
+    # verdict below judges its magnitudes
+    if cls0.is_zero and recover_local(ms.mags[0, 1], ms.mags[1, 1], pair, scale=scale).is_zero:
         zero = Signal(grid, np.zeros(grid.horizon, dtype=np.complex128))
         return ReconstructionReport(
             signal=zero, ambiguity="phase_only", residual=0.0, lambdas=(1.0 + 0j, 1.0 + 0j)
@@ -510,7 +499,7 @@ def periodic_verdict(
             (cand, got), alt = _branch_verdict(
                 (direct, measure(direct, pair, nodes, ms.freqs).mags),
                 (reflected, measure(reflected, pair, nodes, ms.freqs).mags),
-                ms, [0, 1], accept_tol, "no family member explains both lines",
+                ms, [0, 1], "no family member explains both lines",
             )
         except InconsistentMeasurements as exc:
             refusals.append(exc)

@@ -18,7 +18,6 @@ import numpy as np
 from .signal_model import GridSpec, Signal, equivalent_up_to_phase, phase_residuals
 from .window_engine import WindowPair
 from .stft_engine import (
-    FrequencyGrid,
     MeasurementSet,
     TimeNodes,
     measure,
@@ -91,7 +90,6 @@ class OracleConfig:
     grid: GridSpec
     pair: WindowPair
     nodes: TimeNodes
-    freqs: Optional[FrequencyGrid] = None
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,7 @@ def uniqueness_oracle(
     # takes BLAS's matrix-vector path, which may round the last bit apart.
     edges = list(range(0, max(n - 1, 1), CHUNK)) + [n]
     for lo, hi in zip(edges, edges[1:]):
-        mags = measure_batch(
-            samples[lo:hi], config.grid, config.pair, config.nodes, config.freqs
-        )
+        mags = measure_batch(samples[lo:hi], config.grid, config.pair, config.nodes)
         mags = mags.reshape(hi - lo, int(np.prod(mags.shape[1:])))
         if lo == 0:
             keys = np.empty((n, mags.shape[1]), dtype=np.int64)
@@ -300,9 +296,7 @@ def trig_family(
     return samples, coeffs, desc
 
 
-def is_conjugate_twist_mate(
-    cf: np.ndarray, cg: np.ndarray, tol: float = EQUIV_TOL
-) -> bool:
+def is_conjugate_twist_mate(cf: np.ndarray, cg: np.ndarray) -> bool:
     """Whether cg_k = nu * zeta^k * conj(cf_k) for some unimodular nu, zeta.
 
     This is the coefficient form of a conjugate reflection about some time
@@ -313,16 +307,16 @@ def is_conjugate_twist_mate(
     cg = np.asarray(cg, dtype=np.complex128)
     if cf.shape != cg.shape:
         return False
-    scale = max(float(np.max(np.abs(cf))), float(np.max(np.abs(cg))), 1e-300)
-    live = np.abs(cf) > tol * scale
-    if not np.array_equal(live, np.abs(cg) > tol * scale):
+    tol = EQUIV_TOL * max(float(np.max(np.abs(cf))), float(np.max(np.abs(cg))), 1e-300)
+    live = np.abs(cf) > tol
+    if not np.array_equal(live, np.abs(cg) > tol):
         return False
     ks = np.nonzero(live)[0] - (len(cf) - 1) // 2
     if ks.size == 0:
         return True
     vals_f = np.conj(cf[live])
     vals_g = cg[live]
-    if np.max(np.abs(np.abs(vals_f) - np.abs(vals_g))) > tol * scale:
+    if np.max(np.abs(np.abs(vals_f) - np.abs(vals_g))) > tol:
         return False
     ratios = vals_g / vals_f
     if ks.size == 1:
@@ -332,7 +326,7 @@ def is_conjugate_twist_mate(
     for j in range(d):
         zeta = base ** (1.0 / d) * np.exp(2j * np.pi * j / d)
         nu = ratios[0] / zeta ** ks[0]
-        if np.max(np.abs(vals_g - nu * zeta ** ks.astype(float) * vals_f)) <= tol * scale:
+        if np.max(np.abs(vals_g - nu * zeta ** ks.astype(float) * vals_f)) <= tol:
             return True
     return False
 
@@ -342,7 +336,6 @@ def per_window_gluing_check(
     g: Signal,
     pair: WindowPair,
     nodes: TimeNodes,
-    tol: float = EQUIV_TOL,
 ) -> bool:
     """Whether g looks like f, per node window, up to a free phase and an
     optional slot reflection in each window separately.  Non-overlapping
@@ -357,10 +350,10 @@ def per_window_gluing_check(
         hg = windowed_segment(g, pair, t)
         if max(np.max(np.abs(hf)), np.max(np.abs(hg))) <= 1e-12 * scale:
             continue
-        if phase_residuals(hf, hg) <= tol:
+        if phase_residuals(hf, hg) <= EQUIV_TOL:
             continue
         mate = slot_reflect(hf)
-        if mate is not None and phase_residuals(mate, hg) <= tol:
+        if mate is not None and phase_residuals(mate, hg) <= EQUIV_TOL:
             continue
         return False
     return True
@@ -370,22 +363,20 @@ def _raw_segment(f: Signal, t: float) -> np.ndarray:
     return node_segment(f.grid, t, f.samples).samples
 
 
-def lemma32_equivalence_check(
-    f: Signal, g: Signal, pair: WindowPair, t: float, trials: int = 8
-) -> bool:
+def lemma32_equivalence_check(f: Signal, g: Signal, pair: WindowPair, t: float) -> bool:
     """Truth of the single-node biconditional: the two windows' magnitudes at
     t agree exactly when the signals restricted to the node window agree up
     to phase or up to a conjugate reflection about t.
 
-    The check is repeated under random global phase rotations of g, which
-    change neither side; all repetitions must agree.
+    The check is repeated under eight random global phase rotations of g,
+    which change neither side; all repetitions must agree.
     """
     nodes = TimeNodes(mode="lattice", times=(float(t),))
     mf = measure(f, pair, nodes)
     hf = _raw_segment(f, t)
     rng = np.random.default_rng(0)
     outcomes = []
-    for trial in range(trials + 1):
+    for trial in range(9):
         gs = g if trial == 0 else Signal(
             g.grid, g.samples * np.exp(2j * np.pi * rng.random())
         )
@@ -413,13 +404,13 @@ def semidiscrete_refinement_check(
     f: Signal,
     g: Signal,
     pair: WindowPair,
-    refine_levels: int = 4,
+    *,
     a0: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> RefinementReport:
     """Stand-in for measurements over all real times: halve the node step
-    per level and report the first level whose measurements separate the
-    pair (or level 0 if the pair was equivalent to begin with).
+    (``a0``, B by default) at each of four levels and report the first level
+    whose measurements separate the pair by more than 1e-10 of their scale
+    (or level 0 if the pair was equivalent to begin with).
 
     Only nodes whose windows sit fully inside the horizon are used, so the
     finite-span truncation of an unbounded signal cannot masquerade as a
@@ -435,7 +426,7 @@ def semidiscrete_refinement_check(
     forced = 0 if phase_eq else None
     steps: List[float] = []
     devs: List[float] = []
-    for level in range(refine_levels):
+    for level in range(4):
         step = a0 / 2 ** level
         m_lo = int(np.ceil((x_lo + grid.B) / step - 1e-9))
         m_hi = int(np.floor((x_hi - grid.B) / step + 1e-9))
@@ -449,7 +440,7 @@ def semidiscrete_refinement_check(
         dev = float(np.max(np.abs(mf.mags - mg.mags)))
         devs.append(dev)
         scale = max(float(np.max(mf.mags)), 1.0)
-        if forced is None and dev > tol * scale:
+        if forced is None and dev > 1e-10 * scale:
             forced = level
     return RefinementReport(
         steps=tuple(steps),

@@ -324,6 +324,48 @@ def test_unknown_forge_claim_is_a_usage_error(run_cli, tmp_path):
     assert exc.value.code == 2
 
 
+def test_recover_has_no_tolerance_flag(run_cli, tmp_path, generic_signal):
+    _, sig_path = generic_signal
+    m_path = tmp_path / "m.json"
+    run_cli("measure", sig_path, "--out", m_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("recover", m_path, "--report", tmp_path / "r.json", "--tol", 1e-3)
+    assert exc.value.code == 2
+
+
+def test_recover_refuses_one_node_scaled_by_a_millionth(run_cli, tmp_path, generic_signal):
+    _, sig_path = generic_signal
+    m_path = tmp_path / "m.json"
+    run_cli("measure", sig_path, "--out", m_path)
+    ms = cli.load_measurement(m_path)
+    mags = ms.mags.copy()
+    mags[:, 4, :] *= 1 + 1e-6
+    bad = type(ms)(pair=ms.pair, nodes=ms.nodes, freqs=ms.freqs, mags=mags)
+    cli.dump_json(cli.measurement_to_obj(bad), m_path)
+    code, _, err = run_cli("recover", m_path, "--report", tmp_path / "r.json")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "exceeds accept_tol 1.0e-08" in err
+
+
+def test_verify_pair_tol_bounds_equal_measurements(run_cli, tmp_path):
+    # an inequivalent pair whose measurements differ by about 2e-9
+    outdir = tmp_path / "forged"
+    run_cli("forge", "rational_periodic", "--outdir", outdir)
+    g = cli.load_signal(outdir / "g.json")
+    _write_signal(Signal(g.grid, (1 + 1e-9) * g.samples), outdir / "g.json")
+    manifest = outdir / "manifest.json"
+    code, out, _ = run_cli("verify", "pair", "--manifest", manifest)
+    assert code == 0
+    assert out.startswith("distinguishable measurements (sup dev 2.0")
+    code, out, _ = run_cli(
+        "verify", "pair", "--manifest", manifest, "--tol", 1e-6,
+        "--expect", "counterexample",
+    )
+    assert code == 0
+    assert out.startswith("equal measurements, inequivalent signals (sup dev 2.0")
+
+
 def test_selftest_subset(run_cli):
     code, out, _ = run_cli("selftest", "--criteria", "3")
     assert code == 0

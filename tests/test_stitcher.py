@@ -1,3 +1,4 @@
+import inspect
 import sys
 from typing import List, Optional, Tuple
 
@@ -366,6 +367,42 @@ def test_periodic_verdict_accepts_genuine_family_data(mu, period_cells, offset_c
             continue
         branches = [s for s in (rep.signal, rep.alternative) if s is not None]
         assert min(global_phase_align(s, f).residual for s in branches) <= 1e-10
+
+
+def test_periodic_verdict_recovers_line_one_only_when_line_zero_is_zero(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return recover_local(*args, **kwargs)
+
+    monkeypatch.setattr(stitcher, "recover_local", counted)
+    fp = forge("rational_periodic")
+    spec = PeriodicSpec(T=fp.params["T"], mu=1.0)
+    periodic_verdict(measure(fp.f, fp.pair, fp.nodes), fp.pair, spec, Q=2)
+    assert len(calls) == 1
+    calls.clear()
+    zero = Signal(fp.f.grid, np.zeros(fp.f.grid.horizon, dtype=np.complex128))
+    rep = periodic_verdict(measure(zero, fp.pair, fp.nodes), fp.pair, spec, Q=2)
+    assert len(calls) == 2
+    assert rep.signal.is_zero() and rep.ambiguity == "phase_only"
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        local_recovery.prune_with_second_window,
+        recover_local,
+        align_overlaps,
+        stitcher.resolve_reflection,
+        reconstruct,
+        periodic_verdict,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_recovery_entry_points_take_no_tolerance(fn):
+    # the acceptance bound is local_recovery.ACCEPT_TOL, set in one place
+    assert [name for name in inspect.signature(fn).parameters if "tol" in name] == []
 
 
 def test_each_branch_is_measured_once(monkeypatch):
