@@ -11,6 +11,7 @@ when both survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,12 +90,18 @@ def autocorrelation_from_magnitudes(phi_mags: Sequence[float], delta: float) -> 
     if m.ndim != 1 or m.size % 2 != 0 or m.size < 2:
         raise ValueError(f"need an even number of bins (one alias period), got shape {m.shape}")
     L = m.size // 2
-    ns = np.arange(-L, L)
-    ls = np.arange(L)
-    E = np.exp(1j * np.pi * np.outer(ls, ns) / L)
-    acorr = (E @ (m * m).astype(np.complex128)) / (2 * L * delta * delta)
+    acorr = (_lag_table(L) @ (m * m).astype(np.complex128)) / (2 * L * delta * delta)
     acorr[0] = acorr[0].real
     return acorr
+
+
+@lru_cache(maxsize=32)
+def _lag_table(L: int) -> np.ndarray:
+    """exp(i pi l n / L) for lags l = 0 .. L-1 (rows) and bins n = -L .. L-1,
+    built once per L and read-only."""
+    table = np.exp(1j * np.pi * np.outer(np.arange(L), np.arange(-L, L)) / L)
+    table.setflags(write=False)
+    return table
 
 
 def slot_reflect(h: np.ndarray) -> Optional[np.ndarray]:
@@ -193,18 +200,22 @@ def _fan_out(
     into a single row), with the per-row arithmetic of ``_poly_batch``.  The
     conjugation check runs only when every pair offers a root whose
     conjugate is among the roots, without which no row can be closed.
+
+    The fan is held coefficient-major, so each step's update runs over
+    contiguous memory, and is transposed to one row per branch at the end.
     """
     k = len(forced) + len(options)
-    c = np.zeros((1, k + 1), dtype=np.complex128)
-    c[:, 0] = 1.0
+    c = np.zeros((k + 1, 1), dtype=np.complex128)
+    c[0] = 1.0
     for j, r in enumerate(forced):
-        c[:, 1 : j + 2] -= r * c[:, : j + 1]
+        c[1 : j + 2] -= r * c[: j + 1]
     for j, opts in enumerate(options, start=len(forced)):
         choice = np.array([r for r, _ in opts])
-        c = c.repeat(choice.size, axis=0)
-        # (prefix, choice, coefficient): every prefix row takes each choice
-        fan = c.reshape(-1, choice.size, k + 1)
-        fan[:, :, 1 : j + 2] -= choice[:, None] * fan[:, :, : j + 1]
+        c = c.repeat(choice.size, axis=1)
+        # (coefficient, prefix, choice): every prefix takes each choice
+        fan = c.reshape(k + 1, -1, choice.size)
+        fan[1 : j + 2] -= choice * fan[: j + 1]
+    c = np.ascontiguousarray(c.T)
     pool = set(forced).union(*[[r for r, _ in o] for o in options])
     if all(r.conjugate() in pool for r in forced) and all(
         any(r.conjugate() in pool for r, _ in o) for o in options
@@ -217,7 +228,7 @@ def _fan_out(
 def _unit_cores(poly: np.ndarray, a0: float) -> np.ndarray:
     """Ascending coefficients of each monic row, scaled to energy a0."""
     c = poly[:, ::-1]
-    return c * np.sqrt(a0 / np.sum(np.abs(c) ** 2, axis=1))[:, None]
+    return c * np.sqrt(a0 / np.add.reduce(np.abs(c) ** 2, axis=1))[:, None]
 
 
 def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
@@ -415,7 +426,11 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
     if a0 <= 0:
         raise ValueError("zero autocorrelation has no nonzero factorization")
 
-    s_eff = 1 + max([l for l in range(a.size) if abs(a[l]) > 1e-12 * a0], default=0)
+    # one past the highest lag above the noise floor
+    floor = 1e-12 * a0
+    s_eff = a.size
+    while s_eff > 1 and not abs(a[s_eff - 1]) > floor:
+        s_eff -= 1
 
     if s_eff == 1:
         cores = np.array([[np.sqrt(a0)]], dtype=np.complex128)
@@ -423,7 +438,9 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
         # the roots of the two-sided lag polynomial, as np.roots finds them:
         # its end coefficients are a_{s-1} and conj(a_{s-1}), both nonzero
         p = np.concatenate([np.conj(a[1:s_eff][::-1]), a[:s_eff]])[::-1]
-        companion = np.diag(np.ones(p.size - 2, dtype=np.complex128), -1)
+        n = p.size - 1
+        companion = np.zeros((n, n), dtype=np.complex128)
+        companion.ravel()[n :: n + 1] = 1.0  # the subdiagonal
         companion[0] = -p[1:] / p[0]
         roots = np.linalg.eigvals(companion)
         # a multiplicity-m root only comes back from the eigensolver to within
@@ -449,10 +466,14 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
     cand = placed.reshape(-1, L)
     # global phase: the first largest entry becomes real and positive (every
     # row holds a core of energy a0 > 0, so the peak is never zero)
-    peak = cand[np.arange(cand.shape[0]), np.abs(cand).argmax(axis=1)]
+    rows = np.arange(cand.shape[0])
+    peak = cand[rows, np.abs(cand).argmax(axis=1)]
     cand *= (np.conj(peak) / np.abs(peak))[:, None]
-    # np.round(z, 9) on the real and imaginary parts at once, same arithmetic
-    q = np.rint((cand / np.abs(cand).max(axis=1)[:, None]).view(np.float64) * 1e9) / 1e9
+    # each row over its largest modulus (gathered at argmax, which is cheaper
+    # than a row max), then np.round(z, 9) on both parts at once
+    mod = np.abs(cand)
+    top = mod[rows, mod.argmax(axis=1)]
+    q = np.rint((cand / top[:, None]).view(np.float64) * 1e9) / 1e9
     # sort the keys bytewise, stably, and keep each key's first row
     keys = q.view(np.dtype((np.void, q.itemsize * 2 * L))).ravel()
     order = keys.argsort(kind="stable")
@@ -475,11 +496,24 @@ class LocalClass:
         return self.representatives[0]
 
 
-def _spectrum_tables(grid, omegas: np.ndarray) -> np.ndarray:
-    """exp(-2 i pi u_j omega) for the node's cell offsets u_j: for each row
-    of ``omegas``, one table with a row per j."""
-    u = (np.arange(grid.L) - grid.L // 2) * grid.delta
-    return np.exp(-2j * np.pi * (u[:, None] * omegas[:, None, :]))
+@lru_cache(maxsize=32)
+def _pricing_tables(L: int, B: float, b: float) -> Tuple[np.ndarray, ...]:
+    """The content-spectrum maps of one (L, B, b), built once, read-only and
+    shared by every node's pricing, polish and mate test.
+
+    E1 and E2 hold exp(-2 i pi u_j omega) at the critical bins omega_n and
+    at omega_n + b, a row per cell offset u_j; then come the polish maps of
+    the second window, delta E2 - delta E1, and of the first, delta E1.
+    """
+    delta = 2.0 * B / L  # GridSpec.delta
+    u = (np.arange(L) - L // 2) * delta
+    omegas = np.arange(-L, L) / (4.0 * B) + np.array([[0.0], [b]])
+    E = np.exp(-2j * np.pi * (u[:, None] * omegas[:, None, :]))
+    M_phi = delta * E[0]
+    M_psi = delta * E[1] - M_phi
+    for table in (E, M_phi, M_psi):
+        table.setflags(write=False)
+    return E[0], E[1], M_psi, M_phi
 
 
 def _polish_content(
@@ -544,23 +578,24 @@ def prune_with_second_window(
         raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
     phi = np.asarray(phi_mags, dtype=np.float64)
     C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
-    # the spectrum tables at omega_n and omega_n + b, built once and shared by
-    # pricing, polish and the mate test
-    omegas = np.arange(-L, L) / (4.0 * grid.B) + np.array([[0.0], [pair.b]])
-    E1, E2 = _spectrum_tables(grid, omegas)
+    E1, E2, M_psi, M_phi = _pricing_tables(L, grid.B, pair.b)
 
-    a0 = float(np.max(np.sum(np.abs(C) ** 2, axis=1))) if C.size else 0.0
+    a0 = float(np.max(np.add.reduce(np.abs(C) ** 2, axis=1))) if C.size else 0.0
     scale = grid.delta * np.sqrt(2 * L * a0) if a0 > 0 else 1.0
 
     def defects_of(X: np.ndarray) -> np.ndarray:
         H1 = grid.delta * (X @ E1)
         H2 = grid.delta * (X @ E2)
-        d = np.linalg.norm(np.abs(H2 - H1) - psi, axis=1) / scale
-        return np.hypot(d, np.linalg.norm(np.abs(H1) - phi, axis=1) / scale)
+        # each row's 2-norm, with np.linalg.norm's arithmetic
+        d = np.abs(H2 - H1) - psi
+        e = np.abs(H1) - phi
+        return np.hypot(
+            np.sqrt(np.add.reduce(d * d, axis=1)) / scale,
+            np.sqrt(np.add.reduce(e * e, axis=1)) / scale,
+        )
 
     def polish(X: np.ndarray) -> np.ndarray:
-        M1 = grid.delta * E1
-        blocks = [(grid.delta * E2 - M1, psi), (M1, phi)]
+        blocks = [(M_psi, psi), (M_phi, phi)]
         return np.array([_polish_content(h, blocks, scale) for h in X])
 
     defects = defects_of(C)

@@ -89,7 +89,13 @@ class GridSpec:
 
     def index_of(self, coord: float) -> int:
         """Exact grid index of a coordinate (to 1e-9 of the grid step), or
-        OffGridError."""
+        OffGridError.
+
+        Public API, although the package itself never calls it: it is the
+        inverse of ``x`` for a caller who holds a coordinate, such as a node
+        time or a cell of a forged pair, and it refuses an off-grid
+        coordinate with the declared error instead of rounding it.
+        """
         j = coord / self.delta + self.origin
         ji = int(round(j))
         if abs(j - ji) > 1e-9:
@@ -143,10 +149,6 @@ class Signal:
 
     def is_zero(self) -> bool:
         return self.support is None
-
-    def shifted_phase(self, lam: complex) -> "Signal":
-        """The signal multiplied by a global scalar."""
-        return Signal(self.grid, lam * self.samples)
 
 
 def same_grid(a: GridSpec, b: GridSpec) -> bool:

@@ -73,7 +73,14 @@ class FrequencyGrid:
 
     @property
     def meets_density(self) -> bool:
-        """Finite surrogate of the sampling-density requirement."""
+        """Finite surrogate of the sampling-density requirement.
+
+        Public API, although the package itself never reads it: the paper's
+        uniqueness results assume this density, and ``measure`` accepts any
+        custom grid, sparse ones included, so a caller checks it here before
+        reading equal measurements on a custom grid as a statement about
+        uniqueness.
+        """
         if self.mode == "critical":
             return True
         pos = np.sort([w for w in self.omegas_custom if w > 0])
@@ -257,9 +264,9 @@ def stft_value(f: Signal, pair: WindowPair, which: str, t: float, omega: float) 
     return complex(val)
 
 
-def windowed_segment(f: Signal, pair: WindowPair, t: float, which: str = "phi") -> np.ndarray:
-    """The length-L vector h_j = f(t + u_j) * conj(w(u_j)) seen by the node at t."""
-    seg = node_segment(f.grid, t, f.samples, pair, (which,))
+def windowed_segment(f: Signal, pair: WindowPair, t: float) -> np.ndarray:
+    """The length-L vector h_j = f(t + u_j) * conj(phi(u_j)) seen by the node at t."""
+    seg = node_segment(f.grid, t, f.samples, pair, ("phi",))
     return seg.samples * np.conj(seg.windows[0])
 
 

@@ -254,14 +254,11 @@ def uniqueness_oracle(
     )
 
 
-def alphabet_family(
-    grid: GridSpec,
-    support_cells: Sequence[int],
-    alphabet: Sequence[complex] = (0, 1, 1j, -1),
-) -> Tuple[np.ndarray, str]:
-    """All signals with the given values on the given cells, zero elsewhere."""
+def alphabet_family(grid: GridSpec, support_cells: Sequence[int]) -> Tuple[np.ndarray, str]:
+    """All signals with a value from {0, 1, i, -1} on each of the given
+    cells, zero elsewhere."""
     cells = list(support_cells)
-    letters = np.asarray(alphabet, dtype=np.complex128)
+    letters = np.array([0, 1, 1j, -1], dtype=np.complex128)
     n = len(letters) ** len(cells)
     digits = np.stack(
         np.unravel_index(np.arange(n), (len(letters),) * len(cells)), axis=1
@@ -272,18 +269,13 @@ def alphabet_family(
     return samples, desc
 
 
-def trig_family(
-    grid: GridSpec,
-    T: float,
-    degree: int,
-    alphabet: Sequence[complex] = (0, 1, 1j, -1, -1j),
-) -> Tuple[np.ndarray, np.ndarray, str]:
-    """All T-periodic exponential sums of the given degree with quantized
-    coefficients, sampled on the grid.  Returns (samples, coefficients, desc);
-    coefficient columns run k = -degree .. degree.
+def trig_family(grid: GridSpec, T: float, degree: int) -> Tuple[np.ndarray, np.ndarray, str]:
+    """All T-periodic exponential sums of the given degree with coefficients
+    from {0, 1, i, -1, -i}, sampled on the grid.  Returns (samples,
+    coefficients, desc); coefficient columns run k = -degree .. degree.
     """
     ks = np.arange(-degree, degree + 1)
-    letters = np.asarray(alphabet, dtype=np.complex128)
+    letters = np.array([0, 1, 1j, -1, -1j], dtype=np.complex128)
     n = len(letters) ** len(ks)
     digits = np.stack(np.unravel_index(np.arange(n), (len(letters),) * len(ks)), axis=1)
     coeffs = letters[digits]

@@ -101,15 +101,13 @@ class WindowPair:
             raise ValueError(f"unknown profile {self.profile!r}")
         return vals
 
-    def psi_at(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.phi_at(u) * (np.exp(2j * np.pi * u * self.b) - 1.0)
-
     def values_at(self, which: str, u) -> np.ndarray:
+        """phi or psi = phi * (exp(2 i pi u b) - 1) at arbitrary real offsets."""
         if which == "phi":
             return self.phi_at(u)
         if which == "psi":
-            return self.psi_at(u)
+            u = np.asarray(u, dtype=float)
+            return self.phi_at(u) * (np.exp(2j * np.pi * u * self.b) - 1.0)
         raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
 
     def slot_values(self, which: str) -> np.ndarray:

@@ -741,6 +741,55 @@ def test_dedup_keeps_each_keys_first_row_like_the_replaced_code(monkeypatch):
     assert got.tobytes() == np.array(_reference_enumerate_candidates(acorr, 3)).tobytes()
 
 
+def _reference_autocorrelation(phi_mags, delta):
+    """The lag inversion with its table built at every call."""
+    m = np.asarray(phi_mags, dtype=np.float64)
+    L = m.size // 2
+    E = np.exp(1j * np.pi * np.outer(np.arange(L), np.arange(-L, L)) / L)
+    acorr = (E @ (m * m).astype(np.complex128)) / (2 * L * delta * delta)
+    acorr[0] = acorr[0].real
+    return acorr
+
+
+def test_cached_tables_follow_the_grid_step_and_window(monkeypatch):
+    # the tables are cached per (L, B, b); nodes of four set-ups that share L
+    # are recovered in turn, so each call finds another set-up's tables in
+    # the cache, and every class must match the path that rebuilds them
+    setups = []
+    for B, profile, b in [
+        (1.0, "rectangular", 0.25),
+        (1.0, "rectangular", 0.5),
+        (0.5, "rectangular", 0.25),
+        (1.0, "raised_cosine", 0.25),
+    ]:
+        grid = GridSpec(B=B, L=8, origin=32, horizon=64)
+        n_gap = int(np.ceil(B / grid.delta - 1e-9))
+        f = random_nonseparable(grid, grid.horizon - n_gap + 1, B, seed=len(setups))
+        pair = build_window(profile, grid, b=b)
+        ms = measure(f, pair, TimeNodes.lattice_covering(grid, B))
+        setups.append([(ms.mags[0, i], ms.mags[1, i], pair) for i in range(ms.mags.shape[1])])
+    turns = [node for nodes in itertools.zip_longest(*setups) for node in nodes if node]
+
+    local_recovery._lag_table.cache_clear()
+    local_recovery._pricing_tables.cache_clear()
+    new = [_outcome(lambda: recover_local(phi, psi, pair)) for phi, psi, pair in turns]
+    for phi, psi, pair in turns:
+        got = autocorrelation_from_magnitudes(phi, pair.grid.delta)
+        assert got.tobytes() == _reference_autocorrelation(phi, pair.grid.delta).tobytes()
+    # the raised-cosine set-up shares the first one's (L, B, b)
+    assert local_recovery._pricing_tables.cache_info().currsize == 3
+
+    _as_before(monkeypatch)
+    monkeypatch.setattr(local_recovery, "autocorrelation_from_magnitudes", _reference_autocorrelation)
+    assert new == [_outcome(lambda: recover_local(phi, psi, pair)) for phi, psi, pair in turns]
+
+    tables = list(local_recovery._pricing_tables(8, 1.0, 0.25)) + [local_recovery._lag_table(8)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
 def test_reference_cases_reach_every_factoring_path(monkeypatch):
     seen = {"forced": 0, "fused": 0, "retried": 0}
     fan_out, factor_once = local_recovery._fan_out, local_recovery._factor_once

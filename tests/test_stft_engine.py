@@ -182,7 +182,7 @@ def test_difference_identity_small_defect(make_signal):
 def test_magnitudes_ignore_global_phase(seed, theta):
     rng = np.random.default_rng(seed)
     f = Signal(GRID, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    g = f.shifted_phase(np.exp(1j * theta))
+    g = Signal(GRID, np.exp(1j * theta) * f.samples)
     nodes = TimeNodes.lattice(1.0, range(-1, 2))
     np.testing.assert_allclose(
         measure(f, PAIR, nodes).mags, measure(g, PAIR, nodes).mags, atol=1e-12

@@ -163,6 +163,54 @@ def test_reconstruct_reaches_local_recovery_once_per_lattice_row(monkeypatch):
     )
 
 
+#: The module attributes local recovery reaches its stages through, in call order.
+STAGES = ("autocorrelation_from_magnitudes", "enumerate_candidates", "prune_with_second_window")
+
+
+@pytest.mark.parametrize("a, b, seed", [(1.0, 0.25, 0), (0.5, 0.5, 3)])
+def test_each_lattice_node_passes_every_recovery_seam_once(a, b, seed, monkeypatch):
+    # the bench harness times recovery by wrapping stitcher.recover_local and
+    # the three stage attributes of local_recovery; on a criterion-1 input,
+    # reconstruct must reach recover_local once per lattice node, and each
+    # stage once per node whose data is not zero
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    gap = 2 * grid.B - a
+    n_gap = int(np.ceil(gap / grid.delta - 1e-9))
+    f = random_nonseparable(grid, grid.horizon - n_gap + 1, gap, seed=seed)
+    pair = build_window("rectangular", grid, b=b)
+    nodes = TimeNodes.lattice_covering(grid, a)
+    ms = measure(f, pair, nodes)
+
+    seen = []
+    recover = stitcher.recover_local
+
+    def counted_recover(*args, **kwargs):
+        seen.append({"stages": []})
+        out = recover(*args, **kwargs)
+        seen[-1]["zero"] = out.is_zero
+        return out
+
+    def counted_stage(name):
+        stage = getattr(local_recovery, name)
+
+        def counted(*args, **kwargs):
+            seen[-1]["stages"].append(name)
+            return stage(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(stitcher, "recover_local", counted_recover)
+    for name in STAGES:
+        monkeypatch.setattr(local_recovery, name, counted_stage(name))
+    rep = reconstruct(ms, pair)
+
+    assert global_phase_align(rep.signal, f).residual <= 1e-8
+    assert len(seen) == len(nodes.times)
+    assert any(not node["zero"] for node in seen)
+    for node in seen:
+        assert node["stages"] == ([] if node["zero"] else list(STAGES))
+
+
 # --- the anchor's reflection decision ------------------------------------------
 
 
