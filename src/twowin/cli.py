@@ -173,10 +173,13 @@ def window_to_obj(pair: WindowPair) -> Dict[str, Any]:
 
 
 def window_from_obj(obj: Any, where: str) -> WindowPair:
-    grid = grid_from_obj(obj["grid"], where)
-    b = float(obj["b"])
-    profile = str(obj["profile"])
-    stored = np.array([complex(re, im) for re, im in obj["samples"]], dtype=np.complex128)
+    try:
+        grid = grid_from_obj(obj["grid"], where)
+        b = float(obj["b"])
+        profile = str(obj["profile"])
+        stored = np.array([complex(re, im) for re, im in obj["samples"]], dtype=np.complex128)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{where}: bad window object ({exc})")
     if profile == "user":
         return build_window("user", grid, b, samples=stored)
     pair = build_window(profile, grid, b)
@@ -403,6 +406,13 @@ class RunConfig:
 # subcommands
 
 
+def _refuse_given(args: argparse.Namespace, names: Sequence[str], why: str) -> None:
+    """Refuse each flag in ``names`` that was given, so that none is dropped unread."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise CliError(f"{', '.join(given)}: {why}")
+
+
 def cmd_measure(config: RunConfig, args: argparse.Namespace) -> int:
     sig = load_signal(Path(args.signal))
     grid = sig.grid
@@ -431,10 +441,12 @@ def cmd_recover(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_forge(config: RunConfig, args: argparse.Namespace) -> int:
     accepted = inspect.signature(FORGES[args.claim]).parameters
+    _refuse_given(args, [n for n in ("B", "a", "seed") if n not in accepted],
+                  f"not accepted by forge {args.claim}")
     kwargs = {
         name: val
         for name, val in (("B", config.B), ("a", config.a), ("seed", config.seed))
-        if val is not None and name in accepted
+        if val is not None
     }
     fp = forge(args.claim, **kwargs)
     outdir = Path(args.outdir)
@@ -461,13 +473,19 @@ def cmd_forge(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _verify_pair(config: RunConfig, args: argparse.Namespace) -> int:
     if args.manifest:
+        _refuse_given(args, ("f", "g", "a", "b", "anchor", "profile"),
+                      "not accepted with --manifest, which brings the signals, nodes and window")
         mpath = Path(args.manifest)
         man = load_json(mpath)
-        base = mpath.parent
-        f = load_signal(base / man["files"]["f"])
-        g = load_signal(base / man["files"]["g"])
-        nodes = nodes_from_obj(man["nodes"], str(mpath))
-        pair = build_window(man["window"]["profile"], f.grid, b=float(man["window"]["b"]))
+        try:
+            f_name, g_name = man["files"]["f"], man["files"]["g"]
+            nodes = nodes_from_obj(man["nodes"], str(mpath))
+            profile, b = str(man["window"]["profile"]), float(man["window"]["b"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{mpath}: bad manifest ({exc})")
+        f = load_signal(mpath.parent / f_name)
+        g = load_signal(mpath.parent / g_name)
+        pair = build_window(profile, f.grid, b=b)
     else:
         if not (args.f and args.g):
             raise CliError("verify pair needs --manifest or both --f and --g")
@@ -605,16 +623,14 @@ def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
     if "anchor" in names:
         sp.add_argument(
             "--anchor",
-            default="none",
             metavar="{none,incommensurate,value}",
-            help="extra off-lattice node: none, incommensurate, or a number",
+            help="extra off-lattice node: none (default), incommensurate, or a number",
         )
     if "profile" in names:
         sp.add_argument(
             "--profile",
-            default="rectangular",
             choices=("rectangular", "raised_cosine"),
-            help="window profile",
+            help="window profile (default rectangular)",
         )
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .signal_model import (
     GridSpec,
-    OffGridError,
     PeriodicSpec,
     Signal,
     global_phase_align,
@@ -191,18 +190,10 @@ def forge_rational_periodic(
         T = (grid.L - 1) * grid.delta
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    k_T = T / grid.delta
-    if abs(k_T - round(k_T)) > 1e-9:
-        raise OffGridError(
-            f"period T = {T!r} is not a whole number of grid cells", T,
-            round(k_T) * grid.delta,
-        )
-    k_T = int(round(k_T))
+    k_T = grid.cells(T, "period T")
     if k_T < 2 * q + 1:
         raise ValueError(f"period must span at least 2q+1 = {2 * q + 1} cells, got {k_T}")
-    if not grid.is_multiple(t0):
-        raise OffGridError(f"line t0 = {t0!r} is off the sample grid", t0,
-                           round(t0 / grid.delta) * grid.delta)
+    grid.cells(t0, "line t0")
     mate_phase = np.exp(-4j * np.pi * q * t0 / T)
     if abs(np.conj(c0) / c0 - (np.conj(cq) / cq) * mate_phase) < 1e-9:
         raise ValueError(
@@ -220,9 +211,7 @@ def forge_rational_periodic(
                 "an incommensurate offset admits no conjugate mate"
             )
         p = int(round(p_real))
-        if not grid.is_multiple(t1):
-            raise OffGridError(f"line t1 = {t1!r} is off the sample grid", t1,
-                               round(t1 / grid.delta) * grid.delta)
+        grid.cells(t1, "line t1")
     f = make_periodic(PeriodicSpec(T=T, mu=1.0, coefficients={0: c0, q: cq}), grid)
     g = make_periodic(
         PeriodicSpec(T=T, mu=1.0, coefficients={0: np.conj(c0), q: np.conj(cq) * mate_phase}),
@@ -265,11 +254,7 @@ def forge_quasiperiodic_flip(
             f"need alpha in (2B/T - 1, 1) = ({2 * grid.B / T - 1!r}, 1), got {alpha!r}"
         )
     for name, val in (("B - T", grid.B - T), ("alpha T - B", alpha * T - grid.B), ("T", T)):
-        if not grid.is_multiple(val):
-            raise OffGridError(
-                f"piece edge {name} = {val!r} is off the sample grid", val,
-                round(val / grid.delta) * grid.delta,
-            )
+        grid.cells(val, f"piece edge {name}")
     x = grid.coords()
     fv = np.zeros(grid.horizon, dtype=np.complex128)
     gv = np.zeros(grid.horizon, dtype=np.complex128)
@@ -322,10 +307,7 @@ def forge_rational_lattice(
         a = 2 * grid.delta
     if grid.L % 2 == 0:
         raise ValueError("rational_lattice needs an odd cell count L (node cells must pair under reflection)")
-    if not grid.is_multiple(a):
-        raise OffGridError(f"lattice step a = {a!r} is off the sample grid", a,
-                           round(a / grid.delta) * grid.delta)
-    k_a = int(round(a / grid.delta))
+    k_a = grid.cells(a, "lattice step a")
     if grid.horizon % (12 * k_a) != 0:
         raise ValueError(
             f"horizon must hold a whole number of 12a spans, got {grid.horizon} cells "

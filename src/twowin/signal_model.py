@@ -96,22 +96,27 @@ class GridSpec:
         time or a cell of a forged pair, and it refuses an off-grid
         coordinate with the declared error instead of rounding it.
         """
-        j = coord / self.delta + self.origin
-        ji = int(round(j))
-        if abs(j - ji) > 1e-9:
-            nearest = (ji - self.origin) * self.delta
-            raise OffGridError(
-                f"coordinate {coord!r} is not a grid point (nearest is {nearest!r})",
-                coord,
-                nearest,
-            )
-        return ji
+        return self.cells(coord, "coordinate") + self.origin
 
     def is_multiple(self, t: float) -> bool:
         """True when ``t`` is an integer multiple of the grid step (to 1e-9
         of a step)."""
         j = t / self.delta
         return abs(j - round(j)) <= 1e-9
+
+    def cells(self, length: float, what: str) -> int:
+        """``length`` as a whole number of grid steps, or OffGridError naming
+        ``what``.  The one whole-cell rule: every lattice step, period, line
+        or node time that must sit on the grid is checked here."""
+        k = int(round(length / self.delta))
+        if not self.is_multiple(length):
+            raise OffGridError(
+                f"{what} = {length!r} is not a whole number of grid cells "
+                f"(nearest is {k * self.delta!r})",
+                length,
+                k * self.delta,
+            )
+        return k
 
     def coords(self) -> np.ndarray:
         """All modeled coordinates, index 0 through horizon-1."""
@@ -334,15 +339,9 @@ def make_periodic(spec: PeriodicSpec, grid: GridSpec) -> Signal:
     relation f(x) = mu * f(x + T) holds exactly at machine precision between
     representable samples.
     """
-    k_T = spec.T / grid.delta
-    k_Ti = int(round(k_T))
-    if abs(k_T - k_Ti) > 1e-9 or k_Ti < 1:
-        raise OffGridError(
-            f"period T={spec.T!r} is not an integer number of grid cells "
-            f"(T/delta = {k_T!r})",
-            spec.T,
-            round(k_T) * grid.delta,
-        )
+    k_Ti = grid.cells(spec.T, "period T")
+    if k_Ti < 1:
+        raise ValueError(f"period T = {spec.T!r} spans no grid cell")
     # base cell values at offsets r*delta, r = 0..k_T-1
     r = np.arange(k_Ti)
     base = np.zeros(k_Ti, dtype=np.complex128)

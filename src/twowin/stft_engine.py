@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import GridSpec, OffGridError, Signal
+from .signal_model import GridSpec, Signal
 from .window_engine import WindowPair
 
 WINDOW_NAMES = ("phi", "psi")
@@ -230,7 +230,8 @@ def node_segment(
     which: Sequence[str] = WINDOW_NAMES,
 ) -> NodeSegment:
     """The cells under the window at t, with the samples and window values
-    there when ``samples`` and ``pair`` are given."""
+    there when ``samples`` and ``pair`` are given.  Analytic profiles
+    evaluate at any real t; a sample-defined window refuses an off-grid t."""
     k_lo = int(math.ceil((t - grid.B) / grid.delta + grid.origin - 1e-9))
     k = np.arange(k_lo, k_lo + grid.L)
     on = (k >= 0) & (k < grid.horizon)
@@ -242,14 +243,10 @@ def node_segment(
     if pair is not None:
         if grid.is_multiple(t):
             windows = tuple([pair.slot_values(w) for w in which])
-        elif not pair.supports_offgrid:
-            raise OffGridError(
-                "user-sampled windows require grid-multiple node times",
-                float(grid.x(k[0]) - t),
-                0.0,
-            )
-        else:
+        elif pair.supports_offgrid:
             windows = tuple([pair.values_at(w, grid.x(k) - t) for w in which])
+        else:  # a sample-defined window has values on the grid only
+            grid.cells(t, "sample-defined window's node time")
     return NodeSegment(k, on, fv, windows)
 
 
@@ -268,20 +265,6 @@ def windowed_segment(f: Signal, pair: WindowPair, t: float) -> np.ndarray:
     """The length-L vector h_j = f(t + u_j) * conj(phi(u_j)) seen by the node at t."""
     seg = node_segment(f.grid, t, f.samples, pair, ("phi",))
     return seg.samples * np.conj(seg.windows[0])
-
-
-def _validate_nodes(grid: GridSpec, pair: WindowPair, nodes: TimeNodes) -> None:
-    # The lattice step need not be a whole number of grid cells: the analytic
-    # window profiles evaluate at any real node time.  Recovery, which does
-    # need node windows to fall on shared cells, enforces its own step rule.
-    if not pair.supports_offgrid:
-        for t in nodes.times:
-            if not grid.is_multiple(t):
-                raise OffGridError(
-                    f"node time {t!r} is off-grid but the window pair is sample-defined",
-                    t,
-                    round(t / grid.delta) * grid.delta,
-                )
 
 
 def measure(
@@ -326,7 +309,6 @@ def measure_batch(
         freqs = FrequencyGrid.critical(grid.L, grid.B)
     if freqs.mode == "critical" and abs(freqs.B - grid.B) > 1e-12 * grid.B:
         raise ValueError("frequency grid was built for a different half-width B")
-    _validate_nodes(grid, pair, nodes)
     omegas = freqs.omegas
     n_sig = samples_matrix.shape[0]
     mags = np.empty((n_sig, 2, len(nodes.times), len(omegas)), dtype=float)

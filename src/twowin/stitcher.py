@@ -397,13 +397,7 @@ def reconstruct(
         raise ValueError("reconstruction needs a lattice step")
     if a > grid.B + 1e-12:
         raise ValueError("a > B unsupported for reconstruction")
-    if not grid.is_multiple(a):
-        raise OffGridError(
-            f"reconstruction needs the lattice step to be a whole number of grid "
-            f"cells, got a = {a!r}",
-            a,
-            round(a / grid.delta) * grid.delta,
-        )
+    grid.cells(a, "lattice step a")
     if ms.freqs.mode != "critical" or ms.freqs.N != grid.L:
         raise ValueError(
             "reconstruction needs the critical frequency grid with one full alias "
@@ -450,17 +444,11 @@ def periodic_verdict(
         raise ValueError(f"periodic verdict needs two time nodes, got {nodes.mode!r}")
     if not (0 < spec.T <= 2 * grid.B):
         raise ValueError(f"period T = {spec.T!r} outside (0, 2B]")
-    k_T = spec.T / grid.delta
-    if abs(k_T - round(k_T)) > 1e-9:
-        raise OffGridError(
-            f"period T = {spec.T!r} is not a whole number of grid cells",
-            spec.T,
-            round(k_T) * grid.delta,
-        )
-    if 2 * Q + 1 > min(grid.L, int(round(k_T))):
+    k_T = grid.cells(spec.T, "period T")
+    if 2 * Q + 1 > min(grid.L, k_T):
         raise ValueError(
             f"family bound Q = {Q} needs 2Q+1 sample cells per period and per "
-            f"window, got min(L, T/delta) = {min(grid.L, int(round(k_T)))}"
+            f"window, got min(L, T/delta) = {min(grid.L, k_T)}"
         )
     if ms.freqs.mode != "critical" or ms.freqs.N != grid.L:
         raise ValueError(

@@ -198,6 +198,59 @@ def test_forge_and_verify_pair_manifest(run_cli, tmp_path):
     assert "equal measurements, inequivalent signals" in out
 
 
+@pytest.mark.parametrize(
+    "claim, flags",
+    [
+        ("rational_periodic", ["--seed", 99, "--B", 3]),
+        ("quasiperiodic_flip", ["--a", 0.5]),
+        ("rational_lattice", ["--seed", 1]),
+    ],
+)
+def test_forge_refuses_flags_the_claim_does_not_take(run_cli, tmp_path, claim, flags):
+    code, _, err = run_cli("forge", claim, "--outdir", tmp_path, *flags)
+    assert code == 1
+    assert err.startswith("error:")
+    for flag in flags[::2]:
+        assert flag in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_verify_pair_manifest_refuses_flags_it_would_drop(run_cli, tmp_path):
+    outdir = tmp_path / "forged"
+    run_cli("forge", "rational_periodic", "--outdir", outdir)
+    code, out, err = run_cli(
+        "verify", "pair", "--manifest", outdir / "manifest.json",
+        "--a", 0.37, "--b", 0.11, "--profile", "raised_cosine",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --a, --b, --profile:")
+
+
+def test_verify_pair_names_a_manifest_without_window_b(run_cli, tmp_path):
+    outdir = tmp_path / "forged"
+    run_cli("forge", "rational_periodic", "--outdir", outdir)
+    manifest = outdir / "manifest.json"
+    obj = json.loads(manifest.read_text())
+    del obj["window"]["b"]
+    manifest.write_text(json.dumps(obj))
+    code, _, err = run_cli("verify", "pair", "--manifest", manifest)
+    assert code == 1
+    assert err.startswith(f"error: {manifest}:")
+    assert "KeyError" not in err
+
+
+def test_recover_names_a_measurement_without_window_b(run_cli, tmp_path, generic_signal):
+    _, sig_path = generic_signal
+    m_path = tmp_path / "m.json"
+    run_cli("measure", sig_path, "--out", m_path)
+    obj = json.loads(m_path.read_text())
+    del obj["pair"]["b"]
+    m_path.write_text(json.dumps(obj))
+    code, _, err = run_cli("recover", m_path, "--report", tmp_path / "r.json")
+    assert code == 1
+    assert err.startswith(f"error: {m_path}: bad window object")
+
+
 def test_verify_pair_equivalent(run_cli, tmp_path, generic_signal):
     sig, sig_path = generic_signal
     rot_path = tmp_path / "rot.json"

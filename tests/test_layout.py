@@ -141,3 +141,24 @@ def test_no_module_constant_goes_unread(path):
     # a tuning constant that no code path reads still looks like it bounds
     # something, e.g. a chunk size left behind when its loop was rewritten
     assert list(_unread_constants(path)) == []
+
+
+def _off_grid_errors_built(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "OffGridError":
+                yield f"{path.name}:{node.lineno} builds an OffGridError"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "signal_model.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_signal_model_builds_an_off_grid_error(path):
+    # GridSpec.cells is the one whole-cell rule; a module that raises the
+    # error itself holds a second copy of that rule and its idea of "nearest"
+    assert list(_off_grid_errors_built(path)) == []

@@ -8,14 +8,21 @@ from twowin import (
     PeriodicSpec,
     ReflectionRangeError,
     Signal,
+    TimeNodes,
+    build_window,
     conj_reflect,
     equivalent_up_to_phase,
+    forge,
     global_phase_align,
     is_separable,
     make_periodic,
+    measure,
+    periodic_verdict,
     phase_fit,
     phase_residuals,
     random_nonseparable,
+    reconstruct,
+    stft_value,
 )
 from twowin.local_recovery import CLASS_TOL, _phase_match
 from twowin.signal_model import mu_powers, periodic_eval
@@ -50,8 +57,70 @@ def test_grid_rejects_bad_parameters(kwargs):
 
 
 def test_index_of_off_grid():
-    with pytest.raises(OffGridError):
+    with pytest.raises(OffGridError, match="coordinate") as err:
         GRID.index_of(0.3)
+    assert (err.value.value, err.value.nearest) == (0.3, 0.5)
+
+
+#: Grid step of the rational_periodic and rational_lattice forges (B = 1, L = 9).
+D9 = 2.0 / 9.0
+GRID8 = GridSpec(B=1.0, L=8, origin=12, horizon=24)
+
+
+def _verdict_with_period(T):
+    fp = forge("rational_periodic")
+    ms = measure(fp.f, fp.pair, fp.nodes)
+    return periodic_verdict(ms, fp.pair, PeriodicSpec(T=T, mu=1.0), Q=2)
+
+
+def _user_window():
+    return build_window("user", GRID, samples=np.ones(4))
+
+
+def _reconstruct_with_step(a):
+    f = random_nonseparable(GRID8, support_len=22, gap_bound=1.0, seed=1)
+    pair = build_window("rectangular", GRID8)
+    return reconstruct(measure(f, pair, TimeNodes.lattice(a, range(-20, 21))), pair)
+
+
+# call, the quantity the message names, the offending value, its nearest
+# whole-step value
+WHOLE_CELL_REFUSALS = {
+    "periodic_verdict-T": (lambda: _verdict_with_period(1.3), "period T", 1.3, 6 * D9),
+    "rational_periodic-T": (lambda: forge("rational_periodic", T=1.3), "period T", 1.3, 6 * D9),
+    "rational_periodic-t0": (lambda: forge("rational_periodic", t0=0.3), "line t0", 0.3, D9),
+    # q = 3 puts the rational offsets T/(2q) = 4/3 cells off the grid
+    "rational_periodic-t1": (
+        lambda: forge("rational_periodic", q=3, t1=4 * D9 / 3), "line t1", 4 * D9 / 3, D9
+    ),
+    "quasiperiodic_flip-edge": (
+        lambda: forge("quasiperiodic_flip", T=1.3, alpha=0.75), "piece edge B - T", 1.0 - 1.3, -0.25
+    ),
+    "rational_lattice-a": (lambda: forge("rational_lattice", a=0.3), "lattice step a", 0.3, D9),
+    "stft_value-t": (
+        lambda: stft_value(Signal(GRID, np.ones(16)), _user_window(), "phi", 0.3, 0.25),
+        "node time", 0.3, 0.5,
+    ),
+    "measure-t": (
+        lambda: measure(Signal(GRID, np.ones(16)), _user_window(), TimeNodes.two_lines(0.0, 0.3)),
+        "node time", 0.3, 0.5,
+    ),
+    "reconstruct-a": (lambda: _reconstruct_with_step(0.3), "lattice step a", 0.3, 0.25),
+    "make_periodic-T": (
+        lambda: make_periodic(PeriodicSpec(T=1.3, coefficients={0: 1.0}), GRID8),
+        "period T", 1.3, 1.25,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WHOLE_CELL_REFUSALS)
+def test_whole_cell_refusal(case):
+    call, what, value, nearest = WHOLE_CELL_REFUSALS[case]
+    with pytest.raises(OffGridError) as err:
+        call()
+    assert err.value.value == value
+    assert err.value.nearest == nearest
+    assert what in str(err.value)
 
 
 def test_signal_shape_and_support():
@@ -253,12 +322,6 @@ def test_mu_powers_table():
     np.testing.assert_allclose(mu_powers(mu, exps), mu ** exps.astype(float), rtol=0, atol=1e-14)
     # a window with no on-horizon cell asks for no powers at all
     assert mu_powers(mu, np.array([], dtype=np.int64)).shape == (0,)
-
-
-def test_make_periodic_rejects_off_grid_period():
-    grid = GridSpec(B=1.0, L=8, origin=12, horizon=24)
-    with pytest.raises(OffGridError):
-        make_periodic(PeriodicSpec(T=1.3, coefficients={0: 1.0}), grid)
 
 
 def test_random_nonseparable_contract():
