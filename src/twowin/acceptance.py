@@ -81,7 +81,7 @@ def criterion_1() -> CriterionResult:
     for ci, (a, b) in enumerate(combos):
         pair = build_window("rectangular", grid, b=b)
         gap = 2 * grid.B - a
-        n_gap = int(np.ceil(gap / grid.delta - 1e-9))
+        n_gap = grid.cells_spanned(gap)
         support_len = grid.horizon - n_gap + 1
         nodes = TimeNodes.lattice_covering(grid, a)
         for k in range(50):

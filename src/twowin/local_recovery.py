@@ -154,23 +154,6 @@ def _conjugate_closed(roots: np.ndarray) -> np.ndarray:
     return np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1), axis=1)
 
 
-def _poly_batch(roots: np.ndarray) -> np.ndarray:
-    """Monic coefficients, highest degree first, for each row of ``roots``.
-
-    Multiplies in one linear factor per step for the whole batch, in the
-    root order np.poly uses, and like np.poly drops the imaginary part of a
-    row whose roots are closed under conjugation.
-    """
-    n, k = roots.shape
-    c = np.zeros((n, k + 1), dtype=np.complex128)
-    c[:, 0] = 1.0
-    for j in range(k):
-        c[:, 1 : j + 2] -= roots[:, j : j + 1] * c[:, : j + 1]
-    real = _conjugate_closed(roots)
-    c[real] = c[real].real
-    return c
-
-
 def _branch_rows(
     forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -193,11 +176,14 @@ def _branch_rows(
 def _fan_out(
     forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
 ) -> np.ndarray:
-    """``_poly_batch`` of ``_branch_rows``' roots, bit for bit, by shared prefix.
+    """Monic coefficients, highest degree first, of each row of
+    ``_branch_rows``' roots, by shared prefix.
 
-    Branches that agree on their first choices share those factors, so each
-    factor is multiplied into one row per distinct prefix (the forced roots
-    into a single row), with the per-row arithmetic of ``_poly_batch``.  The
+    A row is built like np.poly builds it: one linear factor multiplied in
+    per step, in root order, and the imaginary part dropped where the roots
+    are closed under conjugation.  Branches that agree on their first
+    choices share those factors, so each factor is multiplied into one row
+    per distinct prefix (the forced roots into a single row).  The
     conjugation check runs only when every pair offers a root whose
     conjugate is among the roots, without which no row can be closed.
 
@@ -254,32 +240,57 @@ def _refine_circle_angles(
 
     Each row of ``fixed`` (roots that stay put) and ``angles`` is one branch,
     refined on its own: a branch stops when it converges or a step fails to
-    lower its residual.  Returns the refined cores, one per row.
+    lower its residual.  Trial points are evaluated first, and the
+    finite-difference Jacobian only for branches still active there, so no
+    angle vector is evaluated twice.  Each row's polynomial is built like
+    ``_fan_out`` builds one, the fixed roots first (once per branch) and the
+    circle roots after them.  Returns the refined cores, one per row.
     """
     n, k = angles.shape
-    # row 0 is the angle vector itself, row 1 + j moves angle j by the
-    # finite-difference step: a trial point and its Jacobian share one batch
-    probe = np.vstack([np.zeros(k), 1e-7 * np.eye(k)])
+    nf = fixed.shape[1]
+    step = 1e-7
+    bound = 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
+    # the fixed roots' factors, multiplied in once per branch
+    head = np.zeros((n, nf + k + 1), dtype=np.complex128)
+    head[:, 0] = 1.0
+    for j in range(nf):
+        head[:, 1 : j + 2] -= fixed[:, j : j + 1] * head[:, : j + 1]
 
-    def evaluate(fx: np.ndarray, th: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = th.shape[0]
-        circle = np.exp(1j * (th[:, None, :] + probe)).reshape(m * (k + 1), k)
-        roots = np.concatenate([np.repeat(fx, k + 1, axis=0), circle], axis=1)
-        cores = _unit_cores(_poly_batch(roots), a0).reshape(m, k + 1, s_eff)
+    def evaluate(rows: np.ndarray, th: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Cores and lag residuals of the branches ``rows`` at the circle
+        angles ``th``, one row each."""
+        circle = np.exp(1j * th)
+        c = head[rows]
+        for j in range(k):
+            c[:, 1 : nf + j + 2] -= circle[:, j : j + 1] * c[:, : nf + j + 1]
+        # a row closed under conjugation has as many roots above the real
+        # axis as below; only such rows are sorted
+        roots = np.concatenate([fixed[rows], circle], axis=1)
+        maybe = np.flatnonzero(np.add.reduce(np.sign(roots.imag), axis=1) == 0)
+        if maybe.size:
+            real = maybe[_conjugate_closed(roots[maybe])]
+            c[real] = c[real].real
+        # numpy takes another abs loop for a one-row reversed view, so a lone
+        # row is doubled to round as it does inside a larger batch
+        cores = _unit_cores(c if rows.size > 1 else c.repeat(2, axis=0), a0)[: rows.size]
         d = _lag_defect(cores, lags, s_eff)
-        res = np.concatenate([d.real, d.imag], axis=2)
-        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
+        res = np.concatenate([d.real, d.imag], axis=1)
+        # each row's 2-norm, with np.linalg.norm's arithmetic
+        return cores, res, np.sqrt(np.add.reduce(res * res, axis=1))
 
     th = angles.copy()
-    best, res, best_norm = evaluate(fixed, th)
-    active = np.ones(n, dtype=bool)
+    # a trial point takes the probes' zero shift too (+ 0.0 turns a -0.0
+    # angle into 0.0), so it rounds as the probes around it do
+    best, res, best_norm = evaluate(np.arange(n), th + 0.0)
+    active = best_norm > bound
     for _ in range(10):
-        active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
-        idx = np.flatnonzero(active)
-        if not idx.size:
+        if not active.any():
             break
-        r = res[idx, 0]
-        J = np.swapaxes(res[idx, 1:] - r[:, None, :], 1, 2) / 1e-7
+        idx = np.flatnonzero(active)
+        r = res[idx]
+        shifted = (th[idx][:, None, :] + step * np.eye(k)).reshape(-1, k)
+        probed = evaluate(idx.repeat(k), shifted)[1].reshape(idx.size, k, -1)
+        J = np.swapaxes(probed - r[:, None, :], 1, 2) / step
         # the singular-value cutoff that lstsq applies with rcond=None
         cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
         dth = -(np.linalg.pinv(J, rcond=cutoff) @ r[:, :, None])[:, :, 0]
@@ -289,12 +300,13 @@ def _refine_circle_angles(
         over = span > 0.3
         dth[over] *= (0.3 / span[over])[:, None]
         tn = th[idx] + dth
-        cn, rn, nn = evaluate(fixed[idx], tn)
+        cn, rn, nn = evaluate(idx, tn + 0.0)
         better = finite & (nn < best_norm[idx])
         keep = idx[better]
         th[keep], res[keep] = tn[better], rn[better]
         best_norm[keep], best[keep] = nn[better], cn[better]
         active[idx[~better]] = False
+        active &= best_norm > bound
     return best
 
 

@@ -118,6 +118,11 @@ class GridSpec:
             )
         return k
 
+    def cells_spanned(self, length: float) -> int:
+        """How many grid cells ``length`` spans, rounded up (a length within
+        1e-9 of a step of a whole number of cells spans just those)."""
+        return int(np.ceil(length / self.delta - 1e-9))
+
     def coords(self) -> np.ndarray:
         """All modeled coordinates, index 0 through horizon-1."""
         return (np.arange(self.horizon) - self.origin) * self.delta
@@ -279,8 +284,7 @@ def is_separable(f: Signal, length: float, tol: float = ZERO_ATOL) -> bool:
     grid = f.grid
     if length <= 0:
         raise ValueError(f"separation length must be positive, got {length}")
-    n_win = int(np.ceil(length / grid.delta - 1e-9))
-    n_win = max(n_win, 1)
+    n_win = max(grid.cells_spanned(length), 1)
     if n_win > grid.horizon:
         return False
     small = np.abs(f.samples) <= tol
@@ -395,7 +399,7 @@ def random_nonseparable(
             f"gap_bound={gap_bound!r} is at least the support span "
             f"{support_len * grid.delta!r}; the nonseparability request is unsatisfiable"
         )
-    n_gap = max(int(np.ceil(gap_bound / grid.delta - 1e-9)), 1)
+    n_gap = max(grid.cells_spanned(gap_bound), 1)
     margin = grid.horizon - support_len
     if margin >= n_gap:
         raise ValueError(

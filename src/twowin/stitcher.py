@@ -11,7 +11,8 @@ by re-measuring the reflected branch, and by anchor data when present.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +54,10 @@ COND_MAX = 1e6
 #: Overlap content below this fraction of the global scale cannot carry phase.
 DEAD_OVERLAP_RTOL = 1e-9
 
+#: Lattice nodes whose exponential tables the stitcher's node checks build
+#: and hold at a time.
+NODE_BLOCK = 64
+
 
 class StitchError(Exception):
     pass
@@ -82,6 +87,9 @@ class AlignedAssembly:
     signal: Signal
     ambiguity: str
     lambdas: Tuple[complex, ...]
+    #: the signal's own magnitudes at the lattice nodes, shape (2, nodes,
+    #: bins), bit for bit what ``measure`` gives at those nodes
+    mags: np.ndarray
     #: horizon cells under none of the node windows
     uncovered: Tuple[int, ...] = ()
 
@@ -105,7 +113,10 @@ def align_overlaps(
     stack) instead of greedily locked in.  Each node's magnitudes are
     checked against ``lattice_mags`` as soon as every cell of its window is
     filled, which rejects chains that glued a mate through an overlap too
-    small to expose it, without waiting for the last node.  Ambiguity is
+    small to expose it, without waiting for the last node.  The assembly
+    carries every lattice node's magnitudes of the final signal: the last
+    ones the checks wrote, or, with no branch point to check, ones made
+    once the chain is done.  Ambiguity is
     phase_or_reflection exactly when every node would tolerate the reflected
     world.  ``uncovered`` lists the horizon cells that no node window holds.
 
@@ -131,30 +142,38 @@ def align_overlaps(
         default=0.0,
     )
 
-    live: List[Tuple[int, float, np.ndarray, np.ndarray, List[np.ndarray]]] = []
+    # one geometry pass: every node's cells and windows serve the coverage,
+    # the live patches, the node checks and the assembly's magnitudes.  The
+    # on-horizon part of a window is one run of cells, held as a slice of
+    # the horizon and the matching slice of the window's slots.
+    segs = [node_segment(grid, t, None, pair) for t in times]
+    mags = np.empty((2, len(times), len(freqs.omegas)))
+    spans: List[Tuple[slice, slice]] = []
+    for seg in segs:
+        k_lo = int(seg.cells[0])
+        lo, hi = (min(max(edge - k_lo, 0), grid.L) for edge in (0, grid.horizon))
+        spans.append((slice(k_lo + lo, k_lo + hi), slice(lo, hi)))
+    live: List[Tuple[int, float, slice, slice, List[np.ndarray]]] = []
     covered = np.zeros(grid.horizon, dtype=bool)
-    for ci, (cls, t) in enumerate(zip(classes, times)):
-        seg = node_segment(grid, t)
-        k, on = seg.cells, seg.on
-        covered[k[on]] = True
+    for ci, (cls, seg, (cells, slots)) in enumerate(zip(classes, segs, spans)):
+        covered[cells] = True
         if cls.is_zero:
             continue
-        # an orientation claiming content on off-horizon cells cannot come
-        # from any representable signal; only the stitcher can see this, the
-        # single-node data is blind to it
-        patches = [
-            o * inv_phi
-            for o in cls.representatives
-            if not np.any(on)
-            or np.all(on)
-            or np.max(np.abs((o * inv_phi)[~on]), initial=0.0)
-            <= DEAD_OVERLAP_RTOL * scale
-        ]
+        patches = [o * inv_phi for o in cls.representatives]
+        if 0 < cells.stop - cells.start < grid.L:
+            # an orientation claiming content on off-horizon cells cannot
+            # come from any representable signal; only the stitcher can see
+            # this, the single-node data is blind to it
+            patches = [
+                p
+                for p in patches
+                if np.max(np.abs(p[~seg.on]), initial=0.0) <= DEAD_OVERLAP_RTOL * scale
+            ]
         if not patches:
             raise InconsistentMeasurements(
                 f"no horizon-consistent orientation at node index {ci}"
             )
-        live.append((ci, t, k, on, patches))
+        live.append((ci, times[ci], cells, slots, patches))
 
     # one assembly buffer and one phase list, written on the way down and
     # undone on backtracking, so a search position holds O(L), not O(horizon)
@@ -164,35 +183,47 @@ def align_overlaps(
     sep_error: Optional[SeparableInputError] = None
     deepest: Tuple[int, str] = (-1, "")
 
+    @lru_cache(maxsize=1)
+    def exponentials(run: int) -> np.ndarray:
+        """The exponential tables of the run'th NODE_BLOCK nodes: nodes are
+        measured nearly in order, and a long horizon never holds a table
+        for every node at once."""
+        nodes = segs[run * NODE_BLOCK : (run + 1) * NODE_BLOCK]
+        return node_exponentials(grid, nodes, freqs.omegas)
+
+    def measure_node(j: int) -> None:
+        """Write node j's magnitudes of the assembly to ``mags[:, j]``, with
+        ``measure``'s product, so the bits are the ones it would give."""
+        run, at = divmod(j, NODE_BLOCK)
+        cells, slots = spans[j]
+        fv = np.zeros((1, grid.L), dtype=np.complex128)
+        fv[:, slots] = assembled[cells]
+        E = exponentials(run)[at]
+        node_magnitudes(segs[j]._replace(samples=fv), E, grid.delta, mags[None, :, j])
+
     # ready[d] lists the lattice nodes (zero-class ones too) whose on-horizon
     # cells are all filled once d search positions are placed: every
     # orientation at a position fills the same cells, and a filled cell never
-    # changes below it, so a node's magnitudes are final there.  A node with
-    # a cell no live window fills is checked with the last position.
+    # changes below it, so a node's magnitudes are final there, and the last
+    # ones written are the assembly's.  A node with a cell no live window
+    # fills is checked with the last position.
     ready: List[List[int]] = [[] for _ in range(len(live) + 1)]
-    if any(len(n[4]) > 1 for n in live):
+    checked = any(len(n[4]) > 1 for n in live)
+    if checked:
         depth = np.full(grid.horizon, len(live))
         for pos in range(len(live) - 1, -1, -1):
-            k, on = live[pos][2], live[pos][3]
-            depth[k[on]] = pos + 1
-        omegas = freqs.omegas
-        segs = [node_segment(grid, t, None, pair) for t in times]
-        E = node_exponentials(grid, segs, omegas)
-        for j, seg in enumerate(segs):
-            ready[int(np.max(depth[seg.cells[seg.on]], initial=1))].append(j)
+            depth[live[pos][2]] = pos + 1
+        for j, (cells, _) in enumerate(spans):
+            ready[int(np.max(depth[cells], initial=1))].append(j)
         mag_tol = ACCEPT_TOL * max(float(np.max(lattice_mags)), 1e-300)
-        got = np.empty((1, 2, len(omegas)))
 
     def fits(d: int) -> bool:
         """Whether the nodes completed at depth d reproduce their lattice
         magnitudes; the maximum over nodes is the whole-horizon deviation."""
         nonlocal deepest
         for j in ready[d]:
-            seg = segs[j]
-            fv = np.zeros((1, grid.L), dtype=np.complex128)
-            fv[:, seg.on] = assembled[seg.cells[seg.on]]
-            node_magnitudes(seg._replace(samples=fv), E[j], grid.delta, got)
-            dev = float(np.max(np.abs(got[0] - lattice_mags[:, j])))
+            measure_node(j)
+            dev = float(np.abs(mags[:, j] - lattice_mags[:, j]).max())
             if dev > mag_tol:
                 if d > deepest[0]:
                     deepest = (
@@ -203,16 +234,16 @@ def align_overlaps(
                 return False
         return True
 
-    def options_at(pos: int) -> List[Tuple[np.ndarray, np.ndarray, complex]]:
+    def options_at(pos: int) -> List[Tuple[Union[slice, np.ndarray], np.ndarray, complex]]:
         """The orientations to try at ``pos``, best fit first, as (cells,
         values, lambda); empty, with the reason noted, when none fits."""
         nonlocal sep_error, deepest
-        ci, t, k, on, patches = live[pos]
+        ci, t, cells, slots, patches = live[pos]
         if pos == 0:
-            return [(k[on], patch[on], 1.0 + 0.0j) for patch in patches]
-        ov = on & filled[np.clip(k, 0, grid.horizon - 1)]
-        u = assembled[k[ov]]
-        if u.size == 0 or np.max(np.abs(u)) <= DEAD_OVERLAP_RTOL * scale:
+            return [(cells, patch[slots], 1.0 + 0.0j) for patch in patches]
+        ov = filled[cells]
+        u = assembled[cells][ov]
+        if u.size == 0 or np.abs(u).max() <= DEAD_OVERLAP_RTOL * scale:
             if sep_error is None:
                 m_label = round(t / a) if a else ci
                 sep_error = SeparableInputError(
@@ -220,22 +251,24 @@ def align_overlaps(
                 )
             return []
         scored = []
+        norm_u = np.linalg.norm(u)
         for patch in patches:
-            v = patch[ov]
+            v = patch[slots][ov]
             lam, dist = phase_fit(u, v)
-            mismatch = float(dist / max(np.linalg.norm(u), np.linalg.norm(v)))
+            mismatch = float(dist / max(norm_u, np.linalg.norm(v)))
             scored.append((mismatch, lam, patch))
         scored.sort(key=lambda s: s[0])
         if scored[0][0] > ORIENT_TOL:
             if pos > deepest[0]:
                 deepest = (pos, f"overlap mismatch {scored[0][0]:.3e} at node index {ci}")
             return []
-        new = on & ~filled[np.clip(k, 0, grid.horizon - 1)]
+        new = ~ov
+        new_cells = np.flatnonzero(new) + cells.start
         options = []
         for mismatch, lam, patch in scored:
             if mismatch > ORIENT_TOL:
                 break
-            options.append((k[new], lam * patch[new], complex(lam)))
+            options.append((new_cells, lam * patch[slots][new], complex(lam)))
         return options
 
     # depth first with an explicit stack: frames[p] holds position p's
@@ -278,6 +311,10 @@ def align_overlaps(
             raise InconsistentMeasurements("no phase assignment fits the overlaps")
     lam_map = dict(lams)
     lambdas = tuple(lam_map.get(ci, 1.0 + 0.0j) for ci in range(len(classes)))
+    if not checked:
+        for j in range(len(segs)):
+            measure_node(j)
+    mags.setflags(write=False)
 
     # the zero signal has no second branch
     reflectable = bool(live) and all(c.includes_reflection for c in classes)
@@ -285,6 +322,7 @@ def align_overlaps(
         signal=Signal(grid, assembled),
         ambiguity="phase_or_reflection" if reflectable else "phase_only",
         lambdas=lambdas,
+        mags=mags,
         uncovered=tuple(np.flatnonzero(~covered).tolist()),
     )
 
@@ -331,11 +369,23 @@ def resolve_reflection(
     inputs the reflected world forces magnitude relations that fail on
     re-measurement).  With an anchor node, whichever branch reproduces the
     anchor magnitudes is selected; if both do, the ambiguity is reported
-    unresolved rather than silently picked.  Each branch is measured once at
-    every node, and every judgment and the residual read those magnitudes.
+    unresolved rather than silently picked.  The direct branch's lattice
+    magnitudes come with the assembly, so only its anchor row (if any) and
+    the reflected branch are measured, each once; every judgment and the
+    residual read those magnitudes.
     """
     mag_scale = max(float(np.max(ms.mags)), 1e-300)
-    chosen = (assembly.signal, measure(assembly.signal, pair, nodes, ms.freqs).mags)
+    lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
+    direct = assembly.mags
+    if nodes.anchor_index is not None:
+        # each node's product stands alone, so the anchor row measured by
+        # itself has the bits it has in a whole-set measurement
+        direct = np.empty(ms.mags.shape)
+        direct[:, lat_rows] = assembly.mags
+        only_anchor = replace(nodes, times=(nodes.anchor,), anchor_index=0)
+        anchor_ms = measure(assembly.signal, pair, only_anchor, ms.freqs)
+        direct[:, nodes.anchor_index] = anchor_ms.mags[:, 0]
+    chosen = (assembly.signal, direct)
     alternative: Optional[Signal] = None
     anchor_used = False
     if assembly.ambiguity == "phase_or_reflection":
@@ -346,7 +396,6 @@ def resolve_reflection(
             reflected = None
         if reflected is not None and not equivalent_up_to_phase(assembly.signal, reflected):
             got = measure(reflected, pair, nodes, ms.freqs).mags
-            lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
             if _sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= ACCEPT_TOL * mag_scale:
                 # with no anchor row to judge them, both branches fit
                 anchor_used = nodes.anchor_index is not None

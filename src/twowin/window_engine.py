@@ -73,7 +73,8 @@ class WindowPair:
         return self.profile != "user"
 
     def phi_at(self, u) -> np.ndarray:
-        """Evaluate phi at arbitrary real offsets (analytic profiles only)."""
+        """Evaluate phi at arbitrary real offsets; a "user" window has values
+        at its slot offsets only and refuses any other with OffGridError."""
         u = np.asarray(u, dtype=float)
         B = self.grid.B
         inside = (u >= -B) & (u < B)
@@ -84,16 +85,10 @@ class WindowPair:
             c1 = self.params["c1"]
             vals = np.where(inside, c0 + c1 * np.cos(np.pi * u / B) + 0.0j, 0.0j)
         elif self.profile == "user":
-            # map offsets back to slot indices; anything off-slot is an error
-            s = self.grid.L // 2
-            j = u / self.grid.delta + s
-            ji = np.round(j).astype(int)
-            if np.any(np.abs(j - ji) > 1e-9):
-                raise WindowValidationError(
-                    "off-grid evaluation",
-                    None,
-                    "user-sampled windows only provide values at slot offsets",
-                )
+            # map offsets back to slot indices; an off-slot offset is refused
+            # by the grid's whole-cell rule
+            cells = [self.grid.cells(float(x), "user window offset") for x in u.ravel()]
+            ji = np.array(cells, dtype=int).reshape(u.shape) + self.grid.L // 2
             vals = np.where(
                 (ji >= 0) & (ji < self.grid.L) & inside, self.phi[np.clip(ji, 0, self.grid.L - 1)], 0.0j
             )

@@ -11,6 +11,7 @@ from twowin import (
     Signal,
     TimeNodes,
     UnrealizableAutocorrelation,
+    alphabet_family,
     autocorrelation_from_magnitudes,
     build_window,
     direct_autocorrelation,
@@ -34,14 +35,15 @@ from twowin.local_recovery import (
     RecoveryError,
     _branch_rows,
     _cluster_circle_roots,
+    _conjugate_closed,
     _fan_out,
     _lag_defect,
     _phase_match,
     _polish_content,
-    _poly_batch,
     _refine_circle_angles,
     _unit_cores,
 )
+from twowin.stft_engine import measure_batch
 from twowin.window_engine import WindowPair
 
 
@@ -106,6 +108,22 @@ def test_enumerate_candidates_places_short_support():
     # a length-2 core slides across three placements, two flips each
     assert any(_phase_match(c, h, 1e-8) for c in cands)
     assert all(c.size == 4 for c in cands)
+
+
+def _poly_batch(roots: np.ndarray) -> np.ndarray:
+    """Monic coefficients, highest degree first, for each row of ``roots``:
+    one linear factor per step for the whole batch, in the root order
+    np.poly uses, and like np.poly the imaginary part dropped from a row
+    whose roots are closed under conjugation.  The fan-out and the circle
+    refinement must build their rows with this arithmetic, bit for bit."""
+    n, k = roots.shape
+    c = np.zeros((n, k + 1), dtype=np.complex128)
+    c[:, 0] = 1.0
+    for j in range(k):
+        c[:, 1 : j + 2] -= roots[:, j : j + 1] * c[:, : j + 1]
+    real = _conjugate_closed(roots)
+    c[real] = c[real].real
+    return c
 
 
 @pytest.mark.parametrize("n_branches", [1, 2, 2**5, 2**10])
@@ -811,3 +829,117 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
         enumerate_candidates(direct_autocorrelation(h), h.size)
         seen["retried"] += rungs[-1] > 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+# --- the circle-angle refinement against the code it replaced -----------------
+
+
+def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
+    """The refinement as it was before the trial points were evaluated apart
+    from the Jacobian probes: k + 1 probe polynomials per branch, fixed roots
+    included, at the start and after every step, each through _poly_batch."""
+    n, k = angles.shape
+    probe = np.vstack([np.zeros(k), 1e-7 * np.eye(k)])
+
+    def evaluate(fx, th):
+        m = th.shape[0]
+        circle = np.exp(1j * (th[:, None, :] + probe)).reshape(m * (k + 1), k)
+        roots = np.concatenate([np.repeat(fx, k + 1, axis=0), circle], axis=1)
+        cores = _unit_cores(_poly_batch(roots), a0).reshape(m, k + 1, s_eff)
+        d = _lag_defect(cores, lags, s_eff)
+        res = np.concatenate([d.real, d.imag], axis=2)
+        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
+
+    th = angles.copy()
+    best, res, best_norm = evaluate(fixed, th)
+    active = np.ones(n, dtype=bool)
+    for _ in range(10):
+        active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        r = res[idx, 0]
+        J = np.swapaxes(res[idx, 1:] - r[:, None, :], 1, 2) / 1e-7
+        cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
+        dth = -(np.linalg.pinv(J, rcond=cutoff) @ r[:, :, None])[:, :, 0]
+        finite = np.all(np.isfinite(dth), axis=1)
+        dth[~finite] = 0.0
+        span = np.max(np.abs(dth), axis=1)
+        over = span > 0.3
+        dth[over] *= (0.3 / span[over])[:, None]
+        tn = th[idx] + dth
+        cn, rn, nn = evaluate(fixed[idx], tn)
+        better = finite & (nn < best_norm[idx])
+        keep = idx[better]
+        th[keep], res[keep] = tn[better], rn[better]
+        best_norm[keep], best[keep] = nn[better], cn[better]
+        active[idx[~better]] = False
+    return best
+
+
+def _refinement_nodes():
+    """(first-window magnitudes, L, delta) at every nonzero lattice node of:
+    criterion 10's family at a = 1 and a = 0.5; the roundtrip-mix signals
+    of seeds 1-5, 92 each, drawn as the benchmark draws them for a 15 s run;
+    and the two near-circle inputs of the stitcher's roundtrip test."""
+    sets = []
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    pair = build_window("rectangular", grid)
+    for a in (1.0, 0.5):
+        sets.append((grid, measure_batch(family, grid, pair, TimeNodes.lattice_covering(grid, a))))
+
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    cases = []
+    for a, b in [(1.0, 0.25), (1.0, 0.5), (0.5, 0.25), (0.5, 0.5)]:
+        gap = 2 * grid.B - a
+        support_len = grid.horizon - grid.cells_spanned(gap) + 1
+        cases.append((support_len, gap, b, a))
+    drawn = [
+        (cases[i % 4], int(s))
+        for seed in range(1, 6)
+        for i, s in enumerate(np.random.default_rng([seed, 1]).integers(0, 2 ** 31, size=92))
+    ]
+    drawn += [(cases[1], 1495495394), (cases[2], 349134471)]
+    for (support_len, gap, b, a), s in drawn:
+        f = random_nonseparable(grid, support_len, gap, seed=s)
+        ms = measure(f, build_window("rectangular", grid, b=b), TimeNodes.lattice_covering(grid, a))
+        sets.append((grid, ms.mags[None]))
+
+    nodes = []
+    for grid, mags in sets:
+        for member in mags:
+            phi = member[0]
+            scale = float(np.max(phi))
+            nodes += [(row, grid.L, grid.delta) for row in phi if row.max() > 1e-10 * scale]
+    return nodes
+
+
+def test_circle_refinement_matches_the_replaced_code_bit_for_bit(monkeypatch):
+    calls = []
+    refine = local_recovery._refine_circle_angles
+
+    def recorded(*args):
+        args = tuple(np.copy(x) if isinstance(x, np.ndarray) else x for x in args)
+        calls.append((args, refine(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(local_recovery, "_refine_circle_angles", recorded)
+    for phi, L, delta in _refinement_nodes():
+        try:
+            enumerate_candidates(autocorrelation_from_magnitudes(phi, delta), L)
+        except RecoveryError:
+            pass
+
+    stepped = converged = closable = 0
+    for (fixed, angles, lags, s_eff, a0), got in calls:
+        want = _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0)
+        assert got.tobytes() == want.tobytes()
+        roots = np.concatenate([fixed, np.exp(1j * (angles + 0.0))], axis=1)
+        moved = np.any(got != _unit_cores(_poly_batch(roots), a0), axis=1)
+        stepped += moved.any()
+        converged += not moved.any()
+        closable += bool(_conjugate_closed(roots).any())
+    # the set takes Gauss-Newton steps, stops at the trial point, and holds
+    # trial points whose roots are closed under conjugation
+    assert stepped and converged and closable, (stepped, converged, closable)

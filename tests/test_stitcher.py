@@ -445,8 +445,9 @@ def test_recovery_entry_points_take_no_tolerance(fn):
 
 
 def test_each_branch_is_measured_once(monkeypatch):
-    # anchored reconstruct with a reflection ambiguity: the direct and the
-    # reflected branch, once each over the whole node set
+    # anchored reconstruct with a reflection ambiguity: the assembly brings
+    # the direct branch's lattice rows, so it is measured at the anchor
+    # alone, and the reflected branch once over the whole node set
     calls = []
 
     def counted(f, pair, nodes, freqs=None):
@@ -457,7 +458,8 @@ def test_each_branch_is_measured_once(monkeypatch):
     ms = measure(fp.g, fp.pair, nodes)
     monkeypatch.setattr(stitcher, "measure", counted)
     rep = reconstruct(ms, fp.pair)
-    assert rep.anchor_used and calls == [nodes, nodes]
+    only_anchor = TimeNodes("lattice_plus_anchor", (nodes.anchor,), nodes.a, anchor_index=0)
+    assert rep.anchor_used and calls == [only_anchor, nodes]
 
     # two-line verdicts: the same two per class of line 0 that is tried
     fpp = forge("rational_periodic")
@@ -469,6 +471,89 @@ def test_each_branch_is_measured_once(monkeypatch):
     calls.clear()
     periodic_verdict(ms, pair, PeriodicSpec(T=16 / 9, mu=-1), Q=2)
     assert calls == [ms.nodes] * 4
+
+
+def test_only_the_reflected_branch_is_measured(monkeypatch):
+    # without an anchor the assembly brings every row of the direct branch:
+    # an input with a reflection ambiguity measures the reflected branch
+    # once, and an input without one measures nothing
+    calls = []
+
+    def counted(f, pair, nodes, freqs=None):
+        calls.append(nodes)
+        return measure(f, pair, nodes, freqs)
+
+    fp = forge("rational_lattice")
+    ms = measure(fp.f, fp.pair, fp.nodes)
+    f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=2)
+    nodes = TimeNodes.lattice_covering(GRID, 1.0)
+    plain = measure(f, PAIR, nodes)
+    monkeypatch.setattr(stitcher, "measure", counted)
+    rep = reconstruct(ms, fp.pair)
+    assert rep.ambiguity == "phase_or_reflection" and calls == [fp.nodes]
+    calls.clear()
+    rep = reconstruct(plain, PAIR)
+    assert rep.ambiguity == "phase_only" and calls == []
+
+
+def _assembly_inputs():
+    """(signal, pair, nodes): criterion 10's family at a = 1 and a = 0.5,
+    four criterion-1 inputs per (a, b), a raised-cosine input with the
+    default off-grid anchor, and a horizon-1024 input."""
+    cases = []
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    for a in (1.0, 0.5):
+        nodes = TimeNodes.lattice_covering(grid, a)
+        cases += [(Signal(grid, row.copy()), pair, nodes) for row in family]
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    for ci, (a, b) in enumerate([(1.0, 0.25), (1.0, 0.5), (0.5, 0.25), (0.5, 0.5)]):
+        gap = 2 * grid.B - a
+        support_len = grid.horizon - grid.cells_spanned(gap) + 1
+        pair = build_window("rectangular", grid, b=b)
+        nodes = TimeNodes.lattice_covering(grid, a)
+        cases += [
+            (random_nonseparable(grid, support_len, gap, seed=ci * 50 + k), pair, nodes)
+            for k in range(4)
+        ]
+    f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=9)
+    anchored = TimeNodes.lattice_covering(GRID, 1.0, anchor=default_anchor(1.0, GRID.horizon))
+    cases.append((f, build_window("raised_cosine", GRID, c0=1.0, c1=0.4), anchored))
+    # more lattice nodes than one NODE_BLOCK of exponential tables
+    grid = GridSpec(B=1.0, L=8, origin=512, horizon=1024)
+    f = random_nonseparable(grid, grid.horizon - 3, 1.0, seed=3)
+    cases.append((f, build_window("rectangular", grid, b=0.25), TimeNodes.lattice_covering(grid, 1.0)))
+    return cases
+
+
+def test_assembly_carries_the_lattice_magnitudes_measure_gives(assemblies):
+    # the node checks' magnitudes are the assembly's own, bit for bit; the
+    # anchor row measured alone matches its row in a whole-set measurement,
+    # so a direct-branch residual is the one a full re-measurement gives
+    assembled = direct = anchored = 0
+    for f, pair, nodes in _assembly_inputs():
+        ms = measure(f, pair, nodes)
+        assemblies.clear()
+        try:
+            rep = reconstruct(ms, pair)
+        except (StitchError, RecoveryError):
+            continue
+        [assembly] = assemblies
+        full = measure(assembly.signal, pair, nodes).mags
+        lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
+        assert assembly.mags.tobytes() == full[:, lat_rows].tobytes()
+        assembled += 1
+        if nodes.anchor_index is not None:
+            only = TimeNodes("lattice_plus_anchor", (nodes.anchor,), nodes.a, anchor_index=0)
+            alone = measure(assembly.signal, pair, only).mags[:, 0]
+            assert alone.tobytes() == full[:, nodes.anchor_index].tobytes()
+            anchored += 1
+        if rep.signal.samples.tobytes() == assembly.signal.samples.tobytes():
+            scale = max(float(np.max(ms.mags)), 1e-300)
+            assert rep.residual == float(np.max(np.abs(full - ms.mags))) / scale
+            direct += 1
+    assert assembled > 400 and direct == assembled and anchored == 1
 
 
 # --- the orientation search against its recursive reference -----------------
@@ -594,10 +679,14 @@ def _recursive_align_overlaps(
         ambiguity = "phase_or_reflection"
     else:
         ambiguity = "phase_only"
+    # the search carries no magnitudes of its own; the assembled signal is
+    # measured at the lattice nodes
+    lat_nodes = TimeNodes(mode="lattice", times=tuple(times), a=a)
     return AlignedAssembly(
         signal=Signal(grid, assembled),
         ambiguity=ambiguity,
         lambdas=tuple(lam_map.get(ci, 1.0 + 0.0j) for ci in range(len(classes))),
+        mags=measure(Signal(grid, assembled), pair, lat_nodes, freqs).mags,
         uncovered=tuple(np.flatnonzero(~covered).tolist()),
     )
 
@@ -613,6 +702,7 @@ def _outcome(run):
         np.array(out.lambdas).tobytes(),
         out.ambiguity,
         out.uncovered,
+        out.mags.tobytes(),
     )
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twowin import GridSpec, WindowValidationError, build_window
+from twowin import GridSpec, OffGridError, WindowValidationError, build_window
+from twowin.stft_engine import node_segment
 from twowin.window_engine import derive_second_window, slot_offsets
 
 
@@ -77,9 +78,30 @@ def test_user_profile_validation():
 
 
 def test_user_profile_off_slot_evaluation_rejected():
+    # the grid's whole-cell rule refuses the offset, with its declared error
     pair = build_window("user", GRID_ODD, samples=np.ones(5))
-    with pytest.raises(WindowValidationError):
+    with pytest.raises(OffGridError, match="not a whole number of grid cells"):
         pair.phi_at(np.array([0.123]))
+
+
+def test_phi_at_refuses_an_off_slot_offset_as_node_segment_refuses_an_off_grid_time():
+    samples = np.array([1.0, 1.0 - 0.5j, 2.0, 1.0 + 0.5j, 1.0])
+    pair = build_window("user", GRID_ODD, samples=samples)
+    delta = GRID_ODD.delta
+    # slot offsets, and offsets outside [-B, B) that are still whole cells
+    u = np.array([[-2, -1, 0], [1, 2, 3]]) * delta
+    np.testing.assert_array_equal(
+        pair.phi_at(u), np.array([samples[:3], [samples[3], samples[4], 0.0]])
+    )
+    off = 0.3 * delta
+    with pytest.raises(OffGridError) as by_window:
+        pair.phi_at(np.array([0.0, off]))
+    with pytest.raises(OffGridError) as by_node:
+        node_segment(GRID_ODD, off, None, pair)
+    assert by_window.value.value == by_node.value.value == off
+    assert by_window.value.nearest == by_node.value.nearest == 0.0
+    with pytest.raises(OffGridError):
+        pair.values_at("psi", off)
 
 
 def test_unknown_profile():
