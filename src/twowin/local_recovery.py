@@ -388,10 +388,13 @@ def _factor_once(
         options.append(opts)
         branch_count *= len(opts)
 
-    raw = _unit_cores(_fan_out(forced, options), a0)
-    # branches holding unit-circle roots are refined, one batch per count
+    # branches holding unit-circle roots are refined, one batch per count;
+    # with forced roots that is every branch, so none is built beforehand
+    raw = None if forced else _unit_cores(_fan_out(forced, options), a0)
     if forced or any(len(opts) > 2 for opts in options):
         chosen, circ = _branch_rows(forced, options)
+        if raw is None:
+            raw = np.empty((chosen.shape[0], s_eff), dtype=np.complex128)
         n_circ = circ.sum(axis=1)
         for k in np.unique(n_circ[n_circ > 0]):
             rows = np.flatnonzero(n_circ == k)
@@ -649,8 +652,10 @@ def prune_with_second_window(
         )
     includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= ACCEPT_TOL
 
+    # each representative owns its row, so a node's class does not keep its
+    # whole candidate matrix alive
     return LocalClass(
-        representatives=tuple(C[i] for i in classes),
+        representatives=tuple(C[i].copy() for i in classes),
         includes_reflection=bool(includes_reflection),
         residual=float(min(defects[i] for i in classes)),
     )

@@ -31,6 +31,10 @@ WINDOW_NAMES = ("phi", "psi")
 #: Defect bound for the exact difference identity between the two windows.
 DIFFERENCE_IDENTITY_TOL = 1e-10
 
+#: Nodes whose segments and exponential tables are built and held at a time,
+#: so a long lattice never holds a table for every node at once.
+NODE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -296,7 +300,8 @@ def measure_batch(
 
     samples_matrix has shape (n_signals, horizon); the result has shape
     (n_signals, 2, n_nodes, n_bins).  The window pair, a critical frequency
-    grid and the rows must all belong to ``grid``.
+    grid and the rows must all belong to ``grid``.  Node segments and
+    exponential tables are built ``NODE_BLOCK`` nodes at a time.
     """
     if pair.grid != grid:
         raise ValueError("window pair and signal live on different grids")
@@ -312,10 +317,12 @@ def measure_batch(
     omegas = freqs.omegas
     n_sig = samples_matrix.shape[0]
     mags = np.empty((n_sig, 2, len(nodes.times), len(omegas)), dtype=float)
-    segs = [node_segment(grid, t, samples_matrix, pair) for t in nodes.times]
-    E = node_exponentials(grid, segs, omegas)
-    for ti, seg in enumerate(segs):
-        node_magnitudes(seg, E[ti], grid.delta, mags[:, :, ti])
+    for lo in range(0, len(nodes.times), NODE_BLOCK):
+        times = nodes.times[lo : lo + NODE_BLOCK]
+        segs = [node_segment(grid, t, samples_matrix, pair) for t in times]
+        E = node_exponentials(grid, segs, omegas)
+        for ti, seg in enumerate(segs):
+            node_magnitudes(seg, E[ti], grid.delta, mags[:, :, lo + ti])
     return mags
 
 

@@ -30,6 +30,7 @@ from .signal_model import (
 )
 from .window_engine import WindowPair
 from .stft_engine import (
+    NODE_BLOCK,
     FrequencyGrid,
     MeasurementSet,
     TimeNodes,
@@ -53,10 +54,6 @@ COND_MAX = 1e6
 
 #: Overlap content below this fraction of the global scale cannot carry phase.
 DEAD_OVERLAP_RTOL = 1e-9
-
-#: Lattice nodes whose exponential tables the stitcher's node checks build
-#: and hold at a time.
-NODE_BLOCK = 64
 
 
 class StitchError(Exception):
@@ -454,16 +451,17 @@ def reconstruct(
         )
 
     lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
-    scale = float(np.max(ms.mags[:, lat_rows, :])) if lat_rows else 0.0
+    lattice_mags = ms.mags[:, lat_rows, :]
+    scale = float(np.max(lattice_mags)) if lat_rows else 0.0
     classes = [
-        recover_local(ms.mags[0, i], ms.mags[1, i], pair, scale=scale) for i in lat_rows
+        recover_local(phi, psi, pair, scale=scale) for phi, psi in zip(*lattice_mags)
     ]
     assembly = align_overlaps(
         classes,
         pair,
         a,
         times=[nodes.times[i] for i in lat_rows],
-        lattice_mags=ms.mags[:, lat_rows, :],
+        lattice_mags=lattice_mags,
         freqs=ms.freqs,
     )
     return resolve_reflection(assembly, ms, pair, nodes)

@@ -217,6 +217,23 @@ def test_recover_local_at_l_max():
     assert any(_phase_match(rep, h, 1e-7) for rep in cls.representatives)
 
 
+def test_representatives_own_their_rows():
+    # a representative that is a view of the node's candidate matrix keeps
+    # every candidate alive for as long as the class is held
+    rng = np.random.default_rng(16)
+    h = rng.standard_normal(L_MAX) + 1j * rng.standard_normal(L_MAX)
+    phi_mags, psi_mags, pair = _node_mags(h, L_MAX)
+    nodes = _criterion1_nodes() + [(phi_mags, psi_mags, pair, None)]
+    two_class = 0
+    for phi, psi, pair, scale in nodes:
+        cls = recover_local(phi, psi, pair, scale=scale)
+        two_class += len(cls.representatives) == 2
+        for rep in cls.representatives:
+            assert rep.shape == (pair.grid.L,)
+            assert rep.base is None or rep.base.size == pair.grid.L
+    assert two_class > 0
+
+
 def test_recover_local_zero_node():
     grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
     pair = build_window("rectangular", grid)
@@ -814,13 +831,16 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
     rungs = []
 
     def counted_fan_out(forced, options):
-        seen["forced"] += bool(forced)
         seen["fused"] += any(len(o) > 2 for o in options)
         return fan_out(forced, options)
 
-    def counted_factor_once(*args):
+    def counted_factor_once(roots, lags, s_eff, a0, circle_tol):
+        # a pass with forced roots builds no fan-out, so it is counted here:
+        # one that returns cores after classifying some root onto the circle
         rungs[-1] += 1
-        return factor_once(*args)
+        cores = factor_once(roots, lags, s_eff, a0, circle_tol)
+        seen["forced"] += bool(np.any(np.abs(np.abs(roots) - 1.0) <= circle_tol))
+        return cores
 
     monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
     monkeypatch.setattr(local_recovery, "_factor_once", counted_factor_once)

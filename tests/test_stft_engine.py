@@ -16,6 +16,7 @@ from twowin import (
     stft_value,
     windowed_segment,
 )
+from twowin.stft_engine import NODE_BLOCK
 
 
 GRID = GridSpec(B=1.0, L=4, origin=8, horizon=16)
@@ -142,6 +143,20 @@ def test_measure_batch_agrees_with_measure(make_signal):
             single = measure(Signal(GRID, rows[i]), pair, nodes, freqs)
             assert not single.mags.flags.writeable
             np.testing.assert_allclose(batch[i], single.mags, atol=1e-13)
+
+
+def test_measure_batch_blocks_match_one_node_measurements(make_signal):
+    # the tables are built NODE_BLOCK nodes at a time; every node's product
+    # stands alone, so each row has the bits of measuring its node by itself
+    grid = GridSpec(B=1.0, L=4, origin=280, horizon=560)
+    pair = build_window("raised_cosine", grid)
+    nodes = TimeNodes.lattice_covering(grid, 1.0)
+    assert len(nodes.times) > 2 * NODE_BLOCK
+    rows = np.stack([make_signal(grid, s).samples for s in range(2)])
+    batch = measure_batch(rows, grid, pair, nodes)
+    for ti, t in enumerate(nodes.times):
+        alone = measure_batch(rows, grid, pair, TimeNodes.lattice(1.0, [round(t)]))
+        assert batch[:, :, ti].tobytes() == alone[:, :, 0].tobytes()
 
 
 @pytest.mark.parametrize(

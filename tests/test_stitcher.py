@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -13,7 +14,7 @@ from twowin.stitcher import (
     AlignedAssembly,
     align_overlaps,
 )
-from twowin.stft_engine import node_segment, windowed_segment
+from twowin.stft_engine import NODE_BLOCK, node_segment, windowed_segment
 from twowin import (
     FORGES,
     FrequencyGrid,
@@ -523,7 +524,9 @@ def _assembly_inputs():
     # more lattice nodes than one NODE_BLOCK of exponential tables
     grid = GridSpec(B=1.0, L=8, origin=512, horizon=1024)
     f = random_nonseparable(grid, grid.horizon - 3, 1.0, seed=3)
-    cases.append((f, build_window("rectangular", grid, b=0.25), TimeNodes.lattice_covering(grid, 1.0)))
+    nodes = TimeNodes.lattice_covering(grid, 1.0)
+    assert len(nodes.times) > NODE_BLOCK
+    cases.append((f, build_window("rectangular", grid, b=0.25), nodes))
     return cases
 
 
@@ -824,6 +827,31 @@ def test_roundtrip_at_horizon_4096():
     # 1,025 lattice nodes: the orientation search holds no Python frame per node
     rep, res = _long_roundtrip(4096, 1)
     assert res <= 1e-8 and rep.residual <= 1e-8
+
+
+def test_long_roundtrip_memory_grows_by_a_small_constant_per_node():
+    # traced peaks at 1,025 nodes: with every node's exponential table built
+    # at once, and each class pinning its node's whole candidate matrix,
+    # measure peaked at about 5 KB per node and reconstruct at about 20 KB
+    grid = GridSpec(B=1.0, L=8, origin=2048, horizon=4096)
+    f = random_nonseparable(grid, grid.horizon - 3, 1.0, seed=3)
+    pair = build_window("rectangular", grid, b=0.25)
+    nodes = TimeNodes.lattice_covering(grid, 1.0)
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ms, measure_peak = traced_peak(lambda: measure(f, pair, nodes))
+    rep, reconstruct_peak = traced_peak(lambda: reconstruct(ms, pair))
+    assert rep.residual <= 1e-8
+    n = len(nodes.times)
+    assert measure_peak <= 2_000 * n, measure_peak
+    assert reconstruct_peak <= 6_000 * n, reconstruct_peak
 
 
 @pytest.mark.slow
