@@ -14,7 +14,6 @@ import csv
 import inspect
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -250,6 +249,9 @@ def measurement_from_obj(obj: Any, where: str) -> MeasurementSet:
     N = int(fq["N"])
     freqs = FrequencyGrid.critical(N, pair.grid.B)
     mags = np.zeros((2, len(nodes.times), 2 * N))
+    # every (w, t_index, n) must come exactly once: a zero-filled gap or an
+    # overwritten duplicate would be recovered from as if it were data
+    seen = np.zeros(mags.shape, dtype=bool)
     windex = {"phi": 0, "psi": 1}
     for row in obj["mags"]:
         try:
@@ -263,7 +265,17 @@ def measurement_from_obj(obj: Any, where: str) -> MeasurementSet:
             raise CliError(
                 f"{where}: magnitude row out of range (t_index {ti}, n {row['n']})"
             )
+        if seen[wi, ti, bi]:
+            raise CliError(
+                f"{where}: repeated magnitude row (w {row['w']}, t_index {ti}, n {bi - N})"
+            )
+        seen[wi, ti, bi] = True
         mags[wi, ti, bi] = val
+    if not seen.all():
+        wi, ti, bi = np.argwhere(~seen)[0]
+        raise CliError(
+            f"{where}: missing magnitude row (w {('phi', 'psi')[wi]}, t_index {ti}, n {bi - N})"
+        )
     return MeasurementSet(pair=pair, nodes=nodes, freqs=freqs, mags=mags)
 
 
@@ -344,65 +356,6 @@ def write_plot_csv(obj: Any, path: Path, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass
-class RunConfig:
-    """Validated command options shared across subcommands."""
-
-    B: Optional[float] = None
-    L: Optional[int] = None
-    a: Optional[float] = None
-    b: Optional[float] = None
-    horizon: Optional[int] = None
-    anchor: str = "none"
-    seed: Optional[int] = None
-    tol: Optional[float] = None
-    profile: str = "rectangular"
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(
-            B=getattr(args, "B", None),
-            L=getattr(args, "L", None),
-            a=getattr(args, "a", None),
-            b=getattr(args, "b", None),
-            horizon=getattr(args, "horizon", None),
-            anchor=getattr(args, "anchor", "none") or "none",
-            seed=getattr(args, "seed", None),
-            tol=getattr(args, "tol", None),
-            profile=getattr(args, "profile", "rectangular") or "rectangular",
-        )
-        for name in ("B", "a", "b", "tol"):
-            v = getattr(cfg, name)
-            if v is not None and not v > 0:
-                raise CliError(f"--{name} must be positive, got {v}")
-        return cfg
-
-    def anchor_value(self, a: float, horizon: int) -> Optional[float]:
-        if self.anchor == "none":
-            return None
-        if self.anchor == "incommensurate":
-            return default_anchor(a, horizon)
-        try:
-            return float(self.anchor)
-        except ValueError:
-            raise CliError(
-                f"--anchor must be 'none', 'incommensurate', or a number, got {self.anchor!r}"
-            )
-
-    def check_grid(self, grid: GridSpec, where: str) -> None:
-        """Flags that duplicate file-borne grid fields must agree with them."""
-        for name, got in (("B", grid.B), ("L", grid.L), ("horizon", grid.horizon)):
-            want = getattr(self, name)
-            if want is not None and float(want) != float(got):
-                raise CliError(
-                    f"--{name} {want} contradicts {where} (grid has {name} = {got})"
-                )
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -413,23 +366,47 @@ def _refuse_given(args: argparse.Namespace, names: Sequence[str], why: str) -> N
         raise CliError(f"{', '.join(given)}: {why}")
 
 
-def cmd_measure(config: RunConfig, args: argparse.Namespace) -> int:
+def _window(args: argparse.Namespace, grid: GridSpec) -> WindowPair:
+    return build_window(args.profile or "rectangular", grid, b=args.b)
+
+
+def _lattice(args: argparse.Namespace, grid: GridSpec) -> TimeNodes:
+    """Nodes at step --a (default B) covering the grid, plus the --anchor node if any."""
+    a = args.a if args.a is not None else grid.B
+    anchor = args.anchor or "none"
+    t0: Optional[float] = None
+    if anchor == "incommensurate":
+        t0 = default_anchor(a, grid.horizon)
+    elif anchor != "none":
+        try:
+            t0 = float(anchor)
+        except ValueError:
+            raise CliError(
+                f"--anchor must be 'none', 'incommensurate', or a number, got {anchor!r}"
+            )
+    return TimeNodes.lattice_covering(grid, a, t0)
+
+
+def cmd_measure(args: argparse.Namespace) -> int:
     sig = load_signal(Path(args.signal))
     grid = sig.grid
-    config.check_grid(grid, args.signal)
-    pair = build_window(config.profile, grid, b=config.b)
-    a = config.a if config.a is not None else grid.B
-    nodes = TimeNodes.lattice_covering(grid, a, config.anchor_value(a, grid.horizon))
+    # flags that duplicate file-borne grid fields must agree with them
+    for name, got in (("B", grid.B), ("L", grid.L), ("horizon", grid.horizon)):
+        want = getattr(args, name)
+        if want is not None and float(want) != float(got):
+            raise CliError(f"--{name} {want} contradicts {args.signal} (grid has {name} = {got})")
+    pair = _window(args, grid)
+    nodes = _lattice(args, grid)
     ms = measure(sig, pair, nodes)
     out = Path(args.out)
     dump_json(measurement_to_obj(ms), out)
     if args.csv:
         write_measurement_csv(ms, Path(args.csv))
-    print(f"wrote {out}: {len(nodes.times)} nodes x {2 * ms.freqs.N} bins, a = {_g17(a)}")
+    print(f"wrote {out}: {len(nodes.times)} nodes x {2 * ms.freqs.N} bins, a = {_g17(nodes.a)}")
     return 0
 
 
-def cmd_recover(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_recover(args: argparse.Namespace) -> int:
     ms = load_measurement(Path(args.measurement))
     rep = reconstruct(ms, ms.pair)
     dump_json(report_to_obj(rep), Path(args.report))
@@ -439,15 +416,11 @@ def cmd_recover(config: RunConfig, args: argparse.Namespace) -> int:
     return 0 if rep.ambiguity == "phase_only" else 2
 
 
-def cmd_forge(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_forge(args: argparse.Namespace) -> int:
     accepted = inspect.signature(FORGES[args.claim]).parameters
     _refuse_given(args, [n for n in ("B", "a", "seed") if n not in accepted],
                   f"not accepted by forge {args.claim}")
-    kwargs = {
-        name: val
-        for name, val in (("B", config.B), ("a", config.a), ("seed", config.seed))
-        if val is not None
-    }
+    kwargs = {n: getattr(args, n) for n in ("B", "a", "seed") if getattr(args, n) is not None}
     fp = forge(args.claim, **kwargs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -471,7 +444,7 @@ def cmd_forge(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_pair(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_verify_pair(args: argparse.Namespace) -> int:
     if args.manifest:
         _refuse_given(args, ("f", "g", "a", "b", "anchor", "profile"),
                       "not accepted with --manifest, which brings the signals, nodes and window")
@@ -491,16 +464,13 @@ def _verify_pair(config: RunConfig, args: argparse.Namespace) -> int:
             raise CliError("verify pair needs --manifest or both --f and --g")
         f = load_signal(Path(args.f))
         g = load_signal(Path(args.g))
-        pair = build_window(config.profile, f.grid, b=config.b)
-        a = config.a if config.a is not None else f.grid.B
-        nodes = TimeNodes.lattice_covering(
-            f.grid, a, config.anchor_value(a, f.grid.horizon)
-        )
+        pair = _window(args, f.grid)
+        nodes = _lattice(args, f.grid)
     if f.grid != g.grid:
         raise CliError("the two signals live on different grids")
     ms_f = measure(f, pair, nodes)
     ms_g = measure(g, pair, nodes)
-    tol = {} if config.tol is None else {"tol": config.tol}
+    tol = {} if args.tol is None else {"tol": args.tol}
     equal, dev = measurements_equal(ms_f, ms_g, **tol)
     equivalent = pair_equivalent(
         f.samples, g.samples, allow_reflection=(nodes.mode == "lattice")
@@ -524,21 +494,20 @@ def _verify_pair(config: RunConfig, args: argparse.Namespace) -> int:
             Path(args.out),
         )
     print(f"{verdict} (sup dev {dev:.3e}, aligned distance {distance:.3f})")
-    if args.expect == "counterexample":
-        return 0 if verdict == "equal measurements, inequivalent signals" else 1
-    if args.expect == "equivalent":
-        return 0 if verdict == "equivalent" else 1
-    return 0
+    wanted = {
+        "counterexample": "equal measurements, inequivalent signals",
+        "equivalent": "equivalent",
+    }
+    return 0 if args.expect is None or verdict == wanted[args.expect] else 1
 
 
-def _verify_oracle(config: RunConfig, args: argparse.Namespace) -> int:
-    if config.B is None or config.L is None or config.horizon is None:
+def cmd_verify_oracle(args: argparse.Namespace) -> int:
+    if args.B is None or args.L is None or args.horizon is None:
         raise CliError("verify oracle needs --B, --L, and --horizon")
-    origin = args.origin if args.origin is not None else config.horizon // 2
-    grid = GridSpec(B=config.B, L=int(config.L), origin=origin, horizon=int(config.horizon))
-    pair = build_window(config.profile, grid, b=config.b)
-    a = config.a if config.a is not None else grid.B
-    nodes = TimeNodes.lattice_covering(grid, a, config.anchor_value(a, grid.horizon))
+    origin = args.origin if args.origin is not None else args.horizon // 2
+    grid = GridSpec(B=args.B, L=args.L, origin=origin, horizon=args.horizon)
+    pair = _window(args, grid)
+    nodes = _lattice(args, grid)
     cells = (
         [int(c) for c in args.cells.split(",")]
         if args.cells
@@ -555,11 +524,8 @@ def _verify_oracle(config: RunConfig, args: argparse.Namespace) -> int:
         f"{report.class_count} classes, {report.violation_count} violations "
         f"({report.elapsed:.1f}s)"
     )
-    if args.expect == "none":
-        return 0 if report.unique else 1
-    if args.expect == "some":
-        return 0 if not report.unique else 1
-    return 0
+    wanted = {"none": True, "some": False}
+    return 0 if args.expect is None or report.unique == wanted[args.expect] else 1
 
 
 def _oracle_report_obj(report: OracleReport) -> Dict[str, Any]:
@@ -578,20 +544,14 @@ def _oracle_report_obj(report: OracleReport) -> Dict[str, Any]:
     }
 
 
-def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    if args.mode == "pair":
-        return _verify_pair(config, args)
-    return _verify_oracle(config, args)
-
-
-def cmd_plot(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_plot(args: argparse.Namespace) -> int:
     path = Path(args.input)
     write_plot_csv(load_json(path), Path(args.out), str(path))
     print(f"wrote {args.out}")
     return 0
 
 
-def cmd_selftest(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     numbers = None
     if args.criteria:
         numbers = [int(c) for c in args.criteria.split(",")]
@@ -605,33 +565,29 @@ def cmd_selftest(config: RunConfig, args: argparse.Namespace) -> int:
 # parser
 
 
+#: Flags shared by several subcommands, by name, in the order they are added.
+_COMMON: Dict[str, Dict[str, Any]] = {
+    "B": dict(type=float, help="half window support"),
+    "L": dict(type=int, help="cells per window support"),
+    "a": dict(type=float, help="time lattice step (default B)"),
+    "b": dict(type=float, help="second-window modulation (default 1/(4B))"),
+    "horizon": dict(type=int, help="total grid length"),
+    "seed": dict(type=int, help="deterministic seed"),
+    "tol": dict(type=float, help="sup-norm bound for equal measurements"),
+    "anchor": dict(
+        metavar="{none,incommensurate,value}",
+        help="extra off-lattice node: none (default), incommensurate, or a number",
+    ),
+    "profile": dict(
+        choices=("rectangular", "raised_cosine"), help="window profile (default rectangular)"
+    ),
+}
+
+
 def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
-    if "B" in names:
-        sp.add_argument("--B", type=float, help="half window support")
-    if "L" in names:
-        sp.add_argument("--L", type=int, help="cells per window support")
-    if "a" in names:
-        sp.add_argument("--a", type=float, help="time lattice step (default B)")
-    if "b" in names:
-        sp.add_argument("--b", type=float, help="second-window modulation (default 1/(4B))")
-    if "horizon" in names:
-        sp.add_argument("--horizon", type=int, help="total grid length")
-    if "seed" in names:
-        sp.add_argument("--seed", type=int, help="deterministic seed")
-    if "tol" in names:
-        sp.add_argument("--tol", type=float, help="sup-norm bound for equal measurements")
-    if "anchor" in names:
-        sp.add_argument(
-            "--anchor",
-            metavar="{none,incommensurate,value}",
-            help="extra off-lattice node: none (default), incommensurate, or a number",
-        )
-    if "profile" in names:
-        sp.add_argument(
-            "--profile",
-            choices=("rectangular", "raised_cosine"),
-            help="window profile (default rectangular)",
-        )
+    for name in _COMMON:
+        if name in names:
+            sp.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -674,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit nonzero unless the verdict matches",
     )
     _add_common(vp, "a", "b", "anchor", "profile", "tol")
-    vp.set_defaults(func=cmd_verify)
+    vp.set_defaults(func=cmd_verify_pair)
     vo = vsub.add_parser("oracle", help="exhaustive alphabet-family uniqueness scan")
     vo.add_argument("--origin", type=int, help="grid origin index (default horizon/2)")
     vo.add_argument("--cells", help="comma-separated support cells (default all)")
@@ -685,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="expected violations; exit nonzero on mismatch",
     )
     _add_common(vo, "B", "L", "a", "b", "horizon", "anchor", "profile")
-    vo.set_defaults(func=cmd_verify)
+    vo.set_defaults(func=cmd_verify_oracle)
 
     sp = sub.add_parser("plot", help="emit plot-ready CSV from a JSON file")
     sp.add_argument("input", help="measurement, signal, or report JSON file")
@@ -702,8 +658,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return args.func(config, args)
+        for name in ("B", "a", "b", "tol"):
+            v = getattr(args, name, None)
+            if v is not None and not v > 0:
+                raise CliError(f"--{name} must be positive, got {v}")
+        return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,22 +46,27 @@ class ForgedPair:
     params: Dict[str, object] = field(default_factory=dict)
 
 
-def _seal(pair: ForgedPair) -> ForgedPair:
-    """Verify the forge's two claims numerically before releasing the pair."""
-    mf = measure(pair.f, pair.pair, pair.nodes)
-    mg = measure(pair.g, pair.pair, pair.nodes)
-    dev = float(np.max(np.abs(mf.mags - mg.mags)))
+def _seal(
+    claim: str, f: Signal, g: Signal, nodes: TimeNodes, params: Dict[str, object]
+) -> ForgedPair:
+    """Verify the forge's two claims numerically, then release the pair on the
+    rectangular window with ``measurement_sup_dev`` added to its params."""
+    pair = build_window("rectangular", f.grid)
+    min_distance = global_phase_align(f, g).residual
+    dev = float(np.max(np.abs(measure(f, pair, nodes).mags - measure(g, pair, nodes).mags)))
     if dev > FORGE_EQUALITY_TOL:
         raise RuntimeError(
-            f"forge {pair.claim!r} produced unequal measurements (sup dev {dev:.3e})"
+            f"forge {claim!r} produced unequal measurements (sup dev {dev:.3e})"
         )
-    if pair.min_distance < MIN_FORGE_DISTANCE:
+    if min_distance < MIN_FORGE_DISTANCE:
         raise RuntimeError(
-            f"forge {pair.claim!r} produced nearly equivalent signals "
-            f"(distance {pair.min_distance:.3e})"
+            f"forge {claim!r} produced nearly equivalent signals "
+            f"(distance {min_distance:.3e})"
         )
-    pair.params["measurement_sup_dev"] = dev
-    return pair
+    return ForgedPair(
+        f=f, g=g, nodes=nodes, pair=pair, claim=claim, min_distance=min_distance,
+        params={**params, "measurement_sup_dev": dev},
+    )
 
 
 def forge_separable(
@@ -96,17 +101,7 @@ def forge_separable(
     if not is_separable(f, 2 * grid.B - a):
         raise RuntimeError("separable forge failed its own separability predicate")
     nodes = TimeNodes.lattice_covering(grid, a, anchor=default_anchor(a, grid.horizon))
-    return _seal(
-        ForgedPair(
-            f=f,
-            g=g,
-            nodes=nodes,
-            pair=build_window("rectangular", grid),
-            claim="separable_gap",
-            min_distance=global_phase_align(f, g).residual,
-            params={"B": grid.B, "a": a, "seed": seed},
-        )
-    )
+    return _seal("separable_gap", f, g, nodes, {"B": grid.B, "a": a, "seed": seed})
 
 
 def forge_wide_step(
@@ -146,17 +141,8 @@ def forge_wide_step(
     g = Signal(grid, gv)
     anchor = a * (1.5 + 0.5 / grid.horizon)
     nodes = TimeNodes.lattice_covering(grid, a, anchor=anchor)
-    return _seal(
-        ForgedPair(
-            f=f,
-            g=g,
-            nodes=nodes,
-            pair=build_window("rectangular", grid),
-            claim="wide_step",
-            min_distance=global_phase_align(f, g).residual,
-            params={"B": grid.B, "a": a, "seed": seed, "strip": (-half, half)},
-        )
-    )
+    params = {"B": grid.B, "a": a, "seed": seed, "strip": (-half, half)}
+    return _seal("wide_step", f, g, nodes, params)
 
 
 def forge_rational_periodic(
@@ -218,17 +204,8 @@ def forge_rational_periodic(
         grid,
     )
     nodes = TimeNodes.two_lines(t0, t1)
-    return _seal(
-        ForgedPair(
-            f=f,
-            g=g,
-            nodes=nodes,
-            pair=build_window("rectangular", grid),
-            claim="rational_periodic",
-            min_distance=global_phase_align(f, g).residual,
-            params={"T": T, "q": q, "t0": t0, "t1": t1, "p": p, "c0": c0, "cq": cq},
-        )
-    )
+    params = {"T": T, "q": q, "t0": t0, "t1": t1, "p": p, "c0": c0, "cq": cq}
+    return _seal("rational_periodic", f, g, nodes, params)
 
 
 def forge_quasiperiodic_flip(
@@ -277,17 +254,8 @@ def forge_quasiperiodic_flip(
         -grid.B + 2 * T,
         grid.B + T,
     )
-    return _seal(
-        ForgedPair(
-            f=f,
-            g=g,
-            nodes=nodes,
-            pair=build_window("rectangular", grid),
-            claim="quasiperiodic_flip",
-            min_distance=global_phase_align(f, g).residual,
-            params={"T": T, "alpha": alpha, "c": c, "figure_abscissae": labels},
-        )
-    )
+    params = {"T": T, "alpha": alpha, "c": c, "figure_abscissae": labels}
+    return _seal("quasiperiodic_flip", f, g, nodes, params)
 
 
 def forge_rational_lattice(
@@ -321,17 +289,7 @@ def forge_rational_lattice(
     m_lo = math.ceil((x[0] + grid.B) / a - 1e-9)
     m_hi = math.floor((x[-1] + grid.delta - grid.B) / a + 1e-9)
     nodes = TimeNodes.lattice(a, range(m_lo, m_hi + 1))
-    return _seal(
-        ForgedPair(
-            f=f,
-            g=g,
-            nodes=nodes,
-            pair=build_window("rectangular", grid),
-            claim="rational_lattice",
-            min_distance=global_phase_align(f, g).residual,
-            params={"a": a, "k_a": k_a},
-        )
-    )
+    return _seal("rational_lattice", f, g, nodes, {"a": a, "k_a": k_a})
 
 
 #: Every forge by its claim name.

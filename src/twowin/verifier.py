@@ -256,8 +256,14 @@ def uniqueness_oracle(
 
 def alphabet_family(grid: GridSpec, support_cells: Sequence[int]) -> Tuple[np.ndarray, str]:
     """All signals with a value from {0, 1, i, -1} on each of the given
-    cells, zero elsewhere."""
+    cells, zero elsewhere.  Each cell must be a distinct grid index: numpy
+    would wrap a negative one and a repeat would yield duplicate rows."""
     cells = list(support_cells)
+    for i, c in enumerate(cells):
+        if c in cells[:i]:
+            raise ValueError(f"support cell {c} is repeated")
+        if not 0 <= c < grid.horizon:
+            raise ValueError(f"support cell {c} is outside 0..{grid.horizon - 1}")
     letters = np.array([0, 1, 1j, -1], dtype=np.complex128)
     n = len(letters) ** len(cells)
     digits = np.stack(

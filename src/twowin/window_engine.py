@@ -122,7 +122,7 @@ def derive_second_window(phi: np.ndarray, grid: GridSpec, b: float) -> np.ndarra
     return phi * (np.exp(2j * np.pi * u * b) - 1.0)
 
 
-def _validate_pair(grid: GridSpec, b: float, phi: np.ndarray, psi: np.ndarray) -> None:
+def _validate_pair(grid: GridSpec, b: float, phi: np.ndarray) -> None:
     if not 0 < b <= 1.0 / (2.0 * grid.B) + 1e-15:
         raise WindowValidationError(
             "modulation step range",
@@ -146,12 +146,6 @@ def _validate_pair(grid: GridSpec, b: float, phi: np.ndarray, psi: np.ndarray) -
     bad = np.flatnonzero(mods < EPS_WIN)
     if bad.size:
         raise WindowValidationError("nonvanishing", int(bad[0]), f"|phi|={mods[bad[0]]!r} < {EPS_WIN}")
-    expected = derive_second_window(phi, grid, b)
-    err = np.max(np.abs(psi - expected))
-    if err > 1e-12 * scale:
-        raise WindowValidationError(
-            "second window consistency", int(np.argmax(np.abs(psi - expected))), f"max deviation {err!r}"
-        )
 
 
 def build_window(
@@ -199,7 +193,7 @@ def build_window(
         if phi.shape != (grid.L,):
             raise ValueError(f"user window needs {grid.L} slot samples, got shape {phi.shape}")
     psi = derive_second_window(phi, grid, b)
-    _validate_pair(grid, float(b), phi, psi)
+    _validate_pair(grid, float(b), phi)
     phi = phi.copy()
     psi = psi.copy()
     phi.setflags(write=False)

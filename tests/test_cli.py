@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -423,3 +424,108 @@ def test_selftest_subset(run_cli):
     code, out, _ = run_cli("selftest", "--criteria", "3")
     assert code == 0
     assert "criterion  3 [PASS]" in out
+
+
+def _option_table(parser):
+    """{subcommand: sorted option strings} over every (nested) subparser."""
+    table = {}
+
+    def walk(p, prefix):
+        subs = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            table[prefix] = sorted(
+                s for a in p._actions for s in (a.option_strings or [a.dest])
+            )
+        for action in subs:
+            for name, child in action.choices.items():
+                walk(child, f"{prefix} {name}".strip())
+
+    walk(parser, "")
+    return table
+
+
+def test_cli_option_table_is_pinned():
+    assert _option_table(cli.build_parser()) == {
+        "measure": sorted([
+            "-h", "--help", "signal", "--out", "--csv", "--B", "--L", "--a", "--b",
+            "--horizon", "--anchor", "--profile",
+        ]),
+        "recover": sorted(["-h", "--help", "measurement", "--report", "--signal-out"]),
+        "forge": sorted(["-h", "--help", "claim", "--outdir", "--B", "--a", "--seed"]),
+        "verify pair": sorted([
+            "-h", "--help", "--manifest", "--f", "--g", "--out", "--expect", "--a", "--b",
+            "--anchor", "--profile", "--tol",
+        ]),
+        "verify oracle": sorted([
+            "-h", "--help", "--origin", "--cells", "--out", "--expect", "--B", "--L", "--a",
+            "--b", "--horizon", "--anchor", "--profile",
+        ]),
+        "plot": sorted(["-h", "--help", "input", "--out"]),
+        "selftest": sorted(["-h", "--help", "--criteria"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "oracle", "--B", 0, "--L", 4, "--horizon", 4],
+         "error: --B must be positive, got 0.0\n"),
+        (["measure", "{sig}", "--out", "{tmp}/m.json", "--a", -1],
+         "error: --a must be positive, got -1.0\n"),
+        (["forge", "separable_gap", "--outdir", "{tmp}", "--a", 0],
+         "error: --a must be positive, got 0.0\n"),
+        (["measure", "{sig}", "--out", "{tmp}/m.json", "--b", "-0.25"],
+         "error: --b must be positive, got -0.25\n"),
+        (["verify", "pair", "--f", "{sig}", "--g", "{sig}", "--tol", 0],
+         "error: --tol must be positive, got 0.0\n"),
+        (["measure", "{sig}", "--out", "{tmp}/m.json", "--anchor", "bogus"],
+         "error: --anchor must be 'none', 'incommensurate', or a number, got 'bogus'\n"),
+        (["verify", "pair", "--f", "{sig}", "--g", "{sig}", "--anchor", "bogus"],
+         "error: --anchor must be 'none', 'incommensurate', or a number, got 'bogus'\n"),
+        (["verify", "oracle", "--B", 1, "--L", 4, "--horizon", 4, "--anchor", "bogus"],
+         "error: --anchor must be 'none', 'incommensurate', or a number, got 'bogus'\n"),
+    ],
+)
+def test_nonpositive_and_unparsable_flags_exit_one(
+    run_cli, tmp_path, generic_signal, argv, message
+):
+    _, sig_path = generic_signal
+    argv = [str(a).format(sig=sig_path, tmp=tmp_path) for a in argv]
+    assert run_cli(*argv) == (1, "", message)
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # node 4's 32 rows dropped: no longer misread as a broken propagation
+        (lambda rows: [r for r in rows if r["t_index"] != 4],
+         "missing magnitude row (w phi, t_index 4, n -8)"),
+        (lambda rows: rows[:-1], "missing magnitude row (w psi, t_index 8, n 7)"),
+        (lambda rows: rows + [dict(rows[40], value=0.0)],
+         "repeated magnitude row (w phi, t_index 2, n 0)"),
+        (lambda rows: [rows[0]] + rows, "repeated magnitude row (w phi, t_index 0, n -8)"),
+    ],
+    ids=["node-4-dropped", "last-row-dropped", "row-repeated-later", "first-row-repeated"],
+)
+def test_recover_refuses_rows_not_given_exactly_once(
+    run_cli, tmp_path, generic_signal, edit, message
+):
+    _, sig_path = generic_signal
+    m_path = tmp_path / "m.json"
+    run_cli("measure", sig_path, "--out", m_path)
+    obj = json.loads(m_path.read_text())
+    assert len(obj["mags"]) == 288
+    obj["mags"] = edit(obj["mags"])
+    m_path.write_text(json.dumps(obj))
+    code, out, err = run_cli("recover", m_path, "--report", tmp_path / "r.json")
+    assert (code, out, err) == (1, "", f"error: {m_path}: {message}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("cells", ["--cells=-1,3", "--cells=3,-1", "--cells=2,2"])
+def test_verify_oracle_refuses_wrapped_and_repeated_cells(run_cli, cells):
+    code, out, err = run_cli("verify", "oracle", "--B", 1, "--L", 4, "--horizon", 4, cells)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError: support cell ")

@@ -338,6 +338,22 @@ def test_alphabet_family_shape():
     assert "16 signals" in desc
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([-1, 3], "support cell -1 is outside 0..3"),
+        ([1, 4], "support cell 4 is outside 0..3"),
+        ([2, 2], "support cell 2 is repeated"),
+        ([0, 1, 0, 7], "support cell 0 is repeated"),
+    ],
+)
+def test_alphabet_family_refuses_wrapped_and_repeated_cells(cells, message):
+    # numpy would wrap -1 onto cell 3, and a repeat gives duplicate rows
+    with pytest.raises(ValueError) as exc:
+        alphabet_family(TINY, cells)
+    assert str(exc.value) == message
+
+
 def test_trig_family_rows_evaluate_their_coefficients():
     grid = GridSpec(B=1.0, L=8, origin=8, horizon=24)
     samples, coeffs, desc = trig_family(grid, T=1.5, degree=1)
