@@ -50,7 +50,8 @@ class CliError(Exception):
 
 
 def _render(obj: Any, ind: str = "") -> str:
-    """Serialize to JSON text with floats at 17 significant digits."""
+    """Serialize to JSON text with floats at 17 significant digits and
+    complex numbers as [re, im]."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -73,6 +74,8 @@ def _render(obj: Any, ind: str = "") -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _render(_c2l(complex(obj)), ind)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -93,21 +96,6 @@ def load_json(path: Path) -> Any:
 
 def _c2l(z: complex) -> List[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _plain(v: Any) -> Any:
-    """Reduce parameter values to JSON-friendly shapes (complex -> [re, im])."""
-    if isinstance(v, dict):
-        return {str(k): _plain(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    if isinstance(v, (complex, np.complexfloating)):
-        return _c2l(complex(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +419,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
     manifest = {
         "claim": fp.claim,
         "min_distance": float(fp.min_distance),
-        "params": _plain(fp.params),
+        "params": fp.params,
         "files": {"f": f_path.name, "g": g_path.name},
         "nodes": nodes_to_obj(fp.nodes),
         "window": {"b": float(fp.pair.b), "profile": fp.pair.profile},

@@ -69,20 +69,14 @@ def _seal(
     )
 
 
-def forge_separable(
-    B: float = 1.0,
-    a: Optional[float] = None,
-    grid: Optional[GridSpec] = None,
-    seed: int = 0,
-) -> ForgedPair:
+def forge_separable(B: float = 1.0, a: Optional[float] = None, seed: int = 0) -> ForgedPair:
     """Signal vanishing on [-B, B-a] and its right-side phase flip.
 
     Every admissible node window sees only one side of the gap, so flipping
     the phase of the whole right part is invisible to the magnitudes, on the
     lattice and at any anchor outside (-a, 0).
     """
-    if grid is None:
-        grid = GridSpec(B=B, L=8, origin=32, horizon=64)
+    grid = GridSpec(B=B, L=8, origin=32, horizon=64)
     if a is None:
         a = grid.B
     if a > grid.B + 1e-12:
@@ -104,12 +98,7 @@ def forge_separable(
     return _seal("separable_gap", f, g, nodes, {"B": grid.B, "a": a, "seed": seed})
 
 
-def forge_wide_step(
-    B: float = 1.0,
-    a: float = 1.5,
-    grid: Optional[GridSpec] = None,
-    seed: int = 3,
-) -> ForgedPair:
+def forge_wide_step(B: float = 1.0, a: float = 1.5, seed: int = 3) -> ForgedPair:
     """Pair for an oversized lattice step a > B.
 
     The signal satisfies f(x) = -conj(f(-x)) outside the middle strip
@@ -118,12 +107,10 @@ def forge_wide_step(
     slot reflection (magnitudes preserved), and every node with |t| >= a
     misses the strip entirely, so even far anchors cannot help.
     """
-    if grid is None:
-        grid = GridSpec(B=B, L=9, origin=36, horizon=72)
+    # L is odd so that node 0's cells pair under x -> -x
+    grid = GridSpec(B=B, L=9, origin=36, horizon=72)
     if a <= grid.B + 1e-12:
         raise ValueError(f"wide_step requires a > B, got a = {a!r}")
-    if grid.L % 2 == 0:
-        raise ValueError("wide_step needs an odd cell count L (node-0 cells must pair under x -> -x)")
     rng = np.random.default_rng(seed)
     x = grid.coords()
     vals = rng.standard_normal(grid.horizon) + 1j * rng.standard_normal(grid.horizon)
@@ -149,29 +136,22 @@ def forge_rational_periodic(
     T: Optional[float] = None,
     q: int = 1,
     t0: float = 0.0,
-    c0: complex = 1.0,
     cq: complex = 1j,
-    grid: Optional[GridSpec] = None,
     t1: Optional[float] = None,
 ) -> ForgedPair:
-    """Two-coefficient periodic signal and its conjugate mate on two lines.
+    """Two-coefficient periodic signal (c0 = 1, cq) and its conjugate mate on two lines.
 
     With coefficient support {0, q} the signal has effective period T/q, so
     the reflected mate g_k = conj(c_k) exp(-4 pi i k t0 / T) matches the
     magnitudes on both lines whenever 2(t1 - t0) = p T / q.  By default the
     smallest such offset that lands on the sample grid is used; an explicit
     t1 is refused unless it satisfies the same rational relation.
-
-    The cell count must be odd so window edges fall strictly between grid
-    cells; an edge sitting on a cell breaks the reflection argument at odd
-    frequency bins through the half-open window convention.
     """
-    if grid is None:
-        grid = GridSpec(B=1.0, L=9, origin=9, horizon=27)
-    if grid.L % 2 == 0:
-        raise ValueError(
-            "rational_periodic needs an odd cell count L so window edges avoid grid cells"
-        )
+    # L is odd so that window edges fall strictly between grid cells; an edge
+    # sitting on a cell breaks the reflection argument at odd frequency bins
+    # through the half-open window convention
+    grid = GridSpec(B=1.0, L=9, origin=9, horizon=27)
+    c0 = 1.0
     if T is None:
         T = (grid.L - 1) * grid.delta
     if not isinstance(q, int) or q < 1:
@@ -208,22 +188,16 @@ def forge_rational_periodic(
     return _seal("rational_periodic", f, g, nodes, params)
 
 
-def forge_quasiperiodic_flip(
-    B: float = 1.0,
-    T: float = 1.5,
-    alpha: float = 0.5,
-    c: complex = 1.0,
-    grid: Optional[GridSpec] = None,
-) -> ForgedPair:
+def forge_quasiperiodic_flip(B: float = 1.0, T: float = 1.5, alpha: float = 0.5) -> ForgedPair:
     """Step trains distinguished only by a per-period sign flip.
 
-    Both signals are c on the half-open pieces [mT + B - T, mT + alpha T - B);
+    Both signals are c = 1 on the half-open pieces [mT + B - T, mT + alpha T - B);
     the mate carries (-1)^m on piece m.  The first line's window sees only
     piece 0 (where they agree) and the second line's only piece 1 (where they
     differ by a sign), so the two-line magnitudes coincide exactly.
     """
-    if grid is None:
-        grid = GridSpec(B=B, L=8, origin=8, horizon=24)
+    grid = GridSpec(B=B, L=8, origin=8, horizon=24)
+    c = 1.0
     if not (grid.B < T < 2 * grid.B):
         raise ValueError(f"need B < T < 2B, got T = {T!r}")
     if not (2 * grid.B / T - 1 < alpha < 1):
@@ -258,10 +232,7 @@ def forge_quasiperiodic_flip(
     return _seal("quasiperiodic_flip", f, g, nodes, params)
 
 
-def forge_rational_lattice(
-    a: Optional[float] = None,
-    grid: Optional[GridSpec] = None,
-) -> ForgedPair:
+def forge_rational_lattice(a: Optional[float] = None) -> ForgedPair:
     """Full-horizon pair equal on a bare lattice but split by any good anchor.
 
     f = (2 + sin(pi x / a)) e^{i pi x / (6a)} and g flips the sine's sign.
@@ -269,12 +240,10 @@ def forge_rational_lattice(
     sees g as a slot reflection of f and the magnitudes agree; an anchor off
     the half-lattice breaks the relation.
     """
-    if grid is None:
-        grid = GridSpec(B=1.0, L=9, origin=48, horizon=96)
+    # L is odd so that each node's cells pair under reflection
+    grid = GridSpec(B=1.0, L=9, origin=48, horizon=96)
     if a is None:
         a = 2 * grid.delta
-    if grid.L % 2 == 0:
-        raise ValueError("rational_lattice needs an odd cell count L (node cells must pair under reflection)")
     k_a = grid.cells(a, "lattice step a")
     if grid.horizon % (12 * k_a) != 0:
         raise ValueError(
@@ -285,10 +254,7 @@ def forge_rational_lattice(
     carrier = np.exp(1j * np.pi * x / (6 * a))
     f = Signal(grid, (2 + np.sin(np.pi * x / a)) * carrier)
     g = Signal(grid, (2 - np.sin(np.pi * x / a)) * carrier)
-    # nodes whose windows sit fully inside the horizon
-    m_lo = math.ceil((x[0] + grid.B) / a - 1e-9)
-    m_hi = math.floor((x[-1] + grid.delta - grid.B) / a + 1e-9)
-    nodes = TimeNodes.lattice(a, range(m_lo, m_hi + 1))
+    nodes = TimeNodes.lattice(a, TimeNodes.inside_range(grid, a))
     return _seal("rational_lattice", f, g, nodes, {"a": a, "k_a": k_a})
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,6 +118,12 @@ class TimeNodes:
             raise ValueError("node set must be nonempty")
         if self.mode == "two_lines" and len(self.times) != 2:
             raise ValueError("two_lines mode needs exactly two node times")
+        # only lattice_plus_anchor has an anchor, and it is stored last
+        want = len(self.times) - 1 if self.mode == "lattice_plus_anchor" else None
+        if self.anchor_index != want:
+            raise ValueError(
+                f"anchor_index must be {want} in node mode {self.mode!r}, got {self.anchor_index!r}"
+            )
 
     @classmethod
     def lattice(cls, a: float, m_range: Sequence[int]) -> "TimeNodes":
@@ -128,14 +134,12 @@ class TimeNodes:
 
     @classmethod
     def lattice_plus_anchor(cls, a: float, m_range: Sequence[int], t0: float) -> "TimeNodes":
-        if a <= 0:
-            raise ValueError(f"lattice step must be positive, got {a}")
+        times = cls.lattice(a, m_range).times + (float(t0),)
         frac = t0 / a - round(t0 / a)
         if abs(frac) <= 1e-9:
             raise ValueError(
                 f"anchor t0={t0!r} coincides with a lattice node; it must sit strictly between nodes"
             )
-        times = tuple(float(m) * a for m in m_range) + (float(t0),)
         return cls(
             mode="lattice_plus_anchor", times=times, a=float(a), anchor_index=len(times) - 1
         )
@@ -160,11 +164,24 @@ class TimeNodes:
             return cls.lattice(a, m_range)
         return cls.lattice_plus_anchor(a, m_range, anchor)
 
+    @staticmethod
+    def inside_range(grid: GridSpec, a: float) -> range:
+        """The lattice indices m whose node windows [ma - B, ma + B) sit
+        wholly inside the horizon; empty when no window fits."""
+        x_lo = float(grid.x(0))
+        x_hi = float(grid.x(grid.horizon - 1)) + grid.delta
+        m_lo = math.ceil((x_lo + grid.B) / a - 1e-9)
+        m_hi = math.floor((x_hi - grid.B) / a + 1e-9)
+        return range(m_lo, m_hi + 1)
+
+    @property
+    def lattice_rows(self) -> List[int]:
+        """Row indices of the lattice nodes: every node but the anchor."""
+        return [i for i in range(len(self.times)) if i != self.anchor_index]
+
     @property
     def lattice_times(self) -> Tuple[float, ...]:
-        if self.anchor_index is None:
-            return self.times
-        return self.times[: self.anchor_index] + self.times[self.anchor_index + 1 :]
+        return tuple(self.times[i] for i in self.lattice_rows)
 
     @property
     def anchor(self) -> Optional[float]:

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .signal_model import (
+    GridSpec,
     OffGridError,
     PeriodicSpec,
     ReflectionRangeError,
@@ -54,6 +55,10 @@ COND_MAX = 1e6
 
 #: Overlap content below this fraction of the global scale cannot carry phase.
 DEAD_OVERLAP_RTOL = 1e-9
+
+#: Orientations the search may try after the first at a position before it
+#: gives up; a chain that never backtracks costs nothing, whatever its length.
+SEARCH_BUDGET = 100_000
 
 
 class StitchError(Exception):
@@ -270,15 +275,11 @@ def align_overlaps(
 
     # depth first with an explicit stack: frames[p] holds position p's
     # options and how many of them have been placed; the next position to
-    # enter is always len(frames), and entering one costs a budget step
+    # enter is always len(frames).  Only backtracking costs: each orientation
+    # tried after the first at a position takes a budget step
     frames: List[list] = []
-    budget = 100_000
-    while True:
-        if budget <= 0:
-            raise InconsistentMeasurements("orientation search budget exhausted")
-        budget -= 1
-        if len(frames) == len(live):
-            break
+    budget = SEARCH_BUDGET
+    while len(frames) < len(live):
         frames.append([options_at(len(frames)), 0])
         # place the next untried orientation at the deepest open position,
         # undoing the one placed there before (the cells it fills were
@@ -293,6 +294,10 @@ def align_overlaps(
             if i == len(options):
                 frames.pop()
                 continue
+            if i:
+                if budget <= 0:
+                    raise InconsistentMeasurements("orientation search budget exhausted")
+                budget -= 1
             frames[-1][1] = i + 1
             cells, values, lam = options[i]
             assembled[cells] = values
@@ -372,7 +377,7 @@ def resolve_reflection(
     residual read those magnitudes.
     """
     mag_scale = max(float(np.max(ms.mags)), 1e-300)
-    lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
+    lat_rows = nodes.lattice_rows
     direct = assembly.mags
     if nodes.anchor_index is not None:
         # each node's product stands alone, so the anchor row measured by
@@ -418,6 +423,15 @@ def resolve_reflection(
     )
 
 
+def _require_alias_period(ms: MeasurementSet, grid: GridSpec, what: str) -> None:
+    """Refuse data short of the critical grid's one full alias period."""
+    if ms.freqs.mode != "critical" or ms.freqs.N != grid.L:
+        raise ValueError(
+            f"{what} needs the critical frequency grid with one full alias period "
+            f"(N = L = {grid.L})"
+        )
+
+
 def reconstruct(
     ms: MeasurementSet,
     pair: WindowPair,
@@ -444,13 +458,9 @@ def reconstruct(
     if a > grid.B + 1e-12:
         raise ValueError("a > B unsupported for reconstruction")
     grid.cells(a, "lattice step a")
-    if ms.freqs.mode != "critical" or ms.freqs.N != grid.L:
-        raise ValueError(
-            "reconstruction needs the critical frequency grid with one full alias "
-            f"period (N = L = {grid.L})"
-        )
+    _require_alias_period(ms, grid, "reconstruction")
 
-    lat_rows = [i for i in range(len(nodes.times)) if i != nodes.anchor_index]
+    lat_rows = nodes.lattice_rows
     lattice_mags = ms.mags[:, lat_rows, :]
     scale = float(np.max(lattice_mags)) if lat_rows else 0.0
     classes = [
@@ -460,7 +470,7 @@ def reconstruct(
         classes,
         pair,
         a,
-        times=[nodes.times[i] for i in lat_rows],
+        times=nodes.lattice_times,
         lattice_mags=lattice_mags,
         freqs=ms.freqs,
     )
@@ -497,11 +507,7 @@ def periodic_verdict(
             f"family bound Q = {Q} needs 2Q+1 sample cells per period and per "
             f"window, got min(L, T/delta) = {min(grid.L, k_T)}"
         )
-    if ms.freqs.mode != "critical" or ms.freqs.N != grid.L:
-        raise ValueError(
-            "periodic verdict needs the critical frequency grid with one full "
-            f"alias period (N = L = {grid.L})"
-        )
+    _require_alias_period(ms, grid, "periodic verdict")
 
     t0 = nodes.times[0]
     scale = float(np.max(ms.mags))

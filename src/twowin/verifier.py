@@ -357,10 +357,6 @@ def per_window_gluing_check(
     return True
 
 
-def _raw_segment(f: Signal, t: float) -> np.ndarray:
-    return node_segment(f.grid, t, f.samples).samples
-
-
 def lemma32_equivalence_check(f: Signal, g: Signal, pair: WindowPair, t: float) -> bool:
     """Truth of the single-node biconditional: the two windows' magnitudes at
     t agree exactly when the signals restricted to the node window agree up
@@ -371,7 +367,7 @@ def lemma32_equivalence_check(f: Signal, g: Signal, pair: WindowPair, t: float) 
     """
     nodes = TimeNodes(mode="lattice", times=(float(t),))
     mf = measure(f, pair, nodes)
-    hf = _raw_segment(f, t)
+    hf = node_segment(f.grid, t, f.samples).samples
     rng = np.random.default_rng(0)
     outcomes = []
     for trial in range(9):
@@ -381,7 +377,7 @@ def lemma32_equivalence_check(f: Signal, g: Signal, pair: WindowPair, t: float) 
         mg = measure(gs, pair, nodes)
         scale = max(float(np.max(mf.mags)), float(np.max(mg.mags)), 1.0)
         lhs = float(np.max(np.abs(mf.mags - mg.mags))) <= 1e-10 * scale
-        hg = _raw_segment(gs, t)
+        hg = node_segment(gs.grid, t, gs.samples).samples
         rhs = phase_residuals(hf, hg) <= EQUIV_TOL
         if not rhs:
             mate = slot_reflect(hg)
@@ -418,21 +414,18 @@ def semidiscrete_refinement_check(
     grid = f.grid
     if a0 is None:
         a0 = grid.B
-    x_lo = float(grid.x(0))
-    x_hi = float(grid.x(grid.horizon - 1)) + grid.delta
     phase_eq = equivalent_up_to_phase(f, g)
     forced = 0 if phase_eq else None
     steps: List[float] = []
     devs: List[float] = []
     for level in range(4):
         step = a0 / 2 ** level
-        m_lo = int(np.ceil((x_lo + grid.B) / step - 1e-9))
-        m_hi = int(np.floor((x_hi - grid.B) / step + 1e-9))
+        m_range = TimeNodes.inside_range(grid, step)
         steps.append(step)
-        if m_lo > m_hi:
+        if not m_range:
             devs.append(0.0)
             continue
-        nodes = TimeNodes.lattice(step, range(m_lo, m_hi + 1))
+        nodes = TimeNodes.lattice(step, m_range)
         mf = measure(f, pair, nodes)
         mg = measure(g, pair, nodes)
         dev = float(np.max(np.abs(mf.mags - mg.mags)))

@@ -53,6 +53,22 @@ def slot_offsets(grid: GridSpec) -> np.ndarray:
     return (np.arange(grid.L) - s) * grid.delta
 
 
+def _profile(profile: str, params: Dict[str, float], B: float, u: np.ndarray) -> np.ndarray:
+    """An analytic profile's phi at real offsets u, zero outside [-B, B)."""
+    if profile == "rectangular":
+        vals = 1.0 + 0.0j
+    elif profile == "raised_cosine":
+        vals = params["c0"] + params["c1"] * np.cos(np.pi * u / B) + 0.0j
+    else:
+        raise ValueError(f"unknown profile {profile!r}")
+    return np.where((u >= -B) & (u < B), vals, 0.0j)
+
+
+def _modulate(phi: np.ndarray, u: np.ndarray, b: float) -> np.ndarray:
+    """The second window psi = phi * (exp(2 i pi u b) - 1) at offsets u."""
+    return phi * (np.exp(2j * np.pi * u * b) - 1.0)
+
+
 @dataclass(frozen=True)
 class WindowPair:
     """A validated (phi, psi) window pair on a grid.
@@ -76,33 +92,22 @@ class WindowPair:
         """Evaluate phi at arbitrary real offsets; a "user" window has values
         at its slot offsets only and refuses any other with OffGridError."""
         u = np.asarray(u, dtype=float)
-        B = self.grid.B
-        inside = (u >= -B) & (u < B)
-        if self.profile == "rectangular":
-            vals = np.where(inside, 1.0 + 0.0j, 0.0j)
-        elif self.profile == "raised_cosine":
-            c0 = self.params["c0"]
-            c1 = self.params["c1"]
-            vals = np.where(inside, c0 + c1 * np.cos(np.pi * u / B) + 0.0j, 0.0j)
-        elif self.profile == "user":
-            # map offsets back to slot indices; an off-slot offset is refused
-            # by the grid's whole-cell rule
-            cells = [self.grid.cells(float(x), "user window offset") for x in u.ravel()]
-            ji = np.array(cells, dtype=int).reshape(u.shape) + self.grid.L // 2
-            vals = np.where(
-                (ji >= 0) & (ji < self.grid.L) & inside, self.phi[np.clip(ji, 0, self.grid.L - 1)], 0.0j
-            )
-        else:
-            raise ValueError(f"unknown profile {self.profile!r}")
-        return vals
+        if self.profile != "user":
+            return _profile(self.profile, self.params, self.grid.B, u)
+        # map offsets back to slot indices; an off-slot offset is refused by
+        # the grid's whole-cell rule
+        cells = [self.grid.cells(float(x), "user window offset") for x in u.ravel()]
+        ji = np.array(cells, dtype=int).reshape(u.shape) + self.grid.L // 2
+        inside = (ji >= 0) & (ji < self.grid.L) & (u >= -self.grid.B) & (u < self.grid.B)
+        return np.where(inside, self.phi[np.clip(ji, 0, self.grid.L - 1)], 0.0j)
 
     def values_at(self, which: str, u) -> np.ndarray:
-        """phi or psi = phi * (exp(2 i pi u b) - 1) at arbitrary real offsets."""
+        """phi or psi at arbitrary real offsets."""
         if which == "phi":
             return self.phi_at(u)
         if which == "psi":
             u = np.asarray(u, dtype=float)
-            return self.phi_at(u) * (np.exp(2j * np.pi * u * self.b) - 1.0)
+            return _modulate(self.phi_at(u), u, self.b)
         raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
 
     def slot_values(self, which: str) -> np.ndarray:
@@ -111,15 +116,6 @@ class WindowPair:
         if which == "psi":
             return self.psi
         raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
-
-
-def derive_second_window(phi: np.ndarray, grid: GridSpec, b: float) -> np.ndarray:
-    """psi slot samples from phi slot samples: psi = phi * (e^{2 i pi u b} - 1)."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (grid.L,):
-        raise ValueError(f"phi must have {grid.L} slot samples, got shape {phi.shape}")
-    u = slot_offsets(grid)
-    return phi * (np.exp(2j * np.pi * u * b) - 1.0)
 
 
 def _validate_pair(grid: GridSpec, b: float, phi: np.ndarray) -> None:
@@ -175,27 +171,21 @@ def build_window(
     """
     if profile not in PROFILES:
         raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
-    if b is None:
-        b = 1.0 / (4.0 * grid.B)
+    b = 1.0 / (4.0 * grid.B) if b is None else float(b)
     u = slot_offsets(grid)
-    params: Dict[str, float] = {}
-    if profile == "rectangular":
-        phi = np.ones(grid.L, dtype=np.complex128)
-    elif profile == "raised_cosine":
-        if not (c0 > c1 >= 0):
-            raise ValueError(f"raised cosine needs c0 > c1 >= 0, got c0={c0}, c1={c1}")
-        phi = (c0 + c1 * np.cos(np.pi * u / grid.B)).astype(np.complex128)
-        params = {"c0": float(c0), "c1": float(c1)}
-    else:
+    if profile == "raised_cosine" and not (c0 > c1 >= 0):
+        raise ValueError(f"raised cosine needs c0 > c1 >= 0, got c0={c0}, c1={c1}")
+    params = {"c0": float(c0), "c1": float(c1)} if profile == "raised_cosine" else {}
+    if profile == "user":
         if samples is None:
             raise ValueError("user profile requires explicit slot samples")
-        phi = np.asarray(samples, dtype=np.complex128)
+        phi = np.array(samples, dtype=np.complex128)
         if phi.shape != (grid.L,):
             raise ValueError(f"user window needs {grid.L} slot samples, got shape {phi.shape}")
-    psi = derive_second_window(phi, grid, b)
-    _validate_pair(grid, float(b), phi)
-    phi = phi.copy()
-    psi = psi.copy()
+    else:
+        phi = _profile(profile, params, grid.B, u)
+    psi = _modulate(phi, u, b)
+    _validate_pair(grid, b, phi)
     phi.setflags(write=False)
     psi.setflags(write=False)
-    return WindowPair(grid=grid, b=float(b), profile=profile, phi=phi, psi=psi, params=params)
+    return WindowPair(grid=grid, b=b, profile=profile, phi=phi, psi=psi, params=params)

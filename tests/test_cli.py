@@ -529,3 +529,26 @@ def test_verify_oracle_refuses_wrapped_and_repeated_cells(run_cli, cells):
     code, out, err = run_cli("verify", "oracle", "--B", 1, "--L", 4, "--horizon", 4, cells)
     assert (code, out) == (1, "")
     assert err.startswith("error: ValueError: support cell ")
+
+
+@pytest.mark.parametrize(
+    "anchor, edit",
+    [
+        ("incommensurate", {"anchor_index": 99}),
+        ("none", {"anchor_index": 3}),
+    ],
+    ids=["anchor-index-past-the-end", "anchor-index-on-a-bare-lattice"],
+)
+def test_recover_refuses_an_anchor_index_the_node_mode_cannot_have(
+    run_cli, tmp_path, generic_signal, anchor, edit
+):
+    _, sig_path = generic_signal
+    m_path = tmp_path / "m.json"
+    run_cli("measure", sig_path, "--out", m_path, "--anchor", anchor)
+    obj = json.loads(m_path.read_text())
+    obj["nodes"].update(edit)
+    m_path.write_text(json.dumps(obj))
+    code, out, err = run_cli("recover", m_path, "--report", tmp_path / "r.json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {m_path}: bad nodes object (anchor_index ")
+    assert not (tmp_path / "r.json").exists()

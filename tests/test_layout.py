@@ -34,7 +34,7 @@ def test_no_module_imports_another_modules_private_names(path):
 
 
 #: Functions whose recursion depth the report schema bounds.
-RECURSION_ALLOWED = {("cli.py", "_render"), ("cli.py", "_plain")}
+RECURSION_ALLOWED = {("cli.py", "_render")}
 
 
 def _self_calls(path: Path):
@@ -58,6 +58,18 @@ def test_no_function_calls_itself(path):
     # a data-path recursion grows a Python frame per item and raises
     # RecursionError at long horizons
     assert list(_self_calls(path)) == []
+
+
+@pytest.mark.parametrize("entry", sorted(RECURSION_ALLOWED), ids=lambda e: ":".join(e))
+def test_each_recursion_allowance_names_a_function_that_exists(entry):
+    # an allowance left behind by a deleted function would silently excuse
+    # a new one of the same name
+    filename, name = entry
+    tree = ast.parse((SRC / filename).read_text(encoding="utf-8"), filename=filename)
+    defined = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert name in defined
 
 
 def _annotation_names(tree: ast.AST):

@@ -58,6 +58,49 @@ def test_time_node_modes():
         TimeNodes.lattice_plus_anchor(1.0, range(3), t0=2.0)  # anchor on a node
 
 
+@pytest.mark.parametrize(
+    "mode, times, anchor_index",
+    [
+        ("lattice", (0.0, 1.0, 2.0, 3.0), 3),
+        ("lattice", (0.0,), 0),
+        ("two_lines", (0.0, 0.5), 1),
+        ("lattice_plus_anchor", (0.0, 1.0, 0.5), 99),
+        ("lattice_plus_anchor", (0.0, 1.0, 0.5), 0),
+        ("lattice_plus_anchor", (0.0, 1.0, 0.5), -1),
+        ("lattice_plus_anchor", (0.0, 1.0, 0.5), None),
+    ],
+)
+def test_time_nodes_refuse_an_anchor_index_their_mode_cannot_have(mode, times, anchor_index):
+    # only lattice_plus_anchor has an anchor, and it is stored last
+    with pytest.raises(ValueError, match="anchor_index"):
+        TimeNodes(mode=mode, times=times, a=1.0, anchor_index=anchor_index)
+
+
+def test_lattice_rows_are_every_node_but_the_anchor():
+    bare = TimeNodes.lattice(0.5, range(-2, 3))
+    assert bare.lattice_rows == [0, 1, 2, 3, 4]
+    assert bare.lattice_times == bare.times
+    anchored = TimeNodes.lattice_plus_anchor(0.5, range(-2, 3), 0.3)
+    assert anchored.lattice_rows == [0, 1, 2, 3, 4]
+    assert anchored.lattice_times == bare.times
+    assert anchored.anchor == 0.3
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.25, 1.5])
+def test_inside_range_holds_the_nodes_whose_windows_fit_the_horizon(a):
+    m_range = TimeNodes.inside_range(GRID, a)
+    assert len(m_range) > 0
+    lo = GRID.coords()[0]
+    hi = GRID.coords()[-1] + GRID.delta
+    for m in range(m_range.start - 3, m_range.stop + 3):
+        fits = lo <= m * a - GRID.B and m * a + GRID.B <= hi
+        assert (m in m_range) == fits, m
+    # a horizon one window wide holds the one node at x_0 + B, if the lattice has it
+    narrow = GridSpec(B=1.0, L=4, origin=1, horizon=4)
+    assert TimeNodes.inside_range(narrow, 0.5) == range(1, 2)
+    assert len(TimeNodes.inside_range(narrow, 1.0)) == 0
+
+
 def test_lattice_covering_spans_horizon():
     for a in (1.0, 0.5):
         nodes = TimeNodes.lattice_covering(GRID, a)

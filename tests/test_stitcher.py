@@ -559,6 +559,36 @@ def test_assembly_carries_the_lattice_magnitudes_measure_gives(assemblies):
     assert assembled > 400 and direct == assembled and anchored == 1
 
 
+# --- the orientation search budget ----------------------------------------
+
+
+def test_a_chain_that_never_backtracks_spends_no_search_budget(monkeypatch):
+    # criterion 1's grid: 17 live positions, each with one orientation that
+    # fits, so a budget of 3 bounds nothing
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    pair = build_window("rectangular", grid, b=0.25)
+    nodes = TimeNodes.lattice_covering(grid, 1.0)
+    f = random_nonseparable(grid, grid.horizon - grid.cells_spanned(1.0) + 1, 1.0, seed=0)
+    monkeypatch.setattr(stitcher, "SEARCH_BUDGET", 3)
+    rep = reconstruct(measure(f, pair, nodes), pair)
+    assert len(nodes.times) > 3
+    assert global_phase_align(rep.signal, f).residual <= 1e-8
+
+
+def test_each_orientation_tried_after_the_first_spends_a_search_step(monkeypatch):
+    # member 22 of criterion 10's family at a = 1 backtracks once: the
+    # best-fitting orientation at one position fails its node check
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    ms = measure(Signal(grid, family[22].copy()), pair, TimeNodes.lattice_covering(grid, 1.0))
+    monkeypatch.setattr(stitcher, "SEARCH_BUDGET", 1)
+    assert reconstruct(ms, pair).ambiguity == "phase_only"
+    monkeypatch.setattr(stitcher, "SEARCH_BUDGET", 0)
+    with pytest.raises(InconsistentMeasurements, match="orientation search budget exhausted"):
+        reconstruct(ms, pair)
+
+
 # --- the orientation search against its recursive reference -----------------
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from twowin import GridSpec, OffGridError, WindowValidationError, build_window
 from twowin.stft_engine import node_segment
-from twowin.window_engine import derive_second_window, slot_offsets
+from twowin.window_engine import slot_offsets
 
 
 GRID_EVEN = GridSpec(B=1.0, L=4, origin=8, horizon=16)
@@ -48,6 +48,20 @@ def test_raised_cosine_parameters():
         build_window("raised_cosine", GRID_EVEN, c0=0.5, c1=0.5)
 
 
+@pytest.mark.parametrize("c1", [None, 0.5, 0.4], ids=["rectangular", "cos0.5", "cos0.4"])
+def test_slot_samples_are_the_profile_at_the_slot_offsets(c1):
+    # node_segment reads the slot samples on the grid and values_at off it;
+    # a node time on the grid must see the bits an off-grid one would
+    profile, kw = ("rectangular", {}) if c1 is None else ("raised_cosine", {"c1": c1})
+    for L in range(1, 17):
+        grid = GridSpec(B=1.0, L=L, origin=L, horizon=2 * L)
+        for b in (None, 1.0 / 2.0, 0.1):
+            pair = build_window(profile, grid, b, **kw)
+            u = slot_offsets(grid)
+            assert pair.phi.tobytes() == pair.phi_at(u).tobytes(), (L, b)
+            assert pair.psi.tobytes() == pair.values_at("psi", u).tobytes(), (L, b)
+
+
 def test_modulation_step_bounds():
     with pytest.raises(WindowValidationError):
         build_window("rectangular", GRID_EVEN, b=0.0)
@@ -60,9 +74,8 @@ def test_user_profile_validation():
     good = np.array([1.0, 1.0 - 0.5j, 2.0, 1.0 + 0.5j, 1.0])
     pair = build_window("user", GRID_ODD, samples=good)
     assert not pair.supports_offgrid
-    np.testing.assert_allclose(
-        pair.psi, derive_second_window(good.astype(complex), GRID_ODD, pair.b)
-    )
+    u = slot_offsets(GRID_ODD)
+    np.testing.assert_allclose(pair.psi, good * (np.exp(2j * np.pi * u * pair.b) - 1.0))
     with pytest.raises(ValueError):
         build_window("user", GRID_ODD, samples=np.ones(3))
     with pytest.raises(ValueError):
