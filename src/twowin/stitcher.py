@@ -56,8 +56,8 @@ COND_MAX = 1e6
 #: Overlap content below this fraction of the global scale cannot carry phase.
 DEAD_OVERLAP_RTOL = 1e-9
 
-#: Orientations the search may try after the first at a position before it
-#: gives up; a chain that never backtracks costs nothing, whatever its length.
+#: Orientations the search may place beyond one per live position, so a chain
+#: that never backtracks never runs out and the work stays linear in both.
 SEARCH_BUDGET = 100_000
 
 
@@ -275,10 +275,11 @@ def align_overlaps(
 
     # depth first with an explicit stack: frames[p] holds position p's
     # options and how many of them have been placed; the next position to
-    # enter is always len(frames).  Only backtracking costs: each orientation
-    # tried after the first at a position takes a budget step
+    # enter is always len(frames).  Every placement takes a budget step, so
+    # with one free step per live position only backtracking (an alternative,
+    # or a position entered again) runs it down
     frames: List[list] = []
-    budget = SEARCH_BUDGET
+    budget = SEARCH_BUDGET + len(live)
     while len(frames) < len(live):
         frames.append([options_at(len(frames)), 0])
         # place the next untried orientation at the deepest open position,
@@ -294,10 +295,9 @@ def align_overlaps(
             if i == len(options):
                 frames.pop()
                 continue
-            if i:
-                if budget <= 0:
-                    raise InconsistentMeasurements("orientation search budget exhausted")
-                budget -= 1
+            if budget <= 0:
+                raise InconsistentMeasurements("orientation search budget exhausted")
+            budget -= 1
             frames[-1][1] = i + 1
             cells, values, lam = options[i]
             assembled[cells] = values

@@ -54,14 +54,13 @@ def slot_offsets(grid: GridSpec) -> np.ndarray:
 
 
 def _profile(profile: str, params: Dict[str, float], B: float, u: np.ndarray) -> np.ndarray:
-    """An analytic profile's phi at real offsets u, zero outside [-B, B)."""
+    """An analytic profile's formula at real offsets u, unmasked: a slot
+    offset can round one ulp below -B, and its sample is still the formula's."""
     if profile == "rectangular":
-        vals = 1.0 + 0.0j
-    elif profile == "raised_cosine":
-        vals = params["c0"] + params["c1"] * np.cos(np.pi * u / B) + 0.0j
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
-    return np.where((u >= -B) & (u < B), vals, 0.0j)
+        return np.full(u.shape, 1.0 + 0.0j)
+    if profile == "raised_cosine":
+        return params["c0"] + params["c1"] * np.cos(np.pi * u / B) + 0.0j
+    raise ValueError(f"unknown profile {profile!r}")
 
 
 def _modulate(phi: np.ndarray, u: np.ndarray, b: float) -> np.ndarray:
@@ -92,14 +91,15 @@ class WindowPair:
         """Evaluate phi at arbitrary real offsets; a "user" window has values
         at its slot offsets only and refuses any other with OffGridError."""
         u = np.asarray(u, dtype=float)
+        B, L = self.grid.B, self.grid.L
+        inside = (u >= -B) & (u < B)
         if self.profile != "user":
-            return _profile(self.profile, self.params, self.grid.B, u)
+            return np.where(inside, _profile(self.profile, self.params, B, u), 0.0j)
         # map offsets back to slot indices; an off-slot offset is refused by
         # the grid's whole-cell rule
         cells = [self.grid.cells(float(x), "user window offset") for x in u.ravel()]
-        ji = np.array(cells, dtype=int).reshape(u.shape) + self.grid.L // 2
-        inside = (ji >= 0) & (ji < self.grid.L) & (u >= -self.grid.B) & (u < self.grid.B)
-        return np.where(inside, self.phi[np.clip(ji, 0, self.grid.L - 1)], 0.0j)
+        ji = np.array(cells, dtype=int).reshape(u.shape) + L // 2
+        return np.where(inside & (ji >= 0) & (ji < L), self.phi[np.clip(ji, 0, L - 1)], 0.0j)
 
     def values_at(self, which: str, u) -> np.ndarray:
         """phi or psi at arbitrary real offsets."""

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import sys
 import tracemalloc
@@ -577,7 +578,8 @@ def test_a_chain_that_never_backtracks_spends_no_search_budget(monkeypatch):
 
 def test_each_orientation_tried_after_the_first_spends_a_search_step(monkeypatch):
     # member 22 of criterion 10's family at a = 1 backtracks once: the
-    # best-fitting orientation at one position fails its node check
+    # best-fitting orientation at one position fails its node check, and the
+    # next one at that position is the one placement beyond one per position
     grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
     pair = build_window("rectangular", grid)
     family, _ = alphabet_family(grid, [0, 1, 2, 3])
@@ -587,6 +589,34 @@ def test_each_orientation_tried_after_the_first_spends_a_search_step(monkeypatch
     monkeypatch.setattr(stitcher, "SEARCH_BUDGET", 0)
     with pytest.raises(InconsistentMeasurements, match="orientation search budget exhausted"):
         reconstruct(ms, pair)
+
+
+def test_a_position_entered_again_after_a_backtrack_spends_a_search_step(monkeypatch):
+    # two identical orientations at the first position, and last-node
+    # magnitudes that no assignment reproduces: the search places 16
+    # positions, fails node 16's check there, and places all 16 again from
+    # the second orientation.  32 placements against one free per live
+    # position (17) need a budget of 15, so the work stays linear in it
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    pair = build_window("rectangular", grid, b=0.25)
+    nodes = TimeNodes.lattice_covering(grid, 1.0)
+    f = random_nonseparable(grid, grid.horizon - grid.cells_spanned(1.0) + 1, 1.0, seed=0)
+    ms = measure(f, pair, nodes)
+    classes = [
+        local_recovery.recover_local(p, q, pair, scale=float(np.max(ms.mags)))
+        for p, q in zip(*ms.mags)
+    ]
+    classes[0] = dataclasses.replace(classes[0], representatives=classes[0].representatives[:1] * 2)
+    bad = ms.mags.copy()
+    bad[:, -1] *= 1.5
+    search = dict(times=nodes.times, lattice_mags=bad, freqs=ms.freqs)
+    assert len(nodes.times) == 17
+    monkeypatch.setattr(stitcher, "SEARCH_BUDGET", 14)
+    with pytest.raises(InconsistentMeasurements, match="orientation search budget exhausted"):
+        align_overlaps(classes, pair, 1.0, **search)
+    monkeypatch.setattr(stitcher, "SEARCH_BUDGET", 15)
+    with pytest.raises(InconsistentMeasurements, match="no phase assignment reproduces .* node index 16"):
+        align_overlaps(classes, pair, 1.0, **search)
 
 
 # --- the orientation search against its recursive reference -----------------

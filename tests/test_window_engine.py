@@ -51,15 +51,30 @@ def test_raised_cosine_parameters():
 @pytest.mark.parametrize("c1", [None, 0.5, 0.4], ids=["rectangular", "cos0.5", "cos0.4"])
 def test_slot_samples_are_the_profile_at_the_slot_offsets(c1):
     # node_segment reads the slot samples on the grid and values_at off it;
-    # a node time on the grid must see the bits an off-grid one would
+    # a node time on the grid must see the bits an off-grid one would.  At
+    # B = 1.55 and L = 6 or 12 the first slot offset rounds one ulp below -B,
+    # where phi_at's support mask reads 0; the slots lie in [-B, B) by
+    # construction, so that sample is still the profile's
     profile, kw = ("rectangular", {}) if c1 is None else ("raised_cosine", {"c1": c1})
-    for L in range(1, 17):
-        grid = GridSpec(B=1.0, L=L, origin=L, horizon=2 * L)
-        for b in (None, 1.0 / 2.0, 0.1):
-            pair = build_window(profile, grid, b, **kw)
+    rounded_below = 0
+    for B in (1.0, 1.55):
+        for L in range(1, 17):
+            grid = GridSpec(B=B, L=L, origin=L, horizon=2 * L)
             u = slot_offsets(grid)
-            assert pair.phi.tobytes() == pair.phi_at(u).tobytes(), (L, b)
-            assert pair.psi.tobytes() == pair.values_at("psi", u).tobytes(), (L, b)
+            inside = u >= -B
+            rounded_below += int(not inside.all())
+            for b in (None, 1.0 / (2.0 * B), 0.1):
+                pair = build_window(profile, grid, b, **kw)
+                if c1 is None:
+                    phi = np.ones(L, dtype=np.complex128)
+                else:
+                    phi = (1.0 + c1 * np.cos(np.pi * u / B)).astype(np.complex128)
+                psi = phi * (np.exp(2j * np.pi * u * pair.b) - 1.0)
+                assert pair.phi.tobytes() == phi.tobytes(), (B, L, b)
+                assert pair.psi.tobytes() == psi.tobytes(), (B, L, b)
+                assert pair.phi[inside].tobytes() == pair.phi_at(u)[inside].tobytes(), (B, L, b)
+                assert pair.psi[inside].tobytes() == pair.values_at("psi", u)[inside].tobytes()
+    assert rounded_below == 2
 
 
 def test_modulation_step_bounds():
