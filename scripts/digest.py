@@ -13,6 +13,8 @@ The groups:
 - reconstruct: criterion-1-style signals with both analytic profiles, with
   and without an anchor, the five forges' f and g, and the refusals of a
   short alias period;
+- long: ``reconstruct`` on horizon-1024 and horizon-4096 lattices (257 and
+  1,025 nodes);
 - criterion10: criterion 10's family at a = 1 and 0.5, with and without
   ``default_anchor``;
 - periodic: ``periodic_verdict`` on the 96-input mu x period x offset scan;
@@ -23,7 +25,7 @@ The groups:
 - cli: ``twowin measure``, ``recover`` and ``verify`` outputs, the oracle
   report without ``elapsed``.
 
-A run takes about 15 s on a 2-core machine.  It reads public names only, so any checkout
+A run takes about 20 s on a 2-core machine.  It reads public names only, so any checkout
 whose API has them can be digested.
 """
 
@@ -169,6 +171,18 @@ def group_reconstruct(tw, d: Digest) -> None:
     ms = tw.measure(f, pair, tw.TimeNodes.two_lines(0.0, 0.25), short)
     spec = tw.PeriodicSpec(T=1.0, mu=1.0)
     d.add(outcome(lambda: report_fields(tw.periodic_verdict(ms, pair, spec, 1))))
+
+
+def group_long(tw, d: Digest) -> None:
+    # L = 8, a = 1, b = 0.25, support horizon - 3, as ``roundtrip-long`` runs
+    for horizon in (1024, 4096):
+        grid = tw.GridSpec(B=1.0, L=8, origin=horizon // 2, horizon=horizon)
+        pair = tw.build_window("rectangular", grid, b=0.25)
+        nodes = tw.TimeNodes.lattice_covering(grid, 1.0)
+        for seed in (1, 2):
+            f = tw.random_nonseparable(grid, horizon - 3, 1.0, seed=seed)
+            ms = tw.measure(f, pair, nodes)
+            d.add(horizon, seed, outcome(lambda: report_fields(tw.reconstruct(ms, pair))))
 
 
 def group_criterion10(tw, d: Digest) -> None:
@@ -343,6 +357,7 @@ def group_cli(tw, d: Digest) -> None:
 GROUPS = {
     "window": group_window,
     "reconstruct": group_reconstruct,
+    "long": group_long,
     "criterion10": group_criterion10,
     "periodic": group_periodic,
     "measure": group_measure,

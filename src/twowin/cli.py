@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import GridSpec, Signal, global_phase_align
+from .signal_model import GridSpec, Signal, critical_omega, global_phase_align
 from .window_engine import WindowPair, build_window
 from .stft_engine import (
     FrequencyGrid,
@@ -204,19 +204,12 @@ def nodes_from_obj(obj: Any, where: str) -> TimeNodes:
 def measurement_to_obj(ms: MeasurementSet) -> Dict[str, Any]:
     if ms.freqs.mode != "critical":
         raise CliError("only critical-grid measurements are file-representable")
-    rows = []
-    ns = ms.freqs.ns
-    for wi, wname in enumerate(("phi", "psi")):
-        for ti in range(len(ms.nodes.times)):
-            for bi, n in enumerate(ns):
-                rows.append(
-                    {
-                        "w": wname,
-                        "t_index": ti,
-                        "n": int(n),
-                        "value": float(ms.mags[wi, ti, bi]),
-                    }
-                )
+    rows = [
+        {"w": wname, "t_index": ti, "n": int(n), "value": float(ms.mags[wi, ti, bi])}
+        for wi, wname in enumerate(("phi", "psi"))
+        for ti in range(len(ms.nodes.times))
+        for bi, n in enumerate(ms.freqs.ns)
+    ]
     return {
         "pair": window_to_obj(ms.pair),
         "nodes": nodes_to_obj(ms.nodes),
@@ -318,20 +311,11 @@ def write_plot_csv(obj: Any, path: Path, where: str) -> None:
             B = float(obj["pair"]["grid"]["B"])
             table: Dict[Tuple[int, int], Dict[str, float]] = {}
             for row in obj["mags"]:
-                table.setdefault((int(row["t_index"]), int(row["n"])), {})[
-                    str(row["w"])
-                ] = float(row["value"])
-            for ti, n in sorted(table):
-                cell = table[(ti, n)]
-                out.writerow(
-                    [
-                        _g17(nodes.times[ti]),
-                        n,
-                        _g17(n / (4.0 * B)),
-                        _g17(cell.get("phi", 0.0)),
-                        _g17(cell.get("psi", 0.0)),
-                    ]
-                )
+                key = (int(row["t_index"]), int(row["n"]))
+                table.setdefault(key, {})[str(row["w"])] = float(row["value"])
+            for (ti, n), cell in sorted(table.items()):
+                out.writerow([_g17(nodes.times[ti]), n, _g17(critical_omega(n, B))]
+                             + [_g17(cell.get(w, 0.0)) for w in ("phi", "psi")])
             return
         if isinstance(obj, dict) and "signal" in obj:
             obj = obj["signal"]

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import phase_fit
+from .signal_model import critical_omega, phase_fit
 from .window_engine import WindowPair
 
 #: Relative threshold for matching a root with its mirror partner 1/conj(r).
@@ -497,7 +497,7 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
     return cand[order[first]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalClass:
     """Surviving phase classes of windowed content at one node."""
 
@@ -522,7 +522,7 @@ def _pricing_tables(L: int, B: float, b: float) -> Tuple[np.ndarray, ...]:
     """
     delta = 2.0 * B / L  # GridSpec.delta
     u = (np.arange(L) - L // 2) * delta
-    omegas = np.arange(-L, L) / (4.0 * B) + np.array([[0.0], [b]])
+    omegas = critical_omega(np.arange(-L, L), B) + np.array([[0.0], [b]])
     E = np.exp(-2j * np.pi * (u[:, None] * omegas[:, None, :]))
     M_phi = delta * E[0]
     M_psi = delta * E[1] - M_phi

@@ -47,6 +47,11 @@ class ReflectionRangeError(ValueError):
     """Conjugate reflection would push support outside the horizon."""
 
 
+def critical_omega(n, B: float):
+    """The critical frequency omega_n = n / (4B) of bin n, or of an array of bins."""
+    return n / (4.0 * B)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sample grid on which every signal and window lives.

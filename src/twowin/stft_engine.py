@@ -23,7 +23,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import GridSpec, Signal
+from .signal_model import GridSpec, Signal, critical_omega
 from .window_engine import WindowPair
 
 WINDOW_NAMES = ("phi", "psi")
@@ -33,7 +33,7 @@ DIFFERENCE_IDENTITY_TOL = 1e-10
 
 #: Nodes whose segments and exponential tables are built and held at a time,
 #: so a long lattice never holds a table for every node at once.
-NODE_BLOCK = 64
+NODE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class FrequencyGrid:
     @property
     def omegas(self) -> np.ndarray:
         if self.mode == "critical":
-            return self.ns / (4.0 * self.B)
+            return critical_omega(self.ns, self.B)
         return np.asarray(self.omegas_custom, dtype=float)
 
     @property
@@ -216,11 +216,7 @@ class MeasurementSet:
     def to_rows(self) -> Iterator[Tuple[str, float, int, float, float]]:
         """Deterministic long-format rows (w, t, n, omega, value)."""
         omegas = self.freqs.omegas
-        ns = (
-            self.freqs.ns
-            if self.freqs.mode == "critical"
-            else np.arange(len(omegas))
-        )
+        ns = self.freqs.ns if self.freqs.mode == "critical" else np.arange(len(omegas))
         for wi, wname in enumerate(WINDOW_NAMES):
             for ti, t in enumerate(self.nodes.times):
                 for bi in range(len(omegas)):
@@ -230,17 +226,24 @@ class MeasurementSet:
 class NodeSegment(NamedTuple):
     """What the window at one node time sees.
 
-    ``cells`` are the L absolute grid indices k with x_k - t in [-B, B) (the
-    -B edge snapped to 1e-9 of a cell, so a grid-aligned t keeps it), ``on``
-    marks those inside the horizon, ``samples`` holds the signal values
-    gathered there (zero off the horizon; any leading batch axes are kept)
-    and ``windows`` the requested windows' values at the offsets x_k - t.
+    ``cells`` are the L absolute grid indices k with x_k - t in [-B, B)
+    (from ``first_cell``), ``on`` marks those inside the horizon, ``samples``
+    holds the signal values gathered there (zero off the horizon; any leading
+    batch axes are kept) and ``windows`` the requested windows' values at the
+    offsets x_k - t.
     """
 
     cells: np.ndarray
     on: np.ndarray
     samples: Optional[np.ndarray]
     windows: Tuple[np.ndarray, ...]
+
+
+def first_cell(grid: GridSpec, t):
+    """The first grid index k under the window at t, or an int64 array of
+    them for an array of times: x_k - t >= -B, snapped to 1e-9 of a cell."""
+    k = (t - grid.B) / grid.delta + grid.origin - 1e-9
+    return np.ceil(k).astype(np.int64) if isinstance(k, np.ndarray) else math.ceil(k)
 
 
 def node_segment(
@@ -253,7 +256,7 @@ def node_segment(
     """The cells under the window at t, with the samples and window values
     there when ``samples`` and ``pair`` are given.  Analytic profiles
     evaluate at any real t; a sample-defined window refuses an off-grid t."""
-    k_lo = int(math.ceil((t - grid.B) / grid.delta + grid.origin - 1e-9))
+    k_lo = first_cell(grid, t)
     k = np.arange(k_lo, k_lo + grid.L)
     on = (k >= 0) & (k < grid.horizon)
     fv = None
@@ -337,30 +340,31 @@ def measure_batch(
     for lo in range(0, len(nodes.times), NODE_BLOCK):
         times = nodes.times[lo : lo + NODE_BLOCK]
         segs = [node_segment(grid, t, samples_matrix, pair) for t in times]
-        E = node_exponentials(grid, segs, omegas)
+        E = node_exponentials(grid, np.array([seg.cells for seg in segs]), omegas)
         for ti, seg in enumerate(segs):
-            node_magnitudes(seg, E[ti], grid.delta, mags[:, :, lo + ti])
+            node_magnitudes(seg.samples, seg.windows, E[ti], grid.delta, mags[:, :, lo + ti])
     return mags
 
 
-def node_exponentials(
-    grid: GridSpec, segs: Sequence[NodeSegment], omegas: np.ndarray
-) -> np.ndarray:
-    """exp(-2 i pi x_k omega) for every node's cells, shape (nodes, L, bins)."""
-    x = grid.x(np.array([seg.cells for seg in segs]))
-    return np.exp(-2j * np.pi * (x[:, :, None] * omegas))
+def node_exponentials(grid: GridSpec, cells: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """exp(-2 i pi x_k omega) for a (nodes, L) array of cells, shape (nodes,
+    L, bins), exponentiated in place so no second table is made."""
+    E = np.multiply(-2j * np.pi, grid.x(cells)[:, :, None] * omegas)
+    return np.exp(E, out=E)
 
 
-def node_magnitudes(seg: NodeSegment, E: np.ndarray, delta: float, out: np.ndarray) -> None:
-    """Write |delta * (samples * conj(w)) @ E| for each window of ``seg`` to
-    ``out[..., w, :]``.
+def node_magnitudes(
+    samples: np.ndarray, windows: Sequence[np.ndarray], E: np.ndarray, delta: float, out: np.ndarray
+) -> None:
+    """Write |delta * (samples * conj(w)) @ E| for each of a node's
+    ``windows`` to ``out[..., w, :]``.
 
     The one forward-map product: ``measure_batch`` and the stitcher's node
     checks both call it, one node at a time, because BLAS may round a
     stacked product differently.
     """
-    for wi, w in enumerate(seg.windows):
-        V = (seg.samples * np.conj(w)) @ E
+    for wi, w in enumerate(windows):
+        V = (samples * np.conj(w)) @ E
         V *= delta
         np.abs(V, out=out[..., wi, :])
 
@@ -372,8 +376,7 @@ def check_difference_identity(f: Signal, pair: WindowPair, t: float, n: int) -> 
 
     Holds algebraically for every real t, so the defect is pure roundoff.
     """
-    B = f.grid.B
-    omega = n / (4.0 * B)
+    omega = critical_omega(n, f.grid.B)
     lhs = abs(stft_value(f, pair, "psi", t, omega))
     v1 = stft_value(f, pair, "phi", t, omega + pair.b)
     v0 = stft_value(f, pair, "phi", t, omega)

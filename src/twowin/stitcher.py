@@ -11,8 +11,7 @@ by re-measuring the reflected branch, and by anchor data when present.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .stft_engine import (
     FrequencyGrid,
     MeasurementSet,
     TimeNodes,
+    first_cell,
     measure,
     node_exponentials,
     node_magnitudes,
@@ -116,17 +116,17 @@ def align_overlaps(
     checked against ``lattice_mags`` as soon as every cell of its window is
     filled, which rejects chains that glued a mate through an overlap too
     small to expose it, without waiting for the last node.  The assembly
-    carries every lattice node's magnitudes of the final signal: the last
-    ones the checks wrote, or, with no branch point to check, ones made
-    once the chain is done.  Ambiguity is
-    phase_or_reflection exactly when every node would tolerate the reflected
-    world.  ``uncovered`` lists the horizon cells that no node window holds.
+    carries every lattice node's magnitudes of the final signal.  Ambiguity
+    is phase_or_reflection exactly when every node would tolerate the
+    reflected world.  ``uncovered`` lists the horizon cells that no node
+    window holds.
 
     A live overlap that fits neither orientation means the magnitudes were
     inconsistent; an overlap with no energy means the input is separable
     there and propagation stops with a declared error.
     """
     grid = pair.grid
+    L, horizon = grid.L, grid.horizon
     if a > grid.B + 1e-12:
         raise ValueError(f"lattice step a = {a!r} exceeds B = {grid.B!r}")
     phi = pair.slot_values("phi")
@@ -144,166 +144,174 @@ def align_overlaps(
         default=0.0,
     )
 
-    # one geometry pass: every node's cells and windows serve the coverage,
-    # the live patches, the node checks and the assembly's magnitudes.  The
-    # on-horizon part of a window is one run of cells, held as a slice of
-    # the horizon and the matching slice of the window's slots.
-    segs = [node_segment(grid, t, None, pair) for t in times]
-    mags = np.empty((2, len(times), len(freqs.omegas)))
-    spans: List[Tuple[slice, slice]] = []
-    for seg in segs:
-        k_lo = int(seg.cells[0])
-        lo, hi = (min(max(edge - k_lo, 0), grid.L) for edge in (0, grid.horizon))
-        spans.append((slice(k_lo + lo, k_lo + hi), slice(lo, hi)))
-    live: List[Tuple[int, float, slice, slice, List[np.ndarray]]] = []
-    covered = np.zeros(grid.horizon, dtype=bool)
-    for ci, (cls, seg, (cells, slots)) in enumerate(zip(classes, segs, spans)):
-        covered[cells] = True
+    # the geometry, held as arrays over the nodes: node j's window holds
+    # cells first[j] + 0 .. L - 1, and its on-horizon part is the run
+    # lo[j]:hi[j]; a cell is covered where more runs have begun than ended
+    first = first_cell(grid, np.asarray(times, dtype=float))
+    lo, hi = (np.minimum(np.maximum(edge, 0), horizon) for edge in (first, first + L))
+    runs = np.bincount(lo, minlength=horizon + 1) - np.bincount(hi, minlength=horizon + 1)
+    uncovered = tuple(np.flatnonzero(np.cumsum(runs)[:-1] == 0).tolist())
+    del runs
+    # a node off the grid sees its windows there, as measuring it would
+    windows = {j: node_segment(grid, t, None, pair).windows
+               for j, t in enumerate(times) if not grid.is_multiple(t)}
+    slot_windows = (phi, pair.slot_values("psi"))
+
+    def span(j: int) -> Tuple[slice, slice]:
+        """Node j's on-horizon cells and the matching window slots."""
+        return slice(lo[j], hi[j]), slice(lo[j] - first[j], hi[j] - first[j])
+
+    # the live nodes' orientations divided by the window: live position p
+    # is node live[p], and its patches are rows start[p]:start[p + 1]
+    n_patches = sum(len(c.representatives) for c in classes if not c.is_zero)
+    patches = np.empty((n_patches, L), dtype=np.complex128)
+    live, start = [], [0]
+    for ci, cls in enumerate(classes):
         if cls.is_zero:
             continue
-        patches = [o * inv_phi for o in cls.representatives]
-        if 0 < cells.stop - cells.start < grid.L:
-            # an orientation claiming content on off-horizon cells cannot
-            # come from any representable signal; only the stitcher can see
-            # this, the single-node data is blind to it
-            patches = [
-                p
-                for p in patches
-                if np.max(np.abs(p[~seg.on]), initial=0.0) <= DEAD_OVERLAP_RTOL * scale
-            ]
-        if not patches:
-            raise InconsistentMeasurements(
-                f"no horizon-consistent orientation at node index {ci}"
-            )
-        live.append((ci, times[ci], cells, slots, patches))
+        _, slots = span(ci)
+        k = start[-1]
+        for o in cls.representatives:
+            np.multiply(o, inv_phi, out=patches[k])
+            if 0 < slots.stop - slots.start < L:
+                # an orientation claiming content on off-horizon cells cannot
+                # come from any representable signal; only the stitcher can
+                # see this, the single-node data is blind to it
+                off = np.ones(L, dtype=bool)
+                off[slots] = False
+                if not np.max(np.abs(patches[k][off])) <= DEAD_OVERLAP_RTOL * scale:
+                    continue
+            k += 1
+        if k == start[-1]:
+            raise InconsistentMeasurements(f"no horizon-consistent orientation at node index {ci}")
+        live.append(ci)
+        start.append(k)
+    live, start = np.array(live, dtype=np.int64), np.array(start)
+    n_live = len(live)
 
-    # one assembly buffer and one phase list, written on the way down and
-    # undone on backtracking, so a search position holds O(L), not O(horizon)
-    assembled = np.zeros(grid.horizon, dtype=np.complex128)
-    filled = np.zeros(grid.horizon, dtype=bool)
-    lams: List[Tuple[int, complex]] = []
+    # the assembly, and per cell the depth of the position that filled it
+    # (0 for none).  Entering position p ranks its patches best fit first
+    # into order[start[p]:], with their lambdas in lams; fitting[p] counts
+    # the ones that fit and placed[p] the ones placed, so a search frame is
+    # (position, next option) and an option's values are made when placed
+    assembled = np.zeros(horizon, dtype=np.complex128)
+    filled_by = np.zeros(horizon, dtype=np.int32)
+    order = np.empty(n_patches, dtype=np.int64)
+    lams = np.empty(n_patches, dtype=np.complex128)
+    lam_of = np.ones(len(classes), dtype=np.complex128)
+    fitting, placed = [0] * n_live, [0] * n_live
+    mags = np.empty((2, len(times), len(freqs)))
+    tables = {}  # the node checks' exponential tables, one NODE_BLOCK of nodes
     sep_error: Optional[SeparableInputError] = None
     deepest: Tuple[int, str] = (-1, "")
 
-    @lru_cache(maxsize=1)
-    def exponentials(run: int) -> np.ndarray:
-        """The exponential tables of the run'th NODE_BLOCK nodes: nodes are
-        measured nearly in order, and a long horizon never holds a table
-        for every node at once."""
-        nodes = segs[run * NODE_BLOCK : (run + 1) * NODE_BLOCK]
-        return node_exponentials(grid, nodes, freqs.omegas)
+    def enter(p: int) -> int:
+        """Rank position p's orientations against the assembly; returns how
+        many fit, none with the reason noted when nothing does."""
+        nonlocal sep_error, deepest
+        ci, k0, k1 = live[p], start[p], start[p + 1]
+        if p == 0:
+            order[k0:k1], lams[k0:k1] = np.arange(k0, k1), 1.0
+            return int(k1 - k0)
+        cells, slots = span(ci)
+        ov = filled_by[cells] > 0
+        u = assembled[cells][ov]
+        if u.size == 0 or np.abs(u).max() <= DEAD_OVERLAP_RTOL * scale:
+            if sep_error is None:
+                m = round(times[ci] / a) if a else ci  # the lattice index
+                sep_error = SeparableInputError(f"separable input: propagation broken at node {m}")
+            return 0
+        norm_u = np.linalg.norm(u)
+        mismatch = {}
+        for k in range(k0, k1):
+            v = patches[k, slots][ov]
+            lams[k], dist = phase_fit(u, v)
+            mismatch[k] = float(dist / max(norm_u, np.linalg.norm(v)))
+        order[k0:k1] = ranked = sorted(mismatch, key=mismatch.__getitem__)
+        if mismatch[ranked[0]] > ORIENT_TOL:
+            if p > deepest[0]:
+                deepest = (p, f"overlap mismatch {mismatch[ranked[0]]:.3e} at node index {ci}")
+            return 0
+        return next((n for n, k in enumerate(ranked) if mismatch[k] > ORIENT_TOL), len(ranked))
 
     def measure_node(j: int) -> None:
-        """Write node j's magnitudes of the assembly to ``mags[:, j]``, with
-        ``measure``'s product, so the bits are the ones it would give."""
+        """Write node j's magnitudes of the assembly to ``mags[:, j]`` with
+        ``measure``'s product and tables, one NODE_BLOCK of them at a time."""
         run, at = divmod(j, NODE_BLOCK)
-        cells, slots = spans[j]
-        fv = np.zeros((1, grid.L), dtype=np.complex128)
+        if run not in tables:
+            tables.clear()
+            cells = first[run * NODE_BLOCK : (run + 1) * NODE_BLOCK, None] + np.arange(L)
+            tables[run] = node_exponentials(grid, cells, freqs.omegas)
+        cells, slots = span(j)
+        fv = np.zeros((1, L), dtype=np.complex128)
         fv[:, slots] = assembled[cells]
-        E = exponentials(run)[at]
-        node_magnitudes(segs[j]._replace(samples=fv), E, grid.delta, mags[None, :, j])
+        E = tables[run][at]
+        node_magnitudes(fv, windows.get(j, slot_windows), E, grid.delta, mags[None, :, j])
 
-    # ready[d] lists the lattice nodes (zero-class ones too) whose on-horizon
-    # cells are all filled once d search positions are placed: every
-    # orientation at a position fills the same cells, and a filled cell never
-    # changes below it, so a node's magnitudes are final there, and the last
-    # ones written are the assembly's.  A node with a cell no live window
-    # fills is checked with the last position.
-    ready: List[List[int]] = [[] for _ in range(len(live) + 1)]
-    checked = any(len(n[4]) > 1 for n in live)
+    # ready[ready_at[d]:ready_at[d + 1]] lists the lattice nodes (zero-class
+    # ones too) whose on-horizon cells are all filled once d positions are
+    # placed: every orientation at a position fills the same cells, and a
+    # filled cell never changes below it, so a node's magnitudes are final
+    # there and the last ones written are the assembly's.  A node with a
+    # cell no live window fills is checked with the last position.
+    checked = start[-1] > n_live
     if checked:
-        depth = np.full(grid.horizon, len(live))
-        for pos in range(len(live) - 1, -1, -1):
-            depth[live[pos][2]] = pos + 1
-        for j, (cells, _) in enumerate(spans):
-            ready[int(np.max(depth[cells], initial=1))].append(j)
+        reached = np.full(horizon, n_live)
+        for p in range(n_live - 1, -1, -1):
+            reached[span(live[p])[0]] = p + 1
+        depth_of = np.array([reached[lo[j] : hi[j]].max(initial=1) for j in range(len(times))])
+        ready = np.argsort(depth_of, kind="stable")
+        ready_at = np.searchsorted(depth_of, np.arange(n_live + 2), sorter=ready)
+        del reached, depth_of
         mag_tol = ACCEPT_TOL * max(float(np.max(lattice_mags)), 1e-300)
 
     def fits(d: int) -> bool:
         """Whether the nodes completed at depth d reproduce their lattice
         magnitudes; the maximum over nodes is the whole-horizon deviation."""
         nonlocal deepest
-        for j in ready[d]:
+        for j in ready[ready_at[d] : ready_at[d + 1]].tolist():
             measure_node(j)
             dev = float(np.abs(mags[:, j] - lattice_mags[:, j]).max())
             if dev > mag_tol:
                 if d > deepest[0]:
-                    deepest = (
-                        d,
-                        f"no phase assignment reproduces the lattice magnitudes "
-                        f"(best deviation {dev:.3e} at node index {j})",
-                    )
+                    deepest = (d, "no phase assignment reproduces the lattice magnitudes "
+                               f"(best deviation {dev:.3e} at node index {j})")
                 return False
         return True
 
-    def options_at(pos: int) -> List[Tuple[Union[slice, np.ndarray], np.ndarray, complex]]:
-        """The orientations to try at ``pos``, best fit first, as (cells,
-        values, lambda); empty, with the reason noted, when none fits."""
-        nonlocal sep_error, deepest
-        ci, t, cells, slots, patches = live[pos]
-        if pos == 0:
-            return [(cells, patch[slots], 1.0 + 0.0j) for patch in patches]
-        ov = filled[cells]
-        u = assembled[cells][ov]
-        if u.size == 0 or np.abs(u).max() <= DEAD_OVERLAP_RTOL * scale:
-            if sep_error is None:
-                m_label = round(t / a) if a else ci
-                sep_error = SeparableInputError(
-                    f"separable input: propagation broken at node {m_label}"
-                )
-            return []
-        scored = []
-        norm_u = np.linalg.norm(u)
-        for patch in patches:
-            v = patch[slots][ov]
-            lam, dist = phase_fit(u, v)
-            mismatch = float(dist / max(norm_u, np.linalg.norm(v)))
-            scored.append((mismatch, lam, patch))
-        scored.sort(key=lambda s: s[0])
-        if scored[0][0] > ORIENT_TOL:
-            if pos > deepest[0]:
-                deepest = (pos, f"overlap mismatch {scored[0][0]:.3e} at node index {ci}")
-            return []
-        new = ~ov
-        new_cells = np.flatnonzero(new) + cells.start
-        options = []
-        for mismatch, lam, patch in scored:
-            if mismatch > ORIENT_TOL:
-                break
-            options.append((new_cells, lam * patch[slots][new], complex(lam)))
-        return options
-
-    # depth first with an explicit stack: frames[p] holds position p's
-    # options and how many of them have been placed; the next position to
-    # enter is always len(frames).  Every placement takes a budget step, so
-    # with one free step per live position only backtracking (an alternative,
-    # or a position entered again) runs it down
-    frames: List[list] = []
-    budget = SEARCH_BUDGET + len(live)
-    while len(frames) < len(live):
-        frames.append([options_at(len(frames)), 0])
+    # depth first: positions 0 .. depth - 1 are open, and the next one to
+    # enter is always ``depth``.  Every placement takes a budget step, so
+    # with one free step per live position only backtracking (an
+    # alternative, or a position entered again) runs it down
+    budget = SEARCH_BUDGET + n_live
+    depth = 0
+    while depth < n_live:
+        fitting[depth], placed[depth] = enter(depth), 0
+        depth += 1
         # place the next untried orientation at the deepest open position,
-        # undoing the one placed there before (the cells it fills were
+        # undoing the one placed there before (it filled the cells that were
         # empty) and closing exhausted positions
-        while frames:
-            options, i = frames[-1]
+        while depth:
+            p, i = depth - 1, placed[depth - 1]
+            cells, slots = span(live[p])
             if i:
-                cells = options[i - 1][0]
-                assembled[cells] = 0.0
-                filled[cells] = False
-                lams.pop()
-            if i == len(options):
-                frames.pop()
+                mine = filled_by[cells] == depth
+                assembled[cells][mine] = 0.0
+                filled_by[cells][mine] = 0
+            if i == fitting[p]:
+                depth -= 1
                 continue
             if budget <= 0:
                 raise InconsistentMeasurements("orientation search budget exhausted")
             budget -= 1
-            frames[-1][1] = i + 1
-            cells, values, lam = options[i]
-            assembled[cells] = values
-            filled[cells] = True
-            lams.append((live[len(frames) - 1][0], lam))
-            if fits(len(frames)):
+            placed[p] = i + 1
+            k = order[start[p] + i]
+            new = filled_by[cells] == 0
+            values = patches[k, slots][new]
+            assembled[cells][new] = lams[k] * values if p else values
+            filled_by[cells][new] = depth
+            lam_of[live[p]] = lams[k]
+            if not checked or fits(depth):
                 break
         else:
             if sep_error is not None:
@@ -311,26 +319,27 @@ def align_overlaps(
             if deepest[0] >= 0:
                 raise InconsistentMeasurements(deepest[1])
             raise InconsistentMeasurements("no phase assignment fits the overlaps")
-    lam_map = dict(lams)
-    lambdas = tuple(lam_map.get(ci, 1.0 + 0.0j) for ci in range(len(classes)))
+    # the search state goes before the output is made, not held beside it
+    del patches, filled_by, order, lams
     if not checked:
-        for j in range(len(segs)):
+        for j in range(len(classes)):
             measure_node(j)
     mags.setflags(write=False)
 
     # the zero signal has no second branch
-    reflectable = bool(live) and all(c.includes_reflection for c in classes)
+    reflectable = n_live > 0 and all(c.includes_reflection for c in classes)
     return AlignedAssembly(
         signal=Signal(grid, assembled),
         ambiguity="phase_or_reflection" if reflectable else "phase_only",
-        lambdas=lambdas,
+        lambdas=tuple(lam_of.tolist()),
         mags=mags,
-        uncovered=tuple(np.flatnonzero(~covered).tolist()),
+        uncovered=uncovered,
     )
 
 
 def _sup_dev(got: np.ndarray, want: np.ndarray) -> float:
-    return float(np.max(np.abs(got - want))) if want.size else 0.0
+    dev = got - want  # the one temporary; its magnitudes are taken in place
+    return float(np.max(np.abs(dev, out=dev))) if dev.size else 0.0
 
 
 def _branch_verdict(
@@ -460,14 +469,13 @@ def reconstruct(
     grid.cells(a, "lattice step a")
     _require_alias_period(ms, grid, "reconstruction")
 
+    # the anchor is stored last, so the lattice rows are a view, not a copy
     lat_rows = nodes.lattice_rows
-    lattice_mags = ms.mags[:, lat_rows, :]
+    lattice_mags = ms.mags[:, : len(lat_rows)]
     scale = float(np.max(lattice_mags)) if lat_rows else 0.0
-    classes = [
-        recover_local(phi, psi, pair, scale=scale) for phi, psi in zip(*lattice_mags)
-    ]
+    # the classes are dropped once aligned, before the branches are judged
     assembly = align_overlaps(
-        classes,
+        [recover_local(phi, psi, pair, scale=scale) for phi, psi in zip(*lattice_mags)],
         pair,
         a,
         times=nodes.lattice_times,
