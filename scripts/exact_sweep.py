@@ -9,7 +9,8 @@ refuses and the ones it returns wrong.
     python3 scripts/exact_sweep.py                    # this checkout's src/
     python3 scripts/exact_sweep.py --src OTHER/src    # any other checkout's src/
 
-For each L and each (b, a) with b in {0.25, 0.5} and a in {1, 0.5}:
+For each L in {4, 8, 12} and each (b, a) with b in {0.25, 0.5} and
+a in {1, 0.5}:
 
 - ``np.random.default_rng([L, int(4*b), int(2*a)])`` draws 300 rows, each
   ``rng.integers(0, 4, 4L)``, read as letters;
@@ -61,7 +62,6 @@ def sweep(tw, L: int, b: float, a: float):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(HERE.parent / "src"), help="the src/ directory to sweep")
-    p.add_argument("--L", type=int, nargs="+", default=[4, 8, 12], help="window cell counts")
     args = p.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
 
     if not Path(tw.__file__).resolve().is_relative_to(src):
         p.error(f"twowin was imported from {tw.__file__}, not from {src}")
-    for L in args.L:
+    for L in (4, 8, 12):
         total = {"inputs": 0, "refused": 0, "wrong": 0}
         for b in (0.25, 0.5):
             for a in (1.0, 0.5):

@@ -204,12 +204,19 @@ def nodes_from_obj(obj: Any, where: str) -> TimeNodes:
 def measurement_to_obj(ms: MeasurementSet) -> Dict[str, Any]:
     if ms.freqs.mode != "critical":
         raise CliError("only critical-grid measurements are file-representable")
-    rows = [
-        {"w": wname, "t_index": ti, "n": int(n), "value": float(ms.mags[wi, ti, bi])}
-        for wi, wname in enumerate(("phi", "psi"))
-        for ti in range(len(ms.nodes.times))
-        for bi, n in enumerate(ms.freqs.ns)
-    ]
+    rows = []
+    ns = ms.freqs.ns
+    for wi, wname in enumerate(("phi", "psi")):
+        for ti in range(len(ms.nodes.times)):
+            for bi, n in enumerate(ns):
+                rows.append(
+                    {
+                        "w": wname,
+                        "t_index": ti,
+                        "n": int(n),
+                        "value": float(ms.mags[wi, ti, bi]),
+                    }
+                )
     return {
         "pair": window_to_obj(ms.pair),
         "nodes": nodes_to_obj(ms.nodes),
@@ -311,11 +318,20 @@ def write_plot_csv(obj: Any, path: Path, where: str) -> None:
             B = float(obj["pair"]["grid"]["B"])
             table: Dict[Tuple[int, int], Dict[str, float]] = {}
             for row in obj["mags"]:
-                key = (int(row["t_index"]), int(row["n"]))
-                table.setdefault(key, {})[str(row["w"])] = float(row["value"])
-            for (ti, n), cell in sorted(table.items()):
-                out.writerow([_g17(nodes.times[ti]), n, _g17(critical_omega(n, B))]
-                             + [_g17(cell.get(w, 0.0)) for w in ("phi", "psi")])
+                table.setdefault((int(row["t_index"]), int(row["n"])), {})[
+                    str(row["w"])
+                ] = float(row["value"])
+            for ti, n in sorted(table):
+                cell = table[(ti, n)]
+                out.writerow(
+                    [
+                        _g17(nodes.times[ti]),
+                        n,
+                        _g17(critical_omega(n, B)),
+                        _g17(cell.get("phi", 0.0)),
+                        _g17(cell.get("psi", 0.0)),
+                    ]
+                )
             return
         if isinstance(obj, dict) and "signal" in obj:
             obj = obj["signal"]

@@ -216,7 +216,11 @@ class MeasurementSet:
     def to_rows(self) -> Iterator[Tuple[str, float, int, float, float]]:
         """Deterministic long-format rows (w, t, n, omega, value)."""
         omegas = self.freqs.omegas
-        ns = self.freqs.ns if self.freqs.mode == "critical" else np.arange(len(omegas))
+        ns = (
+            self.freqs.ns
+            if self.freqs.mode == "critical"
+            else np.arange(len(omegas))
+        )
         for wi, wname in enumerate(WINDOW_NAMES):
             for ti, t in enumerate(self.nodes.times):
                 for bi in range(len(omegas)):
@@ -243,7 +247,7 @@ def first_cell(grid: GridSpec, t):
     """The first grid index k under the window at t, or an int64 array of
     them for an array of times: x_k - t >= -B, snapped to 1e-9 of a cell."""
     k = (t - grid.B) / grid.delta + grid.origin - 1e-9
-    return np.ceil(k).astype(np.int64) if isinstance(k, np.ndarray) else math.ceil(k)
+    return np.ceil(k).astype(np.int64)
 
 
 def node_segment(

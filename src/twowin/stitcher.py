@@ -152,7 +152,8 @@ def align_overlaps(
     runs = np.bincount(lo, minlength=horizon + 1) - np.bincount(hi, minlength=horizon + 1)
     uncovered = tuple(np.flatnonzero(np.cumsum(runs)[:-1] == 0).tolist())
     del runs
-    # a node off the grid sees its windows there, as measuring it would
+    # a node off the grid sees its windows there, as measuring it would: this
+    # mirrors node_segment's rule (slot values on the grid, values_at off it)
     windows = {j: node_segment(grid, t, None, pair).windows
                for j, t in enumerate(times) if not grid.is_multiple(t)}
     slot_windows = (phi, pair.slot_values("psi"))
