@@ -644,7 +644,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes a value that starts with a minus sign and a digit, such
+    # as "-1,3", for an option, so it is joined to the "--cells" before it
+    words: List[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] == "--cells" and word[:1] == "-" and word[1:2].isdigit():
+            words[-1] = f"--cells={word}"
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         for name in ("B", "a", "b", "tol"):
             v = getattr(args, name, None)

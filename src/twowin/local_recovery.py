@@ -244,7 +244,8 @@ def _refine_circle_angles(
     finite-difference Jacobian only for branches still active there, so no
     angle vector is evaluated twice.  Each row's polynomial is built like
     ``_fan_out`` builds one, the fixed roots first (once per branch) and the
-    circle roots after them.  Returns the refined cores, one per row.
+    circle roots after them.  Returns the refined cores and their lag
+    defects (``_lag_defect``'s), one row each.
     """
     n, k = angles.shape
     nf = fixed.shape[1]
@@ -257,8 +258,8 @@ def _refine_circle_angles(
         head[:, 1 : j + 2] -= fixed[:, j : j + 1] * head[:, : j + 1]
 
     def evaluate(rows: np.ndarray, th: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Cores and lag residuals of the branches ``rows`` at the circle
-        angles ``th``, one row each."""
+        """Cores, lag defects and lag residuals of the branches ``rows`` at
+        the circle angles ``th``, one row each."""
         circle = np.exp(1j * th)
         c = head[rows]
         for j in range(k):
@@ -276,12 +277,12 @@ def _refine_circle_angles(
         d = _lag_defect(cores, lags, s_eff)
         res = np.concatenate([d.real, d.imag], axis=1)
         # each row's 2-norm, with np.linalg.norm's arithmetic
-        return cores, res, np.sqrt(np.add.reduce(res * res, axis=1))
+        return cores, d, res, np.sqrt(np.add.reduce(res * res, axis=1))
 
     th = angles.copy()
     # a trial point takes the probes' zero shift too (+ 0.0 turns a -0.0
     # angle into 0.0), so it rounds as the probes around it do
-    best, res, best_norm = evaluate(np.arange(n), th + 0.0)
+    best, defect, res, best_norm = evaluate(np.arange(n), th + 0.0)
     active = best_norm > bound
     for _ in range(10):
         if not active.any():
@@ -289,7 +290,7 @@ def _refine_circle_angles(
         idx = np.flatnonzero(active)
         r = res[idx]
         shifted = (th[idx][:, None, :] + step * np.eye(k)).reshape(-1, k)
-        probed = evaluate(idx.repeat(k), shifted)[1].reshape(idx.size, k, -1)
+        probed = evaluate(idx.repeat(k), shifted)[2].reshape(idx.size, k, -1)
         J = np.swapaxes(probed - r[:, None, :], 1, 2) / step
         # the singular-value cutoff that lstsq applies with rcond=None
         cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
@@ -300,14 +301,14 @@ def _refine_circle_angles(
         over = span > 0.3
         dth[over] *= (0.3 / span[over])[:, None]
         tn = th[idx] + dth
-        cn, rn, nn = evaluate(idx, tn + 0.0)
+        cn, dn, rn, nn = evaluate(idx, tn + 0.0)
         better = finite & (nn < best_norm[idx])
         keep = idx[better]
         th[keep], res[keep] = tn[better], rn[better]
-        best_norm[keep], best[keep] = nn[better], cn[better]
+        best_norm[keep], best[keep], defect[keep] = nn[better], cn[better], dn[better]
         active[idx[~better]] = False
         active &= best_norm > bound
-    return best
+    return best, defect
 
 
 def _mirror_pairs(off: np.ndarray, pairing_tol: float) -> List[Tuple[complex, complex]]:
@@ -388,25 +389,27 @@ def _factor_once(
         options.append(opts)
         branch_count *= len(opts)
 
-    # branches holding unit-circle roots are refined, one batch per count;
-    # with forced roots that is every branch, so none is built beforehand
+    # branches holding unit-circle roots are refined, one batch per count,
+    # and validated on the lag defects the refinement found; with forced
+    # roots that is every branch, so none is built or validated beforehand
     raw = None if forced else _unit_cores(_fan_out(forced, options), a0)
+    defect = None if forced else _lag_defect(raw, lags, s_eff)
     if forced or any(len(opts) > 2 for opts in options):
         chosen, circ = _branch_rows(forced, options)
         if raw is None:
             raw = np.empty((chosen.shape[0], s_eff), dtype=np.complex128)
+            defect = np.empty_like(raw)
         n_circ = circ.sum(axis=1)
         for k in np.unique(n_circ[n_circ > 0]):
             rows = np.flatnonzero(n_circ == k)
             on = circ[rows]
-            raw[rows] = _refine_circle_angles(
+            raw[rows], defect[rows] = _refine_circle_angles(
                 chosen[rows][~on].reshape(rows.size, -1),
                 np.angle(chosen[rows][on]).reshape(rows.size, k),
                 lags, s_eff, a0,
             )
 
-    defect = np.abs(_lag_defect(raw, lags, s_eff))
-    ok = np.all(defect <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0), axis=1)
+    ok = np.all(np.abs(defect) <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0), axis=1)
     if not ok.any():
         raise UnrealizableAutocorrelation(
             "autocorrelation not realizable: every pairing branch failed validation"

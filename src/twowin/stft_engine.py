@@ -280,8 +280,6 @@ def node_segment(
 
 def stft_value(f: Signal, pair: WindowPair, which: str, t: float, omega: float) -> complex:
     """Single transform value at an arbitrary node time and frequency."""
-    if which not in WINDOW_NAMES:
-        raise ValueError(f"window must be one of {WINDOW_NAMES}, got {which!r}")
     seg = node_segment(f.grid, t, f.samples, pair, (which,))
     w = seg.windows[0]
     x = f.grid.x(seg.cells)

@@ -123,7 +123,9 @@ def align_overlaps(
 
     A live overlap that fits neither orientation means the magnitudes were
     inconsistent; an overlap with no energy means the input is separable
-    there and propagation stops with a declared error.
+    there and propagation stops with a declared error.  Every node time must
+    be on the grid (``reconstruct`` refuses one that is not), so each node
+    sees the windows' slot samples.
     """
     grid = pair.grid
     L, horizon = grid.L, grid.horizon
@@ -152,10 +154,6 @@ def align_overlaps(
     runs = np.bincount(lo, minlength=horizon + 1) - np.bincount(hi, minlength=horizon + 1)
     uncovered = tuple(np.flatnonzero(np.cumsum(runs)[:-1] == 0).tolist())
     del runs
-    # a node off the grid sees its windows there, as measuring it would: this
-    # mirrors node_segment's rule (slot values on the grid, values_at off it)
-    windows = {j: node_segment(grid, t, None, pair).windows
-               for j, t in enumerate(times) if not grid.is_multiple(t)}
     slot_windows = (phi, pair.slot_values("psi"))
 
     def span(j: int) -> Tuple[slice, slice]:
@@ -247,7 +245,7 @@ def align_overlaps(
         fv = np.zeros((1, L), dtype=np.complex128)
         fv[:, slots] = assembled[cells]
         E = tables[run][at]
-        node_magnitudes(fv, windows.get(j, slot_windows), E, grid.delta, mags[None, :, j])
+        node_magnitudes(fv, slot_windows, E, grid.delta, mags[None, :, j])
 
     # ready[ready_at[d]:ready_at[d + 1]] lists the lattice nodes (zero-class
     # ones too) whose on-horizon cells are all filled once d positions are
@@ -468,6 +466,8 @@ def reconstruct(
     if a > grid.B + 1e-12:
         raise ValueError("a > B unsupported for reconstruction")
     grid.cells(a, "lattice step a")
+    for t in nodes.lattice_times:  # the anchor may sit anywhere
+        grid.cells(t, "lattice node time")
     _require_alias_period(ms, grid, "reconstruction")
 
     # the anchor is stored last, so the lattice rows are a view, not a copy

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +40,9 @@ VIOLATION_CAP = 64
 
 EQUIV_TOL = 1e-8
 
-#: The oracle measures this many rows per block and phase-checks this many
-#: pairs at a time, which bounds its working memory whatever the family's
-#: size and group sizes.
+#: The oracle measures and groups this many rows per block and phase-checks
+#: this many pairs at a time.  Its working memory is then O(n) row indices
+#: plus one key row per class, whatever the group sizes.
 CHUNK = 2048
 
 
@@ -117,46 +117,78 @@ def _hash_multipliers(width: int) -> np.ndarray:
     return rng.integers(0, 2**64, size=width, dtype=np.uint64) | np.uint64(1)
 
 
-def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows with equal key rows, grouped: (order, sizes), where ``order`` lists
-    the rows group by group and ``sizes`` the group sizes.  Groups come in
-    order of first appearance, members in ascending row order.
+class _KeyGroups:
+    """Exact groups of equal key rows, gathered one block of rows at a time.
 
-    A stable sort on a 64-bit hash of each key row makes every run of equal
-    hashes a candidate group, led by its lowest row.  Each member's key is
-    checked against its leader's, and a run where one differs (a hash
-    collision) is regrouped by full keys, so the grouping is exact."""
-    n = len(keys)
-    hashes = keys.view(np.uint64) @ _hash_multipliers(keys.shape[1])
-    by_hash = np.argsort(hashes, kind="stable")
-    sorted_hashes = hashes[by_hash]
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
-    starts = np.flatnonzero(new_run)
-    run = np.cumsum(new_run) - 1
-    leader = by_hash[starts][run]
-    clash = np.zeros(len(starts), dtype=bool)
-    for lo in range(0, n, CHUNK):
-        block = slice(lo, lo + CHUNK)
-        differs = np.any(keys[by_hash[block]] != keys[leader[block]], axis=1)
-        clash[run[block][differs]] = True
-    ends = np.append(starts[1:], n)
-    for r in np.flatnonzero(clash):
-        members = by_hash[starts[r]:ends[r]]
-        _, first, inverse = np.unique(
-            keys[members], axis=0, return_index=True, return_inverse=True
+    Each row's key is hashed (``_hash_multipliers``) and looked up among the
+    hashes of the groups' first rows so far, which are held sorted.  The row
+    joins the first row with its hash when its full key equals that row's
+    stored key; only a new first row's key is stored.  A row whose key
+    differs (a hash collision) is grouped by its full key instead, so the
+    grouping is exact.  Memory is O(n) indices plus one key per group.
+    """
+
+    def __init__(self, n: int, width: int):
+        self.label = np.empty(n, dtype=np.intp)  # each row's group, by its lowest row
+        self.multipliers = _hash_multipliers(width)
+        self.hashes = np.empty(0, dtype=np.uint64)  # the stored keys' hashes, sorted
+        self.slots = np.empty(0, dtype=np.intp)  # and where each one's key is stored
+        # the stored keys and their rows, with room to grow: resized in place,
+        # since no view of them is kept, so no two copies are held at once
+        self.keys = np.empty((0, width), dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.clashes: Dict[bytes, int] = {}  # each colliding key's lowest row
+
+    def add(self, lo: int, keys: np.ndarray) -> None:
+        """Group rows lo, lo + 1, ... of the family, whose keys these are."""
+        # einsum gives the same wrapped sums as an integer matmul, faster
+        hashes, first, inverse = np.unique(
+            np.einsum("ij,j->i", keys.view(np.uint64), self.multipliers),
+            return_index=True,
+            return_inverse=True,
         )
-        leader[starts[r]:ends[r]] = members[first][inverse]
-    label = np.empty(n, dtype=np.intp)
-    label[by_hash] = leader  # each row's group, named by its lowest row
-    sizes = np.bincount(label, minlength=n)
-    return np.argsort(label, kind="stable"), sizes[sizes > 0]
+        at = np.searchsorted(self.hashes, hashes)
+        known = at < len(self.hashes)
+        known[known] = self.hashes[at[known]] == hashes[known]
+        fresh = np.flatnonzero(~known)
+        slot = np.empty(len(hashes), dtype=np.intp)
+        slot[known] = self.slots[at[known]]
+        slot[fresh] = self._store(keys[first[fresh]], lo + first[fresh])
+        self.hashes = np.insert(self.hashes, at[fresh], hashes[fresh])
+        self.slots = np.insert(self.slots, at[fresh], slot[fresh])
+        slot = slot[inverse]
+        label = self.label[lo:lo + len(keys)]
+        label[:] = self.rows[slot]
+        for i in np.flatnonzero(np.any(keys != self.keys[slot], axis=1)).tolist():
+            label[i] = self.clashes.setdefault(keys[i].tobytes(), lo + i)
+
+    def _store(self, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Store new first rows' keys; returns their slots."""
+        start = len(self.hashes)  # one key is stored for each hash held
+        end = start + len(keys)
+        if end > len(self.rows):
+            # a quarter more room, but never more than the rows not yet seen
+            # could still need
+            room = min(max(end, len(self.rows) * 5 // 4), start + len(self.label) - rows.min())
+            self.keys.resize((room, self.keys.shape[1]), refcheck=False)
+            self.rows.resize(room, refcheck=False)
+        self.keys[start:end], self.rows[start:end] = keys, rows
+        return np.arange(start, end)
+
+    def groups(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(order, sizes): ``order`` lists the rows group by group, groups by
+        first appearance and members in ascending row order, and ``sizes``
+        gives the group sizes."""
+        n = len(self.label)
+        sizes = np.bincount(self.label, minlength=n)
+        # (group, row) pairs are distinct, so any sort of them is stable
+        return np.argsort(self.label * n + np.arange(n)), sizes[sizes > 0]
 
 
 def _within_group_pairs(
     order: np.ndarray, sizes: np.ndarray, chunk: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every within-group pair of a grouping (``_group_rows``'s arrays), in
+    """Every within-group pair of a grouping (``_KeyGroups.groups``), in
     group order, then by the member position of i, then of j (so i < j when
     members are in row order).  Yields row arrays (i, j) and each pair's group
     index, ``chunk`` pairs at a time, so memory stays linear in the family size
@@ -188,11 +220,12 @@ def uniqueness_oracle(
     second line), matching what such measurements can possibly determine.
 
     The family is measured in blocks of ``CHUNK`` rows, each through
-    ``measure_batch`` and straight into one integer key array, so no
-    family-sized float array is built; rows are then grouped exactly by a
-    sort on the keys' hashes (``_group_rows``).  The phase test runs on
-    ``CHUNK`` pairs at a time, and the reflection test only on the pairs that
-    fail it.
+    ``measure_batch``, and each block's integer keys are grouped exactly as
+    soon as they are made (``_KeyGroups``): a row's key is kept only when it
+    is the first of its group.  So the oracle holds O(n) row indices plus
+    O(classes x width) keys, never a key per row or a family-sized float
+    array.  The phase test runs on ``CHUNK`` pairs at a time, and the
+    reflection test only on the pairs that fail it.
 
     Violations come in group order (groups by first appearance), then member
     order; the first ``violation_cap`` are materialized as Signal pairs, with
@@ -218,10 +251,11 @@ def uniqueness_oracle(
         mags = measure_batch(samples[lo:hi], config.grid, config.pair, config.nodes)
         mags = mags.reshape(hi - lo, int(np.prod(mags.shape[1:])))
         if lo == 0:
-            keys = np.empty((n, mags.shape[1]), dtype=np.int64)
+            grouping = _KeyGroups(n, mags.shape[1])
         np.divide(mags, FINGERPRINT_QUANTUM, out=mags)
-        keys[lo:hi] = np.round(mags, out=mags)
-    order, sizes = _group_rows(keys)
+        grouping.add(lo, np.round(mags, out=mags).astype(np.int64))
+    order, sizes = grouping.groups()
+    del grouping  # its stored keys go before the pairs are checked
     allow_reflection = config.nodes.mode == "lattice"
     kept: List[Tuple[int, int]] = []
     violation_count = 0

@@ -103,19 +103,21 @@ class WindowPair:
 
     def values_at(self, which: str, u) -> np.ndarray:
         """phi or psi at arbitrary real offsets."""
-        if which == "phi":
+        if self._is_phi(which):
             return self.phi_at(u)
-        if which == "psi":
-            u = np.asarray(u, dtype=float)
-            return _modulate(self.phi_at(u), u, self.b)
-        raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
+        u = np.asarray(u, dtype=float)
+        return _modulate(self.phi_at(u), u, self.b)
 
     def slot_values(self, which: str) -> np.ndarray:
-        if which == "phi":
-            return self.phi
-        if which == "psi":
-            return self.psi
-        raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
+        return self.phi if self._is_phi(which) else self.psi
+
+    @staticmethod
+    def _is_phi(which: str) -> bool:
+        """Whether ``which`` names phi rather than psi; the one check of a
+        window name."""
+        if which not in ("phi", "psi"):
+            raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
+        return which == "phi"
 
 
 def _validate_pair(grid: GridSpec, b: float, phi: np.ndarray) -> None:

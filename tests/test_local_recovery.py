@@ -455,7 +455,7 @@ def _reference_factor_once(
     for k in np.unique(n_circ[n_circ > 0]):
         rows = np.flatnonzero(n_circ == k)
         on = circ[rows]
-        raw[rows] = _refine_circle_angles(
+        raw[rows], _ = _refine_circle_angles(
             chosen[rows][~on].reshape(rows.size, -1),
             np.angle(chosen[rows][on]).reshape(rows.size, k),
             lags, s_eff, a0,
@@ -857,7 +857,8 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
 def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
     """The refinement as it was before the trial points were evaluated apart
     from the Jacobian probes: k + 1 probe polynomials per branch, fixed roots
-    included, at the start and after every step, each through _poly_batch."""
+    included, at the start and after every step, each through _poly_batch.
+    Returns the cores and their lag defects."""
     n, k = angles.shape
     probe = np.vstack([np.zeros(k), 1e-7 * np.eye(k)])
 
@@ -868,10 +869,10 @@ def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
         cores = _unit_cores(_poly_batch(roots), a0).reshape(m, k + 1, s_eff)
         d = _lag_defect(cores, lags, s_eff)
         res = np.concatenate([d.real, d.imag], axis=2)
-        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
+        return cores[:, 0], d[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
 
     th = angles.copy()
-    best, res, best_norm = evaluate(fixed, th)
+    best, defect, res, best_norm = evaluate(fixed, th)
     active = np.ones(n, dtype=bool)
     for _ in range(10):
         active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
@@ -888,13 +889,13 @@ def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
         over = span > 0.3
         dth[over] *= (0.3 / span[over])[:, None]
         tn = th[idx] + dth
-        cn, rn, nn = evaluate(fixed[idx], tn)
+        cn, dn, rn, nn = evaluate(fixed[idx], tn)
         better = finite & (nn < best_norm[idx])
         keep = idx[better]
         th[keep], res[keep] = tn[better], rn[better]
-        best_norm[keep], best[keep] = nn[better], cn[better]
+        best_norm[keep], best[keep], defect[keep] = nn[better], cn[better], dn[better]
         active[idx[~better]] = False
-    return best
+    return best, defect
 
 
 def _refinement_nodes():
@@ -952,11 +953,14 @@ def test_circle_refinement_matches_the_replaced_code_bit_for_bit(monkeypatch):
             pass
 
     stepped = converged = closable = 0
-    for (fixed, angles, lags, s_eff, a0), got in calls:
-        want = _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0)
-        assert got.tobytes() == want.tobytes()
+    for (fixed, angles, lags, s_eff, a0), (cores, defects) in calls:
+        want_cores, want_defects = _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0)
+        assert cores.tobytes() == want_cores.tobytes()
+        assert defects.tobytes() == want_defects.tobytes()
+        # _factor_once validates on these defects instead of recomputing them
+        assert defects.tobytes() == _lag_defect(cores, lags, s_eff).tobytes()
         roots = np.concatenate([fixed, np.exp(1j * (angles + 0.0))], axis=1)
-        moved = np.any(got != _unit_cores(_poly_batch(roots), a0), axis=1)
+        moved = np.any(cores != _unit_cores(_poly_batch(roots), a0), axis=1)
         stepped += moved.any()
         converged += not moved.any()
         closable += bool(_conjugate_closed(roots).any())

@@ -21,6 +21,7 @@ from twowin import (
     FrequencyGrid,
     GridSpec,
     InconsistentMeasurements,
+    OffGridError,
     PeriodicSpec,
     RecoveryError,
     SeparableInputError,
@@ -299,6 +300,26 @@ def test_reconstruct_rejects_wide_step():
     ms = measure(f, PAIR, nodes)
     with pytest.raises(ValueError, match="a > B"):
         reconstruct(ms, PAIR)
+
+
+@pytest.mark.parametrize("profile", ["rectangular", "raised_cosine"])
+def test_reconstruct_refuses_off_grid_lattice_node_times(profile):
+    # exact data on a lattice shifted a tenth off the grid was refused late,
+    # as "no factorization candidate matches the second window's data"
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    pair = build_window(profile, grid)
+    f = random_nonseparable(grid, support_len=62, gap_bound=1.0, seed=1)
+    on_grid = TimeNodes.lattice_covering(grid, 1.0)
+    shifted = TimeNodes(mode="lattice", times=tuple(t + 0.1 for t in on_grid.times), a=1.0)
+    with pytest.raises(OffGridError) as exc:
+        reconstruct(measure(f, pair, shifted), pair)
+    t = shifted.times[0]
+    assert str(exc.value) == (
+        f"lattice node time = {t!r} is not a whole number of grid cells "
+        f"(nearest is {on_grid.times[0]!r})"
+    )
+    rep = reconstruct(measure(f, pair, on_grid), pair)
+    assert rep.residual <= 1e-8
 
 
 def test_reconstruct_requires_full_alias_period():

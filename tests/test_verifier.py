@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,7 @@ def _first_column_multipliers(width):
     return np.eye(1, width, dtype=np.uint64)[0]
 
 
+@pytest.mark.parametrize("chunk", [verifier.CHUNK, 100, 3])
 @pytest.mark.parametrize("multipliers", [_colliding_multipliers, _first_column_multipliers])
 @pytest.mark.parametrize(
     "case",
@@ -263,12 +266,32 @@ def _first_column_multipliers(width):
      if c[0] in ("criterion-2 cap 64", "edge rows", "interleaved classes")],
     ids=lambda c: c[0],
 )
-def test_oracle_grouping_is_exact_under_hash_collisions(case, multipliers, monkeypatch):
+def test_oracle_grouping_is_exact_under_hash_collisions(case, multipliers, chunk, monkeypatch):
+    # with small blocks, rows whose hashes collide fall in different blocks
     _, config, samples, cap, want_count = case
     monkeypatch.setattr(verifier, "_hash_multipliers", multipliers)
+    monkeypatch.setattr(verifier, "CHUNK", chunk)
     report = uniqueness_oracle(config, samples, violation_cap=cap)
     assert report.violation_count == want_count
     _check_against_scalar(report, config, samples, cap, monkeypatch)
+
+
+def test_oracle_memory_grows_with_its_classes_not_its_rows():
+    # criterion 7's rational scan: 78,125 rows in 19,521 classes of 72-column
+    # keys.  With a key row held for every family row, its traced peak was
+    # 654 B per row.
+    grid = GridSpec(B=1.0, L=9, origin=9, horizon=18)
+    samples, _, _ = trig_family(grid, 2.0, degree=3)
+    config = OracleConfig(grid, build_window("rectangular", grid),
+                          TimeNodes.two_lines(0.0, 3 * grid.delta))
+    tracemalloc.start()
+    try:
+        report = uniqueness_oracle(config, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(samples), report.class_count, report.violation_count) == (78125, 19521, 176)
+    assert peak <= 450 * len(samples), peak
 
 
 def _separability_cases():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from twowin import GridSpec, OffGridError, WindowValidationError, build_window
+from twowin import (
+    GridSpec,
+    OffGridError,
+    Signal,
+    WindowValidationError,
+    build_window,
+    stft_value,
+)
 from twowin.stft_engine import node_segment
 from twowin.window_engine import slot_offsets
 
@@ -135,3 +142,20 @@ def test_phi_at_refuses_an_off_slot_offset_as_node_segment_refuses_an_off_grid_t
 def test_unknown_profile():
     with pytest.raises(ValueError):
         build_window("hann", GRID_EVEN)
+
+
+def test_every_window_name_check_gives_one_message():
+    # stft_value checked the name itself, with another message, before the
+    # pair did; on the grid and off it the pair's check is now the only one
+    pair = build_window("rectangular", GRID_EVEN)
+    f = Signal(GRID_EVEN, np.ones(GRID_EVEN.horizon))
+    calls = [
+        lambda: pair.slot_values("chi"),
+        lambda: pair.values_at("chi", 0.3),
+        lambda: stft_value(f, pair, "chi", 0.0, 0.25),
+        lambda: stft_value(f, pair, "chi", 0.3, 0.25),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "window must be 'phi' or 'psi', got 'chi'"
