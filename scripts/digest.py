@@ -23,7 +23,11 @@ The groups:
 - local: every ``LocalClass`` on fixed lattice nodes at L = 8, 12 and 16;
 - forge: each forged pair, and the files ``twowin forge`` writes;
 - cli: ``twowin measure``, ``recover`` and ``verify`` outputs, the oracle
-  report without ``elapsed``.
+  report without ``elapsed``;
+- checks: the verdicts of ``measurements_equal`` (flag and deviation), the
+  gluing, Lemma 3.2 and refinement checks, ``is_conjugate_twist_mate``,
+  ``equivalent_up_to_phase`` and ``is_separable``, on the five forged pairs
+  and on fixed seeded cases.
 
 A run takes about 20 s on a 2-core machine.  It reads public names only, so any checkout
 whose API has them can be digested.
@@ -354,6 +358,85 @@ def group_cli(tw, d: Digest) -> None:
         d.add(files_of(tmp, skip=("o.json",)))
 
 
+def refinement_fields(rep):
+    return rep.steps, rep.deviations, rep.forced_at, rep.phase_equivalent
+
+
+def group_checks(tw, d: Digest) -> None:
+    def verdicts(f, g, pair, nodes):
+        mf, mg = tw.measure(f, pair, nodes), tw.measure(g, pair, nodes)
+        for tol in (0.0, 1e-14, 1e-10, 1e-6):
+            d.add(outcome(lambda: tw.measurements_equal(mf, mg, tol=tol)))
+        d.add(outcome(lambda: tw.measurements_equal(mf, mg)))
+        d.add(outcome(lambda: tw.per_window_gluing_check(f, g, pair, nodes)))
+        d.add([outcome(lambda: tw.lemma32_equivalence_check(f, g, pair, t)) for t in nodes.times])
+        d.add(outcome(lambda: refinement_fields(tw.semidiscrete_refinement_check(f, g, pair))))
+        d.add(outcome(lambda: tw.equivalent_up_to_phase(f, g)))
+
+    for claim in tw.CLAIMS:
+        fp = tw.forge(claim)
+        verdicts(fp.f, fp.g, fp.pair, fp.nodes)
+        for sig in (fp.f, fp.g):
+            grid = sig.grid
+            d.add([tw.is_separable(sig, k * grid.delta / 2) for k in range(1, 40)])
+
+    # seeded signals against a phase turn, a reflection, perturbations of
+    # growing size and an unrelated signal, under both analytic windows
+    grid = tw.GridSpec(B=1.0, L=8, origin=12, horizon=24)
+    rng = np.random.default_rng(19)
+    for seed in range(4):
+        f = tw.random_nonseparable(grid, 21, 1.0, seed=seed)
+        noise = rng.standard_normal(grid.horizon) + 1j * rng.standard_normal(grid.horizon)
+        others = [
+            tw.Signal(grid, np.exp(0.3j + seed) * f.samples),
+            tw.conj_reflect(f, float(grid.x(10))),
+            tw.random_nonseparable(grid, 21, 1.0, seed=seed + 10),
+        ]
+        for eps in (1e-11, 1e-9, 3e-9, 1e-7):
+            others.append(tw.Signal(grid, f.samples + eps * f.norm() * noise))
+        for profile, a in (("rectangular", 1.0), ("raised_cosine", 0.5)):
+            pair = tw.build_window(profile, grid, b=0.25)
+            nodes = tw.TimeNodes.lattice_covering(grid, a)
+            for g in others:
+                verdicts(f, g, pair, nodes)
+    # mismatched node times and frequency grids are refused
+    pair = tw.build_window("rectangular", grid)
+    m1 = tw.measure(f, pair, tw.TimeNodes.lattice_covering(grid, 1.0))
+    m2 = tw.measure(f, pair, tw.TimeNodes.lattice_covering(grid, 0.5))
+    m3 = tw.measure(f, pair, m1.nodes, tw.FrequencyGrid.critical(grid.L - 1, grid.B))
+    d.add(outcome(lambda: tw.measurements_equal(m1, m2)))
+    d.add(outcome(lambda: tw.measurements_equal(m1, m3)))
+
+    # criterion 7's rational scan: every violating pair, seeded pairs of
+    # rows, and seeded twists of a row with and without a perturbation
+    grid = tw.GridSpec(B=1.0, L=9, origin=9, horizon=18)
+    samples, coeffs, desc = tw.trig_family(grid, 2.0, degree=3)
+    nodes = tw.TimeNodes.two_lines(0.0, 3 * grid.delta)
+    config = tw.OracleConfig(grid, tw.build_window("rectangular", grid), nodes)
+    rep = tw.uniqueness_oracle(config, samples, desc, violation_cap=10 ** 6)
+    d.add([tw.is_conjugate_twist_mate(coeffs[i], coeffs[j]) for i, j in rep.violation_rows])
+    rows = rng.integers(0, len(coeffs), size=(400, 2))
+    d.add([tw.is_conjugate_twist_mate(coeffs[i], coeffs[j]) for i, j in rows.tolist()])
+    ks = np.arange(-3, 4)
+    for i in rows[:200, 0].tolist():
+        nu, zeta = np.exp(2j * np.pi * rng.random(2))
+        twist = nu * zeta ** ks * np.conj(coeffs[i])
+        for eps in (0.0, 1e-10, 1e-6):
+            d.add(tw.is_conjugate_twist_mate(coeffs[i], twist + eps * rng.standard_normal(7)))
+    d.add(tw.is_conjugate_twist_mate(coeffs[5], coeffs[5][:-1]))
+
+    # random sample masks at every window length and three tolerances
+    for horizon in (4, 9, 16, 33):
+        grid = tw.GridSpec(B=1.0, L=4, origin=horizon // 2, horizon=horizon)
+        for p in (0.3, 0.6, 0.9):
+            mask = rng.random(horizon) < p
+            sig = tw.Signal(grid, np.where(mask, rng.choice([0.0, 1e-12, 1e-10], horizon), 1.0))
+            for tol in (1e-12, 1e-10, 1e-9):
+                lengths = np.arange(1, horizon + 2) * grid.delta
+                d.add([tw.is_separable(sig, length, tol=tol) for length in lengths])
+        d.add(outcome(lambda: tw.is_separable(sig, 0.0)))
+
+
 GROUPS = {
     "window": group_window,
     "reconstruct": group_reconstruct,
@@ -365,6 +448,7 @@ GROUPS = {
     "local": group_local,
     "forge": group_forge,
     "cli": group_cli,
+    "checks": group_checks,
 }
 
 

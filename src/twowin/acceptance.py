@@ -1,7 +1,8 @@
 """Executable acceptance checklist.
 
 Each criterion function runs one end-to-end property at desk scale and
-returns a CriterionResult with a one-line verdict.  The test suite asserts
+returns (passed, detail); ``run_all`` names and times it as a
+CriterionResult with a one-line verdict.  The test suite asserts
 them individually; the CLI selftest prints the lines and sets the exit code.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,13 +68,9 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{status}] {self.name}: {self.detail}"
 
 
-def _result(number: int, name: str, passed: bool, detail: str, start: float) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), detail, time.perf_counter() - start)
-
-
-def criterion_1() -> CriterionResult:
+def criterion_1() -> Tuple[bool, str]:
     """Roundtrip: reconstruct(measure(f)) matches f for 200 seeded signals."""
-    start = time.perf_counter()
+    start = time.perf_counter()  # for the 60 s budget
     grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
     combos = [(a, b) for a in (1.0, 0.5) for b in (0.25, 0.5)]
     max_res = 0.0
@@ -91,16 +88,13 @@ def criterion_1() -> CriterionResult:
             count += 1
     elapsed = time.perf_counter() - start
     passed = count == 200 and max_res <= 1e-8 and elapsed < 60.0
-    return _result(
-        1, "roundtrip", passed,
-        f"{count} roundtrips, max aligned residual {max_res:.2e}, {elapsed:.1f}s (budget 60s)",
-        start,
+    return passed, (
+        f"{count} roundtrips, max aligned residual {max_res:.2e}, {elapsed:.1f}s (budget 60s)"
     )
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> Tuple[bool, str]:
     """Sharpness of a <= B: wide-step pairs collide, oracle finds violations."""
-    start = time.perf_counter()
     worst_dev = 0.0
     worst_dist = np.inf
     for seed in (3, 4, 5):
@@ -114,18 +108,15 @@ def criterion_2() -> CriterionResult:
         OracleConfig(grid, pair, TimeNodes.lattice(1.5, range(-1, 2))), family, desc
     )
     passed = worst_dev <= 1e-10 and worst_dist >= 0.1 and report.violation_count >= 1
-    return _result(
-        2, "wide-step sharpness", passed,
+    return passed, (
         f"forge sup dev {worst_dev:.2e}, min distance {worst_dist:.3f}, "
-        f"a>B oracle violations {report.violation_count}",
-        start,
+        f"a>B oracle violations {report.violation_count}"
     )
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> Tuple[bool, str]:
     """Separability sharpness: the gap pair collides and reconstruction
     refuses it loudly."""
-    start = time.perf_counter()
     worst_dev = 0.0
     worst_dist = np.inf
     junction_errors = 0
@@ -144,17 +135,14 @@ def criterion_3() -> CriterionResult:
             if str(err).startswith("separable input"):
                 junction_errors += 1
     passed = worst_dev <= 1e-10 and worst_dist >= 0.1 and junction_errors == 3 and silent == 0
-    return _result(
-        3, "separable sharpness", passed,
+    return passed, (
         f"sup dev {worst_dev:.2e}, min distance {worst_dist:.3f}, "
-        f"junction errors {junction_errors}/3, silent outputs {silent}",
-        start,
+        f"junction errors {junction_errors}/3, silent outputs {silent}"
     )
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> Tuple[bool, str]:
     """Exact two-window difference identity at every node and bin."""
-    start = time.perf_counter()
     grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
     pair = build_window("rectangular", grid)
     nodes = TimeNodes.lattice_covering(grid, 1.0)
@@ -168,17 +156,14 @@ def criterion_4() -> CriterionResult:
             for n in range(-grid.L, grid.L):
                 max_defect = max(max_defect, check_difference_identity(f, pair, t, n))
     passed = max_defect <= DIFFERENCE_IDENTITY_TOL
-    return _result(
-        4, "difference identity", passed,
+    return passed, (
         f"max defect {max_defect:.2e} over 50 signals x {len(nodes.times)} nodes x "
-        f"{2 * grid.L} bins",
-        start,
+        f"{2 * grid.L} bins"
     )
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> Tuple[bool, str]:
     """Local dichotomy: survivors are only the segment and its mate."""
-    start = time.perf_counter()
     rng = np.random.default_rng(55)
     ambiguity_errors = 0
     bad_survivors = 0
@@ -202,17 +187,14 @@ def criterion_5() -> CriterionResult:
             if not any(phase_residuals(rep, cand) <= 1e-6 for cand in allowed):
                 bad_survivors += 1
     passed = ambiguity_errors == 0 and bad_survivors == 0 and missing_truth == 0
-    return _result(
-        5, "local dichotomy", passed,
+    return passed, (
         f"500 segments: {ambiguity_errors} ambiguity errors, "
-        f"{bad_survivors} foreign survivors, {missing_truth} missing the true segment",
-        start,
+        f"{bad_survivors} foreign survivors, {missing_truth} missing the true segment"
     )
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> Tuple[bool, str]:
     """Autocorrelation inversion against the direct correlation sum."""
-    start = time.perf_counter()
     rng = np.random.default_rng(66)
     max_dev = 0.0
     for _ in range(500):
@@ -225,17 +207,12 @@ def criterion_6() -> CriterionResult:
         want = direct_autocorrelation(h)
         max_dev = max(max_dev, float(np.max(np.abs(got - want))))
     passed = max_dev <= 1e-10
-    return _result(
-        6, "autocorrelation oracle", passed,
-        f"max deviation {max_dev:.2e} over 500 segments",
-        start,
-    )
+    return passed, f"max deviation {max_dev:.2e} over 500 segments"
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> Tuple[bool, str]:
     """Two-line periodic scans: incommensurate offset clean, rational offset
     violations all of the conjugate-twist form."""
-    start = time.perf_counter()
     grid = GridSpec(B=1.0, L=9, origin=9, horizon=18)
     pair = build_window("rectangular", grid)
     T = 2.0
@@ -253,17 +230,14 @@ def criterion_7() -> CriterionResult:
         is_conjugate_twist_mate(coeffs[i], coeffs[j]) for i, j in rat.violation_rows
     )
     passed = inc.violation_count == 0 and rat.violation_count > 0 and structural
-    return _result(
-        7, "periodic two-line scans", passed,
+    return passed, (
         f"incommensurate violations {inc.violation_count}, rational violations "
-        f"{rat.violation_count} (all conjugate-twist mates: {structural})",
-        start,
+        f"{rat.violation_count} (all conjugate-twist mates: {structural})"
     )
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> Tuple[bool, str]:
     """Quasi-periodic flip pair reproduces the step picture exactly."""
-    start = time.perf_counter()
     fp = forge_quasiperiodic_flip()
     grid = fp.f.grid
     B, T, alpha = grid.B, fp.params["T"], fp.params["alpha"]
@@ -283,17 +257,14 @@ def criterion_8() -> CriterionResult:
                 jumps.add(round(float(x[k]), 9))
     contained = jumps <= {round(float(v), 9) for v in labels}
     passed = same and flipped and dev <= 1e-10 and on_grid and contained
-    return _result(
-        8, "quasi-periodic flip", passed,
+    return passed, (
         f"agree on (-B,B): {same}, flip on (aT-B,aT+B): {flipped}, sup dev {dev:.1e}, "
-        f"breakpoints {sorted(jumps)} within the eight labeled abscissae: {contained}",
-        start,
+        f"breakpoints {sorted(jumps)} within the eight labeled abscissae: {contained}"
     )
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> Tuple[bool, str]:
     """Lattice insufficiency: equal on the lattice, split by any anchor."""
-    start = time.perf_counter()
     fp = forge_rational_lattice()
     grid = fp.f.grid
     a = fp.params["a"]
@@ -311,17 +282,14 @@ def criterion_9() -> CriterionResult:
         dev = np.max(np.abs(mf.mags - mg.mags), axis=2)
         min_anchor_dev = min(min_anchor_dev, float(dev[:, nodes.anchor_index].max()))
     passed = lattice_dev <= 1e-10 and min_anchor_dev >= 1e-3
-    return _result(
-        9, "lattice insufficiency", passed,
+    return passed, (
         f"lattice sup dev {lattice_dev:.2e}, least anchor deviation {min_anchor_dev:.3f} "
-        f"over 3 incommensurate anchors",
-        start,
+        f"over 3 incommensurate anchors"
     )
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> Tuple[bool, str]:
     """Oracle and pipeline agree classwise on exhaustively scanned families."""
-    start = time.perf_counter()
     grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
     pair = build_window("rectangular", grid)
     family, desc = alphabet_family(grid, [0, 1, 2, 3])
@@ -348,39 +316,35 @@ def criterion_10() -> CriterionResult:
             if unique != outcome_unique:
                 disagreements += 1
     passed = disagreements == 0
-    return _result(
-        10, "oracle/pipeline consistency", passed,
-        f"{scanned} reconstructions over 2 node sets, {disagreements} disagreements",
-        start,
-    )
+    return passed, f"{scanned} reconstructions over 2 node sets, {disagreements} disagreements"
 
 
-CRITERIA: Dict[int, Callable[[], CriterionResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
+#: Every criterion by number, with the name its line carries.
+CRITERIA: Dict[int, Tuple[str, Callable[[], Tuple[bool, str]]]] = {
+    1: ("roundtrip", criterion_1),
+    2: ("wide-step sharpness", criterion_2),
+    3: ("separable sharpness", criterion_3),
+    4: ("difference identity", criterion_4),
+    5: ("local dichotomy", criterion_5),
+    6: ("autocorrelation oracle", criterion_6),
+    7: ("periodic two-line scans", criterion_7),
+    8: ("quasi-periodic flip", criterion_8),
+    9: ("lattice insufficiency", criterion_9),
+    10: ("oracle/pipeline consistency", criterion_10),
 }
 
 
 def run_all(numbers: Optional[Sequence[int]] = None) -> List[CriterionResult]:
     """Run the selected criteria (all by default), never raising: an
-    exception inside a criterion becomes a FAIL line."""
+    exception inside a criterion becomes a FAIL line under its name."""
     results = []
     for k in sorted(numbers) if numbers else sorted(CRITERIA):
+        name, criterion = CRITERIA[k]
         start = time.perf_counter()
         try:
-            results.append(CRITERIA[k]())
+            passed, detail = criterion()
         except Exception as err:  # noqa: BLE001 - report, don't crash the suite
-            detail = f"raised {type(err).__name__}: {err}"
+            passed, detail = False, f"raised {type(err).__name__}: {err}"
             traceback.print_exc()
-            results.append(
-                CriterionResult(k, f"criterion_{k}", False, detail, time.perf_counter() - start)
-            )
+        results.append(CriterionResult(k, name, bool(passed), detail, time.perf_counter() - start))
     return results

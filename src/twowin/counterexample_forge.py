@@ -27,6 +27,7 @@ from .signal_model import (
 )
 from .window_engine import WindowPair, build_window
 from .stft_engine import TimeNodes, default_anchor, measure
+from .verifier import measurements_equal
 
 #: Forged pairs must differ by at least this much after phase alignment.
 MIN_FORGE_DISTANCE = 0.1
@@ -53,8 +54,10 @@ def _seal(
     rectangular window with ``measurement_sup_dev`` added to its params."""
     pair = build_window("rectangular", f.grid)
     min_distance = global_phase_align(f, g).residual
-    dev = float(np.max(np.abs(measure(f, pair, nodes).mags - measure(g, pair, nodes).mags)))
-    if dev > FORGE_EQUALITY_TOL:
+    equal, dev = measurements_equal(
+        measure(f, pair, nodes), measure(g, pair, nodes), tol=FORGE_EQUALITY_TOL
+    )
+    if not equal:
         raise RuntimeError(
             f"forge {claim!r} produced unequal measurements (sup dev {dev:.3e})"
         )

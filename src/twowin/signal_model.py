@@ -16,10 +16,10 @@ from typing import Dict
 
 import numpy as np
 
-#: Relative tolerance for "these two numbers are the same sample value".
-EQUALITY_RTOL = 1e-9
 #: Absolute tolerance for "this sample is zero".
 ZERO_ATOL = 1e-12
+#: Relative residual at or below which two signals are the same up to phase.
+EQUIV_TOL = 1e-8
 
 
 class GridMismatchError(ValueError):
@@ -166,22 +166,6 @@ class Signal:
         return self.support is None
 
 
-def same_grid(a: GridSpec, b: GridSpec) -> bool:
-    return (
-        a.L == b.L
-        and a.origin == b.origin
-        and a.horizon == b.horizon
-        and abs(a.B - b.B) <= EQUALITY_RTOL * max(a.B, b.B)
-    )
-
-
-def require_same_grid(f: Signal, g: Signal) -> None:
-    if not same_grid(f.grid, g.grid):
-        raise GridMismatchError(
-            f"signals live on different grids: {f.grid} vs {g.grid}"
-        )
-
-
 @dataclass(frozen=True)
 class PhaseAlignment:
     """Result of aligning g to f by a unit scalar.
@@ -226,9 +210,11 @@ def global_phase_align(f: Signal, g: Signal) -> PhaseAlignment:
 
     Degenerate cases: if both signals are zero the residual is 0; if exactly
     one is zero no phase helps and lambda defaults to 1.  The residual is
-    symmetric in f and g.
+    symmetric in f and g.  The two grids must be equal (``GridSpec`` equality
+    is the one grid identity), else GridMismatchError.
     """
-    require_same_grid(f, g)
+    if f.grid != g.grid:
+        raise GridMismatchError(f"signals live on different grids: {f.grid} vs {g.grid}")
     fv = f.samples
     gv = g.samples
     scale = float(np.sqrt(np.linalg.norm(fv) ** 2 + np.linalg.norm(gv) ** 2))
@@ -239,7 +225,7 @@ def global_phase_align(f: Signal, g: Signal) -> PhaseAlignment:
 
 
 def equivalent_up_to_phase(f: Signal, g: Signal) -> bool:
-    return global_phase_align(f, g).residual <= 1e-8
+    return global_phase_align(f, g).residual <= EQUIV_TOL
 
 
 def conj_reflect(f: Signal, center: float) -> Signal:
@@ -252,9 +238,8 @@ def conj_reflect(f: Signal, center: float) -> Signal:
     operation is an exact involution.
     """
     grid = f.grid
-    two_c = 2.0 * center / grid.delta
-    m2 = int(round(two_c))
-    if abs(two_c - m2) > 1e-9:
+    m2 = int(round(2.0 * center / grid.delta))
+    if not grid.is_multiple(2.0 * center):
         nearest = m2 * grid.delta / 2.0
         raise OffGridError(
             f"reflection center {center!r} is not on the half-grid "
@@ -292,17 +277,10 @@ def is_separable(f: Signal, length: float, tol: float = ZERO_ATOL) -> bool:
     n_win = max(grid.cells_spanned(length), 1)
     if n_win > grid.horizon:
         return False
-    small = np.abs(f.samples) <= tol
-    # longest run of consecutive "small" cells
-    run = 0
-    best = 0
-    for flag in small:
-        run = run + 1 if flag else 0
-        if run > best:
-            best = run
-            if best >= n_win:
-                return True
-    return False
+    # small cells counted up to each index: a window of n_win cells is all
+    # small exactly when its count rises by n_win across it
+    count = np.concatenate(([0], np.cumsum(np.abs(f.samples) <= tol)))
+    return bool(np.any(count[n_win:] - count[:-n_win] == n_win))
 
 
 @dataclass(frozen=True)

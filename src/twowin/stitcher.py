@@ -39,6 +39,7 @@ from .stft_engine import (
     node_exponentials,
     node_magnitudes,
     node_segment,
+    sup_dev,
 )
 from .local_recovery import (
     ACCEPT_TOL,
@@ -270,7 +271,7 @@ def align_overlaps(
         nonlocal deepest
         for j in ready[ready_at[d] : ready_at[d + 1]].tolist():
             measure_node(j)
-            dev = float(np.abs(mags[:, j] - lattice_mags[:, j]).max())
+            dev = sup_dev(mags[:, j], lattice_mags[:, j])
             if dev > mag_tol:
                 if d > deepest[0]:
                     deepest = (d, "no phase assignment reproduces the lattice magnitudes "
@@ -336,11 +337,6 @@ def align_overlaps(
     )
 
 
-def _sup_dev(got: np.ndarray, want: np.ndarray) -> float:
-    dev = got - want  # the one temporary; its magnitudes are taken in place
-    return float(np.max(np.abs(dev, out=dev))) if dev.size else 0.0
-
-
 def _branch_verdict(
     direct: Tuple[Signal, np.ndarray],
     reflected: Tuple[Signal, np.ndarray],
@@ -353,8 +349,8 @@ def _branch_verdict(
     else the reflected one; the reflected signal is the alternative only when
     both fit, and neither fitting is refused with both deviations."""
     tol = ACCEPT_TOL * max(float(np.max(ms.mags)), 1e-300)
-    dev_direct = _sup_dev(direct[1][:, rows, :], ms.mags[:, rows, :])
-    dev_reflect = _sup_dev(reflected[1][:, rows, :], ms.mags[:, rows, :])
+    dev_direct = sup_dev(direct[1][:, rows, :], ms.mags[:, rows, :])
+    dev_reflect = sup_dev(reflected[1][:, rows, :], ms.mags[:, rows, :])
     if dev_direct <= tol:
         return direct, reflected[0] if dev_reflect <= tol else None
     if dev_reflect <= tol:
@@ -406,7 +402,7 @@ def resolve_reflection(
             reflected = None
         if reflected is not None and not equivalent_up_to_phase(assembly.signal, reflected):
             got = measure(reflected, pair, nodes, ms.freqs).mags
-            if _sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= ACCEPT_TOL * mag_scale:
+            if sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= ACCEPT_TOL * mag_scale:
                 # with no anchor row to judge them, both branches fit
                 anchor_used = nodes.anchor_index is not None
                 anchor_rows = [nodes.anchor_index] if anchor_used else []
@@ -415,7 +411,7 @@ def resolve_reflection(
                     "neither branch matches the anchor data",
                 )
 
-    residual = _sup_dev(chosen[1], ms.mags) / mag_scale
+    residual = sup_dev(chosen[1], ms.mags) / mag_scale
     if residual > ACCEPT_TOL:
         raise InconsistentMeasurements(
             f"reconstruction residual {residual:.3e} exceeds accept_tol {ACCEPT_TOL:.1e}"
@@ -465,9 +461,18 @@ def reconstruct(
         raise ValueError("reconstruction needs a lattice step")
     if a > grid.B + 1e-12:
         raise ValueError("a > B unsupported for reconstruction")
-    grid.cells(a, "lattice step a")
-    for t in nodes.lattice_times:  # the anchor may sit anywhere
-        grid.cells(t, "lattice node time")
+    k_a = grid.cells(a, "lattice step a")
+    times = nodes.lattice_times  # the anchor may sit anywhere
+    cells = [grid.cells(t, "lattice node time") for t in times]
+    # the overlaps the phases are chained across follow from the step, so
+    # the lattice nodes must be exactly one step apart
+    for i in range(1, len(cells)):
+        gap = cells[i] - cells[i - 1]
+        if gap != k_a or gap < 1:
+            raise ValueError(
+                f"lattice node times must be one step a = {a!r} apart, but "
+                f"{times[i - 1]!r} and {times[i]!r} are {gap * grid.delta!r} apart"
+            )
     _require_alias_period(ms, grid, "reconstruction")
 
     # the anchor is stored last, so the lattice rows are a view, not a copy
@@ -479,7 +484,7 @@ def reconstruct(
         [recover_local(phi, psi, pair, scale=scale) for phi, psi in zip(*lattice_mags)],
         pair,
         a,
-        times=nodes.lattice_times,
+        times=times,
         lattice_mags=lattice_mags,
         freqs=ms.freqs,
     )
@@ -562,7 +567,7 @@ def periodic_verdict(
         return ReconstructionReport(
             signal=cand,
             ambiguity=ambiguity,
-            residual=_sup_dev(got, ms.mags) / max(scale, 1e-300),
+            residual=sup_dev(got, ms.mags) / max(scale, 1e-300),
             lambdas=(1.0 + 0j, 1.0 + 0j),
             alternative=alt,
         )

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import GridSpec, Signal, equivalent_up_to_phase, phase_residuals
+from .signal_model import EQUIV_TOL, GridSpec, Signal, equivalent_up_to_phase, phase_residuals
 from .window_engine import WindowPair
 from .stft_engine import (
     MeasurementSet,
@@ -23,6 +23,7 @@ from .stft_engine import (
     measure,
     measure_batch,
     node_segment,
+    sup_dev,
     windowed_segment,
 )
 from .local_recovery import slot_reflect
@@ -37,8 +38,6 @@ ORACLE_CAP = 1_000_000
 #: At most this many violating pairs are materialized as Signals; the count
 #: field still reports all of them.
 VIOLATION_CAP = 64
-
-EQUIV_TOL = 1e-8
 
 #: The oracle measures and groups this many rows per block and phase-checks
 #: this many pairs at a time.  Its working memory is then O(n) row indices
@@ -55,7 +54,7 @@ def measurements_equal(
         raise ValueError("measurement sets index different node times")
     if not np.array_equal(m1.freqs.omegas, m2.freqs.omegas):
         raise ValueError("measurement sets index different frequency bins")
-    dev = float(np.max(np.abs(m1.mags - m2.mags))) if m1.mags.size else 0.0
+    dev = sup_dev(m1.mags, m2.mags)
     return dev <= tol, dev
 
 
@@ -410,7 +409,7 @@ def lemma32_equivalence_check(f: Signal, g: Signal, pair: WindowPair, t: float) 
         )
         mg = measure(gs, pair, nodes)
         scale = max(float(np.max(mf.mags)), float(np.max(mg.mags)), 1.0)
-        lhs = float(np.max(np.abs(mf.mags - mg.mags))) <= 1e-10 * scale
+        lhs, _ = measurements_equal(mf, mg, tol=1e-10 * scale)
         hg = node_segment(gs.grid, t, gs.samples).samples
         rhs = phase_residuals(hf, hg) <= EQUIV_TOL
         if not rhs:
@@ -461,11 +460,10 @@ def semidiscrete_refinement_check(
             continue
         nodes = TimeNodes.lattice(step, m_range)
         mf = measure(f, pair, nodes)
-        mg = measure(g, pair, nodes)
-        dev = float(np.max(np.abs(mf.mags - mg.mags)))
-        devs.append(dev)
         scale = max(float(np.max(mf.mags)), 1.0)
-        if forced is None and dev > 1e-10 * scale:
+        equal, dev = measurements_equal(mf, measure(g, pair, nodes), tol=1e-10 * scale)
+        devs.append(dev)
+        if forced is None and not equal:
             forced = level
     return RefinementReport(
         steps=tuple(steps),

@@ -9,6 +9,7 @@ from twowin import (
     GridSpec,
     ReconstructionReport,
     Signal,
+    TimeNodes,
     alphabet_family,
     build_window,
     global_phase_align,
@@ -526,7 +527,10 @@ def test_recover_refuses_rows_not_given_exactly_once(
 
 @pytest.mark.parametrize(
     "cells",
-    [["--cells=-1,3"], ["--cells", "-1,3"], ["--cells=3,-1"], ["--cells", "3,-1"], ["--cells=2,2"]],
+    [
+        ["--cells=-1,3"], ["--cells", "-1,3"], ["--cell", "-1,3"], ["--cells=3,-1"],
+        ["--cells", "3,-1"], ["--cells=2,2"],
+    ],
     ids=" ".join,
 )
 def test_verify_oracle_refuses_wrapped_and_repeated_cells(run_cli, cells):
@@ -535,6 +539,24 @@ def test_verify_oracle_refuses_wrapped_and_repeated_cells(run_cli, cells):
     code, out, err = run_cli("verify", "oracle", "--B", 1, "--L", 4, "--horizon", 4, *cells)
     assert (code, out) == (1, "")
     assert err.startswith("error: ValueError: support cell ")
+
+
+def test_recover_refuses_lattice_times_that_are_not_one_step_apart(run_cli, tmp_path):
+    # criterion 2's a > B nodes declared with a = B: member 89 used to come
+    # back with exit 0 as neither itself nor its reflection
+    grid = GridSpec(B=1.0, L=4, origin=4, horizon=8)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [3, 4, 5, 6])
+    nodes = TimeNodes(mode="lattice", times=(-1.5, 0.0, 1.5), a=1.0)
+    m_path, r_path = tmp_path / "m.json", tmp_path / "r.json"
+    cli.dump_json(cli.measurement_to_obj(measure(Signal(grid, family[89]), pair, nodes)), m_path)
+    code, out, err = run_cli("recover", m_path, "--report", r_path)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ValueError: lattice node times must be one step a = 1.0 apart, "
+        "but -1.5 and 0.0 are 1.5 apart\n"
+    )
+    assert not r_path.exists()
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from twowin import (
     stft_value,
 )
 from twowin.local_recovery import CLASS_TOL, _phase_match
-from twowin.signal_model import mu_powers, periodic_eval
+from twowin.signal_model import ZERO_ATOL, GridMismatchError, mu_powers, periodic_eval
 from twowin.stitcher import ORIENT_TOL
 
 
@@ -148,6 +148,21 @@ def test_global_phase_align_recovers_lambda(make_signal):
     assert al.residual < 1e-12
     assert equivalent_up_to_phase(f, g)
     assert not equivalent_up_to_phase(f, make_signal(GRID, 8))
+
+
+def test_global_phase_align_refuses_grids_that_measure_refuses():
+    # B = 0.3 and 0.1 * 3 differ in the last bit: GridSpec equality is the
+    # one grid identity, so these signals are refused here as by measure
+    grid = GridSpec(B=0.3, L=4, origin=4, horizon=8)
+    twin = GridSpec(B=0.1 * 3, L=4, origin=4, horizon=8)
+    f, g = Signal(grid, np.ones(8)), Signal(twin, np.ones(8))
+    with pytest.raises(ValueError, match="different grids"):
+        measure(f, build_window("rectangular", twin), TimeNodes.lattice_covering(grid, 0.15))
+    with pytest.raises(GridMismatchError) as exc:
+        global_phase_align(f, g)
+    assert str(exc.value) == f"signals live on different grids: {grid} vs {twin}"
+    with pytest.raises(GridMismatchError):
+        equivalent_up_to_phase(g, f)
 
 
 # The scalar phase formulas that phase_fit replaced, kept as references.
@@ -289,6 +304,31 @@ def test_is_separable_detects_gaps():
     assert is_separable(Signal(GRID, edge), 2.0)
     with pytest.raises(ValueError):
         is_separable(f, 0.0)
+
+
+def _reference_is_separable(samples, n_win, tol):
+    """The per-sample loop that is_separable's cumulative sum replaced."""
+    run = best = 0
+    for flag in np.abs(samples) <= tol:
+        run = run + 1 if flag else 0
+        best = max(best, run)
+    return best >= n_win
+
+
+@pytest.mark.parametrize("horizon", [4, 5, 16, 33])
+def test_is_separable_matches_the_replaced_loop(horizon):
+    grid = GridSpec(B=1.0, L=4, origin=horizon // 2, horizon=horizon)
+    rng = np.random.default_rng(horizon)
+    masks = [rng.random(horizon) < p for p in (0.2, 0.5, 0.8) for _ in range(20)]
+    for k in range(horizon + 1):  # small runs of every length at both ends
+        masks += [np.arange(horizon) < k, np.arange(horizon) >= horizon - k]
+    for mask in masks:
+        small = rng.choice([0.0, ZERO_ATOL], horizon)  # zero or at the tolerance
+        samples = np.where(mask, small, 1e-11 + rng.random(horizon))
+        f = Signal(grid, samples)
+        for n_win in range(1, horizon + 2):  # n_win = horizon + 1 spans more than the horizon
+            want = n_win <= horizon and _reference_is_separable(samples, n_win, ZERO_ATOL)
+            assert is_separable(f, n_win * grid.delta) == want, (mask, n_win)
 
 
 def test_periodic_spec_validation():

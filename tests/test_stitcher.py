@@ -322,6 +322,31 @@ def test_reconstruct_refuses_off_grid_lattice_node_times(profile):
     assert rep.residual <= 1e-8
 
 
+def test_reconstruct_refuses_lattice_times_that_are_not_one_step_apart():
+    # criterion 2's a > B nodes declared with a = B: member 89 came back
+    # phase_only as neither itself nor its reflection
+    grid = GridSpec(B=1.0, L=4, origin=4, horizon=8)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [3, 4, 5, 6])
+    nodes = TimeNodes(mode="lattice", times=(-1.5, 0.0, 1.5), a=1.0)
+    with pytest.raises(ValueError) as exc:
+        reconstruct(measure(Signal(grid, family[89]), pair, nodes), pair)
+    assert str(exc.value) == (
+        "lattice node times must be one step a = 1.0 apart, but -1.5 and 0.0 are 1.5 apart"
+    )
+    # a lattice with a node left out is refused at its first wide gap
+    f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=1)
+    full = TimeNodes.lattice_covering(GRID, 0.5)
+    holed = TimeNodes(mode="lattice", times=full.times[:3] + full.times[4:], a=0.5)
+    with pytest.raises(ValueError) as exc:
+        reconstruct(measure(f, PAIR, holed), PAIR)
+    assert str(exc.value) == (
+        f"lattice node times must be one step a = 0.5 apart, but {full.times[2]!r} "
+        f"and {full.times[4]!r} are 1.0 apart"
+    )
+    assert reconstruct(measure(f, PAIR, full), PAIR).residual <= 1e-8
+
+
 def test_reconstruct_requires_full_alias_period():
     f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=1)
     nodes = TimeNodes.lattice_covering(GRID, 1.0)
