@@ -645,12 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # argparse takes a value that starts with a minus sign and a digit, such
-    # as "-1,3", for an option, so it is joined to the "--cells" before it,
-    # or to an abbreviation no other option shares ("--ce" and longer)
+    # as "-1,3", for an option, so it is joined to the long option before it
+    # (one with no "=", never the bare "--"), whose abbreviation argparse resolves
     words: List[str] = []
     for word in sys.argv[1:] if argv is None else argv:
-        cells = bool(words) and len(words[-1]) > 3 and "--cells".startswith(words[-1])
-        if cells and word[:1] == "-" and word[1:2].isdigit():
+        long_opt = bool(words) and words[-1][:2] == "--" and len(words[-1]) > 2
+        if long_opt and "=" not in words[-1] and word[:1] == "-" and word[1:2].isdigit():
             words[-1] = f"{words[-1]}={word}"
         else:
             words.append(word)

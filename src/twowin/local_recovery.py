@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import critical_omega, phase_fit
-from .window_engine import WindowPair
+from .signal_model import GridSpec, critical_omega, phase_fit
+from .window_engine import WindowPair, slot_offsets
 
 #: Relative threshold for matching a root with its mirror partner 1/conj(r).
 PAIRING_TOL = 1e-6
@@ -523,8 +523,8 @@ def _pricing_tables(L: int, B: float, b: float) -> Tuple[np.ndarray, ...]:
     at omega_n + b, a row per cell offset u_j; then come the polish maps of
     the second window, delta E2 - delta E1, and of the first, delta E1.
     """
-    delta = 2.0 * B / L  # GridSpec.delta
-    u = (np.arange(L) - L // 2) * delta
+    grid = GridSpec(B=B, L=L, origin=0, horizon=L)
+    delta, u = grid.delta, slot_offsets(grid)
     omegas = critical_omega(np.arange(-L, L), B) + np.array([[0.0], [b]])
     E = np.exp(-2j * np.pi * (u[:, None] * omegas[:, None, :]))
     M_phi = delta * E[0]

@@ -87,6 +87,8 @@ class ReconstructionReport:
 
 @dataclass(frozen=True)
 class AlignedAssembly:
+    """``align_overlaps``' output and ``resolve_reflection``'s input."""
+
     signal: Signal
     ambiguity: str
     lambdas: Tuple[complex, ...]
@@ -108,6 +110,11 @@ def align_overlaps(
 ) -> AlignedAssembly:
     """Chain per-node phases across window overlaps and divide out the window.
 
+    An internal step of ``reconstruct``, which establishes its precondition:
+    the node times are on the grid, one step ``a`` (at least one cell and at
+    most B) apart, one class per time.  So consecutive node windows overlap
+    and their on-horizon runs rise with the node.
+
     Node phases are fixed by setting the first nonzero node to 1 and
     aligning every later patch on the samples it shares with what has been
     assembled so far.  A node whose class carries a reflected mate gives the
@@ -124,14 +131,10 @@ def align_overlaps(
 
     A live overlap that fits neither orientation means the magnitudes were
     inconsistent; an overlap with no energy means the input is separable
-    there and propagation stops with a declared error.  Every node time must
-    be on the grid (``reconstruct`` refuses one that is not), so each node
-    sees the windows' slot samples.
+    there and propagation stops with a declared error.
     """
     grid = pair.grid
     L, horizon = grid.L, grid.horizon
-    if a > grid.B + 1e-12:
-        raise ValueError(f"lattice step a = {a!r} exceeds B = {grid.B!r}")
     phi = pair.slot_values("phi")
     cond = float(np.max(np.abs(phi)) / np.min(np.abs(phi)))
     if cond > COND_MAX:
@@ -139,8 +142,6 @@ def align_overlaps(
             f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"
         )
     inv_phi = 1.0 / np.conj(phi)
-    if len(times) != len(classes):
-        raise ValueError(f"{len(classes)} classes for {len(times)} node times")
 
     scale = max(
         (float(np.max(np.abs(c.representative))) for c in classes if not c.is_zero),
@@ -188,14 +189,17 @@ def align_overlaps(
         start.append(k)
     live, start = np.array(live, dtype=np.int64), np.array(start)
     n_live = len(live)
+    # lo and hi rise with the node, so once positions 0 .. p - 1 are placed
+    # the filled cells are lo[live[0]]:boundary[p], the boundary being
+    # hi[live[p - 1]]; position p overlaps them on lo[live[p]]:boundary[p]
+    # and fills boundary[p]:hi[live[p]]
+    boundary = np.concatenate((lo[live[:1]], hi[live[:-1]]))
 
-    # the assembly, and per cell the depth of the position that filled it
-    # (0 for none).  Entering position p ranks its patches best fit first
+    # the assembly.  Entering position p ranks its patches best fit first
     # into order[start[p]:], with their lambdas in lams; fitting[p] counts
     # the ones that fit and placed[p] the ones placed, so a search frame is
     # (position, next option) and an option's values are made when placed
     assembled = np.zeros(horizon, dtype=np.complex128)
-    filled_by = np.zeros(horizon, dtype=np.int32)
     order = np.empty(n_patches, dtype=np.int64)
     lams = np.empty(n_patches, dtype=np.complex128)
     lam_of = np.ones(len(classes), dtype=np.complex128)
@@ -213,18 +217,17 @@ def align_overlaps(
         if p == 0:
             order[k0:k1], lams[k0:k1] = np.arange(k0, k1), 1.0
             return int(k1 - k0)
-        cells, slots = span(ci)
-        ov = filled_by[cells] > 0
-        u = assembled[cells][ov]
+        u = assembled[lo[ci] : boundary[p]]
         if u.size == 0 or np.abs(u).max() <= DEAD_OVERLAP_RTOL * scale:
             if sep_error is None:
-                m = round(times[ci] / a) if a else ci  # the lattice index
+                m = round(times[ci] / a)  # the lattice index
                 sep_error = SeparableInputError(f"separable input: propagation broken at node {m}")
             return 0
         norm_u = np.linalg.norm(u)
+        slots = slice(lo[ci] - first[ci], boundary[p] - first[ci])
         mismatch = {}
         for k in range(k0, k1):
-            v = patches[k, slots][ov]
+            v = patches[k, slots]
             lams[k], dist = phase_fit(u, v)
             mismatch[k] = float(dist / max(norm_u, np.linalg.norm(v)))
         order[k0:k1] = ranked = sorted(mismatch, key=mismatch.__getitem__)
@@ -251,14 +254,16 @@ def align_overlaps(
     # ready[ready_at[d]:ready_at[d + 1]] lists the lattice nodes (zero-class
     # ones too) whose on-horizon cells are all filled once d positions are
     # placed: every orientation at a position fills the same cells, and a
-    # filled cell never changes below it, so a node's magnitudes are final
-    # there and the last ones written are the assembly's.  A node with a
-    # cell no live window fills is checked with the last position.
+    # cell short of the boundary never changes below it, so a node's
+    # magnitudes are final there and the last ones written are the
+    # assembly's.  A node with a cell no live window fills is checked with
+    # the last position.
     checked = start[-1] > n_live
     if checked:
         reached = np.full(horizon, n_live)
-        for p in range(n_live - 1, -1, -1):
-            reached[span(live[p])[0]] = p + 1
+        reached[boundary[0] : hi[live[-1]]] = np.repeat(
+            np.arange(1, n_live + 1), hi[live] - boundary
+        )
         depth_of = np.array([reached[lo[j] : hi[j]].max(initial=1) for j in range(len(times))])
         ready = np.argsort(depth_of, kind="stable")
         ready_at = np.searchsorted(depth_of, np.arange(n_live + 2), sorter=ready)
@@ -288,16 +293,12 @@ def align_overlaps(
     while depth < n_live:
         fitting[depth], placed[depth] = enter(depth), 0
         depth += 1
-        # place the next untried orientation at the deepest open position,
-        # undoing the one placed there before (it filled the cells that were
-        # empty) and closing exhausted positions
+        # place the next untried orientation at the deepest open position
+        # over the cells the one before it filled, closing exhausted
+        # positions.  Cells past the boundary keep what a closed position
+        # wrote until they are filled again, and nothing reads them before
         while depth:
             p, i = depth - 1, placed[depth - 1]
-            cells, slots = span(live[p])
-            if i:
-                mine = filled_by[cells] == depth
-                assembled[cells][mine] = 0.0
-                filled_by[cells][mine] = 0
             if i == fitting[p]:
                 depth -= 1
                 continue
@@ -305,12 +306,10 @@ def align_overlaps(
                 raise InconsistentMeasurements("orientation search budget exhausted")
             budget -= 1
             placed[p] = i + 1
-            k = order[start[p] + i]
-            new = filled_by[cells] == 0
-            values = patches[k, slots][new]
-            assembled[cells][new] = lams[k] * values if p else values
-            filled_by[cells][new] = depth
-            lam_of[live[p]] = lams[k]
+            k, j = order[start[p] + i], live[p]
+            values = patches[k, boundary[p] - first[j] : hi[j] - first[j]]
+            assembled[boundary[p] : hi[j]] = lams[k] * values if p else values
+            lam_of[j] = lams[k]
             if not checked or fits(depth):
                 break
         else:
@@ -320,7 +319,7 @@ def align_overlaps(
                 raise InconsistentMeasurements(deepest[1])
             raise InconsistentMeasurements("no phase assignment fits the overlaps")
     # the search state goes before the output is made, not held beside it
-    del patches, filled_by, order, lams
+    del patches, order, lams
     if not checked:
         for j in range(len(classes)):
             measure_node(j)
@@ -368,6 +367,10 @@ def resolve_reflection(
     nodes: TimeNodes,
 ) -> ReconstructionReport:
     """Decide between the assembled signal and its conjugate reflection.
+
+    An internal step of ``reconstruct``: ``assembly`` must be
+    ``align_overlaps``' output for the lattice rows of ``ms``, under the
+    lattice contract stated there.
 
     The reflected branch is reflected about the center of the node span.  If
     it is not representable on the horizon, or its lattice measurements

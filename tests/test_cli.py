@@ -528,8 +528,8 @@ def test_recover_refuses_rows_not_given_exactly_once(
 @pytest.mark.parametrize(
     "cells",
     [
-        ["--cells=-1,3"], ["--cells", "-1,3"], ["--cell", "-1,3"], ["--cells=3,-1"],
-        ["--cells", "3,-1"], ["--cells=2,2"],
+        ["--cells=-1,3"], ["--cells", "-1,3"], ["--cell", "-1,3"], ["--ce", "-1,3"],
+        ["--c", "-1,3"], ["--cells=3,-1"], ["--cells", "3,-1"], ["--cells=2,2"],
     ],
     ids=" ".join,
 )

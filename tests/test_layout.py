@@ -174,3 +174,29 @@ def test_only_the_signal_model_builds_an_off_grid_error(path):
     # GridSpec.cells is the one whole-cell rule; a module that raises the
     # error itself holds a second copy of that rule and its idea of "nearest"
     assert list(_off_grid_errors_built(path)) == []
+
+
+#: ``reconstruct``'s internal steps, which rely on the lattice contract it
+#: checks and so are no entry of their own.
+STITCHER_INTERNALS = {"align_overlaps", "resolve_reflection", "AlignedAssembly"}
+
+
+def _stitcher_internals_imported(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in STITCHER_INTERNALS:
+                    yield f"{path.name}:{node.lineno} imports {alias.name}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "stitcher.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_stitcher_holds_reconstructs_internal_steps(path):
+    # reconstruct is the stitcher's one entry: a module that imports one of
+    # its steps, the package's re-exports included, offers it without the
+    # node spacing check the steps rely on
+    assert list(_stitcher_internals_imported(path)) == []
