@@ -20,7 +20,8 @@ a in {1, 0.5}:
 
 It prints one count line per (L, b, a), each refused or wrong row with its
 message, and one total line per L.  Two checkouts that refuse the same rows
-with the same messages print the same lines.
+with the same messages print the same lines.  It exits 1 when any row comes
+back wrong, so it can serve as a check; a refusal alone leaves the exit 0.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def main(argv=None) -> int:
 
     if not Path(tw.__file__).resolve().is_relative_to(src):
         p.error(f"twowin was imported from {tw.__file__}, not from {src}")
+    wrong = 0
     for L in (4, 8, 12):
         total = {"inputs": 0, "refused": 0, "wrong": 0}
         for b in (0.25, 0.5):
@@ -89,7 +91,8 @@ def main(argv=None) -> int:
             f"L={L} total: {total['refused']} of {total['inputs']} refused, "
             f"{total['wrong']} wrong"
         )
-    return 0
+        wrong += total["wrong"]
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -512,6 +512,17 @@ class LocalClass:
     @property
     def representative(self) -> np.ndarray:
         return self.representatives[0]
+
+    def orientations(self) -> Iterator[np.ndarray]:
+        """The listed classes, then the slot mate of a lone class that
+        tolerates reflection when the mate is another class under
+        ``CLASS_TOL`` (the rule that pairs two listed classes): the truth's
+        own candidate can fail the data where its exact mate passes."""
+        yield from self.representatives
+        if self.includes_reflection and len(self.representatives) == 1:
+            mate = slot_reflect(self.representative)
+            if mate is not None and not _phase_match(mate, self.representative, CLASS_TOL):
+                yield mate
 
 
 @lru_cache(maxsize=32)

@@ -92,17 +92,6 @@ class GridSpec:
         """Coordinate of a grid index (vectorized)."""
         return (np.asarray(index) - self.origin) * self.delta
 
-    def index_of(self, coord: float) -> int:
-        """Exact grid index of a coordinate (to 1e-9 of the grid step), or
-        OffGridError.
-
-        Public API, although the package itself never calls it: it is the
-        inverse of ``x`` for a caller who holds a coordinate, such as a node
-        time or a cell of a forged pair, and it refuses an off-grid
-        coordinate with the declared error instead of rounding it.
-        """
-        return self.cells(coord, "coordinate") + self.origin
-
     def is_multiple(self, t: float) -> bool:
         """True when ``t`` is an integer multiple of the grid step (to 1e-9
         of a step)."""
@@ -153,8 +142,10 @@ class Signal:
         arr.setflags(write=False)
         self.grid = grid
         self.samples = arr
-        nz = np.flatnonzero(arr)
-        self.support = (int(nz[0]), int(nz[-1])) if nz.size else None
+        # a byte per sample, not an int64 index per nonzero one
+        nz = arr != 0
+        last = nz.size - 1 - int(nz[::-1].argmax())
+        self.support = (int(nz.argmax()), last) if nz[last] else None
 
     def __repr__(self):
         return f"Signal(grid={self.grid!r}, support={self.support}, norm={self.norm():.6g})"

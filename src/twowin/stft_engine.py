@@ -375,7 +375,7 @@ def sup_dev(got: np.ndarray, want: np.ndarray) -> float:
     """max |got - want| over two magnitude arrays of one shape, 0.0 when they
     are empty: the one sup deviation behind every verdict on magnitude data."""
     dev = got - want  # the one temporary; its magnitudes are taken in place
-    return float(np.max(np.abs(dev, out=dev))) if dev.size else 0.0
+    return float(np.abs(dev, out=dev).max()) if dev.size else 0.0
 
 
 def check_difference_identity(f: Signal, pair: WindowPair, t: float, n: int) -> float:

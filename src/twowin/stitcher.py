@@ -117,14 +117,15 @@ def align_overlaps(
 
     Node phases are fixed by setting the first nonzero node to 1 and
     aligning every later patch on the samples it shares with what has been
-    assembled so far.  A node whose class carries a reflected mate gives the
-    chain a branch point; a nearly symmetric overlap can fit both, so the
-    orientations are searched depth first (best fit first, on an explicit
-    stack) instead of greedily locked in.  Each node's magnitudes are
-    checked against ``lattice_mags`` as soon as every cell of its window is
-    filled, which rejects chains that glued a mate through an overlap too
-    small to expose it, without waiting for the last node.  The assembly
-    carries every lattice node's magnitudes of the final signal.  Ambiguity
+    assembled so far.  A node's patches are ``LocalClass.orientations``: its
+    classes, and the slot mate of a lone class that tolerates reflection.
+    Two patches give the chain a branch point; a nearly symmetric overlap
+    can fit both, so the orientations are searched depth first (best fit
+    first, on an explicit stack) instead of greedily locked in.  On every
+    lattice, each node's magnitudes are checked against ``lattice_mags`` as
+    soon as every cell of its window is filled, which rejects chains that
+    glued a mate through an overlap too small to expose it, and names the
+    node that fails; the assembly carries the checks' magnitudes.  Ambiguity
     is phase_or_reflection exactly when every node would tolerate the
     reflected world.  ``uncovered`` lists the horizon cells that no node
     window holds.
@@ -163,8 +164,11 @@ def align_overlaps(
         return slice(lo[j], hi[j]), slice(lo[j] - first[j], hi[j] - first[j])
 
     # the live nodes' orientations divided by the window: live position p
-    # is node live[p], and its patches are rows start[p]:start[p + 1]
-    n_patches = sum(len(c.representatives) for c in classes if not c.is_zero)
+    # is node live[p], and its patches are rows start[p]:start[p + 1]; a
+    # lone class that tolerates reflection holds a row for its slot mate
+    n_patches = sum(
+        max(len(c.representatives), 1 + c.includes_reflection) for c in classes if not c.is_zero
+    )
     patches = np.empty((n_patches, L), dtype=np.complex128)
     live, start = [], [0]
     for ci, cls in enumerate(classes):
@@ -172,7 +176,7 @@ def align_overlaps(
             continue
         _, slots = span(ci)
         k = start[-1]
-        for o in cls.representatives:
+        for o in cls.orientations():
             np.multiply(o, inv_phi, out=patches[k])
             if 0 < slots.stop - slots.start < L:
                 # an orientation claiming content on off-horizon cells cannot
@@ -192,8 +196,8 @@ def align_overlaps(
     # lo and hi rise with the node, so once positions 0 .. p - 1 are placed
     # the filled cells are lo[live[0]]:boundary[p], the boundary being
     # hi[live[p - 1]]; position p overlaps them on lo[live[p]]:boundary[p]
-    # and fills boundary[p]:hi[live[p]]
-    boundary = np.concatenate((lo[live[:1]], hi[live[:-1]]))
+    # and fills boundary[p]:boundary[p + 1], the last entry being hi[live[-1]]
+    boundary = np.concatenate((lo[live[:1]], hi[live]))
 
     # the assembly.  Entering position p ranks its patches best fit first
     # into order[start[p]:], with their lambdas in lams; fitting[p] counts
@@ -204,7 +208,8 @@ def align_overlaps(
     lams = np.empty(n_patches, dtype=np.complex128)
     lam_of = np.ones(len(classes), dtype=np.complex128)
     fitting, placed = [0] * n_live, [0] * n_live
-    mags = np.empty((2, len(times), len(freqs)))
+    # every node is checked at some depth, and the zero lattice's are zero
+    mags = np.zeros((2, len(times), len(freqs)))
     tables = {}  # the node checks' exponential tables, one NODE_BLOCK of nodes
     sep_error: Optional[SeparableInputError] = None
     deepest: Tuple[int, str] = (-1, "")
@@ -237,45 +242,38 @@ def align_overlaps(
             return 0
         return next((n for n, k in enumerate(ranked) if mismatch[k] > ORIENT_TOL), len(ranked))
 
-    def measure_node(j: int) -> None:
-        """Write node j's magnitudes of the assembly to ``mags[:, j]`` with
-        ``measure``'s product and tables, one NODE_BLOCK of them at a time."""
-        run, at = divmod(j, NODE_BLOCK)
-        if run not in tables:
-            tables.clear()
-            cells = first[run * NODE_BLOCK : (run + 1) * NODE_BLOCK, None] + np.arange(L)
-            tables[run] = node_exponentials(grid, cells, freqs.omegas)
-        cells, slots = span(j)
-        fv = np.zeros((1, L), dtype=np.complex128)
-        fv[:, slots] = assembled[cells]
-        E = tables[run][at]
-        node_magnitudes(fv, slot_windows, E, grid.delta, mags[None, :, j])
-
     # ready[ready_at[d]:ready_at[d + 1]] lists the lattice nodes (zero-class
     # ones too) whose on-horizon cells are all filled once d positions are
     # placed: every orientation at a position fills the same cells, and a
     # cell short of the boundary never changes below it, so a node's
     # magnitudes are final there and the last ones written are the
-    # assembly's.  A node with a cell no live window fills is checked with
-    # the last position.
-    checked = start[-1] > n_live
-    if checked:
-        reached = np.full(horizon, n_live)
-        reached[boundary[0] : hi[live[-1]]] = np.repeat(
-            np.arange(1, n_live + 1), hi[live] - boundary
-        )
-        depth_of = np.array([reached[lo[j] : hi[j]].max(initial=1) for j in range(len(times))])
-        ready = np.argsort(depth_of, kind="stable")
-        ready_at = np.searchsorted(depth_of, np.arange(n_live + 2), sorter=ready)
-        del reached, depth_of
-        mag_tol = ACCEPT_TOL * max(float(np.max(lattice_mags)), 1e-300)
+    # assembly's.  So a node is ready once its last cell is filled, first
+    # if it has no on-horizon cell, and last if it has a cell outside
+    # boundary[0]:boundary[-1], which no live window fills.
+    first_at, last_at = np.searchsorted(boundary, (lo, hi - 1), side="right")
+    depth_of = np.where((first_at > 0) & (last_at <= n_live), last_at, n_live)
+    depth_of[lo == hi] = 1
+    ready = np.argsort(depth_of, kind="stable")
+    ready_at = np.searchsorted(depth_of, np.arange(n_live + 2), sorter=ready)
+    del first_at, last_at, depth_of
+    mag_tol = ACCEPT_TOL * max(float(lattice_mags.max(initial=0.0)), 1e-300)
 
     def fits(d: int) -> bool:
         """Whether the nodes completed at depth d reproduce their lattice
-        magnitudes; the maximum over nodes is the whole-horizon deviation."""
+        magnitudes, each measured into ``mags[:, j]`` with ``measure``'s
+        product and tables (one NODE_BLOCK of them at a time); the maximum
+        over nodes is the whole-horizon deviation."""
         nonlocal deepest
         for j in ready[ready_at[d] : ready_at[d + 1]].tolist():
-            measure_node(j)
+            run, at = divmod(j, NODE_BLOCK)
+            if run not in tables:
+                tables.clear()
+                cells = first[run * NODE_BLOCK : (run + 1) * NODE_BLOCK, None] + np.arange(L)
+                tables[run] = node_exponentials(grid, cells, freqs.omegas)
+            cells, slots = span(j)
+            fv = np.zeros((1, L), dtype=np.complex128)
+            fv[:, slots] = assembled[cells]
+            node_magnitudes(fv, slot_windows, tables[run][at], grid.delta, mags[None, :, j])
             dev = sup_dev(mags[:, j], lattice_mags[:, j])
             if dev > mag_tol:
                 if d > deepest[0]:
@@ -310,7 +308,7 @@ def align_overlaps(
             values = patches[k, boundary[p] - first[j] : hi[j] - first[j]]
             assembled[boundary[p] : hi[j]] = lams[k] * values if p else values
             lam_of[j] = lams[k]
-            if not checked or fits(depth):
+            if fits(depth):
                 break
         else:
             if sep_error is not None:
@@ -320,9 +318,6 @@ def align_overlaps(
             raise InconsistentMeasurements("no phase assignment fits the overlaps")
     # the search state goes before the output is made, not held beside it
     del patches, order, lams
-    if not checked:
-        for j in range(len(classes)):
-            measure_node(j)
     mags.setflags(write=False)
 
     # the zero signal has no second branch

@@ -56,7 +56,7 @@ def test_separable_gap_closes_when_filled():
     # two sides and the magnitudes stop agreeing
     fp = forge("separable_gap")
     grid = fp.f.grid
-    mid = grid.index_of(-0.5)
+    mid = grid.cells(-0.5, "cell") + grid.origin
     fv, gv = fp.f.samples.copy(), fp.g.samples.copy()
     fv[mid] = gv[mid] = 0.7
     equal, dev = measurements_equal(

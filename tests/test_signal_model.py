@@ -36,7 +36,6 @@ def test_grid_basics():
     assert GRID.delta == 0.5
     assert GRID.x(8) == 0.0
     assert GRID.x(10) == 1.0
-    assert GRID.index_of(-1.5) == 5
     assert GRID.is_multiple(2.5)
     assert not GRID.is_multiple(0.3)
     np.testing.assert_allclose(GRID.coords(), (np.arange(16) - 8) * 0.5)
@@ -54,12 +53,6 @@ def test_grid_basics():
 def test_grid_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
-
-
-def test_index_of_off_grid():
-    with pytest.raises(OffGridError, match="coordinate") as err:
-        GRID.index_of(0.3)
-    assert (err.value.value, err.value.nearest) == (0.3, 0.5)
 
 
 #: Grid step of the rational_periodic and rational_lattice forges (B = 1, L = 9).

@@ -36,6 +36,7 @@ from twowin import (
     global_phase_align,
     make_periodic,
     measure,
+    pair_equivalent,
     periodic_verdict,
     phase_fit,
     random_nonseparable,
@@ -81,6 +82,27 @@ def test_reconstruct_roundtrip(a):
         assert rep.ambiguity == "phase_only"
         assert rep.residual <= 1e-8
         assert all(abs(abs(l) - 1.0) < 1e-9 for l in rep.lambdas)
+
+
+def test_reconstruct_of_the_zero_signal_is_the_zero_signal():
+    # no node is live, and the same search returns the zero assembly with
+    # the zero lattice magnitudes
+    zero = Signal(GRID, np.zeros(GRID.horizon))
+    nodes = TimeNodes.lattice_covering(GRID, 1.0)
+    rep = reconstruct(measure(zero, PAIR, nodes), PAIR)
+    assert rep.signal.is_zero()
+    assert rep.ambiguity == "phase_only" and rep.alternative is None
+    assert rep.residual == 0.0
+    assert rep.lambdas == (1.0,) * len(nodes.times)
+
+
+def test_an_anchor_with_no_lattice_node_is_refused_on_its_residual():
+    # no lattice row, so no node is live and nothing is checked in the
+    # search; the zero assembly fails the anchor's data
+    f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=0)
+    nodes = TimeNodes(mode="lattice_plus_anchor", times=(0.5,), a=1.0, anchor_index=0)
+    with pytest.raises(InconsistentMeasurements, match="residual 1.000e\\+00 exceeds accept_tol"):
+        reconstruct(measure(f, PAIR, nodes), PAIR)
 
 
 def test_report_lists_the_cells_no_lattice_window_holds():
@@ -918,6 +940,79 @@ def test_node_check_rejects_a_mate_before_the_leaf():
     assert run(_recursive_align_overlaps, bad) == "InconsistentMeasurements"
     with pytest.raises(InconsistentMeasurements, match=r"best deviation .* at node index 2"):
         search(align_overlaps, bad)
+
+
+def test_node_check_names_the_node_on_a_lattice_with_no_branch_point():
+    # criterion 1's grid: every node offers one orientation that keeps off
+    # the cells beyond the horizon, so the chain never branches; node 4's
+    # data scaled by a millionth is refused by node 4's own check, as soon
+    # as its window is filled
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    pair = build_window("rectangular", grid, b=0.25)
+    nodes = TimeNodes.lattice_covering(grid, 1.0)
+    f = random_nonseparable(grid, grid.horizon - grid.cells_spanned(1.0) + 1, 1.0, seed=0)
+    ms = measure(f, pair, nodes)
+    scale = float(np.max(ms.mags))
+    classes = [recover_local(p, q, pair, scale=scale) for p, q in zip(*ms.mags)]
+    top = max(float(np.max(np.abs(c.representative))) for c in classes)
+    for t, c in zip(nodes.times, classes):
+        off = ~node_segment(grid, t).on
+        kept = [o for o in c.orientations() if np.all(np.abs(o[off]) <= DEAD_OVERLAP_RTOL * top)]
+        assert len(kept) == 1
+    bad = ms.mags.copy()
+    bad[:, 4] *= 1 + 1e-6
+    ms_bad = type(ms)(pair=ms.pair, nodes=ms.nodes, freqs=ms.freqs, mags=bad)
+    with pytest.raises(
+        InconsistentMeasurements,
+        match=r"^no phase assignment reproduces the lattice magnitudes "
+        r"\(best deviation .* at node index 4\)$",
+    ):
+        reconstruct(ms_bad, pair)
+
+
+# --- the slot mate offered as a patch ---------------------------------------
+
+LETTERS = np.array([0, 1, 1j, -1], dtype=np.complex128)
+
+
+def _sweep_row(L, b, a, row):
+    """Row ``row`` of ``scripts/exact_sweep.py``'s draw for (L, b, a)."""
+    grid = GridSpec(B=1.0, L=L, origin=2 * L, horizon=4 * L)
+    rng = np.random.default_rng([L, int(4 * b), int(2 * a)])
+    for _ in range(row):
+        rng.integers(0, 4, 4 * L)
+    return Signal(grid, LETTERS[rng.integers(0, 4, 4 * L)])
+
+
+@pytest.mark.parametrize(
+    "L, b, a, row",
+    [
+        (8, 0.25, 0.5, 61),
+        (8, 0.25, 0.5, 76),
+        (8, 0.5, 0.5, 95),
+        (8, 0.5, 0.5, 171),
+        (12, 0.25, 1.0, 118),
+        (12, 0.5, 0.5, 169),
+    ],
+)
+def test_a_lone_class_offers_its_slot_mate_when_the_truth_is_the_mate(L, b, a, row):
+    # at one node a single class is listed and it tolerates reflection, but
+    # the truth is its slot mate: the truth's own candidate misses the data
+    # and its exact mate passes.  Offering only the listed class refused each
+    # of these sweep rows with an overlap mismatch or no horizon-consistent
+    # orientation
+    f = _sweep_row(L, b, a, row)
+    pair = build_window("rectangular", f.grid, b=b)
+    nodes = TimeNodes.lattice_covering(f.grid, a)
+    ms = measure(f, pair, nodes)
+    scale = float(np.max(ms.mags))
+    classes = [recover_local(p, q, pair, scale=scale) for p, q in zip(*ms.mags)]
+    assert any(len(list(c.orientations())) > len(c.representatives) for c in classes)
+    rep = reconstruct(ms, pair)
+    assert rep.residual <= 1e-8
+    assert pair_equivalent(
+        rep.signal.samples, f.samples, allow_reflection=rep.ambiguity != "phase_only", tol=1e-8
+    )
 
 
 # --- long horizons ------------------------------------------------------------
