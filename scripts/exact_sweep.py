@@ -22,6 +22,20 @@ It prints one count line per (L, b, a), each refused or wrong row with its
 message, and one total line per L.  Two checkouts that refuse the same rows
 with the same messages print the same lines.  It exits 1 when any row comes
 back wrong, so it can serve as a check; a refusal alone leaves the exit 0.
+
+A second block counts the edge nodes that ``recover_local`` refuses far from
+the grid origin, where the forward map's roundoff grows with |x|.  For each
+L in {4, 8, 12} and horizon in {1024, 4096, 16384, 65536, 262144}, on
+GridSpec(B=1, L=L, origin=horizon/2, horizon=horizon):
+
+- ``random_nonseparable`` draws seeds 0-49 (0-9 at L = 12) with support
+  horizon - cells_spanned(2B - a) + 1, for a in {1, 0.5};
+- each is measured, for b in {0.25, 0.5}, only at its edge nodes: the first
+  and the last L*delta/a + 1 nodes of the lattice that covers the horizon;
+- every edge node is recovered with the lattice's largest magnitude as scale.
+
+It prints one count line per (L, horizon) and, under it, each refusal
+message with its count.
 """
 
 from __future__ import annotations
@@ -60,6 +74,32 @@ def sweep(tw, L: int, b: float, a: float):
         yield row, "ok" if right else "wrong", rep.ambiguity
 
 
+def edge_refusals(tw, L: int, horizon: int, seeds: range):
+    """Count the edge nodes of one (L, horizon) and tally ``recover_local``'s
+    refusals among them by message; returns (nodes, {message: count})."""
+    grid = tw.GridSpec(B=1.0, L=L, origin=horizon // 2, horizon=horizon)
+    nodes, refusals = 0, {}
+    for a in (1.0, 0.5):
+        gap = 2 * grid.B - a
+        times = tw.TimeNodes.lattice_covering(grid, a).times
+        edge = round(L * grid.delta / a) + 1
+        lattice = tw.TimeNodes.lattice(a, [round(t / a) for t in times[:edge] + times[-edge:]])
+        for seed in seeds:
+            f = tw.random_nonseparable(grid, horizon - grid.cells_spanned(gap) + 1, gap, seed=seed)
+            for b in (0.25, 0.5):
+                pair = tw.build_window("rectangular", grid, b=b)
+                mags = tw.measure(f, pair, lattice).mags
+                scale = float(np.max(mags))
+                for phi, psi in zip(*mags):
+                    nodes += 1
+                    try:
+                        tw.recover_local(phi, psi, pair, scale=scale)
+                    except Exception as exc:  # every refusal is counted by message
+                        key = f"{type(exc).__name__}: {exc}"
+                        refusals[key] = refusals.get(key, 0) + 1
+    return nodes, refusals
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(HERE.parent / "src"), help="the src/ directory to sweep")
@@ -92,6 +132,12 @@ def main(argv=None) -> int:
             f"{total['wrong']} wrong"
         )
         wrong += total["wrong"]
+    for L in (4, 8, 12):
+        for horizon in (1024, 4096, 16384, 65536, 262144):
+            nodes, refusals = edge_refusals(tw, L, horizon, range(10 if L == 12 else 50))
+            print(f"edge L={L} horizon={horizon}: {sum(refusals.values())} of {nodes} refused")
+            for message, count in sorted(refusals.items()):
+                print(f"  {count} x {message}")
     return 1 if wrong else 0
 
 

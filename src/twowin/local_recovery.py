@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -508,21 +508,18 @@ class LocalClass:
     includes_reflection: bool
     residual: float
     is_zero: bool = False
+    #: a lone class that tolerates reflection offers its slot mate as a patch
+    #: when the mate is another class (the truth may be the mate), else None
+    mate: Optional[np.ndarray] = None
 
     @property
     def representative(self) -> np.ndarray:
         return self.representatives[0]
 
-    def orientations(self) -> Iterator[np.ndarray]:
-        """The listed classes, then the slot mate of a lone class that
-        tolerates reflection when the mate is another class under
-        ``CLASS_TOL`` (the rule that pairs two listed classes): the truth's
-        own candidate can fail the data where its exact mate passes."""
-        yield from self.representatives
-        if self.includes_reflection and len(self.representatives) == 1:
-            mate = slot_reflect(self.representative)
-            if mate is not None and not _phase_match(mate, self.representative, CLASS_TOL):
-                yield mate
+    @property
+    def patches(self) -> Tuple[np.ndarray, ...]:
+        """The listed classes, then the offered mate if there is one."""
+        return self.representatives + (() if self.mate is None else (self.mate,))
 
 
 @lru_cache(maxsize=32)
@@ -659,19 +656,24 @@ def prune_with_second_window(
         raise AmbiguityViolation(
             f"ambiguity violation: {len(classes)} phase classes survive the second window"
         )
-    mate = slot_reflect(C[classes[0]])
-    if len(classes) == 2 and (mate is None or not _phase_match(mate, C[classes[1]], CLASS_TOL)):
+    # the slot mate, decided once: slot 0, which an even window's reflection
+    # drops, reads as empty at or below CLASS_TOL of the class maximum (the
+    # rule that pairs two classes), as the forward map leaves roundoff there
+    # far from the origin.  Each class owns its row, not a candidate view
+    reps = tuple(C[i].copy() for i in classes)
+    empty = L % 2 == 0 and abs(reps[0][0]) <= CLASS_TOL * np.abs(reps[0]).max()
+    mate = slot_reflect(np.concatenate(([0.0], reps[0][1:])) if empty else reps[0])
+    if len(classes) == 2 and (mate is None or not _phase_match(mate, reps[1], CLASS_TOL)):
         raise AmbiguityViolation(
             "ambiguity violation: two surviving classes are not conjugate mates"
         )
     includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= ACCEPT_TOL
-
-    # each representative owns its row, so a node's class does not keep its
-    # whole candidate matrix alive
+    lone = includes_reflection and len(reps) == 1 and not _phase_match(mate, reps[0], CLASS_TOL)
     return LocalClass(
-        representatives=tuple(C[i].copy() for i in classes),
+        representatives=reps,
         includes_reflection=bool(includes_reflection),
         residual=float(min(defects[i] for i in classes)),
+        mate=mate if lone else None,
     )
 
 

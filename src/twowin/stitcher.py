@@ -117,8 +117,9 @@ def align_overlaps(
 
     Node phases are fixed by setting the first nonzero node to 1 and
     aligning every later patch on the samples it shares with what has been
-    assembled so far.  A node's patches are ``LocalClass.orientations``: its
-    classes, and the slot mate of a lone class that tolerates reflection.
+    assembled so far.  A node's patches are ``LocalClass.patches``: its
+    classes, and the slot mate that local recovery offers with a lone class
+    that tolerates reflection.
     Two patches give the chain a branch point; a nearly symmetric overlap
     can fit both, so the orientations are searched depth first (best fit
     first, on an explicit stack) instead of greedily locked in.  On every
@@ -164,11 +165,8 @@ def align_overlaps(
         return slice(lo[j], hi[j]), slice(lo[j] - first[j], hi[j] - first[j])
 
     # the live nodes' orientations divided by the window: live position p
-    # is node live[p], and its patches are rows start[p]:start[p + 1]; a
-    # lone class that tolerates reflection holds a row for its slot mate
-    n_patches = sum(
-        max(len(c.representatives), 1 + c.includes_reflection) for c in classes if not c.is_zero
-    )
+    # is node live[p], and its patches are rows start[p]:start[p + 1]
+    n_patches = sum(len(c.patches) for c in classes if not c.is_zero)
     patches = np.empty((n_patches, L), dtype=np.complex128)
     live, start = [], [0]
     for ci, cls in enumerate(classes):
@@ -176,7 +174,7 @@ def align_overlaps(
             continue
         _, slots = span(ci)
         k = start[-1]
-        for o in cls.orientations():
+        for o in cls.patches:
             np.multiply(o, inv_phi, out=patches[k])
             if 0 < slots.stop - slots.start < L:
                 # an orientation claiming content on off-horizon cells cannot

@@ -756,6 +756,66 @@ def test_criterion10_family_matches_the_replaced_code(monkeypatch):
     assert new == old
 
 
+def _reference_orientations(cls):
+    """The replaced ``LocalClass.orientations``: the listed classes, then the
+    slot mate of a lone class that tolerates reflection, reflected with the
+    strict slot-0 test at every call, when the mate is another class."""
+    yield from cls.representatives
+    if cls.includes_reflection and len(cls.representatives) == 1:
+        mate = slot_reflect(cls.representative)
+        if mate is not None and not _phase_match(mate, cls.representative, CLASS_TOL):
+            yield mate
+
+
+def _criterion10_lattice_nodes():
+    """Every lattice node of criterion 10's family at a = 1 and a = 0.5."""
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    nodes = []
+    for a in (1.0, 0.5):
+        lattice = TimeNodes.lattice_covering(grid, a)
+        for h in family:
+            mags = measure(Signal(grid, h.copy()), pair, lattice).mags
+            scale = float(np.max(mags))
+            nodes += [(phi, psi, pair, scale) for phi, psi in zip(*mags)]
+    return nodes
+
+
+def test_patches_match_the_replaced_orientations():
+    # local recovery decides the offered mate once; the stitcher reads the
+    # patches it carries, which must be what orientations() yielded
+    offered = 0
+    for phi, psi, pair, scale in _criterion1_nodes() + _criterion10_lattice_nodes():
+        cls = recover_local(phi, psi, pair, scale=scale)
+        assert [h.tobytes() for h in cls.patches] == [
+            h.tobytes() for h in _reference_orientations(cls)
+        ]
+        offered += cls.mate is not None
+    assert offered > 0
+
+
+@pytest.mark.parametrize("b", [0.25, 0.5])
+@pytest.mark.parametrize("a", [1.0, 0.5])
+def test_edge_nodes_far_from_the_origin_keep_their_mate(a, b):
+    # the forward map's roundoff grows with |x|, so far from the origin an
+    # edge node's candidates carry about 1e-11 of debris in slot 0, the slot
+    # an even window's reflection drops; read strictly, that refused two
+    # conjugate mates as "not conjugate mates"
+    grid = GridSpec(B=1.0, L=4, origin=50_000, horizon=100_000)
+    pair = build_window("rectangular", grid, b=b)
+    times = TimeNodes.lattice_covering(grid, a).times
+    edge = round(grid.L * grid.delta / a) + 1
+    nodes = TimeNodes.lattice(a, [round(t / a) for t in times[:edge] + times[-edge:]])
+    gap = 2 * grid.B - a
+    for seed in range(5):
+        f = random_nonseparable(grid, grid.horizon - grid.cells_spanned(gap) + 1, gap, seed=seed)
+        ms = measure(f, pair, nodes)
+        scale = float(np.max(ms.mags))
+        for phi, psi in zip(*ms.mags):
+            recover_local(phi, psi, pair, scale=scale)
+
+
 def test_dedup_keeps_each_keys_first_row_like_the_replaced_code(monkeypatch):
     # factored nodes hardly ever give two rows one key (a repeated root comes
     # back split by about 1e-8, above the 1e-9 key quantum), so the dedup is

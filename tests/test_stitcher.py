@@ -957,7 +957,7 @@ def test_node_check_names_the_node_on_a_lattice_with_no_branch_point():
     top = max(float(np.max(np.abs(c.representative))) for c in classes)
     for t, c in zip(nodes.times, classes):
         off = ~node_segment(grid, t).on
-        kept = [o for o in c.orientations() if np.all(np.abs(o[off]) <= DEAD_OVERLAP_RTOL * top)]
+        kept = [o for o in c.patches if np.all(np.abs(o[off]) <= DEAD_OVERLAP_RTOL * top)]
         assert len(kept) == 1
     bad = ms.mags.copy()
     bad[:, 4] *= 1 + 1e-6
@@ -1007,7 +1007,7 @@ def test_a_lone_class_offers_its_slot_mate_when_the_truth_is_the_mate(L, b, a, r
     ms = measure(f, pair, nodes)
     scale = float(np.max(ms.mags))
     classes = [recover_local(p, q, pair, scale=scale) for p, q in zip(*ms.mags)]
-    assert any(len(list(c.orientations())) > len(c.representatives) for c in classes)
+    assert any(c.mate is not None for c in classes)
     rep = reconstruct(ms, pair)
     assert rep.residual <= 1e-8
     assert pair_equivalent(
