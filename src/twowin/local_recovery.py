@@ -10,6 +10,7 @@ when both survive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -64,7 +65,7 @@ def direct_autocorrelation(h: np.ndarray) -> np.ndarray:
     hv = np.asarray(h, dtype=np.complex128)
     n = hv.size
     return np.array(
-        [np.sum(hv[l:] * np.conj(hv[: n - l])) for l in range(n)],
+        [(hv[l:] * np.conj(hv[: n - l])).sum() for l in range(n)],
         dtype=np.complex128,
     )
 
@@ -117,7 +118,7 @@ def slot_reflect(h: np.ndarray) -> Optional[np.ndarray]:
     # for even L, slot 0 maps to 2s = L, outside the window; j -> 2s - j is
     # an involution, so slot 0 is also the one slot that nothing maps to
     blocked = L % 2 == 0 and L > 0
-    if blocked and abs(hv[0]) > 1e-12 * float(np.max(np.abs(hv))):
+    if blocked and abs(hv[0]) > 1e-12 * float(np.abs(hv).max()):
         return None
     out[int(blocked):] = np.conj(hv[::-1][: L - int(blocked)])
     return out
@@ -151,7 +152,7 @@ def _cluster_circle_roots(roots: List[complex], chord_tol: float) -> List[List[c
 
 def _conjugate_closed(roots: np.ndarray) -> np.ndarray:
     """Rows of ``roots`` closed under conjugation, which np.poly returns real."""
-    return np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1), axis=1)
+    return (np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1)).all(axis=1)
 
 
 def _branch_rows(
@@ -162,7 +163,7 @@ def _branch_rows(
     One row per branch, in the order of itertools.product over the pairs:
     the forced roots, then one choice per pair.
     """
-    count = int(np.prod([len(o) for o in options]))
+    count = math.prod(len(o) for o in options)
     pick = np.indices([len(o) for o in options]).reshape(len(options), count).T
     chosen = np.empty((count, len(forced) + len(options)), dtype=np.complex128)
     circ = np.ones(chosen.shape, dtype=bool)
@@ -267,7 +268,7 @@ def _refine_circle_angles(
         # a row closed under conjugation has as many roots above the real
         # axis as below; only such rows are sorted
         roots = np.concatenate([fixed[rows], circle], axis=1)
-        maybe = np.flatnonzero(np.add.reduce(np.sign(roots.imag), axis=1) == 0)
+        maybe = (np.add.reduce(np.sign(roots.imag), axis=1) == 0).nonzero()[0]
         if maybe.size:
             real = maybe[_conjugate_closed(roots[maybe])]
             c[real] = c[real].real
@@ -287,7 +288,7 @@ def _refine_circle_angles(
     for _ in range(10):
         if not active.any():
             break
-        idx = np.flatnonzero(active)
+        idx = active.nonzero()[0]
         r = res[idx]
         shifted = (th[idx][:, None, :] + step * np.eye(k)).reshape(-1, k)
         probed = evaluate(idx.repeat(k), shifted)[2].reshape(idx.size, k, -1)
@@ -295,9 +296,9 @@ def _refine_circle_angles(
         # the singular-value cutoff that lstsq applies with rcond=None
         cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
         dth = -(np.linalg.pinv(J, rcond=cutoff) @ r[:, :, None])[:, :, 0]
-        finite = np.all(np.isfinite(dth), axis=1)
+        finite = np.isfinite(dth).all(axis=1)
         dth[~finite] = 0.0
-        span = np.max(np.abs(dth), axis=1)
+        span = np.abs(dth).max(axis=1)
         over = span > 0.3
         dth[over] *= (0.3 / span[over])[:, None]
         tn = th[idx] + dth
@@ -401,7 +402,7 @@ def _factor_once(
             defect = np.empty_like(raw)
         n_circ = circ.sum(axis=1)
         for k in np.unique(n_circ[n_circ > 0]):
-            rows = np.flatnonzero(n_circ == k)
+            rows = (n_circ == k).nonzero()[0]
             on = circ[rows]
             raw[rows], defect[rows] = _refine_circle_angles(
                 chosen[rows][~on].reshape(rows.size, -1),
@@ -409,7 +410,7 @@ def _factor_once(
                 lags, s_eff, a0,
             )
 
-    ok = np.all(np.abs(defect) <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0), axis=1)
+    ok = (np.abs(defect) <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0)).all(axis=1)
     if not ok.any():
         raise UnrealizableAutocorrelation(
             "autocorrelation not realizable: every pairing branch failed validation"
@@ -606,7 +607,7 @@ def prune_with_second_window(
     C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
     E1, E2, M_psi, M_phi = _pricing_tables(L, grid.B, pair.b)
 
-    a0 = float(np.max(np.add.reduce(np.abs(C) ** 2, axis=1))) if C.size else 0.0
+    a0 = float(np.add.reduce(np.abs(C) ** 2, axis=1).max()) if C.size else 0.0
     scale = grid.delta * np.sqrt(2 * L * a0) if a0 > 0 else 1.0
 
     def defects_of(X: np.ndarray) -> np.ndarray:
@@ -629,11 +630,11 @@ def prune_with_second_window(
     # the second window alone has as many equations as a content vector has
     # unknowns, so only both windows together can vouch for a polished fit
     if C.size and not best <= ACCEPT_TOL:
-        C = polish(C[[int(np.argmin(defects))]])
+        C = polish(C[[int(defects.argmin())]])
         defects = defects_of(C)
         best = min(best, defects[0])
 
-    order = np.flatnonzero(defects <= ACCEPT_TOL)
+    order = (defects <= ACCEPT_TOL).nonzero()[0]
     # a survivor that passes but is not machine-accurate would carry its
     # defect into the glued neighbours, so it is polished in place
     rough = order[defects[order] > POLISH_ABOVE]

@@ -138,7 +138,8 @@ def align_overlaps(
     grid = pair.grid
     L, horizon = grid.L, grid.horizon
     phi = pair.slot_values("phi")
-    cond = float(np.max(np.abs(phi)) / np.min(np.abs(phi)))
+    mod_phi = np.abs(phi)
+    cond = float(mod_phi.max() / mod_phi.min())
     if cond > COND_MAX:
         raise ValueError(
             f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"
@@ -146,7 +147,7 @@ def align_overlaps(
     inv_phi = 1.0 / np.conj(phi)
 
     scale = max(
-        (float(np.max(np.abs(c.representative))) for c in classes if not c.is_zero),
+        (float(np.abs(c.representative).max()) for c in classes if not c.is_zero),
         default=0.0,
     )
 
@@ -156,7 +157,7 @@ def align_overlaps(
     first = first_cell(grid, np.asarray(times, dtype=float))
     lo, hi = (np.minimum(np.maximum(edge, 0), horizon) for edge in (first, first + L))
     runs = np.bincount(lo, minlength=horizon + 1) - np.bincount(hi, minlength=horizon + 1)
-    uncovered = tuple(np.flatnonzero(np.cumsum(runs)[:-1] == 0).tolist())
+    uncovered = tuple((runs.cumsum()[:-1] == 0).nonzero()[0].tolist())
     del runs
     slot_windows = (phi, pair.slot_values("psi"))
 
@@ -182,7 +183,7 @@ def align_overlaps(
                 # see this, the single-node data is blind to it
                 off = np.ones(L, dtype=bool)
                 off[slots] = False
-                if not np.max(np.abs(patches[k][off])) <= DEAD_OVERLAP_RTOL * scale:
+                if not np.abs(patches[k][off]).max() <= DEAD_OVERLAP_RTOL * scale:
                     continue
             k += 1
         if k == start[-1]:
@@ -248,11 +249,11 @@ def align_overlaps(
     # assembly's.  So a node is ready once its last cell is filled, first
     # if it has no on-horizon cell, and last if it has a cell outside
     # boundary[0]:boundary[-1], which no live window fills.
-    first_at, last_at = np.searchsorted(boundary, (lo, hi - 1), side="right")
+    first_at, last_at = boundary.searchsorted((lo, hi - 1), side="right")
     depth_of = np.where((first_at > 0) & (last_at <= n_live), last_at, n_live)
     depth_of[lo == hi] = 1
-    ready = np.argsort(depth_of, kind="stable")
-    ready_at = np.searchsorted(depth_of, np.arange(n_live + 2), sorter=ready)
+    ready = depth_of.argsort(kind="stable")
+    ready_at = depth_of.searchsorted(np.arange(n_live + 2), sorter=ready)
     del first_at, last_at, depth_of
     mag_tol = ACCEPT_TOL * max(float(lattice_mags.max(initial=0.0)), 1e-300)
 
@@ -340,7 +341,7 @@ def _branch_verdict(
     ``rows`` and return (chosen, alternative): the direct branch if it fits,
     else the reflected one; the reflected signal is the alternative only when
     both fit, and neither fitting is refused with both deviations."""
-    tol = ACCEPT_TOL * max(float(np.max(ms.mags)), 1e-300)
+    tol = ACCEPT_TOL * max(float(ms.mags.max()), 1e-300)
     dev_direct = sup_dev(direct[1][:, rows, :], ms.mags[:, rows, :])
     dev_reflect = sup_dev(reflected[1][:, rows, :], ms.mags[:, rows, :])
     if dev_direct <= tol:
@@ -376,7 +377,7 @@ def resolve_reflection(
     the reflected branch are measured, each once; every judgment and the
     residual read those magnitudes.
     """
-    mag_scale = max(float(np.max(ms.mags)), 1e-300)
+    mag_scale = max(float(ms.mags.max()), 1e-300)
     lat_rows = nodes.lattice_rows
     direct = assembly.mags
     if nodes.anchor_index is not None:
@@ -474,7 +475,7 @@ def reconstruct(
     # the anchor is stored last, so the lattice rows are a view, not a copy
     lat_rows = nodes.lattice_rows
     lattice_mags = ms.mags[:, : len(lat_rows)]
-    scale = float(np.max(lattice_mags)) if lat_rows else 0.0
+    scale = float(lattice_mags.max()) if lat_rows else 0.0
     # the classes are dropped once aligned, before the branches are judged
     assembly = align_overlaps(
         [recover_local(phi, psi, pair, scale=scale) for phi, psi in zip(*lattice_mags)],
@@ -520,7 +521,7 @@ def periodic_verdict(
     _require_alias_period(ms, grid, "periodic verdict")
 
     t0 = nodes.times[0]
-    scale = float(np.max(ms.mags))
+    scale = float(ms.mags.max())
     cls0 = recover_local(ms.mags[0, 0], ms.mags[1, 0], pair, scale=scale)
     # line 1 is recovered only to detect all-zero data; otherwise the branch
     # verdict below judges its magnitudes

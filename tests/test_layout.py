@@ -200,3 +200,34 @@ def test_only_the_stitcher_holds_reconstructs_internal_steps(path):
     # its steps, the package's re-exports included, offers it without the
     # node spacing check the steps rely on
     assert list(_stitcher_internals_imported(path)) == []
+
+
+#: numpy's Python-level reduction wrappers: each adds dispatch around a
+#: kernel that the array's own method reaches directly.
+REDUCTION_WRAPPERS = {
+    "max", "min", "amax", "amin", "all", "any", "argmin", "argmax", "flatnonzero", "sum", "prod",
+}
+
+#: The modules on the per-node recovery path.
+PER_NODE_MODULES = ("local_recovery.py", "stitcher.py")
+
+
+def _reduction_wrapper_calls(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.func.attr in REDUCTION_WRAPPERS
+        ):
+            yield f"{path.name}:{node.lineno} calls np.{node.func.attr}"
+
+
+@pytest.mark.parametrize("name", PER_NODE_MODULES)
+def test_the_per_node_path_calls_no_reduction_wrapper(name):
+    # an L = 4 node spends its time in dispatch, not arithmetic: x.max(),
+    # m.all(axis=1), m.nonzero()[0] and math.prod run the same kernels on the
+    # same arrays, so the bits stay the same, without the wrapper's overhead
+    assert list(_reduction_wrapper_calls(SRC / name)) == []
