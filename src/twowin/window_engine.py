@@ -92,7 +92,9 @@ class WindowPair:
         at its slot offsets only and refuses any other with OffGridError."""
         u = np.asarray(u, dtype=float)
         B, L = self.grid.B, self.grid.L
-        inside = (u >= -B) & (u < B)
+        # the lower edge snaps to 1e-9 of a cell, as first_cell's does, so a
+        # slot offset that rounds one ulp below -B is on the support
+        inside = (u >= -B - 1e-9 * self.grid.delta) & (u < B)
         if self.profile != "user":
             return np.where(inside, _profile(self.profile, self.params, B, u), 0.0j)
         # map offsets back to slot indices; an off-slot offset is refused by
