@@ -138,8 +138,7 @@ def align_overlaps(
     grid = pair.grid
     L, horizon = grid.L, grid.horizon
     phi = pair.slot_values("phi")
-    mod_phi = np.abs(phi)
-    cond = float(mod_phi.max() / mod_phi.min())
+    cond = float(np.abs(phi).max() / np.abs(phi).min())
     if cond > COND_MAX:
         raise ValueError(
             f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"

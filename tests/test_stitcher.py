@@ -34,6 +34,7 @@ from twowin import (
     default_anchor,
     forge,
     global_phase_align,
+    is_separable,
     make_periodic,
     measure,
     pair_equivalent,
@@ -1013,6 +1014,38 @@ def test_a_lone_class_offers_its_slot_mate_when_the_truth_is_the_mate(L, b, a, r
     assert pair_equivalent(
         rep.signal.samples, f.samples, allow_reflection=rep.ambiguity != "phase_only", tol=1e-8
     )
+
+
+def test_a_seeded_l8_draw_never_comes_back_wrong():
+    # 15 nonseparable letter inputs per (b, a), from one seed drawn once and
+    # kept: each comes back right by exact_sweep.py's rule or raises a
+    # declared error.  Every input coming back waits on the sweep's L = 8
+    # refusals
+    grid = GridSpec(B=1.0, L=8, origin=16, horizon=32)
+    rng = np.random.default_rng(4181)
+    outcomes = []
+    for b in (0.25, 0.5):
+        pair = build_window("rectangular", grid, b=b)
+        for a in (1.0, 0.5):
+            nodes = TimeNodes.lattice_covering(grid, a)
+            drawn = 0
+            while drawn < 15:
+                f = Signal(grid, LETTERS[rng.integers(0, 4, grid.horizon)])
+                if is_separable(f, 2 * grid.B - a):
+                    continue
+                drawn += 1
+                try:
+                    rep = reconstruct(measure(f, pair, nodes), pair)
+                except (RecoveryError, StitchError) as exc:
+                    outcomes.append(type(exc).__name__)
+                    continue
+                right = pair_equivalent(
+                    rep.signal.samples, f.samples,
+                    allow_reflection=rep.ambiguity != "phase_only", tol=1e-6,
+                )
+                outcomes.append("right" if right else f"wrong (b={b}, a={a}, input {drawn})")
+    assert len(outcomes) == 60
+    assert not [o for o in outcomes if o.startswith("wrong")]
 
 
 # --- long horizons ------------------------------------------------------------
