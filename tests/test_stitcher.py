@@ -1023,7 +1023,7 @@ def test_a_seeded_l8_draw_never_comes_back_wrong():
     # refusals
     grid = GridSpec(B=1.0, L=8, origin=16, horizon=32)
     rng = np.random.default_rng(4181)
-    outcomes = []
+    wrong = []
     for b in (0.25, 0.5):
         pair = build_window("rectangular", grid, b=b)
         for a in (1.0, 0.5):
@@ -1036,16 +1036,14 @@ def test_a_seeded_l8_draw_never_comes_back_wrong():
                 drawn += 1
                 try:
                     rep = reconstruct(measure(f, pair, nodes), pair)
-                except (RecoveryError, StitchError) as exc:
-                    outcomes.append(type(exc).__name__)
-                    continue
-                right = pair_equivalent(
+                except (RecoveryError, StitchError):
+                    continue  # a declared refusal; any other error fails the test
+                if not pair_equivalent(
                     rep.signal.samples, f.samples,
                     allow_reflection=rep.ambiguity != "phase_only", tol=1e-6,
-                )
-                outcomes.append("right" if right else f"wrong (b={b}, a={a}, input {drawn})")
-    assert len(outcomes) == 60
-    assert not [o for o in outcomes if o.startswith("wrong")]
+                ):
+                    wrong.append((b, a, drawn))
+    assert wrong == []
 
 
 # --- long horizons ------------------------------------------------------------
