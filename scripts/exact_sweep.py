@@ -36,6 +36,22 @@ GridSpec(B=1, L=L, origin=horizon/2, horizon=horizon):
 
 It prints one count line per (L, horizon) and, under it, each refusal
 message with its count.
+
+A third block recovers single nodes whose content has repeated unit-circle
+roots, the inputs on which the root solver is least accurate.
+``np.random.default_rng(CIRCLE_SEED)`` draws 200 contents once, each as:
+
+- one or two angles uniform in [-pi, pi), each a root of multiplicity 1-3;
+- L uniform in max(4, circle roots + 1) .. 12, and L - 1 - (circle roots)
+  free roots, complex standard normal;
+- the content is the monic polynomial of those roots, lowest degree first,
+  measured at the one node of GridSpec(B=1, L=L, origin=L//2, horizon=L)
+  with the rectangular window and b = 0.25.
+
+It prints each refusal with its message and one count line that gives the
+largest distance (``phase_residuals``) of a returned class to the truth or
+to the truth's slot mate.  A class farther than 1e-6 from both counts as wrong,
+and makes the script exit 1 like a wrong row of the first block.
 """
 
 from __future__ import annotations
@@ -49,6 +65,8 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 LETTERS = np.array([0, 1, 1j, -1], dtype=np.complex128)
 ROWS = 300
+CIRCLE_SEED = 2026
+CIRCLE_CONTENTS = 200
 
 
 def sweep(tw, L: int, b: float, a: float):
@@ -100,6 +118,38 @@ def edge_refusals(tw, L: int, horizon: int, seeds: range):
     return nodes, refusals
 
 
+def circle_contents():
+    """The third block's contents, drawn once: a list of complex vectors."""
+    rng = np.random.default_rng(CIRCLE_SEED)
+    contents = []
+    for _ in range(CIRCLE_CONTENTS):
+        angles = rng.uniform(-np.pi, np.pi, rng.integers(1, 3))
+        roots = list(np.exp(1j * angles).repeat(rng.integers(1, 4, angles.size)))
+        L = int(rng.integers(max(4, len(roots) + 1), 13))
+        free = L - 1 - len(roots)
+        roots += list(rng.standard_normal(free) + 1j * rng.standard_normal(free))
+        contents.append(np.poly(roots)[::-1].astype(np.complex128))
+    return contents
+
+
+def circle_recoveries(tw):
+    """Yield (row, message or None, largest class distance) per content of
+    the third block; the distance is to the truth or its slot mate."""
+    for row, h in enumerate(circle_contents()):
+        grid = tw.GridSpec(B=1.0, L=h.size, origin=h.size // 2, horizon=h.size)
+        pair = tw.build_window("rectangular", grid, b=0.25)
+        mags = tw.measure(tw.Signal(grid, h), pair, tw.TimeNodes.lattice(grid.B, [0])).mags
+        try:
+            cls = tw.recover_local(mags[0, 0], mags[1, 0], pair)
+        except Exception as exc:  # every refusal is printed with its message
+            yield row, f"{type(exc).__name__}: {exc}", None
+            continue
+        truths = [t for t in (h, tw.slot_reflect(h)) if t is not None]
+        yield row, None, max(
+            min(tw.phase_residuals(rep, t) for t in truths) for rep in cls.representatives
+        )
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(HERE.parent / "src"), help="the src/ directory to sweep")
@@ -138,6 +188,20 @@ def main(argv=None) -> int:
             print(f"edge L={L} horizon={horizon}: {sum(refusals.values())} of {nodes} refused")
             for message, count in sorted(refusals.items()):
                 print(f"  {count} x {message}")
+    refused, worst, worst_row = 0, 0.0, None
+    for row, message, dist in circle_recoveries(tw):
+        if message is not None:
+            refused += 1
+            print(f"  circle row {row}: refused: {message}")
+        elif dist >= worst:
+            worst, worst_row = dist, row
+        if dist is not None and dist > 1e-6:
+            wrong += 1
+            print(f"  circle row {row}: wrong: distance {dist:.3e}")
+    print(
+        f"circle: {refused} of {CIRCLE_CONTENTS} refused, "
+        f"largest class distance {worst:.3e} (row {worst_row})"
+    )
     return 1 if wrong else 0
 
 

@@ -38,7 +38,7 @@ from .verifier import (
     pair_equivalent,
     uniqueness_oracle,
 )
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 
 
 class CliError(Exception):
@@ -539,11 +539,25 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _criterion_numbers(text: str) -> List[int]:
+    """The criteria a comma-separated list names, each once, in order."""
+    numbers = set()
+    for word in text.split(","):
+        try:
+            k = int(word)
+        except ValueError:
+            k = None
+        if k not in CRITERIA:
+            raise CliError(
+                f"--criteria: {word!r} is not a criterion number "
+                f"(valid: {min(CRITERIA)}-{max(CRITERIA)})"
+            )
+        numbers.add(k)
+    return sorted(numbers)
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
-    numbers = None
-    if args.criteria:
-        numbers = [int(c) for c in args.criteria.split(",")]
-    results = run_all(numbers)
+    results = run_all(_criterion_numbers(args.criteria) if args.criteria else None)
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 1

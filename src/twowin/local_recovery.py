@@ -241,58 +241,39 @@ def _refine_circle_angles(
 
     Each row of ``fixed`` (roots that stay put) and ``angles`` is one branch,
     refined on its own: a branch stops when it converges or a step fails to
-    lower its residual.  Trial points are evaluated first, and the
-    finite-difference Jacobian only for branches still active there, so no
-    angle vector is evaluated twice.  Each row's polynomial is built like
-    ``_fan_out`` builds one, the fixed roots first (once per branch) and the
-    circle roots after them.  Returns the refined cores and their lag
-    defects (``_lag_defect``'s), one row each.
+    lower its residual.  Each evaluation builds a branch's polynomial at its
+    angles and at one finite-difference probe per angle, like ``_fan_out``
+    builds one.  Returns the refined cores, one row each.
     """
     n, k = angles.shape
-    nf = fixed.shape[1]
     step = 1e-7
-    bound = 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
-    # the fixed roots' factors, multiplied in once per branch
-    head = np.zeros((n, nf + k + 1), dtype=np.complex128)
-    head[:, 0] = 1.0
-    for j in range(nf):
-        head[:, 1 : j + 2] -= fixed[:, j : j + 1] * head[:, : j + 1]
+    probe = np.vstack([np.zeros(k), step * np.eye(k)])
 
-    def evaluate(rows: np.ndarray, th: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Cores, lag defects and lag residuals of the branches ``rows`` at
-        the circle angles ``th``, one row each."""
-        circle = np.exp(1j * th)
-        c = head[rows]
-        for j in range(k):
-            c[:, 1 : nf + j + 2] -= circle[:, j : j + 1] * c[:, : nf + j + 1]
-        # a row closed under conjugation has as many roots above the real
-        # axis as below; only such rows are sorted
-        roots = np.concatenate([fixed[rows], circle], axis=1)
-        maybe = (np.add.reduce(np.sign(roots.imag), axis=1) == 0).nonzero()[0]
-        if maybe.size:
-            real = maybe[_conjugate_closed(roots[maybe])]
-            c[real] = c[real].real
-        # numpy takes another abs loop for a one-row reversed view, so a lone
-        # row is doubled to round as it does inside a larger batch
-        cores = _unit_cores(c if rows.size > 1 else c.repeat(2, axis=0), a0)[: rows.size]
+    def evaluate(fx: np.ndarray, th: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Cores at the angles ``th``, and lag residuals there and at the probes."""
+        circle = np.exp(1j * (th[:, None, :] + probe)).reshape(-1, k)
+        roots = np.concatenate([np.repeat(fx, k + 1, axis=0), circle], axis=1)
+        c = np.zeros((roots.shape[0], roots.shape[1] + 1), dtype=np.complex128)
+        c[:, 0] = 1.0
+        for j in range(roots.shape[1]):
+            c[:, 1 : j + 2] -= roots[:, j : j + 1] * c[:, : j + 1]
+        real = _conjugate_closed(roots)
+        c[real] = c[real].real
+        cores = _unit_cores(c, a0).reshape(-1, k + 1, s_eff)
         d = _lag_defect(cores, lags, s_eff)
-        res = np.concatenate([d.real, d.imag], axis=1)
-        # each row's 2-norm, with np.linalg.norm's arithmetic
-        return cores, d, res, np.sqrt(np.add.reduce(res * res, axis=1))
+        res = np.concatenate([d.real, d.imag], axis=2)
+        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
 
     th = angles.copy()
-    # a trial point takes the probes' zero shift too (+ 0.0 turns a -0.0
-    # angle into 0.0), so it rounds as the probes around it do
-    best, defect, res, best_norm = evaluate(np.arange(n), th + 0.0)
-    active = best_norm > bound
+    best, res, best_norm = evaluate(fixed, th)
+    active = np.ones(n, dtype=bool)
     for _ in range(10):
-        if not active.any():
-            break
+        active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
         idx = active.nonzero()[0]
-        r = res[idx]
-        shifted = (th[idx][:, None, :] + step * np.eye(k)).reshape(-1, k)
-        probed = evaluate(idx.repeat(k), shifted)[2].reshape(idx.size, k, -1)
-        J = np.swapaxes(probed - r[:, None, :], 1, 2) / step
+        if not idx.size:
+            break
+        r = res[idx, 0]
+        J = np.swapaxes(res[idx, 1:] - r[:, None, :], 1, 2) / step
         # the singular-value cutoff that lstsq applies with rcond=None
         cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
         dth = -(np.linalg.pinv(J, rcond=cutoff) @ r[:, :, None])[:, :, 0]
@@ -302,14 +283,13 @@ def _refine_circle_angles(
         over = span > 0.3
         dth[over] *= (0.3 / span[over])[:, None]
         tn = th[idx] + dth
-        cn, dn, rn, nn = evaluate(idx, tn + 0.0)
+        cn, rn, nn = evaluate(fixed[idx], tn)
         better = finite & (nn < best_norm[idx])
         keep = idx[better]
         th[keep], res[keep] = tn[better], rn[better]
-        best_norm[keep], best[keep], defect[keep] = nn[better], cn[better], dn[better]
+        best_norm[keep], best[keep] = nn[better], cn[better]
         active[idx[~better]] = False
-        active &= best_norm > bound
-    return best, defect
+    return best
 
 
 def _mirror_pairs(off: np.ndarray, pairing_tol: float) -> List[Tuple[complex, complex]]:
@@ -346,7 +326,8 @@ def _factor_once(
     a0: float,
     circle_tol: float,
 ) -> np.ndarray:
-    """One classify/pair/build/refine/validate pass at a given circle tolerance.
+    """One classify/pair/build/validate pass at a given circle tolerance, with
+    the circle roots refined only when no branch validates.
 
     Returns the validated cores, one per row.
     """
@@ -390,32 +371,29 @@ def _factor_once(
         options.append(opts)
         branch_count *= len(opts)
 
-    # branches holding unit-circle roots are refined, one batch per count,
-    # and validated on the lag defects the refinement found; with forced
-    # roots that is every branch, so none is built or validated beforehand
-    raw = None if forced else _unit_cores(_fan_out(forced, options), a0)
-    defect = None if forced else _lag_defect(raw, lags, s_eff)
-    if forced or any(len(opts) > 2 for opts in options):
+    tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    cores = _unit_cores(_fan_out(forced, options), a0)
+    ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
+    if not ok.any():
+        # a split multiple circle root can leave every branch short of the
+        # lag tolerance; the branches holding circle roots are refined, one
+        # batch per count, and validated again
         chosen, circ = _branch_rows(forced, options)
-        if raw is None:
-            raw = np.empty((chosen.shape[0], s_eff), dtype=np.complex128)
-            defect = np.empty_like(raw)
         n_circ = circ.sum(axis=1)
         for k in np.unique(n_circ[n_circ > 0]):
             rows = (n_circ == k).nonzero()[0]
             on = circ[rows]
-            raw[rows], defect[rows] = _refine_circle_angles(
+            cores[rows] = _refine_circle_angles(
                 chosen[rows][~on].reshape(rows.size, -1),
                 np.angle(chosen[rows][on]).reshape(rows.size, k),
                 lags, s_eff, a0,
             )
-
-    ok = (np.abs(defect) <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0)).all(axis=1)
+        ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
     if not ok.any():
         raise UnrealizableAutocorrelation(
             "autocorrelation not realizable: every pairing branch failed validation"
         )
-    return raw[ok]
+    return cores[ok]
 
 
 def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:

@@ -430,6 +430,19 @@ def test_selftest_subset(run_cli):
     assert "criterion  3 [PASS]" in out
 
 
+@pytest.mark.parametrize("criteria", ["11", "0", "-1", "1,x", "3,"])
+def test_selftest_refuses_unknown_criteria(run_cli, criteria):
+    code, out, err = run_cli("selftest", "--criteria", criteria)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --criteria: ") and err.endswith("(valid: 1-10)\n")
+
+
+def test_selftest_runs_a_repeated_criterion_once(run_cli):
+    code, out, _ = run_cli("selftest", "--criteria", "3,3")
+    assert code == 0
+    assert out.count("criterion  3 [PASS]") == 1 and "criterion  4" not in out
+
+
 def _option_table(parser):
     """{subcommand: sorted option strings} over every (nested) subparser."""
     table = {}

@@ -250,6 +250,23 @@ def test_recover_local_input_validation():
         recover_local(np.ones(8), np.ones(5), pair)
 
 
+def _circle_content(roots, L):
+    """Content whose z-transform has the given roots, zero-padded to L."""
+    c = np.poly(roots)[::-1]
+    h = np.zeros(L, dtype=np.complex128)
+    h[: c.size] = c
+    return h
+
+
+def _rescued_contents():
+    """Contents with repeated unit-circle roots on which no factorization
+    branch validates until the circle angles are refined."""
+    return [
+        _circle_content([np.exp(0.12j)] * 2 + [np.exp(0.18j)] * 2, 5),
+        _circle_content([np.exp(-1.7j)] * 3 + [np.exp(-1.1j)] * 3 + [0.6 + 0.2j], 8),
+    ]
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -257,13 +274,14 @@ def test_recover_local_input_validation():
         (1.0, 1j, 1.0, 1j),
         (0.0, 1.0, 1.0, 1j),
         (1j, 1j, 1j, 1j),
-    ],
+    ]
+    + [tuple(h) for h in _rescued_contents()],
 )
 def test_recover_local_degenerate_contents(content):
     # repeated-root autocorrelations: the factorization must still land on
     # the true content to full accuracy, not just within the root solver's
     # multiplicity-limited precision
-    phi_mags, psi_mags, pair = _node_mags(content, 4)
+    phi_mags, psi_mags, pair = _node_mags(content, len(content))
     cls = recover_local(phi_mags, psi_mags, pair)
     h = np.asarray(content, dtype=np.complex128)
     assert _phase_match(cls.representative, h, 1e-8) or any(
@@ -450,19 +468,21 @@ def _reference_factor_once(
         circ[:, len(forced) + j] = np.array([c for _, c in opts])[pick[:, j]]
 
     raw = _unit_cores(_poly_batch(chosen), a0)
-    # branches holding unit-circle roots are refined, one batch per count
-    n_circ = circ.sum(axis=1)
-    for k in np.unique(n_circ[n_circ > 0]):
-        rows = np.flatnonzero(n_circ == k)
-        on = circ[rows]
-        raw[rows], _ = _refine_circle_angles(
-            chosen[rows][~on].reshape(rows.size, -1),
-            np.angle(chosen[rows][on]).reshape(rows.size, k),
-            lags, s_eff, a0,
-        )
-
-    defect = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1)
-    ok = defect <= CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    ok = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1) <= tol
+    if not ok.any():
+        # only when no branch validates are the branches holding unit-circle
+        # roots refined, one batch per count, and validated again
+        n_circ = circ.sum(axis=1)
+        for k in np.unique(n_circ[n_circ > 0]):
+            rows = np.flatnonzero(n_circ == k)
+            on = circ[rows]
+            raw[rows] = _refine_circle_angles(
+                chosen[rows][~on].reshape(rows.size, -1),
+                np.angle(chosen[rows][on]).reshape(rows.size, k),
+                lags, s_eff, a0,
+            )
+        ok = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1) <= tol
     if not ok.any():
         raise UnrealizableAutocorrelation(
             "autocorrelation not realizable: every pairing branch failed validation"
@@ -606,14 +626,6 @@ def _reference_prune(
         residual=float(min(defects[i] for i in classes)),
     )
 
-
-
-def _circle_content(roots, L):
-    """Content whose z-transform has the given roots, zero-padded to L."""
-    c = np.poly(roots)[::-1]
-    h = np.zeros(L, dtype=np.complex128)
-    h[: c.size] = c
-    return h
 
 
 def _special_contents():
@@ -891,16 +903,13 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
     rungs = []
 
     def counted_fan_out(forced, options):
+        seen["forced"] += bool(forced)
         seen["fused"] += any(len(o) > 2 for o in options)
         return fan_out(forced, options)
 
     def counted_factor_once(roots, lags, s_eff, a0, circle_tol):
-        # a pass with forced roots builds no fan-out, so it is counted here:
-        # one that returns cores after classifying some root onto the circle
         rungs[-1] += 1
-        cores = factor_once(roots, lags, s_eff, a0, circle_tol)
-        seen["forced"] += bool(np.any(np.abs(np.abs(roots) - 1.0) <= circle_tol))
-        return cores
+        return factor_once(roots, lags, s_eff, a0, circle_tol)
 
     monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
     monkeypatch.setattr(local_recovery, "_factor_once", counted_factor_once)
@@ -915,10 +924,9 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
 
 
 def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
-    """The refinement as it was before the trial points were evaluated apart
-    from the Jacobian probes: k + 1 probe polynomials per branch, fixed roots
-    included, at the start and after every step, each through _poly_batch.
-    Returns the cores and their lag defects."""
+    """The refinement in its plain batched form: k + 1 probe polynomials per
+    branch, fixed roots included, at the start and after every step, each
+    through _poly_batch.  Returns the cores."""
     n, k = angles.shape
     probe = np.vstack([np.zeros(k), 1e-7 * np.eye(k)])
 
@@ -929,10 +937,10 @@ def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
         cores = _unit_cores(_poly_batch(roots), a0).reshape(m, k + 1, s_eff)
         d = _lag_defect(cores, lags, s_eff)
         res = np.concatenate([d.real, d.imag], axis=2)
-        return cores[:, 0], d[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
+        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
 
     th = angles.copy()
-    best, defect, res, best_norm = evaluate(fixed, th)
+    best, res, best_norm = evaluate(fixed, th)
     active = np.ones(n, dtype=bool)
     for _ in range(10):
         active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
@@ -949,20 +957,21 @@ def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
         over = span > 0.3
         dth[over] *= (0.3 / span[over])[:, None]
         tn = th[idx] + dth
-        cn, dn, rn, nn = evaluate(fixed[idx], tn)
+        cn, rn, nn = evaluate(fixed[idx], tn)
         better = finite & (nn < best_norm[idx])
         keep = idx[better]
         th[keep], res[keep] = tn[better], rn[better]
-        best_norm[keep], best[keep], defect[keep] = nn[better], cn[better], dn[better]
+        best_norm[keep], best[keep] = nn[better], cn[better]
         active[idx[~better]] = False
-    return best, defect
+    return best
 
 
 def _refinement_nodes():
     """(first-window magnitudes, L, delta) at every nonzero lattice node of:
     criterion 10's family at a = 1 and a = 0.5; the roundtrip-mix signals
     of seeds 1-5, 92 each, drawn as the benchmark draws them for a 15 s run;
-    and the two near-circle inputs of the stitcher's roundtrip test."""
+    the two near-circle inputs of the stitcher's roundtrip test; and
+    contents with repeated circle roots, on which the refinement runs."""
     sets = []
     grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
     family, _ = alphabet_family(grid, [0, 1, 2, 3])
@@ -993,6 +1002,14 @@ def _refinement_nodes():
             phi = member[0]
             scale = float(np.max(phi))
             nodes += [(row, grid.L, grid.delta) for row in phi if row.max() > 1e-10 * scale]
+    e = np.exp
+    for h in _rescued_contents() + [
+        _circle_content([e(0.5j)] * 3 + [e(-0.5j)] * 3 + [1.0], 8),
+        _circle_content([e(1.4j)] * 3 + [e(-1.4j)] * 3, 7),
+        _circle_content([e(0.6j)] * 2 + [e(-0.6j)] * 2 + [1.0, 1.0], 7),
+    ]:
+        phi, _, pair = _node_mags(h, h.size)
+        nodes.append((phi, h.size, pair.grid.delta))
     return nodes
 
 
@@ -1011,14 +1028,21 @@ def test_circle_refinement_matches_the_replaced_code_bit_for_bit(monkeypatch):
             enumerate_candidates(autocorrelation_from_magnitudes(phi, delta), L)
         except RecoveryError:
             pass
+    assert calls
+    # the factoring's circle roots are cluster centroids, never exact
+    # conjugates, so a conjugate-closed row is refined directly: the roots
+    # 0.5 and exp(+-0.7i), once at the true angles and once off them
+    lags = direct_autocorrelation(_circle_content([0.5, np.exp(0.7j), np.exp(-0.7j)], 4))
+    recorded(
+        np.array([[0.5 + 0j], [0.5 + 0j]]),
+        np.array([[0.7, -0.7], [0.7 + 1e-5, -0.7]]),
+        lags, 4, float(lags[0].real),
+    )
 
     stepped = converged = closable = 0
-    for (fixed, angles, lags, s_eff, a0), (cores, defects) in calls:
-        want_cores, want_defects = _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0)
-        assert cores.tobytes() == want_cores.tobytes()
-        assert defects.tobytes() == want_defects.tobytes()
-        # _factor_once validates on these defects instead of recomputing them
-        assert defects.tobytes() == _lag_defect(cores, lags, s_eff).tobytes()
+    for (fixed, angles, lags, s_eff, a0), cores in calls:
+        want = _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0)
+        assert cores.tobytes() == want.tobytes()
         roots = np.concatenate([fixed, np.exp(1j * (angles + 0.0))], axis=1)
         moved = np.any(cores != _unit_cores(_poly_batch(roots), a0), axis=1)
         stepped += moved.any()
