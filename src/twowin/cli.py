@@ -232,10 +232,16 @@ def measurement_from_obj(obj: Any, where: str) -> MeasurementSet:
     pair = window_from_obj(obj["pair"], where)
     nodes = nodes_from_obj(obj["nodes"], where)
     fq = obj["freqs"]
+    if not isinstance(fq, dict):
+        raise CliError(f"{where}: bad freqs object (expected a mapping, got {fq!r})")
     if fq.get("mode") != "critical":
         raise CliError(f"{where}: only critical-grid measurement files are supported")
-    N = int(fq["N"])
+    N = fq.get("N")
+    if type(N) is not int or N < 1:
+        raise CliError(f"{where}: bad freqs object (N must be a positive integer, got {N!r})")
     freqs = FrequencyGrid.critical(N, pair.grid.B)
+    if not isinstance(obj["mags"], list):
+        raise CliError(f"{where}: bad mags (expected a list of rows, got {obj['mags']!r})")
     mags = np.zeros((2, len(nodes.times), 2 * N))
     # every (w, t_index, n) must come exactly once: a zero-filled gap or an
     # overwritten duplicate would be recovered from as if it were data
@@ -496,11 +502,12 @@ def cmd_verify_oracle(args: argparse.Namespace) -> int:
     grid = GridSpec(B=args.B, L=args.L, origin=origin, horizon=args.horizon)
     pair = _window(args, grid)
     nodes = _lattice(args, grid)
-    cells = (
-        [int(c) for c in args.cells.split(",")]
-        if args.cells
-        else list(range(grid.horizon))
-    )
+    cells = []
+    for word in args.cells.split(",") if args.cells else range(grid.horizon):
+        try:
+            cells.append(int(word))
+        except ValueError:
+            raise CliError(f"--cells: {word!r} is not a cell index") from None
     samples, desc = alphabet_family(grid, cells)
     report = uniqueness_oracle(
         OracleConfig(grid=grid, pair=pair, nodes=nodes), samples, description=desc

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,72 +224,49 @@ def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
     return np.fft.ifft(np.abs(F) ** 2, axis=-1)[..., :s_eff] - lags[:s_eff]
 
 
-def _refine_circle_angles(
-    fixed: np.ndarray,
-    angles: np.ndarray,
-    lags: np.ndarray,
-    s_eff: int,
-    a0: float,
-) -> np.ndarray:
-    """Gauss-Newton on the unit-circle root angles against the lag data.
+Linearize = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    np.roots locates a split multiple root only to about eps**(1/m), and no
-    amount of polynomial-evaluation polish beats sqrt(eps) for a double root.
-    The lag map as a function of the angles has no such degeneracy (radial
-    root motion is what cancels at first order, tangential motion is not),
-    so a few least-squares steps recover machine accuracy.
 
-    Each row of ``fixed`` (roots that stay put) and ``angles`` is one branch,
-    refined on its own: a branch stops when it converges or a step fails to
-    lower its residual.  Each evaluation builds a branch's polynomial at its
-    angles and at one finite-difference probe per angle, like ``_fan_out``
-    builds one.  Returns the refined cores, one row each.
+def _gauss_newton(h: np.ndarray, linearize: Linearize) -> np.ndarray:
+    """Gauss-Newton on a complex vector h, the module's one refinement loop.
+
+    ``linearize(h)`` returns a real residual and its Jacobian over the real
+    and then the imaginary parts of h.  At most 8 least-squares steps are
+    taken, and they stop as soon as the residual stops falling.
     """
-    n, k = angles.shape
-    step = 1e-7
-    probe = np.vstack([np.zeros(k), step * np.eye(k)])
-
-    def evaluate(fx: np.ndarray, th: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Cores at the angles ``th``, and lag residuals there and at the probes."""
-        circle = np.exp(1j * (th[:, None, :] + probe)).reshape(-1, k)
-        roots = np.concatenate([np.repeat(fx, k + 1, axis=0), circle], axis=1)
-        c = np.zeros((roots.shape[0], roots.shape[1] + 1), dtype=np.complex128)
-        c[:, 0] = 1.0
-        for j in range(roots.shape[1]):
-            c[:, 1 : j + 2] -= roots[:, j : j + 1] * c[:, : j + 1]
-        real = _conjugate_closed(roots)
-        c[real] = c[real].real
-        cores = _unit_cores(c, a0).reshape(-1, k + 1, s_eff)
-        d = _lag_defect(cores, lags, s_eff)
-        res = np.concatenate([d.real, d.imag], axis=2)
-        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
-
-    th = angles.copy()
-    best, res, best_norm = evaluate(fixed, th)
-    active = np.ones(n, dtype=bool)
-    for _ in range(10):
-        active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
-        idx = active.nonzero()[0]
-        if not idx.size:
+    r, J = linearize(h)
+    best = float(np.linalg.norm(r))
+    for _ in range(8):
+        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        hn = h + step[: h.size] + 1j * step[h.size :]
+        rn, Jn = linearize(hn)
+        nn = float(np.linalg.norm(rn))
+        if not nn < best:
             break
-        r = res[idx, 0]
-        J = np.swapaxes(res[idx, 1:] - r[:, None, :], 1, 2) / step
-        # the singular-value cutoff that lstsq applies with rcond=None
-        cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
-        dth = -(np.linalg.pinv(J, rcond=cutoff) @ r[:, :, None])[:, :, 0]
-        finite = np.isfinite(dth).all(axis=1)
-        dth[~finite] = 0.0
-        span = np.abs(dth).max(axis=1)
-        over = span > 0.3
-        dth[over] *= (0.3 / span[over])[:, None]
-        tn = th[idx] + dth
-        cn, rn, nn = evaluate(fixed[idx], tn)
-        better = finite & (nn < best_norm[idx])
-        keep = idx[better]
-        th[keep], res[keep] = tn[better], rn[better]
-        best_norm[keep], best[keep] = nn[better], cn[better]
-        active[idx[~better]] = False
-    return best
+        h, r, J, best = hn, rn, Jn, nn
+    return h
+
+
+def _lag_fit(lags: np.ndarray, s_eff: int) -> Linearize:
+    """The lag defect of a core of s_eff samples and its exact Jacobian.
+
+    d a_l = sum_j conj(c_{j-l}) dc_j + c_{j+l} conj(dc_j).  The eigensolver
+    locates a split multiple root only to about eps**(1/m).  Fitting the
+    samples moves every root, moduli and angles alike: the tangential error
+    of a circle root shows in the lags at first order and is corrected,
+    while its radial motion cancels there and is left alone.
+    """
+    l, j = np.ogrid[:s_eff, :s_eff]
+
+    def linearize(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        pad = np.concatenate([np.zeros(s_eff), c, np.zeros(s_eff)])
+        below = np.conj(pad[s_eff + j - l])  # conj(c_{j-l}), zero off the core
+        above = pad[s_eff + j + l]  # c_{j+l}, zero off the core
+        d = below @ c - lags[:s_eff]  # a_l = sum_j conj(c_{j-l}) c_j
+        G = np.hstack([below + above, 1j * (below - above)])  # over Re dc, then Im dc
+        return np.concatenate([d.real, d.imag]), np.vstack([G.real, G.imag])
+
+    return linearize
 
 
 def _mirror_pairs(off: np.ndarray, pairing_tol: float) -> List[Tuple[complex, complex]]:
@@ -327,7 +304,8 @@ def _factor_once(
     circle_tol: float,
 ) -> np.ndarray:
     """One classify/pair/build/validate pass at a given circle tolerance, with
-    the circle roots refined only when no branch validates.
+    the branches holding circle roots fitted to the lags only when no branch
+    validates.
 
     Returns the validated cores, one per row.
     """
@@ -376,18 +354,11 @@ def _factor_once(
     ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
     if not ok.any():
         # a split multiple circle root can leave every branch short of the
-        # lag tolerance; the branches holding circle roots are refined, one
-        # batch per count, and validated again
-        chosen, circ = _branch_rows(forced, options)
-        n_circ = circ.sum(axis=1)
-        for k in np.unique(n_circ[n_circ > 0]):
-            rows = (n_circ == k).nonzero()[0]
-            on = circ[rows]
-            cores[rows] = _refine_circle_angles(
-                chosen[rows][~on].reshape(rows.size, -1),
-                np.angle(chosen[rows][on]).reshape(rows.size, k),
-                lags, s_eff, a0,
-            )
+        # lag tolerance; each branch holding circle roots is fitted to the
+        # lags and validated again
+        fit = _lag_fit(lags, s_eff)
+        for i in _branch_rows(forced, options)[1].any(axis=1).nonzero()[0]:
+            cores[i] = _gauss_newton(cores[i], fit)
         ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
     if not ok.any():
         raise UnrealizableAutocorrelation(
@@ -521,14 +492,9 @@ def _pricing_tables(L: int, B: float, b: float) -> Tuple[np.ndarray, ...]:
     return E[0], E[1], M_psi, M_phi
 
 
-def _polish_content(
-    h: np.ndarray, blocks: Sequence[Tuple[np.ndarray, np.ndarray]], scale: float
-) -> np.ndarray:
-    """Gauss-Newton on a content vector against magnitude rows |h @ M| = m.
-
-    ``blocks`` holds (M, m) pairs; the real and imaginary parts of h are the
-    unknowns.  Steps stop as soon as the residual stops falling.
-    """
+def _magnitude_fit(blocks: Sequence[Tuple[np.ndarray, np.ndarray]], scale: float) -> Linearize:
+    """The defect of magnitude rows |h @ M| = m over ``blocks``' (M, m)
+    pairs, relative to ``scale``, and its Jacobian."""
 
     def linearize(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         rs, Js = [], []
@@ -541,17 +507,7 @@ def _polish_content(
             Js.append(np.hstack([g.real, -g.imag]))
         return np.concatenate(rs) / scale, np.vstack(Js) / scale
 
-    r, J = linearize(h)
-    best = float(np.linalg.norm(r))
-    for _ in range(8):
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        hn = h + step[: h.size] + 1j * step[h.size :]
-        rn, Jn = linearize(hn)
-        nn = float(np.linalg.norm(rn))
-        if not nn < best:
-            break
-        h, r, J, best = hn, rn, Jn, nn
-    return h
+    return linearize
 
 
 def prune_with_second_window(
@@ -600,8 +556,8 @@ def prune_with_second_window(
         )
 
     def polish(X: np.ndarray) -> np.ndarray:
-        blocks = [(M_psi, psi), (M_phi, phi)]
-        return np.array([_polish_content(h, blocks, scale) for h in X])
+        fit = _magnitude_fit([(M_psi, psi), (M_phi, phi)], scale)
+        return np.array([_gauss_newton(h, fit) for h in X])
 
     defects = defects_of(C)
     best = defects.min() if defects.size else np.inf

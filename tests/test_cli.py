@@ -541,6 +541,43 @@ def test_recover_refuses_rows_not_given_exactly_once(
     assert not (tmp_path / "r.json").exists()
 
 
+BAD_N = "bad freqs object (N must be a positive integer, got "
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("freqs", [], "bad freqs object (expected a mapping, got [])"),
+        ("freqs", {"mode": "critical"}, f"{BAD_N}None)"),
+        ("freqs", {"mode": "critical", "N": "x"}, f"{BAD_N}'x')"),
+        ("freqs", {"mode": "critical", "N": 2.5}, f"{BAD_N}2.5)"),
+        ("freqs", {"mode": "critical", "N": 0}, f"{BAD_N}0)"),
+        ("mags", 5, "bad mags (expected a list of rows, got 5)"),
+    ],
+    ids=["freqs-list", "N-missing", "N-text", "N-fraction", "N-zero", "mags-number"],
+)
+def test_recover_names_the_file_of_a_malformed_freqs_or_mags_object(
+    run_cli, tmp_path, generic_signal, key, value, message
+):
+    _, sig_path = generic_signal
+    m_path = tmp_path / "m.json"
+    run_cli("measure", sig_path, "--out", m_path)
+    obj = json.loads(m_path.read_text())
+    obj[key] = value
+    m_path.write_text(json.dumps(obj))
+    code, out, err = run_cli("recover", m_path, "--report", tmp_path / "r.json")
+    assert (code, out, err) == (1, "", f"error: {m_path}: {message}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("cells, word", [("0,x", "x"), ("0,,1", ""), ("1.5", "1.5")])
+def test_verify_oracle_names_a_cell_that_is_not_an_integer(run_cli, cells, word):
+    code, out, err = run_cli(
+        "verify", "oracle", "--B", 1, "--L", 4, "--horizon", 4, "--cells", cells
+    )
+    assert (code, out, err) == (1, "", f"error: --cells: {word!r} is not a cell index\n")
+
+
 @pytest.mark.parametrize(
     "cells",
     [

@@ -231,3 +231,26 @@ def test_the_per_node_path_calls_no_reduction_wrapper(name):
     # m.all(axis=1), m.nonzero()[0] and math.prod run the same kernels on the
     # same arrays, so the bits stay the same, without the wrapper's overhead
     assert list(_reduction_wrapper_calls(SRC / name)) == []
+
+
+#: numpy's least-squares solvers, by attribute name.
+LEAST_SQUARES = {"lstsq", "pinv"}
+
+
+def _least_squares_callers(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in LEAST_SQUARES
+            ):
+                yield getattr(top, "name", f"line {top.lineno}")
+
+
+def test_local_recovery_solves_least_squares_in_one_loop():
+    # both rescues of local recovery, the lag fit and the two-window polish,
+    # step through _gauss_newton; a second refinement loop would call a
+    # solver of its own
+    assert set(_least_squares_callers(SRC / "local_recovery.py")) == {"_gauss_newton"}

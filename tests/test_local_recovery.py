@@ -37,10 +37,11 @@ from twowin.local_recovery import (
     _cluster_circle_roots,
     _conjugate_closed,
     _fan_out,
+    _gauss_newton,
     _lag_defect,
+    _lag_fit,
+    _magnitude_fit,
     _phase_match,
-    _polish_content,
-    _refine_circle_angles,
     _unit_cores,
 )
 from twowin.stft_engine import measure_batch
@@ -114,8 +115,8 @@ def _poly_batch(roots: np.ndarray) -> np.ndarray:
     """Monic coefficients, highest degree first, for each row of ``roots``:
     one linear factor per step for the whole batch, in the root order
     np.poly uses, and like np.poly the imaginary part dropped from a row
-    whose roots are closed under conjugation.  The fan-out and the circle
-    refinement must build their rows with this arithmetic, bit for bit."""
+    whose roots are closed under conjugation.  The fan-out must build its
+    rows with this arithmetic, bit for bit."""
     n, k = roots.shape
     c = np.zeros((n, k + 1), dtype=np.complex128)
     c[:, 0] = 1.0
@@ -260,10 +261,45 @@ def _circle_content(roots, L):
 
 def _rescued_contents():
     """Contents with repeated unit-circle roots on which no factorization
-    branch validates until the circle angles are refined."""
+    branch validates until the branches are fitted to the lags.  The last
+    three are rows 72, 84 and 118 of ``scripts/exact_sweep.py``'s third
+    block (``circle_contents()``), which a refinement of the circle angles
+    alone refused."""
+    e = np.exp
     return [
-        _circle_content([np.exp(0.12j)] * 2 + [np.exp(0.18j)] * 2, 5),
-        _circle_content([np.exp(-1.7j)] * 3 + [np.exp(-1.1j)] * 3 + [0.6 + 0.2j], 8),
+        _circle_content([e(0.12j)] * 2 + [e(0.18j)] * 2, 5),
+        _circle_content([e(-1.7j)] * 3 + [e(-1.1j)] * 3 + [0.6 + 0.2j], 8),
+        _circle_content(
+            [e(-0.9898252248271557j)] * 3
+            + [
+                -0.14311214493607377 + 0.40625862159256027j,
+                -0.06341013648442359 - 0.23760239509842612j,
+                -0.9501493546308207 - 0.28253046156544825j,
+                -1.0431549250083614 - 0.9400888644327094j,
+                -1.8986527880993846 + 0.2506857073851182j,
+                0.023475250803674515 - 2.45140927594481j,
+            ],
+            10,
+        ),
+        _circle_content(
+            [e(-1.5262933859652417j)]
+            + [e(1.8776120463829056j)] * 3
+            + [-0.7660783957029785 + 0.6556766573404396j],
+            6,
+        ),
+        _circle_content(
+            [e(-1.5383148950014431j)] * 3
+            + [
+                1.7854798434391734 - 1.4859352116757343j,
+                -0.07743428772274395 - 0.02559851774188496j,
+                -0.23606549983255928 - 1.1810866875861858j,
+                0.2112587405263616 - 1.0084985965778217j,
+                1.1027011502332074 + 1.7573555529139764j,
+                2.2428103134060917 - 0.39215075618008727j,
+                0.5037863397494077 - 0.7566437754683412j,
+            ],
+            11,
+        ),
     ]
 
 
@@ -471,17 +507,10 @@ def _reference_factor_once(
     tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
     ok = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1) <= tol
     if not ok.any():
-        # only when no branch validates are the branches holding unit-circle
-        # roots refined, one batch per count, and validated again
-        n_circ = circ.sum(axis=1)
-        for k in np.unique(n_circ[n_circ > 0]):
-            rows = np.flatnonzero(n_circ == k)
-            on = circ[rows]
-            raw[rows] = _refine_circle_angles(
-                chosen[rows][~on].reshape(rows.size, -1),
-                np.angle(chosen[rows][on]).reshape(rows.size, k),
-                lags, s_eff, a0,
-            )
+        # only when no branch validates is each branch holding unit-circle
+        # roots fitted to the lags, and validated again
+        for i in np.flatnonzero(circ.any(axis=1)):
+            raw[i] = _gauss_newton(raw[i], _lag_fit(lags, s_eff))
         ok = np.max(np.abs(_lag_defect(raw, lags, s_eff)), axis=1) <= tol
     if not ok.any():
         raise UnrealizableAutocorrelation(
@@ -575,8 +604,8 @@ def _reference_prune(
     def polish(X: np.ndarray) -> np.ndarray:
         M1 = grid.delta * _reference_spectrum_matrix(grid, omegas)
         M2 = grid.delta * _reference_spectrum_matrix(grid, omegas + pair.b)
-        blocks = [(M2 - M1, psi), (M1, phi)]
-        return np.array([_polish_content(h, blocks, scale) for h in X])
+        fit = _magnitude_fit([(M2 - M1, psi), (M1, phi)], scale)
+        return np.array([_gauss_newton(h, fit) for h in X])
 
     defects = defects_of(C)
     best = defects.min() if defects.size else np.inf
@@ -657,6 +686,7 @@ def _special_contents():
         ("repeated-4c", np.array([1j, 1j, 1j, 1j])),
         ("triple-circle", _circle_content([np.exp(0.3j)] * 3 + [0.5 + 0.2j], 5)),
     ]
+    cases += [(f"rescued-{i}", h) for i, h in enumerate(_rescued_contents())]
     return cases
 
 
@@ -898,8 +928,9 @@ def test_cached_tables_follow_the_grid_step_and_window(monkeypatch):
 
 
 def test_reference_cases_reach_every_factoring_path(monkeypatch):
-    seen = {"forced": 0, "fused": 0, "retried": 0}
+    seen = {"forced": 0, "fused": 0, "retried": 0, "fitted": 0}
     fan_out, factor_once = local_recovery._fan_out, local_recovery._factor_once
+    lag_fit = local_recovery._lag_fit
     rungs = []
 
     def counted_fan_out(forced, options):
@@ -907,12 +938,17 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
         seen["fused"] += any(len(o) > 2 for o in options)
         return fan_out(forced, options)
 
+    def counted_lag_fit(lags, s_eff):
+        seen["fitted"] += 1
+        return lag_fit(lags, s_eff)
+
     def counted_factor_once(roots, lags, s_eff, a0, circle_tol):
         rungs[-1] += 1
         return factor_once(roots, lags, s_eff, a0, circle_tol)
 
     monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
     monkeypatch.setattr(local_recovery, "_factor_once", counted_factor_once)
+    monkeypatch.setattr(local_recovery, "_lag_fit", counted_lag_fit)
     for _, h in _special_contents():
         rungs.append(0)
         enumerate_candidates(direct_autocorrelation(h), h.size)
@@ -920,134 +956,23 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
     assert all(count > 0 for count in seen.values()), seen
 
 
-# --- the circle-angle refinement against the code it replaced -----------------
-
-
-def _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0):
-    """The refinement in its plain batched form: k + 1 probe polynomials per
-    branch, fixed roots included, at the start and after every step, each
-    through _poly_batch.  Returns the cores."""
-    n, k = angles.shape
-    probe = np.vstack([np.zeros(k), 1e-7 * np.eye(k)])
-
-    def evaluate(fx, th):
-        m = th.shape[0]
-        circle = np.exp(1j * (th[:, None, :] + probe)).reshape(m * (k + 1), k)
-        roots = np.concatenate([np.repeat(fx, k + 1, axis=0), circle], axis=1)
-        cores = _unit_cores(_poly_batch(roots), a0).reshape(m, k + 1, s_eff)
-        d = _lag_defect(cores, lags, s_eff)
-        res = np.concatenate([d.real, d.imag], axis=2)
-        return cores[:, 0], res, np.linalg.norm(res[:, 0], axis=1)
-
-    th = angles.copy()
-    best, res, best_norm = evaluate(fixed, th)
-    active = np.ones(n, dtype=bool)
-    for _ in range(10):
-        active &= best_norm > 1e-14 * max(1.0, a0) * np.sqrt(2 * s_eff)
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        r = res[idx, 0]
-        J = np.swapaxes(res[idx, 1:] - r[:, None, :], 1, 2) / 1e-7
-        cutoff = np.finfo(np.float64).eps * max(J.shape[1:])
-        dth = -(np.linalg.pinv(J, rcond=cutoff) @ r[:, :, None])[:, :, 0]
-        finite = np.all(np.isfinite(dth), axis=1)
-        dth[~finite] = 0.0
-        span = np.max(np.abs(dth), axis=1)
-        over = span > 0.3
-        dth[over] *= (0.3 / span[over])[:, None]
-        tn = th[idx] + dth
-        cn, rn, nn = evaluate(fixed[idx], tn)
-        better = finite & (nn < best_norm[idx])
-        keep = idx[better]
-        th[keep], res[keep] = tn[better], rn[better]
-        best_norm[keep], best[keep] = nn[better], cn[better]
-        active[idx[~better]] = False
-    return best
-
-
-def _refinement_nodes():
-    """(first-window magnitudes, L, delta) at every nonzero lattice node of:
-    criterion 10's family at a = 1 and a = 0.5; the roundtrip-mix signals
-    of seeds 1-5, 92 each, drawn as the benchmark draws them for a 15 s run;
-    the two near-circle inputs of the stitcher's roundtrip test; and
-    contents with repeated circle roots, on which the refinement runs."""
-    sets = []
-    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
-    family, _ = alphabet_family(grid, [0, 1, 2, 3])
-    pair = build_window("rectangular", grid)
-    for a in (1.0, 0.5):
-        sets.append((grid, measure_batch(family, grid, pair, TimeNodes.lattice_covering(grid, a))))
-
-    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
-    cases = []
-    for a, b in [(1.0, 0.25), (1.0, 0.5), (0.5, 0.25), (0.5, 0.5)]:
-        gap = 2 * grid.B - a
-        support_len = grid.horizon - grid.cells_spanned(gap) + 1
-        cases.append((support_len, gap, b, a))
-    drawn = [
-        (cases[i % 4], int(s))
-        for seed in range(1, 6)
-        for i, s in enumerate(np.random.default_rng([seed, 1]).integers(0, 2 ** 31, size=92))
-    ]
-    drawn += [(cases[1], 1495495394), (cases[2], 349134471)]
-    for (support_len, gap, b, a), s in drawn:
-        f = random_nonseparable(grid, support_len, gap, seed=s)
-        ms = measure(f, build_window("rectangular", grid, b=b), TimeNodes.lattice_covering(grid, a))
-        sets.append((grid, ms.mags[None]))
-
-    nodes = []
-    for grid, mags in sets:
-        for member in mags:
-            phi = member[0]
-            scale = float(np.max(phi))
-            nodes += [(row, grid.L, grid.delta) for row in phi if row.max() > 1e-10 * scale]
-    e = np.exp
-    for h in _rescued_contents() + [
-        _circle_content([e(0.5j)] * 3 + [e(-0.5j)] * 3 + [1.0], 8),
-        _circle_content([e(1.4j)] * 3 + [e(-1.4j)] * 3, 7),
-        _circle_content([e(0.6j)] * 2 + [e(-0.6j)] * 2 + [1.0, 1.0], 7),
-    ]:
-        phi, _, pair = _node_mags(h, h.size)
-        nodes.append((phi, h.size, pair.grid.delta))
-    return nodes
-
-
-def test_circle_refinement_matches_the_replaced_code_bit_for_bit(monkeypatch):
-    calls = []
-    refine = local_recovery._refine_circle_angles
-
-    def recorded(*args):
-        args = tuple(np.copy(x) if isinstance(x, np.ndarray) else x for x in args)
-        calls.append((args, refine(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(local_recovery, "_refine_circle_angles", recorded)
-    for phi, L, delta in _refinement_nodes():
-        try:
-            enumerate_candidates(autocorrelation_from_magnitudes(phi, delta), L)
-        except RecoveryError:
-            pass
-    assert calls
-    # the factoring's circle roots are cluster centroids, never exact
-    # conjugates, so a conjugate-closed row is refined directly: the roots
-    # 0.5 and exp(+-0.7i), once at the true angles and once off them
-    lags = direct_autocorrelation(_circle_content([0.5, np.exp(0.7j), np.exp(-0.7j)], 4))
-    recorded(
-        np.array([[0.5 + 0j], [0.5 + 0j]]),
-        np.array([[0.7, -0.7], [0.7 + 1e-5, -0.7]]),
-        lags, 4, float(lags[0].real),
-    )
-
-    stepped = converged = closable = 0
-    for (fixed, angles, lags, s_eff, a0), cores in calls:
-        want = _reference_refine_circle_angles(fixed, angles, lags, s_eff, a0)
-        assert cores.tobytes() == want.tobytes()
-        roots = np.concatenate([fixed, np.exp(1j * (angles + 0.0))], axis=1)
-        moved = np.any(cores != _unit_cores(_poly_batch(roots), a0), axis=1)
-        stepped += moved.any()
-        converged += not moved.any()
-        closable += bool(_conjugate_closed(roots).any())
-    # the set takes Gauss-Newton steps, stops at the trial point, and holds
-    # trial points whose roots are closed under conjugation
-    assert stepped and converged and closable, (stepped, converged, closable)
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("kind", ["lags", "magnitudes"])
+def test_each_fits_jacobian_matches_central_differences(kind, n):
+    # both refinements run the one Gauss-Newton loop on an exact Jacobian
+    rng = np.random.default_rng(n)
+    h, other = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    if kind == "lags":
+        fit = _lag_fit(direct_autocorrelation(other), n)
+    else:
+        _, _, M_psi, M_phi = local_recovery._pricing_tables(n, 1.0, 0.25)
+        blocks = [(M, np.abs(other @ M)) for M in (M_psi, M_phi)]
+        fit = _magnitude_fit(blocks, float(np.linalg.norm(other)))
+    r, J = fit(h)
+    assert J.shape == (r.size, 2 * n)
+    step = 1e-6
+    numeric = np.empty_like(J)
+    for k in range(2 * n):
+        dh = step * (np.eye(n)[k % n] * (1j if k >= n else 1))
+        numeric[:, k] = (fit(h + dh)[0] - fit(h - dh)[0]) / (2 * step)
+    assert np.linalg.norm(numeric - J) <= 1e-6 * np.linalg.norm(J)
