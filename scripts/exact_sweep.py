@@ -9,11 +9,12 @@ refuses and the ones it returns wrong.
     python3 scripts/exact_sweep.py                    # this checkout's src/
     python3 scripts/exact_sweep.py --src OTHER/src    # any other checkout's src/
 
-For each L in {4, 8, 12} and each (b, a) with b in {0.25, 0.5} and
+For each L in {4, 8, 12, 16} and each (b, a) with b in {0.25, 0.5} and
 a in {1, 0.5}:
 
-- ``np.random.default_rng([L, int(4*b), int(2*a)])`` draws 300 rows, each
-  ``rng.integers(0, 4, 4L)``, read as letters;
+- ``np.random.default_rng([L, int(4*b), int(2*a)])`` draws 300 rows (15 at
+  L = 16, where an input takes about 1.4 s), each ``rng.integers(0, 4, 4L)``,
+  read as letters;
 - a row that ``is_separable(f, 2B - a)`` flags is skipped;
 - a returned signal is right when ``pair_equivalent(..., tol=1e-6)`` holds,
   allowing the reflection unless the report says ``phase_only``.
@@ -64,7 +65,8 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 LETTERS = np.array([0, 1, 1j, -1], dtype=np.complex128)
-ROWS = 300
+#: rows drawn per (b, a), by L
+ROWS = {4: 300, 8: 300, 12: 300, 16: 15}
 CIRCLE_SEED = 2026
 CIRCLE_CONTENTS = 200
 
@@ -76,7 +78,7 @@ def sweep(tw, L: int, b: float, a: float):
     pair = tw.build_window("rectangular", grid, b=b)
     nodes = tw.TimeNodes.lattice_covering(grid, a)
     rng = np.random.default_rng([L, int(4 * b), int(2 * a)])
-    for row in range(ROWS):
+    for row in range(ROWS[L]):
         f = tw.Signal(grid, LETTERS[rng.integers(0, 4, 4 * L)])
         if tw.is_separable(f, 2 * grid.B - a):
             continue
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
     if not Path(tw.__file__).resolve().is_relative_to(src):
         p.error(f"twowin was imported from {tw.__file__}, not from {src}")
     wrong = 0
-    for L in (4, 8, 12):
+    for L in ROWS:
         total = {"inputs": 0, "refused": 0, "wrong": 0}
         for b in (0.25, 0.5):
             for a in (1.0, 0.5):

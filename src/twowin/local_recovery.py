@@ -510,6 +510,24 @@ def _magnitude_fit(blocks: Sequence[Tuple[np.ndarray, np.ndarray]], scale: float
     return linearize
 
 
+def refit(
+    contents: np.ndarray, phi_mags: np.ndarray, psi_mags: np.ndarray, pair: WindowPair,
+    scale: float, *, hold: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Fit each row of ``contents`` to both windows' magnitudes relative to
+    ``scale``, with the slots where ``hold`` is True held at exactly zero.
+
+    The module's one entry to the magnitude fit: ``_gauss_newton`` runs on
+    each row through ``pair``'s polish maps.  The caller prices the rows.
+    """
+    _, _, M_psi, M_phi = _pricing_tables(pair.grid.L, pair.grid.B, pair.b)
+    free = slice(None) if hold is None else ~np.asarray(hold, dtype=bool)
+    fit = _magnitude_fit([(M_psi[free], psi_mags), (M_phi[free], phi_mags)], scale)
+    out = np.zeros(np.shape(contents), dtype=np.complex128)
+    out[:, free] = [_gauss_newton(h, fit) for h in np.asarray(contents)[:, free]]
+    return out
+
+
 def prune_with_second_window(
     candidates: Sequence[np.ndarray],
     psi_mags: Sequence[float],
@@ -524,13 +542,12 @@ def prune_with_second_window(
     Survivors are grouped into phase classes; the dichotomy permits one
     class, or two that are conjugate slot reflections of each other.
 
-    When no candidate passes, the one with the lowest defect is polished by
-    Gauss-Newton against both windows' magnitudes and tested again at the
-    same ``ACCEPT_TOL``: a mirror root pair within about sqrt(eps) of the
+    One polish rule: the survivors, or the candidate with the lowest defect
+    when none passes, are each ``refit`` in place when their defect exceeds
+    ``POLISH_ABOVE`` and tested again at the same ``ACCEPT_TOL`` before the
+    classes are formed.  A mirror root pair within about sqrt(eps) of the
     unit circle comes back from np.roots only to about sqrt(eps), which
-    leaves a genuine candidate with a defect far above the tolerance.  For
-    the same reason, every survivor whose defect exceeds ``POLISH_ABOVE`` is
-    polished in place and tested again before the classes are formed.
+    leaves a genuine candidate with a defect far above the tolerance.
     """
     grid = pair.grid
     L = grid.L
@@ -539,7 +556,7 @@ def prune_with_second_window(
         raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
     phi = np.asarray(phi_mags, dtype=np.float64)
     C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
-    E1, E2, M_psi, M_phi = _pricing_tables(L, grid.B, pair.b)
+    E1, E2, _, _ = _pricing_tables(L, grid.B, pair.b)
 
     a0 = float(np.add.reduce(np.abs(C) ** 2, axis=1).max()) if C.size else 0.0
     scale = grid.delta * np.sqrt(2 * L * a0) if a0 > 0 else 1.0
@@ -555,31 +572,24 @@ def prune_with_second_window(
             np.sqrt(np.add.reduce(e * e, axis=1)) / scale,
         )
 
-    def polish(X: np.ndarray) -> np.ndarray:
-        fit = _magnitude_fit([(M_psi, psi), (M_phi, phi)], scale)
-        return np.array([_gauss_newton(h, fit) for h in X])
-
     defects = defects_of(C)
-    best = defects.min() if defects.size else np.inf
-    # the second window alone has as many equations as a content vector has
-    # unknowns, so only both windows together can vouch for a polished fit
-    if C.size and not best <= ACCEPT_TOL:
-        C = polish(C[[int(defects.argmin())]])
-        defects = defects_of(C)
-        best = min(best, defects[0])
-
+    # the survivors, or the best candidate when none passes, each refit in
+    # place above POLISH_ABOVE and priced again: a rough survivor would carry
+    # its defect into the glued neighbours, and only both windows together
+    # can vouch for a fit (the second alone has one equation per unknown)
     order = (defects <= ACCEPT_TOL).nonzero()[0]
-    # a survivor that passes but is not machine-accurate would carry its
-    # defect into the glued neighbours, so it is polished in place
+    if not order.size and C.size:
+        order = defects.argmin(keepdims=True)
     rough = order[defects[order] > POLISH_ABOVE]
+    priced = defects[rough]
     if rough.size:
-        C[rough] = polish(C[rough])
+        C[rough] = refit(C[rough], phi, psi, pair, scale)
         defects[rough] = defects_of(C[rough])
         order = order[defects[order] <= ACCEPT_TOL]
     if not order.size:
         raise InconsistentMeasurements(
             f"no factorization candidate matches the second window's data "
-            f"(best relative defect {best:.3e})"
+            f"(best relative defect {np.minimum(priced, defects[rough]).min(initial=np.inf):.3e})"
         )
 
     classes: List[int] = []

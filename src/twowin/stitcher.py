@@ -46,6 +46,7 @@ from .local_recovery import (
     InconsistentMeasurements,
     LocalClass,
     recover_local,
+    refit,
 )
 
 #: Aligned overlaps must agree to this relative mismatch.
@@ -185,6 +186,14 @@ def align_overlaps(
                 if not np.abs(patches[k][off]).max() <= DEAD_OVERLAP_RTOL * scale:
                     continue
             k += 1
+        if k == start[-1] and 0 < slots.stop - slots.start < L:
+            # the horizon pins what the node's data may see only at second
+            # order: each patch is refit with its ``off`` slots held at zero,
+            # priced as prune prices it, and left to the node checks
+            norm = np.linalg.norm(lattice_mags[0, ci])  # delta sqrt(2 L a0) on exact data
+            rows = refit(cls.patches, *lattice_mags[:, ci], pair, norm, hold=off)
+            np.multiply(rows, inv_phi, out=patches[k : k + len(rows)])
+            k += len(rows)
         if k == start[-1]:
             raise InconsistentMeasurements(f"no horizon-consistent orientation at node index {ci}")
         live.append(ci)

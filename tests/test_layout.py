@@ -237,20 +237,33 @@ def test_the_per_node_path_calls_no_reduction_wrapper(name):
 LEAST_SQUARES = {"lstsq", "pinv"}
 
 
-def _least_squares_callers(path: Path):
+def _top_level_callers(path: Path, names):
+    """The top-level definitions of ``path`` that call one of ``names``,
+    bare or as an attribute, anywhere in their bodies."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for top in tree.body:
         for node in ast.walk(top):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in LEAST_SQUARES
-            ):
-                yield getattr(top, "name", f"line {top.lineno}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in names:
+                    yield getattr(top, "name", f"line {top.lineno}")
 
 
 def test_local_recovery_solves_least_squares_in_one_loop():
     # both rescues of local recovery, the lag fit and the two-window polish,
     # step through _gauss_newton; a second refinement loop would call a
     # solver of its own
-    assert set(_least_squares_callers(SRC / "local_recovery.py")) == {"_gauss_newton"}
+    assert set(_top_level_callers(SRC / "local_recovery.py", LEAST_SQUARES)) == {"_gauss_newton"}
+
+
+def test_only_refit_runs_the_magnitude_fit():
+    # refit is local recovery's one entry to the two-window fit: prune's
+    # polish and the stitcher's off-horizon rescue both call it, and a
+    # caller of _magnitude_fit elsewhere would be a second fit path
+    callers = {
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _top_level_callers(path, {"_magnitude_fit"})
+    }
+    assert callers == {"local_recovery.py:refit"}

@@ -18,6 +18,7 @@ from twowin import (
     enumerate_candidates,
     local_recovery,
     measure,
+    phase_residuals,
     random_nonseparable,
     recover_local,
     slot_reflect,
@@ -43,6 +44,7 @@ from twowin.local_recovery import (
     _magnitude_fit,
     _phase_match,
     _unit_cores,
+    refit,
 )
 from twowin.stft_engine import measure_batch
 from twowin.window_engine import WindowPair
@@ -976,3 +978,35 @@ def test_each_fits_jacobian_matches_central_differences(kind, n):
         dh = step * (np.eye(n)[k % n] * (1j if k >= n else 1))
         numeric[:, k] = (fit(h + dh)[0] - fit(h - dh)[0]) / (2 * step)
     assert np.linalg.norm(numeric - J) <= 1e-6 * np.linalg.norm(J)
+
+
+def test_refit_holds_each_held_slot_at_exactly_zero():
+    # the held slots leave the fit: whatever a row holds there comes back 0
+    rng = np.random.default_rng(8)
+    h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    phi_mags, psi_mags, pair = _node_mags(h, 8)
+    start = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    hold = np.isin(np.arange(8), [0, 1, 5])
+    got = refit(start, phi_mags, psi_mags, pair, float(np.linalg.norm(phi_mags)), hold=hold)
+    assert got.shape == start.shape
+    assert (got[:, hold] == 0).all()
+    assert (got[:, ~hold] != 0).all()
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["free", "held"])
+@pytest.mark.parametrize("L", range(4, 13))
+def test_refit_from_near_the_truth_returns_the_truth(L, held):
+    # started 1e-7 off, the fit lands back on the truth to roundoff, with
+    # the truth's two empty leading slots held at zero or fitted freely
+    rng = np.random.default_rng(3000 + L)
+    h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    hold = np.arange(L) < 2
+    if held:
+        h[hold] = 0
+    phi_mags, psi_mags, pair = _node_mags(h, L)
+    start = h + 1e-7 * (rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    got = refit(
+        start[None, :], phi_mags, psi_mags, pair, float(np.linalg.norm(phi_mags)),
+        hold=hold if held else None,
+    )
+    assert phase_residuals(got[0], h) <= 1e-14

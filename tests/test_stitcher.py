@@ -15,7 +15,7 @@ from twowin.stitcher import (
     AlignedAssembly,
     align_overlaps,
 )
-from twowin.stft_engine import NODE_BLOCK, node_segment, windowed_segment
+from twowin.stft_engine import NODE_BLOCK, node_segment, sup_dev, windowed_segment
 from twowin import (
     FORGES,
     FrequencyGrid,
@@ -985,6 +985,13 @@ def _sweep_row(L, b, a, row):
     return Signal(grid, LETTERS[rng.integers(0, 4, 4 * L)])
 
 
+def _sweep_input(L, b, a, row):
+    """Row ``row`` of the sweep's draw for (L, b, a), with its measurements."""
+    f = _sweep_row(L, b, a, row)
+    pair = build_window("rectangular", f.grid, b=b)
+    return f, measure(f, pair, TimeNodes.lattice_covering(f.grid, a))
+
+
 @pytest.mark.parametrize(
     "L, b, a, row",
     [
@@ -1002,10 +1009,8 @@ def test_a_lone_class_offers_its_slot_mate_when_the_truth_is_the_mate(L, b, a, r
     # and its exact mate passes.  Offering only the listed class refused each
     # of these sweep rows with an overlap mismatch or no horizon-consistent
     # orientation
-    f = _sweep_row(L, b, a, row)
-    pair = build_window("rectangular", f.grid, b=b)
-    nodes = TimeNodes.lattice_covering(f.grid, a)
-    ms = measure(f, pair, nodes)
+    f, ms = _sweep_input(L, b, a, row)
+    pair = ms.pair
     scale = float(np.max(ms.mags))
     classes = [recover_local(p, q, pair, scale=scale) for p, q in zip(*ms.mags)]
     assert any(c.mate is not None for c in classes)
@@ -1016,14 +1021,12 @@ def test_a_lone_class_offers_its_slot_mate_when_the_truth_is_the_mate(L, b, a, r
     )
 
 
-def test_a_seeded_l8_draw_never_comes_back_wrong():
-    # 15 nonseparable letter inputs per (b, a), from one seed drawn once and
-    # kept: each comes back right by exact_sweep.py's rule or raises a
-    # declared error.  Every input coming back waits on the sweep's L = 8
-    # refusals
+def _seeded_l8_draw():
+    """15 nonseparable letter inputs per (b, a) at L = 8, from one seed drawn
+    once and kept, each measured on the lattice that covers the horizon."""
     grid = GridSpec(B=1.0, L=8, origin=16, horizon=32)
     rng = np.random.default_rng(4181)
-    wrong = []
+    draw = []
     for b in (0.25, 0.5):
         pair = build_window("rectangular", grid, b=b)
         for a in (1.0, 0.5):
@@ -1031,19 +1034,91 @@ def test_a_seeded_l8_draw_never_comes_back_wrong():
             drawn = 0
             while drawn < 15:
                 f = Signal(grid, LETTERS[rng.integers(0, 4, grid.horizon)])
-                if is_separable(f, 2 * grid.B - a):
-                    continue
-                drawn += 1
-                try:
-                    rep = reconstruct(measure(f, pair, nodes), pair)
-                except (RecoveryError, StitchError):
-                    continue  # a declared refusal; any other error fails the test
-                if not pair_equivalent(
-                    rep.signal.samples, f.samples,
-                    allow_reflection=rep.ambiguity != "phase_only", tol=1e-6,
-                ):
-                    wrong.append((b, a, drawn))
-    assert wrong == []
+                if not is_separable(f, 2 * grid.B - a):
+                    draw.append((f, measure(f, pair, nodes)))
+                    drawn += 1
+    return draw
+
+
+def _comes_back_right(f, ms):
+    """The report on ``ms``, which must be right by exact_sweep.py's rule."""
+    rep = reconstruct(ms, ms.pair)
+    assert pair_equivalent(
+        rep.signal.samples, f.samples, allow_reflection=rep.ambiguity != "phase_only", tol=1e-6,
+    )
+    return rep
+
+
+def test_a_seeded_l8_draw_never_comes_back_wrong():
+    # every input comes back, and right; the draw's one refusal before the
+    # off-horizon rescue was "no horizon-consistent orientation at node
+    # index 2"
+    for f, ms in _seeded_l8_draw():
+        _comes_back_right(f, ms)
+
+
+@pytest.mark.parametrize("row", [92, 242])
+def test_an_edge_node_with_no_horizon_consistent_patch_is_refit(row, monkeypatch):
+    # node 2 of these sweep rows (L = 8, b = a = 0.5) has two off-horizon
+    # slots, and each patch local recovery offers claims content there.  Each
+    # is refit with those slots held at zero and placed like any other
+    # patch; without the rescue both rows were refused
+    calls = []
+
+    def counted_refit(contents, *args, **kwargs):
+        calls.append(len(contents))
+        return local_recovery.refit(contents, *args, **kwargs)
+
+    monkeypatch.setattr(stitcher, "refit", counted_refit)
+    rep = _comes_back_right(*_sweep_input(8, 0.5, 0.5, row))
+    assert rep.residual <= 1e-8
+    assert calls == [1]
+
+
+def _scaled_node(horizon, support, seed):
+    """A random nonseparable signal on criterion 1's window pair and
+    lattice, node 4's magnitudes scaled by 1 + 1e-6."""
+    grid = GridSpec(B=1.0, L=8, origin=horizon // 2, horizon=horizon)
+    pair = build_window("rectangular", grid, b=0.25)
+    f = random_nonseparable(grid, support(grid), 1.0, seed=seed)
+    ms = measure(f, pair, TimeNodes.lattice_covering(grid, 1.0))
+    bad = ms.mags.copy()
+    bad[:, 4] *= 1 + 1e-6
+    return [(f, type(ms)(pair=ms.pair, nodes=ms.nodes, freqs=ms.freqs, mags=bad))]
+
+
+_RESIDUAL_CASES = {
+    "seeded-draw": lambda: (_seeded_l8_draw(), True),
+    "row-92": lambda: ([_sweep_input(8, 0.5, 0.5, 92)], True),
+    "row-242": lambda: ([_sweep_input(8, 0.5, 0.5, 242)], True),
+    "row-173": lambda: ([_sweep_input(8, 0.5, 1.0, 173)], False),
+    "row-231": lambda: ([_sweep_input(8, 0.5, 1.0, 231)], False),
+    # the inputs of test_cli.py's test_recover_refuses_one_node_scaled_by_a_millionth
+    # and of test_node_check_names_the_node_on_a_lattice_with_no_branch_point
+    "scaled-node-cli": lambda: (_scaled_node(32, lambda grid: 29, 5), False),
+    "scaled-node-criterion1": lambda: (
+        _scaled_node(64, lambda grid: grid.horizon - grid.cells_spanned(1.0) + 1, 0), False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+def test_the_report_residual_is_a_fresh_measurement_of_the_returned_signal(case):
+    # the residual is the node checks' own figure; it must be what a fresh
+    # measure of the returned signal reads, to the bit.  The inputs that
+    # must stay refused fit no node checks: a rescue that placed a patch
+    # no check vouches for would return them
+    inputs, returned = _RESIDUAL_CASES[case]()
+    for f, ms in inputs:
+        if not returned:
+            with pytest.raises(
+                InconsistentMeasurements, match="^no phase assignment reproduces"
+            ):
+                reconstruct(ms, ms.pair)
+            continue
+        rep = _comes_back_right(f, ms)
+        fresh = measure(rep.signal, ms.pair, ms.nodes, ms.freqs).mags
+        assert rep.residual == sup_dev(fresh, ms.mags) / ms.mags.max()
 
 
 # --- long horizons ------------------------------------------------------------
