@@ -22,8 +22,9 @@ The groups:
 - oracle: three ``uniqueness_oracle`` scans (all but ``elapsed``);
 - local: every ``LocalClass`` on fixed lattice nodes at L = 8, 12 and 16;
 - forge: each forged pair, and the files ``twowin forge`` writes;
-- cli: ``twowin measure``, ``recover`` and ``verify`` outputs, the oracle
-  report without ``elapsed``;
+- cli: ``twowin measure``, ``recover``, ``plot`` (of the signal, each
+  measurement and each report) and ``verify`` outputs, the oracle report
+  without ``elapsed``;
 - checks: the verdicts of ``measurements_equal`` (flag and deviation), the
   gluing, Lemma 3.2 and refinement checks, ``is_conjugate_twist_mate``,
   ``equivalent_up_to_phase`` and ``is_separable``, on the five forged pairs
@@ -334,6 +335,7 @@ def group_cli(tw, d: Digest) -> None:
     with scratch_dir() as tmp:
         sig = tmp / "sig.json"
         dump_json(signal_to_obj(tw.random_nonseparable(grid, 21, 1.0, seed=7)), sig)
+        d.add(run_cli("plot", sig, "--out", tmp / "sig.csv"))
         for k, flags in enumerate([
             [], ["--a", "0.5"], ["--anchor", "incommensurate"],
             ["--profile", "raised_cosine", "--b", "0.5"], ["--a", "0.5", "--anchor", "0.3"],
@@ -342,6 +344,7 @@ def group_cli(tw, d: Digest) -> None:
             d.add(run_cli("measure", sig, "--out", m, "--csv", tmp / f"m{k}.csv", *flags))
             d.add(run_cli("recover", m, "--report", rep, "--signal-out", out))
             d.add(run_cli("plot", m, "--out", tmp / f"p{k}.csv"))
+            d.add(run_cli("plot", rep, "--out", tmp / f"q{k}.csv"))
         man = tmp / "forged"
         run_cli("forge", "rational_lattice", "--outdir", man)
         for flags in ([], ["--expect", "counterexample"], ["--tol", "1e-3"],

@@ -15,13 +15,14 @@ import inspect
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .signal_model import GridSpec, Signal, critical_omega, global_phase_align
+from .signal_model import GridSpec, Signal, global_phase_align
 from .window_engine import WindowPair, build_window
 from .stft_engine import (
+    WINDOW_NAMES,
     FrequencyGrid,
     MeasurementSet,
     TimeNodes,
@@ -119,8 +120,19 @@ def grid_from_obj(obj: Any, where: str) -> GridSpec:
             origin=int(obj["origin"]),
             horizon=int(obj["horizon"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{where}: bad grid object ({exc})")
+
+
+def _samples_from(rows: Any, count: int, what: str, where: str) -> np.ndarray:
+    """The one reader of a ``[re, im]`` sample list: exactly ``count`` samples."""
+    try:
+        vals = [complex(re, im) for re, im in rows]
+    except (TypeError, ValueError):
+        raise CliError(f"{where}: samples must be [re, im] pairs")
+    if len(vals) != count:
+        raise CliError(f"{where}: {len(vals)} samples for {what} {count}")
+    return np.array(vals, dtype=np.complex128)
 
 
 def signal_to_obj(sig: Signal) -> Dict[str, Any]:
@@ -134,16 +146,7 @@ def signal_from_obj(obj: Any, where: str) -> Signal:
     if not isinstance(obj, dict) or "grid" not in obj or "samples" not in obj:
         raise CliError(f"{where}: expected a signal object with 'grid' and 'samples'")
     grid = grid_from_obj(obj["grid"], where)
-    rows = obj["samples"]
-    if len(rows) != grid.horizon:
-        raise CliError(
-            f"{where}: {len(rows)} samples for horizon {grid.horizon}"
-        )
-    try:
-        vals = np.array([complex(re, im) for re, im in rows], dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise CliError(f"{where}: samples must be [re, im] pairs")
-    return Signal(grid, vals)
+    return Signal(grid, _samples_from(obj["samples"], grid.horizon, "horizon", where))
 
 
 def load_signal(path: Path) -> Signal:
@@ -164,12 +167,15 @@ def window_from_obj(obj: Any, where: str) -> WindowPair:
         grid = grid_from_obj(obj["grid"], where)
         b = float(obj["b"])
         profile = str(obj["profile"])
-        stored = np.array([complex(re, im) for re, im in obj["samples"]], dtype=np.complex128)
+        rows = obj["samples"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{where}: bad window object ({exc})")
-    if profile == "user":
-        return build_window("user", grid, b, samples=stored)
-    pair = build_window(profile, grid, b)
+    stored = _samples_from(rows, grid.L, "window length", where)
+    try:
+        # an analytic profile ignores the samples; they are checked against it below
+        pair = build_window(profile, grid, b, samples=stored)
+    except ValueError as exc:
+        raise CliError(f"{where}: bad window object ({exc})")
     if float(np.max(np.abs(pair.phi - stored))) > 1e-12:
         raise CliError(
             f"{where}: stored window samples do not match profile {profile!r} "
@@ -201,22 +207,20 @@ def nodes_from_obj(obj: Any, where: str) -> TimeNodes:
         raise CliError(f"{where}: bad nodes object ({exc})")
 
 
+def _cells(ms: MeasurementSet) -> List[tuple]:
+    """Each (t_index, t, bin index, n, omega) of a critical-grid measurement, node by node."""
+    bins = list(enumerate(zip(ms.freqs.ns.tolist(), ms.freqs.omegas.tolist())))
+    return [(ti, t, bi, n, omega) for ti, t in enumerate(ms.nodes.times) for bi, (n, omega) in bins]
+
+
 def measurement_to_obj(ms: MeasurementSet) -> Dict[str, Any]:
     if ms.freqs.mode != "critical":
         raise CliError("only critical-grid measurements are file-representable")
-    rows = []
-    ns = ms.freqs.ns
-    for wi, wname in enumerate(("phi", "psi")):
-        for ti in range(len(ms.nodes.times)):
-            for bi, n in enumerate(ns):
-                rows.append(
-                    {
-                        "w": wname,
-                        "t_index": ti,
-                        "n": int(n),
-                        "value": float(ms.mags[wi, ti, bi]),
-                    }
-                )
+    rows = [
+        {"w": w, "t_index": ti, "n": n, "value": float(ms.mags[wi, ti, bi])}
+        for wi, w in enumerate(WINDOW_NAMES)
+        for ti, _, bi, n, _ in _cells(ms)
+    ]
     return {
         "pair": window_to_obj(ms.pair),
         "nodes": nodes_to_obj(ms.nodes),
@@ -300,53 +304,44 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_measurement_csv(ms: MeasurementSet, path: Path) -> None:
-    """Long-format export, columns w, t, n, omega, value."""
+def _write_csv(path: Path, header: List[str], rows: Any) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["w", "t", "n", "omega", "value"])
-        for w, t, n, omega, value in ms.to_rows():
-            out.writerow([w, _g17(t), n, _g17(omega), _g17(value)])
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def write_measurement_csv(ms: MeasurementSet, path: Path) -> None:
+    """Long-format export, columns w, t, n, omega, value: every phi row, then every psi row."""
+    _write_csv(path, ["w", "t", "n", "omega", "value"], (
+        [w, _g17(t), n, _g17(omega), _g17(ms.mags[wi, ti, bi])]
+        for wi, w in enumerate(WINDOW_NAMES)
+        for ti, t, bi, n, omega in _cells(ms)
+    ))
 
 
 def write_plot_csv(obj: Any, path: Path, where: str) -> None:
     """Plot-ready CSV for a measurement, signal, or report file.
 
-    Measurements become (t, n, omega, mag_phi, mag_psi) rows, one per node
-    and bin; signals (or the signal inside a report) become
-    (x, re_f, im_f, abs_f) rows, one per grid index.  Column order is fixed.
+    A measurement is read as ``recover`` reads it and becomes
+    (t, n, omega, mag_phi, mag_psi) rows, one per node and bin; a signal (or
+    the signal inside a report) becomes (x, re_f, im_f, abs_f) rows, one per
+    grid index.  Column order is fixed, and a refused file writes nothing.
     """
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        if isinstance(obj, dict) and "mags" in obj:
-            out.writerow(["t", "n", "omega", "mag_phi", "mag_psi"])
-            nodes = nodes_from_obj(obj["nodes"], where)
-            B = float(obj["pair"]["grid"]["B"])
-            table: Dict[Tuple[int, int], Dict[str, float]] = {}
-            for row in obj["mags"]:
-                table.setdefault((int(row["t_index"]), int(row["n"])), {})[
-                    str(row["w"])
-                ] = float(row["value"])
-            for ti, n in sorted(table):
-                cell = table[(ti, n)]
-                out.writerow(
-                    [
-                        _g17(nodes.times[ti]),
-                        n,
-                        _g17(critical_omega(n, B)),
-                        _g17(cell.get("phi", 0.0)),
-                        _g17(cell.get("psi", 0.0)),
-                    ]
-                )
-            return
-        if isinstance(obj, dict) and "signal" in obj:
-            obj = obj["signal"]
-        sig = signal_from_obj(obj, where)
-        out.writerow(["x", "re_f", "im_f", "abs_f"])
-        xs = sig.grid.coords()
-        for k in range(sig.grid.horizon):
-            z = complex(sig.samples[k])
-            out.writerow([_g17(xs[k]), _g17(z.real), _g17(z.imag), _g17(abs(z))])
+    if isinstance(obj, dict) and "mags" in obj:
+        ms = measurement_from_obj(obj, where)
+        _write_csv(path, ["t", "n", "omega", "mag_phi", "mag_psi"], (
+            [_g17(t), n, _g17(omega), _g17(ms.mags[0, ti, bi]), _g17(ms.mags[1, ti, bi])]
+            for ti, t, bi, n, omega in _cells(ms)
+        ))
+        return
+    if isinstance(obj, dict) and "signal" in obj:
+        obj = obj["signal"]
+    sig = signal_from_obj(obj, where)
+    _write_csv(path, ["x", "re_f", "im_f", "abs_f"], (
+        [_g17(x), _g17(z.real), _g17(z.imag), _g17(abs(z))]
+        for x, z in zip(sig.grid.coords(), sig.samples.tolist())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +378,8 @@ def _lattice(args: argparse.Namespace, grid: GridSpec) -> TimeNodes:
 
 def cmd_measure(args: argparse.Namespace) -> int:
     sig = load_signal(Path(args.signal))
-    grid = sig.grid
-    # flags that duplicate file-borne grid fields must agree with them
-    for name, got in (("B", grid.B), ("L", grid.L), ("horizon", grid.horizon)):
-        want = getattr(args, name)
-        if want is not None and float(want) != float(got):
-            raise CliError(f"--{name} {want} contradicts {args.signal} (grid has {name} = {got})")
-    pair = _window(args, grid)
-    nodes = _lattice(args, grid)
+    pair = _window(args, sig.grid)
+    nodes = _lattice(args, sig.grid)
     ms = measure(sig, pair, nodes)
     out = Path(args.out)
     dump_json(measurement_to_obj(ms), out)
@@ -611,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("signal", help="signal JSON file")
     sp.add_argument("--out", required=True, help="measurement JSON output")
     sp.add_argument("--csv", help="optional long-format CSV output")
-    _add_common(sp, "B", "L", "a", "b", "horizon", "anchor", "profile")
+    _add_common(sp, "a", "b", "anchor", "profile")
     sp.set_defaults(func=cmd_measure)
 
     sp = sub.add_parser("recover", help="reconstruct a signal from measurements")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,19 +212,6 @@ class MeasurementSet:
     @property
     def grid(self) -> GridSpec:
         return self.pair.grid
-
-    def to_rows(self) -> Iterator[Tuple[str, float, int, float, float]]:
-        """Deterministic long-format rows (w, t, n, omega, value)."""
-        omegas = self.freqs.omegas
-        ns = (
-            self.freqs.ns
-            if self.freqs.mode == "critical"
-            else np.arange(len(omegas))
-        )
-        for wi, wname in enumerate(WINDOW_NAMES):
-            for ti, t in enumerate(self.nodes.times):
-                for bi in range(len(omegas)):
-                    yield (wname, t, int(ns[bi]), float(omegas[bi]), float(self.mags[wi, ti, bi]))
 
 
 class NodeSegment(NamedTuple):

@@ -362,6 +362,15 @@ def is_conjugate_twist_mate(cf: np.ndarray, cg: np.ndarray) -> bool:
     return False
 
 
+def _same_content(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether two node contents agree up to phase, or u's slot mate agrees
+    with v up to phase, at ``EQUIV_TOL``: the one window-content rule."""
+    if phase_residuals(u, v) <= EQUIV_TOL:
+        return True
+    mate = slot_reflect(u)
+    return mate is not None and phase_residuals(mate, v) <= EQUIV_TOL
+
+
 def per_window_gluing_check(
     f: Signal,
     g: Signal,
@@ -381,12 +390,8 @@ def per_window_gluing_check(
         hg = windowed_segment(g, pair, t)
         if max(np.max(np.abs(hf)), np.max(np.abs(hg))) <= 1e-12 * scale:
             continue
-        if phase_residuals(hf, hg) <= EQUIV_TOL:
-            continue
-        mate = slot_reflect(hf)
-        if mate is not None and phase_residuals(mate, hg) <= EQUIV_TOL:
-            continue
-        return False
+        if not _same_content(hf, hg):
+            return False
     return True
 
 
@@ -411,11 +416,7 @@ def lemma32_equivalence_check(f: Signal, g: Signal, pair: WindowPair, t: float) 
         scale = max(float(np.max(mf.mags)), float(np.max(mg.mags)), 1.0)
         lhs, _ = measurements_equal(mf, mg, tol=1e-10 * scale)
         hg = node_segment(gs.grid, t, gs.samples).samples
-        rhs = phase_residuals(hf, hg) <= EQUIV_TOL
-        if not rhs:
-            mate = slot_reflect(hg)
-            rhs = mate is not None and phase_residuals(hf, mate) <= EQUIV_TOL
-        outcomes.append(lhs == rhs)
+        outcomes.append(lhs == _same_content(hf, hg))
     return all(outcomes)
 
 

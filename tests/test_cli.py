@@ -12,6 +12,7 @@ from twowin import (
     TimeNodes,
     alphabet_family,
     build_window,
+    default_anchor,
     global_phase_align,
     measure,
     measurements_equal,
@@ -107,6 +108,20 @@ def test_measurement_csv_header(run_cli, tmp_path, generic_signal):
     csv_path = tmp_path / "m.csv"
     run_cli("measure", sig_path, "--out", tmp_path / "m.json", "--csv", csv_path)
     assert csv_path.read_text().splitlines()[0] == "w,t,n,omega,value"
+
+
+def test_measurement_csv_rows_are_deterministic(run_cli, tmp_path, generic_signal):
+    _, sig_path = generic_signal
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    for path in (one, two):
+        assert run_cli("measure", sig_path, "--out", tmp_path / "m.json", "--csv", path)[0] == 0
+    assert one.read_bytes() == two.read_bytes()
+    ms = cli.load_measurement(tmp_path / "m.json")
+    rows = [line.split(",") for line in one.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * len(ms.nodes.times) * 2 * ms.freqs.N
+    assert rows[0][0] == "phi" and rows[-1][0] == "psi"
+    # phi's rows, then psi's, node by node and bin by bin
+    assert [float(r[4]) for r in rows] == ms.mags.ravel().tolist()
 
 
 def test_exit_codes_for_the_three_canonical_runs(run_cli, tmp_path, generic_signal):
@@ -330,17 +345,47 @@ def test_plot_report_unwraps_the_signal(run_cli, tmp_path, generic_signal):
     assert out_csv.read_text().splitlines()[0] == "x,re_f,im_f,abs_f"
 
 
-def test_plot_empty_measurement_gives_bare_header(run_cli, tmp_path):
-    stub = {
-        "pair": {"grid": {"B": 1.0}},
-        "nodes": {"mode": "lattice", "times": [0.0], "a": 1.0, "anchor_index": None},
-        "mags": [],
-    }
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps(stub))
-    out_csv = tmp_path / "empty.csv"
-    assert run_cli("plot", path, "--out", out_csv)[0] == 0
-    assert out_csv.read_text() == "t,n,omega,mag_phi,mag_psi\n"
+def test_plot_magnitudes_are_the_measured_ones_to_the_bit(run_cli, tmp_path, generic_signal):
+    sig, sig_path = generic_signal
+    m_path, m_csv = tmp_path / "m.json", tmp_path / "m.csv"
+    run_cli("measure", sig_path, "--out", m_path, "--anchor", "incommensurate")
+    assert run_cli("plot", m_path, "--out", m_csv)[0] == 0
+    a = sig.grid.B
+    nodes = TimeNodes.lattice_covering(sig.grid, a, default_anchor(a, sig.grid.horizon))
+    ms = measure(sig, build_window("rectangular", sig.grid), nodes)
+    rows = np.array([line.split(",") for line in m_csv.read_text().splitlines()[1:]], dtype=float)
+    n_nodes, n_bins = len(nodes.times), 2 * ms.freqs.N
+    assert rows.shape == (n_nodes * n_bins, 5)
+    assert np.array_equal(rows[:, 0], np.repeat(nodes.times, n_bins))
+    assert np.array_equal(rows[:, 1], np.tile(ms.freqs.ns, n_nodes))
+    assert np.array_equal(rows[:, 2], np.tile(ms.freqs.omegas, n_nodes))
+    assert np.array_equal(rows[:, 3:].T.reshape(ms.mags.shape), ms.mags)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[1:], "missing magnitude row (w phi, t_index 0, n -8)"),
+        (lambda rows: [r for r in rows if (r["w"], r["t_index"], r["n"]) != ("psi", 0, -8)],
+         "missing magnitude row (w psi, t_index 0, n -8)"),
+        (lambda rows: rows + [dict(rows[40], value=99.0)],
+         "repeated magnitude row (w phi, t_index 2, n 0)"),
+    ],
+    ids=["phi-row-dropped", "psi-row-dropped", "row-repeated"],
+)
+def test_plot_refuses_rows_not_given_exactly_once_as_recover_does(
+    run_cli, tmp_path, generic_signal, edit, message
+):
+    _, sig_path = generic_signal
+    m_path, out_csv = tmp_path / "m.json", tmp_path / "m.csv"
+    run_cli("measure", sig_path, "--out", m_path)
+    obj = json.loads(m_path.read_text())
+    obj["mags"] = edit(obj["mags"])
+    m_path.write_text(json.dumps(obj))
+    want = (1, "", f"error: {m_path}: {message}\n")
+    assert run_cli("recover", m_path, "--report", tmp_path / "r.json") == want
+    assert run_cli("plot", m_path, "--out", out_csv) == want
+    assert not out_csv.exists()
 
 
 def test_anchor_flags(run_cli, tmp_path, generic_signal):
@@ -351,13 +396,6 @@ def test_anchor_flags(run_cli, tmp_path, generic_signal):
         code, out, _ = run_cli("recover", m_path, "--report", tmp_path / "r.json")
         assert code == 0
         assert "ambiguity=phase_only" in out
-
-
-def test_grid_flag_contradiction_is_reported(run_cli, tmp_path, generic_signal):
-    _, sig_path = generic_signal
-    code, _, err = run_cli("measure", sig_path, "--out", tmp_path / "m.json", "--L", 9)
-    assert code == 1
-    assert "contradicts" in err
 
 
 def test_missing_and_malformed_files(run_cli, tmp_path):
@@ -464,8 +502,7 @@ def _option_table(parser):
 def test_cli_option_table_is_pinned():
     assert _option_table(cli.build_parser()) == {
         "measure": sorted([
-            "-h", "--help", "signal", "--out", "--csv", "--B", "--L", "--a", "--b",
-            "--horizon", "--anchor", "--profile",
+            "-h", "--help", "signal", "--out", "--csv", "--a", "--b", "--anchor", "--profile",
         ]),
         "recover": sorted(["-h", "--help", "measurement", "--report", "--signal-out"]),
         "forge": sorted(["-h", "--help", "claim", "--outdir", "--B", "--a", "--seed"]),
@@ -633,3 +670,56 @@ def test_recover_refuses_an_anchor_index_the_node_mode_cannot_have(
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {m_path}: bad nodes object (anchor_index ")
     assert not (tmp_path / "r.json").exists()
+
+
+WINDOW_MODULATION = "modulation step range violated: b=5.0 outside (0, 1/(2B)] = (0, 0.5]"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"samples": [[1.0, 0.0]] * 7}, "7 samples for window length 8"),
+        ({"profile": "triangle"}, "bad window object (profile must be one of "
+         "('rectangular', 'raised_cosine', 'user'), got 'triangle')"),
+        ({"b": 5.0}, f"bad window object ({WINDOW_MODULATION})"),
+        ({"profile": "user", "samples": [[1.0, 0.0]] * 7}, "7 samples for window length 8"),
+        ({"samples": 3}, "samples must be [re, im] pairs"),
+    ],
+    ids=["short-samples", "unknown-profile", "b-too-large", "short-user-window", "samples-number"],
+)
+@pytest.mark.parametrize("command", ["recover", "plot"])
+def test_a_bad_window_object_names_its_file(
+    run_cli, tmp_path, generic_signal, command, edit, message
+):
+    _, sig_path = generic_signal
+    m_path, out = tmp_path / "m.json", tmp_path / "out"
+    run_cli("measure", sig_path, "--out", m_path)
+    obj = json.loads(m_path.read_text())
+    obj["pair"].update(edit)
+    m_path.write_text(json.dumps(obj))
+    flag = "--report" if command == "recover" else "--out"
+    assert run_cli(command, m_path, flag, out) == (1, "", f"error: {m_path}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"B": -1.0}, "window half-width B must be positive, got -1.0"),
+        ({"L": 0}, "L must be a positive integer, got 0"),
+        ({"horizon": 7}, "horizon (7) must cover at least one window of L=8 cells"),
+        ({"B": "abc"}, "could not convert string to float: 'abc'"),
+    ],
+    ids=["B-negative", "L-zero", "horizon-below-L", "B-text"],
+)
+@pytest.mark.parametrize("command", ["measure", "plot"])
+def test_a_bad_signal_grid_names_its_file(run_cli, tmp_path, generic_signal, command, edit, message):
+    _, sig_path = generic_signal
+    obj = json.loads(sig_path.read_text())
+    obj["grid"].update(edit)
+    sig_path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert run_cli(command, sig_path, "--out", out) == (
+        1, "", f"error: {sig_path}: bad grid object ({message})\n"
+    )
+    assert not out.exists()

@@ -219,15 +219,6 @@ def test_measure_batch_rejects_inputs_from_another_grid(pair, freqs, horizon, me
         measure_batch(rows, GRID, pair, nodes, freqs)
 
 
-def test_measurement_rows_are_deterministic(make_signal):
-    nodes = TimeNodes.lattice(1.0, range(-1, 2))
-    ms = measure(make_signal(GRID, 2), PAIR, nodes)
-    rows = list(ms.to_rows())
-    assert len(rows) == 2 * 3 * 8
-    assert rows[0][0] == "phi" and rows[-1][0] == "psi"
-    assert rows == list(ms.to_rows())
-
-
 def test_difference_identity_small_defect(make_signal):
     f = make_signal(GRID, 9)
     for t in (-1.0, 0.0, 1.0):
