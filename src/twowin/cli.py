@@ -195,16 +195,20 @@ def nodes_to_obj(nodes: TimeNodes) -> Dict[str, Any]:
 
 def nodes_from_obj(obj: Any, where: str) -> TimeNodes:
     try:
-        return TimeNodes(
+        nodes = TimeNodes(
             mode=str(obj["mode"]),
             times=tuple(float(t) for t in obj["times"]),
             a=None if obj.get("a") is None else float(obj["a"]),
-            anchor_index=None
-            if obj.get("anchor_index") is None
-            else int(obj["anchor_index"]),
         )
+        stored = None if obj.get("anchor_index") is None else int(obj["anchor_index"])
+        if stored != nodes.anchor_index:
+            raise ValueError(
+                f"anchor_index must be {nodes.anchor_index} in node mode {nodes.mode!r}, "
+                f"got {stored!r}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{where}: bad nodes object ({exc})")
+    return nodes
 
 
 def _cells(ms: MeasurementSet) -> List[tuple]:
@@ -441,7 +445,10 @@ def cmd_verify_pair(args: argparse.Namespace) -> int:
             raise CliError(f"{mpath}: bad manifest ({exc})")
         f = load_signal(mpath.parent / f_name)
         g = load_signal(mpath.parent / g_name)
-        pair = build_window(profile, f.grid, b=b)
+        try:
+            pair = build_window(profile, f.grid, b=b)
+        except ValueError as exc:
+            raise CliError(f"{mpath}: bad window object ({exc})")
     else:
         if not (args.f and args.g):
             raise CliError("verify pair needs --manifest or both --f and --g")

@@ -24,6 +24,7 @@ from .signal_model import (
     global_phase_align,
     is_separable,
     make_periodic,
+    period_split,
 )
 from .window_engine import WindowPair, build_window
 from .stft_engine import TimeNodes, default_anchor, measure
@@ -209,17 +210,11 @@ def forge_quasiperiodic_flip(B: float = 1.0, T: float = 1.5, alpha: float = 0.5)
         )
     for name, val in (("B - T", grid.B - T), ("alpha T - B", alpha * T - grid.B), ("T", T)):
         grid.cells(val, f"piece edge {name}")
-    x = grid.coords()
-    fv = np.zeros(grid.horizon, dtype=np.complex128)
-    gv = np.zeros(grid.horizon, dtype=np.complex128)
-    m_lo = math.floor((x[0] - (alpha * T - grid.B)) / T)
-    m_hi = math.ceil((x[-1] - (grid.B - T)) / T)
-    for m in range(m_lo, m_hi + 1):
-        inside = (x >= m * T + grid.B - T - 1e-12) & (x < m * T + alpha * T - grid.B - 1e-12)
-        fv[inside] = c
-        gv[inside] = c * (-1) ** m
-    f = Signal(grid, fv)
-    g = Signal(grid, gv)
+    # piece m holds the points x = mT + B - T + r with r in [0, (alpha + 1) T - 2B)
+    sign, r = period_split(PeriodicSpec(T=T, mu=-1.0), grid.coords() - (grid.B - T))
+    inside = r < (alpha + 1) * T - 2 * grid.B - 1e-12
+    f = Signal(grid, np.where(inside, c, 0.0))
+    g = Signal(grid, np.where(inside, c * sign.real, 0.0))
     nodes = TimeNodes.two_lines(0.0, alpha * T)
     labels = (
         -grid.B,

@@ -206,13 +206,8 @@ def global_phase_align(f: Signal, g: Signal) -> PhaseAlignment:
     """
     if f.grid != g.grid:
         raise GridMismatchError(f"signals live on different grids: {f.grid} vs {g.grid}")
-    fv = f.samples
-    gv = g.samples
-    scale = float(np.sqrt(np.linalg.norm(fv) ** 2 + np.linalg.norm(gv) ** 2))
-    if scale == 0.0:
-        return PhaseAlignment(lam=1.0 + 0.0j, residual=0.0)
-    lam, dist = phase_fit(fv, gv)
-    return PhaseAlignment(lam=complex(lam), residual=float(dist / scale))
+    lam, _ = phase_fit(f.samples, g.samples)
+    return PhaseAlignment(lam=complex(lam), residual=phase_residuals(f.samples, g.samples))
 
 
 def equivalent_up_to_phase(f: Signal, g: Signal) -> bool:
@@ -310,6 +305,17 @@ def mu_powers(mu: complex, exps: np.ndarray) -> np.ndarray:
     return table[exps - e_lo]
 
 
+def period_split(spec: PeriodicSpec, x: np.ndarray):
+    """(mu^(-m), x - m T) with m = floor(x / T), for an array of points: the
+    one period split, which every reader of a point's period goes through.
+
+    The floor is nudged by 1e-9 so that a point a rounding error below a
+    period boundary does not pick up a spurious factor of mu.
+    """
+    m = np.floor(x / spec.T + 1e-9).astype(np.int64)
+    return mu_powers(spec.mu, -m), x - m * spec.T
+
+
 def make_periodic(spec: PeriodicSpec, grid: GridSpec) -> Signal:
     """Sample the quasi-periodic extension of a trigonometric base cell.
 
@@ -339,15 +345,11 @@ def periodic_eval(spec: PeriodicSpec, x) -> np.ndarray:
     Needed wherever a quasi-periodic candidate must be read off the grid,
     e.g. when reflecting one about a point that is not a horizon midpoint.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    # Nudge before flooring so points sitting a rounding error below a
-    # period boundary do not pick up a spurious factor of mu.
-    m = np.floor(xv / spec.T + 1e-9).astype(np.int64)
-    rem = xv - m * spec.T
-    vals = np.zeros_like(xv, dtype=np.complex128)
+    factor, rem = period_split(spec, np.atleast_1d(np.asarray(x, dtype=np.float64)))
+    vals = np.zeros_like(rem, dtype=np.complex128)
     for k, c in spec.coefficients.items():
         vals += c * np.exp(2j * np.pi * k * rem / spec.T)
-    out = mu_powers(spec.mu, -m) * vals
+    out = factor * vals
     return out if np.ndim(x) else out[0]
 
 

@@ -109,7 +109,6 @@ class TimeNodes:
     mode: str
     times: Tuple[float, ...]
     a: Optional[float] = None
-    anchor_index: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("lattice", "lattice_plus_anchor", "two_lines"):
@@ -118,12 +117,6 @@ class TimeNodes:
             raise ValueError("node set must be nonempty")
         if self.mode == "two_lines" and len(self.times) != 2:
             raise ValueError("two_lines mode needs exactly two node times")
-        # only lattice_plus_anchor has an anchor, and it is stored last
-        want = len(self.times) - 1 if self.mode == "lattice_plus_anchor" else None
-        if self.anchor_index != want:
-            raise ValueError(
-                f"anchor_index must be {want} in node mode {self.mode!r}, got {self.anchor_index!r}"
-            )
 
     @classmethod
     def lattice(cls, a: float, m_range: Sequence[int]) -> "TimeNodes":
@@ -140,9 +133,7 @@ class TimeNodes:
             raise ValueError(
                 f"anchor t0={t0!r} coincides with a lattice node; it must sit strictly between nodes"
             )
-        return cls(
-            mode="lattice_plus_anchor", times=times, a=float(a), anchor_index=len(times) - 1
-        )
+        return cls(mode="lattice_plus_anchor", times=times, a=float(a))
 
     @classmethod
     def two_lines(cls, t0: float, t1: float) -> "TimeNodes":
@@ -175,9 +166,15 @@ class TimeNodes:
         return range(m_lo, m_hi + 1)
 
     @property
+    def anchor_index(self) -> Optional[int]:
+        """The anchor's row, which the mode fixes: only lattice_plus_anchor
+        has an anchor, and it is stored last."""
+        return len(self.times) - 1 if self.mode == "lattice_plus_anchor" else None
+
+    @property
     def lattice_rows(self) -> List[int]:
         """Row indices of the lattice nodes: every node but the anchor."""
-        return [i for i in range(len(self.times)) if i != self.anchor_index]
+        return list(range(len(self.times) - (self.anchor_index is not None)))
 
     @property
     def lattice_times(self) -> Tuple[float, ...]:

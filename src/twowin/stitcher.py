@@ -24,7 +24,7 @@ from .signal_model import (
     conj_reflect,
     equivalent_up_to_phase,
     make_periodic,
-    mu_powers,
+    period_split,
     periodic_eval,
     phase_fit,
 )
@@ -393,7 +393,7 @@ def resolve_reflection(
         # itself has the bits it has in a whole-set measurement
         direct = np.empty(ms.mags.shape)
         direct[:, lat_rows] = assembly.mags
-        only_anchor = replace(nodes, times=(nodes.anchor,), anchor_index=0)
+        only_anchor = replace(nodes, times=(nodes.anchor,))
         anchor_ms = measure(assembly.signal, pair, only_anchor, ms.freqs)
         direct[:, nodes.anchor_index] = anchor_ms.mags[:, 0]
     chosen = (assembly.signal, direct)
@@ -527,28 +527,27 @@ def periodic_verdict(
             f"window, got min(L, T/delta) = {min(grid.L, k_T)}"
         )
     _require_alias_period(ms, grid, "periodic verdict")
-
+    # line 0 is recovered on the window's slot samples, so it must sit on
+    # the grid; line 1 is only measured, and may sit anywhere
     t0 = nodes.times[0]
+    grid.cells(t0, "line t0")
+
+    # both lines read zero exactly when the largest magnitude is 0
     scale = float(ms.mags.max())
-    cls0 = recover_local(ms.mags[0, 0], ms.mags[1, 0], pair, scale=scale)
-    # line 1 is recovered only to detect all-zero data; otherwise the branch
-    # verdict below judges its magnitudes
-    if cls0.is_zero and recover_local(ms.mags[0, 1], ms.mags[1, 1], pair, scale=scale).is_zero:
+    if scale == 0.0:
         zero = Signal(grid, np.zeros(grid.horizon, dtype=np.complex128))
         return ReconstructionReport(
             signal=zero, ambiguity="phase_only", residual=0.0, lambdas=(1.0 + 0j, 1.0 + 0j)
         )
+    cls0 = recover_local(ms.mags[0, 0], ms.mags[1, 0], pair, scale=scale)
 
     # unwind the window on the first line; each of its classes is fitted in
     # turn, since the one that carries the family may be the reflected mate
     phi = pair.slot_values("phi")
     seg = node_segment(grid, t0)
-    xs = grid.x(seg.cells)[seg.on]
-    cell = np.floor(xs / spec.T + 1e-9)
-    rem = xs - cell * spec.T
+    factor, rem = period_split(spec, grid.x(seg.cells)[seg.on])
     ks = np.arange(-Q, Q + 1)
-    mu_pow = mu_powers(spec.mu, -cell.astype(np.int64))
-    A = mu_pow[:, None] * np.exp(2j * np.pi * np.outer(rem, ks) / spec.T)
+    A = factor[:, None] * np.exp(2j * np.pi * np.outer(rem, ks) / spec.T)
     refusals = []
     for content in cls0.representatives:
         coef, *_ = np.linalg.lstsq(A, (content / np.conj(phi))[seg.on], rcond=None)

@@ -76,12 +76,18 @@ def _reflection_residual(u: np.ndarray, v: np.ndarray) -> float:
     return phase_residuals(w, v)
 
 
-def pair_equivalent(
-    u: np.ndarray, v: np.ndarray, allow_reflection: bool, tol: float = EQUIV_TOL
-) -> bool:
-    if phase_residuals(u, v) <= tol:
-        return True
-    return allow_reflection and _reflection_residual(u, v) <= tol
+def pair_equivalent(u: np.ndarray, v: np.ndarray, allow_reflection: bool, tol: float = EQUIV_TOL):
+    """Whether v is u up to global phase, or, when ``allow_reflection``, up
+    to phase after the support-aligned conjugate reversal of u: the one pair
+    verdict.  Works row-wise on 2-D inputs and returns a bool array there,
+    running the reflection test only on the rows that fail the phase test."""
+    equivalent = phase_residuals(u, v) <= tol
+    if u.ndim == 1:
+        return equivalent or (allow_reflection and _reflection_residual(u, v) <= tol)
+    if allow_reflection:
+        for p in np.flatnonzero(~equivalent):
+            equivalent[p] = _reflection_residual(u[p], v[p]) <= tol
+    return equivalent
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,7 @@ def uniqueness_oracle(
     soon as they are made (``_KeyGroups``): a row's key is kept only when it
     is the first of its group.  So the oracle holds O(n) row indices plus
     O(classes x width) keys, never a key per row or a family-sized float
-    array.  The phase test runs on ``CHUNK`` pairs at a time, and the
-    reflection test only on the pairs that fail it.
+    array.  ``pair_equivalent`` judges ``CHUNK`` pairs at a time.
 
     Violations come in group order (groups by first appearance), then member
     order; the first ``violation_cap`` are materialized as Signal pairs, with
@@ -260,13 +265,7 @@ def uniqueness_oracle(
     violation_count = 0
     violating = np.zeros(len(sizes), dtype=bool)
     for rows_i, rows_j, pair_group in _within_group_pairs(order, sizes, CHUNK):
-        equivalent = phase_residuals(samples[rows_i], samples[rows_j]) <= EQUIV_TOL
-        if allow_reflection:
-            for p in np.flatnonzero(~equivalent):
-                equivalent[p] = (
-                    _reflection_residual(samples[rows_i[p]], samples[rows_j[p]]) <= EQUIV_TOL
-                )
-        bad = np.flatnonzero(~equivalent)
+        bad = np.flatnonzero(~pair_equivalent(samples[rows_i], samples[rows_j], allow_reflection))
         violation_count += len(bad)
         violating[pair_group[bad]] = True
         keep = bad[:max(violation_cap - len(kept), 0)]

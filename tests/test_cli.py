@@ -256,6 +256,30 @@ def test_verify_pair_names_a_manifest_without_window_b(run_cli, tmp_path):
     assert "KeyError" not in err
 
 
+WINDOW_MODULATION = "modulation step range violated: b=5.0 outside (0, 1/(2B)] = (0, 0.5]"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"b": 5.0}, WINDOW_MODULATION),
+        ({"profile": "triangle"}, "profile must be one of "
+         "('rectangular', 'raised_cosine', 'user'), got 'triangle'"),
+    ],
+    ids=["b-too-large", "unknown-profile"],
+)
+def test_verify_pair_names_a_manifest_with_a_bad_window(run_cli, tmp_path, edit, message):
+    outdir = tmp_path / "forged"
+    run_cli("forge", "separable_gap", "--outdir", outdir)
+    manifest = outdir / "manifest.json"
+    obj = json.loads(manifest.read_text())
+    obj["window"].update(edit)
+    manifest.write_text(json.dumps(obj))
+    assert run_cli("verify", "pair", "--manifest", manifest) == (
+        1, "", f"error: {manifest}: bad window object ({message})\n"
+    )
+
+
 def test_recover_names_a_measurement_without_window_b(run_cli, tmp_path, generic_signal):
     _, sig_path = generic_signal
     m_path = tmp_path / "m.json"
@@ -670,9 +694,6 @@ def test_recover_refuses_an_anchor_index_the_node_mode_cannot_have(
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {m_path}: bad nodes object (anchor_index ")
     assert not (tmp_path / "r.json").exists()
-
-
-WINDOW_MODULATION = "modulation step range violated: b=5.0 outside (0, 1/(2B)] = (0, 0.5]"
 
 
 @pytest.mark.parametrize(

@@ -267,3 +267,57 @@ def test_only_refit_runs_the_magnitude_fit():
         for name in _top_level_callers(path, {"_magnitude_fit"})
     }
     assert callers == {"local_recovery.py:refit"}
+
+
+def test_only_pair_equivalent_runs_the_reflection_test():
+    # pair_equivalent is the one pair verdict: the oracle's scans and every
+    # 1-D check call it, and a caller of _reflection_residual elsewhere would
+    # be a second copy of the rule
+    callers = {
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _top_level_callers(path, {"_reflection_residual"})
+    }
+    assert callers == {"verifier.py:pair_equivalent"}
+
+
+def _is_a_period(node: ast.AST) -> bool:
+    """Whether an expression is a period: ``T``, ``<spec>.T`` or a count of
+    cells per period ``k_T...``."""
+    return (isinstance(node, ast.Name) and (node.id == "T" or node.id.startswith("k_T"))) or (
+        isinstance(node, ast.Attribute) and node.attr == "T"
+    )
+
+
+def _period_floors(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.FloorDiv, ast.Mod)):
+            divisors = [node.right]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("floor", "ceil"):
+                divisors = [
+                    n.right for arg in node.args for n in ast.walk(arg)
+                    if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                ]
+            elif name in ("floor_divide", "divmod", "mod", "remainder", "fmod"):
+                divisors = node.args[1:2]
+            else:
+                continue
+        else:
+            continue
+        if any(_is_a_period(d) for d in divisors):
+            yield f"{path.name}:{node.lineno} floors by a period"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "signal_model.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_signal_model_splits_a_point_by_its_period(path):
+    # period_split is the one period rule, floor(x / T + 1e-9): a module
+    # that floors by a period itself may nudge, or not, differently
+    assert list(_period_floors(path)) == []

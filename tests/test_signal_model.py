@@ -66,6 +66,13 @@ def _verdict_with_period(T):
     return periodic_verdict(ms, fp.pair, PeriodicSpec(T=T, mu=1.0), Q=2)
 
 
+def _verdict_with_first_line(t0):
+    # the forge's f measured on two lines a step apart, the first off the grid
+    fp = forge("rational_periodic")
+    ms = measure(fp.f, fp.pair, TimeNodes.two_lines(t0, t0 + fp.params["t1"]))
+    return periodic_verdict(ms, fp.pair, PeriodicSpec(T=fp.params["T"], mu=1.0), Q=2)
+
+
 def _user_window():
     return build_window("user", GRID, samples=np.ones(4))
 
@@ -80,6 +87,7 @@ def _reconstruct_with_step(a):
 # whole-step value
 WHOLE_CELL_REFUSALS = {
     "periodic_verdict-T": (lambda: _verdict_with_period(1.3), "period T", 1.3, 6 * D9),
+    "periodic_verdict-t0": (lambda: _verdict_with_first_line(0.1), "line t0", 0.1, 0.0),
     "rational_periodic-T": (lambda: forge("rational_periodic", T=1.3), "period T", 1.3, 6 * D9),
     "rational_periodic-t0": (lambda: forge("rational_periodic", t0=0.3), "line t0", 0.3, D9),
     # q = 3 puts the rational offsets T/(2q) = 4/3 cells off the grid

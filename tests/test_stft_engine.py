@@ -58,24 +58,6 @@ def test_time_node_modes():
         TimeNodes.lattice_plus_anchor(1.0, range(3), t0=2.0)  # anchor on a node
 
 
-@pytest.mark.parametrize(
-    "mode, times, anchor_index",
-    [
-        ("lattice", (0.0, 1.0, 2.0, 3.0), 3),
-        ("lattice", (0.0,), 0),
-        ("two_lines", (0.0, 0.5), 1),
-        ("lattice_plus_anchor", (0.0, 1.0, 0.5), 99),
-        ("lattice_plus_anchor", (0.0, 1.0, 0.5), 0),
-        ("lattice_plus_anchor", (0.0, 1.0, 0.5), -1),
-        ("lattice_plus_anchor", (0.0, 1.0, 0.5), None),
-    ],
-)
-def test_time_nodes_refuse_an_anchor_index_their_mode_cannot_have(mode, times, anchor_index):
-    # only lattice_plus_anchor has an anchor, and it is stored last
-    with pytest.raises(ValueError, match="anchor_index"):
-        TimeNodes(mode=mode, times=times, a=1.0, anchor_index=anchor_index)
-
-
 def test_lattice_rows_are_every_node_but_the_anchor():
     bare = TimeNodes.lattice(0.5, range(-2, 3))
     assert bare.lattice_rows == [0, 1, 2, 3, 4]
@@ -84,6 +66,10 @@ def test_lattice_rows_are_every_node_but_the_anchor():
     assert anchored.lattice_rows == [0, 1, 2, 3, 4]
     assert anchored.lattice_times == bare.times
     assert anchored.anchor == 0.3
+    # the mode fixes the anchor's row: the last one, and only with an anchor
+    assert anchored.anchor_index == 5
+    assert bare.anchor_index is None and bare.anchor is None
+    assert TimeNodes.two_lines(0.0, 0.5).anchor_index is None
 
 
 @pytest.mark.parametrize("a", [1.0, 0.5, 0.25, 1.5])

@@ -101,7 +101,7 @@ def test_an_anchor_with_no_lattice_node_is_refused_on_its_residual():
     # no lattice row, so no node is live and nothing is checked in the
     # search; the zero assembly fails the anchor's data
     f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=0)
-    nodes = TimeNodes(mode="lattice_plus_anchor", times=(0.5,), a=1.0, anchor_index=0)
+    nodes = TimeNodes(mode="lattice_plus_anchor", times=(0.5,), a=1.0)
     with pytest.raises(InconsistentMeasurements, match="residual 1.000e\\+00 exceeds accept_tol"):
         reconstruct(measure(f, PAIR, nodes), PAIR)
 
@@ -479,7 +479,7 @@ def test_periodic_verdict_accepts_genuine_family_data(mu, period_cells, offset_c
         assert min(global_phase_align(s, f).residual for s in branches) <= 1e-10
 
 
-def test_periodic_verdict_recovers_line_one_only_when_line_zero_is_zero(monkeypatch):
+def _counted_recoveries(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -487,6 +487,11 @@ def test_periodic_verdict_recovers_line_one_only_when_line_zero_is_zero(monkeypa
         return recover_local(*args, **kwargs)
 
     monkeypatch.setattr(stitcher, "recover_local", counted)
+    return calls
+
+
+def test_periodic_verdict_recovers_line_zero_only_and_reads_zero_data_from_the_scale(monkeypatch):
+    calls = _counted_recoveries(monkeypatch)
     fp = forge("rational_periodic")
     spec = PeriodicSpec(T=fp.params["T"], mu=1.0)
     periodic_verdict(measure(fp.f, fp.pair, fp.nodes), fp.pair, spec, Q=2)
@@ -494,8 +499,25 @@ def test_periodic_verdict_recovers_line_one_only_when_line_zero_is_zero(monkeypa
     calls.clear()
     zero = Signal(fp.f.grid, np.zeros(fp.f.grid.horizon, dtype=np.complex128))
     rep = periodic_verdict(measure(zero, fp.pair, fp.nodes), fp.pair, spec, Q=2)
-    assert len(calls) == 2
-    assert rep.signal.is_zero() and rep.ambiguity == "phase_only"
+    assert calls == []
+    assert rep.signal.is_zero() and rep.ambiguity == "phase_only" and rep.residual == 0.0
+
+
+def test_periodic_verdict_refuses_data_whose_first_line_alone_is_zero(monkeypatch):
+    # a pulse that line 1's window sees and line 0's does not: the zero
+    # class of line 0 fits the zero member, which misses line 1's data
+    calls = _counted_recoveries(monkeypatch)
+    fp = forge("rational_periodic")
+    grid = fp.f.grid
+    t1 = fp.nodes.times[1]
+    samples = np.zeros(grid.horizon, dtype=np.complex128)
+    samples[grid.cells(t1, "line t1") + grid.origin + grid.L // 2] = 1.0
+    ms = measure(Signal(grid, samples), fp.pair, fp.nodes)
+    assert ms.mags[:, 0].max() == 0.0 < ms.mags[:, 1].max()
+    spec = PeriodicSpec(T=fp.params["T"], mu=1.0)
+    with pytest.raises(InconsistentMeasurements, match="no family member explains both lines"):
+        periodic_verdict(ms, fp.pair, spec, Q=2)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -529,7 +551,7 @@ def test_each_branch_is_measured_once(monkeypatch):
     ms = measure(fp.g, fp.pair, nodes)
     monkeypatch.setattr(stitcher, "measure", counted)
     rep = reconstruct(ms, fp.pair)
-    only_anchor = TimeNodes("lattice_plus_anchor", (nodes.anchor,), nodes.a, anchor_index=0)
+    only_anchor = TimeNodes("lattice_plus_anchor", (nodes.anchor,), nodes.a)
     assert rep.anchor_used and calls == [only_anchor, nodes]
 
     # two-line verdicts: the same two per class of line 0 that is tried
@@ -618,7 +640,7 @@ def test_assembly_carries_the_lattice_magnitudes_measure_gives(assemblies):
         assert assembly.mags.tobytes() == full[:, lat_rows].tobytes()
         assembled += 1
         if nodes.anchor_index is not None:
-            only = TimeNodes("lattice_plus_anchor", (nodes.anchor,), nodes.a, anchor_index=0)
+            only = TimeNodes("lattice_plus_anchor", (nodes.anchor,), nodes.a)
             alone = measure(assembly.signal, pair, only).mags[:, 0]
             assert alone.tobytes() == full[:, nodes.anchor_index].tobytes()
             anchored += 1

@@ -248,6 +248,46 @@ def test_oracle_matches_the_scalar_pair_loop(case, monkeypatch):
     assert (len(report.ambiguous_rows) > 0) == (report.violation_count > 0)
 
 
+@pytest.mark.parametrize(
+    "case",
+    [c for c in _oracle_cases() if c[0] in ("criterion-2 cap 64", "edge rows, two lines")],
+    ids=lambda c: c[0],
+)
+def test_oracle_judges_its_pairs_through_the_module_pair_verdict(case, monkeypatch):
+    # a bare-lattice scan and a two-line scan both look pair_equivalent up on
+    # the module at call time, where a tracer that wraps it sees every chunk
+    _, config, samples, cap, want_count = case
+    monkeypatch.setattr(verifier, "CHUNK", 100)
+    calls = []
+    judge = verifier.pair_equivalent
+
+    def counted(u, v, allow_reflection, *args, **kwargs):
+        calls.append((len(u), allow_reflection))
+        return judge(u, v, allow_reflection, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "pair_equivalent", counted)
+    report = uniqueness_oracle(config, samples, violation_cap=cap)
+    assert report.violation_count == want_count
+    allow_reflection = config.nodes.mode == "lattice"
+    assert calls and all(flag == allow_reflection for _, flag in calls)
+    assert all(rows <= 100 for rows, _ in calls)
+
+
+def test_pair_equivalent_judges_rows_as_it_judges_each_pair():
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    v = u * np.exp(1j * rng.random((6, 1)))  # rows 0 and 1: equal up to phase
+    v[2:4] = np.conj(u[2:4, ::-1])  # reflection mates
+    v[4] = rng.standard_normal(5)  # foreign
+    v[5] = 0.0  # a zero row against a live one
+    for allow_reflection in (True, False):
+        got = pair_equivalent(u, v, allow_reflection)
+        want = [pair_equivalent(a, b, allow_reflection) for a, b in zip(u, v)]
+        assert got.tolist() == want
+    assert want == [True, True, False, False, False, False]
+    assert pair_equivalent(u, v, True).tolist() == [True, True, True, True, False, False]
+
+
 def _colliding_multipliers(width):
     """Multipliers that hash every key row to 0."""
     return np.zeros(width, dtype=np.uint64)
