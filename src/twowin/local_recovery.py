@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import GridSpec, critical_omega, phase_fit
+from .signal_model import GridSpec, critical_omega, phase_fit, vector_norm
 from .window_engine import WindowPair, slot_offsets
 
 #: Relative threshold for matching a root with its mirror partner 1/conj(r).
@@ -126,8 +126,8 @@ def slot_reflect(h: np.ndarray) -> Optional[np.ndarray]:
 
 def _phase_match(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     """True when u = lambda v for some unimodular lambda, relatively to ||u||."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    nu = vector_norm(u)
+    nv = vector_norm(v)
     ref = max(nu, nv)
     if ref == 0.0:
         return True
@@ -218,10 +218,26 @@ def _unit_cores(poly: np.ndarray, a0: float) -> np.ndarray:
     return c * np.sqrt(a0 / np.add.reduce(np.abs(c) ** 2, axis=1))[:, None]
 
 
+@lru_cache(maxsize=L_MAX)
+def _dft_tables(s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The length-2s DFT of s samples, exp(-i pi j k / s) over samples j
+    (rows) and bins k, and the inverse's first s lags, exp(i pi k l / s) / 2s
+    over bins k (rows) and lags l; built once per s and read-only."""
+    jk = np.pi * np.outer(np.arange(s), np.arange(2 * s)) / s
+    forward = np.exp(-1j * jk)
+    inverse = np.exp(1j * jk.T) / (2 * s)
+    for table in (forward, inverse):
+        table.setflags(write=False)
+    return forward, inverse
+
+
 def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
-    """Autocorrelation of each core minus the target lags 0 .. s_eff-1."""
-    F = np.fft.fft(cores, n=2 * s_eff, axis=-1)
-    return np.fft.ifft(np.abs(F) ** 2, axis=-1)[..., :s_eff] - lags[:s_eff]
+    """Autocorrelation of each core minus the target lags 0 .. s_eff-1: the
+    zero-padded DFT and its inverse as two products with ``_dft_tables``,
+    which cost less than np.fft's dispatch on a few short rows."""
+    forward, inverse = _dft_tables(s_eff)
+    F = cores @ forward
+    return (F.real * F.real + F.imag * F.imag) @ inverse - lags[:s_eff]
 
 
 Linearize = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -235,12 +251,12 @@ def _gauss_newton(h: np.ndarray, linearize: Linearize) -> np.ndarray:
     taken, and they stop as soon as the residual stops falling.
     """
     r, J = linearize(h)
-    best = float(np.linalg.norm(r))
+    best = vector_norm(r)
     for _ in range(8):
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         hn = h + step[: h.size] + 1j * step[h.size :]
         rn, Jn = linearize(hn)
-        nn = float(np.linalg.norm(rn))
+        nn = vector_norm(rn)
         if not nn < best:
             break
         h, r, J, best = hn, rn, Jn, nn
@@ -434,13 +450,12 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
     cand = placed.reshape(-1, L)
     # global phase: the first largest entry becomes real and positive (every
     # row holds a core of energy a0 > 0, so the peak is never zero)
-    rows = np.arange(cand.shape[0])
-    peak = cand[rows, np.abs(cand).argmax(axis=1)]
-    cand *= (np.conj(peak) / np.abs(peak))[:, None]
-    # each row over its largest modulus (gathered at argmax, which is cheaper
-    # than a row max), then np.round(z, 9) on both parts at once
     mod = np.abs(cand)
-    top = mod[rows, mod.argmax(axis=1)]
+    peak = np.arange(cand.shape[0]), mod.argmax(axis=1)
+    top = mod[peak]  # gathered at argmax, which is cheaper than a row max
+    cand *= (np.conj(cand[peak]) / top)[:, None]
+    # each row over that modulus (the keys only order and dedup rows), then
+    # np.round(z, 9) on both parts at once
     q = np.rint((cand / top[:, None]).view(np.float64) * 1e9) / 1e9
     # sort the keys bytewise, stably, and keep each key's first row
     keys = q.view(np.dtype((np.void, q.itemsize * 2 * L))).ravel()

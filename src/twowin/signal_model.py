@@ -11,6 +11,7 @@ detection, quasi-periodic extension, and seeded random test signals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -169,6 +170,17 @@ class PhaseAlignment:
     residual: float
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D array, to the last bit, without its dispatch:
+    sqrt(x.real . x.real + x.imag . x.imag), or sqrt(x . x) for a real x, over
+    the array in memory order, in which np.linalg.norm sums a strided view."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def phase_fit(u: np.ndarray, v: np.ndarray):
     """Best unit scalar lambda aligning v to u, and the distance ||u - lambda v||.
 
@@ -179,7 +191,7 @@ def phase_fit(u: np.ndarray, v: np.ndarray):
     if u.ndim == 1:
         ip = np.vdot(v, u)
         lam = ip / abs(ip) if abs(ip) > 0 else 1.0 + 0.0j
-        return lam, np.linalg.norm(u - lam * v)
+        return lam, vector_norm(u - lam * v)
     ip = np.einsum("ij,ij->i", np.conj(v), u)
     mod = np.abs(ip)
     lam = np.divide(ip, mod, out=np.ones_like(ip), where=mod > 0)

@@ -27,6 +27,7 @@ from .signal_model import (
     period_split,
     periodic_eval,
     phase_fit,
+    vector_norm,
 )
 from .window_engine import WindowPair
 from .stft_engine import (
@@ -190,7 +191,7 @@ def align_overlaps(
             # the horizon pins what the node's data may see only at second
             # order: each patch is refit with its ``off`` slots held at zero,
             # priced as prune prices it, and left to the node checks
-            norm = np.linalg.norm(lattice_mags[0, ci])  # delta sqrt(2 L a0) on exact data
+            norm = vector_norm(lattice_mags[0, ci])  # delta sqrt(2 L a0) on exact data
             rows = refit(cls.patches, *lattice_mags[:, ci], pair, norm, hold=off)
             np.multiply(rows, inv_phi, out=patches[k : k + len(rows)])
             k += len(rows)
@@ -235,13 +236,13 @@ def align_overlaps(
                 m = round(times[ci] / a)  # the lattice index
                 sep_error = SeparableInputError(f"separable input: propagation broken at node {m}")
             return 0
-        norm_u = np.linalg.norm(u)
+        norm_u = vector_norm(u)
         slots = slice(lo[ci] - first[ci], boundary[p] - first[ci])
         mismatch = {}
         for k in range(k0, k1):
             v = patches[k, slots]
             lams[k], dist = phase_fit(u, v)
-            mismatch[k] = float(dist / max(norm_u, np.linalg.norm(v)))
+            mismatch[k] = float(dist / max(norm_u, vector_norm(v)))
         order[k0:k1] = ranked = sorted(mismatch, key=mismatch.__getitem__)
         if mismatch[ranked[0]] > ORIENT_TOL:
             if p > deepest[0]:

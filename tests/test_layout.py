@@ -233,6 +233,29 @@ def test_the_per_node_path_calls_no_reduction_wrapper(name):
     assert list(_reduction_wrapper_calls(SRC / name)) == []
 
 
+def _dispatching_calls(path: Path):
+    """Calls of np.linalg.norm and of any np.fft function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.insert(0, func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id == "np":
+            if chain[:2] == ["linalg", "norm"] or chain[:1] == ["fft"]:
+                yield f"{path.name}:{node.lineno} calls np.{'.'.join(chain)}"
+
+
+@pytest.mark.parametrize("name", PER_NODE_MODULES)
+def test_the_per_node_path_calls_no_norm_or_fft_wrapper(name):
+    # np.linalg.norm's wrapper costs about as much as its arithmetic on a
+    # short vector, and np.fft adds its dispatch (and its import) to the lag
+    # check; vector_norm and the DFT tables do the same work directly
+    assert list(_dispatching_calls(SRC / name)) == []
+
+
 #: numpy's least-squares solvers, by attribute name.
 LEAST_SQUARES = {"lstsq", "pinv"}
 

@@ -78,6 +78,24 @@ def test_autocorrelation_inversion_matches_direct(L):
     np.testing.assert_allclose(got, direct_autocorrelation(h), atol=1e-10)
 
 
+@pytest.mark.parametrize("s", range(1, L_MAX + 1))
+@pytest.mark.parametrize("lead", ["random", "zero lead"])
+def test_lag_defect_tables_give_the_direct_lags(s, lead):
+    # the DFT-table products stand in for an FFT pair: each core's defect
+    # plus the target lags is its own autocorrelation, to roundoff of a_0
+    rng = np.random.default_rng(100 * s + len(lead))
+    cores = rng.standard_normal((5, s)) + 1j * rng.standard_normal((5, s))
+    if lead == "zero lead":
+        cores[:, 0] = 0.0
+    lags = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    got = _lag_defect(cores, lags, s) + lags
+    for row, core in zip(got, cores):
+        want = direct_autocorrelation(core)
+        assert np.abs(row - want).max() <= 1e-12 * max(want[0].real, 1e-300)
+    for table in local_recovery._dft_tables(s):
+        assert not table.flags.writeable
+
+
 def test_slot_reflect_rules():
     odd = np.array([1.0, 2j, 3.0])
     mate = slot_reflect(odd)

@@ -25,7 +25,13 @@ from twowin import (
     stft_value,
 )
 from twowin.local_recovery import CLASS_TOL, _phase_match
-from twowin.signal_model import ZERO_ATOL, GridMismatchError, mu_powers, periodic_eval
+from twowin.signal_model import (
+    ZERO_ATOL,
+    GridMismatchError,
+    mu_powers,
+    periodic_eval,
+    vector_norm,
+)
 from twowin.stitcher import ORIENT_TOL
 
 
@@ -249,6 +255,29 @@ def test_phase_helpers_match_the_scalar_formulas(kind, n, seed):
     residuals = phase_residuals(rows_u, rows_v)
     for r in range(3):
         assert abs(residuals[r] - phase_residuals(rows_u[r], rows_v[r])) <= 1e-14
+
+
+def _norm_cases():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 257):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z *= 10.0 ** rng.integers(-6, 7)
+        # contiguous real and complex, the strided halves of a complex
+        # array, reversed views of both, and a stride of two
+        for name, x in [("complex", z), ("real", z.real.copy()), ("z.real", z.real),
+                        ("z.imag", z.imag), ("complex reversed", z[::-1]),
+                        ("real reversed", z.real.copy()[::-1]), ("z.real reversed", z.real[::-1]),
+                        ("every other", z[::2])]:
+            yield pytest.param(x, id=f"{name}, n={n}")
+
+
+@pytest.mark.parametrize("x", _norm_cases())
+def test_vector_norm_is_np_linalg_norm_bit_for_bit(x):
+    # the per-node path's distances are compared against tolerances, so
+    # the dispatch-free norm must keep every bit np.linalg.norm gives
+    want = np.linalg.norm(x)
+    got = vector_norm(x)
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_conj_reflect_is_an_involution(make_signal):
