@@ -9,8 +9,17 @@ checkout's own ``perfbench/`` and ``src/``, with one BLAS thread.  Then,
 for every end-to-end metric that ``BENCHMARK.json`` lists, it prints each
 side's median and quartiles and how many pairs the change won: a pair is
 won when the change's value is better, in the metric's direction, than the
-parent's on the same seed.  The failed share (failed over attempted items,
-summed over the runs) closes the table.
+parent's on the same seed.  Two verdicts follow on each row:
+
+- claim: "yes" when the change won at least 9 of every 10 pairs and its
+  median beats the parent's by more than the parent's quartile spread
+  (q3 - q1), which is what a claimed gain must show;
+- bound: "outside" when the change's median is worse than the parent's by
+  more than the metric's ``BENCHMARK.json`` bound, read as a fraction of
+  the parent's median, else "inside".
+
+The failed share (failed over attempted items, summed over the runs) closes
+the table.
 
 Progress goes to standard error, the table to standard output.  A run that
 exits nonzero, or whose output is wrong, stops the script.
@@ -63,25 +72,28 @@ def quartiles(values):
 def table(metrics, runs) -> str:
     """The per-metric summary of ``runs``, a (parent, change) result per seed."""
     lines = [
-        "| metric | parent median [q1, q3] | change median [q1, q3] | change won |",
-        "|---|---|---|---|",
+        "| metric | parent median [q1, q3] | change median [q1, q3] | change won | claim | bound |",
+        "|---|---|---|---|---|---|",
     ]
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         before = [p["metrics"][name]["value"] for p, _ in runs]
         after = [c["metrics"][name]["value"] for _, c in runs]
         won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
-        cells = []
-        for values in (before, after):
-            q1, q2, q3 = quartiles(values)
-            cells.append(f"{q2:.4g} [{q1:.4g}, {q3:.4g}]")
-        lines.append(f"| {name} ({m['unit']}) | {cells[0]} | {cells[1]} | {won} of {len(runs)} |")
+        (q1, base, q3), (r1, med, r3) = quartiles(before), quartiles(after)
+        gain = base - med if lower else med - base  # positive when the change is better
+        claim = 10 * won >= 9 * len(runs) and gain > q3 - q1
+        outside = -gain > m["bound"] * abs(base)
+        lines.append(
+            f"| {name} ({m['unit']}) | {base:.4g} [{q1:.4g}, {q3:.4g}] | {med:.4g} [{r1:.4g}, {r3:.4g}] "
+            f"| {won} of {len(runs)} | {'yes' if claim else 'no'} | {'outside' if outside else 'inside'} |"
+        )
     shares = []
     for side in (0, 1):
         failed = sum(r[side]["failed"] for r in runs)
         attempted = sum(r[side]["attempted"] for r in runs)
         shares.append(f"{failed} of {attempted}")
-    lines.append(f"| failed share | {shares[0]} | {shares[1]} | |")
+    lines.append(f"| failed share | {shares[0]} | {shares[1]} | | | |")
     return "\n".join(lines)
 
 

@@ -93,10 +93,12 @@ class GridSpec:
         """Coordinate of a grid index (vectorized)."""
         return (np.asarray(index) - self.origin) * self.delta
 
-    def is_multiple(self, t: float) -> bool:
+    def is_multiple(self, t):
         """True when ``t`` is an integer multiple of the grid step (to 1e-9
-        of a step)."""
+        of a step); elementwise for an array of times."""
         j = t / self.delta
+        if isinstance(j, np.ndarray):
+            return np.abs(j - np.rint(j)) <= 1e-9
         return abs(j - round(j)) <= 1e-9
 
     def cells(self, length: float, what: str) -> int:
@@ -201,7 +203,12 @@ def phase_fit(u: np.ndarray, v: np.ndarray):
 def phase_residuals(u: np.ndarray, v: np.ndarray):
     """``phase_fit``'s distance relative to the joint norm sqrt(||u||^2 + ||v||^2),
     row-wise on 2-D inputs; 0 for two zero vectors."""
-    _, dist = phase_fit(u, v)
+    return _relative_to_joint_norm(u, v, phase_fit(u, v)[1])
+
+
+def _relative_to_joint_norm(u: np.ndarray, v: np.ndarray, dist):
+    """``dist`` over sqrt(||u||^2 + ||v||^2), row-wise on 2-D inputs; 0 where
+    both are zero.  The one division behind every phase residual."""
     scale = np.hypot(np.linalg.norm(u, axis=-1), np.linalg.norm(v, axis=-1))
     if u.ndim == 1:
         return float(dist / scale) if scale > 0 else 0.0
@@ -218,8 +225,9 @@ def global_phase_align(f: Signal, g: Signal) -> PhaseAlignment:
     """
     if f.grid != g.grid:
         raise GridMismatchError(f"signals live on different grids: {f.grid} vs {g.grid}")
-    lam, _ = phase_fit(f.samples, g.samples)
-    return PhaseAlignment(lam=complex(lam), residual=phase_residuals(f.samples, g.samples))
+    lam, dist = phase_fit(f.samples, g.samples)
+    residual = _relative_to_joint_norm(f.samples, g.samples, dist)
+    return PhaseAlignment(lam=complex(lam), residual=residual)
 
 
 def equivalent_up_to_phase(f: Signal, g: Signal) -> bool:

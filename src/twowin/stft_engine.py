@@ -212,19 +212,21 @@ class MeasurementSet:
 
 
 class NodeSegment(NamedTuple):
-    """What the window at one node time sees.
+    """What the window sees at one node time, or at each of a block of them.
 
     ``cells`` are the L absolute grid indices k with x_k - t in [-B, B)
     (from ``first_cell``), ``on`` marks those inside the horizon, ``samples``
     holds the signal values gathered there (zero off the horizon; any leading
-    batch axes are kept) and ``windows`` the requested windows' values at the
-    offsets x_k - t.
+    batch axes are kept) and ``conj_windows`` the conjugates of the requested
+    windows' values at the offsets x_k - t, the factors the transform's sum
+    multiplies by.  One time gives (L,) cells; a block of n times gives
+    (n, L), with the node axis just before the cell axis.
     """
 
     cells: np.ndarray
     on: np.ndarray
     samples: Optional[np.ndarray]
-    windows: Tuple[np.ndarray, ...]
+    conj_windows: Tuple[np.ndarray, ...]
 
 
 def first_cell(grid: GridSpec, t):
@@ -236,45 +238,54 @@ def first_cell(grid: GridSpec, t):
 
 def node_segment(
     grid: GridSpec,
-    t: float,
+    t,
     samples: Optional[np.ndarray] = None,
     pair: Optional[WindowPair] = None,
     which: Sequence[str] = WINDOW_NAMES,
 ) -> NodeSegment:
-    """The cells under the window at t, with the samples and window values
-    there when ``samples`` and ``pair`` are given.  Analytic profiles
-    evaluate at any real t; a sample-defined window refuses an off-grid t."""
-    k_lo = first_cell(grid, t)
-    k = np.arange(k_lo, k_lo + grid.L)
+    """The cells under the window at t, or at each time of an array t in one
+    pass, with the samples and conjugated window values there when
+    ``samples`` and ``pair`` are given.  The samples are zero-filled only
+    where a window leaves the horizon.  On the grid the windows are the slot
+    samples; off it an analytic profile is evaluated at the offsets, and a
+    sample-defined window refuses the time."""
+    times = np.asarray(t, dtype=float)
+    k = first_cell(grid, times)[..., None] + np.arange(grid.L)
     on = (k >= 0) & (k < grid.horizon)
     fv = None
     if samples is not None:
-        fv = np.zeros(samples.shape[:-1] + (grid.L,), dtype=np.complex128)
-        fv[..., on] = samples[..., k[on]]
-    windows: Tuple[np.ndarray, ...] = ()
+        if on.all():
+            fv = samples[..., k].astype(np.complex128, copy=False)
+        else:
+            fv = np.zeros(samples.shape[:-1] + k.shape, dtype=np.complex128)
+            fv[..., on] = samples[..., k[on]]
+    conj_windows = []
     if pair is not None:
-        if grid.is_multiple(t):
-            windows = tuple([pair.slot_values(w) for w in which])
-        elif pair.supports_offgrid:
-            windows = tuple([pair.values_at(w, grid.x(k) - t) for w in which])
-        else:  # a sample-defined window has values on the grid only
-            grid.cells(t, "sample-defined window's node time")
-    return NodeSegment(k, on, fv, windows)
+        off = ~grid.is_multiple(times)
+        any_off = bool(off.any())
+        if any_off and not pair.supports_offgrid:
+            # a sample-defined window has values on the grid only
+            grid.cells(float(times[off].flat[0]), "sample-defined window's node time")
+        for w in which:
+            cw = np.conj(pair.slot_values(w), out=np.empty(k.shape, dtype=np.complex128))
+            if any_off:
+                cw[off] = np.conj(pair.values_at(w, grid.x(k[off]) - times[off][..., None]))
+            conj_windows.append(cw)
+    return NodeSegment(k, on, fv, tuple(conj_windows))
 
 
 def stft_value(f: Signal, pair: WindowPair, which: str, t: float, omega: float) -> complex:
     """Single transform value at an arbitrary node time and frequency."""
     seg = node_segment(f.grid, t, f.samples, pair, (which,))
-    w = seg.windows[0]
     x = f.grid.x(seg.cells)
-    val = f.grid.delta * np.sum(seg.samples * np.conj(w) * np.exp(-2j * np.pi * x * omega))
+    val = f.grid.delta * np.sum(seg.samples * seg.conj_windows[0] * np.exp(-2j * np.pi * x * omega))
     return complex(val)
 
 
 def windowed_segment(f: Signal, pair: WindowPair, t: float) -> np.ndarray:
     """The length-L vector h_j = f(t + u_j) * conj(phi(u_j)) seen by the node at t."""
     seg = node_segment(f.grid, t, f.samples, pair, ("phi",))
-    return seg.samples * np.conj(seg.windows[0])
+    return seg.samples * seg.conj_windows[0]
 
 
 def measure(
@@ -307,7 +318,8 @@ def measure_batch(
     samples_matrix has shape (n_signals, horizon); the result has shape
     (n_signals, 2, n_nodes, n_bins).  The window pair, a critical frequency
     grid and the rows must all belong to ``grid``.  Node segments and
-    exponential tables are built ``NODE_BLOCK`` nodes at a time.
+    exponential tables are built ``NODE_BLOCK`` nodes at a time, and each
+    node's product reads its rows of the block's segment.
     """
     if pair.grid != grid:
         raise ValueError("window pair and signal live on different grids")
@@ -324,11 +336,10 @@ def measure_batch(
     n_sig = samples_matrix.shape[0]
     mags = np.empty((n_sig, 2, len(nodes.times), len(omegas)), dtype=float)
     for lo in range(0, len(nodes.times), NODE_BLOCK):
-        times = nodes.times[lo : lo + NODE_BLOCK]
-        segs = [node_segment(grid, t, samples_matrix, pair) for t in times]
-        E = node_exponentials(grid, np.array([seg.cells for seg in segs]), omegas)
-        for ti, seg in enumerate(segs):
-            node_magnitudes(seg.samples, seg.windows, E[ti], grid.delta, mags[:, :, lo + ti])
+        seg = node_segment(grid, nodes.times[lo : lo + NODE_BLOCK], samples_matrix, pair)
+        E = node_exponentials(grid, seg.cells, omegas)
+        for ti, windows in enumerate(zip(*seg.conj_windows)):
+            node_magnitudes(seg.samples[:, ti], windows, E[ti], grid.delta, mags[:, :, lo + ti])
     return mags
 
 
@@ -340,17 +351,18 @@ def node_exponentials(grid: GridSpec, cells: np.ndarray, omegas: np.ndarray) -> 
 
 
 def node_magnitudes(
-    samples: np.ndarray, windows: Sequence[np.ndarray], E: np.ndarray, delta: float, out: np.ndarray
+    samples: np.ndarray, conj_windows: Sequence[np.ndarray], E: np.ndarray, delta: float,
+    out: np.ndarray,
 ) -> None:
-    """Write |delta * (samples * conj(w)) @ E| for each of a node's
-    ``windows`` to ``out[..., w, :]``.
+    """Write |delta * (samples * cw) @ E| for each of a node's conjugated
+    windows cw to ``out[..., w, :]``.
 
     The one forward-map product: ``measure_batch`` and the stitcher's node
     checks both call it, one node at a time, because BLAS may round a
     stacked product differently.
     """
-    for wi, w in enumerate(windows):
-        V = (samples * np.conj(w)) @ E
+    for wi, cw in enumerate(conj_windows):
+        V = (samples * cw) @ E
         V *= delta
         np.abs(V, out=out[..., wi, :])
 

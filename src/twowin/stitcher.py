@@ -145,7 +145,9 @@ def align_overlaps(
         raise ValueError(
             f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"
         )
-    inv_phi = 1.0 / np.conj(phi)
+    # the node checks' two windows, conjugated once; the patches divide by conj(phi)
+    conj_windows = (np.conj(phi), np.conj(pair.slot_values("psi")))
+    inv_phi = 1.0 / conj_windows[0]
 
     scale = max(
         (float(np.abs(c.representative).max()) for c in classes if not c.is_zero),
@@ -160,7 +162,6 @@ def align_overlaps(
     runs = np.bincount(lo, minlength=horizon + 1) - np.bincount(hi, minlength=horizon + 1)
     uncovered = tuple((runs.cumsum()[:-1] == 0).nonzero()[0].tolist())
     del runs
-    slot_windows = (phi, pair.slot_values("psi"))
 
     def span(j: int) -> Tuple[slice, slice]:
         """Node j's on-horizon cells and the matching window slots."""
@@ -279,9 +280,12 @@ def align_overlaps(
                 cells = first[run * NODE_BLOCK : (run + 1) * NODE_BLOCK, None] + np.arange(L)
                 tables[run] = node_exponentials(grid, cells, freqs.omegas)
             cells, slots = span(j)
-            fv = np.zeros((1, L), dtype=np.complex128)
-            fv[:, slots] = assembled[cells]
-            node_magnitudes(fv, slot_windows, tables[run][at], grid.delta, mags[None, :, j])
+            if slots.stop - slots.start == L:  # wholly on the horizon
+                fv = assembled[None, cells]
+            else:
+                fv = np.zeros((1, L), dtype=np.complex128)
+                fv[:, slots] = assembled[cells]
+            node_magnitudes(fv, conj_windows, tables[run][at], grid.delta, mags[None, :, j])
             dev = sup_dev(mags[:, j], lattice_mags[:, j])
             if dev > mag_tol:
                 if d > deepest[0]:
@@ -544,14 +548,13 @@ def periodic_verdict(
 
     # unwind the window on the first line; each of its classes is fitted in
     # turn, since the one that carries the family may be the reflected mate
-    phi = pair.slot_values("phi")
-    seg = node_segment(grid, t0)
+    seg = node_segment(grid, t0, pair=pair, which=("phi",))
     factor, rem = period_split(spec, grid.x(seg.cells)[seg.on])
     ks = np.arange(-Q, Q + 1)
     A = factor[:, None] * np.exp(2j * np.pi * np.outer(rem, ks) / spec.T)
     refusals = []
     for content in cls0.representatives:
-        coef, *_ = np.linalg.lstsq(A, (content / np.conj(phi))[seg.on], rcond=None)
+        coef, *_ = np.linalg.lstsq(A, (content / seg.conj_windows[0])[seg.on], rcond=None)
         fitted = replace(spec, coefficients={int(kk): complex(cc) for kk, cc in zip(ks, coef)})
         direct = make_periodic(fitted, grid)
         reflected = Signal(grid, np.conj(periodic_eval(fitted, 2 * t0 - grid.coords())))

@@ -241,6 +241,8 @@ def test_phase_helpers_match_the_scalar_formulas(kind, n, seed):
     assert abs(got.lam - lam) <= 1e-15 and abs(got.residual - res) <= 1e-15
     for tol in (1e-8, 1e-6):
         assert (got.residual <= tol) == (res <= tol)
+    # one phase_fit serves both fields, with the bits of the two public helpers
+    assert got.lam == phase_fit(u, v)[0] and got.residual == phase_residuals(u, v)
     for tol in (CLASS_TOL, 1e-8):
         assert _phase_match(u, v, tol) == _reference_phase_match(u, v, tol)
     if np.any(u) or np.any(v):

@@ -16,7 +16,7 @@ from twowin import (
     stft_value,
     windowed_segment,
 )
-from twowin.stft_engine import NODE_BLOCK
+from twowin.stft_engine import NODE_BLOCK, node_segment
 
 
 GRID = GridSpec(B=1.0, L=4, origin=8, horizon=16)
@@ -174,18 +174,67 @@ def test_measure_batch_agrees_with_measure(make_signal):
             np.testing.assert_allclose(batch[i], single.mags, atol=1e-13)
 
 
-def test_measure_batch_blocks_match_one_node_measurements(make_signal):
-    # the tables are built NODE_BLOCK nodes at a time; every node's product
-    # stands alone, so each row has the bits of measuring its node by itself
-    grid = GridSpec(B=1.0, L=4, origin=280, horizon=560)
-    pair = build_window("raised_cosine", grid)
-    nodes = TimeNodes.lattice_covering(grid, 1.0)
-    assert len(nodes.times) > 2 * NODE_BLOCK
+def _block_cases():
+    wide = GridSpec(B=1.0, L=4, origin=280, horizon=560)
+    yield pytest.param(build_window("raised_cosine", wide),
+                       TimeNodes.lattice_covering(wide, 1.0), id="raised-cosine")
+    # a = 0.75 puts every other node between grid points, so each block
+    # mixes slot values with values_at, and the anchor closes the last one
+    grid = GridSpec(B=1.0, L=4, origin=24, horizon=48)
+    yield pytest.param(
+        build_window("raised_cosine", grid),
+        TimeNodes.lattice_covering(grid, 0.75, anchor=default_anchor(0.75, grid.horizon)),
+        id="raised-cosine-off-grid-and-anchor",
+    )
+    # the edge windows leave the horizon, so their samples are zero-filled
+    user = build_window("user", grid, samples=[1.0, 1.0 - 0.5j, 2.0, 1.0 + 0.5j])
+    yield pytest.param(user, TimeNodes.lattice_covering(grid, 1.0), id="user-edges")
+    yield pytest.param(PAIR, TimeNodes.two_lines(0.0, 3 * GRID.delta), id="two-lines")
+
+
+@pytest.mark.parametrize("pair, nodes", _block_cases())
+def test_measure_batch_blocks_match_one_node_measurements(make_signal, pair, nodes):
+    # segments and tables are built NODE_BLOCK nodes at a time; every node's
+    # product stands alone, so each row has the bits of measuring its node
+    # by itself
+    grid = pair.grid
+    assert len(nodes.times) > NODE_BLOCK or nodes.mode == "two_lines"
     rows = np.stack([make_signal(grid, s).samples for s in range(2)])
     batch = measure_batch(rows, grid, pair, nodes)
     for ti, t in enumerate(nodes.times):
-        alone = measure_batch(rows, grid, pair, TimeNodes.lattice(1.0, [round(t)]))
-        assert batch[:, :, ti].tobytes() == alone[:, :, 0].tobytes()
+        alone = measure_batch(rows, grid, pair, TimeNodes(mode="lattice", times=(t,)))
+        assert batch[:, :, ti].tobytes() == alone[:, :, 0].tobytes(), (ti, t)
+
+
+def test_a_block_node_segment_stacks_its_single_time_segments(make_signal):
+    grid = GridSpec(B=1.0, L=4, origin=8, horizon=16)
+    pair = build_window("raised_cosine", grid)
+    rows = np.stack([make_signal(grid, s).samples for s in range(3)])
+    # on the grid, between grid points, and leaving the horizon at both ends
+    times = np.array([0.0, 0.3, -4.5, 3.75, 1.5, -3.0])
+    block = node_segment(grid, times, rows, pair)
+    singles = [node_segment(grid, t, rows, pair) for t in times.tolist()]
+    assert not block.on.all()
+    for field in ("cells", "on"):
+        want = np.stack([getattr(seg, field) for seg in singles])
+        assert getattr(block, field).tobytes() == want.tobytes(), field
+    want = np.stack([seg.samples for seg in singles], axis=1)
+    assert block.samples.tobytes() == want.tobytes()
+    assert len(block.conj_windows) == 2
+    for wi, which in enumerate(("phi", "psi")):
+        want = np.stack([seg.conj_windows[wi] for seg in singles])
+        assert block.conj_windows[wi].tobytes() == want.tobytes(), which
+        # conjugated: the slot samples on the grid, values_at off it
+        assert block.conj_windows[wi][0].tobytes() == np.conj(pair.slot_values(which)).tobytes()
+        off = np.conj(pair.values_at(which, grid.x(block.cells[1]) - 0.3))
+        assert block.conj_windows[wi][1].tobytes() == off.tobytes()
+    # a sample-defined window is refused off the grid, block or not
+    user = build_window("user", grid, samples=np.ones(4))
+    message = r"sample-defined window's node time = 0\.3 is not a whole number of grid cells"
+    for t in (0.3, times):
+        with pytest.raises(OffGridError, match=message):
+            node_segment(grid, t, rows, user)
+    assert node_segment(grid, times[[0, 4, 5]], rows, user).conj_windows[0].shape == (3, 4)
 
 
 @pytest.mark.parametrize(
