@@ -17,10 +17,13 @@ a in {1, 0.5}:
   read as letters;
 - a row that ``is_separable(f, 2B - a)`` flags is skipped;
 - a returned signal is right when ``pair_equivalent(..., tol=1e-6)`` holds,
-  allowing the reflection unless the report says ``phase_only``.
+  allowing the reflection unless the report says ``phase_only``;
+- a returned signal's distance to the truth is ``phase_residuals`` of the
+  two, or of the report's alternative and the truth when that is closer.
 
-It prints one count line per (L, b, a), each refused or wrong row with its
-message, and one total line per L.  Two checkouts that refuse the same rows
+It prints one count line per (L, b, a), with the largest distance of a
+returned row and that row, each refused or wrong row with its message, and
+one total line per L.  Two checkouts that refuse the same rows
 with the same messages print the same lines.  It exits 1 when any row comes
 back wrong, so it can serve as a check; a refusal alone leaves the exit 0.
 
@@ -72,8 +75,9 @@ CIRCLE_CONTENTS = 200
 
 
 def sweep(tw, L: int, b: float, a: float):
-    """Yield (row, outcome, detail) for every nonseparable row of one
-    (L, b, a): outcome is "ok", "refused" or "wrong"."""
+    """Yield (row, outcome, detail, distance) for every nonseparable row of
+    one (L, b, a): outcome is "ok", "refused" or "wrong", and distance is
+    None for a refused row."""
     grid = tw.GridSpec(B=1.0, L=L, origin=2 * L, horizon=4 * L)
     pair = tw.build_window("rectangular", grid, b=b)
     nodes = tw.TimeNodes.lattice_covering(grid, a)
@@ -85,13 +89,17 @@ def sweep(tw, L: int, b: float, a: float):
         try:
             rep = tw.reconstruct(tw.measure(f, pair, nodes), pair)
         except Exception as exc:  # every refusal is counted with its message
-            yield row, "refused", f"{type(exc).__name__}: {exc}"
+            yield row, "refused", f"{type(exc).__name__}: {exc}", None
             continue
         right = tw.pair_equivalent(
             rep.signal.samples, f.samples,
             allow_reflection=rep.ambiguity != "phase_only", tol=1e-6,
         )
-        yield row, "ok" if right else "wrong", rep.ambiguity
+        distance = min(
+            tw.phase_residuals(g.samples, f.samples)
+            for g in (rep.signal, rep.alternative) if g is not None
+        )
+        yield row, "ok" if right else "wrong", rep.ambiguity, distance
 
 
 def edge_refusals(tw, L: int, horizon: int, seeds: range):
@@ -168,14 +176,18 @@ def main(argv=None) -> int:
         for b in (0.25, 0.5):
             for a in (1.0, 0.5):
                 counts = {"inputs": 0, "refused": 0, "wrong": 0}
-                for row, outcome, detail in sweep(tw, L, b, a):
+                farthest, far_row = 0.0, None
+                for row, outcome, detail, distance in sweep(tw, L, b, a):
                     counts["inputs"] += 1
                     if outcome != "ok":
                         counts[outcome] += 1
                         print(f"  L={L} b={b} a={a} row {row}: {outcome}: {detail}")
+                    if distance is not None and distance >= farthest:
+                        farthest, far_row = distance, row
                 print(
                     f"L={L} b={b} a={a}: {counts['inputs']} nonseparable inputs, "
-                    f"{counts['refused']} refused, {counts['wrong']} wrong"
+                    f"{counts['refused']} refused, {counts['wrong']} wrong, "
+                    f"largest distance {farthest:.3e} (row {far_row})"
                 )
                 for key in total:
                     total[key] += counts[key]

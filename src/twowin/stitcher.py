@@ -11,7 +11,7 @@ by re-measuring the reflected branch, and by anchor data when present.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .local_recovery import (
     ACCEPT_TOL,
     InconsistentMeasurements,
     LocalClass,
+    RecoveryError,
     recover_local,
     refit,
 )
@@ -102,7 +103,7 @@ class AlignedAssembly:
 
 
 def align_overlaps(
-    classes: Sequence[LocalClass],
+    classes: Sequence[Optional[LocalClass]],
     pair: WindowPair,
     a: float,
     *,
@@ -115,7 +116,10 @@ def align_overlaps(
     An internal step of ``reconstruct``, which establishes its precondition:
     the node times are on the grid, one step ``a`` (at least one cell and at
     most B) apart, one class per time.  So consecutive node windows overlap
-    and their on-horizon runs rise with the node.
+    and their on-horizon runs rise with the node.  A class may be ``None``:
+    that node was not recovered, so it offers no patch and stays out of the
+    reflection pre-check, and the recovered ones must still hold their
+    consecutive windows at most B apart.
 
     Node phases are fixed by setting the first nonzero node to 1 and
     aligning every later patch on the samples it shares with what has been
@@ -126,9 +130,10 @@ def align_overlaps(
     can fit both, so the orientations are searched depth first (best fit
     first, on an explicit stack) instead of greedily locked in.  On every
     lattice, each node's magnitudes are checked against ``lattice_mags`` as
-    soon as every cell of its window is filled, which rejects chains that
-    glued a mate through an overlap too small to expose it, and names the
-    node that fails; the assembly carries the checks' magnitudes.  Ambiguity
+    soon as every cell of its window is filled (a node that was not
+    recovered too, against the zero assembly when no node is live), which
+    rejects chains that glued a mate through an overlap too small to expose
+    it, and names the node that fails; the assembly carries the checks' magnitudes.  Ambiguity
     is phase_or_reflection exactly when every node would tolerate the
     reflected world.  ``uncovered`` lists the horizon cells that no node
     window holds.
@@ -149,10 +154,8 @@ def align_overlaps(
     conj_windows = (np.conj(phi), np.conj(pair.slot_values("psi")))
     inv_phi = 1.0 / conj_windows[0]
 
-    scale = max(
-        (float(np.abs(c.representative).max()) for c in classes if not c.is_zero),
-        default=0.0,
-    )
+    nonzero = [c for c in classes if c is not None and not c.is_zero]
+    scale = max((float(np.abs(c.representative).max()) for c in nonzero), default=0.0)
 
     # the geometry, held as arrays over the nodes: node j's window holds
     # cells first[j] + 0 .. L - 1, and its on-horizon part is the run
@@ -169,11 +172,11 @@ def align_overlaps(
 
     # the live nodes' orientations divided by the window: live position p
     # is node live[p], and its patches are rows start[p]:start[p + 1]
-    n_patches = sum(len(c.patches) for c in classes if not c.is_zero)
+    n_patches = sum(len(c.patches) for c in nonzero)
     patches = np.empty((n_patches, L), dtype=np.complex128)
     live, start = [], [0]
     for ci, cls in enumerate(classes):
-        if cls.is_zero:
+        if cls is None or cls.is_zero:
             continue
         _, slots = span(ci)
         k = start[-1]
@@ -328,12 +331,15 @@ def align_overlaps(
             if deepest[0] >= 0:
                 raise InconsistentMeasurements(deepest[1])
             raise InconsistentMeasurements("no phase assignment fits the overlaps")
+    # a zero class vouches for its node's data, a node not recovered does not
+    if n_live == 0 and any(c is None for c in classes) and not fits(0):
+        raise InconsistentMeasurements(deepest[1])
     # the search state goes before the output is made, not held beside it
     del patches, order, lams
     mags.setflags(write=False)
 
     # the zero signal has no second branch
-    reflectable = n_live > 0 and all(c.includes_reflection for c in classes)
+    reflectable = n_live > 0 and all(c.includes_reflection for c in classes if c is not None)
     return AlignedAssembly(
         signal=Signal(grid, assembled),
         ambiguity="phase_or_reflection" if reflectable else "phase_only",
@@ -452,11 +458,18 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Recover the signal from lattice magnitude data, up to global phase.
 
-    Runs local recovery at every lattice node, chains phases across the
+    Runs local recovery at the lattice nodes, chains phases across the
     overlaps, and settles the reflection branch (with anchor data when the
-    node set carries an anchor).  The output always re-measures to the input
-    within ``ACCEPT_TOL``; failures surface as declared errors, never as a
-    silently wrong signal.  Horizon cells under no lattice node window are
+    node set carries an anchor).  A step a <= B is enough to recover the
+    signal, so where the step fits into B m >= 2 times only rows 0, m, 2m,
+    ... and the last row are recovered, whose windows cover the cells the
+    lattice covers; the other rows' magnitudes are still checked by the
+    search.  A refusal of that pass (a ``RecoveryError`` at one of its
+    nodes, or a ``StitchError`` or ``InconsistentMeasurements`` from the
+    search) recovers the remaining rows, keeps the classes already made and
+    runs the search on the whole lattice, whose result or refusal is final.
+    The output always re-measures to the input within ``ACCEPT_TOL``;
+    failures surface as declared errors, never as a silently wrong signal.  Horizon cells under no lattice node window are
     beyond the data: they come back zero and are listed in the report's
     ``uncovered`` (with a <= B they can only sit at the two ends).
     """
@@ -489,15 +502,28 @@ def reconstruct(
     lat_rows = nodes.lattice_rows
     lattice_mags = ms.mags[:, : len(lat_rows)]
     scale = float(lattice_mags.max()) if lat_rows else 0.0
+    n, m = len(lat_rows), (grid.L // 2) // k_a
+    classes: List[Optional[LocalClass]] = [None] * n
+
+    def aligned(rows) -> AlignedAssembly:
+        """Recover the given rows that have no class yet, then search."""
+        for i in rows:
+            if classes[i] is None:
+                classes[i] = recover_local(*lattice_mags[:, i], pair, scale=scale)
+        return align_overlaps(
+            classes, pair, a, times=times, lattice_mags=lattice_mags, freqs=ms.freqs
+        )
+
+    assembly = None
+    if m > 1:
+        try:
+            assembly = aligned([*range(0, n - 1, m), *range(n)[-1:]])  # 0, m, 2m, ..., n - 1
+        except (RecoveryError, StitchError):
+            pass
+    if assembly is None:
+        assembly = aligned(range(n))
     # the classes are dropped once aligned, before the branches are judged
-    assembly = align_overlaps(
-        [recover_local(phi, psi, pair, scale=scale) for phi, psi in zip(*lattice_mags)],
-        pair,
-        a,
-        times=times,
-        lattice_mags=lattice_mags,
-        freqs=ms.freqs,
-    )
+    del classes
     return resolve_reflection(assembly, ms, pair, nodes)
 
 

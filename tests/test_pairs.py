@@ -1,6 +1,8 @@
-"""The verdict columns of ``scripts/pairs.py``, on synthetic runs."""
+"""The verdict columns, the run loop and the record of ``scripts/pairs.py``, on
+synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pairs.py"
@@ -64,3 +66,92 @@ def test_the_bound_is_a_fraction_of_the_parents_median():
     wait = [(10.0, 12.6)] * 4
     got = _verdicts(_runs(rate, wait))
     assert got["rate"][2] == "inside" and got["wait"][2] == "outside"
+
+
+# --- the run loop and the record ----------------------------------------------
+
+
+def _fake_runs(monkeypatch, failures):
+    """Replace the subprocess run by synthetic ones: the change is faster by
+    a tenth on every seed, and ``failures`` maps (workload, seed, side) to
+    what goes wrong there: "exit" (no result line) or "wrong" (a wrong output)."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout.name == "p" else "change"
+        calls.append((workload, seed, side))
+        how = failures.get((workload, seed, side))
+        if how == "exit":
+            return {"result": None, "machine": None,
+                    "failure": "exited 1: RuntimeError: list changed size during iteration"}
+        rate = 100.0 + seed % 3 + (10.0 if side == "change" else 0.0)
+        result = {"correct": how != "wrong", "attempted": 10, "failed": int(how == "wrong"),
+                  "metrics": {"rate": {"value": rate}, "wait": {"value": 1000.0 / rate}}}
+        return {"result": result, "machine": {"python": "3.x", "numpy": "2.x"},
+                "failure": "wrong output" if how == "wrong" else None}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    return calls
+
+
+def _record_in(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    for name in ("p", "c"):
+        (tmp_path / name).mkdir()
+    return [str(tmp_path / "p"), str(tmp_path / "c")]
+
+
+def test_a_failed_run_is_recorded_and_the_script_goes_on(tmp_path, monkeypatch, capsys):
+    checkouts = _record_in(tmp_path, monkeypatch)
+    calls = _fake_runs(monkeypatch, {("mix", 3, "parent"): "exit", ("mix", 6, "change"): "wrong"})
+    code = pairs.main([*checkouts, "--workload", "mix", "long", "--seeds", "1-10", "--record"])
+    assert code == 1
+    # every run of both workloads ran, each seed's parent first on odd seeds
+    assert len(calls) == 2 * 2 * 10
+    assert calls[:4] == [("mix", 1, "parent"), ("mix", 1, "change"),
+                         ("mix", 2, "change"), ("mix", 2, "parent")]
+    out = capsys.readouterr().out
+    assert "mix: 8 alternating pair(s)" in out and "long: 10 alternating pair(s)" in out
+    assert "failed run: seed 3 parent: exited 1" in out
+    assert "failed run: seed 6 change: wrong output" in out
+
+    record = json.loads((tmp_path / "BENCH_p-c.json").read_text())
+    mix = record["workloads"]["mix"]
+    assert mix["failed_runs"] == {"parent": 1, "change": 1}
+    # the wrong run's items count in the failed share; the exited run has none
+    assert mix["failed_share"] == {"parent": [0, 90], "change": [1, 100]}
+    assert {r["metric"]: (r["won"], r["pairs"], r["claim"]) for r in mix["table"]} == {
+        "rate": (8, 8, True), "wait": (8, 8, True)}
+    [exited] = [r for r in mix["runs"] if r["result"] is None]
+    assert (exited["seed"], exited["side"]) == (3, "parent")
+    assert record["workloads"]["long"]["failed_runs"] == {"parent": 0, "change": 0}
+
+
+def test_the_record_holds_the_machine_every_run_and_both_verdicts(tmp_path, monkeypatch):
+    checkouts = _record_in(tmp_path, monkeypatch)
+    _fake_runs(monkeypatch, {})
+    assert pairs.main([*checkouts, "--workload", "mix", "--seeds", "1-4", "--record"]) == 0
+    # a second invocation adds its workload and keeps the first
+    assert pairs.main([*checkouts, "--workload", "long", "--seeds", "1", "--record"]) == 0
+    record = json.loads((tmp_path / "BENCH_p-c.json").read_text())
+    assert set(record) == {"parent", "change", "machine", "workloads"}
+    assert (record["parent"], record["change"]) == ("p", "c")
+    assert record["machine"] == {"python": "3.x", "numpy": "2.x"}
+    assert set(record["workloads"]) == {"mix", "long"}
+    mix = record["workloads"]["mix"]
+    assert set(mix) == {"seconds", "runs", "table", "failed_share", "failed_runs"}
+    assert [(r["seed"], r["side"]) for r in mix["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+        (3, "parent"), (3, "change"), (4, "change"), (4, "parent")]
+    assert all(set(r) == {"seed", "side", "result", "failure"} and r["failure"] is None
+               for r in mix["runs"])
+    for row in mix["table"]:
+        assert set(row) == {"metric", "unit", "parent", "change", "won", "pairs", "claim", "bound"}
+        assert set(row["parent"]) == set(row["change"]) == {"median", "q1", "q3"}
+        assert row["bound"] in ("inside", "outside")
+    # the record's verdicts are the printed table's
+    runs = pairs.complete_pairs([{**r, "machine": None} for r in mix["runs"]])
+    assert _verdicts(runs) == {
+        r["metric"]: (f"{r['won']} of {r['pairs']}", "yes" if r["claim"] else "no", r["bound"])
+        for r in mix["table"]}
