@@ -1,7 +1,7 @@
 """Alternating before/after pairs of perfbench workloads, two checkouts.
 
     python3 scripts/pairs.py PARENT CHANGE --workload pipeline-exhaustive --seeds 1-10
-    python3 scripts/pairs.py PARENT CHANGE --workload roundtrip-mix oracle-periodic --seeds 1-10 --record
+    python3 scripts/pairs.py PARENT CHANGE --workload W1 W2 --seeds 1-10 --record
 
 For each workload and seed, runs ``perfbench/run.py --trace 0`` once in each
 checkout, the parent first on odd seeds and the change first on even ones,

@@ -133,10 +133,10 @@ def align_overlaps(
     soon as every cell of its window is filled (a node that was not
     recovered too, against the zero assembly when no node is live), which
     rejects chains that glued a mate through an overlap too small to expose
-    it, and names the node that fails; the assembly carries the checks' magnitudes.  Ambiguity
-    is phase_or_reflection exactly when every node would tolerate the
-    reflected world.  ``uncovered`` lists the horizon cells that no node
-    window holds.
+    it, and names the node that fails; the assembly carries the checks'
+    magnitudes.  Ambiguity is phase_or_reflection exactly when every node
+    would tolerate the reflected world.  ``uncovered`` lists the horizon
+    cells that no node window holds.
 
     A live overlap that fits neither orientation means the magnitudes were
     inconsistent; an overlap with no energy means the input is separable
@@ -469,9 +469,10 @@ def reconstruct(
     search) recovers the remaining rows, keeps the classes already made and
     runs the search on the whole lattice, whose result or refusal is final.
     The output always re-measures to the input within ``ACCEPT_TOL``;
-    failures surface as declared errors, never as a silently wrong signal.  Horizon cells under no lattice node window are
-    beyond the data: they come back zero and are listed in the report's
-    ``uncovered`` (with a <= B they can only sit at the two ends).
+    failures surface as declared errors, never as a silently wrong signal.
+    Horizon cells under no lattice node window are beyond the data: they
+    come back zero and are listed in the report's ``uncovered`` (with
+    a <= B they can only sit at the two ends).
     """
     grid = pair.grid
     nodes = ms.nodes

@@ -233,7 +233,10 @@ def test_each_lattice_node_passes_every_recovery_seam_once(a, b, seed, monkeypat
 
     assert global_phase_align(rep.signal, f).residual <= 1e-8
     n, stride = len(nodes.times), {1.0: 1, 0.5: 2}[a]
-    assert [node["row"] for node in seen] == sorted({*range(0, n, stride), n - 1})
+    recovered = sorted({*range(0, n, stride), n - 1})
+    assert [node["row"] for node in seen] == recovered
+    # a row that placed no patch keeps lambda 1
+    assert all(rep.lambdas[i] == 1.0 for i in set(range(n)) - set(recovered))
     assert any(not node["zero"] for node in seen)
     for node in seen:
         assert node["stages"] == ([] if node["zero"] else list(STAGES))
@@ -297,31 +300,37 @@ def _whole_lattice_pass(ms):
         return type(exc).__name__, str(exc)
 
 
-def test_a_node_that_is_not_recovered_is_still_checked(passes):
-    # at a = B / 2 only the even rows and the last are recovered; an odd
-    # row's data scaled by a millionth is refused by its own node check in
-    # that pass, and then by the whole-lattice pass, whose message is final
+def _skipped_row_scaled(mags):
+    mags[:, 5] *= 1 + 1e-6
+
+
+def _recovered_rows_zero(mags):
+    mags[:, 0::2] = 0.0
+
+
+@pytest.mark.parametrize("corrupt", [_skipped_row_scaled, _recovered_rows_zero])
+def test_a_node_that_is_not_recovered_is_still_checked(corrupt, passes):
+    # at a = B / 2 only the even rows are recovered (the last row, 34, is
+    # even).  An odd row's data scaled by a millionth is refused by its own
+    # node check in that pass; with every even row zero no node is live,
+    # and the odd rows are checked against the zero assembly.  Each input
+    # is then refused by the whole-lattice pass, whose message is final
     f, ms = _criterion1_input(0.5, 0)
     bad = ms.mags.copy()
-    bad[:, 5] *= 1 + 1e-6
+    corrupt(bad)
     ms_bad = dataclasses.replace(ms, mags=bad)
-    expected = _whole_lattice_pass(ms_bad)
-    assert expected[0] == "InconsistentMeasurements" and "at node index 5)" in expected[1]
+    cls, message = _whole_lattice_pass(ms_bad)
+    assert cls == "InconsistentMeasurements"
     with pytest.raises(InconsistentMeasurements) as refused:
         reconstruct(ms_bad, ms.pair)
-    assert str(refused.value) == expected[1]
-    assert len(passes["passes"]) == 2
-    assert passes["passes"][0][0] == "InconsistentMeasurements"
-    assert passes["passes"][0][1].endswith("at node index 5)")
-    rows = [_row_of(ms_bad, *r) for r in passes["rows"]]
+    assert str(refused.value) == message
+    [(sparse_cls, sparse_message), (_, last)] = passes["passes"]
+    assert sparse_cls == "InconsistentMeasurements" and last == message
+    if corrupt is _skipped_row_scaled:
+        assert sparse_message.endswith("at node index 5)") and message.endswith("at node index 5)")
     n = len(ms.nodes.times)
-    assert rows == list(range(0, n, 2)) + list(range(1, n, 2))
-    # the untouched data comes back from the sparse pass alone
-    passes["rows"].clear()
-    passes["passes"].clear()
-    rep = reconstruct(ms, ms.pair)
-    assert global_phase_align(rep.signal, f).residual <= 1e-8
-    assert passes["passes"] == ["ok"] and len(passes["rows"]) == (n + 1) // 2
+    assert n == 35
+    assert [_row_of(ms_bad, *r) for r in passes["rows"]] == [*range(0, n, 2), *range(1, n, 2)]
 
 
 def test_a_sparse_refusal_falls_back_to_the_whole_lattice(passes):
