@@ -23,7 +23,9 @@ a in {1, 0.5}:
 
 It prints one count line per (L, b, a), with the largest distance of a
 returned row and that row, each refused or wrong row with its message, and
-one total line per L.  Two checkouts that refuse the same rows
+one total line per L.  Under each count line, a line of its own gives how
+many returned rows took the whole-lattice fallback: ``reconstruct`` called
+``stitcher.align_overlaps`` twice for them, the sparse pass refused.  Two checkouts that refuse the same rows
 with the same messages print the same lines.  It exits 1 when any row comes
 back wrong, so it can serve as a check; a refusal alone leaves the exit 0.
 
@@ -75,22 +77,34 @@ CIRCLE_CONTENTS = 200
 
 
 def sweep(tw, L: int, b: float, a: float):
-    """Yield (row, outcome, detail, distance) for every nonseparable row of
-    one (L, b, a): outcome is "ok", "refused" or "wrong", and distance is
-    None for a refused row."""
+    """Yield (row, outcome, detail, distance, searches) for every
+    nonseparable row of one (L, b, a): outcome is "ok", "refused" or "wrong",
+    distance is None for a refused row, and searches counts the row's
+    ``stitcher.align_overlaps`` calls, so a returned row with two took the
+    whole-lattice fallback."""
     grid = tw.GridSpec(B=1.0, L=L, origin=2 * L, horizon=4 * L)
     pair = tw.build_window("rectangular", grid, b=b)
     nodes = tw.TimeNodes.lattice_covering(grid, a)
     rng = np.random.default_rng([L, int(4 * b), int(2 * a)])
+    align, calls = tw.stitcher.align_overlaps, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return align(*args, **kwargs)
+
     for row in range(ROWS[L]):
         f = tw.Signal(grid, LETTERS[rng.integers(0, 4, 4 * L)])
         if tw.is_separable(f, 2 * grid.B - a):
             continue
+        calls.clear()
+        tw.stitcher.align_overlaps = counted
         try:
             rep = tw.reconstruct(tw.measure(f, pair, nodes), pair)
         except Exception as exc:  # every refusal is counted with its message
-            yield row, "refused", f"{type(exc).__name__}: {exc}", None
+            yield row, "refused", f"{type(exc).__name__}: {exc}", None, len(calls)
             continue
+        finally:
+            tw.stitcher.align_overlaps = align
         right = tw.pair_equivalent(
             rep.signal.samples, f.samples,
             allow_reflection=rep.ambiguity != "phase_only", tol=1e-6,
@@ -99,7 +113,7 @@ def sweep(tw, L: int, b: float, a: float):
             tw.phase_residuals(g.samples, f.samples)
             for g in (rep.signal, rep.alternative) if g is not None
         )
-        yield row, "ok" if right else "wrong", rep.ambiguity, distance
+        yield row, "ok" if right else "wrong", rep.ambiguity, distance, len(calls)
 
 
 def edge_refusals(tw, L: int, horizon: int, seeds: range):
@@ -176,9 +190,10 @@ def main(argv=None) -> int:
         for b in (0.25, 0.5):
             for a in (1.0, 0.5):
                 counts = {"inputs": 0, "refused": 0, "wrong": 0}
-                farthest, far_row = 0.0, None
-                for row, outcome, detail, distance in sweep(tw, L, b, a):
+                farthest, far_row, fallbacks = 0.0, None, 0
+                for row, outcome, detail, distance, searches in sweep(tw, L, b, a):
                     counts["inputs"] += 1
+                    fallbacks += distance is not None and searches > 1
                     if outcome != "ok":
                         counts[outcome] += 1
                         print(f"  L={L} b={b} a={a} row {row}: {outcome}: {detail}")
@@ -189,6 +204,8 @@ def main(argv=None) -> int:
                     f"{counts['refused']} refused, {counts['wrong']} wrong, "
                     f"largest distance {farthest:.3e} (row {far_row})"
                 )
+                print(f"  L={L} b={b} a={a}: {fallbacks} returned rows took the "
+                      "whole-lattice fallback")
                 for key in total:
                     total[key] += counts[key]
         print(

@@ -26,12 +26,18 @@ the table, and the script goes on to the next run, then exits 1 at the end.
 
 With ``--record`` it also writes ``BENCH_<parent>-<change>.json`` at the
 repository root, the two labels being each checkout's short git rev (or its
-directory name outside git).  The record holds the machine, Python and
+directory name outside git).  Each workload then ends with one
+``--trace 1`` run per side, on the first seed, whose spans land in that
+checkout's ``perfbench/spans/``.  The record holds the machine, Python and
 numpy of the first run that finished, and for each workload: every run's
 seed, side, result line and failure (null when it finished right), the
-table's rows with both verdicts, the failed share and the failed runs per
-side.  A record that exists already keeps its other workloads, so the
-workloads may be run one invocation at a time.
+table's rows with both verdicts, the failed share, the failed runs per
+side, and per side the traced run's seed, per-layer metrics and failure.
+A traced run that fails is recorded with its failure (and null metrics
+when it has no result line) and reported; it leaves the exit status to the
+untraced runs.  A record that exists already
+keeps its other workloads, so the workloads may be run one invocation at a
+time.
 
 Progress goes to standard error, the tables to standard output.
 """
@@ -64,12 +70,13 @@ def seed_list(tokens):
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run: ``{"result", "machine", "failure"}``, where result
-    is the run's result line (None when it has none), machine its record's
-    machine block, and failure None for a run that finished right."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One run, untraced by default: ``{"result", "machine", "failure"}``,
+    where result is the run's result line (None when it has none), machine
+    its record's machine block, and failure None for a run that finished
+    right."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -167,6 +174,21 @@ def pair_workload(checkouts, workload, seeds, seconds):
     return entries
 
 
+def traced_runs(checkouts, workload, seed, seconds) -> dict:
+    """One ``--trace 1`` run per side: ``{side: {"seed", "metrics",
+    "failure"}}``, metrics being the run's per-layer metrics (None when it
+    has no result line)."""
+    traced = {}
+    for checkout, side in zip(checkouts, SIDES):
+        run = run_once(checkout, workload, seed, seconds, trace=1)
+        traced[side] = {"seed": seed, "metrics": run["result"] and run["result"]["metrics"],
+                        "failure": run["failure"]}
+        if run["failure"] is not None:
+            print(f"{workload} seed {seed} {side}: failed traced run: {run['failure']}",
+                  file=sys.stderr, flush=True)
+    return traced
+
+
 def complete_pairs(entries):
     """The (parent, change) result pairs of the seeds whose runs both
     finished right, in seed order."""
@@ -185,8 +207,8 @@ def entries_share(entries) -> dict:
     return failed_share((e["side"], e["result"]) for e in entries if e["result"] is not None)
 
 
-def workload_record(metrics, entries, seconds) -> dict:
-    """One workload's part of the record."""
+def workload_record(metrics, entries, seconds, traced) -> dict:
+    """One workload's part of the record; ``traced`` is ``traced_runs``'."""
     runs = complete_pairs(entries)
     return {
         "seconds": seconds,
@@ -195,16 +217,18 @@ def workload_record(metrics, entries, seconds) -> dict:
         "failed_share": entries_share(entries),
         "failed_runs": {s: sum(e["side"] == s and e["failure"] is not None for e in entries)
                         for s in SIDES},
+        "traced": traced,
     }
 
 
 def write_record(labels, by_workload, metrics, seconds) -> Path:
-    """Write or update ``BENCH_<parent>-<change>.json`` at ``ROOT``."""
+    """Write or update ``BENCH_<parent>-<change>.json`` at ``ROOT``;
+    ``by_workload`` maps a workload to its (run entries, traced runs)."""
     path = ROOT / f"BENCH_{labels[0]}-{labels[1]}.json"
     record = json.loads(path.read_text()) if path.exists() else {
         "parent": labels[0], "change": labels[1], "machine": None, "workloads": {}}
-    for workload, entries in by_workload.items():
-        record["workloads"][workload] = workload_record(metrics, entries, seconds)
+    for workload, (entries, traced) in by_workload.items():
+        record["workloads"][workload] = workload_record(metrics, entries, seconds, traced)
         if record["machine"] is None:
             record["machine"] = next((e["machine"] for e in entries if e["machine"]), None)
     path.write_text(json.dumps(record, indent=1) + "\n")
@@ -235,7 +259,11 @@ def main(argv=None) -> int:
             if e["failure"] is not None:
                 print(f"failed run: seed {e['seed']} {e['side']}: {e['failure']}")
         if args.record:  # after each workload, so a later stop keeps this one
-            path = write_record(labels, {workload: entries}, metrics, args.seconds)
+            traced = traced_runs(checkouts, workload, seed_list(args.seeds)[0], args.seconds)
+            for side, run in traced.items():
+                if run["failure"] is not None:
+                    print(f"failed traced run: seed {run['seed']} {side}: {run['failure']}")
+            path = write_record(labels, {workload: (entries, traced)}, metrics, args.seconds)
             print(f"record: {path}", file=sys.stderr)
     failed = any(e["failure"] is not None for es in by_workload.values() for e in es)
     return 1 if failed else 0

@@ -102,6 +102,31 @@ class AlignedAssembly:
     uncovered: Tuple[int, ...] = ()
 
 
+def junction_phases(fv: np.ndarray, conj_windows: Sequence[np.ndarray], E: np.ndarray,
+                    delta: float, M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit phases mu, one per patch, that best fit the magnitudes M of a row
+    whose window straddles a junction, and their relative deviations.
+
+    A and B[k] are the row's transforms (as ``measure`` makes them) of fv[0],
+    the filled cells left of the junction, and fv[k + 1], patch k's cells
+    right of it.  As |A + mu B|^2 - |A|^2 - |B|^2 = 2 Re(mu B conj(A)) is
+    linear in (Re mu, Im mu), mu solves its 2 x 2 normal equations over the
+    bins, S mu + T conj(mu) = R, normalised; a singular system gives mu = 1
+    and deviation inf."""
+    V = delta * np.stack([(fv * cw) @ E for cw in conj_windows], axis=1)
+    A, B, M = V[0].ravel(), V[1:].reshape(len(fv) - 1, -1), M.ravel()
+    w = A * np.conj(B)  # conj(B conj(A))
+    r = M * M - (A * np.conj(A)).real - (B * np.conj(B)).real
+    S, T, R = (w * np.conj(w)).real.sum(axis=1), (w * w).sum(axis=1), (r * w).sum(axis=1)
+    mu = S * R - T * np.conj(R)
+    mod = np.abs(mu)
+    ok = (S * S > (T * np.conj(T)).real) & (mod > 0)
+    mu = np.divide(mu, mod, out=np.ones_like(mu), where=ok)
+    dev = np.abs(A + mu[:, None] * B) - M
+    dev = np.sqrt((dev * dev).sum(axis=1)) / max(vector_norm(M), 1e-300)
+    return mu, np.where(ok, dev, np.inf)
+
+
 def align_overlaps(
     classes: Sequence[Optional[LocalClass]],
     pair: WindowPair,
@@ -118,12 +143,15 @@ def align_overlaps(
     most B) apart, one class per time.  So consecutive node windows overlap
     and their on-horizon runs rise with the node.  A class may be ``None``:
     that node was not recovered, so it offers no patch and stays out of the
-    reflection pre-check, and the recovered ones must still hold their
-    consecutive windows at most B apart.
+    reflection pre-check, and consecutive recovered windows must overlap or
+    abut with such a node's window straddling them.
 
     Node phases are fixed by setting the first nonzero node to 1 and
     aligning every later patch on the samples it shares with what has been
-    assembled so far.  A node's patches are ``LocalClass.patches``: its
+    assembled so far, or, where its window abuts them, on the magnitudes of
+    the unrecovered node halfway between (``junction_phases``), a singular
+    or unfit junction fitting no patch.  A node's patches are
+    ``LocalClass.patches``: its
     classes, and the slot mate that local recovery offers with a lone class
     that tolerates reflection.
     Two patches give the chain a branch point; a nearly symmetric overlap
@@ -226,6 +254,15 @@ def align_overlaps(
     sep_error: Optional[SeparableInputError] = None
     deepest: Tuple[int, str] = (-1, "")
 
+    def table(j: int) -> np.ndarray:
+        """Node j's exponential table, made with its NODE_BLOCK of nodes."""
+        run, at = divmod(j, NODE_BLOCK)
+        if run not in tables:
+            tables.clear()
+            cells = first[run * NODE_BLOCK : (run + 1) * NODE_BLOCK, None] + np.arange(L)
+            tables[run] = node_exponentials(grid, cells, freqs.omegas)
+        return tables[run][at]
+
     def enter(p: int) -> int:
         """Rank position p's orientations against the assembly; returns how
         many fit, none with the reason noted when nothing does."""
@@ -234,19 +271,32 @@ def align_overlaps(
         if p == 0:
             order[k0:k1], lams[k0:k1] = np.arange(k0, k1), 1.0
             return int(k1 - k0)
-        u = assembled[lo[ci] : boundary[p]]
+        # a window abutting the filled cells at c is phased from row j halfway
+        # back, which straddles c; a patch with no energy in row j does not fit
+        j, c = (live[p - 1] + ci) // 2, boundary[p]
+        straddle = lo[ci] == c and classes[j] is None
+        u = assembled[lo[j if straddle else ci] : c]
         if u.size == 0 or np.abs(u).max() <= DEAD_OVERLAP_RTOL * scale:
             if sep_error is None:
                 m = round(times[ci] / a)  # the lattice index
                 sep_error = SeparableInputError(f"separable input: propagation broken at node {m}")
             return 0
-        norm_u = vector_norm(u)
-        slots = slice(lo[ci] - first[ci], boundary[p] - first[ci])
-        mismatch = {}
-        for k in range(k0, k1):
-            v = patches[k, slots]
-            lams[k], dist = phase_fit(u, v)
-            mismatch[k] = float(dist / max(norm_u, vector_norm(v)))
+        if straddle:
+            fv = np.zeros((1 + k1 - k0, L), dtype=np.complex128)
+            fv[0, lo[j] - first[j] : c - first[j]] = u
+            fv[1:, c - first[j] : hi[j] - first[j]] = patches[k0:k1, : hi[j] - c]  # ci's starts at c
+            lams[k0:k1], dev = junction_phases(fv, conj_windows, table(j), grid.delta,
+                                               lattice_mags[:, j])
+            dev[np.abs(fv[1:]).max(axis=1) <= DEAD_OVERLAP_RTOL * scale] = np.inf
+            mismatch = dict(zip(range(k0, k1), dev.tolist()))
+        else:
+            norm_u = vector_norm(u)
+            slots = slice(lo[ci] - first[ci], c - first[ci])
+            mismatch = {}
+            for k in range(k0, k1):
+                v = patches[k, slots]
+                lams[k], dist = phase_fit(u, v)
+                mismatch[k] = float(dist / max(norm_u, vector_norm(v)))
         order[k0:k1] = ranked = sorted(mismatch, key=mismatch.__getitem__)
         if mismatch[ranked[0]] > ORIENT_TOL:
             if p > deepest[0]:
@@ -277,18 +327,13 @@ def align_overlaps(
         over nodes is the whole-horizon deviation."""
         nonlocal deepest
         for j in ready[ready_at[d] : ready_at[d + 1]].tolist():
-            run, at = divmod(j, NODE_BLOCK)
-            if run not in tables:
-                tables.clear()
-                cells = first[run * NODE_BLOCK : (run + 1) * NODE_BLOCK, None] + np.arange(L)
-                tables[run] = node_exponentials(grid, cells, freqs.omegas)
             cells, slots = span(j)
             if slots.stop - slots.start == L:  # wholly on the horizon
                 fv = assembled[None, cells]
             else:
                 fv = np.zeros((1, L), dtype=np.complex128)
                 fv[:, slots] = assembled[cells]
-            node_magnitudes(fv, conj_windows, tables[run][at], grid.delta, mags[None, :, j])
+            node_magnitudes(fv, conj_windows, table(j), grid.delta, mags[None, :, j])
             dev = sup_dev(mags[:, j], lattice_mags[:, j])
             if dev > mag_tol:
                 if d > deepest[0]:
@@ -460,14 +505,15 @@ def reconstruct(
 
     Runs local recovery at the lattice nodes, chains phases across the
     overlaps, and settles the reflection branch (with anchor data when the
-    node set carries an anchor).  A step a <= B is enough to recover the
-    signal, so where the step fits into B m >= 2 times only rows 0, m, 2m,
-    ... and the last row are recovered, whose windows cover the cells the
-    lattice covers; the other rows' magnitudes are still checked by the
-    search.  A refusal of that pass (a ``RecoveryError`` at one of its
-    nodes, or a ``StitchError`` or ``InconsistentMeasurements`` from the
-    search) recovers the remaining rows, keeps the classes already made and
-    runs the search on the whole lattice, whose result or refusal is final.
+    node set carries an anchor).  Where the step fits into B m >= 2 times,
+    only rows 0, 2m, 4m, ... and the last row are recovered, whose windows
+    abut (or overlap) and cover the cells the lattice covers; each junction
+    is phased from the row that straddles it, and every other row's
+    magnitudes are still checked by the search.  A refusal of that pass (a
+    ``RecoveryError`` at one of its nodes, or a ``StitchError`` or
+    ``InconsistentMeasurements`` from the search or the reflection step)
+    recovers the remaining rows, keeps the classes already made and runs
+    the search on the whole lattice, whose result or refusal is final.
     The output always re-measures to the input within ``ACCEPT_TOL``;
     failures surface as declared errors, never as a silently wrong signal.
     Horizon cells under no lattice node window are beyond the data: they
@@ -515,14 +561,13 @@ def reconstruct(
             classes, pair, a, times=times, lattice_mags=lattice_mags, freqs=ms.freqs
         )
 
-    assembly = None
     if m > 1:
         try:
-            assembly = aligned([*range(0, n - 1, m), *range(n)[-1:]])  # 0, m, 2m, ..., n - 1
+            sparse = aligned([*range(0, n - 1, 2 * m), *range(n)[-1:]])  # 0, 2m, ..., n - 1
+            return resolve_reflection(sparse, ms, pair, nodes)
         except (RecoveryError, StitchError):
-            pass
-    if assembly is None:
-        assembly = aligned(range(n))
+            pass  # the whole lattice decides
+    assembly = aligned(range(n))
     # the classes are dropped once aligned, before the branches are judged
     del classes
     return resolve_reflection(assembly, ms, pair, nodes)

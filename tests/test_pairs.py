@@ -74,19 +74,25 @@ def test_the_bound_is_a_fraction_of_the_parents_median():
 def _fake_runs(monkeypatch, failures):
     """Replace the subprocess run by synthetic ones: the change is faster by
     a tenth on every seed, and ``failures`` maps (workload, seed, side) to
-    what goes wrong there: "exit" (no result line) or "wrong" (a wrong output)."""
+    what goes wrong there: "exit" (no result line) or "wrong" (a wrong
+    output); the seed of a traced run's key is "traced".  A traced run
+    reports one per-layer count, 18 calls on the parent and 10 on the
+    change."""
     calls = []
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, trace=0):
         side = "parent" if checkout.name == "p" else "change"
-        calls.append((workload, seed, side))
-        how = failures.get((workload, seed, side))
+        calls.append((workload, "traced" if trace else seed, side))
+        how = failures.get(calls[-1])
         if how == "exit":
             return {"result": None, "machine": None,
                     "failure": "exited 1: RuntimeError: list changed size during iteration"}
         rate = 100.0 + seed % 3 + (10.0 if side == "change" else 0.0)
         result = {"correct": how != "wrong", "attempted": 10, "failed": int(how == "wrong"),
                   "metrics": {"rate": {"value": rate}, "wait": {"value": 1000.0 / rate}}}
+        if trace:
+            result["metrics"] = {"calls": {"value": 18 if side == "parent" else 10,
+                                           "unit": "count"}}
         return {"result": result, "machine": {"python": "3.x", "numpy": "2.x"},
                 "failure": "wrong output" if how == "wrong" else None}
 
@@ -107,10 +113,12 @@ def test_a_failed_run_is_recorded_and_the_script_goes_on(tmp_path, monkeypatch, 
     calls = _fake_runs(monkeypatch, {("mix", 3, "parent"): "exit", ("mix", 6, "change"): "wrong"})
     code = pairs.main([*checkouts, "--workload", "mix", "long", "--seeds", "1-10", "--record"])
     assert code == 1
-    # every run of both workloads ran, each seed's parent first on odd seeds
-    assert len(calls) == 2 * 2 * 10
+    # every run of both workloads ran, each seed's parent first on odd seeds,
+    # and each workload ended with one traced run per side
+    assert len(calls) == 2 * (2 * 10 + 2)
     assert calls[:4] == [("mix", 1, "parent"), ("mix", 1, "change"),
                          ("mix", 2, "change"), ("mix", 2, "parent")]
+    assert calls[20:22] == [("mix", "traced", "parent"), ("mix", "traced", "change")]
     out = capsys.readouterr().out
     assert "mix: 8 alternating pair(s)" in out and "long: 10 alternating pair(s)" in out
     assert "failed run: seed 3 parent: exited 1" in out
@@ -140,7 +148,14 @@ def test_the_record_holds_the_machine_every_run_and_both_verdicts(tmp_path, monk
     assert record["machine"] == {"python": "3.x", "numpy": "2.x"}
     assert set(record["workloads"]) == {"mix", "long"}
     mix = record["workloads"]["mix"]
-    assert set(mix) == {"seconds", "runs", "table", "failed_share", "failed_runs"}
+    assert set(mix) == {"seconds", "runs", "table", "failed_share", "failed_runs", "traced"}
+    # one traced run per side, on the first seed, with its per-layer metrics
+    assert mix["traced"] == {
+        "parent": {"seed": 1, "metrics": {"calls": {"value": 18, "unit": "count"}},
+                   "failure": None},
+        "change": {"seed": 1, "metrics": {"calls": {"value": 10, "unit": "count"}},
+                   "failure": None},
+    }
     assert [(r["seed"], r["side"]) for r in mix["runs"]] == [
         (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
         (3, "parent"), (3, "change"), (4, "change"), (4, "parent")]
@@ -155,3 +170,30 @@ def test_the_record_holds_the_machine_every_run_and_both_verdicts(tmp_path, monk
     assert _verdicts(runs) == {
         r["metric"]: (f"{r['won']} of {r['pairs']}", "yes" if r["claim"] else "no", r["bound"])
         for r in mix["table"]}
+
+
+def test_a_failed_traced_run_is_recorded_and_not_fatal(tmp_path, monkeypatch, capsys):
+    # the change's traced run exits, and the parent's gives a wrong output:
+    # both are recorded, every untraced run finished right, so the exit is 0
+    checkouts = _record_in(tmp_path, monkeypatch)
+    calls = _fake_runs(monkeypatch, {("mix", "traced", "change"): "exit",
+                                     ("mix", "traced", "parent"): "wrong"})
+    assert pairs.main([*checkouts, "--workload", "mix", "long", "--seeds", "1-3",
+                       "--record"]) == 0
+    # the next workload still ran, and ended with its own traced runs
+    assert calls[-2:] == [("long", "traced", "parent"), ("long", "traced", "change")]
+    out = capsys.readouterr().out
+    assert "failed traced run: seed 1 change: exited 1" in out
+    assert "failed traced run: seed 1 parent: wrong output" in out
+    record = json.loads((tmp_path / "BENCH_p-c.json").read_text())
+    traced = record["workloads"]["mix"]["traced"]
+    assert traced["change"] == {"seed": 1, "metrics": None,
+                                "failure": "exited 1: RuntimeError: list changed size during "
+                                           "iteration"}
+    assert traced["parent"]["failure"] == "wrong output"
+    assert traced["parent"]["metrics"] == {"calls": {"value": 18, "unit": "count"}}
+    # the failed traced runs count in neither table nor failed share
+    mix = record["workloads"]["mix"]
+    assert mix["failed_runs"] == {"parent": 0, "change": 0}
+    assert mix["failed_share"] == {"parent": [0, 30], "change": [0, 30]}
+    assert record["workloads"]["long"]["traced"]["change"]["failure"] is None
