@@ -102,6 +102,15 @@ class AlignedAssembly:
     uncovered: Tuple[int, ...] = ()
 
 
+def _window_runs(grid: GridSpec, times: Sequence[float]) -> Tuple[np.ndarray, ...]:
+    """The node windows' geometry, as arrays over the nodes: node j's window
+    holds cells first[j] + 0 .. L - 1, and its on-horizon part is the run
+    lo[j]:hi[j]; with the times rising, so do lo and hi."""
+    first = first_cell(grid, np.asarray(times, dtype=float))
+    lo, hi = (np.minimum(np.maximum(edge, 0), grid.horizon) for edge in (first, first + grid.L))
+    return first, lo, hi
+
+
 def junction_phases(fv: np.ndarray, conj_windows: Sequence[np.ndarray], E: np.ndarray,
                     delta: float, M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Unit phases mu, one per patch, that best fit the magnitudes M of a row
@@ -141,10 +150,12 @@ def align_overlaps(
     An internal step of ``reconstruct``, which establishes its precondition:
     the node times are on the grid, one step ``a`` (at least one cell and at
     most B) apart, one class per time.  So consecutive node windows overlap
-    and their on-horizon runs rise with the node.  A class may be ``None``:
-    that node was not recovered, so it offers no patch and stays out of the
-    reflection pre-check, and consecutive recovered windows must overlap or
-    abut with such a node's window straddling them.
+    and their on-horizon runs (``_window_runs``, from which ``reconstruct``
+    also picks the rows it recovers) rise with the node.  A class may be
+    ``None``: that node was not recovered, so it offers no patch and stays
+    out of the reflection pre-check, and consecutive recovered windows must
+    overlap, or abut with the node halfway between them not recovered, its
+    window straddling the junction.
 
     Node phases are fixed by setting the first nonzero node to 1 and
     aligning every later patch on the samples it shares with what has been
@@ -185,11 +196,8 @@ def align_overlaps(
     nonzero = [c for c in classes if c is not None and not c.is_zero]
     scale = max((float(np.abs(c.representative).max()) for c in nonzero), default=0.0)
 
-    # the geometry, held as arrays over the nodes: node j's window holds
-    # cells first[j] + 0 .. L - 1, and its on-horizon part is the run
-    # lo[j]:hi[j]; a cell is covered where more runs have begun than ended
-    first = first_cell(grid, np.asarray(times, dtype=float))
-    lo, hi = (np.minimum(np.maximum(edge, 0), horizon) for edge in (first, first + L))
+    # a cell is covered where more node windows' runs have begun than ended
+    first, lo, hi = _window_runs(grid, times)
     runs = np.bincount(lo, minlength=horizon + 1) - np.bincount(hi, minlength=horizon + 1)
     uncovered = tuple((runs.cumsum()[:-1] == 0).nonzero()[0].tolist())
     del runs
@@ -506,10 +514,15 @@ def reconstruct(
     Runs local recovery at the lattice nodes, chains phases across the
     overlaps, and settles the reflection branch (with anchor data when the
     node set carries an anchor).  Where the step fits into B m >= 2 times,
-    only rows 0, 2m, 4m, ... and the last row are recovered, whose windows
-    abut (or overlap) and cover the cells the lattice covers; each junction
-    is phased from the row that straddles it, and every other row's
-    magnitudes are still checked by the search.  A refusal of that pass (a
+    only rows r0, r0 + 2m, r0 + 4m, ... and a last row end are recovered,
+    chosen by the cells their windows hold: r0 is the last row whose
+    on-horizon cells start where row 0's do, and end the first whose cells
+    end where the last row's do, so the windows abut (or overlap) and cover
+    the cells the lattice covers; when end <= r0 its window holds them all
+    and it is the only row recovered.  (A lattice that reaches no horizon
+    edge recovers rows 0, 2m, ... and its last.)  Each junction is phased
+    from the row that straddles it, and every other row's magnitudes are
+    still checked by the search.  A refusal of that pass (a
     ``RecoveryError`` at one of its nodes, or a ``StitchError`` or
     ``InconsistentMeasurements`` from the search or the reflection step)
     recovers the remaining rows, keeps the classes already made and runs
@@ -561,9 +574,11 @@ def reconstruct(
             classes, pair, a, times=times, lattice_mags=lattice_mags, freqs=ms.freqs
         )
 
-    if m > 1:
+    if m > 1 and n:  # an anchor alone leaves no lattice row
+        _, lo, hi = _window_runs(grid, times)
+        r0, end = int(lo.searchsorted(lo[0], side="right")) - 1, int(hi.searchsorted(hi[-1]))
         try:
-            sparse = aligned([*range(0, n - 1, 2 * m), *range(n)[-1:]])  # 0, 2m, ..., n - 1
+            sparse = aligned([*range(r0, end, 2 * m), end])
             return resolve_reflection(sparse, ms, pair, nodes)
         except (RecoveryError, StitchError):
             pass  # the whole lattice decides

@@ -200,9 +200,9 @@ def test_each_lattice_node_passes_every_recovery_seam_once(a, b, seed, monkeypat
     # the bench harness times recovery by wrapping stitcher.recover_local and
     # the three stage attributes of local_recovery; on a criterion-1 input,
     # reconstruct must reach recover_local once per recovered lattice row,
-    # every row at a = B and rows 0, 4, 8, ..., 32 and the last (34) at
-    # a = B / 2, whose windows abut, and each stage once per such node whose
-    # data is not zero
+    # every row at a = B and rows 3, 7, 11, ..., 31 at a = B / 2, whose
+    # windows tile the horizon, and each stage once per such node whose data
+    # is not zero
     grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
     gap = 2 * grid.B - a
     n_gap = int(np.ceil(gap / grid.delta - 1e-9))
@@ -237,7 +237,7 @@ def test_each_lattice_node_passes_every_recovery_seam_once(a, b, seed, monkeypat
     assert global_phase_align(rep.signal, f).residual <= 1e-8
     n = len(nodes.times)
     recovered = list(range(n)) if a == 1.0 else SPARSE_ROWS
-    assert recovered[-1] == n - 1
+    assert n == (17 if a == 1.0 else 35)
     assert [node["row"] for node in seen] == recovered
     # a row that placed no patch keeps lambda 1
     assert all(rep.lambdas[i] == 1.0 for i in set(range(n)) - set(recovered))
@@ -307,8 +307,10 @@ def _whole_lattice_pass(ms):
 
 
 #: the rows the sparse pass recovers on a criterion-1 lattice at a = B / 2,
-#: in order: windows 2B apart, which abut, and the last row
-SPARSE_ROWS = [*range(0, 33, 4), 34]
+#: in order: row r holds cells 2r - 6 .. 2r + 1, so rows 0 .. 3 start at
+#: cell 0 and rows 31 .. 34 end at cell 63, and the windows of rows 3, 7,
+#: ..., 31 are 2B apart and tile the horizon
+SPARSE_ROWS = [*range(3, 32, 4)]
 
 
 def _recovery_order(n):
@@ -327,11 +329,12 @@ def _recovered_rows_zero(mags):
 
 @pytest.mark.parametrize("corrupt", [_skipped_row_scaled, _recovered_rows_zero])
 def test_a_node_that_is_not_recovered_is_still_checked(corrupt, passes):
-    # at a = B / 2 only rows 0, 4, 8, ..., 32 and 34 are recovered.  Row 5's
-    # data scaled by a millionth is refused by its own node check in that
-    # pass; with every recovered row zero no node is live, and the other
-    # rows are checked against the zero assembly.  Each input is then
-    # refused by the whole-lattice pass, whose message is final
+    # at a = B / 2 only rows 3, 7, 11, ..., 31 are recovered.  Row 5
+    # straddles the junction of rows 3 and 7, so its data scaled by a
+    # millionth refuses that pass at node 7, which is phased from it; with
+    # every recovered row zero no node is live, and the other rows are
+    # checked against the zero assembly.  Each input is then refused by the
+    # whole-lattice pass, whose message is final and names row 5's own check
     f, ms = _criterion1_input(0.5, 0)
     bad = ms.mags.copy()
     corrupt(bad)
@@ -344,21 +347,23 @@ def test_a_node_that_is_not_recovered_is_still_checked(corrupt, passes):
     [(sparse_cls, sparse_message), (_, last)] = passes["passes"]
     assert sparse_cls == "InconsistentMeasurements" and last == message
     if corrupt is _skipped_row_scaled:
-        assert sparse_message.endswith("at node index 5)") and message.endswith("at node index 5)")
+        assert re.fullmatch(r"overlap mismatch \S+ at node index 7", sparse_message)
+        assert message.endswith("at node index 5)")
     n = len(ms.nodes.times)
     assert n == 35
     assert [_row_of(ms_bad, *r) for r in passes["rows"]] == _recovery_order(n)
 
 
 def test_a_sparse_refusal_falls_back_to_the_whole_lattice(passes):
-    # cells 30..33 are zero: a run of B.  The sub-lattice's windows of rows
-    # 16 and 20 abut at cell 34, and row 18, which straddles them, sees no
-    # energy on its left half, so propagation breaks there; the whole
-    # lattice's windows (B / 2 apart) share 6 cells, 2 of them live.  The
-    # sparse refusal is not final, and each row is recovered once
+    # cells 28..31 are zero: a run of B.  The sub-lattice's windows of rows
+    # 15 and 19 abut at cell 32, and row 17, which straddles them, sees no
+    # energy on its left half, so propagation breaks there (row 19 is at
+    # lattice index 2); the whole lattice's windows (B / 2 apart) share 6
+    # cells, 2 of them live.  The sparse refusal is not final, and each row
+    # is recovered once
     grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
     samples = random_nonseparable(grid, grid.horizon, 1.5, seed=0).samples.copy()
-    samples[30:34] = 0.0
+    samples[28:32] = 0.0
     f = Signal(grid, samples)
     assert is_separable(f, 2 * grid.B - grid.B) and not is_separable(f, 2 * grid.B - 0.5)
     pair = build_window("rectangular", grid, b=0.25)
@@ -366,7 +371,7 @@ def test_a_sparse_refusal_falls_back_to_the_whole_lattice(passes):
     rep = reconstruct(ms, pair)
     assert global_phase_align(rep.signal, f).residual <= 1e-8
     assert passes["passes"] == [
-        ("SeparableInputError", "separable input: propagation broken at node 3"), "ok"]
+        ("SeparableInputError", "separable input: propagation broken at node 2"), "ok"]
     rows = [_row_of(ms, *r) for r in passes["rows"]]
     assert rows == _recovery_order(len(ms.nodes.times))
 
@@ -417,21 +422,21 @@ def test_an_anchor_row_that_refuses_the_sparse_assembly_is_judged_again(passes):
 @pytest.mark.parametrize(
     "zeros, sparse",
     [
-        (slice(30, 36), ("SeparableInputError", r"separable input: propagation broken at node 3")),
-        (slice(34, 40), ("InconsistentMeasurements", r"overlap mismatch \S+ at node index 20")),
+        (slice(30, 36), ("InconsistentMeasurements", r"overlap mismatch \S+ at node index 19")),
+        (slice(34, 40), ("SeparableInputError", r"separable input: propagation broken at node 6")),
     ],
 )
 def test_a_junction_whose_straddling_row_sees_one_side_refuses_the_sparse_pass(
     zeros, sparse, passes
 ):
-    # the sub-lattice's windows of rows 16 and 20 abut at cell 34, and row
-    # 18 (cells 30..37) straddles the junction.  With its left half zero the
-    # filled cells carry no phase; with its right half zero the true patch
-    # leaves the junction's normal equations singular, and its reflected
-    # mate misfits, by a margin that roundoff sets.  Either refuses the
-    # sparse pass.  The
-    # whole lattice's windows share 6 cells, all zero here, and its refusal
-    # (class and message) is final
+    # the sub-lattice's windows of rows 15 and 19 abut at cell 32, and row
+    # 17 (cells 28..35) straddles the junction; rows 19 and 23 abut at cell
+    # 40, straddled by row 21 (cells 36..43).  With row 17's right half zero
+    # (cells 30..35) the true patch has no energy in its window and its
+    # reflected mate misfits; with row 21's left half zero (cells 34..39)
+    # the filled cells carry no phase to row 23, at lattice index 6.  Either
+    # refuses the sparse pass.  The whole lattice's windows share 6 cells,
+    # all zero here, and its refusal (class and message) is final
     grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
     samples = random_nonseparable(grid, grid.horizon, 1.5, seed=0).samples.copy()
     samples[zeros] = 0.0
@@ -479,6 +484,46 @@ def test_zero_runs_across_the_junctions_come_back_right_or_are_refused(b):
                 reconstruct(ms, pair)
             assert str(refused.value) == f"separable input: propagation broken at node {r - 17}"
     assert returned == 16
+
+
+def _row_rule_input(case):
+    """An input and its lattice measurements for each lattice of the row
+    rule's test."""
+    if case == "criterion 1":
+        return _criterion1_input(0.5, 0)
+    if case.startswith("rational_lattice"):
+        fp = forge("rational_lattice")
+        f = getattr(fp, case[-1])
+        return f, measure(f, fp.pair, fp.nodes)
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)  # criterion 10's
+    f = Signal(grid, alphabet_family(grid, [0, 1, 2, 3])[0][22].copy())
+    nodes = TimeNodes.lattice(0.5, [0]) if case == "one row" else TimeNodes.lattice_covering(grid, 0.5)
+    return f, measure(f, build_window("rectangular", grid), nodes)
+
+
+@pytest.mark.parametrize(
+    "case, rows",
+    [
+        ("criterion 1", SPARSE_ROWS),
+        ("criterion 10", [3]),
+        ("rational_lattice f", [*range(0, 41, 4), 42]),
+        ("rational_lattice g", [*range(0, 41, 4), 42]),
+        ("one row", [0]),
+    ],
+    ids=["criterion1", "criterion10", "rational_lattice-f", "rational_lattice-g", "one-row"],
+)
+def test_the_sparse_pass_recovers_the_fewest_windows_that_cover_the_lattice(case, rows, passes):
+    # the first row recovered is the last whose on-horizon cells start where
+    # row 0's do, then every 2m-th, and the last is the first whose cells end
+    # where the last row's do: on criterion 10's lattice at a = B / 2 (row
+    # r holds cells r - 3 .. r) row 3 alone holds all four cells.  The
+    # forge's lattice reaches neither horizon edge, so it keeps rows 0, 4,
+    # ..., 40 and its last
+    f, ms = _row_rule_input(case)
+    rep = reconstruct(ms, ms.pair)
+    assert [_row_of(ms, *r) for r in passes["rows"]] == rows and passes["passes"] == ["ok"]
+    assert rep.residual <= 1e-8
+    assert rep.uncovered == ((0, 1, 95) if case.startswith("rational_lattice") else ())
 
 
 def test_an_a_equal_b_lattice_recovers_every_row_in_order(passes):
@@ -1188,12 +1233,9 @@ def test_search_matches_the_recursive_reference_on_criterion_10(a, against_refer
     for row in family:
         before = len(against_reference)
         _reconstruct_outcome(Signal(grid, row.copy()), pair, nodes)
-        # one search, or at a = B / 2 a refused sparse one and the whole
-        # lattice's after it
-        searches = against_reference[before:]
-        assert len(searches) == 1 or (
-            a == 0.5 and len(searches) == 2 and isinstance(searches[0][0], str)
-        )
+        # one search: at a = B / 2 row 3's window holds all four cells, and
+        # the sparse pass that recovers it alone is never refused
+        assert len(against_reference) == before + 1
     for new, ref in against_reference:
         assert new == ref
 
