@@ -19,6 +19,9 @@ The groups:
   ``default_anchor``;
 - periodic: ``periodic_verdict`` on the 96-input mu x period x offset scan;
 - measure: ``measure`` over 96 window, grid and node configurations;
+- batch: ``measure_batch`` of 1, 2, 5 and 2,048 seeded rows on lattices of
+  3, 17, 35 and 257 nodes (the larger two cross ``NODE_BLOCK``) and on an
+  off-grid pair of lines, under both analytic profiles;
 - oracle: three ``uniqueness_oracle`` scans (all but ``elapsed``);
 - local: every ``LocalClass`` on fixed lattice nodes at L = 8, 12 and 16;
 - forge: each forged pair, and the files ``twowin forge`` writes;
@@ -67,7 +70,7 @@ class Digest:
         h = self.h
         if isinstance(v, np.ndarray):
             h.update(f"nd{v.dtype.str}{v.shape}".encode())
-            h.update(np.ascontiguousarray(v).tobytes())
+            h.update(np.ascontiguousarray(v))  # the buffer itself, not a copy
         elif isinstance(v, (bool, np.bool_)):
             h.update(b"T" if v else b"F")
         elif isinstance(v, (int, np.integer)):
@@ -240,6 +243,30 @@ def group_measure(tw, d: Digest) -> None:
                         for anchor in (None, tw.default_anchor(a, grid.horizon)):
                             nodes = tw.TimeNodes.lattice_covering(grid, a, anchor=anchor)
                             d.add(outcome(lambda: (nodes.times, tw.measure(f, pair, nodes).mags)))
+
+
+def group_batch(tw, d: Digest) -> None:
+    rng = np.random.default_rng(34)
+    wide = tw.GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    node_sets = [  # 3, 17, 35 and 257 lattice nodes, and two lines off the grid
+        (tw.GridSpec(B=1.0, L=4, origin=2, horizon=4), 1.0),
+        (wide, 1.0),
+        (wide, 0.5),
+        (tw.GridSpec(B=1.0, L=4, origin=127, horizon=254), 0.5),
+        (tw.GridSpec(B=1.0, L=9, origin=9, horizon=18), None),
+    ]
+    for grid, a in node_sets:
+        if a is None:
+            nodes = tw.TimeNodes.two_lines(0.1, 3.3 * grid.delta)
+        else:
+            nodes = tw.TimeNodes.lattice_covering(grid, a)
+        pairs = (tw.build_window("rectangular", grid, b=0.25),
+                 tw.build_window("raised_cosine", grid, b=0.5, c1=0.4))
+        for n_rows in (1, 2, 5, 2048):
+            rows = rng.standard_normal((n_rows, grid.horizon)) + 1j * rng.standard_normal(
+                (n_rows, grid.horizon))
+            for pair in pairs:
+                d.add(nodes.times, n_rows, outcome(lambda: tw.measure_batch(rows, grid, pair, nodes)))
 
 
 def group_oracle(tw, d: Digest) -> None:
@@ -447,6 +474,7 @@ GROUPS = {
     "criterion10": group_criterion10,
     "periodic": group_periodic,
     "measure": group_measure,
+    "batch": group_batch,
     "oracle": group_oracle,
     "local": group_local,
     "forge": group_forge,

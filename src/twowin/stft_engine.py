@@ -319,7 +319,7 @@ def measure_batch(
     (n_signals, 2, n_nodes, n_bins).  The window pair, a critical frequency
     grid and the rows must all belong to ``grid``.  Node segments and
     exponential tables are built ``NODE_BLOCK`` nodes at a time, and each
-    node's product reads its rows of the block's segment.
+    block is one ``node_magnitudes`` call.
     """
     if pair.grid != grid:
         raise ValueError("window pair and signal live on different grids")
@@ -337,9 +337,11 @@ def measure_batch(
     mags = np.empty((n_sig, 2, len(nodes.times), len(omegas)), dtype=float)
     for lo in range(0, len(nodes.times), NODE_BLOCK):
         seg = node_segment(grid, nodes.times[lo : lo + NODE_BLOCK], samples_matrix, pair)
-        E = node_exponentials(grid, seg.cells, omegas)
-        for ti, windows in enumerate(zip(*seg.conj_windows)):
-            node_magnitudes(seg.samples[:, ti], windows, E[ti], grid.delta, mags[:, :, lo + ti])
+        node_magnitudes(
+            seg.samples.swapaxes(0, 1), np.stack(seg.conj_windows)[:, :, None],
+            node_exponentials(grid, seg.cells, omegas), grid.delta,
+            mags[:, :, lo : lo + NODE_BLOCK].transpose(1, 2, 0, 3),
+        )
     return mags
 
 
@@ -350,28 +352,45 @@ def node_exponentials(grid: GridSpec, cells: np.ndarray, omegas: np.ndarray) -> 
     return np.exp(E, out=E)
 
 
+def node_transforms(
+    samples: np.ndarray, conj_windows: np.ndarray, E: np.ndarray, delta: float
+) -> np.ndarray:
+    """delta * (samples * cw) @ E for each conjugated window cw, shape
+    (windows, nodes, rows, bins): the one forward-map product.
+
+    ``samples`` is (nodes, rows, L), ``conj_windows`` (windows, nodes or 1,
+    1, L) and ``E`` (nodes, L, bins).  Windows and nodes are matmul's batch
+    axes, so each node's (rows, L) @ (L, bins) product is BLAS's own call
+    for that one matrix (gemv for one row, gemm for more) and its bits are
+    those of the product taken alone; merging nodes or windows into one
+    matrix, as ``X @ [E1 | E2]`` would, moves them.
+    """
+    V = (samples * conj_windows) @ E
+    V *= delta
+    return V
+
+
 def node_magnitudes(
-    samples: np.ndarray, conj_windows: Sequence[np.ndarray], E: np.ndarray, delta: float,
+    samples: np.ndarray, conj_windows: np.ndarray, E: np.ndarray, delta: float,
     out: np.ndarray,
 ) -> None:
-    """Write |delta * (samples * cw) @ E| for each of a node's conjugated
-    windows cw to ``out[..., w, :]``.
-
-    The one forward-map product: ``measure_batch`` and the stitcher's node
-    checks both call it, one node at a time, because BLAS may round a
-    stacked product differently.
+    """Write |``node_transforms``| of a block of nodes to ``out``, shape
+    (windows, nodes, rows, bins): ``measure_batch`` makes one call per
+    ``NODE_BLOCK`` of nodes, the stitcher's node checks one per run of
+    consecutive nodes completed together.
     """
-    for wi, cw in enumerate(conj_windows):
-        V = (samples * cw) @ E
-        V *= delta
-        np.abs(V, out=out[..., wi, :])
+    np.abs(node_transforms(samples, conj_windows, E, delta), out=out)
 
 
-def sup_dev(got: np.ndarray, want: np.ndarray) -> float:
+def sup_dev(got: np.ndarray, want: np.ndarray, axis=None):
     """max |got - want| over two magnitude arrays of one shape, 0.0 when they
-    are empty: the one sup deviation behind every verdict on magnitude data."""
+    are empty: the one sup deviation behind every verdict on magnitude data.
+    With ``axis``, the maxima over those axes, as an array (one per node)."""
     dev = got - want  # the one temporary; its magnitudes are taken in place
-    return float(np.abs(dev, out=dev).max()) if dev.size else 0.0
+    np.abs(dev, out=dev)
+    if axis is not None:
+        return dev.max(axis=axis)
+    return float(dev.max()) if dev.size else 0.0
 
 
 def check_difference_identity(f: Signal, pair: WindowPair, t: float, n: int) -> float:

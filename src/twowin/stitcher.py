@@ -40,6 +40,7 @@ from .stft_engine import (
     node_exponentials,
     node_magnitudes,
     node_segment,
+    node_transforms,
     sup_dev,
 )
 from .local_recovery import (
@@ -116,14 +117,16 @@ def junction_phases(fv: np.ndarray, conj_windows: Sequence[np.ndarray], E: np.nd
     """Unit phases mu, one per patch, that best fit the magnitudes M of a row
     whose window straddles a junction, and their relative deviations.
 
-    A and B[k] are the row's transforms (as ``measure`` makes them) of fv[0],
-    the filled cells left of the junction, and fv[k + 1], patch k's cells
-    right of it.  As |A + mu B|^2 - |A|^2 - |B|^2 = 2 Re(mu B conj(A)) is
+    A and B[k] are the row's transforms (``node_transforms``, as ``measure``
+    makes them from the row's table E) of fv[0], the filled cells left of
+    the junction, and fv[k + 1], patch k's cells right of it.  As
+    |A + mu B|^2 - |A|^2 - |B|^2 = 2 Re(mu B conj(A)) is
     linear in (Re mu, Im mu), mu solves its 2 x 2 normal equations over the
     bins, S mu + T conj(mu) = R, normalised; a singular system gives mu = 1
     and deviation inf."""
-    V = delta * np.stack([(fv * cw) @ E for cw in conj_windows], axis=1)
-    A, B, M = V[0].ravel(), V[1:].reshape(len(fv) - 1, -1), M.ravel()
+    cw = np.reshape(conj_windows, (-1, 1, 1, fv.shape[1]))
+    V = node_transforms(fv[None], cw, E[None], delta)[:, 0]
+    A, B, M = V[:, 0].ravel(), V[:, 1:].swapaxes(0, 1).reshape(len(fv) - 1, -1), M.ravel()
     w = A * np.conj(B)  # conj(B conj(A))
     r = M * M - (A * np.conj(A)).real - (B * np.conj(B)).real
     S, T, R = (w * np.conj(w)).real.sum(axis=1), (w * w).sum(axis=1), (r * w).sum(axis=1)
@@ -189,22 +192,19 @@ def align_overlaps(
         raise ValueError(
             f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"
         )
-    # the node checks' two windows, conjugated once; the patches divide by conj(phi)
-    conj_windows = (np.conj(phi), np.conj(pair.slot_values("psi")))
-    inv_phi = 1.0 / conj_windows[0]
+    # the node checks' two windows, conjugated once and shaped to broadcast
+    # over (nodes, rows, L); the patches divide by conj(phi)
+    conj_windows = np.conj([phi, pair.slot_values("psi")])[:, None, None]
+    inv_phi = 1.0 / np.conj(phi)
 
     nonzero = [c for c in classes if c is not None and not c.is_zero]
     scale = max((float(np.abs(c.representative).max()) for c in nonzero), default=0.0)
 
-    # a cell is covered where more node windows' runs have begun than ended
+    # consecutive windows overlap, so the covered cells are the one run
+    # lo[0]:hi[-1] (none without a node)
     first, lo, hi = _window_runs(grid, times)
-    runs = np.bincount(lo, minlength=horizon + 1) - np.bincount(hi, minlength=horizon + 1)
-    uncovered = tuple((runs.cumsum()[:-1] == 0).nonzero()[0].tolist())
-    del runs
-
-    def span(j: int) -> Tuple[slice, slice]:
-        """Node j's on-horizon cells and the matching window slots."""
-        return slice(lo[j], hi[j]), slice(lo[j] - first[j], hi[j] - first[j])
+    covered = (lo[0], hi[-1]) if len(times) else (0, 0)
+    uncovered = (*range(covered[0]), *range(covered[1], horizon))
 
     # the live nodes' orientations divided by the window: live position p
     # is node live[p], and its patches are rows start[p]:start[p + 1]
@@ -214,7 +214,7 @@ def align_overlaps(
     for ci, cls in enumerate(classes):
         if cls is None or cls.is_zero:
             continue
-        _, slots = span(ci)
+        slots = slice(lo[ci] - first[ci], hi[ci] - first[ci])
         k = start[-1]
         for o in cls.patches:
             np.multiply(o, inv_phi, out=patches[k])
@@ -247,11 +247,21 @@ def align_overlaps(
     # and fills boundary[p]:boundary[p + 1], the last entry being hi[live[-1]]
     boundary = np.concatenate((lo[live[:1]], hi[live]))
 
-    # the assembly.  Entering position p ranks its patches best fit first
-    # into order[start[p]:], with their lambdas in lams; fitting[p] counts
-    # the ones that fit and placed[p] the ones placed, so a search frame is
+    # the assembly lies between zero cells, so that node j's window is row j
+    # of ``windows``, a view (the nodes are one step apart): L cells a side
+    # hold every window that meets the horizon, and a lattice that reaches
+    # further gets more
+    f0, f1 = (int(first[0]), int(first[-1])) if len(times) else (0, 0)
+    pad = max(L, -f0, f1 + L - horizon)
+    padded = np.zeros(horizon + 2 * pad, dtype=np.complex128)
+    assembled = padded[pad : pad + horizon]
+    cell, step = padded.itemsize, (f1 - f0) // max(len(times) - 1, 1)
+    windows = np.ndarray((len(times), L), padded.dtype, padded, (pad + f0) * cell, (step * cell, cell))
+
+    # entering position p ranks its patches best fit first into
+    # order[start[p]:], with their lambdas in lams; fitting[p] counts the
+    # ones that fit and placed[p] the ones placed, so a search frame is
     # (position, next option) and an option's values are made when placed
-    assembled = np.zeros(horizon, dtype=np.complex128)
     order = np.empty(n_patches, dtype=np.int64)
     lams = np.empty(n_patches, dtype=np.complex128)
     lam_of = np.ones(len(classes), dtype=np.complex128)
@@ -262,14 +272,15 @@ def align_overlaps(
     sep_error: Optional[SeparableInputError] = None
     deepest: Tuple[int, str] = (-1, "")
 
-    def table(j: int) -> np.ndarray:
-        """Node j's exponential table, made with its NODE_BLOCK of nodes."""
-        run, at = divmod(j, NODE_BLOCK)
-        if run not in tables:
+    def table(j0: int, j1: int) -> np.ndarray:
+        """Nodes j0 .. j1 - 1's exponential tables, all in one NODE_BLOCK of
+        nodes and made with it."""
+        block, at = divmod(j0, NODE_BLOCK)
+        if block not in tables:
             tables.clear()
-            cells = first[run * NODE_BLOCK : (run + 1) * NODE_BLOCK, None] + np.arange(L)
-            tables[run] = node_exponentials(grid, cells, freqs.omegas)
-        return tables[run][at]
+            cells = first[block * NODE_BLOCK : (block + 1) * NODE_BLOCK, None] + np.arange(L)
+            tables[block] = node_exponentials(grid, cells, freqs.omegas)
+        return tables[block][at : at + j1 - j0]
 
     def enter(p: int) -> int:
         """Rank position p's orientations against the assembly; returns how
@@ -293,7 +304,7 @@ def align_overlaps(
             fv = np.zeros((1 + k1 - k0, L), dtype=np.complex128)
             fv[0, lo[j] - first[j] : c - first[j]] = u
             fv[1:, c - first[j] : hi[j] - first[j]] = patches[k0:k1, : hi[j] - c]  # ci's starts at c
-            lams[k0:k1], dev = junction_phases(fv, conj_windows, table(j), grid.delta,
+            lams[k0:k1], dev = junction_phases(fv, conj_windows, table(j, j + 1)[0], grid.delta,
                                                lattice_mags[:, j])
             dev[np.abs(fv[1:]).max(axis=1) <= DEAD_OVERLAP_RTOL * scale] = np.inf
             mismatch = dict(zip(range(k0, k1), dev.tolist()))
@@ -330,24 +341,27 @@ def align_overlaps(
 
     def fits(d: int) -> bool:
         """Whether the nodes completed at depth d reproduce their lattice
-        magnitudes, each measured into ``mags[:, j]`` with ``measure``'s
-        product and tables (one NODE_BLOCK of them at a time); the maximum
-        over nodes is the whole-horizon deviation."""
+        magnitudes, measured into ``mags`` with ``measure``'s kernel and
+        tables: one call and one deviation per run of consecutive nodes
+        inside one NODE_BLOCK.  The maximum over nodes is the whole-horizon
+        deviation, and the first node in ready order that misses is named."""
         nonlocal deepest
-        for j in ready[ready_at[d] : ready_at[d + 1]].tolist():
-            cells, slots = span(j)
-            if slots.stop - slots.start == L:  # wholly on the horizon
-                fv = assembled[None, cells]
+        runs: List[List[int]] = []
+        for j in ready[ready_at[d] : ready_at[d + 1]].tolist():  # rising
+            if runs and runs[-1][1] == j and j % NODE_BLOCK:
+                runs[-1][1] = j + 1
             else:
-                fv = np.zeros((1, L), dtype=np.complex128)
-                fv[:, slots] = assembled[cells]
-            node_magnitudes(fv, conj_windows, table(j), grid.delta, mags[None, :, j])
-            dev = sup_dev(mags[:, j], lattice_mags[:, j])
-            if dev > mag_tol:
-                if d > deepest[0]:
-                    deepest = (d, "no phase assignment reproduces the lattice magnitudes "
-                               f"(best deviation {dev:.3e} at node index {j})")
-                return False
+                runs.append([j, j + 1])
+        for j0, j1 in runs:
+            got = mags[:, j0:j1]
+            node_magnitudes(windows[j0:j1, None], conj_windows, table(j0, j1), grid.delta,
+                            got[:, :, None])
+            for j, dev in enumerate(sup_dev(got, lattice_mags[:, j0:j1], axis=(0, 2)).tolist(), j0):
+                if dev > mag_tol:
+                    if d > deepest[0]:
+                        deepest = (d, "no phase assignment reproduces the lattice magnitudes "
+                                   f"(best deviation {dev:.3e} at node index {j})")
+                    return False
         return True
 
     # depth first: positions 0 .. depth - 1 are open, and the next one to

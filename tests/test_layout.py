@@ -292,6 +292,21 @@ def test_only_refit_runs_the_magnitude_fit():
     assert callers == {"local_recovery.py:refit"}
 
 
+def test_the_stitcher_takes_no_matrix_product_of_its_own():
+    # stft_engine.node_transforms is the one forward-map product: the node
+    # checks and the junction fits take their transforms from it, and an @
+    # or a matmul in the stitcher would be a second kernel whose bits could
+    # drift from measure's
+    tree = ast.parse((SRC / "stitcher.py").read_text(encoding="utf-8"))
+    products = [
+        getattr(node, "lineno", None)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "einsum")
+    ]
+    assert products == []
+
+
 def test_only_pair_equivalent_runs_the_reflection_test():
     # pair_equivalent is the one pair verdict: the oracle's scans and every
     # 1-D check call it, and a caller of _reflection_residual elsewhere would

@@ -16,7 +16,7 @@ from twowin import (
     stft_value,
     windowed_segment,
 )
-from twowin.stft_engine import NODE_BLOCK, node_segment
+from twowin.stft_engine import NODE_BLOCK, node_exponentials, node_magnitudes, node_segment
 
 
 GRID = GridSpec(B=1.0, L=4, origin=8, horizon=16)
@@ -204,6 +204,41 @@ def test_measure_batch_blocks_match_one_node_measurements(make_signal, pair, nod
     for ti, t in enumerate(nodes.times):
         alone = measure_batch(rows, grid, pair, TimeNodes(mode="lattice", times=(t,)))
         assert batch[:, :, ti].tobytes() == alone[:, :, 0].tobytes(), (ti, t)
+
+
+def _kernel_node_sets():
+    # a = B / 2 on a 48-cell grid: node 0's window leaves the horizon and
+    # node 10's lies wholly on it; 16 nodes fill one NODE_BLOCK, 17 cross it
+    grid = GridSpec(B=1.0, L=4, origin=24, horizon=48)
+    lattice = TimeNodes.lattice_covering(grid, 0.5).times
+    for start, count in ((0, 1), (10, 1), (0, 2), (0, 16), (0, 17)):
+        yield pytest.param(grid, lattice[start : start + count], id=f"nodes-{start}-{start + count}")
+    two = GridSpec(B=1.0, L=9, origin=9, horizon=18)
+    yield pytest.param(two, TimeNodes.two_lines(0.1, 3.3 * two.delta).times, id="off-grid-lines")
+
+
+@pytest.mark.parametrize("n_rows", [1, 2048])
+@pytest.mark.parametrize("profile", ["rectangular", "raised_cosine"])
+@pytest.mark.parametrize("grid, times", _kernel_node_sets())
+def test_the_block_kernel_keeps_each_nodes_own_product_bits(grid, times, profile, n_rows):
+    # the nodes sit on matmul's batch axis, so each node's (rows, L) @ (L,
+    # bins) product is the BLAS call it would be alone (gemv for one row,
+    # gemm for more), bit for bit
+    rng = np.random.default_rng([n_rows, len(times)])
+    rows = rng.standard_normal((n_rows, grid.horizon)) + 1j * rng.standard_normal((n_rows, grid.horizon))
+    pair = build_window(profile, grid, b=0.25)
+    seg = node_segment(grid, np.array(times), rows, pair)
+    E = node_exponentials(grid, seg.cells, FrequencyGrid.critical(grid.L, grid.B).omegas)
+    out = np.empty((2, len(times), n_rows, 2 * grid.L))
+    node_magnitudes(seg.samples.swapaxes(0, 1), np.stack(seg.conj_windows)[:, :, None], E,
+                    grid.delta, out)
+    for ti in range(len(times)):
+        for wi in range(2):
+            V = (seg.samples[:, ti] * seg.conj_windows[wi][ti]) @ E[ti]
+            V *= grid.delta
+            assert np.abs(V).tobytes() == out[wi, ti].tobytes(), (ti, wi)
+    nodes = TimeNodes(mode="lattice", times=tuple(times))
+    assert measure_batch(rows, grid, pair, nodes).tobytes() == out.transpose(2, 0, 1, 3).tobytes()
 
 
 def test_a_block_node_segment_stacks_its_single_time_segments(make_signal):

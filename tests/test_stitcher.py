@@ -17,7 +17,7 @@ from twowin.stitcher import (
     align_overlaps,
 )
 from twowin.stft_engine import (
-    NODE_BLOCK, node_exponentials, node_segment, sup_dev, windowed_segment,
+    NODE_BLOCK, first_cell, node_exponentials, node_segment, sup_dev, windowed_segment,
 )
 from twowin import (
     FORGES,
@@ -123,6 +123,41 @@ def test_report_lists_the_cells_no_lattice_window_holds():
     for a in (1.0, 0.5):
         rep, res = _roundtrip(f, build_window("rectangular", grid), a)
         assert res <= 1e-8 and rep.uncovered == ()
+
+
+def _bincount_uncovered(grid, times):
+    """The cells under no node window, by counting the windows' on-horizon
+    runs begun and ended before each cell."""
+    first = first_cell(grid, np.asarray(times, dtype=float))
+    lo, hi = (np.minimum(np.maximum(e, 0), grid.horizon) for e in (first, first + grid.L))
+    runs = np.bincount(lo, minlength=grid.horizon + 1) - np.bincount(hi, minlength=grid.horizon + 1)
+    return tuple((runs.cumsum()[:-1] == 0).nonzero()[0].tolist())
+
+
+def _uncovered_case(case):
+    if case == "rational_lattice":
+        fp = forge("rational_lattice")
+        return fp.f, fp.pair, fp.nodes
+    if case == "one row":  # criterion 10's grid; the row at t = 1 holds cells 2 and 3
+        grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+        f = Signal(grid, np.array([0, 0, 1, 1j]))
+        return f, build_window("rectangular", grid), TimeNodes.lattice(1.0, [1])
+    f, ms = _criterion1_input(float(case[-3:]), 0)
+    return f, ms.pair, ms.nodes
+
+
+@pytest.mark.parametrize(
+    "case, uncovered",
+    [("rational_lattice", (0, 1, 95)), ("criterion 1, a = 1.0", ()),
+     ("criterion 1, a = 0.5", ()), ("one row", (0, 1))],
+    ids=["rational_lattice", "criterion1-B", "criterion1-B/2", "one-row"],
+)
+def test_the_uncovered_cells_are_those_outside_the_one_covered_run(case, uncovered):
+    # with a <= B consecutive windows overlap, so the cells they hold are
+    # one run, and the cells outside it are the ones no window holds
+    f, pair, nodes = _uncovered_case(case)
+    rep = reconstruct(measure(f, pair, nodes), pair)
+    assert rep.uncovered == _bincount_uncovered(pair.grid, nodes.lattice_times) == uncovered
 
 
 def test_reconstruct_with_raised_cosine_window():
@@ -1300,6 +1335,28 @@ def test_node_check_rejects_a_mate_before_the_leaf():
     assert run(_recursive_align_overlaps, bad) == "InconsistentMeasurements"
     with pytest.raises(InconsistentMeasurements, match=r"best deviation .* at node index 2"):
         search(align_overlaps, bad)
+
+
+def test_a_depth_that_misfits_twice_names_its_first_node_in_lattice_order():
+    # criterion 1 at a = B / 2 with only the sparse rows recovered: placing
+    # row 7 fills cells 8 .. 15, which completes rows 4 .. 7 at one depth.
+    # Rows 4 and 6 (not row 5, which phases the junction) get data that no
+    # assembly reproduces, row 6's a thousand times further off; the refusal
+    # names row 4, the first checked, with row 4's own deviation
+    f, ms = _criterion1_input(0.5, 0)
+    scale = float(ms.mags.max())
+    classes = [recover_local(*ms.mags[:, i], ms.pair, scale=scale) if i in SPARSE_ROWS else None
+               for i in range(len(ms.nodes.times))]
+    bad = ms.mags.copy()
+    bad[:, 4] *= 1 + 1e-6
+    bad[:, 6] *= 1 + 1e-3
+    with pytest.raises(InconsistentMeasurements) as refused:
+        align_overlaps(classes, ms.pair, 0.5, times=ms.nodes.times, lattice_mags=bad,
+                       freqs=ms.freqs)
+    assert str(refused.value) == (
+        "no phase assignment reproduces the lattice magnitudes "
+        f"(best deviation {1e-6 * ms.mags[:, 4].max():.3e} at node index 4)"
+    )
 
 
 def test_node_check_names_the_node_on_a_lattice_with_no_branch_point():
