@@ -347,7 +347,7 @@ def align_overlaps(
         deviation, and the first node in ready order that misses is named."""
         nonlocal deepest
         runs: List[List[int]] = []
-        for j in ready[ready_at[d] : ready_at[d + 1]].tolist():  # rising
+        for j in ready[ready_at[d] : ready_at[d + 1]].tolist():  # in lattice order
             if runs and runs[-1][1] == j and j % NODE_BLOCK:
                 runs[-1][1] = j + 1
             else:
