@@ -22,7 +22,11 @@ The groups:
 - batch: ``measure_batch`` of 1, 2, 5 and 2,048 seeded rows on lattices of
   3, 17, 35 and 257 nodes (the larger two cross ``NODE_BLOCK``) and on an
   off-grid pair of lines, under both analytic profiles;
-- oracle: three ``uniqueness_oracle`` scans (all but ``elapsed``);
+- oracle: five ``uniqueness_oracle`` scans (all but ``elapsed``): criterion
+  2's bare lattice, whose unsettled groups run the reflection test;
+  criterion 7's incommensurate scan, where every group settles from its
+  first member, and its rational one; criterion 10's a = 1 bare lattice,
+  where every group settles too; and a raised-cosine a = 0.5 lattice;
 - local: every ``LocalClass`` on fixed lattice nodes at L = 8, 12 and 16;
 - forge: each forged pair, and the files ``twowin forge`` writes;
 - cli: ``twowin measure``, ``recover``, ``plot`` (of the signal, each
@@ -283,10 +287,14 @@ def group_oracle(tw, d: Digest) -> None:
     scan(grid, tw.build_window("rectangular", grid), tw.TimeNodes.lattice(1.5, range(-1, 2)), family, desc)
     grid = tw.GridSpec(B=1.0, L=9, origin=9, horizon=18)
     samples, _, desc = tw.trig_family(grid, 2.0, degree=3)
-    scan(grid, tw.build_window("rectangular", grid), tw.TimeNodes.two_lines(0.0, 3 * grid.delta),
-         samples, desc, violation_cap=10 ** 6)
+    for offset in (1, 3):
+        scan(grid, tw.build_window("rectangular", grid),
+             tw.TimeNodes.two_lines(0.0, offset * grid.delta), samples, desc,
+             violation_cap=10 ** 6)
     grid = tw.GridSpec(B=1.0, L=4, origin=2, horizon=4)
     family, desc = tw.alphabet_family(grid, [0, 1, 2, 3])
+    scan(grid, tw.build_window("rectangular", grid), tw.TimeNodes.lattice_covering(grid, 1.0),
+         family, desc, violation_cap=10 ** 6)
     scan(grid, tw.build_window("raised_cosine", grid), tw.TimeNodes.lattice_covering(grid, 0.5),
          family, desc)
 

@@ -1,7 +1,7 @@
 """Brute-force oracles that cross-check recovery against ground truth.
 
 The central tool enumerates a small signal family, groups members by a
-quantized measurement fingerprint, and checks every within-group pair for
+quantized measurement fingerprint, and checks within-group pairs for
 equivalence.  A pair that shares measurements without being equivalent is a
 uniqueness violation; whether "equivalent" admits the conjugate reflection
 depends on the node set, since a bare lattice cannot see that ambiguity.
@@ -15,7 +15,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import EQUIV_TOL, GridSpec, Signal, equivalent_up_to_phase, phase_residuals
+from .signal_model import (
+    EQUIV_TOL,
+    GridSpec,
+    Signal,
+    equivalent_up_to_phase,
+    phase_fit,
+    phase_residuals,
+)
 from .window_engine import WindowPair
 from .stft_engine import (
     MeasurementSet,
@@ -40,9 +47,14 @@ ORACLE_CAP = 1_000_000
 VIOLATION_CAP = 64
 
 #: The oracle measures and groups this many rows per block and phase-checks
-#: this many pairs at a time.  Its working memory is then O(n) row indices
+#: this many rows or pairs at a time.  Its working memory is then O(n) row indices
 #: plus one key row per class, whatever the group sizes.
 CHUNK = 2048
+
+
+def _check_family_size(n: int) -> None:
+    if n > ORACLE_CAP:
+        raise ValueError(f"family too large: {n} instances exceeds the {ORACLE_CAP} cap")
 
 
 def measurements_equal(
@@ -210,6 +222,29 @@ def _within_group_pairs(
         yield order[first], order[second], group[first]
 
 
+def _settled_groups(
+    samples: np.ndarray, order: np.ndarray, sizes: np.ndarray, chunk: int
+) -> np.ndarray:
+    """Which groups of a grouping (``_KeyGroups.groups``) settle: those where
+    every member m lies within ``EQUIV_TOL / 2 * min(||m||, ||w||)`` of a
+    phase of the group's first member w, checked ``chunk`` members at a time.
+    By the triangle inequality every pair (u, v) of a settled group then has a
+    phase residual of at most ``EQUIV_TOL / sqrt(2)``, so none of its pairs is
+    a violation.  A group of zero rows settles; a zero first row with a live
+    member does not."""
+    starts = np.cumsum(sizes) - sizes
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    members = np.flatnonzero(np.arange(len(order)) != starts[group])  # all but first rows
+    settled = np.ones(len(sizes), dtype=bool)
+    for lo in range(0, len(members), chunk):
+        at = members[lo:lo + chunk]
+        m, w = samples[order[at]], samples[order[starts[group[at]]]]
+        dist = phase_fit(m, w)[1]
+        bound = EQUIV_TOL / 2 * np.minimum(np.linalg.norm(m, axis=1), np.linalg.norm(w, axis=1))
+        settled[group[at[~(dist <= bound)]]] = False
+    return settled
+
+
 def uniqueness_oracle(
     config: OracleConfig,
     samples: np.ndarray,
@@ -229,7 +264,13 @@ def uniqueness_oracle(
     soon as they are made (``_KeyGroups``): a row's key is kept only when it
     is the first of its group.  So the oracle holds O(n) row indices plus
     O(classes x width) keys, never a key per row or a family-sized float
-    array.  ``pair_equivalent`` judges ``CHUNK`` pairs at a time.
+    array.
+
+    Each group is then checked from its first member (``_settled_groups``):
+    a clean group of g rows costs g - 1 phase fits, and none of its pairs
+    can be a violation.  Every pair of a group that does not settle is
+    judged by ``pair_equivalent``, ``CHUNK`` pairs at a time, so the report
+    is the one that judging every pair would give.
 
     Violations come in group order (groups by first appearance), then member
     order; the first ``violation_cap`` are materialized as Signal pairs, with
@@ -244,8 +285,7 @@ def uniqueness_oracle(
             f"horizon, got {samples.shape}"
         )
     n = samples.shape[0]
-    if n > ORACLE_CAP:
-        raise ValueError(f"family too large: {n} instances exceeds the {ORACLE_CAP} cap")
+    _check_family_size(n)
     start = time.perf_counter()
     # One block even for an empty family, so that measure_batch checks the
     # config.  A lone last row joins the block before it: a one-row product
@@ -260,14 +300,17 @@ def uniqueness_oracle(
         grouping.add(lo, np.round(mags, out=mags).astype(np.int64))
     order, sizes = grouping.groups()
     del grouping  # its stored keys go before the pairs are checked
+    settled = _settled_groups(samples, order, sizes, CHUNK)
+    judged = np.flatnonzero(~settled)
     allow_reflection = config.nodes.mode == "lattice"
     kept: List[Tuple[int, int]] = []
     violation_count = 0
     violating = np.zeros(len(sizes), dtype=bool)
-    for rows_i, rows_j, pair_group in _within_group_pairs(order, sizes, CHUNK):
+    pairs = _within_group_pairs(order[np.repeat(~settled, sizes)], sizes[judged], CHUNK)
+    for rows_i, rows_j, pair_group in pairs:
         bad = np.flatnonzero(~pair_equivalent(samples[rows_i], samples[rows_j], allow_reflection))
         violation_count += len(bad)
-        violating[pair_group[bad]] = True
+        violating[judged[pair_group[bad]]] = True
         keep = bad[:max(violation_cap - len(kept), 0)]
         kept.extend(zip(rows_i[keep].tolist(), rows_j[keep].tolist()))
     ambiguous = np.sort(order[np.repeat(violating, sizes)])
@@ -289,7 +332,8 @@ def uniqueness_oracle(
 def alphabet_family(grid: GridSpec, support_cells: Sequence[int]) -> Tuple[np.ndarray, str]:
     """All signals with a value from {0, 1, i, -1} on each of the given
     cells, zero elsewhere.  Each cell must be a distinct grid index: numpy
-    would wrap a negative one and a repeat would yield duplicate rows."""
+    would wrap a negative one and a repeat would yield duplicate rows.  A
+    family over ``ORACLE_CAP`` rows is refused before it is built."""
     cells = list(support_cells)
     for i, c in enumerate(cells):
         if c in cells[:i]:
@@ -298,6 +342,7 @@ def alphabet_family(grid: GridSpec, support_cells: Sequence[int]) -> Tuple[np.nd
             raise ValueError(f"support cell {c} is outside 0..{grid.horizon - 1}")
     letters = np.array([0, 1, 1j, -1], dtype=np.complex128)
     n = len(letters) ** len(cells)
+    _check_family_size(n)
     digits = np.stack(
         np.unravel_index(np.arange(n), (len(letters),) * len(cells)), axis=1
     )
@@ -310,11 +355,13 @@ def alphabet_family(grid: GridSpec, support_cells: Sequence[int]) -> Tuple[np.nd
 def trig_family(grid: GridSpec, T: float, degree: int) -> Tuple[np.ndarray, np.ndarray, str]:
     """All T-periodic exponential sums of the given degree with coefficients
     from {0, 1, i, -1, -i}, sampled on the grid.  Returns (samples,
-    coefficients, desc); coefficient columns run k = -degree .. degree.
+    coefficients, desc); coefficient columns run k = -degree .. degree.  A
+    family over ``ORACLE_CAP`` rows is refused before it is built.
     """
     ks = np.arange(-degree, degree + 1)
     letters = np.array([0, 1, 1j, -1, -1j], dtype=np.complex128)
     n = len(letters) ** len(ks)
+    _check_family_size(n)
     digits = np.stack(np.unravel_index(np.arange(n), (len(letters),) * len(ks)), axis=1)
     coeffs = letters[digits]
     E = np.exp(2j * np.pi * np.outer(ks, grid.coords()) / T)

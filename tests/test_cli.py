@@ -744,3 +744,12 @@ def test_a_bad_signal_grid_names_its_file(run_cli, tmp_path, generic_signal, com
         1, "", f"error: {sig_path}: bad grid object ({message})\n"
     )
     assert not out.exists()
+
+
+def test_verify_oracle_refuses_a_family_over_the_cap(run_cli, monkeypatch):
+    from twowin import verifier
+
+    monkeypatch.setattr(verifier, "ORACLE_CAP", 100)
+    code, out, err = run_cli("verify", "oracle", "--B", 1, "--L", 4, "--horizon", 4)
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: family too large: 256 instances exceeds the 100 cap\n"

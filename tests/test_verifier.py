@@ -273,6 +273,64 @@ def test_oracle_judges_its_pairs_through_the_module_pair_verdict(case, monkeypat
     assert all(rows <= 100 for rows, _ in calls)
 
 
+EDGE_GRID = GridSpec(B=1.0, L=4, origin=4, horizon=8)
+#: two lines near 0, which see no sample on cell 0
+EDGE_LINES = OracleConfig(EDGE_GRID, build_window("rectangular", EDGE_GRID),
+                          TimeNodes.two_lines(0.0, 0.5))
+
+
+def _judged_report(config, samples, monkeypatch):
+    """The oracle's report, and how many rows reached ``pair_equivalent``."""
+    rows = []
+    judge = verifier.pair_equivalent
+
+    def counted(u, v, *args, **kwargs):
+        rows.append(len(u))
+        return judge(u, v, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "pair_equivalent", counted)
+        report = uniqueness_oracle(config, samples, violation_cap=10 ** 6)
+    return report, sum(rows)
+
+
+def test_oracle_settles_a_group_of_phase_rotations_from_its_first_member(monkeypatch):
+    # 2,000 rows of one class: the pair loop judged 1,999,000 pairs
+    rng = np.random.default_rng(11)
+    f = _rand(EDGE_GRID.horizon, 5)
+    samples = f * np.exp(2j * np.pi * rng.random((2000, 1)))
+    report, judged = _judged_report(EDGE_LINES, samples, monkeypatch)
+    assert (report.class_count, report.violation_count, judged) == (1, 0, 0)
+    assert report.ambiguous_rows == ()
+
+
+@pytest.mark.parametrize("c, want_judged, want_violations", [(0.3, 0, 0), (0.6, 6, 0), (2.0, 6, 3)])
+def test_oracle_judges_every_pair_of_a_group_that_does_not_settle(
+    c, want_judged, want_violations, monkeypatch
+):
+    # the fourth row moves by c * EQUIV_TOL of the norm on cell 0, which no
+    # node sees, so all four rows share one fingerprint; it settles against
+    # the first row up to c = 1/2, and is a violation past sqrt(2)
+    f = _rand(EDGE_GRID.horizon, 6)
+    f[0] = 0
+    e0 = np.eye(1, EDGE_GRID.horizon, dtype=np.complex128)[0]
+    samples = np.stack([f, 1j * f, -f, f + c * verifier.EQUIV_TOL * np.linalg.norm(f) * e0])
+    report, judged = _judged_report(EDGE_LINES, samples, monkeypatch)
+    assert (report.class_count, judged, report.violation_count) == (1, want_judged, want_violations)
+    _check_against_scalar(report, EDGE_LINES, samples, 10 ** 6, monkeypatch)
+
+
+def test_oracle_settles_a_group_of_zero_rows_but_not_a_zero_first_row(monkeypatch):
+    zeros = np.zeros((5, EDGE_GRID.horizon), dtype=np.complex128)
+    report, judged = _judged_report(EDGE_LINES, zeros, monkeypatch)
+    assert (report.class_count, judged, report.violation_count) == (1, 0, 0)
+    # a row on cell 0 alone shares the zero rows' fingerprint
+    zeros[3, 0] = 1
+    report, judged = _judged_report(EDGE_LINES, zeros, monkeypatch)
+    assert (report.class_count, judged, report.violation_count) == (1, 10, 4)
+    _check_against_scalar(report, EDGE_LINES, zeros, 10 ** 6, monkeypatch)
+
+
 def test_pair_equivalent_judges_rows_as_it_judges_each_pair():
     rng = np.random.default_rng(3)
     u = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
@@ -415,6 +473,20 @@ def test_alphabet_family_refuses_wrapped_and_repeated_cells(cells, message):
     with pytest.raises(ValueError) as exc:
         alphabet_family(TINY, cells)
     assert str(exc.value) == message
+
+
+def test_families_over_the_oracle_cap_are_refused_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(verifier, "ORACLE_CAP", 100)
+    message = r"^family too large: {} instances exceeds the 100 cap$"
+    with pytest.raises(ValueError, match=message.format(256)):
+        alphabet_family(TINY, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match=message.format(125)):
+        trig_family(TINY, 2.0, degree=1)
+    with pytest.raises(ValueError, match=message.format(101)):
+        uniqueness_oracle(
+            OracleConfig(TINY, TINY_PAIR, TimeNodes.lattice_covering(TINY, 1.0)),
+            np.zeros((101, TINY.horizon), dtype=np.complex128),
+        )
 
 
 def test_trig_family_rows_evaluate_their_coefficients():
