@@ -47,8 +47,8 @@ ORACLE_CAP = 1_000_000
 VIOLATION_CAP = 64
 
 #: The oracle measures and groups this many rows per block and phase-checks
-#: this many rows or pairs at a time.  Its working memory is then O(n) row indices
-#: plus one key row per class, whatever the group sizes.
+#: this many rows or pairs at a time.  Its working memory is then O(n) row
+#: indices plus one key row per class, whatever the group sizes.
 CHUNK = 2048
 
 
