@@ -32,10 +32,9 @@ The groups:
 - cli: ``twowin measure``, ``recover``, ``plot`` (of the signal, each
   measurement and each report) and ``verify`` outputs, the oracle report
   without ``elapsed``;
-- checks: the verdicts of ``measurements_equal`` (flag and deviation), the
-  gluing, Lemma 3.2 and refinement checks, ``is_conjugate_twist_mate``,
-  ``equivalent_up_to_phase`` and ``is_separable``, on the five forged pairs
-  and on fixed seeded cases.
+- checks: the verdicts of ``measurements_equal`` (flag and deviation),
+  ``is_conjugate_twist_mate``, ``equivalent_up_to_phase`` and
+  ``is_separable``, on the five forged pairs and on fixed seeded cases.
 
 A run takes about 20 s on a 2-core machine.  It reads public names only, so any checkout
 whose API has them can be digested.
@@ -396,19 +395,12 @@ def group_cli(tw, d: Digest) -> None:
         d.add(files_of(tmp, skip=("o.json",)))
 
 
-def refinement_fields(rep):
-    return rep.steps, rep.deviations, rep.forced_at, rep.phase_equivalent
-
-
 def group_checks(tw, d: Digest) -> None:
     def verdicts(f, g, pair, nodes):
         mf, mg = tw.measure(f, pair, nodes), tw.measure(g, pair, nodes)
         for tol in (0.0, 1e-14, 1e-10, 1e-6):
             d.add(outcome(lambda: tw.measurements_equal(mf, mg, tol=tol)))
         d.add(outcome(lambda: tw.measurements_equal(mf, mg)))
-        d.add(outcome(lambda: tw.per_window_gluing_check(f, g, pair, nodes)))
-        d.add([outcome(lambda: tw.lemma32_equivalence_check(f, g, pair, t)) for t in nodes.times])
-        d.add(outcome(lambda: refinement_fields(tw.semidiscrete_refinement_check(f, g, pair))))
         d.add(outcome(lambda: tw.equivalent_up_to_phase(f, g)))
 
     for claim in tw.CLAIMS:

@@ -31,7 +31,6 @@ from .stft_engine import (
     default_anchor,
     measure,
     measure_batch,
-    stft_value,
     windowed_segment,
 )
 from .local_recovery import (
@@ -57,14 +56,10 @@ from .counterexample_forge import CLAIMS, FORGES, ForgedPair, forge
 from .verifier import (
     OracleConfig,
     OracleReport,
-    RefinementReport,
     alphabet_family,
     is_conjugate_twist_mate,
-    lemma32_equivalence_check,
     measurements_equal,
     pair_equivalent,
-    per_window_gluing_check,
-    semidiscrete_refinement_check,
     trig_family,
     uniqueness_oracle,
 )
@@ -97,7 +92,6 @@ __all__ = [
     "default_anchor",
     "measure",
     "measure_batch",
-    "stft_value",
     "windowed_segment",
     "AmbiguityViolation",
     "InconsistentMeasurements",
@@ -120,14 +114,10 @@ __all__ = [
     "forge",
     "OracleConfig",
     "OracleReport",
-    "RefinementReport",
     "alphabet_family",
     "is_conjugate_twist_mate",
-    "lemma32_equivalence_check",
     "measurements_equal",
     "pair_equivalent",
-    "per_window_gluing_check",
-    "semidiscrete_refinement_check",
     "trig_family",
     "uniqueness_oracle",
     "CriterionResult",

@@ -144,14 +144,12 @@ def criterion_4() -> Tuple[bool, str]:
     pair = build_window("rectangular", grid)
     nodes = TimeNodes.lattice_covering(grid, 1.0)
     rng = np.random.default_rng(2024)
-    max_defect = 0.0
-    for _ in range(50):
-        f = Signal(
-            grid, rng.standard_normal(grid.horizon) + 1j * rng.standard_normal(grid.horizon)
-        )
-        for t in nodes.times:
-            for n in range(-grid.L, grid.L):
-                max_defect = max(max_defect, check_difference_identity(f, pair, t, n))
+    # each row draws its real part, then its imaginary part
+    samples = np.stack([
+        rng.standard_normal(grid.horizon) + 1j * rng.standard_normal(grid.horizon)
+        for _ in range(50)
+    ])
+    max_defect = check_difference_identity(samples, pair, nodes.times)
     passed = max_defect <= DIFFERENCE_IDENTITY_TOL
     return passed, (
         f"max defect {max_defect:.2e} over 50 signals x {len(nodes.times)} nodes x "

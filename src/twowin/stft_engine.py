@@ -274,14 +274,6 @@ def node_segment(
     return NodeSegment(k, on, fv, tuple(conj_windows))
 
 
-def stft_value(f: Signal, pair: WindowPair, which: str, t: float, omega: float) -> complex:
-    """Single transform value at an arbitrary node time and frequency."""
-    seg = node_segment(f.grid, t, f.samples, pair, (which,))
-    x = f.grid.x(seg.cells)
-    val = f.grid.delta * np.sum(seg.samples * seg.conj_windows[0] * np.exp(-2j * np.pi * x * omega))
-    return complex(val)
-
-
 def windowed_segment(f: Signal, pair: WindowPair, t: float) -> np.ndarray:
     """The length-L vector h_j = f(t + u_j) * conj(phi(u_j)) seen by the node at t."""
     seg = node_segment(f.grid, t, f.samples, pair, ("phi",))
@@ -393,16 +385,29 @@ def sup_dev(got: np.ndarray, want: np.ndarray, axis=None):
     return float(dev.max()) if dev.size else 0.0
 
 
-def check_difference_identity(f: Signal, pair: WindowPair, t: float, n: int) -> float:
-    """Defect of the exact two-window identity at critical bin n:
+def check_difference_identity(
+    samples: np.ndarray, pair: WindowPair, times: Sequence[float]
+) -> float:
+    """Largest defect of the exact two-window identity
 
         |V_psi(t, omega_n)|  ==  |e^{2 i pi t b} V_phi(t, omega_n + b) - V_phi(t, omega_n)|
 
-    Holds algebraically for every real t, so the defect is pure roundoff.
+    over every row of ``samples`` (rows, horizon), every node time in
+    ``times`` and all 2L critical bins, in one ``node_transforms`` call at
+    omega_n and one at omega_n + b.  Holds algebraically for every real t,
+    so the defect is pure roundoff.
     """
-    omega = critical_omega(n, f.grid.B)
-    lhs = abs(stft_value(f, pair, "psi", t, omega))
-    v1 = stft_value(f, pair, "phi", t, omega + pair.b)
-    v0 = stft_value(f, pair, "phi", t, omega)
-    rhs = abs(np.exp(2j * np.pi * t * pair.b) * v1 - v0)
-    return abs(lhs - rhs)
+    grid = pair.grid
+    if samples.ndim != 2 or samples.shape[1] != grid.horizon:
+        raise ValueError(f"samples must be (n, {grid.horizon}) sample rows, got {samples.shape}")
+    times = np.asarray(times, dtype=float)
+    omegas = FrequencyGrid.critical(grid.L, grid.B).omegas
+    seg = node_segment(grid, times, samples, pair)
+    rows = seg.samples.swapaxes(0, 1)
+    conj_windows = np.stack(seg.conj_windows)[:, :, None]
+    E = node_exponentials(grid, seg.cells, omegas)
+    phi, psi = node_transforms(rows, conj_windows, E, grid.delta)
+    E = node_exponentials(grid, seg.cells, omegas + pair.b)
+    phi_b = node_transforms(rows, conj_windows[:1], E, grid.delta)[0]
+    phi_b *= np.exp(2j * np.pi * pair.b * times)[:, None, None]
+    return sup_dev(np.abs(psi), np.abs(phi_b - phi))

@@ -11,29 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .signal_model import (
-    EQUIV_TOL,
-    GridSpec,
-    Signal,
-    equivalent_up_to_phase,
-    phase_fit,
-    phase_residuals,
-)
+from .signal_model import EQUIV_TOL, GridSpec, Signal, phase_fit, phase_residuals
 from .window_engine import WindowPair
-from .stft_engine import (
-    MeasurementSet,
-    TimeNodes,
-    measure,
-    measure_batch,
-    node_segment,
-    sup_dev,
-    windowed_segment,
-)
-from .local_recovery import slot_reflect
+from .stft_engine import MeasurementSet, TimeNodes, measure_batch, sup_dev
 
 #: Fingerprint quantum: coarser than measurement roundoff (~1e-10), finer
 #: than the gaps between genuinely different magnitude patterns seen at this
@@ -406,115 +390,3 @@ def is_conjugate_twist_mate(cf: np.ndarray, cg: np.ndarray) -> bool:
         if np.max(np.abs(vals_g - nu * zeta ** ks.astype(float) * vals_f)) <= tol:
             return True
     return False
-
-
-def _same_content(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether two node contents agree up to phase, or u's slot mate agrees
-    with v up to phase, at ``EQUIV_TOL``: the one window-content rule."""
-    if phase_residuals(u, v) <= EQUIV_TOL:
-        return True
-    mate = slot_reflect(u)
-    return mate is not None and phase_residuals(mate, v) <= EQUIV_TOL
-
-
-def per_window_gluing_check(
-    f: Signal,
-    g: Signal,
-    pair: WindowPair,
-    nodes: TimeNodes,
-) -> bool:
-    """Whether g looks like f, per node window, up to a free phase and an
-    optional slot reflection in each window separately.  Non-overlapping
-    windows (step a > B) cannot pin these choices to each other, which is
-    exactly how their collisions arise.
-    """
-    scale = max(
-        float(np.max(np.abs(f.samples))), float(np.max(np.abs(g.samples))), 1e-300
-    )
-    for t in nodes.times:
-        hf = windowed_segment(f, pair, t)
-        hg = windowed_segment(g, pair, t)
-        if max(np.max(np.abs(hf)), np.max(np.abs(hg))) <= 1e-12 * scale:
-            continue
-        if not _same_content(hf, hg):
-            return False
-    return True
-
-
-def lemma32_equivalence_check(f: Signal, g: Signal, pair: WindowPair, t: float) -> bool:
-    """Truth of the single-node biconditional: the two windows' magnitudes at
-    t agree exactly when the signals restricted to the node window agree up
-    to phase or up to a conjugate reflection about t.
-
-    The check is repeated under eight random global phase rotations of g,
-    which change neither side; all repetitions must agree.
-    """
-    nodes = TimeNodes(mode="lattice", times=(float(t),))
-    mf = measure(f, pair, nodes)
-    hf = node_segment(f.grid, t, f.samples).samples
-    rng = np.random.default_rng(0)
-    outcomes = []
-    for trial in range(9):
-        gs = g if trial == 0 else Signal(
-            g.grid, g.samples * np.exp(2j * np.pi * rng.random())
-        )
-        mg = measure(gs, pair, nodes)
-        scale = max(float(np.max(mf.mags)), float(np.max(mg.mags)), 1.0)
-        lhs, _ = measurements_equal(mf, mg, tol=1e-10 * scale)
-        hg = node_segment(gs.grid, t, gs.samples).samples
-        outcomes.append(lhs == _same_content(hf, hg))
-    return all(outcomes)
-
-
-@dataclass(frozen=True)
-class RefinementReport:
-    steps: Tuple[float, ...]
-    deviations: Tuple[float, ...]
-    forced_at: Optional[int]
-    phase_equivalent: bool
-
-
-def semidiscrete_refinement_check(
-    f: Signal,
-    g: Signal,
-    pair: WindowPair,
-    *,
-    a0: Optional[float] = None,
-) -> RefinementReport:
-    """Stand-in for measurements over all real times: halve the node step
-    (``a0``, B by default) at each of four levels and report the first level
-    whose measurements separate the pair by more than 1e-10 of their scale
-    (or level 0 if the pair was equivalent to begin with).
-
-    Only nodes whose windows sit fully inside the horizon are used, so the
-    finite-span truncation of an unbounded signal cannot masquerade as a
-    separation.  forced_at None means the pair survives every scanned
-    level, the signature of a genuine all-time counterexample.
-    """
-    grid = f.grid
-    if a0 is None:
-        a0 = grid.B
-    phase_eq = equivalent_up_to_phase(f, g)
-    forced = 0 if phase_eq else None
-    steps: List[float] = []
-    devs: List[float] = []
-    for level in range(4):
-        step = a0 / 2 ** level
-        m_range = TimeNodes.inside_range(grid, step)
-        steps.append(step)
-        if not m_range:
-            devs.append(0.0)
-            continue
-        nodes = TimeNodes.lattice(step, m_range)
-        mf = measure(f, pair, nodes)
-        scale = max(float(np.max(mf.mags)), 1.0)
-        equal, dev = measurements_equal(mf, measure(g, pair, nodes), tol=1e-10 * scale)
-        devs.append(dev)
-        if forced is None and not equal:
-            forced = level
-    return RefinementReport(
-        steps=tuple(steps),
-        deviations=tuple(devs),
-        forced_at=forced,
-        phase_equivalent=phase_eq,
-    )

@@ -307,6 +307,34 @@ def test_the_stitcher_takes_no_matrix_product_of_its_own():
     assert products == []
 
 
+def _forward_sign_holders(path: Path):
+    """The top-level functions of ``path`` that hold the literal ``-2j``, the
+    forward kernel's exp(-2i pi x omega) sign, as ``_top_level_callers``
+    names them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.UnaryOp)
+                and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant)
+                and node.operand.value == 2j
+            ):
+                yield getattr(top, "name", f"line {top.lineno}")
+
+
+def test_only_the_exponential_tables_hold_the_forward_kernels_sign():
+    # node_exponentials builds every table the forward map multiplies by,
+    # and _pricing_tables local recovery's slot-offset copy of them; a third
+    # holder of -2j would be a second forward map beside node_transforms
+    holders = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _forward_sign_holders(path)
+    }
+    assert holders == {"stft_engine.node_exponentials", "local_recovery._pricing_tables"}
+
+
 def test_only_pair_equivalent_runs_the_reflection_test():
     # pair_equivalent is the one pair verdict: the oracle's scans and every
     # 1-D check call it, and a caller of _reflection_residual elsewhere would

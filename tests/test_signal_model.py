@@ -10,6 +10,7 @@ from twowin import (
     Signal,
     TimeNodes,
     build_window,
+    check_difference_identity,
     conj_reflect,
     equivalent_up_to_phase,
     forge,
@@ -22,7 +23,6 @@ from twowin import (
     phase_residuals,
     random_nonseparable,
     reconstruct,
-    stft_value,
 )
 from twowin.local_recovery import CLASS_TOL, _phase_match
 from twowin.signal_model import (
@@ -104,8 +104,8 @@ WHOLE_CELL_REFUSALS = {
         lambda: forge("quasiperiodic_flip", T=1.3, alpha=0.75), "piece edge B - T", 1.0 - 1.3, -0.25
     ),
     "rational_lattice-a": (lambda: forge("rational_lattice", a=0.3), "lattice step a", 0.3, D9),
-    "stft_value-t": (
-        lambda: stft_value(Signal(GRID, np.ones(16)), _user_window(), "phi", 0.3, 0.25),
+    "check_difference_identity-t": (
+        lambda: check_difference_identity(np.ones((1, 16)), _user_window(), [0.3]),
         "node time", 0.3, 0.5,
     ),
     "measure-t": (

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,12 @@ from twowin import (
     default_anchor,
     measure,
     measure_batch,
-    stft_value,
     windowed_segment,
 )
-from twowin.stft_engine import NODE_BLOCK, node_exponentials, node_magnitudes, node_segment
+from twowin.stft_engine import (
+    DIFFERENCE_IDENTITY_TOL, NODE_BLOCK, node_exponentials, node_magnitudes, node_segment,
+    node_transforms,
+)
 
 
 GRID = GridSpec(B=1.0, L=4, origin=8, horizon=16)
@@ -118,13 +122,35 @@ def test_measure_shapes_and_zero_signal(make_signal):
     assert np.all(measure(zero, PAIR, nodes).mags == 0.0)
 
 
+def _defining_sum(f, window_at, t, omega):
+    """V(t, omega) as the module docstring writes it: delta times the sum of
+    f(x_k) conj(w(x_k - t)) exp(-2i pi x_k omega) over x_k - t in [-B, B)."""
+    x = f.grid.coords()
+    inside = (x - t >= -f.grid.B) & (x - t < f.grid.B)
+    return f.grid.delta * np.sum(
+        f.samples[inside]
+        * np.conj(window_at(x[inside] - t))
+        * np.exp(-2j * np.pi * x[inside] * omega)
+    )
+
+
+def _kernel_value(f, pair, t, omega):
+    """V_phi(t, omega) of one signal at one node and bin, through the block
+    kernel's own pieces."""
+    seg = node_segment(f.grid, [t], f.samples[None], pair, ("phi",))
+    E = node_exponentials(f.grid, seg.cells, np.array([omega]))
+    conj_windows = np.stack(seg.conj_windows)[:, :, None]
+    V = node_transforms(seg.samples.swapaxes(0, 1), conj_windows, E, f.grid.delta)
+    return complex(V[0, 0, 0, 0])
+
+
 def test_measure_matches_pointwise_transform(make_signal):
     f = make_signal(GRID, 11)
     nodes = TimeNodes.lattice_covering(GRID, 0.5)
     ms = measure(f, PAIR, nodes)
     for ti, t in enumerate(nodes.times):
         for bi, omega in enumerate(ms.freqs.omegas):
-            want = abs(stft_value(f, PAIR, "phi", t, omega))
+            want = abs(_defining_sum(f, PAIR.phi_at, t, omega))
             assert ms.mags[0, ti, bi] == pytest.approx(want, abs=1e-13)
 
 
@@ -133,27 +159,20 @@ def test_half_open_window_convention():
     seg = windowed_segment(ones, PAIR, 0.0)
     # cells at x = -1, -0.5, 0, 0.5: the +B edge is excluded, the -B edge kept
     np.testing.assert_allclose(seg, np.ones(4))
-    val = stft_value(ones, PAIR, "phi", 0.0, 0.0)
+    val = _kernel_value(ones, PAIR, 0.0, 0.0)
     assert val == pytest.approx(GRID.delta * 4)
 
 
 def test_off_grid_node_analytic_vs_user():
     f = Signal(GRID, np.arange(16) * (0.3 - 0.1j))
     t = 0.3
-    # analytic profiles evaluate anywhere; check against the defining sum
-    k = np.arange(GRID.horizon)
-    x = GRID.x(k)
-    inside = (x - t >= -1.0) & (x - t < 1.0)
     omega = 0.25
-    want = GRID.delta * np.sum(
-        f.samples[inside]
-        * np.conj(PAIR.phi_at(x[inside] - t))
-        * np.exp(-2j * np.pi * x[inside] * omega)
-    )
-    assert stft_value(f, PAIR, "phi", t, omega) == pytest.approx(want)
+    # analytic profiles evaluate anywhere; check against the defining sum
+    want = _defining_sum(f, PAIR.phi_at, t, omega)
+    assert _kernel_value(f, PAIR, t, omega) == pytest.approx(want)
     user = build_window("user", GRID, samples=np.ones(4))
     with pytest.raises(OffGridError):
-        stft_value(f, user, "phi", t, omega)
+        _kernel_value(f, user, t, omega)
 
 
 def test_measure_batch_agrees_with_measure(make_signal):
@@ -291,9 +310,26 @@ def test_measure_batch_rejects_inputs_from_another_grid(pair, freqs, horizon, me
 
 def test_difference_identity_small_defect(make_signal):
     f = make_signal(GRID, 9)
-    for t in (-1.0, 0.0, 1.0):
-        for n in (-4, -1, 0, 3):
-            assert check_difference_identity(f, PAIR, t, n) <= 1e-12
+    assert check_difference_identity(f.samples[None], PAIR, [-1.0, 0.0, 1.0]) <= 1e-12
+    # one bare row of 16 samples at 4 nodes of 4 cells would broadcast into a
+    # wrong defect instead of failing, so the check takes rows only
+    times = [-1.0, -0.5, 0.0, 0.5]
+    with pytest.raises(ValueError, match=r"\(n, 16\) sample rows"):
+        check_difference_identity(f.samples, PAIR, times)
+
+
+def test_difference_identity_check_reads_a_mismatched_pair(make_signal):
+    # psi's slot samples were modulated with the built b; a pair whose b is
+    # changed afterwards breaks the identity on the grid
+    rows = np.stack([make_signal(GRID, seed).samples for seed in (3, 4, 5)])
+    times = TimeNodes.lattice_covering(GRID, 0.5).times
+    broken = dataclasses.replace(PAIR, b=0.5 * PAIR.b)
+    assert check_difference_identity(rows, broken, times) > 1e3 * DIFFERENCE_IDENTITY_TOL
+    # an analytic pair evaluates both windows off the grid: roundoff only
+    raised = build_window("raised_cosine", GRID, b=0.3)
+    off_grid = [-1.3, -0.2, 0.3, default_anchor(0.5, 16), 1.7]
+    assert check_difference_identity(rows, PAIR, off_grid) <= 1e-12
+    assert check_difference_identity(rows, raised, off_grid) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
@@ -13,16 +15,19 @@ from twowin import (
     build_window,
     default_anchor,
     forge,
+    equivalent_up_to_phase,
     is_conjugate_twist_mate,
-    lemma32_equivalence_check,
     measure,
     measurements_equal,
     pair_equivalent,
-    per_window_gluing_check,
-    semidiscrete_refinement_check,
+    phase_residuals,
+    slot_reflect,
     trig_family,
     uniqueness_oracle,
+    windowed_segment,
 )
+from twowin.signal_model import EQUIV_TOL
+from twowin.stft_engine import node_segment
 
 
 TINY = GridSpec(B=1.0, L=4, origin=2, horizon=4)
@@ -520,12 +525,117 @@ def test_conjugate_twist_mate_detection():
     )
 
 
+# Structural checks of the paper's gluing argument, of Lemma 3.2 and of the
+# semi-discrete refinement, built from the library's public pieces.
+
+
+def _same_content(u, v):
+    """Whether two node contents agree up to phase, or u's slot mate agrees
+    with v up to phase, at ``EQUIV_TOL``: the one window-content rule."""
+    if phase_residuals(u, v) <= EQUIV_TOL:
+        return True
+    mate = slot_reflect(u)
+    return mate is not None and phase_residuals(mate, v) <= EQUIV_TOL
+
+
+def _per_window_gluing_check(f, g, pair, nodes):
+    """Whether g looks like f, per node window, up to a free phase and an
+    optional slot reflection in each window separately.  Non-overlapping
+    windows (step a > B) cannot pin these choices to each other, which is
+    exactly how their collisions arise.
+    """
+    scale = max(
+        float(np.max(np.abs(f.samples))), float(np.max(np.abs(g.samples))), 1e-300
+    )
+    for t in nodes.times:
+        hf = windowed_segment(f, pair, t)
+        hg = windowed_segment(g, pair, t)
+        if max(np.max(np.abs(hf)), np.max(np.abs(hg))) <= 1e-12 * scale:
+            continue
+        if not _same_content(hf, hg):
+            return False
+    return True
+
+
+def _lemma32_equivalence_check(f, g, pair, t):
+    """Truth of the single-node biconditional: the two windows' magnitudes at
+    t agree exactly when the signals restricted to the node window agree up
+    to phase or up to a conjugate reflection about t.
+
+    The check is repeated under eight random global phase rotations of g,
+    which change neither side; all repetitions must agree.
+    """
+    nodes = TimeNodes(mode="lattice", times=(float(t),))
+    mf = measure(f, pair, nodes)
+    hf = node_segment(f.grid, t, f.samples).samples
+    rng = np.random.default_rng(0)
+    outcomes = []
+    for trial in range(9):
+        gs = g if trial == 0 else Signal(
+            g.grid, g.samples * np.exp(2j * np.pi * rng.random())
+        )
+        mg = measure(gs, pair, nodes)
+        scale = max(float(np.max(mf.mags)), float(np.max(mg.mags)), 1.0)
+        lhs, _ = measurements_equal(mf, mg, tol=1e-10 * scale)
+        hg = node_segment(gs.grid, t, gs.samples).samples
+        outcomes.append(lhs == _same_content(hf, hg))
+    return all(outcomes)
+
+
+@dataclass(frozen=True)
+class _RefinementReport:
+    steps: Tuple[float, ...]
+    deviations: Tuple[float, ...]
+    forced_at: Optional[int]
+    phase_equivalent: bool
+
+
+def _semidiscrete_refinement_check(f, g, pair, *, a0=None):
+    """Stand-in for measurements over all real times: halve the node step
+    (``a0``, B by default) at each of four levels and report the first level
+    whose measurements separate the pair by more than 1e-10 of their scale
+    (or level 0 if the pair was equivalent to begin with).
+
+    Only nodes whose windows sit fully inside the horizon are used, so the
+    finite-span truncation of an unbounded signal cannot masquerade as a
+    separation.  forced_at None means the pair survives every scanned
+    level, the signature of a genuine all-time counterexample.
+    """
+    grid = f.grid
+    if a0 is None:
+        a0 = grid.B
+    phase_eq = equivalent_up_to_phase(f, g)
+    forced = 0 if phase_eq else None
+    steps = []
+    devs = []
+    for level in range(4):
+        step = a0 / 2 ** level
+        m_range = TimeNodes.inside_range(grid, step)
+        steps.append(step)
+        if not m_range:
+            devs.append(0.0)
+            continue
+        nodes = TimeNodes.lattice(step, m_range)
+        mf = measure(f, pair, nodes)
+        scale = max(float(np.max(mf.mags)), 1.0)
+        equal, dev = measurements_equal(mf, measure(g, pair, nodes), tol=1e-10 * scale)
+        devs.append(dev)
+        if forced is None and not equal:
+            forced = level
+    return _RefinementReport(
+        steps=tuple(steps),
+        deviations=tuple(devs),
+        forced_at=forced,
+        phase_equivalent=phase_eq,
+    )
+
+
 def test_per_window_gluing():
     fp = forge("wide_step")
-    assert per_window_gluing_check(fp.f, fp.g, fp.pair, fp.nodes)
+    assert _per_window_gluing_check(fp.f, fp.g, fp.pair, fp.nodes)
     gv = fp.g.samples.copy()
     gv[fp.f.grid.origin] += 0.5
-    assert not per_window_gluing_check(fp.f, Signal(fp.f.grid, gv), fp.pair, fp.nodes)
+    assert not _per_window_gluing_check(fp.f, Signal(fp.f.grid, gv), fp.pair, fp.nodes)
 
 
 def test_single_node_biconditional():
@@ -533,15 +643,15 @@ def test_single_node_biconditional():
     pair = build_window("rectangular", grid)
     f = Signal(grid, _rand(24, 4))
     same = Signal(grid, np.exp(1.1j) * f.samples)
-    assert lemma32_equivalence_check(f, same, pair, t=0.3)
+    assert _lemma32_equivalence_check(f, same, pair, t=0.3)
     bumped = f.samples.copy()
     bumped[12] += 0.8
-    assert lemma32_equivalence_check(f, Signal(grid, bumped), pair, t=0.3)
+    assert _lemma32_equivalence_check(f, Signal(grid, bumped), pair, t=0.3)
 
 
 def test_refinement_forces_separable_pair_at_level_one():
     fp = forge("separable_gap")
-    rep = semidiscrete_refinement_check(fp.f, fp.g, fp.pair)
+    rep = _semidiscrete_refinement_check(fp.f, fp.g, fp.pair)
     assert rep.steps == (1.0, 0.5, 0.25, 0.125)
     assert not rep.phase_equivalent
     assert rep.forced_at == 1
@@ -551,7 +661,7 @@ def test_refinement_forces_separable_pair_at_level_one():
 
 def test_refinement_forces_wide_step_pair():
     fp = forge("wide_step")
-    rep = semidiscrete_refinement_check(fp.f, fp.g, fp.pair, a0=fp.params["a"])
+    rep = _semidiscrete_refinement_check(fp.f, fp.g, fp.pair, a0=fp.params["a"])
     assert rep.forced_at == 1
     assert not rep.phase_equivalent
 
@@ -560,7 +670,7 @@ def test_refinement_reports_phase_pair_at_zero():
     grid = GridSpec(B=1.0, L=4, origin=16, horizon=32)
     pair = build_window("rectangular", grid)
     f = Signal(grid, _rand(32, 6))
-    rep = semidiscrete_refinement_check(f, Signal(grid, np.exp(0.4j) * f.samples), pair)
+    rep = _semidiscrete_refinement_check(f, Signal(grid, np.exp(0.4j) * f.samples), pair)
     assert rep.forced_at == 0
     assert rep.phase_equivalent
     assert max(rep.deviations) <= 1e-10
@@ -577,7 +687,7 @@ def test_refinement_never_separates_wide_gap_pair():
     f = Signal(grid, vals)
     gv = vals.copy()
     gv[22:32] *= np.exp(2.2j)
-    rep = semidiscrete_refinement_check(f, Signal(grid, gv), pair)
+    rep = _semidiscrete_refinement_check(f, Signal(grid, gv), pair)
     assert rep.forced_at is None
     assert not rep.phase_equivalent
     assert max(rep.deviations) <= 1e-12

@@ -4,10 +4,8 @@ import pytest
 from twowin import (
     GridSpec,
     OffGridError,
-    Signal,
     WindowValidationError,
     build_window,
-    stft_value,
 )
 from twowin.stft_engine import node_segment
 from twowin.window_engine import slot_offsets
@@ -144,15 +142,15 @@ def test_unknown_profile():
 
 
 def test_every_window_name_check_gives_one_message():
-    # stft_value checked the name itself, with another message, before the
-    # pair did; on the grid and off it the pair's check is now the only one
+    # on the grid and off it, the pair's check is the only one: a node
+    # segment asks the pair for the named window's values
     pair = build_window("rectangular", GRID_EVEN)
-    f = Signal(GRID_EVEN, np.ones(GRID_EVEN.horizon))
+    samples = np.ones(GRID_EVEN.horizon)
     calls = [
         lambda: pair.slot_values("chi"),
         lambda: pair.values_at("chi", 0.3),
-        lambda: stft_value(f, pair, "chi", 0.0, 0.25),
-        lambda: stft_value(f, pair, "chi", 0.3, 0.25),
+        lambda: node_segment(GRID_EVEN, 0.0, samples, pair, which=("chi",)),
+        lambda: node_segment(GRID_EVEN, 0.3, samples, pair, which=("chi",)),
     ]
     for call in calls:
         with pytest.raises(ValueError) as exc:
