@@ -2,11 +2,17 @@
 
     python3 scripts/pairs.py PARENT CHANGE --workload pipeline-exhaustive --seeds 1-10
     python3 scripts/pairs.py PARENT CHANGE --workload W1 W2 --seeds 1-10 --record
+    python3 scripts/pairs.py PARENT CHANGE --workload selftest --seeds 1-10 --record
 
 For each workload and seed, runs ``perfbench/run.py --trace 0`` once in each
 checkout, the parent first on odd seeds and the change first on even ones,
 so a drift in the machine's speed falls on both sides alike.  Each run uses
 that checkout's own ``perfbench/`` and ``src/``, with one BLAS thread.
+The ``selftest`` target instead runs ``twowin selftest`` on the checkout's
+``src/`` in a fresh process, a seed being one round of the same alternation
+(the criteria draw their own fixed seeds), and times its wall clock, start
+of the interpreter included, as the one metric ``wall_s``; a run whose
+criteria do not all pass is a wrong output.
 Then, for every end-to-end metric that ``BENCHMARK.json`` lists, it prints
 each side's median and quartiles and how many pairs the change won: a pair
 is won when the change's value is better, in the metric's direction, than
@@ -28,7 +34,8 @@ With ``--record`` it also writes ``BENCH_<parent>-<change>.json`` at the
 repository root, the two labels being each checkout's short git rev (or its
 directory name outside git).  Each workload then ends with one
 ``--trace 1`` run per side, on the first seed, whose spans land in that
-checkout's ``perfbench/spans/``.  The record holds the machine, Python and
+checkout's ``perfbench/spans/``; ``selftest`` has no traced run, and its
+record holds null for ``seconds`` and ``traced``.  The record holds the machine, Python and
 numpy of the first run that finished, and for each workload: every run's
 seed, side, result line and failure (null when it finished right), the
 table's rows with both verdicts, the failed share, the failed runs per
@@ -50,6 +57,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -59,6 +67,10 @@ SIDES = ("parent", "change")
 #: the machine fields of a run's record that name the machine, not the run
 MACHINE = ("nproc", "cpus_usable", "cpu_model", "platform", "python", "numpy", "blas",
            "blas_threads")
+SELFTEST = "selftest"
+#: the ``selftest`` target's one end-to-end metric; its bound is the one
+#: ``BENCHMARK.json`` gives every time metric
+SELFTEST_METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
 
 
 def seed_list(tokens):
@@ -70,11 +82,34 @@ def seed_list(tokens):
     return seeds
 
 
+def run_selftest(checkout: Path) -> dict:
+    """One ``twowin selftest`` on the checkout's ``src/``, in a fresh process
+    with one BLAS thread, in ``run_once``'s shape: its result has one item,
+    failed unless every criterion passed, and the wall time as ``wall_s``;
+    it names no machine.  A run that ends on an error has no result."""
+    cmd = [sys.executable, "-m", "twowin.cli", "selftest"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode not in (0, 1) or done.stderr.strip():
+        tail = done.stderr.strip().splitlines()[-1:] or [""]
+        return {"result": None, "machine": None,
+                "failure": f"exited {done.returncode}: {tail[0]}"}
+    passed = done.returncode == 0
+    result = {"correct": passed, "attempted": 1, "failed": int(not passed),
+              "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+    return {"result": result, "machine": None, "failure": None if passed else "wrong output"}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One run, untraced by default: ``{"result", "machine", "failure"}``,
     where result is the run's result line (None when it has none), machine
     its record's machine block, and failure None for a run that finished
-    right."""
+    right.  The ``selftest`` target is ``run_selftest``'s."""
+    if workload == SELFTEST:
+        return run_selftest(checkout)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -208,10 +243,11 @@ def entries_share(entries) -> dict:
 
 
 def workload_record(metrics, entries, seconds, traced) -> dict:
-    """One workload's part of the record; ``traced`` is ``traced_runs``'."""
+    """One workload's part of the record; ``traced`` is ``traced_runs``'
+    (None for ``selftest``, which also records no ``seconds``)."""
     runs = complete_pairs(entries)
     return {
-        "seconds": seconds,
+        "seconds": None if traced is None else seconds,
         "runs": [{k: e[k] for k in ("seed", "side", "result", "failure")} for e in entries],
         "table": verdicts(metrics, runs) if runs else [],
         "failed_share": entries_share(entries),
@@ -246,21 +282,25 @@ def main(argv=None) -> int:
                    help="also write BENCH_<parent>-<change>.json at the repository root")
     args = p.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     checkouts, by_workload = (args.parent, args.change), {}
     labels = [label(c) for c in checkouts] if args.record else None
     for workload in args.workload:
+        metrics = SELFTEST_METRICS if workload == SELFTEST else end_to_end
         entries = pair_workload(checkouts, workload, seed_list(args.seeds), args.seconds)
         by_workload[workload] = entries
         runs = complete_pairs(entries)
-        print(f"{workload}: {len(runs)} alternating pair(s) of {args.seconds:g} s runs")
+        what = "selftest runs" if workload == SELFTEST else f"{args.seconds:g} s runs"
+        print(f"{workload}: {len(runs)} alternating pair(s) of {what}")
         print(table(metrics, runs, entries_share(entries)))
         for e in entries:
             if e["failure"] is not None:
                 print(f"failed run: seed {e['seed']} {e['side']}: {e['failure']}")
         if args.record:  # after each workload, so a later stop keeps this one
-            traced = traced_runs(checkouts, workload, seed_list(args.seeds)[0], args.seconds)
-            for side, run in traced.items():
+            traced = None
+            if workload != SELFTEST:
+                traced = traced_runs(checkouts, workload, seed_list(args.seeds)[0], args.seconds)
+            for side, run in (traced or {}).items():
                 if run["failure"] is not None:
                     print(f"failed traced run: seed {run['seed']} {side}: {run['failure']}")
             path = write_record(labels, {workload: (entries, traced)}, metrics, args.seconds)

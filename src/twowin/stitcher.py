@@ -23,6 +23,7 @@ from .signal_model import (
     Signal,
     conj_reflect,
     equivalent_up_to_phase,
+    global_phase_align,
     make_periodic,
     period_split,
     periodic_eval,
@@ -440,6 +441,31 @@ def _branch_verdict(
     )
 
 
+def _one_world(
+    direct: Tuple[Signal, np.ndarray],
+    reflected: Signal,
+    ms: MeasurementSet,
+    pair: WindowPair,
+    nodes: TimeNodes,
+) -> Optional[Tuple[Signal, np.ndarray]]:
+    """The branches' phase-aligned midpoint and its magnitudes at every node
+    when the data do not resolve two worlds, else None.
+
+    The midpoint of f and lam g, g = conj_reflect(f), is its own reflection
+    up to the phase conj(lam).  It is measured only when the branches lie
+    within ``ORIENT_TOL`` of each other, closer than the search tells two
+    patches apart, and stands for both when it fits the data no worse than
+    the direct branch: a nearly palindromic input comes back from a node at
+    a branch point of its factorisation with its error along f - lam g.
+    """
+    align = global_phase_align(direct[0], reflected)
+    if align.residual > ORIENT_TOL:
+        return None
+    mid = Signal(pair.grid, (direct[0].samples + align.lam * reflected.samples) / 2)
+    mags = measure(mid, pair, nodes, ms.freqs).mags
+    return (mid, mags) if sup_dev(mags, ms.mags) <= sup_dev(direct[1], ms.mags) else None
+
+
 def resolve_reflection(
     assembly: AlignedAssembly,
     ms: MeasurementSet,
@@ -456,12 +482,14 @@ def resolve_reflection(
     it is not representable on the horizon, or its lattice measurements
     differ from the data, the direct branch stands alone (for finite-support
     inputs the reflected world forces magnitude relations that fail on
-    re-measurement).  With an anchor node, whichever branch reproduces the
+    re-measurement).  Two branches that both fit the lattice are one world,
+    their midpoint, when the data do not resolve them (``_one_world``).
+    Otherwise, with an anchor node, whichever branch reproduces the
     anchor magnitudes is selected; if both do, the ambiguity is reported
     unresolved rather than silently picked.  The direct branch's lattice
-    magnitudes come with the assembly, so only its anchor row (if any) and
-    the reflected branch are measured, each once; every judgment and the
-    residual read those magnitudes.
+    magnitudes come with the assembly, so only its anchor row (if any), the
+    reflected branch and a midpoint are measured, each once; every judgment
+    and the residual read those magnitudes.
     """
     mag_scale = max(float(ms.mags.max()), 1e-300)
     lat_rows = nodes.lattice_rows
@@ -486,13 +514,17 @@ def resolve_reflection(
         if reflected is not None and not equivalent_up_to_phase(assembly.signal, reflected):
             got = measure(reflected, pair, nodes, ms.freqs).mags
             if sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= ACCEPT_TOL * mag_scale:
-                # with no anchor row to judge them, both branches fit
-                anchor_used = nodes.anchor_index is not None
-                anchor_rows = [nodes.anchor_index] if anchor_used else []
-                chosen, alternative = _branch_verdict(
-                    chosen, (reflected, got), ms, anchor_rows,
-                    "neither branch matches the anchor data",
-                )
+                one = _one_world(chosen, reflected, ms, pair, nodes)
+                if one is not None:
+                    chosen = one
+                else:
+                    # with no anchor row to judge them, both branches fit
+                    anchor_used = nodes.anchor_index is not None
+                    anchor_rows = [nodes.anchor_index] if anchor_used else []
+                    chosen, alternative = _branch_verdict(
+                        chosen, (reflected, got), ms, anchor_rows,
+                        "neither branch matches the anchor data",
+                    )
 
     residual = sup_dev(chosen[1], ms.mags) / mag_scale
     if residual > ACCEPT_TOL:
@@ -527,9 +559,10 @@ def reconstruct(
 
     Runs local recovery at the lattice nodes, chains phases across the
     overlaps, and settles the reflection branch (with anchor data when the
-    node set carries an anchor).  Where the step fits into B m >= 2 times,
-    only rows r0, r0 + 2m, r0 + 4m, ... and a last row end are recovered,
-    chosen by the cells their windows hold: r0 is the last row whose
+    node set carries an anchor).  The step fits into B m = (L // 2) // k_a
+    >= 1 times (k_a its cells), and only rows r0, r0 + 2m, r0 + 4m, ... and
+    a last row end are recovered, chosen by the cells their windows hold
+    (every other row at a = B): r0 is the last row whose
     on-horizon cells start where row 0's do, and end the first whose cells
     end where the last row's do, so the windows abut (or overlap) and cover
     the cells the lattice covers; when end <= r0 its window holds them all
@@ -588,7 +621,7 @@ def reconstruct(
             classes, pair, a, times=times, lattice_mags=lattice_mags, freqs=ms.freqs
         )
 
-    if m > 1 and n:  # an anchor alone leaves no lattice row
+    if n:  # an anchor alone leaves no lattice row
         _, lo, hi = _window_runs(grid, times)
         r0, end = int(lo.searchsorted(lo[0], side="right")) - 1, int(hi.searchsorted(hi[-1]))
         try:

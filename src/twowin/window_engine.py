@@ -83,6 +83,42 @@ class WindowPair:
     psi: np.ndarray
     params: Dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        """Validate the pair however it is made (``build_window``, a direct
+        construction or ``dataclasses.replace``): b in (0, 1/(2B)], phi
+        conjugate-symmetric and nonvanishing on the slots, and psi bit for
+        bit phi modulated with this b, the second window ``values_at``
+        evaluates off the slots."""
+        grid, b, phi = self.grid, self.b, self.phi
+        if not 0 < b <= 1.0 / (2.0 * grid.B) + 1e-15:
+            raise WindowValidationError(
+                "modulation step range",
+                None,
+                f"b={b!r} outside (0, 1/(2B)] = (0, {1.0 / (2.0 * grid.B)!r}]",
+            )
+        scale = max(1.0, float(np.max(np.abs(phi))))
+        # conjugate symmetry phi(-u) = conj(phi(u)); the slot at -B (even L,
+        # j=0) has no mirror inside [-B, B) and is exempt
+        s = grid.L // 2
+        for j in range(grid.L):
+            jm = 2 * s - j
+            if 0 <= jm < grid.L:
+                if abs(phi[jm] - np.conj(phi[j])) > 1e-12 * scale:
+                    raise WindowValidationError(
+                        "conjugate symmetry",
+                        j,
+                        f"phi({-(j - s)}*delta)={phi[jm]!r} != conj(phi({j - s}*delta))={np.conj(phi[j])!r}",
+                    )
+        mods = np.abs(phi)
+        bad = np.flatnonzero(mods < EPS_WIN)
+        if bad.size:
+            raise WindowValidationError("nonvanishing", int(bad[0]), f"|phi|={mods[bad[0]]!r} < {EPS_WIN}")
+        psi, want = np.asarray(self.psi, dtype=np.complex128), _modulate(phi, slot_offsets(grid), b)
+        if psi.shape != want.shape or psi.tobytes() != want.tobytes():
+            raise WindowValidationError(
+                "second window modulation", None, f"psi is not phi modulated with b={b!r}"
+            )
+
     @property
     def supports_offgrid(self) -> bool:
         return self.profile != "user"
@@ -120,32 +156,6 @@ class WindowPair:
         if which not in ("phi", "psi"):
             raise ValueError(f"window must be 'phi' or 'psi', got {which!r}")
         return which == "phi"
-
-
-def _validate_pair(grid: GridSpec, b: float, phi: np.ndarray) -> None:
-    if not 0 < b <= 1.0 / (2.0 * grid.B) + 1e-15:
-        raise WindowValidationError(
-            "modulation step range",
-            None,
-            f"b={b!r} outside (0, 1/(2B)] = (0, {1.0 / (2.0 * grid.B)!r}]",
-        )
-    scale = max(1.0, float(np.max(np.abs(phi))))
-    # conjugate symmetry phi(-u) = conj(phi(u)); the slot at -B (even L, j=0)
-    # has no mirror inside [-B, B) and is exempt
-    s = grid.L // 2
-    for j in range(grid.L):
-        jm = 2 * s - j
-        if 0 <= jm < grid.L:
-            if abs(phi[jm] - np.conj(phi[j])) > 1e-12 * scale:
-                raise WindowValidationError(
-                    "conjugate symmetry",
-                    j,
-                    f"phi({-(j - s)}*delta)={phi[jm]!r} != conj(phi({j - s}*delta))={np.conj(phi[j])!r}",
-                )
-    mods = np.abs(phi)
-    bad = np.flatnonzero(mods < EPS_WIN)
-    if bad.size:
-        raise WindowValidationError("nonvanishing", int(bad[0]), f"|phi|={mods[bad[0]]!r} < {EPS_WIN}")
 
 
 def build_window(
@@ -189,7 +199,6 @@ def build_window(
     else:
         phi = _profile(profile, params, grid.B, u)
     psi = _modulate(phi, u, b)
-    _validate_pair(grid, b, phi)
     phi.setflags(write=False)
     psi.setflags(write=False)
     return WindowPair(grid=grid, b=b, profile=profile, phi=phi, psi=psi, params=params)

@@ -3,7 +3,9 @@ synthetic runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pairs.py"
 _spec = importlib.util.spec_from_file_location("pairs", SCRIPT)
@@ -197,3 +199,60 @@ def test_a_failed_traced_run_is_recorded_and_not_fatal(tmp_path, monkeypatch, ca
     assert mix["failed_runs"] == {"parent": 0, "change": 0}
     assert mix["failed_share"] == {"parent": [0, 30], "change": [0, 30]}
     assert record["workloads"]["long"]["traced"]["change"]["failure"] is None
+
+
+def test_the_selftest_target_times_twowin_selftest_in_fresh_processes(tmp_path, monkeypatch,
+                                                                      capsys):
+    # each run is `python -m twowin.cli selftest` on the checkout's src/ with
+    # one BLAS thread, in the same alternation; the parent takes 4 s and the
+    # change 3 s.  Seed 3's change run fails a criterion (a wrong output) and
+    # seed 4's parent run ends on an error (no result)
+    checkouts = _record_in(tmp_path, monkeypatch)
+    runs, clock = [], [0.0]
+
+    def fake_run(cmd, cwd=None, env=None, capture_output=False, text=False):
+        if cmd[0] == "git":  # the record's labels: no git here
+            return subprocess.CompletedProcess(cmd, 128, "", "")
+        side = Path(cwd).name
+        runs.append((side, cmd[1:], env["OPENBLAS_NUM_THREADS"], env["PYTHONPATH"]))
+        clock[0] += 4.0 if side == "p" else 3.0
+        if len(runs) == 6:
+            return subprocess.CompletedProcess(cmd, 1, "criterion  1 [FAIL] ...\n", "")
+        if len(runs) == 8:
+            return subprocess.CompletedProcess(cmd, 1, "", "Traceback ...\nMemoryError\n")
+        return subprocess.CompletedProcess(cmd, 0, "criterion  1 [PASS] ...\n", "")
+
+    monkeypatch.setattr(pairs, "subprocess",
+                        SimpleNamespace(run=fake_run, CompletedProcess=subprocess.CompletedProcess))
+    monkeypatch.setattr(pairs, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    code = pairs.main([*checkouts, "--workload", "selftest", "--seeds", "1-4", "--record"])
+    assert code == 1
+    # no traced run follows
+    assert [side for side, *_ in runs] == ["p", "c", "c", "p", "p", "c", "c", "p"]
+    for side, argv, threads, path in runs:
+        assert argv == ["-m", "twowin.cli", "selftest"] and threads == "1"
+        assert path == str((tmp_path / side / "src").resolve())
+    out = capsys.readouterr().out
+    assert "selftest: 2 alternating pair(s) of selftest runs" in out
+    assert "failed run: seed 3 change: wrong output" in out
+    assert "failed run: seed 4 parent: exited 1: MemoryError" in out
+    assert "| wall_s (s) | 4 [4, 4] | 3 [3, 3] | 2 of 2 | yes | inside |" in out
+
+    record = json.loads((tmp_path / "BENCH_p-c.json").read_text())
+    selftest = record["workloads"]["selftest"]
+    assert set(selftest) == {"seconds", "runs", "table", "failed_share", "failed_runs", "traced"}
+    assert selftest["seconds"] is None and selftest["traced"] is None
+    assert selftest["failed_runs"] == {"parent": 1, "change": 1}
+    assert selftest["failed_share"] == {"parent": [0, 3], "change": [1, 4]}
+    [row] = selftest["table"]
+    assert (row["metric"], row["unit"], row["won"], row["pairs"], row["claim"], row["bound"]) == (
+        "wall_s", "s", 2, 2, True, "inside")
+    assert row["parent"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
+    assert row["change"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+    wrong = selftest["runs"][5]
+    assert (wrong["seed"], wrong["side"], wrong["failure"]) == (3, "change", "wrong output")
+    assert wrong["result"] == {"correct": False, "attempted": 1, "failed": 1,
+                               "metrics": {"wall_s": {"value": 3.0, "unit": "s"}}}
+    assert selftest["runs"][7]["result"] is None
+    # selftest runs name no machine
+    assert record["machine"] is None

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from twowin import (
     OffGridError,
     Signal,
     TimeNodes,
+    WindowValidationError,
     build_window,
     check_difference_identity,
     default_anchor,
@@ -320,10 +322,14 @@ def test_difference_identity_small_defect(make_signal):
 
 def test_difference_identity_check_reads_a_mismatched_pair(make_signal):
     # psi's slot samples were modulated with the built b; a pair whose b is
-    # changed afterwards breaks the identity on the grid
+    # changed afterwards is refused, and one forced past that check breaks
+    # the identity on the grid
     rows = np.stack([make_signal(GRID, seed).samples for seed in (3, 4, 5)])
     times = TimeNodes.lattice_covering(GRID, 0.5).times
-    broken = dataclasses.replace(PAIR, b=0.5 * PAIR.b)
+    with pytest.raises(WindowValidationError, match="^second window modulation violated"):
+        dataclasses.replace(PAIR, b=0.5 * PAIR.b)
+    broken = copy.copy(PAIR)
+    object.__setattr__(broken, "b", 0.5 * PAIR.b)
     assert check_difference_identity(rows, broken, times) > 1e3 * DIFFERENCE_IDENTITY_TOL
     # an analytic pair evaluates both windows off the grid: roundoff only
     raised = build_window("raised_cosine", GRID, b=0.3)

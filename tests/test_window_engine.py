@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from twowin import (
     build_window,
 )
 from twowin.stft_engine import node_segment
-from twowin.window_engine import slot_offsets
+from twowin.window_engine import WindowPair, _modulate, slot_offsets
 
 
 GRID_EVEN = GridSpec(B=1.0, L=4, origin=8, horizon=16)
@@ -87,6 +89,32 @@ def test_modulation_step_bounds():
     with pytest.raises(WindowValidationError):
         build_window("rectangular", GRID_EVEN, b=0.51)
     assert build_window("rectangular", GRID_EVEN, b=0.5).b == 0.5
+
+
+def test_every_way_of_making_a_pair_is_validated():
+    # the checks run in WindowPair itself, so a direct construction and
+    # dataclasses.replace are held to what build_window is held to
+    pair = build_window("rectangular", GRID_EVEN)
+    fields = {f.name: getattr(pair, f.name) for f in dataclasses.fields(pair)}
+    assert WindowPair(**fields) == pair
+    assert dataclasses.replace(pair, b=pair.b).psi is pair.psi
+    # a b outside (0, 1/(2B)] is refused however psi was made
+    for b in (0.9, 0.0):
+        with pytest.raises(WindowValidationError, match="^modulation step range violated"):
+            WindowPair(**{**fields, "b": b, "psi": _modulate(pair.phi, slot_offsets(GRID_EVEN), b)})
+    # psi must be phi modulated with the pair's own b, bit for bit
+    with pytest.raises(WindowValidationError, match="^second window modulation violated"):
+        dataclasses.replace(pair, b=0.5 * pair.b)
+    nudged = pair.psi.copy()
+    nudged[1] = np.nextafter(nudged[1].real, 2.0) + 1j * nudged[1].imag  # one ulp
+    for psi in (nudged, pair.psi[:3], pair.phi):
+        with pytest.raises(WindowValidationError, match="^second window modulation violated"):
+            WindowPair(**{**fields, "psi": psi})
+    with pytest.raises(WindowValidationError, match="^conjugate symmetry violated"):
+        WindowPair(**{**fields, "phi": np.array([1.0, 1.0, 1.0, 2.0 + 0j])})
+    # a pair rebuilt at another b from its own fields is a valid pair
+    half = _modulate(pair.phi, slot_offsets(GRID_EVEN), 0.5 * pair.b)
+    assert dataclasses.replace(pair, b=0.5 * pair.b, psi=half).b == 0.5 * pair.b
 
 
 def test_user_profile_validation():
