@@ -35,8 +35,9 @@ repository root, the two labels being each checkout's short git rev (or its
 directory name outside git).  Each workload then ends with one
 ``--trace 1`` run per side, on the first seed, whose spans land in that
 checkout's ``perfbench/spans/``; ``selftest`` has no traced run, and its
-record holds null for ``seconds`` and ``traced``.  The record holds the machine, Python and
-numpy of the first run that finished, and for each workload: every run's
+record holds null for ``seconds`` and ``traced``.  The record holds the
+machine, Python and numpy of the first run that finished (``selftest``
+runs name none), and for each workload: every run's
 seed, side, result line and failure (null when it finished right), the
 table's rows with both verdicts, the failed share, the failed runs per
 side, and per side the traced run's seed, per-layer metrics and failure.
