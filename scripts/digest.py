@@ -6,6 +6,18 @@ that claims byte identity cites these lines instead of a one-off script.
 
     python3 scripts/digest.py                    # this checkout's src/
     python3 scripts/digest.py --src OTHER/src    # any other checkout's src/
+    python3 scripts/digest.py --group local --dump local.pkl
+    python3 scripts/digest.py --compare parent.pkl change.pkl
+
+``--group`` digests the named groups only.  ``--dump FILE`` also writes
+every item of every digested group to FILE (a pickle), arrays larger than
+``DUMP_LIMIT`` bytes replaced by their hash; the printed lines do not
+change.  ``--compare A B`` reads two such dumps and prints, for each group
+whose items differ, the items that moved, the outcome class changes (an
+error class, or "returned"), the message changes (any differing string),
+the largest phase-aligned difference between matching arrays (relative to
+the larger norm, after the best unit phase) and the largest change of a
+float, a residual being one; groups in only one dump are named.
 
 The groups:
 
@@ -47,6 +59,7 @@ import contextlib
 import hashlib
 import io
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -57,17 +70,29 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 
 
-class Digest:
-    """A SHA-256 over a canonical byte form of nested values."""
+#: A dumped item keeps arrays up to this many bytes; a larger one is
+#: replaced by its hash, so its moves are seen but not measured.
+DUMP_LIMIT = 1 << 20
 
-    def __init__(self):
+
+class Digest:
+    """A SHA-256 over a canonical byte form of nested values, and with
+    ``record`` the values of each item and the item's own hash."""
+
+    def __init__(self, record: bool = False):
         self.h = hashlib.sha256()
         self.items = 0
+        self.record = [] if record else None
 
     def add(self, *values) -> None:
         self.items += 1
         for v in values:
             self._feed(v)
+        if self.record is not None:
+            item = Digest()
+            for v in values:
+                item._feed(v)
+            self.record.append((item.hexdigest(), _compact(values)))
 
     def _feed(self, v) -> None:
         h = self.h
@@ -104,6 +129,103 @@ class Digest:
 
     def hexdigest(self) -> str:
         return self.h.hexdigest()
+
+
+def _compact(v):
+    """``v`` with every array larger than ``DUMP_LIMIT`` bytes replaced by
+    its digest."""
+    if isinstance(v, np.ndarray) and v.nbytes > DUMP_LIMIT:
+        d = Digest()
+        d.add(v)
+        return ("array digest", d.hexdigest())
+    if isinstance(v, dict):
+        return {k: _compact(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return type(v)(_compact(x) for x in v)
+    return v
+
+
+def _outcome_class(values) -> str:
+    """An item's error class when its values hold an ``outcome`` refusal,
+    else "returned"."""
+    for v in values:
+        if isinstance(v, tuple) and len(v) == 3 and v[0] == "error":
+            return v[1]
+    return "returned"
+
+
+def _differences(a, b, found: dict) -> None:
+    """Walk two dumped values together, recording in ``found`` the largest
+    phase-aligned array difference, the largest float change, the strings
+    that differ, and whether their shapes differ."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape:
+        x, y = a.astype(np.complex128).ravel(), b.astype(np.complex128).ravel()
+        ip = np.vdot(y, x)
+        lam = ip / abs(ip) if abs(ip) > 0 else 1.0
+        ref = max(np.linalg.norm(x), np.linalg.norm(y))
+        if ref > 0:
+            found["array"] = max(found["array"], float(np.linalg.norm(x - lam * y) / ref))
+    elif isinstance(a, (float, np.floating)) and isinstance(b, (float, np.floating)):
+        found["float"] = max(found["float"], abs(float(a) - float(b)))
+    elif isinstance(a, str) and isinstance(b, str):
+        if a != b:
+            found["strings"].append((a, b))
+    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in a:
+            _differences(a[k], b[k], found)
+    elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _differences(x, y, found)
+    elif type(a) is not type(b) or not isinstance(a, np.ndarray) and a != b:
+        found["shape"] = True
+
+
+def compare(a: dict, b: dict) -> list:
+    """For each group of dump ``a`` whose items differ from dump ``b``'s:
+    (name, moved item indices, class changes, message changes, largest
+    phase-aligned difference, largest float change); a group in only one
+    dump comes as (name, None, ...)."""
+    out = []
+    for name in list(a) + [n for n in b if n not in a]:
+        if name not in a or name not in b:
+            out.append((name, None, [], [], 0.0, 0.0))
+            continue
+        items_a, items_b = a[name], b[name]
+        moved = [i for i, (x, y) in enumerate(zip(items_a, items_b)) if x[0] != y[0]]
+        moved += list(range(min(len(items_a), len(items_b)), max(len(items_a), len(items_b))))
+        if not moved:
+            continue
+        classes, messages = [], []
+        found = {"array": 0.0, "float": 0.0, "strings": [], "shape": False}
+        for i in moved:
+            if i >= len(items_a) or i >= len(items_b):
+                classes.append((i, "missing", "missing"))
+                continue
+            (_, x), (_, y) = items_a[i], items_b[i]
+            if _outcome_class(x) != _outcome_class(y):
+                classes.append((i, _outcome_class(x), _outcome_class(y)))
+            before = len(found["strings"])
+            _differences(x, y, found)
+            messages += [(i, s, t) for s, t in found["strings"][before:]]
+        out.append((name, moved, classes, messages, found["array"], found["float"]))
+    return out
+
+
+def print_comparison(rows: list) -> None:
+    if not rows:
+        print("no group moved")
+    for name, moved, classes, messages, diff, change in rows:
+        if moved is None:
+            print(f"{name:12s} in one dump only")
+            continue
+        shown = ", ".join(map(str, moved[:20])) + (", ..." if len(moved) > 20 else "")
+        print(f"{name:12s} {len(moved)} items moved: {shown}")
+        print(f"{'':12s} class changes {len(classes)}, message changes {len(messages)}, "
+              f"largest phase-aligned difference {diff:.3e}, largest float change {change:.3e}")
+        for i, was, now in classes:
+            print(f"{'':12s} item {i}: {was} -> {now}")
+        for i, was, now in messages:
+            print(f"{'':12s} item {i}: {was!r} -> {now!r}")
 
 
 def outcome(run):
@@ -486,18 +608,31 @@ GROUPS = {
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(HERE.parent / "src"), help="the src/ directory to digest")
+    p.add_argument("--group", action="append", choices=list(GROUPS),
+                   help="digest this group only (repeatable)")
+    p.add_argument("--dump", type=Path, help="also write every item of each group here")
+    p.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                   help="compare two dumps instead of digesting")
     args = p.parse_args(argv)
+    if args.compare:
+        a, b = (pickle.loads(path.read_bytes()) for path in args.compare)
+        print_comparison(compare(a, b))
+        return 0
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import twowin as tw
 
     if not Path(tw.__file__).resolve().is_relative_to(src):
         p.error(f"twowin was imported from {tw.__file__}, not from {src}")
-    for name in GROUPS:
-        d = Digest()
+    dumped = {}
+    for name in args.group or GROUPS:
+        d = Digest(record=args.dump is not None)
         start = time.perf_counter()
         GROUPS[name](tw, d)
         print(f"{name:12s} {d.hexdigest()}  {d.items:5d} items  {time.perf_counter() - start:5.1f} s")
+        dumped[name] = d.record
+    if args.dump is not None:
+        args.dump.write_bytes(pickle.dumps(dumped))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +33,17 @@ CLASS_TOL = 1e-6
 #: Survivors whose relative defect exceeds this are polished against both
 #: windows before the classes are formed.
 POLISH_ABOVE = 1e-10
+
+#: The cross-angle screen prices a branch from its roots, exact pricing from
+#: its built coefficients; the two differ by rounding, at most 4.3e-14 over
+#: seeded nodes at L = 8, 12 and 16, and the screen allows this margin.
+SCREEN_MARGIN = 1e-11
+
+#: The screen runs when the whole enumeration could hold this many
+#: (branch, placement) rows; below it, building them all costs less (per
+#: generic node, 0.90x the whole enumeration's speed at 64 rows and 1.16x
+#: at 128, on a 2-core machine).
+SCREEN_MIN_ROWS = 128
 
 #: Enumeration is exponential in the window cell count; refuse beyond this.
 L_MAX = 16
@@ -203,13 +214,55 @@ def _fan_out(
         fan = c.reshape(k + 1, -1, choice.size)
         fan[1 : j + 2] -= choice * fan[: j + 1]
     c = np.ascontiguousarray(c.T)
-    pool = set(forced).union(*[[r for r, _ in o] for o in options])
-    if all(r.conjugate() in pool for r in forced) and all(
-        any(r.conjugate() in pool for r, _ in o) for o in options
-    ):
+    if _closable(forced, options):
         real = _conjugate_closed(_branch_rows(forced, options)[0])
         c[real] = c[real].real
     return c
+
+
+def _closable(
+    forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
+) -> bool:
+    """Whether any branch can be closed under conjugation: only when every
+    pair offers a root whose conjugate is among the roots."""
+    pool = set(forced).union(*[[r for r, _ in o] for o in options])
+    return all(r.conjugate() in pool for r in forced) and all(
+        any(r.conjugate() in pool for r, _ in o) for o in options
+    )
+
+
+def _poly_rows(roots: np.ndarray, closable: bool) -> np.ndarray:
+    """Monic coefficients, highest degree first, of each row of ``roots``:
+    ``_fan_out``'s steps taken one row at a time, so a branch built here has
+    the bits the fan-out gives it, the conjugation check included."""
+    n, k = roots.shape
+    c = np.zeros((k + 1, n), dtype=np.complex128)
+    c[0] = 1.0
+    for j in range(k):
+        c[1 : j + 2] -= roots[:, j] * c[: j + 1]
+    c = np.ascontiguousarray(c.T)
+    if closable:
+        real = _conjugate_closed(roots)
+        c[real] = c[real].real
+    return c
+
+
+def _picks(sizes: Tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """Each listed branch's option per pair, the branches being numbered as
+    ``_branch_rows`` numbers them over pairs of ``sizes`` options."""
+    stride, radix = _radices(sizes)
+    return rows[:, None] // stride % radix
+
+
+@lru_cache(maxsize=64)
+def _radices(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """The branch number's place value of each pair's choice, the last
+    pair's varying fastest, and the pairs' option counts; read-only."""
+    stride = np.array([math.prod(sizes[j + 1 :]) for j in range(len(sizes))], dtype=np.intp)
+    radix = np.array(sizes, dtype=np.intp)
+    for table in (stride, radix):
+        table.setflags(write=False)
+    return stride, radix
 
 
 def _unit_cores(poly: np.ndarray, a0: float) -> np.ndarray:
@@ -241,6 +294,7 @@ def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
 
 
 Linearize = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+Screen = Callable[..., Optional[Tuple[np.ndarray, np.ndarray]]]
 
 
 def _gauss_newton(h: np.ndarray, linearize: Linearize) -> np.ndarray:
@@ -318,20 +372,27 @@ def _factor_once(
     s_eff: int,
     a0: float,
     circle_tol: float,
-) -> np.ndarray:
+    screen: Optional[Screen] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """One classify/pair/build/validate pass at a given circle tolerance, with
     the branches holding circle roots fitted to the lags only when no branch
     validates.
 
-    Returns the validated cores, one per row.
+    With a ``screen`` (``_cross_angle_screen`` bound to the node's data),
+    only the branches that fit the data cleanly are built, with the
+    fan-out's steps, and none needs the lag check; when the screen defers
+    to the whole enumeration, or no branch fits, every branch is built and
+    checked, as without a screen.  Returns the cores, one per row, and a
+    mask of each one's placements that fit, or None when every placement
+    of every branch stands.
     """
-    dist = np.abs(np.hypot(roots.real, roots.imag) - 1.0)
-    on_circle = [complex(r) for r in roots[dist <= circle_tol]]
+    near = np.abs(np.hypot(roots.real, roots.imag) - 1.0) <= circle_tol
+    on_circle = [complex(r) for r in roots[near]]
 
     # unit-circle roots arrive as even-multiplicity clusters; each cluster of
     # 2m split copies stands for one root of multiplicity m in the factor
     forced: List[complex] = []
-    chord = max(2 * np.sqrt(PAIRING_TOL), 4 * circle_tol)
+    chord = max(2 * math.sqrt(PAIRING_TOL), 4 * circle_tol)
     for cluster in _cluster_circle_roots(on_circle, chord):
         if len(cluster) % 2:
             raise UnrealizableAutocorrelation(
@@ -344,7 +405,7 @@ def _factor_once(
             )
         forced.extend([centroid / abs(centroid)] * (len(cluster) // 2))
 
-    pairs = _mirror_pairs(roots[dist > circle_tol], max(PAIRING_TOL, circle_tol))
+    pairs = _mirror_pairs(roots[~near], max(PAIRING_TOL, circle_tol))
 
     # a mirror pair sitting right on the circle is indistinguishable from a
     # split double circle root; offer the fused reading as an extra branch
@@ -366,6 +427,22 @@ def _factor_once(
         branch_count *= len(opts)
 
     tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    if screen is not None:
+        # each pair's options as one row of three, a pair without a fused
+        # option repeating its second
+        table = np.array([[o[0][0], o[1][0], o[-1][0]] for o in options], dtype=np.complex128)
+        table = table.reshape(-1, 3)
+        sizes = tuple(len(o) for o in options)
+        screened = screen(forced, table, sizes)
+        if screened is not None and screened[0].size:
+            # a branch within POLISH_ABOVE of the first window's data has lags
+            # within about 2 POLISH_ABOVE a0 of the node's, far inside the lag
+            # tolerance: the fan-out's steps build it, and it stands
+            rows, fits = screened
+            chosen = table[np.arange(len(sizes)), _picks(sizes, rows)]
+            if forced:
+                chosen = np.hstack([np.broadcast_to(forced, (rows.size, len(forced))), chosen])
+            return _unit_cores(_poly_rows(chosen, _closable(forced, options)), a0), fits
     cores = _unit_cores(_fan_out(forced, options), a0)
     ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
     if not ok.any():
@@ -380,22 +457,132 @@ def _factor_once(
         raise UnrealizableAutocorrelation(
             "autocorrelation not realizable: every pairing branch failed validation"
         )
-    return cores[ok]
+    return cores[ok], None
 
 
-def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
-    """All length-L content vectors whose autocorrelation matches ``acorr``.
+def _cross_angle_screen(
+    forced: Sequence[complex],
+    table: np.ndarray,
+    sizes: Tuple[int, ...],
+    *,
+    s_eff: int,
+    a0: float,
+    phi: np.ndarray,
+    psi: np.ndarray,
+    pair: WindowPair,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The branches that fit the node's data cleanly, priced from their roots
+    without building them: their numbers, as ``_branch_rows`` numbers them,
+    and a (branch, placement) mask of the placements that fit, a defect
+    within ``POLISH_ABOVE``; every other (branch, placement) misses
+    ``ACCEPT_TOL``.  None when some (branch, placement) may fit only
+    roughly, between the two give or take ``SCREEN_MARGIN``, which the whole
+    enumeration and the second window's polish settle.  Pair j offers the
+    first ``sizes[j]`` roots of ``table[j]``.
+
+    With w = exp(-2 i pi delta omega), a core at placement p has the
+    spectrum H(omega) = delta K exp(-2 i pi (p - L // 2) delta omega) P(w),
+    P being the product of (w - r) over its roots and K its energy
+    normalisation, and w lies on the unit circle at the bins omega_n (w1)
+    and omega_n + b (w2).  So |H(omega_n)| = delta K |P(w1)|, and
+    |H(omega_n + b) - H(omega_n)| = delta K |P(w2) t_p - P(w1)|, where
+    t_p = exp(-2 i pi (p - L // 2) delta b) is the placement's share of the
+    cross angle arg H(omega_n + b) - arg H(omega_n).  Choosing 1/conj(r)
+    for r turns the cross angle by arg(w2 - r) - arg(w1 - r) against r and
+    scales |P| by a constant, which K absorbs: K^2 is 2L a0 over the sum of
+    |P(w1)|^2, by Parseval over the 2L bins.  Every price is exact up to
+    rounding, fused readings and loose pairings included.
+
+    P at the bins is built over each half of the pairs by shared prefix, a
+    branch's P being the product of its halves', so one product of the
+    halves' |P(w1)|^2 gives every branch's K.  The second window's defect
+    at four bins spread over the period, a lower bound of the whole defect,
+    rules out every branch but a few, and those are priced at every bin.
+    """
+    grid = pair.grid
+    L = grid.L
+    w, turn = _screen_tables(L, grid.B, pair.b)
+    turn = turn[: L - s_eff + 1, None]
+    factors = w - table[..., None, None]  # (pair, option, w1 | w2, bin)
+
+    def product(pairs: range) -> np.ndarray:
+        """P at the bins over ``pairs``, one row per choice of theirs."""
+        out = np.ones((1, 2, 2 * L))
+        for j in pairs:
+            out = (out[:, None] * factors[j, : sizes[j]]).reshape(-1, 2, 2 * L)
+        return out
+
+    left, right = product(range(len(sizes) // 2)), product(range(len(sizes) // 2, len(sizes)))
+    if forced:
+        left = left * (w - np.array(forced)[:, None, None]).prod(axis=0)
+    scale = grid.delta * math.sqrt(2 * L * a0)
+    a1, b1 = np.abs(left[:, 0]), np.abs(right[:, 0])
+    gain = scale / np.sqrt((a1 * a1) @ (b1 * b1).T).ravel()  # delta K of each branch
+    few = slice(0, 2 * L, max(L // 2, 1))
+    x = (left[:, None, :, few] * right[:, :, few]).reshape(-1, 2, 1, len(range(2 * L)[few]))
+    d = np.abs(x[:, 1] * turn - x[:, 0]) * gain[:, None, None] - psi[few]
+    out = ((ACCEPT_TOL + SCREEN_MARGIN) * scale) ** 2
+    rows = (np.add.reduce(d * d, axis=2) <= out).any(axis=1).nonzero()[0]
+    spectra = left[rows // len(right)] * right[rows % len(right)]
+    gain = gain[rows]
+    e = np.abs(spectra[:, 0]) * gain[:, None] - phi
+    d = np.abs(spectra[:, None, 1] * turn - spectra[:, None, 0]) * gain[:, None, None] - psi
+    priced = np.add.reduce(d * d, axis=2) + np.add.reduce(e * e, axis=1)[:, None]
+    fits = priced <= ((POLISH_ABOVE - SCREEN_MARGIN) * scale) ** 2
+    if not (fits | (priced > out)).all():
+        return None
+    kept = fits.any(axis=1)
+    return rows[kept], fits[kept]
+
+
+@lru_cache(maxsize=32)
+def _screen_tables(L: int, B: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The screen's evaluation points w = exp(-2 i pi delta omega) at the
+    critical bins omega_n (row 0) and at omega_n + b (row 1), and the turn
+    exp(-2 i pi (p - L // 2) delta b) of each placement p, read off the
+    content-spectrum maps of ``_pricing_tables``, whose rows are slot
+    offsets delta apart; built once per (L, B, b) and read-only."""
+    E1, E2, _, _ = _pricing_tables(L, B, b)
+    w = np.stack([E1[1] * np.conj(E1[0]), E2[1] * np.conj(E2[0])])
+    turn = E2[:, 0] * np.conj(E1[:, 0])
+    for table in (w, turn):
+        table.setflags(write=False)
+    return w, turn
+
+
+def enumerate_candidates(
+    acorr: Sequence[complex],
+    L: int,
+    psi_mags: Optional[Sequence[float]] = None,
+    pair: Optional[WindowPair] = None,
+    *,
+    phi_mags: Optional[Sequence[float]] = None,
+) -> np.ndarray:
+    """The length-L content vectors whose autocorrelation matches ``acorr``
+    and, given the node's magnitudes, that the second window can accept.
 
     Factors the two-sided lag polynomial; its roots pair off as mirror
     images (r, 1/conj(r)).  Each off-circle pair contributes a binary
-    choice, unit-circle roots are forced, and every choice is embedded at
-    each admissible support offset because the first window's data cannot
-    see where inside the cell range the content sits.
+    choice, or a third, fused one when the pair sits on the circle (offered
+    while the branch count stays at most 8192); unit-circle roots are
+    forced; and every branch is embedded at each admissible support offset,
+    because the first window's data cannot see where inside the cell range
+    the content sits.  With m mirror pairs, f of them fused, for effective
+    support length s, that is 2^(m-f) 3^f <= 2^(s-1) (3/2)^f branches at
+    L - s + 1 placements each.
 
-    The count is at most 2^(s-1) pairings times L - s + 1 placements for
-    effective support length s.  The branch cores of a node are built by a
-    shared-prefix fan-out: each linear factor is multiplied once into every
-    distinct prefix of choices, the forced roots once for all branches.
+    Given ``psi_mags``, ``pair`` and ``phi_mags`` (all or none), and at
+    least ``SCREEN_MIN_ROWS`` (branch, placement) rows for a node without
+    circle roots (2^(s-1) (L - s + 1)), every
+    (branch, placement) is first priced from its roots by
+    ``_cross_angle_screen``, and when each one either fits the data
+    cleanly (defect within ``POLISH_ABOVE``) or surely misses it (beyond
+    ``ACCEPT_TOL``), only those that fit are built, placed and returned: on
+    generic data one or two, with the bits the whole enumeration gives
+    them.  Otherwise, or when none fits, every branch is, as without the
+    magnitudes, so the second window's polish, the lag-fit rescue and the
+    circle-tolerance ladder see what they saw before the screen.
+
     Placement, phase canonicalization and dedup run over the whole batch.
     Returns one array, one candidate per row, sorted by the candidates'
     quantized byte keys.
@@ -406,6 +593,8 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
         raise ValueError(f"enumeration bound exceeded: L = {L} > {L_MAX}")
     if a.size > L:
         raise ValueError(f"got {a.size} lags for window cell count {L}")
+    if not (psi_mags is None) == (pair is None) == (phi_mags is None):
+        raise ValueError("the screen needs psi_mags, pair and phi_mags together")
     a0 = float(a[0].real)
     if a0 <= 0:
         raise ValueError("zero autocorrelation has no nonzero factorization")
@@ -416,6 +605,16 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
     while s_eff > 1 and not abs(a[s_eff - 1]) > floor:
         s_eff -= 1
 
+    screen: Optional[Screen] = None
+    if pair is not None:
+        phi = np.asarray(phi_mags, dtype=np.float64)
+        psi = np.asarray(psi_mags, dtype=np.float64)
+        if pair.grid.L != L or phi.size != 2 * L or psi.size != 2 * L:
+            raise ValueError(f"need the pair's window of {L} cells and 2L = {2 * L} bins per window")
+        if 2 ** (s_eff - 1) * (L - s_eff + 1) >= SCREEN_MIN_ROWS:
+            screen = partial(_cross_angle_screen, s_eff=s_eff, a0=a0, phi=phi, psi=psi, pair=pair)
+
+    fits = None
     if s_eff == 1:
         cores = np.array([[np.sqrt(a0)]], dtype=np.complex128)
     else:
@@ -430,30 +629,36 @@ def enumerate_candidates(acorr: Sequence[complex], L: int) -> np.ndarray:
         # a multiplicity-m root only comes back from the eigensolver to within
         # about eps**(1/m), so circle classification retries on a widening
         # ladder; the lag validation inside each pass arbitrates what to accept
-        cores = None
         error: Optional[UnrealizableAutocorrelation] = None
         for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
             try:
-                cores = _factor_once(roots, a, s_eff, a0, circle_tol)
+                cores, fits = _factor_once(roots, a, s_eff, a0, circle_tol, screen)
                 break
             except UnrealizableAutocorrelation as exc:
                 error = exc
-        if cores is None:
+        else:
             assert error is not None
             raise error
 
-    # every core at every placement, rows ordered core-major
+    # every core at every placement, rows ordered core-major, less the
+    # placements that do not fit
     P = L - s_eff + 1
-    placed = np.zeros((len(cores), P, L), dtype=np.complex128)
-    for p in range(P):
-        placed[:, p, p : p + s_eff] = cores
-    cand = placed.reshape(-1, L)
+    cand = cores
+    if P > 1:
+        placed = np.zeros((len(cores), P, L), dtype=np.complex128)
+        for p in range(P):
+            placed[:, p, p : p + s_eff] = cores
+        cand = placed.reshape(-1, L)
+    if fits is not None:
+        cand = cand[fits.ravel()]
     # global phase: the first largest entry becomes real and positive (every
     # row holds a core of energy a0 > 0, so the peak is never zero)
     mod = np.abs(cand)
     peak = np.arange(cand.shape[0]), mod.argmax(axis=1)
     top = mod[peak]  # gathered at argmax, which is cheaper than a row max
     cand *= (np.conj(cand[peak]) / top)[:, None]
+    if len(cand) == 1:
+        return cand
     # each row over that modulus (the keys only order and dedup rows), then
     # np.round(z, 9) on both parts at once
     q = np.rint((cand / top[:, None]).view(np.float64) * 1e9) / 1e9
@@ -670,5 +875,5 @@ def recover_local(
             is_zero=True,
         )
     acorr = autocorrelation_from_magnitudes(phi, grid.delta)
-    candidates = enumerate_candidates(acorr, L)
+    candidates = enumerate_candidates(acorr, L, psi, pair, phi_mags=phi)
     return prune_with_second_window(candidates, psi, pair, phi_mags=phi)

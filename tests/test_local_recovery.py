@@ -30,6 +30,7 @@ from twowin.local_recovery import (
     L_MAX,
     PAIRING_TOL,
     POLISH_ABOVE,
+    SCREEN_MARGIN,
     AmbiguityViolation,
     InconsistentMeasurements,
     LocalClass,
@@ -57,6 +58,14 @@ def _node_mags(content, L):
     f = Signal(grid, np.asarray(content, dtype=np.complex128))
     ms = measure(f, pair, TimeNodes.lattice(grid.B, [0]))
     return ms.mags[0, 0], ms.mags[1, 0], pair
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """The screen on every node, however few its branches: below
+    ``SCREEN_MIN_ROWS`` it is skipped only because the whole enumeration
+    costs less there."""
+    monkeypatch.setattr(local_recovery, "SCREEN_MIN_ROWS", 1)
 
 
 def test_direct_autocorrelation_hand_case():
@@ -111,7 +120,7 @@ def test_slot_reflect_rules():
     np.testing.assert_allclose(blocked, [0.0, 4.0, 3.0, 2.0])
 
 
-def test_enumerate_candidates_contains_truth():
+def test_enumerate_candidates_contains_truth(screened):
     rng = np.random.default_rng(42)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     acorr = direct_autocorrelation(h)
@@ -121,14 +130,24 @@ def test_enumerate_candidates_contains_truth():
         np.testing.assert_allclose(direct_autocorrelation(c), acorr, atol=1e-7)
     # generic contents: at most 2^(s-1) pairings, one placement at full width
     assert len(cands) <= 8
+    # given the node's magnitudes, the truth is what comes back
+    phi, psi, pair = _node_mags(h, 4)
+    kept = enumerate_candidates(autocorrelation_from_magnitudes(phi, pair.grid.delta), 4, psi, pair, phi_mags=phi)
+    assert len(kept) == 1 and _phase_match(kept[0], h, 1e-8)
 
 
-def test_enumerate_candidates_places_short_support():
+def test_enumerate_candidates_places_short_support(screened):
     h = np.array([0.0, 1.5, 0.7j, 0.0])
     cands = enumerate_candidates(direct_autocorrelation(h[1:3]), 4)
     # a length-2 core slides across three placements, two flips each
     assert any(_phase_match(c, h, 1e-8) for c in cands)
     assert all(c.size == 4 for c in cands)
+    # the second window sees the placement: the truth and, as the cells
+    # around the slot allow, its conjugate slot mate come back
+    phi, psi, pair = _node_mags(h, 4)
+    kept = enumerate_candidates(autocorrelation_from_magnitudes(phi, pair.grid.delta), 4, psi, pair, phi_mags=phi)
+    assert 1 <= len(kept) <= 2 and all(c.size == 4 for c in kept)
+    assert any(_phase_match(c, h, 1e-8) for c in kept)
 
 
 def _poly_batch(roots: np.ndarray) -> np.ndarray:
@@ -186,7 +205,7 @@ def _reference_candidates(h, L):
 
 
 @pytest.mark.parametrize("L, cells", [(4, range(4)), (6, range(6)), (8, range(8)), (8, range(2, 7))])
-def test_enumerate_candidates_matches_per_branch_reference(L, cells):
+def test_enumerate_candidates_matches_per_branch_reference(L, cells, screened):
     rng = np.random.default_rng(10 * L + len(cells))
     h = np.zeros(L, dtype=np.complex128)
     h[list(cells)] = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
@@ -197,6 +216,16 @@ def test_enumerate_candidates_matches_per_branch_reference(L, cells):
         assert any(_phase_match(c, w, 1e-9) for w in want)
     for w in want:
         assert any(_phase_match(w, c, 1e-9) for c in got)
+    # given the node's magnitudes, what comes back is the reference's
+    # survivors of exact pricing
+    phi, psi, pair = _node_mags(h, L)
+    kept = enumerate_candidates(autocorrelation_from_magnitudes(phi, pair.grid.delta), L, psi, pair, phi_mags=phi)
+    survivors = [w for w, d in zip(want, _exact_defects(want, phi, psi, pair)) if d <= ACCEPT_TOL]
+    assert 1 <= len(kept) == len(survivors) <= 2
+    for c in kept:
+        assert any(_phase_match(c, w, 1e-9) for w in survivors)
+    for w in survivors:
+        assert any(_phase_match(w, c, 1e-9) for c in kept)
 
 
 def test_enumerate_candidates_validation():
@@ -209,6 +238,12 @@ def test_enumerate_candidates_validation():
     # 1 + 1.2 cos(theta) dips negative: no content realizes these lags
     with pytest.raises(UnrealizableAutocorrelation):
         enumerate_candidates([1.0, 0.6], 2)
+    # the node's data come whole or not at all, and fit the window
+    phi, psi, pair = _node_mags([1.0, 0.5j, 0.25], 3)
+    with pytest.raises(ValueError, match="together"):
+        enumerate_candidates([1.0, 0.1], 3, psi, pair)
+    with pytest.raises(ValueError, match="2L"):
+        enumerate_candidates([1.0, 0.1], 3, psi[:-1], pair, phi_mags=phi)
 
 
 @pytest.mark.parametrize("L", [3, 4, 6, 9])
@@ -755,8 +790,43 @@ def _outcome(fn):
     return np.asarray(out).tobytes(), len(out)
 
 
+#: Two implementations of the same arithmetic agree to this distance,
+#: relative to the larger vector, after phase alignment.
+ROUNDOFF = 1e-12
+
+
+def _recovered(fn):
+    """What ``fn()`` returns, or its error class and message."""
+    try:
+        return fn()
+    except RecoveryError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same_outcome(new, old, tol=ROUNDOFF):
+    """The same refusal, or the same classes to roundoff: the class count,
+    ``includes_reflection``, ``is_zero``, each representative within
+    ``tol`` of one of the other's after phase alignment, and the residual
+    within ``ROUNDOFF``."""
+    if isinstance(old, tuple) or isinstance(new, tuple):
+        assert new == old
+        return
+    assert (len(new.representatives), new.includes_reflection, new.is_zero) == (
+        len(old.representatives), old.includes_reflection, old.is_zero
+    )
+    for reps, others in ((new.representatives, old.representatives),
+                         (old.representatives, new.representatives)):
+        for rep in reps:
+            assert any(_phase_match(rep, other, tol) for other in others)
+    assert abs(new.residual - old.residual) <= ROUNDOFF
+
+
 def _as_before(monkeypatch):
-    monkeypatch.setattr(local_recovery, "enumerate_candidates", _reference_enumerate_candidates)
+    # the replaced enumeration takes no node data: it returns every branch
+    monkeypatch.setattr(
+        local_recovery, "enumerate_candidates",
+        lambda acorr, L, *node, **phi: _reference_enumerate_candidates(acorr, L),
+    )
     monkeypatch.setattr(local_recovery, "prune_with_second_window", _reference_prune)
 
 
@@ -772,9 +842,9 @@ def test_enumeration_and_recovery_match_the_replaced_code(h, monkeypatch):
     assert got.ndim == 2 and got.shape[1] == L
     assert _outcome(lambda: got) == _outcome(lambda: _reference_enumerate_candidates(acorr, L))
     phi_mags, psi_mags, pair = _node_mags(h, L)
-    new = _outcome(lambda: recover_local(phi_mags, psi_mags, pair))
+    new = _recovered(lambda: recover_local(phi_mags, psi_mags, pair))
     _as_before(monkeypatch)
-    assert new == _outcome(lambda: recover_local(phi_mags, psi_mags, pair))
+    _assert_same_outcome(new, _recovered(lambda: recover_local(phi_mags, psi_mags, pair)))
 
 
 def test_refusals_match_the_replaced_code():
@@ -792,11 +862,12 @@ def test_refusals_match_the_replaced_code():
 
 def test_criterion1_nodes_match_the_replaced_code(monkeypatch):
     nodes = _criterion1_nodes()
-    new = [_outcome(lambda: recover_local(phi, psi, pair, scale=scale)) for phi, psi, pair, scale in nodes]
+    new = [_recovered(lambda: recover_local(phi, psi, pair, scale=scale)) for phi, psi, pair, scale in nodes]
     _as_before(monkeypatch)
-    old = [_outcome(lambda: recover_local(phi, psi, pair, scale=scale)) for phi, psi, pair, scale in nodes]
-    assert new == old
-    assert sum(len(o[0]) == 2 for o in new if not isinstance(o[0], str)) > 0
+    old = [_recovered(lambda: recover_local(phi, psi, pair, scale=scale)) for phi, psi, pair, scale in nodes]
+    for a, b in zip(new, old, strict=True):
+        _assert_same_outcome(a, b)
+    assert sum(len(o.representatives) == 2 for o in new if isinstance(o, LocalClass)) > 0
 
 
 def test_criterion10_family_matches_the_replaced_code(monkeypatch):
@@ -806,16 +877,23 @@ def test_criterion10_family_matches_the_replaced_code(monkeypatch):
     mags = [_node_mags(h, 4) for h in family]
     new = [
         (_outcome(lambda: enumerate_candidates(direct_autocorrelation(h), 4)),
-         _outcome(lambda: recover_local(phi, psi, pair)))
+         _recovered(lambda: recover_local(phi, psi, pair)))
         for h, (phi, psi, pair) in zip(family, mags)
     ]
     _as_before(monkeypatch)
     old = [
         (_outcome(lambda: _reference_enumerate_candidates(direct_autocorrelation(h), 4)),
-         _outcome(lambda: recover_local(phi, psi, pair)))
+         _recovered(lambda: recover_local(phi, psi, pair)))
         for h, (phi, psi, pair) in zip(family, mags)
     ]
-    assert new == old
+    assert [n[0] for n in new] == [o[0] for o in old]
+    for h, (_, a), (_, b) in zip(family, new, old, strict=True):
+        # a conjugate palindrome sits where its two factorization branches
+        # meet, and the refit of its rough survivor stops about 1e-9 from
+        # where the other implementation's stops ([0, 1, 3, 1]: 1.7e-9)
+        mate = slot_reflect(h)
+        palindrome = mate is not None and _phase_match(mate, h, CLASS_TOL)
+        _assert_same_outcome(a, b, 1e-8 if palindrome else ROUNDOFF)
 
 
 def _reference_orientations(cls):
@@ -890,7 +968,9 @@ def test_dedup_keeps_each_keys_first_row_like_the_replaced_code(monkeypatch):
     def factored(*args):
         return cores.copy()
 
-    monkeypatch.setattr(local_recovery, "_factor_once", factored)
+    # the factoring pass also returns each core's placement grades, None
+    # when every placement stands
+    monkeypatch.setattr(local_recovery, "_factor_once", lambda *args: (factored(), None))
     monkeypatch.setattr(sys.modules[__name__], "_reference_factor_once", factored)
     acorr = direct_autocorrelation(c)
     got = enumerate_candidates(acorr, 3)
@@ -929,7 +1009,7 @@ def test_cached_tables_follow_the_grid_step_and_window(monkeypatch):
 
     local_recovery._lag_table.cache_clear()
     local_recovery._pricing_tables.cache_clear()
-    new = [_outcome(lambda: recover_local(phi, psi, pair)) for phi, psi, pair in turns]
+    new = [_recovered(lambda: recover_local(phi, psi, pair)) for phi, psi, pair in turns]
     for phi, psi, pair in turns:
         got = autocorrelation_from_magnitudes(phi, pair.grid.delta)
         assert got.tobytes() == _reference_autocorrelation(phi, pair.grid.delta).tobytes()
@@ -938,7 +1018,9 @@ def test_cached_tables_follow_the_grid_step_and_window(monkeypatch):
 
     _as_before(monkeypatch)
     monkeypatch.setattr(local_recovery, "autocorrelation_from_magnitudes", _reference_autocorrelation)
-    assert new == [_outcome(lambda: recover_local(phi, psi, pair)) for phi, psi, pair in turns]
+    old = [_recovered(lambda: recover_local(phi, psi, pair)) for phi, psi, pair in turns]
+    for a, b in zip(new, old, strict=True):
+        _assert_same_outcome(a, b)
 
     tables = list(local_recovery._pricing_tables(8, 1.0, 0.25)) + [local_recovery._lag_table(8)]
     for table in tables:
@@ -962,9 +1044,9 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
         seen["fitted"] += 1
         return lag_fit(lags, s_eff)
 
-    def counted_factor_once(roots, lags, s_eff, a0, circle_tol):
+    def counted_factor_once(roots, lags, s_eff, a0, circle_tol, screen=None):
         rungs[-1] += 1
-        return factor_once(roots, lags, s_eff, a0, circle_tol)
+        return factor_once(roots, lags, s_eff, a0, circle_tol, screen)
 
     monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
     monkeypatch.setattr(local_recovery, "_factor_once", counted_factor_once)
@@ -974,6 +1056,123 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
         enumerate_candidates(direct_autocorrelation(h), h.size)
         seen["retried"] += rungs[-1] > 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+def _exact_defects(cands, phi_mags, psi_mags, pair):
+    """Each candidate's relative defect against both windows, priced as
+    ``_reference_prune`` prices it."""
+    grid = pair.grid
+    C = np.array(cands, dtype=np.complex128).reshape(-1, grid.L)
+    omegas = np.arange(-grid.L, grid.L) / (4.0 * grid.B)
+    scale = grid.delta * np.sqrt(2 * grid.L * float(np.max(np.sum(np.abs(C) ** 2, axis=1))))
+    H1 = _reference_content_spectrum(C, grid, omegas)
+    H2 = _reference_content_spectrum(C, grid, omegas + pair.b)
+    return np.hypot(
+        np.linalg.norm(np.abs(H2 - H1) - psi_mags, axis=1),
+        np.linalg.norm(np.abs(H1) - phi_mags, axis=1),
+    ) / scale
+
+
+def _screen_cases():
+    """Seeded contents at L = 4, 6, 8, 12 and 16, at full width and on
+    short supports, and every special content of the factoring paths."""
+    cases = []
+    for L in (4, 6, 8, 12, 16):
+        rng = np.random.default_rng(2000 + L)
+        for cells in (range(L), range(1, L - 1), range(L // 2, L)):
+            h = np.zeros(L, dtype=np.complex128)
+            h[list(cells)] = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+            cases.append((f"seeded-L{L}-{cells.start}:{cells.stop}", h))
+    return cases + _special_contents()
+
+
+@pytest.mark.parametrize("h", [pytest.param(h, id=name) for name, h in _screen_cases()])
+def test_the_screen_returns_exactly_the_candidates_that_fit(h, screened):
+    # every candidate of the whole enumeration is priced exactly, as the
+    # replaced pruning priced it.  Where the screen serves the node, it
+    # returns the candidates whose defect is within ACCEPT_TOL, to
+    # roundoff, and no other; they fit cleanly (within POLISH_ABOVE), as
+    # it graded them, and every candidate it ruled out misses ACCEPT_TOL.
+    # Where it defers, the whole enumeration comes back, bit for bit
+    L = h.size
+    phi, psi, pair = _node_mags(h, L)
+    acorr = autocorrelation_from_magnitudes(phi, pair.grid.delta)
+    full = _outcome(lambda: enumerate_candidates(acorr, L))
+    got = _outcome(lambda: enumerate_candidates(acorr, L, psi, pair, phi_mags=phi))
+    if isinstance(full[0], str) or got == full:
+        assert got == full
+        return
+    cands = enumerate_candidates(acorr, L)
+    kept = enumerate_candidates(acorr, L, psi, pair, phi_mags=phi)
+    priced = _exact_defects(cands, phi, psi, pair)
+    fit = cands[priced <= ACCEPT_TOL]
+    assert 1 <= len(kept) == len(fit)
+    for c in kept:
+        assert any(_phase_match(c, w, ROUNDOFF) for w in fit)
+    for w in fit:
+        assert any(_phase_match(w, c, ROUNDOFF) for c in kept)
+    assert (priced[priced <= ACCEPT_TOL] <= POLISH_ABOVE).all()
+    assert (_exact_defects(kept, phi, psi, pair) <= POLISH_ABOVE).all()
+
+
+def test_the_screen_serves_generic_nodes_and_defers_the_rough_ones(screened):
+    # the seeded contents are served by the screen; a mirror pair 1e-7 off
+    # the circle leaves its survivor rough, for the polish, and the whole
+    # enumeration runs
+    cases = dict(_screen_cases())
+    served = []
+    for name in cases:
+        h = cases[name]
+        phi, psi, pair = _node_mags(h, h.size)
+        acorr = autocorrelation_from_magnitudes(phi, pair.grid.delta)
+        full = _outcome(lambda: enumerate_candidates(acorr, h.size))
+        got = _outcome(lambda: enumerate_candidates(acorr, h.size, psi, pair, phi_mags=phi))
+        served.append(got != full)
+        if name.startswith("seeded"):
+            assert got != full, name
+    assert not all(served)
+
+
+@pytest.mark.parametrize("L, cells", [(4, range(4)), (7, range(7)), (8, range(2, 6))])
+def test_a_node_with_few_branches_takes_the_whole_enumeration(L, cells):
+    # below SCREEN_MIN_ROWS (branch, placement) rows, the node's data do not
+    # change the enumeration: 8, 64 and 8 x 5 rows here
+    rng = np.random.default_rng(L)
+    h = np.zeros(L, dtype=np.complex128)
+    h[list(cells)] = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+    phi, psi, pair = _node_mags(h, L)
+    acorr = autocorrelation_from_magnitudes(phi, pair.grid.delta)
+    s = len(cells)
+    assert 2 ** (s - 1) * (L - s + 1) < local_recovery.SCREEN_MIN_ROWS
+    whole = enumerate_candidates(acorr, L)
+    assert enumerate_candidates(acorr, L, psi, pair, phi_mags=phi).tobytes() == whole.tobytes()
+
+
+def test_a_generic_node_builds_at_most_two_branches(monkeypatch):
+    # a full-width L = 8 node has 2^7 = 128 branches, each scaled to the
+    # node's energy once built; the screen prices them from the roots and
+    # builds only those that fit, without the whole fan-out
+    built, fanned = [], []
+    unit_cores, fan_out = local_recovery._unit_cores, local_recovery._fan_out
+
+    def counted_unit_cores(poly, a0):
+        built.append(len(poly))
+        return unit_cores(poly, a0)
+
+    def counted_fan_out(*args):
+        fanned.append(1)
+        return fan_out(*args)
+
+    monkeypatch.setattr(local_recovery, "_unit_cores", counted_unit_cores)
+    monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        phi_mags, psi_mags, pair = _node_mags(h, 8)
+        cls = recover_local(phi_mags, psi_mags, pair)
+        assert any(_phase_match(rep, h, 1e-8) for rep in cls.representatives)
+    assert len(built) == 8 and max(built) <= 2
+    assert not fanned
 
 
 @pytest.mark.parametrize("n", range(2, 13))
