@@ -249,20 +249,10 @@ def _poly_rows(roots: np.ndarray, closable: bool) -> np.ndarray:
 
 def _picks(sizes: Tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Each listed branch's option per pair, the branches being numbered as
-    ``_branch_rows`` numbers them over pairs of ``sizes`` options."""
-    stride, radix = _radices(sizes)
-    return rows[:, None] // stride % radix
-
-
-@lru_cache(maxsize=64)
-def _radices(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """The branch number's place value of each pair's choice, the last
-    pair's varying fastest, and the pairs' option counts; read-only."""
-    stride = np.array([math.prod(sizes[j + 1 :]) for j in range(len(sizes))], dtype=np.intp)
-    radix = np.array(sizes, dtype=np.intp)
-    for table in (stride, radix):
-        table.setflags(write=False)
-    return stride, radix
+    ``_branch_rows`` numbers them over pairs of ``sizes`` options (the last
+    pair's choice varying fastest)."""
+    stride = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    return rows[:, None] // np.array(stride, dtype=np.intp) % np.array(sizes, dtype=np.intp)
 
 
 def _unit_cores(poly: np.ndarray, a0: float) -> np.ndarray:
