@@ -40,6 +40,10 @@ The groups:
   first member, and its rational one; criterion 10's a = 1 bare lattice,
   where every group settles too; and a raised-cosine a = 0.5 lattice;
 - local: every ``LocalClass`` on fixed lattice nodes at L = 8, 12 and 16;
+- rows: the same nodes (those in range) through the block entry
+  ``recover_rows``, stacked per (L, b), each row digested as ``local``
+  digests it; a checkout without the entry skips it, and ``--compare``
+  names it as a group in one dump only;
 - forge: each forged pair, and the files ``twowin forge`` writes;
 - cli: ``twowin measure``, ``recover``, ``plot`` (of the signal, each
   measurement and each report) and ``verify`` outputs, the oracle report
@@ -63,6 +67,7 @@ import pickle
 import sys
 import tempfile
 import time
+from typing import Optional
 from pathlib import Path
 
 import numpy as np
@@ -420,7 +425,11 @@ def group_oracle(tw, d: Digest) -> None:
          family, desc)
 
 
-def group_local(tw, d: Digest) -> None:
+def local_nodes(tw):
+    """The ``local`` group's nodes: per (L, b), the window pair, the lattice
+    magnitudes and ``count`` node indices mid-horizon.  At L = 8 the lattice
+    has 9 nodes, so 4 of the 17 indices count from the end and 4 are out of
+    range."""
     for L, count in ((8, 17), (12, 6), (16, 3)):
         grid = tw.GridSpec(B=1.0, L=L, origin=2 * L, horizon=4 * L)
         for b in (0.25, 0.5):
@@ -428,13 +437,35 @@ def group_local(tw, d: Digest) -> None:
             nodes = tw.TimeNodes.lattice_covering(grid, 1.0)
             f = tw.random_nonseparable(grid, 4 * L - 1, 1.0, seed=L)
             ms = tw.measure(f, pair, nodes)
-            mid = len(nodes.times) // 2
-            for i in range(mid - count // 2, mid - count // 2 + count):
-                cls = outcome(lambda: tw.recover_local(ms.mags[0, i], ms.mags[1, i], pair))
-                if isinstance(cls, tuple):
-                    d.add(cls)
-                else:
-                    d.add(cls.representatives, cls.includes_reflection, cls.residual, cls.is_zero)
+            lo = len(nodes.times) // 2 - count // 2
+            yield pair, ms.mags, range(lo, lo + count)
+
+
+def add_class(d: Digest, cls) -> None:
+    """One node's outcome as the ``local`` group digests it."""
+    if isinstance(cls, tuple):
+        d.add(cls)
+    else:
+        d.add(cls.representatives, cls.includes_reflection, cls.residual, cls.is_zero)
+
+
+def group_local(tw, d: Digest) -> None:
+    for pair, mags, rows in local_nodes(tw):
+        for i in rows:
+            add_class(d, outcome(lambda: tw.recover_local(mags[0, i], mags[1, i], pair)))
+
+
+def group_rows(tw, d: Digest) -> Optional[bool]:
+    """The ``local`` group's nodes in range through the block entry, one
+    call per (L, b), each row digested as ``local`` digests it; a call that
+    refuses is one item.  Skipped where there is no block entry."""
+    if not hasattr(tw, "recover_rows"):
+        return False
+    for pair, mags, rows in local_nodes(tw):
+        rows = [i for i in rows if -mags.shape[1] <= i < mags.shape[1]]
+        classes = outcome(lambda: tw.recover_rows(mags[0, rows], mags[1, rows], pair))
+        for cls in [classes] if isinstance(classes, tuple) else classes:
+            add_class(d, cls)
 
 
 @contextlib.contextmanager
@@ -599,6 +630,7 @@ GROUPS = {
     "batch": group_batch,
     "oracle": group_oracle,
     "local": group_local,
+    "rows": group_rows,
     "forge": group_forge,
     "cli": group_cli,
     "checks": group_checks,
@@ -628,7 +660,9 @@ def main(argv=None) -> int:
     for name in args.group or GROUPS:
         d = Digest(record=args.dump is not None)
         start = time.perf_counter()
-        GROUPS[name](tw, d)
+        if GROUPS[name](tw, d) is False:
+            print(f"{name:12s} skipped: not in this checkout")
+            continue
         print(f"{name:12s} {d.hexdigest()}  {d.items:5d} items  {time.perf_counter() - start:5.1f} s")
         dumped[name] = d.record
     if args.dump is not None:

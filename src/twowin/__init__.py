@@ -43,6 +43,7 @@ from .local_recovery import (
     direct_autocorrelation,
     enumerate_candidates,
     recover_local,
+    recover_rows,
     slot_reflect,
 )
 from .stitcher import (
@@ -102,6 +103,7 @@ __all__ = [
     "direct_autocorrelation",
     "enumerate_candidates",
     "recover_local",
+    "recover_rows",
     "slot_reflect",
     "ReconstructionReport",
     "SeparableInputError",

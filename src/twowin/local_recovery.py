@@ -97,13 +97,17 @@ def autocorrelation_from_magnitudes(phi_mags: Sequence[float], delta: float) -> 
 
     is exact: the squared magnitudes are a trigonometric polynomial in n of
     lag bandwidth L-1, and one alias period holds 2L > 2(L-1) samples.
+
+    A 2-D ``phi_mags`` holds one node per row and gives one row of lags
+    per node: the nodes ride matmul's batch axis, so each row keeps the
+    bits of its own matrix-vector product.
     """
     m = np.asarray(phi_mags, dtype=np.float64)
-    if m.ndim != 1 or m.size % 2 != 0 or m.size < 2:
+    if m.ndim not in (1, 2) or m.shape[-1] % 2 != 0 or m.shape[-1] < 2:
         raise ValueError(f"need an even number of bins (one alias period), got shape {m.shape}")
-    L = m.size // 2
-    acorr = (_lag_table(L) @ (m * m).astype(np.complex128)) / (2 * L * delta * delta)
-    acorr[0] = acorr[0].real
+    L = m.shape[-1] // 2
+    acorr = (_lag_table(L) @ (m * m).astype(np.complex128)[..., None])[..., 0] / (2 * L * delta * delta)
+    acorr[..., 0] = acorr[..., 0].real
     return acorr
 
 
@@ -124,14 +128,21 @@ def slot_reflect(h: np.ndarray) -> Optional[np.ndarray]:
     unpaired first slot to vanish.
     """
     hv = np.asarray(h, dtype=np.complex128)
-    L = hv.size
-    out = np.zeros(L, dtype=np.complex128)
     # for even L, slot 0 maps to 2s = L, outside the window; j -> 2s - j is
     # an involution, so slot 0 is also the one slot that nothing maps to
-    blocked = L % 2 == 0 and L > 0
-    if blocked and abs(hv[0]) > 1e-12 * float(np.abs(hv).max()):
+    if hv.size % 2 == 0 and hv.size > 0 and abs(hv[0]) > 1e-12 * float(np.abs(hv).max()):
         return None
-    out[int(blocked):] = np.conj(hv[::-1][: L - int(blocked)])
+    return _slot_reflections(hv[None])[0]
+
+
+def _slot_reflections(h: np.ndarray) -> np.ndarray:
+    """Each row of ``h`` reflected about the node slot, j -> 2s - j and
+    conjugated, slot 0 of an even window (which nothing maps to) left zero;
+    whether the reflection is admissible is ``slot_reflect``'s test."""
+    L = h.shape[1]
+    skip = int(L % 2 == 0 and L > 0)
+    out = np.zeros(h.shape, dtype=np.complex128)
+    out[:, skip:] = np.conj(h[:, ::-1][:, : L - skip])
     return out
 
 
@@ -231,18 +242,19 @@ def _closable(
     )
 
 
-def _poly_rows(roots: np.ndarray, closable: bool) -> np.ndarray:
+def _poly_rows(roots: np.ndarray, closable: np.ndarray) -> np.ndarray:
     """Monic coefficients, highest degree first, of each row of ``roots``:
     ``_fan_out``'s steps taken one row at a time, so a branch built here has
-    the bits the fan-out gives it, the conjugation check included."""
+    the bits the fan-out gives it, the conjugation check (where the row's
+    ``closable`` is set) included."""
     n, k = roots.shape
     c = np.zeros((k + 1, n), dtype=np.complex128)
     c[0] = 1.0
     for j in range(k):
         c[1 : j + 2] -= roots[:, j] * c[: j + 1]
     c = np.ascontiguousarray(c.T)
-    if closable:
-        real = _conjugate_closed(roots)
+    if closable.any():
+        real = closable & _conjugate_closed(roots)
         c[real] = c[real].real
     return c
 
@@ -284,7 +296,7 @@ def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
 
 
 Linearize = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-Screen = Callable[..., Optional[Tuple[np.ndarray, np.ndarray]]]
+Screen = Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _gauss_newton(h: np.ndarray, linearize: Linearize) -> np.ndarray:
@@ -329,31 +341,46 @@ def _lag_fit(lags: np.ndarray, s_eff: int) -> Linearize:
     return linearize
 
 
-def _mirror_pairs(off: np.ndarray, pairing_tol: float) -> List[Tuple[complex, complex]]:
-    """Greedy mirror pairing of the off-circle roots.
+def _mirror_pairs(
+    off: np.ndarray, pairing_tol: float
+) -> List[Tuple[List[Tuple[complex, complex]], Optional[complex]]]:
+    """Greedy mirror pairing of the off-circle roots of each node, one node
+    per row of ``off``.
 
     The last unpaired root takes the remaining root of least cost, the
     first one in root order on a tie.  Every cost is one entry of a matrix
-    built up front, with the arithmetic of a scalar cost per pair.
+    built up front for the whole stack, with the arithmetic of a scalar
+    cost per pair.  Returns, per node, its pairs and the first root left
+    without a partner within ``pairing_tol`` (None when every root has
+    one), where its pairing stopped.
     """
     mod = np.hypot(off.real, off.imag)  # abs() of each root, to the last bit
-    d = off[None, :] - 1.0 / np.conj(off)[:, None]  # [r, w]: w - 1/conj(r)
+    d = off[:, None, :] - 1.0 / np.conj(off)[:, :, None]  # [r, w]: w - 1/conj(r)
     gap = np.hypot(d.real, d.imag)
     # [r, w]: max(|w - 1/conj(r)|, |r - 1/conj(w)|) / (1 + |r| + |w|)
-    cost = (np.maximum(gap, gap.T) / (1 + mod[:, None] + mod[None, :])).tolist()
-    roots = off.tolist()
-    pairs: List[Tuple[complex, complex]] = []
-    pool = list(range(off.size))
-    while pool:
-        i = pool.pop()
-        w = min(pool, key=cost[i].__getitem__, default=None)
-        if w is None or cost[i][w] > pairing_tol:
-            raise UnrealizableAutocorrelation(
-                f"autocorrelation not realizable: unpaired root {roots[i]!r}"
-            )
-        pool.remove(w)
-        pairs.append((roots[i], roots[w]))
-    return pairs
+    cost = np.maximum(gap, gap.swapaxes(1, 2)) / (1 + mod[:, :, None] + mod[:, None, :])
+    out = []
+    for roots, costs in zip(off.tolist(), cost.tolist()):
+        pairs: List[Tuple[complex, complex]] = []
+        lost = None
+        pool = list(range(len(roots)))
+        while pool:
+            i = pool.pop()
+            w = min(pool, key=costs[i].__getitem__, default=None)
+            if w is None or costs[i][w] > pairing_tol:
+                lost = roots[i]
+                break
+            pool.remove(w)
+            pairs.append((roots[i], roots[w]))
+        out.append((pairs, lost))
+    return out
+
+
+def _fusable(r1: complex, r2: complex, chord: float) -> bool:
+    """Whether a mirror pair sits right on the circle, its roots within
+    ``chord`` of each other: indistinguishable from a split double circle
+    root."""
+    return abs(abs(r1) - 1.0) <= 5e-2 and abs(abs(r2) - 1.0) <= 5e-2 and abs(r1 - r2) <= chord
 
 
 def _factor_once(
@@ -395,7 +422,9 @@ def _factor_once(
             )
         forced.extend([centroid / abs(centroid)] * (len(cluster) // 2))
 
-    pairs = _mirror_pairs(roots[~near], max(PAIRING_TOL, circle_tol))
+    [(pairs, lost)] = _mirror_pairs(roots[~near][None], max(PAIRING_TOL, circle_tol))
+    if lost is not None:
+        raise UnrealizableAutocorrelation(f"autocorrelation not realizable: unpaired root {lost!r}")
 
     # a mirror pair sitting right on the circle is indistinguishable from a
     # split double circle root; offer the fused reading as an extra branch
@@ -404,12 +433,7 @@ def _factor_once(
     branch_count = 1
     for r1, r2 in pairs:
         opts = [(r1, False), (r2, False)]
-        fusable = (
-            abs(abs(r1) - 1.0) <= 5e-2
-            and abs(abs(r2) - 1.0) <= 5e-2
-            and abs(r1 - r2) <= chord
-        )
-        if fusable and branch_count * 3 <= 8192:
+        if _fusable(r1, r2, chord) and branch_count * 3 <= 8192:
             mid = (r1 + r2) / 2
             if mid != 0:
                 opts.append((mid / abs(mid), True))
@@ -421,18 +445,13 @@ def _factor_once(
         # each pair's options as one row of three, a pair without a fused
         # option repeating its second
         table = np.array([[o[0][0], o[1][0], o[-1][0]] for o in options], dtype=np.complex128)
-        table = table.reshape(-1, 3)
+        table = table.reshape(1, -1, 3)
+        rooted = np.array(forced, dtype=np.complex128).reshape(1, -1)
         sizes = tuple(len(o) for o in options)
-        screened = screen(forced, table, sizes)
-        if screened is not None and screened[0].size:
-            # a branch within POLISH_ABOVE of the first window's data has lags
-            # within about 2 POLISH_ABOVE a0 of the node's, far inside the lag
-            # tolerance: the fan-out's steps build it, and it stands
-            rows, fits = screened
-            chosen = table[np.arange(len(sizes)), _picks(sizes, rows)]
-            if forced:
-                chosen = np.hstack([np.broadcast_to(forced, (rows.size, len(forced))), chosen])
-            return _unit_cores(_poly_rows(chosen, _closable(forced, options)), a0), fits
+        owner, rows, fits, _ = screen(rooted, table, sizes)
+        if rows.size:
+            closable = np.array([_closable(forced, options)])
+            return _screened_cores(rooted, table, sizes, owner, rows, np.array([a0]), closable), fits
     cores = _unit_cores(_fan_out(forced, options), a0)
     ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
     if not ok.any():
@@ -451,24 +470,31 @@ def _factor_once(
 
 
 def _cross_angle_screen(
-    forced: Sequence[complex],
+    forced: np.ndarray,
     table: np.ndarray,
     sizes: Tuple[int, ...],
     *,
     s_eff: int,
-    a0: float,
+    a0: np.ndarray,
     phi: np.ndarray,
     psi: np.ndarray,
     pair: WindowPair,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The branches that fit the node's data cleanly, priced from their roots
-    without building them: their numbers, as ``_branch_rows`` numbers them,
-    and a (branch, placement) mask of the placements that fit, a defect
-    within ``POLISH_ABOVE``; every other (branch, placement) misses
-    ``ACCEPT_TOL``.  None when some (branch, placement) may fit only
-    roughly, between the two give or take ``SCREEN_MARGIN``, which the whole
-    enumeration and the second window's polish settle.  Pair j offers the
-    first ``sizes[j]`` roots of ``table[j]``.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The branches of each node that fit its data cleanly, priced from their
+    roots without building them, over a stack of nodes that share s_eff,
+    the pair sizes and the forced-root count: row i of ``forced``,
+    ``table``, ``a0``, ``phi`` and ``psi`` is node i's.  Pair j offers the
+    first ``sizes[j]`` roots of ``table[i, j]``.
+
+    Returns (owner, rows, fits, deferred).  The kept branches are listed
+    node-major: ``owner`` names each one's node and ``rows`` its number, as
+    ``_branch_rows`` numbers them, and ``fits`` is its mask of the
+    placements that fit, a defect within ``POLISH_ABOVE``; every other
+    (branch, placement) of a node misses ``ACCEPT_TOL``.  ``deferred`` marks
+    the nodes, none of whose branches are kept, where some (branch,
+    placement) may fit only roughly, between the two give or take
+    ``SCREEN_MARGIN``, which the whole enumeration and the second window's
+    polish settle.
 
     With w = exp(-2 i pi delta omega), a core at placement p has the
     spectrum H(omega) = delta K exp(-2 i pi (p - L // 2) delta omega) P(w),
@@ -488,41 +514,74 @@ def _cross_angle_screen(
     halves' |P(w1)|^2 gives every branch's K.  The second window's defect
     at four bins spread over the period, a lower bound of the whole defect,
     rules out every branch but a few, and those are priced at every bin.
+    Every step is elementwise or a reduction over the bins, or a matrix
+    product on matmul's batch axis, so a node's prices do not depend on
+    the nodes stacked with it.
     """
     grid = pair.grid
     L = grid.L
+    g = len(table)
     w, turn = _screen_tables(L, grid.B, pair.b)
     turn = turn[: L - s_eff + 1, None]
-    factors = w - table[..., None, None]  # (pair, option, w1 | w2, bin)
+    factors = w - table[..., None, None]  # (node, pair, option, w1 | w2, bin)
 
     def product(pairs: range) -> np.ndarray:
         """P at the bins over ``pairs``, one row per choice of theirs."""
-        out = np.ones((1, 2, 2 * L))
+        out = np.ones((g, 1, 2, 2 * L))
         for j in pairs:
-            out = (out[:, None] * factors[j, : sizes[j]]).reshape(-1, 2, 2 * L)
+            out = (out[:, :, None] * factors[:, j, None, : sizes[j]]).reshape(g, -1, 2, 2 * L)
         return out
 
     left, right = product(range(len(sizes) // 2)), product(range(len(sizes) // 2, len(sizes)))
-    if forced:
-        left = left * (w - np.array(forced)[:, None, None]).prod(axis=0)
-    scale = grid.delta * math.sqrt(2 * L * a0)
-    a1, b1 = np.abs(left[:, 0]), np.abs(right[:, 0])
-    gain = scale / np.sqrt((a1 * a1) @ (b1 * b1).T).ravel()  # delta K of each branch
+    if forced.shape[1]:
+        left = left * (w - forced[:, :, None, None]).prod(axis=1)[:, None]
+    scale = grid.delta * np.sqrt(2 * L * a0)
+    a1, b1 = np.abs(left[:, :, 0]), np.abs(right[:, :, 0])
+    gain = scale[:, None] / np.sqrt((a1 * a1) @ (b1 * b1).swapaxes(1, 2)).reshape(g, -1)
     few = slice(0, 2 * L, max(L // 2, 1))
-    x = (left[:, None, :, few] * right[:, :, few]).reshape(-1, 2, 1, len(range(2 * L)[few]))
-    d = np.abs(x[:, 1] * turn - x[:, 0]) * gain[:, None, None] - psi[few]
+    x = (left[:, :, None, :, few] * right[:, None, :, :, few]).reshape(g, -1, 2, 1, len(range(2 * L)[few]))
+    d = np.abs(x[:, :, 1] * turn - x[:, :, 0]) * gain[:, :, None, None] - psi[:, None, None, few]
     out = ((ACCEPT_TOL + SCREEN_MARGIN) * scale) ** 2
-    rows = (np.add.reduce(d * d, axis=2) <= out).any(axis=1).nonzero()[0]
-    spectra = left[rows // len(right)] * right[rows % len(right)]
-    gain = gain[rows]
-    e = np.abs(spectra[:, 0]) * gain[:, None] - phi
-    d = np.abs(spectra[:, None, 1] * turn - spectra[:, None, 0]) * gain[:, None, None] - psi
+    owner, rows = (np.add.reduce(d * d, axis=3) <= out[:, None, None]).any(axis=2).nonzero()
+    right_count = right.shape[1]
+    spectra = left[owner, rows // right_count] * right[owner, rows % right_count]
+    gain = gain[owner, rows]
+    e = np.abs(spectra[:, 0]) * gain[:, None] - phi[owner]
+    d = np.abs(spectra[:, None, 1] * turn - spectra[:, None, 0]) * gain[:, None, None] - psi[owner, None]
     priced = np.add.reduce(d * d, axis=2) + np.add.reduce(e * e, axis=1)[:, None]
-    fits = priced <= ((POLISH_ABOVE - SCREEN_MARGIN) * scale) ** 2
-    if not (fits | (priced > out)).all():
-        return None
-    kept = fits.any(axis=1)
-    return rows[kept], fits[kept]
+    fits = priced <= ((POLISH_ABOVE - SCREEN_MARGIN) * scale[owner, None]) ** 2
+    deferred = np.zeros(g, dtype=bool)
+    deferred[owner[~(fits | (priced > out[owner, None])).all(axis=1)]] = True
+    kept = fits.any(axis=1) & ~deferred[owner]
+    return owner[kept], rows[kept], fits[kept], deferred
+
+
+def _screened_cores(
+    forced: np.ndarray,
+    table: np.ndarray,
+    sizes: Tuple[int, ...],
+    owner: np.ndarray,
+    rows: np.ndarray,
+    a0: np.ndarray,
+    closable: np.ndarray,
+) -> np.ndarray:
+    """The cores of the branches ``_cross_angle_screen`` kept, one per
+    (owner, row), built with the fan-out's steps and scaled to their node's
+    energy.  A branch within POLISH_ABOVE of the first window's data has
+    lags within about 2 POLISH_ABOVE a0 of the node's, far inside the lag
+    tolerance, so it stands without the lag check.
+
+    Each node's cores are scaled by a ``_unit_cores`` call of their own:
+    np.abs of a reversed one-row view takes another kernel than of a
+    stack, so a stacked call would move a node's last bits.
+    """
+    chosen = table[owner[:, None], np.arange(len(sizes)), _picks(sizes, rows)]
+    if forced.shape[1]:
+        chosen = np.hstack([forced[owner], chosen])
+    poly = _poly_rows(chosen, closable[owner])
+    bounds = owner.searchsorted(np.arange(len(table) + 1)).tolist()
+    parts = [_unit_cores(poly[lo:hi], x) for x, lo, hi in zip(a0.tolist(), bounds, bounds[1:]) if hi > lo]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @lru_cache(maxsize=32)
@@ -585,53 +644,180 @@ def enumerate_candidates(
         raise ValueError(f"got {a.size} lags for window cell count {L}")
     if not (psi_mags is None) == (pair is None) == (phi_mags is None):
         raise ValueError("the screen needs psi_mags, pair and phi_mags together")
-    a0 = float(a[0].real)
-    if a0 <= 0:
+    if float(a[0].real) <= 0:
         raise ValueError("zero autocorrelation has no nonzero factorization")
-
-    # one past the highest lag above the noise floor
-    floor = 1e-12 * a0
-    s_eff = a.size
-    while s_eff > 1 and not abs(a[s_eff - 1]) > floor:
-        s_eff -= 1
-
-    screen: Optional[Screen] = None
+    phi = psi = None
     if pair is not None:
-        phi = np.asarray(phi_mags, dtype=np.float64)
-        psi = np.asarray(psi_mags, dtype=np.float64)
+        phi = np.asarray(phi_mags, dtype=np.float64).reshape(1, -1)
+        psi = np.asarray(psi_mags, dtype=np.float64).reshape(1, -1)
         if pair.grid.L != L or phi.size != 2 * L or psi.size != 2 * L:
             raise ValueError(f"need the pair's window of {L} cells and 2L = {2 * L} bins per window")
-        if 2 ** (s_eff - 1) * (L - s_eff + 1) >= SCREEN_MIN_ROWS:
-            screen = partial(_cross_angle_screen, s_eff=s_eff, a0=a0, phi=phi, psi=psi, pair=pair)
+    [out] = _candidate_rows(a.reshape(1, -1), L, pair, phi, psi)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    fits = None
-    if s_eff == 1:
-        cores = np.array([[np.sqrt(a0)]], dtype=np.complex128)
-    else:
-        # the roots of the two-sided lag polynomial, as np.roots finds them:
-        # its end coefficients are a_{s-1} and conj(a_{s-1}), both nonzero
-        p = np.concatenate([np.conj(a[1:s_eff][::-1]), a[:s_eff]])[::-1]
-        n = p.size - 1
-        companion = np.zeros((n, n), dtype=np.complex128)
-        companion.ravel()[n :: n + 1] = 1.0  # the subdiagonal
-        companion[0] = -p[1:] / p[0]
-        roots = np.linalg.eigvals(companion)
-        # a multiplicity-m root only comes back from the eigensolver to within
-        # about eps**(1/m), so circle classification retries on a widening
-        # ladder; the lag validation inside each pass arbitrates what to accept
-        error: Optional[UnrealizableAutocorrelation] = None
-        for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
+
+def _candidate_rows(
+    a: np.ndarray,
+    L: int,
+    pair: Optional[WindowPair],
+    phi: Optional[np.ndarray],
+    psi: Optional[np.ndarray],
+) -> List:
+    """``enumerate_candidates`` on each row of a stack of nodes' lags, with
+    the screen when ``pair`` is given (``phi`` and ``psi`` holding each
+    node's magnitudes as rows): one entry per node, its candidates or the
+    error it refuses with.
+
+    The nodes are grouped by effective support length; each group's roots
+    come from one ``eigvals`` call.  The nodes the screen serves and that
+    have no circle root, no loose pairing and no fused reading are priced,
+    built and placed together (``_screened_candidates``); every other node
+    goes on alone from its roots through the circle-tolerance ladder.
+    """
+    out: List = [None] * len(a)
+    energy: List[float] = []
+    groups: dict = {}
+    for i, lags in enumerate(a.tolist()):
+        a0 = lags[0].real
+        energy.append(a0)
+        if a0 <= 0:
+            out[i] = ValueError("zero autocorrelation has no nonzero factorization")
+            continue
+        # one past the highest lag above the noise floor
+        floor = 1e-12 * a0
+        s_eff = len(lags)
+        while s_eff > 1 and not abs(lags[s_eff - 1]) > floor:
+            s_eff -= 1
+        groups.setdefault(s_eff, []).append(i)
+    for s_eff, nodes in groups.items():
+        if s_eff == 1:
+            for i in nodes:
+                core = np.array([[np.sqrt(energy[i])]], dtype=np.complex128)
+                out[i] = _deduplicated(*_placed(core, None, L, 1))
+            continue
+        lags = a if len(nodes) == len(a) else a[nodes]
+        roots = _lag_roots(lags, s_eff)
+        screened = pair is not None and 2 ** (s_eff - 1) * (L - s_eff + 1) >= SCREEN_MIN_ROWS
+        alone = range(len(nodes))
+        if screened:
+            mags = (phi, psi) if len(nodes) == len(a) else (phi[nodes], psi[nodes])
+            served = _screened_candidates(roots, s_eff, lags[:, 0].real, *mags, pair)
+            for j, cand in served:
+                out[nodes[j]] = cand
+            alone = sorted(set(alone).difference(j for j, _ in served))
+        for j in alone:
+            i = nodes[j]
+            screen = None
+            if screened:
+                screen = partial(_cross_angle_screen, s_eff=s_eff, a0=np.array([energy[i]]),
+                                 phi=phi[i : i + 1], psi=psi[i : i + 1], pair=pair)
             try:
-                cores, fits = _factor_once(roots, a, s_eff, a0, circle_tol, screen)
-                break
+                cores, fits = _factor_ladder(roots[j], lags[j], s_eff, energy[i], screen)
             except UnrealizableAutocorrelation as exc:
-                error = exc
-        else:
-            assert error is not None
-            raise error
+                out[i] = exc
+                continue
+            out[i] = _deduplicated(*_placed(cores, fits, L, s_eff))
+    return out
 
-    # every core at every placement, rows ordered core-major, less the
-    # placements that do not fit
+
+def _lag_roots(a: np.ndarray, s_eff: int) -> np.ndarray:
+    """The roots of each row's two-sided lag polynomial, as np.roots finds
+    them: its end coefficients are a_{s-1} and conj(a_{s-1}), both nonzero.
+    One ``eigvals`` call takes the stack, and LAPACK factors each companion
+    matrix alone, so a row's roots do not depend on the rows beside it."""
+    # highest degree first: a_{s-1} .. a_0, then conj(a_1) .. conj(a_{s-1})
+    p = np.concatenate([a[:, s_eff - 1 :: -1], np.conj(a[:, 1:s_eff])], axis=1)
+    g, n = len(p), p.shape[1] - 1
+    companion = np.zeros((g, n, n), dtype=np.complex128)
+    companion.reshape(g, -1)[:, n :: n + 1] = 1.0  # the subdiagonal
+    companion[:, 0] = -p[:, 1:] / p[:, :1]
+    return np.linalg.eigvals(companion)
+
+
+def _factor_ladder(
+    roots: np.ndarray, lags: np.ndarray, s_eff: int, a0: float, screen: Optional[Screen]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``_factor_once`` on a widening circle tolerance: a multiplicity-m root
+    only comes back from the eigensolver to within about eps**(1/m), so
+    circle classification retries, and the lag validation inside each pass
+    arbitrates what to accept; the last refusal is raised."""
+    error: Optional[UnrealizableAutocorrelation] = None
+    for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
+        try:
+            return _factor_once(roots, lags, s_eff, a0, circle_tol, screen)
+        except UnrealizableAutocorrelation as exc:
+            error = exc
+    assert error is not None
+    raise error
+
+
+def _screened_candidates(
+    roots: np.ndarray,
+    s_eff: int,
+    a0: np.ndarray,
+    phi: np.ndarray,
+    psi: np.ndarray,
+    pair: WindowPair,
+) -> List[Tuple[int, np.ndarray]]:
+    """The candidates of the stacked nodes whose first ladder pass the screen
+    settles together, as (node, candidates) in node order: nodes with no
+    root near the circle, every root paired within ``PAIRING_TOL``, no fused
+    reading and at least one branch kept.  That pass takes the same steps
+    on each node alone, so each node's candidates carry the bits it gets
+    alone."""
+    near = (np.abs(np.hypot(roots.real, roots.imag) - 1.0) <= PAIRING_TOL).any(axis=1).tolist()
+    paired = _mirror_pairs(roots, PAIRING_TOL)
+    nodes = [j for j, ((_, lost), circle) in enumerate(zip(paired, near)) if lost is None and not circle]
+    if not nodes:
+        return []
+    table = np.array([paired[j][0] for j in nodes], dtype=np.complex128).reshape(len(nodes), -1, 2)
+    # _fusable and _closable decide, on the few nodes that pass a looser
+    # test: a fused pair has both roots near the circle and close together,
+    # and a closable node holds a root whose conjugate is among its roots
+    chord = max(2 * math.sqrt(PAIRING_TOL), 4 * PAIRING_TOL)
+    ring = np.abs(np.abs(table) - 1.0) <= 0.06
+    close = np.abs(table[..., 0] - table[..., 1]) <= 2 * chord
+    maybe = (ring.all(axis=2) & close).any(axis=1).tolist()
+    keep = [
+        not (m and any(_fusable(*rs, chord) for rs in paired[j][0])) for j, m in zip(nodes, maybe)
+    ]
+    nodes = [j for j, k in zip(nodes, keep) if k]
+    if not nodes:
+        return []
+    table = table[np.array(keep)][:, :, [0, 1, 1]]
+    closable = np.zeros(len(nodes), dtype=bool)
+    mirrored = (np.conj(roots[nodes])[:, :, None] == roots[nodes][:, None, :]).any(axis=(1, 2))
+    for k in mirrored.nonzero()[0].tolist():
+        closable[k] = _closable((), [[(r, False) for r in p] for p in paired[nodes[k]][0]])
+    sizes = (2,) * table.shape[1]
+    forced = np.empty((len(nodes), 0), dtype=np.complex128)
+    a0 = a0[nodes]
+    owner, rows, fits, _ = _cross_angle_screen(
+        forced, table, sizes, s_eff=s_eff, a0=a0, phi=phi[nodes], psi=psi[nodes], pair=pair
+    )
+    if not rows.size:
+        return []
+    cores = _screened_cores(forced, table, sizes, owner, rows, a0, closable)
+    cand, top = _placed(cores, fits, pair.grid.L, s_eff)
+    owner = owner.repeat(fits.shape[1])[fits.ravel()]
+    bounds = owner.searchsorted(np.arange(len(nodes) + 1)).tolist()
+    return [
+        (j, _deduplicated(cand[lo:hi], top[lo:hi]))
+        for j, lo, hi in zip(nodes, bounds, bounds[1:])
+        if hi > lo
+    ]
+
+
+def _placed(
+    cores: np.ndarray, fits: Optional[np.ndarray], L: int, s_eff: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every core at every placement, rows ordered core-major, less the
+    placements that do not fit (``fits``, one row per core, or None when
+    every one stands), each at its canonical global phase: the first
+    largest entry becomes real and positive.  Returns the rows and each
+    one's largest modulus."""
     P = L - s_eff + 1
     cand = cores
     if P > 1:
@@ -641,16 +827,22 @@ def enumerate_candidates(
         cand = placed.reshape(-1, L)
     if fits is not None:
         cand = cand[fits.ravel()]
-    # global phase: the first largest entry becomes real and positive (every
-    # row holds a core of energy a0 > 0, so the peak is never zero)
+    # every row holds a core of energy a0 > 0, so the peak is never zero
     mod = np.abs(cand)
     peak = np.arange(cand.shape[0]), mod.argmax(axis=1)
     top = mod[peak]  # gathered at argmax, which is cheaper than a row max
     cand *= (np.conj(cand[peak]) / top)[:, None]
+    return cand, top
+
+
+def _deduplicated(cand: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """One node's placed candidates (``_placed``) sorted by their quantized
+    byte keys, each key's first row kept."""
     if len(cand) == 1:
         return cand
-    # each row over that modulus (the keys only order and dedup rows), then
-    # np.round(z, 9) on both parts at once
+    L = cand.shape[1]
+    # each row over its peak modulus (the keys only order and dedup rows),
+    # then np.round(z, 9) on both parts at once
     q = np.rint((cand / top[:, None]).view(np.float64) * 1e9) / 1e9
     # sort the keys bytewise, stably, and keep each key's first row
     keys = q.view(np.dtype((np.void, q.itemsize * 2 * L))).ravel()
@@ -765,71 +957,143 @@ def prune_with_second_window(
     if psi.size != 2 * L:
         raise ValueError(f"need 2L = {2 * L} second-window bins, got {psi.size}")
     phi = np.asarray(phi_mags, dtype=np.float64)
-    C = np.array(candidates, dtype=np.complex128).reshape(-1, L)
+    C = np.array(candidates, dtype=np.complex128).reshape(1, -1, L)
+    [out] = _pruned_rows(C, phi.reshape(1, -1), psi.reshape(1, -1), pair)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _pruned_candidates(cands: Sequence, phi: np.ndarray, psi: np.ndarray, pair: WindowPair) -> List:
+    """``prune_with_second_window`` on each entry of ``cands`` (a node's
+    candidates, or the error it refused with, which passes through), with
+    the nodes' magnitudes as rows of ``phi`` and ``psi``: the nodes with
+    the same number of candidates are priced as one stack."""
+    out = list(cands)
+    counts: dict = {}
+    for i, c in enumerate(cands):
+        if not isinstance(c, Exception):
+            counts.setdefault(len(c), []).append(i)
+    for nodes in counts.values():
+        if len(nodes) == len(cands):
+            C, mags = np.stack(cands) if len(cands) > 1 else cands[0][None], (phi, psi)
+        else:
+            C, mags = np.stack([cands[i] for i in nodes]), (phi[nodes], psi[nodes])
+        for i, cls in zip(nodes, _pruned_rows(C, *mags, pair)):
+            out[i] = cls
+    return out
+
+
+def _pruned_rows(C: np.ndarray, phi: np.ndarray, psi: np.ndarray, pair: WindowPair) -> List:
+    """``prune_with_second_window`` on a stack of nodes with as many
+    candidates each, C (nodes, candidates, L), refitting rows in place: one
+    ``LocalClass`` per node, or the error it refuses with.
+
+    The defects, and the mates', are priced for the whole stack at once, on
+    matmul's batch axis, so each node's are the bits it gets alone; only a
+    node with a rough survivor or none (which ``refit`` settles), or with
+    more than one survivor (whose classes are formed pairwise), takes steps
+    of its own.
+    """
+    grid = pair.grid
+    L = grid.L
     E1, E2, _, _ = _pricing_tables(L, grid.B, pair.b)
+    a0 = np.add.reduce(np.abs(C) ** 2, axis=2).max(axis=1).tolist() if C.shape[1] else [0.0] * len(C)
+    scale = np.array([grid.delta * math.sqrt(2 * L * x) if x > 0 else 1.0 for x in a0])
 
-    a0 = float(np.add.reduce(np.abs(C) ** 2, axis=1).max()) if C.size else 0.0
-    scale = grid.delta * np.sqrt(2 * L * a0) if a0 > 0 else 1.0
-
-    def defects_of(X: np.ndarray) -> np.ndarray:
+    def defects_of(X: np.ndarray, nodes) -> np.ndarray:
+        """The relative defects of X's rows, node by node (X's first axis)."""
         H1 = grid.delta * (X @ E1)
         H2 = grid.delta * (X @ E2)
         # each row's 2-norm, with np.linalg.norm's arithmetic
-        d = np.abs(H2 - H1) - psi
-        e = np.abs(H1) - phi
+        d = np.abs(H2 - H1) - psi[nodes, None]
+        e = np.abs(H1) - phi[nodes, None]
+        s = scale[nodes, None]
         return np.hypot(
-            np.sqrt(np.add.reduce(d * d, axis=1)) / scale,
-            np.sqrt(np.add.reduce(e * e, axis=1)) / scale,
+            np.sqrt(np.add.reduce(d * d, axis=2)) / s, np.sqrt(np.add.reduce(e * e, axis=2)) / s
         )
 
-    defects = defects_of(C)
-    # the survivors, or the best candidate when none passes, each refit in
-    # place above POLISH_ABOVE and priced again: a rough survivor would carry
-    # its defect into the glued neighbours, and only both windows together
-    # can vouch for a fit (the second alone has one equation per unknown)
-    order = (defects <= ACCEPT_TOL).nonzero()[0]
-    if not order.size and C.size:
-        order = defects.argmin(keepdims=True)
-    rough = order[defects[order] > POLISH_ABOVE]
-    priced = defects[rough]
-    if rough.size:
-        C[rough] = refit(C[rough], phi, psi, pair, scale)
-        defects[rough] = defects_of(C[rough])
-        order = order[defects[order] <= ACCEPT_TOL]
-    if not order.size:
-        raise InconsistentMeasurements(
-            f"no factorization candidate matches the second window's data "
-            f"(best relative defect {np.minimum(priced, defects[rough]).min(initial=np.inf):.3e})"
-        )
+    defects = defects_of(C, slice(None))
+    priced = defects.tolist()
+    out: List = [None] * len(C)
+    classes: List[List[int]] = []
+    for i, row in enumerate(priced):
+        order = [j for j, d in enumerate(row) if d <= ACCEPT_TOL]
+        if not order or any(row[j] > POLISH_ABOVE for j in order):
+            # the survivors, or the best candidate when none passes, each
+            # refit in place above POLISH_ABOVE and priced again: a rough
+            # survivor would carry its defect into the glued neighbours, and
+            # only both windows together can vouch for a fit (the second
+            # alone has one equation per unknown)
+            d = defects[i]
+            at = (d <= ACCEPT_TOL).nonzero()[0]
+            if not at.size and d.size:
+                at = d.argmin(keepdims=True)
+            rough = at[d[at] > POLISH_ABOVE]
+            was = d[rough]
+            if rough.size:
+                C[i, rough] = refit(C[i, rough], phi[i], psi[i], pair, scale[i])
+                d[rough] = defects_of(C[i, rough][None], [i])[0]
+                at = at[d[at] <= ACCEPT_TOL]
+                priced[i] = d.tolist()
+            if not at.size:
+                out[i] = InconsistentMeasurements(
+                    f"no factorization candidate matches the second window's data "
+                    f"(best relative defect {np.minimum(was, d[rough]).min(initial=np.inf):.3e})"
+                )
+                classes.append([0])
+                continue
+            order = at.tolist()
+        kept = order[:1]
+        for j in order[1:]:
+            if not any(_phase_match(C[i, j], C[i, k], CLASS_TOL) for k in kept):
+                kept.append(j)
+        if len(kept) > 2:
+            out[i] = AmbiguityViolation(
+                f"ambiguity violation: {len(kept)} phase classes survive the second window"
+            )
+        classes.append(kept)
+    if all(cls is not None for cls in out):
+        return out
 
-    classes: List[int] = []
-    for i in order:
-        if not any(_phase_match(C[i], C[j], CLASS_TOL) for j in classes):
-            classes.append(i)
-
-    if len(classes) > 2:
-        raise AmbiguityViolation(
-            f"ambiguity violation: {len(classes)} phase classes survive the second window"
-        )
     # the slot mate, decided once: slot 0, which an even window's reflection
     # drops, reads as empty at or below CLASS_TOL of the class maximum (the
     # rule that pairs two classes), as the forward map leaves roundoff there
-    # far from the origin.  Each class owns its row, not a candidate view
-    reps = tuple(C[i].copy() for i in classes)
-    empty = L % 2 == 0 and abs(reps[0][0]) <= CLASS_TOL * np.abs(reps[0]).max()
-    mate = slot_reflect(np.concatenate(([0.0], reps[0][1:])) if empty else reps[0])
-    if len(classes) == 2 and (mate is None or not _phase_match(mate, reps[1], CLASS_TOL)):
-        raise AmbiguityViolation(
-            "ambiguity violation: two surviving classes are not conjugate mates"
+    # far from the origin.  Read as empty it is dropped, and the mate is
+    # admissible; otherwise it holds more than slot_reflect's 1e-12 of the
+    # maximum, and the mate is not
+    lead = [kept[0] for kept in classes]
+    first = C[np.arange(len(C)), lead] if any(lead) else C[:, 0]
+    mates = _slot_reflections(first)
+    admissible = [True] * len(C)
+    if L % 2 == 0:
+        peaks = np.abs(first).max(axis=1).tolist()
+        admissible = [abs(z) <= CLASS_TOL * m for z, m in zip(first[:, 0].tolist(), peaks)]
+    fitting = [False] * len(C)
+    at = [i for i, ok in enumerate(admissible) if ok and out[i] is None]
+    if at:
+        sel = slice(None) if len(at) == len(C) else at
+        for i, d in zip(at, defects_of(mates[sel, None], sel)[:, 0].tolist()):
+            fitting[i] = d <= ACCEPT_TOL
+    for i, kept in enumerate(classes):
+        if out[i] is not None:
+            continue
+        # each class owns its row, not a candidate view
+        reps = tuple(C[i, j].copy() for j in kept)
+        mate = mates[i] if admissible[i] else None
+        if len(kept) == 2 and (mate is None or not _phase_match(mate, reps[1], CLASS_TOL)):
+            out[i] = AmbiguityViolation(
+                "ambiguity violation: two surviving classes are not conjugate mates"
+            )
+            continue
+        lone = fitting[i] and len(reps) == 1 and not _phase_match(mate, reps[0], CLASS_TOL)
+        out[i] = LocalClass(
+            representatives=reps,
+            includes_reflection=fitting[i],
+            residual=min(priced[i][j] for j in kept),
+            mate=mate.copy() if lone else None,
         )
-    includes_reflection = mate is not None and defects_of(mate[None, :])[0] <= ACCEPT_TOL
-    lone = includes_reflection and len(reps) == 1 and not _phase_match(mate, reps[0], CLASS_TOL)
-    return LocalClass(
-        representatives=reps,
-        includes_reflection=bool(includes_reflection),
-        residual=float(min(defects[i] for i in classes)),
-        mate=mate if lone else None,
-    )
+    return out
 
 
 def recover_local(
@@ -858,12 +1122,68 @@ def recover_local(
     peak = float(phi.max(initial=0.0))
     ref = peak if scale is None else float(scale)
     if peak <= _ZERO_NODE_RTOL * ref or peak == 0.0:
-        return LocalClass(
-            representatives=(np.zeros(L, dtype=np.complex128),),
-            includes_reflection=True,
-            residual=0.0,
-            is_zero=True,
-        )
+        return _zero_class(L)
     acorr = autocorrelation_from_magnitudes(phi, grid.delta)
     candidates = enumerate_candidates(acorr, L, psi, pair, phi_mags=phi)
     return prune_with_second_window(candidates, psi, pair, phi_mags=phi)
+
+
+def _zero_class(L: int) -> LocalClass:
+    """The class of a node whose data is negligible."""
+    return LocalClass(
+        representatives=(np.zeros(L, dtype=np.complex128),),
+        includes_reflection=True,
+        residual=0.0,
+        is_zero=True,
+    )
+
+
+def recover_rows(
+    phi_mags: np.ndarray,
+    psi_mags: np.ndarray,
+    pair: WindowPair,
+    *,
+    scale: Optional[float] = None,
+) -> List[LocalClass]:
+    """``recover_local`` on each row of a stack of nodes, rows (nodes, 2L) of
+    both windows' magnitudes: one ``LocalClass`` per row, bit for bit what
+    ``recover_local`` gives that row alone, or the error of the first row,
+    in row order, that ``recover_local`` refuses.
+
+    The stages run once per stack, on the rows whose data is not
+    negligible: the lag inversion, the candidates (``_candidate_rows``:
+    one ``eigvals`` call per support length, and the nodes the screen
+    settles priced, built and placed together) and the pruning
+    (``_pruned_candidates``: the nodes with as many candidates priced
+    together).  Nodes with circle roots, a deferring screen, a rough
+    survivor or too few branches for the screen go on alone through the
+    same code, from the roots already found.  The stacked arrays grow with
+    the rows, so a caller with many nodes hands them over a block at a
+    time.
+    """
+    grid = pair.grid
+    L = grid.L
+    phi = np.asarray(phi_mags, dtype=np.float64)
+    psi = np.asarray(psi_mags, dtype=np.float64)
+    if phi.ndim != 2 or phi.shape != psi.shape or phi.shape[1] != 2 * L:
+        raise ValueError(
+            f"block recovery needs rows of one full alias period: (nodes, 2L = {2 * L}) "
+            f"bins per window, got {phi.shape} and {psi.shape}"
+        )
+    out: List = []
+    for peak in phi.max(axis=1, initial=0.0).tolist():
+        ref = peak if scale is None else float(scale)
+        out.append(_zero_class(L) if peak <= _ZERO_NODE_RTOL * ref or peak == 0.0 else None)
+    nodes = [i for i, cls in enumerate(out) if cls is None]
+    if nodes:
+        if L > L_MAX:
+            raise ValueError(f"enumeration bound exceeded: L = {L} > {L_MAX}")
+        if len(nodes) < len(out):
+            phi, psi = phi[nodes], psi[nodes]
+        cands = _candidate_rows(autocorrelation_from_magnitudes(phi, grid.delta), L, pair, phi, psi)
+        for i, cls in zip(nodes, _pruned_candidates(cands, phi, psi, pair)):
+            out[i] = cls
+    for cls in out:
+        if isinstance(cls, Exception):
+            raise cls
+    return out

@@ -16,13 +16,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .signal_model import (
+    EQUIV_TOL,
     GridSpec,
     OffGridError,
     PeriodicSpec,
+    PhaseAlignment,
     ReflectionRangeError,
     Signal,
     conj_reflect,
-    equivalent_up_to_phase,
     global_phase_align,
     make_periodic,
     period_split,
@@ -50,6 +51,7 @@ from .local_recovery import (
     LocalClass,
     RecoveryError,
     recover_local,
+    recover_rows,
     refit,
 )
 
@@ -444,6 +446,7 @@ def _branch_verdict(
 def _one_world(
     direct: Tuple[Signal, np.ndarray],
     reflected: Signal,
+    align: PhaseAlignment,
     ms: MeasurementSet,
     pair: WindowPair,
     nodes: TimeNodes,
@@ -454,14 +457,17 @@ def _one_world(
     The midpoint of f and lam g, g = conj_reflect(f), is its own reflection
     up to the phase conj(lam).  It is measured only when the branches lie
     within ``ORIENT_TOL`` of each other, closer than the search tells two
-    patches apart, and stands for both when it fits the data no worse than
-    the direct branch: a nearly palindromic input comes back from a node at
-    a branch point of its factorisation with its error along f - lam g.
+    patches apart, and differ in some bit, and stands for both when it fits
+    the data no worse than the direct branch: a nearly palindromic input
+    comes back from a node at a branch point of its factorisation with its
+    error along f - lam g, however small.  ``align`` is
+    ``global_phase_align(f, g)``.
     """
-    align = global_phase_align(direct[0], reflected)
     if align.residual > ORIENT_TOL:
         return None
     mid = Signal(pair.grid, (direct[0].samples + align.lam * reflected.samples) / 2)
+    if mid.samples.tobytes() == direct[0].samples.tobytes():
+        return None  # the branches agree to the last bit
     mags = measure(mid, pair, nodes, ms.freqs).mags
     return (mid, mags) if sup_dev(mags, ms.mags) <= sup_dev(direct[1], ms.mags) else None
 
@@ -483,7 +489,10 @@ def resolve_reflection(
     differ from the data, the direct branch stands alone (for finite-support
     inputs the reflected world forces magnitude relations that fail on
     re-measurement).  Two branches that both fit the lattice are one world,
-    their midpoint, when the data do not resolve them (``_one_world``).
+    their midpoint, when the data do not resolve them (``_one_world``); a
+    reflected branch within ``EQUIV_TOL`` of the direct one is that world
+    already, and is not measured: the midpoint stands for both when it fits
+    no worse, else the direct branch does.
     Otherwise, with an anchor node, whichever branch reproduces the
     anchor magnitudes is selected; if both do, the ambiguity is reported
     unresolved rather than silently picked.  The direct branch's lattice
@@ -511,10 +520,15 @@ def resolve_reflection(
             reflected = conj_reflect(assembly.signal, (lat_times[0] + lat_times[-1]) / 2.0)
         except (ReflectionRangeError, OffGridError):
             reflected = None
-        if reflected is not None and not equivalent_up_to_phase(assembly.signal, reflected):
+        align = None if reflected is None else global_phase_align(assembly.signal, reflected)
+        if align is not None and align.residual <= EQUIV_TOL:
+            # one world already: its branches' midpoint stands for it when
+            # it fits no worse, else the direct branch does
+            chosen = _one_world(chosen, reflected, align, ms, pair, nodes) or chosen
+        elif align is not None:
             got = measure(reflected, pair, nodes, ms.freqs).mags
             if sup_dev(got[:, lat_rows, :], ms.mags[:, lat_rows, :]) <= ACCEPT_TOL * mag_scale:
-                one = _one_world(chosen, reflected, ms, pair, nodes)
+                one = _one_world(chosen, reflected, align, ms, pair, nodes)
                 if one is not None:
                     chosen = one
                 else:
@@ -574,6 +588,9 @@ def reconstruct(
     ``InconsistentMeasurements`` from the search or the reflection step)
     recovers the remaining rows, keeps the classes already made and runs
     the search on the whole lattice, whose result or refusal is final.
+    Both passes hand ``recover_rows`` the rows that have no class yet,
+    ``NODE_BLOCK`` at a time, so a block that refuses leaves its rows to
+    the whole-lattice pass.
     The output always re-measures to the input within ``ACCEPT_TOL``;
     failures surface as declared errors, never as a silently wrong signal.
     Horizon cells under no lattice node window are beyond the data: they
@@ -613,10 +630,13 @@ def reconstruct(
     classes: List[Optional[LocalClass]] = [None] * n
 
     def aligned(rows) -> AlignedAssembly:
-        """Recover the given rows that have no class yet, then search."""
-        for i in rows:
-            if classes[i] is None:
-                classes[i] = recover_local(*lattice_mags[:, i], pair, scale=scale)
+        """Recover the given rows that have no class yet, ``NODE_BLOCK`` at
+        a time, then search."""
+        todo = [i for i in rows if classes[i] is None]
+        for k in range(0, len(todo), NODE_BLOCK):
+            block = todo[k : k + NODE_BLOCK]
+            for i, cls in zip(block, recover_rows(*lattice_mags[:, block], pair, scale=scale)):
+                classes[i] = cls
         return align_overlaps(
             classes, pair, a, times=times, lattice_mags=lattice_mags, freqs=ms.freqs
         )

@@ -21,6 +21,7 @@ from twowin import (
     phase_residuals,
     random_nonseparable,
     recover_local,
+    recover_rows,
     slot_reflect,
 )
 from twowin.local_recovery import (
@@ -47,7 +48,7 @@ from twowin.local_recovery import (
     _unit_cores,
     refit,
 )
-from twowin.stft_engine import measure_batch
+from twowin.stft_engine import NODE_BLOCK, measure_batch
 from twowin.window_engine import WindowPair
 
 
@@ -1206,3 +1207,115 @@ def test_refit_from_near_the_truth_returns_the_truth(L, held):
         hold=hold if held else None,
     )
     assert phase_residuals(got[0], h) <= 1e-14
+
+
+# --- the block entry against the one-row entry ---------------------------------
+
+
+def _lattice_blocks(grid, pair, a, seeds, support=None):
+    """Each seeded signal's lattice rows on ``grid`` at step a, in blocks of
+    ``NODE_BLOCK`` rows, with the signal's magnitude scale."""
+    blocks = []
+    for seed in seeds:
+        gap = 2 * grid.B - a
+        n = support or grid.horizon - grid.cells_spanned(gap) + 1
+        f = random_nonseparable(grid, n, gap, seed=seed)
+        ms = measure(f, pair, TimeNodes.lattice_covering(grid, a))
+        for lo in range(0, ms.mags.shape[1], NODE_BLOCK):
+            blocks.append((ms.mags[0, lo : lo + NODE_BLOCK], ms.mags[1, lo : lo + NODE_BLOCK],
+                           float(ms.mags.max())))
+    return blocks
+
+
+def _block_cases():
+    """(name, pair, blocks): stacks of nodes that share a window pair, each
+    block (phi rows, psi rows, scale or None)."""
+    cases = []
+    # criterion 1's lattices at a = B and B / 2: the rows the sparse pass
+    # recovers stacked with the edge rows, whose support is shorter than L,
+    # and with every row
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    pair = build_window("rectangular", grid, b=0.25)
+    for a, sparse in ((1.0, [*range(1, 16, 2)]), (0.5, [*range(3, 32, 4)])):
+        blocks = _lattice_blocks(grid, pair, a, range(3))
+        for seed in range(3):
+            f = random_nonseparable(grid, grid.horizon - grid.cells_spanned(2 - a) + 1, 2 - a, seed=seed)
+            ms = measure(f, pair, TimeNodes.lattice_covering(grid, a))
+            n = ms.mags.shape[1]
+            rows = sorted({0, 1, *sparse, n - 2, n - 1})
+            blocks.append((ms.mags[0, rows], ms.mags[1, rows], float(ms.mags.max())))
+        cases.append((f"criterion1-a{a}", pair, blocks))
+    # a horizon-1024 lattice, as roundtrip-long recovers it
+    grid = GridSpec(B=1.0, L=8, origin=512, horizon=1024)
+    pair = build_window("rectangular", grid, b=0.25)
+    cases.append(("horizon-1024", pair, _lattice_blocks(grid, pair, 1.0, [3], support=1021)))
+    # criterion 10's L = 4 nodes, each member's rows at a = 1 and 0.5
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    for a in (1.0, 0.5):
+        rows = np.concatenate(measure_batch(family[::5], grid, pair, TimeNodes.lattice_covering(grid, a)),
+                              axis=1).reshape(2, -1, 2 * grid.L)
+        cases.append((f"criterion10-a{a}", pair, [
+            (rows[0, lo : lo + NODE_BLOCK], rows[1, lo : lo + NODE_BLOCK], None)
+            for lo in range(0, rows.shape[1], NODE_BLOCK)
+        ]))
+    # generic full-width nodes stacked with a zero row, forced circle roots,
+    # fused pairs and the lag-fit rescue on one window of 8 cells, and with
+    # two refusing rows: a second window scaled by 1.01, which no candidate
+    # fits, and random first-window data, whose lags are not realizable
+    rng = np.random.default_rng(39)
+    special = [h for name, h in _special_contents() if h.size == 8]
+    generic = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(len(special))]
+    nodes = [h for pair_ in zip(generic, special) for h in pair_] + [np.zeros(8)]
+    mags = [_node_mags(h, 8) for h in nodes]
+    pair = mags[0][2]
+    phi, psi = np.array([m[0] for m in mags]), np.array([m[1] for m in mags])
+    scale = float(phi.max())
+    blocks = [(phi[lo : lo + NODE_BLOCK], psi[lo : lo + NODE_BLOCK], scale)
+              for lo in range(0, len(phi), NODE_BLOCK)]
+    inconsistent = (phi[0], psi[0] * 1.01)
+    unrealizable = (rng.uniform(0.5, 2.0, 16), psi[0])
+    for order in ((inconsistent, unrealizable), (unrealizable, inconsistent)):
+        rows = [(p, q) for p, q in zip(phi[:6], psi[:6])]
+        rows[2:2], rows[5:5] = [order[0]], [order[1]]
+        blocks.append((np.array([p for p, _ in rows]), np.array([q for _, q in rows]), scale))
+    cases.append(("special-L8", pair, blocks))
+    return cases
+
+
+def _assert_same_class(got, want):
+    """The same class count, flags and mate presence, and the same
+    representatives, mate and residual to the last bit."""
+    assert (len(got.representatives), got.includes_reflection, got.is_zero, got.mate is None) == (
+        len(want.representatives), want.includes_reflection, want.is_zero, want.mate is None)
+    for g, w in zip(got.representatives, want.representatives):
+        assert g.tobytes() == w.tobytes()
+    if want.mate is not None:
+        assert got.mate.tobytes() == want.mate.tobytes()
+    assert repr(got.residual) == repr(want.residual)
+
+
+@pytest.mark.parametrize("name, pair, blocks", [pytest.param(*c, id=c[0]) for c in _block_cases()])
+def test_block_recovery_matches_recover_local(name, pair, blocks):
+    # each row of a block call is what recover_local gives that row alone,
+    # bit for bit; a block holding a row that recover_local refuses raises
+    # the first such row's error, class and message, and without its
+    # refusing rows the block gives every other row's class
+    refused = 0
+    for phi, psi, scale in blocks:
+        want = [_recovered(lambda: recover_local(p, q, pair, scale=scale)) for p, q in zip(phi, psi)]
+        bad = [i for i, w in enumerate(want) if isinstance(w, tuple)]
+        if bad:
+            refused += 1
+            with pytest.raises(RecoveryError) as exc:
+                recover_rows(phi, psi, pair, scale=scale)
+            assert (type(exc.value).__name__, str(exc.value)) == want[bad[0]]
+            keep = [i for i in range(len(want)) if i not in bad]
+            phi, psi, want = phi[keep], psi[keep], [want[i] for i in keep]
+        got = recover_rows(phi, psi, pair, scale=scale)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_class(g, w)
+    if name == "special-L8":
+        assert refused

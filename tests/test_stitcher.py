@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from twowin import local_recovery, stitcher
+from twowin.signal_model import EQUIV_TOL
 from twowin.stitcher import (
     COND_MAX,
     DEAD_OVERLAP_RTOL,
@@ -175,73 +176,94 @@ def test_reconstruct_with_anchor_node():
     assert rep.ambiguity == "phase_only"
 
 
+#: The module attributes the block entry reaches its stages through, in call
+#: order: each takes the block's rows whose data is not zero, stacked.
+STAGES = ("autocorrelation_from_magnitudes", "_candidate_rows", "_pruned_candidates")
+
+
+def _spied_blocks(monkeypatch):
+    """Wrap ``stitcher.recover_rows`` and the block's three stages.  Returns
+    two lists they fill: one entry per row ``reconstruct`` recovers, in
+    order, with whether its class is zero, the stages that took it, its
+    candidate count and its class count (None for a stage it skipped); and
+    the recovered rows' (phi, psi), for ``_rows_of``."""
+    seen, rows, taken = [], [], []
+    recover = stitcher.recover_rows
+
+    def counted_recover(phi, psi, *args, **kwargs):
+        out = recover(phi, psi, *args, **kwargs)
+        block = [{"zero": cls.is_zero, "stages": [], "candidates": None, "classes": None}
+                 for cls in out]
+        # each stage took the rows whose data is not zero, in order, and
+        # gave one entry per row
+        live = [node for node in block if not node["zero"]]
+        for stage, got in taken:
+            for node, x in zip(live, got, strict=True):
+                node["stages"].append(stage)
+                if stage == "_candidate_rows":
+                    node["candidates"] = len(x)
+                elif stage == "_pruned_candidates":
+                    node["classes"] = len(x.representatives)
+        taken.clear()
+        seen.extend(block)
+        rows.extend(zip(phi, psi))
+        return out
+
+    def counted_stage(name):
+        stage = getattr(local_recovery, name)
+
+        def counted(*args, **kwargs):
+            out = stage(*args, **kwargs)
+            taken.append((name, out))
+            return out
+
+        return counted
+
+    monkeypatch.setattr(stitcher, "recover_rows", counted_recover)
+    for name in STAGES:
+        monkeypatch.setattr(local_recovery, name, counted_stage(name))
+    return seen, rows
+
+
 def test_reconstruct_reaches_local_recovery_once_per_lattice_row(monkeypatch):
-    # reconstruct looks up stitcher.recover_local once per recovered lattice
-    # row (the anchor row is not a lattice row): at a = B rows 1, 3 and 5 of
-    # 7, whose windows abut, each junction phased from the row between.
-    # recover_local reaches the enumeration and the pruning through
-    # local_recovery's module attributes
+    # reconstruct hands stitcher.recover_rows each recovered lattice row
+    # once (the anchor row is not a lattice row): at a = B rows 1, 3 and 5
+    # of 7, whose windows abut, each junction phased from the row between.
+    # The block entry reaches the candidates and the pruning through
+    # local_recovery's module attributes, once per block, each giving one
+    # entry per row
     f = random_nonseparable(GRID, support_len=22, gap_bound=1.0, seed=2)
     nodes = TimeNodes.lattice_covering(GRID, 1.0, anchor=default_anchor(1.0, GRID.horizon))
     ms = measure(f, PAIR, nodes)
     plain = reconstruct(ms, PAIR)
 
-    calls = []
-    recover, enumerate_, prune = (
-        stitcher.recover_local,
-        local_recovery.enumerate_candidates,
-        local_recovery.prune_with_second_window,
-    )
-
-    def counted_recover(*args, **kwargs):
-        calls.append({"row": _row_of(ms, *args[:2]), "enumerate": [], "prune": []})
-        return recover(*args, **kwargs)
-
-    def counted_enumerate(*args, **kwargs):
-        out = enumerate_(*args, **kwargs)
-        calls[-1]["enumerate"].append(len(out))
-        return out
-
-    def counted_prune(*args, **kwargs):
-        out = prune(*args, **kwargs)
-        calls[-1]["prune"].append(len(out.representatives))
-        return out
-
-    monkeypatch.setattr(stitcher, "recover_local", counted_recover)
-    monkeypatch.setattr(local_recovery, "enumerate_candidates", counted_enumerate)
-    monkeypatch.setattr(local_recovery, "prune_with_second_window", counted_prune)
+    seen, rows = _spied_blocks(monkeypatch)
     wrapped = reconstruct(ms, PAIR)
 
     lattice = [t for i, t in enumerate(nodes.times) if i != nodes.anchor_index]
     assert len(lattice) == 7 < len(nodes.times)
-    assert [call["row"] for call in calls] == [1, 3, 5]
+    assert _rows_of(ms, rows) == [1, 3, 5]
     L = GRID.L
-    for call in calls:
-        t = lattice[call["row"]]
+    for node, row in zip(seen, _rows_of(ms, rows)):
+        assert not node["zero"]
+        t = lattice[row]
         support = np.flatnonzero(np.abs(windowed_segment(f, PAIR, t)) > 1e-12)
         s = int(support[-1] - support[0] + 1)
-        [rows] = call["enumerate"]
-        assert 1 <= rows <= 2 ** (s - 1) * (L - s + 1)
-        [survivors] = call["prune"]
-        assert 1 <= survivors <= 2
+        assert 1 <= node["candidates"] <= 2 ** (s - 1) * (L - s + 1)
+        assert 1 <= node["classes"] <= 2
     assert wrapped.signal.samples.tobytes() == plain.signal.samples.tobytes()
     assert (wrapped.ambiguity, wrapped.residual, wrapped.lambdas) == (
         plain.ambiguity, plain.residual, plain.lambdas
     )
 
 
-#: The module attributes local recovery reaches its stages through, in call order.
-STAGES = ("autocorrelation_from_magnitudes", "enumerate_candidates", "prune_with_second_window")
-
-
 @pytest.mark.parametrize("a, b, seed", [(1.0, 0.25, 0), (0.5, 0.5, 3)])
 def test_each_lattice_node_passes_every_recovery_seam_once(a, b, seed, monkeypatch):
-    # the bench harness times recovery by wrapping stitcher.recover_local and
-    # the three stage attributes of local_recovery; on a criterion-1 input,
-    # reconstruct must reach recover_local once per recovered lattice row,
-    # rows 1, 3, ..., 15 at a = B and rows 3, 7, 11, ..., 31 at a = B / 2,
-    # whose windows tile the horizon, and each stage once per such node
-    # whose data is not zero
+    # the block entry reaches its three stages through local_recovery's
+    # module attributes; on a criterion-1 input, reconstruct must hand it
+    # each recovered lattice row once, rows 1, 3, ..., 15 at a = B and rows
+    # 3, 7, 11, ..., 31 at a = B / 2, whose windows tile the horizon, and
+    # each stage must take each such row whose data is not zero once
     grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
     gap = 2 * grid.B - a
     n_gap = int(np.ceil(gap / grid.delta - 1e-9))
@@ -250,34 +272,14 @@ def test_each_lattice_node_passes_every_recovery_seam_once(a, b, seed, monkeypat
     nodes = TimeNodes.lattice_covering(grid, a)
     ms = measure(f, pair, nodes)
 
-    seen = []
-    recover = stitcher.recover_local
-
-    def counted_recover(*args, **kwargs):
-        seen.append({"stages": [], "row": _row_of(ms, *args[:2])})
-        out = recover(*args, **kwargs)
-        seen[-1]["zero"] = out.is_zero
-        return out
-
-    def counted_stage(name):
-        stage = getattr(local_recovery, name)
-
-        def counted(*args, **kwargs):
-            seen[-1]["stages"].append(name)
-            return stage(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(stitcher, "recover_local", counted_recover)
-    for name in STAGES:
-        monkeypatch.setattr(local_recovery, name, counted_stage(name))
+    seen, rows = _spied_blocks(monkeypatch)
     rep = reconstruct(ms, pair)
 
     assert global_phase_align(rep.signal, f).residual <= 1e-8
     n = len(nodes.times)
     recovered = A_EQUAL_B_ROWS if a == 1.0 else SPARSE_ROWS
     assert n == (17 if a == 1.0 else 35)
-    assert [node["row"] for node in seen] == recovered
+    assert _rows_of(ms, rows) == recovered
     # a row that placed no patch keeps lambda 1
     assert all(rep.lambdas[i] == 1.0 for i in set(range(n)) - set(recovered))
     assert any(not node["zero"] for node in seen)
@@ -285,14 +287,20 @@ def test_each_lattice_node_passes_every_recovery_seam_once(a, b, seed, monkeypat
         assert node["stages"] == ([] if node["zero"] else list(STAGES))
 
 
-def _row_of(ms, phi, psi):
-    """The lattice row of ``ms`` that (phi, psi) are; ``reconstruct`` hands
-    ``recover_local`` views of its rows, and zero rows are alike in value."""
-    [row] = [
-        i for i in range(ms.mags.shape[1])
-        if np.shares_memory(phi, ms.mags[0, i]) and np.shares_memory(psi, ms.mags[1, i])
-    ]
-    return row
+def _rows_of(ms, recorded):
+    """The lattice rows of ``ms`` that the recorded (phi, psi) rows are, in
+    order.  ``reconstruct`` hands the block entry copies of its rows, so a
+    row is known by its bytes: each recorded row is the first lattice row
+    with those bytes that no earlier one took (rows alike in value, such as
+    zero rows, are told apart only by that order), and a row recovered
+    twice finds none left."""
+    keys = [ms.mags[0, i].tobytes() + ms.mags[1, i].tobytes() for i in range(ms.mags.shape[1])]
+    taken: List[int] = []
+    for phi, psi in recorded:
+        key = np.asarray(phi).tobytes() + np.asarray(psi).tobytes()
+        [row] = [i for i, k in enumerate(keys) if k == key and i not in taken][:1]
+        taken.append(row)
+    return taken
 
 
 @pytest.fixture
@@ -300,10 +308,10 @@ def passes(monkeypatch):
     """The rows ``reconstruct`` recovers, in call order, and the outcome of
     each ``align_overlaps`` pass: "ok" or the refusal's class and message."""
     seen = {"rows": [], "passes": []}
-    recover, align = stitcher.recover_local, stitcher.align_overlaps
+    recover, align = stitcher.recover_rows, stitcher.align_overlaps
 
     def recorded_recover(phi, psi, *args, **kwargs):
-        seen["rows"].append((phi, psi))
+        seen["rows"].extend(zip(phi, psi))
         return recover(phi, psi, *args, **kwargs)
 
     def recorded_align(*args, **kwargs):
@@ -315,7 +323,7 @@ def passes(monkeypatch):
         seen["passes"].append("ok")
         return out
 
-    monkeypatch.setattr(stitcher, "recover_local", recorded_recover)
+    monkeypatch.setattr(stitcher, "recover_rows", recorded_recover)
     monkeypatch.setattr(stitcher, "align_overlaps", recorded_align)
     return seen
 
@@ -395,7 +403,7 @@ def test_a_node_that_is_not_recovered_is_still_checked(corrupt, passes):
         assert message.endswith("at node index 5)")
     n = len(ms.nodes.times)
     assert n == 35
-    assert [_row_of(ms_bad, *r) for r in passes["rows"]] == _recovery_order(n)
+    assert _rows_of(ms_bad, passes["rows"]) == _recovery_order(n)
 
 
 def test_a_sparse_refusal_falls_back_to_the_whole_lattice(passes):
@@ -416,7 +424,7 @@ def test_a_sparse_refusal_falls_back_to_the_whole_lattice(passes):
     assert global_phase_align(rep.signal, f).residual <= 1e-8
     assert passes["passes"] == [
         ("SeparableInputError", "separable input: propagation broken at node 2"), "ok"]
-    rows = [_row_of(ms, *r) for r in passes["rows"]]
+    rows = _rows_of(ms, passes["rows"])
     assert rows == _recovery_order(len(ms.nodes.times))
 
 
@@ -437,7 +445,7 @@ def test_a_refused_reflection_step_falls_back_to_the_whole_lattice(passes, monke
     monkeypatch.setattr(stitcher, "resolve_reflection", refuses_first)
     rep = reconstruct(ms, ms.pair)
     assert passes["passes"] == ["ok", "ok"] and len(judged) == 2
-    assert [_row_of(ms, *r) for r in passes["rows"]] == _recovery_order(len(ms.nodes.times))
+    assert _rows_of(ms, passes["rows"]) == _recovery_order(len(ms.nodes.times))
     assert rep.signal.samples.tobytes() == whole.signal.samples.tobytes()
     assert (rep.ambiguity, rep.residual, rep.lambdas, rep.anchor_used) == (
         whole.ambiguity, whole.residual, whole.lambdas, whole.anchor_used)
@@ -493,7 +501,7 @@ def test_a_junction_whose_straddling_row_sees_one_side_refuses_the_sparse_pass(
     assert (type(refused.value).__name__, str(refused.value)) == whole
     [(cls, message), last] = passes["passes"]
     assert cls == sparse[0] and re.fullmatch(sparse[1], message) and last == whole
-    assert [_row_of(ms, *r) for r in passes["rows"]] == _recovery_order(len(ms.nodes.times))
+    assert _rows_of(ms, passes["rows"]) == _recovery_order(len(ms.nodes.times))
 
 
 @pytest.mark.parametrize("b", [0.25, 0.5])
@@ -573,7 +581,7 @@ def test_the_sparse_pass_recovers_the_fewest_windows_that_cover_the_lattice(case
     # last
     f, ms = _row_rule_input(case)
     rep = reconstruct(ms, ms.pair)
-    assert [_row_of(ms, *r) for r in passes["rows"]] == rows and passes["passes"] == ["ok"]
+    assert _rows_of(ms, passes["rows"]) == rows and passes["passes"] == ["ok"]
     assert rep.residual <= 1e-8
     assert rep.uncovered == ((0, 1, 95) if case.startswith("rational_lattice") else ())
 
@@ -586,7 +594,7 @@ def test_an_a_equal_b_lattice_recovers_every_row_in_order(passes):
     assert global_phase_align(rep.signal, f).residual <= 1e-8
     assert passes["passes"] == ["ok"]
     assert len(ms.nodes.times) == 17
-    assert [_row_of(ms, *r) for r in passes["rows"]] == A_EQUAL_B_ROWS
+    assert _rows_of(ms, passes["rows"]) == A_EQUAL_B_ROWS
 
 
 # --- the anchor's reflection decision ------------------------------------------
@@ -686,6 +694,33 @@ def test_a_palindrome_within_roundoff_of_its_reflection_comes_back_as_one_world(
     assert 1e-8 < global_phase_align(reflected, conj_reflect(reflected, 0.0)).residual
     assert global_phase_align(rep.signal, f).residual <= 1e-14
     assert rep.residual == sup_dev(measure(rep.signal, pair, nodes).mags, ms.mags) / ms.mags.max()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_palindrome_comes_back_as_one_world_whatever_its_candidates_last_bits(seed, monkeypatch):
+    # the input above, its node's candidates moved by about 1e-15: each
+    # polishes to a point about 1e-8 along the branch difference, and some
+    # land within EQUIV_TOL of their reflection (seeds 2, 7 and 11 here,
+    # which came back 4.5e-9 from the truth while such a pair skipped the
+    # midpoint).  The midpoint is tried whenever the reflected branch lies
+    # within ORIENT_TOL, so every seed comes back to roundoff
+    grid = GridSpec(B=1.0, L=5, origin=2, horizon=5)
+    pair = build_window("rectangular", grid)
+    f0, f1 = 0.8 + 0.3j, -0.2 + 0.9j
+    f = Signal(grid, [f0, f1, 1.1, np.conj(f1), np.conj(f0)])
+    nodes = TimeNodes.lattice_covering(grid, 0.8)
+    ms = measure(f, pair, nodes)
+    rng = np.random.default_rng(seed)
+    candidates = local_recovery._candidate_rows
+
+    def moved(*args, **kwargs):
+        return [c * (1 + 1e-15 * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)))
+                for c in candidates(*args, **kwargs)]
+
+    monkeypatch.setattr(local_recovery, "_candidate_rows", moved)
+    rep = reconstruct(ms, pair)
+    assert rep.ambiguity == "phase_only" and rep.alternative is None
+    assert global_phase_align(rep.signal, f).residual <= 1e-14
 
 
 def test_separable_input_raises_declared_error():
@@ -1007,8 +1042,10 @@ def _assembly_inputs():
 def test_assembly_carries_the_lattice_magnitudes_measure_gives(assemblies):
     # the node checks' magnitudes are the assembly's own, bit for bit; the
     # anchor row measured alone matches its row in a whole-set measurement,
-    # so a direct-branch residual is the one a full re-measurement gives
-    assembled = direct = anchored = 0
+    # so a direct-branch residual is the one a full re-measurement gives.
+    # The one other signal returned is the midpoint of an assembly within
+    # EQUIV_TOL of its reflection, whose residual is its own measurement's
+    assembled = direct = midpoints = anchored = 0
     for f, pair, nodes in _assembly_inputs():
         ms = measure(f, pair, nodes)
         assemblies.clear()
@@ -1026,11 +1063,16 @@ def test_assembly_carries_the_lattice_magnitudes_measure_gives(assemblies):
             alone = measure(assembly.signal, pair, only).mags[:, 0]
             assert alone.tobytes() == full[:, nodes.anchor_index].tobytes()
             anchored += 1
+        scale = max(float(np.max(ms.mags)), 1e-300)
         if rep.signal.samples.tobytes() == assembly.signal.samples.tobytes():
-            scale = max(float(np.max(ms.mags)), 1e-300)
             assert rep.residual == float(np.max(np.abs(full - ms.mags))) / scale
             direct += 1
-    assert assembled > 400 and direct == assembled and anchored == 1
+        else:
+            assert global_phase_align(rep.signal, assembly.signal).residual <= EQUIV_TOL
+            got = measure(rep.signal, pair, nodes).mags
+            assert rep.residual == float(np.max(np.abs(got - ms.mags))) / scale
+            midpoints += 1
+    assert assembled > 400 and direct + midpoints == assembled and anchored == 1
 
 
 # --- the orientation search budget ----------------------------------------
