@@ -345,7 +345,7 @@ def _mirror_pairs(
     off: np.ndarray, pairing_tol: float
 ) -> List[Tuple[List[Tuple[complex, complex]], Optional[complex]]]:
     """Greedy mirror pairing of the off-circle roots of each node, one node
-    per row of ``off``.
+    per row of ``off`` (or one node's roots, 1-D).
 
     The last unpaired root takes the remaining root of least cost, the
     first one in root order on a tie.  Every cost is one entry of a matrix
@@ -355,12 +355,13 @@ def _mirror_pairs(
     one), where its pairing stopped.
     """
     mod = np.hypot(off.real, off.imag)  # abs() of each root, to the last bit
-    d = off[:, None, :] - 1.0 / np.conj(off)[:, :, None]  # [r, w]: w - 1/conj(r)
+    d = off[..., None, :] - 1.0 / np.conj(off)[..., :, None]  # [r, w]: w - 1/conj(r)
     gap = np.hypot(d.real, d.imag)
     # [r, w]: max(|w - 1/conj(r)|, |r - 1/conj(w)|) / (1 + |r| + |w|)
-    cost = np.maximum(gap, gap.swapaxes(1, 2)) / (1 + mod[:, :, None] + mod[:, None, :])
+    cost = np.maximum(gap, gap.swapaxes(-1, -2)) / (1 + mod[..., :, None] + mod[..., None, :])
     out = []
-    for roots, costs in zip(off.tolist(), cost.tolist()):
+    nodes = zip(off.tolist(), cost.tolist()) if off.ndim == 2 else [(off.tolist(), cost.tolist())]
+    for roots, costs in nodes:
         pairs: List[Tuple[complex, complex]] = []
         lost = None
         pool = list(range(len(roots)))
@@ -422,7 +423,7 @@ def _factor_once(
             )
         forced.extend([centroid / abs(centroid)] * (len(cluster) // 2))
 
-    [(pairs, lost)] = _mirror_pairs(roots[~near][None], max(PAIRING_TOL, circle_tol))
+    [(pairs, lost)] = _mirror_pairs(roots[~near], max(PAIRING_TOL, circle_tol))
     if lost is not None:
         raise UnrealizableAutocorrelation(f"autocorrelation not realizable: unpaired root {lost!r}")
 
@@ -1001,19 +1002,23 @@ def _pruned_rows(C: np.ndarray, phi: np.ndarray, psi: np.ndarray, pair: WindowPa
     a0 = np.add.reduce(np.abs(C) ** 2, axis=2).max(axis=1).tolist() if C.shape[1] else [0.0] * len(C)
     scale = np.array([grid.delta * math.sqrt(2 * L * x) if x > 0 else 1.0 for x in a0])
 
-    def defects_of(X: np.ndarray, nodes) -> np.ndarray:
-        """The relative defects of X's rows, node by node (X's first axis)."""
+    def defects_of(X: np.ndarray, at) -> np.ndarray:
+        """The relative defects of X's rows: one node's rows (k, L) when
+        ``at`` is its index, else a stack (nodes, k, L) of the nodes ``at``
+        (one node's arrays broadcast with less of numpy's overhead)."""
+        if X.ndim == 3:
+            at = (at, None)
         H1 = grid.delta * (X @ E1)
         H2 = grid.delta * (X @ E2)
         # each row's 2-norm, with np.linalg.norm's arithmetic
-        d = np.abs(H2 - H1) - psi[nodes, None]
-        e = np.abs(H1) - phi[nodes, None]
-        s = scale[nodes, None]
+        d = np.abs(H2 - H1) - psi[at]
+        e = np.abs(H1) - phi[at]
+        s = scale[at]
         return np.hypot(
-            np.sqrt(np.add.reduce(d * d, axis=2)) / s, np.sqrt(np.add.reduce(e * e, axis=2)) / s
+            np.sqrt(np.add.reduce(d * d, axis=-1)) / s, np.sqrt(np.add.reduce(e * e, axis=-1)) / s
         )
 
-    defects = defects_of(C, slice(None))
+    defects = defects_of(C[0], 0)[None] if len(C) == 1 else defects_of(C, slice(None))
     priced = defects.tolist()
     out: List = [None] * len(C)
     classes: List[List[int]] = []
@@ -1033,7 +1038,7 @@ def _pruned_rows(C: np.ndarray, phi: np.ndarray, psi: np.ndarray, pair: WindowPa
             was = d[rough]
             if rough.size:
                 C[i, rough] = refit(C[i, rough], phi[i], psi[i], pair, scale[i])
-                d[rough] = defects_of(C[i, rough][None], [i])[0]
+                d[rough] = defects_of(C[i, rough], i)
                 at = at[d[at] <= ACCEPT_TOL]
                 priced[i] = d.tolist()
             if not at.size:
@@ -1064,23 +1069,23 @@ def _pruned_rows(C: np.ndarray, phi: np.ndarray, psi: np.ndarray, pair: WindowPa
     # maximum, and the mate is not
     lead = [kept[0] for kept in classes]
     first = C[np.arange(len(C)), lead] if any(lead) else C[:, 0]
-    mates = _slot_reflections(first)
     admissible = [True] * len(C)
     if L % 2 == 0:
         peaks = np.abs(first).max(axis=1).tolist()
         admissible = [abs(z) <= CLASS_TOL * m for z, m in zip(first[:, 0].tolist(), peaks)]
-    fitting = [False] * len(C)
     at = [i for i, ok in enumerate(admissible) if ok and out[i] is None]
+    mates: List[Optional[np.ndarray]] = [None] * len(C)
+    fitting = [False] * len(C)
     if at:
-        sel = slice(None) if len(at) == len(C) else at
-        for i, d in zip(at, defects_of(mates[sel, None], sel)[:, 0].tolist()):
-            fitting[i] = d <= ACCEPT_TOL
-    for i, kept in enumerate(classes):
+        reflected = _slot_reflections(first[at])
+        fits = defects_of(reflected, at[0]) if len(at) == 1 else defects_of(reflected[:, None], at)[:, 0]
+        for i, mate, d in zip(at, reflected, fits.tolist()):
+            mates[i], fitting[i] = mate, d <= ACCEPT_TOL
+    for i, (kept, mate) in enumerate(zip(classes, mates)):
         if out[i] is not None:
             continue
         # each class owns its row, not a candidate view
         reps = tuple(C[i, j].copy() for j in kept)
-        mate = mates[i] if admissible[i] else None
         if len(kept) == 2 and (mate is None or not _phase_match(mate, reps[1], CLASS_TOL)):
             out[i] = AmbiguityViolation(
                 "ambiguity violation: two surviving classes are not conjugate mates"
