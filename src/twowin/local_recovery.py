@@ -637,6 +637,8 @@ def enumerate_candidates(
     Returns one array, one candidate per row, sorted by the candidates'
     quantized byte keys.
     Raises UnrealizableAutocorrelation when some root has no mirror partner.
+    This is ``_candidate_rows`` on one node, the stage that ``recover_rows``
+    runs on a block of nodes.
     """
     a = np.asarray(acorr, dtype=np.complex128)
     if L > L_MAX:
@@ -951,6 +953,8 @@ def prune_with_second_window(
     classes are formed.  A mirror root pair within about sqrt(eps) of the
     unit circle comes back from np.roots only to about sqrt(eps), which
     leaves a genuine candidate with a defect far above the tolerance.
+    This is ``_pruned_rows`` on one node, the stage that ``recover_rows``
+    runs on each group of a block's nodes with as many candidates.
     """
     grid = pair.grid
     L = grid.L
