@@ -39,8 +39,9 @@ The groups:
   criterion 7's incommensurate scan, where every group settles from its
   first member, and its rational one; criterion 10's a = 1 bare lattice,
   where every group settles too; and a raised-cosine a = 0.5 lattice;
-- local: every ``LocalClass`` on fixed lattice nodes at L = 8, 12 and 16;
-- rows: the same nodes (those in range) through the block entry
+- local: every ``LocalClass`` on fixed lattice nodes at L = 8, 12 and 16,
+  each node once;
+- rows: the same nodes through the block entry
   ``recover_rows``, stacked per (L, b), each row digested as ``local``
   digests it; a checkout without the entry skips it, and ``--compare``
   names it as a group in one dump only;
@@ -427,10 +428,9 @@ def group_oracle(tw, d: Digest) -> None:
 
 def local_nodes(tw):
     """The ``local`` group's nodes: per (L, b), the window pair, the lattice
-    magnitudes and ``count`` node indices mid-horizon.  At L = 8 the lattice
-    has 9 nodes, so 4 of the 17 indices count from the end and 4 are out of
-    range."""
-    for L, count in ((8, 17), (12, 6), (16, 3)):
+    magnitudes and ``count`` distinct node indices mid-horizon, every one of
+    the 9 at L = 8."""
+    for L, count in ((8, 9), (12, 6), (16, 3)):
         grid = tw.GridSpec(B=1.0, L=L, origin=2 * L, horizon=4 * L)
         for b in (0.25, 0.5):
             pair = tw.build_window("rectangular", grid, b=b)
@@ -456,13 +456,12 @@ def group_local(tw, d: Digest) -> None:
 
 
 def group_rows(tw, d: Digest) -> Optional[bool]:
-    """The ``local`` group's nodes in range through the block entry, one
-    call per (L, b), each row digested as ``local`` digests it; a call that
-    refuses is one item.  Skipped where there is no block entry."""
+    """The ``local`` group's nodes through the block entry, one call per
+    (L, b), each row digested as ``local`` digests it; a call that refuses
+    is one item.  Skipped where there is no block entry."""
     if not hasattr(tw, "recover_rows"):
         return False
     for pair, mags, rows in local_nodes(tw):
-        rows = [i for i in rows if -mags.shape[1] <= i < mags.shape[1]]
         classes = outcome(lambda: tw.recover_rows(mags[0, rows], mags[1, rows], pair))
         for cls in [classes] if isinstance(classes, tuple) else classes:
             add_class(d, cls)

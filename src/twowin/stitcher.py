@@ -115,30 +115,35 @@ def _window_runs(grid: GridSpec, times: Sequence[float]) -> Tuple[np.ndarray, ..
     return first, lo, hi
 
 
-def junction_phases(fv: np.ndarray, conj_windows: Sequence[np.ndarray], E: np.ndarray,
+def junction_phases(fv: np.ndarray, conj_windows: np.ndarray, E: np.ndarray,
                     delta: float, M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit phases mu, one per patch, that best fit the magnitudes M of a row
-    whose window straddles a junction, and their relative deviations.
+    """Unit phases mu, one per pair row, that best fit the magnitudes of the
+    rows whose windows straddle a junction, and their relative deviations.
 
-    A and B[k] are the row's transforms (``node_transforms``, as ``measure``
-    makes them from the row's table E) of fv[0], the filled cells left of
-    the junction, and fv[k + 1], patch k's cells right of it.  As
-    |A + mu B|^2 - |A|^2 - |B|^2 = 2 Re(mu B conj(A)) is
-    linear in (Re mu, Im mu), mu solves its 2 x 2 normal equations over the
-    bins, S mu + T conj(mu) = R, normalised; a singular system gives mu = 1
-    and deviation inf."""
-    cw = np.reshape(conj_windows, (-1, 1, 1, fv.shape[1]))
-    V = node_transforms(fv[None], cw, E[None], delta)[:, 0]
-    A, B, M = V[:, 0].ravel(), V[:, 1:].swapaxes(0, 1).reshape(len(fv) - 1, -1), M.ravel()
+    Pair row n is fv[n], shape (2, L) in the straddling row's window: fv[n,
+    0] holds the cells left of the junction and fv[n, 1] a patch's cells
+    right of it.  A and B are their transforms (``node_transforms``, as
+    ``measure`` makes them from the row's table E[n], with the pair rows on
+    matmul's batch axis, so each row's bits are those of a one-row call),
+    and M[:, n] the row's magnitudes, shape (2, rows, bins).  As
+    |A + mu B|^2 - |A|^2 - |B|^2 = 2 Re(mu B conj(A)) is linear in
+    (Re mu, Im mu), mu solves its 2 x 2 normal equations over the bins,
+    S mu + T conj(mu) = R, normalised; a singular system gives mu = 1 and
+    deviation inf."""
+    n = len(fv)
+    V = node_transforms(fv, conj_windows, E, delta)  # (windows, rows, sides, bins)
+    A, B = (V[:, :, side].swapaxes(0, 1).reshape(n, -1) for side in (0, 1))
+    M = M.swapaxes(0, 1).reshape(n, -1)
+    MM = M * M
     w = A * np.conj(B)  # conj(B conj(A))
-    r = M * M - (A * np.conj(A)).real - (B * np.conj(B)).real
+    r = MM - (A * np.conj(A)).real - (B * np.conj(B)).real
     S, T, R = (w * np.conj(w)).real.sum(axis=1), (w * w).sum(axis=1), (r * w).sum(axis=1)
     mu = S * R - T * np.conj(R)
     mod = np.abs(mu)
     ok = (S * S > (T * np.conj(T)).real) & (mod > 0)
     mu = np.divide(mu, mod, out=np.ones_like(mu), where=ok)
     dev = np.abs(A + mu[:, None] * B) - M
-    dev = np.sqrt((dev * dev).sum(axis=1)) / max(vector_norm(M), 1e-300)
+    dev = np.sqrt((dev * dev).sum(axis=1)) / np.maximum(np.sqrt(MM.sum(axis=1)), 1e-300)
     return mu, np.where(ok, dev, np.inf)
 
 
@@ -167,19 +172,27 @@ def align_overlaps(
     aligning every later patch on the samples it shares with what has been
     assembled so far, or, where its window abuts them, on the magnitudes of
     the unrecovered node halfway between (``junction_phases``), a singular
-    or unfit junction fitting no patch.  A node's patches are
+    or unfit junction fitting no patch.  A straddle is phased against the
+    placed patch before it, unscaled, so its phase is that patch's times the
+    junction's mu; every (patch before, patch) pair of the junctions whose
+    straddling node lies in one ``NODE_BLOCK`` is solved in one call, when
+    the search first reaches that block.  A node's patches are
     ``LocalClass.patches``: its
     classes, and the slot mate that local recovery offers with a lone class
     that tolerates reflection.
     Two patches give the chain a branch point; a nearly symmetric overlap
     can fit both, so the orientations are searched depth first (best fit
     first, on an explicit stack) instead of greedily locked in.  On every
-    lattice, each node's magnitudes are checked against ``lattice_mags`` as
-    soon as every cell of its window is filled (a node that was not
+    lattice, each node's magnitudes are checked against ``lattice_mags``
+    once every cell of its window is filled (a node that was not
     recovered too, against the zero assembly when no node is live), which
     rejects chains that glued a mate through an overlap too small to expose
     it, and names the node that fails; the assembly carries the checks'
-    magnitudes.  Ambiguity is phase_or_reflection exactly when every node
+    magnitudes.  The search places positions unchecked while the next
+    one's node is in the same ``NODE_BLOCK`` and checks the nodes they
+    complete together, going back to the first depth that misses with the
+    state that checking every depth at once would leave.  Ambiguity is
+    phase_or_reflection exactly when every node
     would tolerate the reflected world.  ``uncovered`` lists the horizon
     cells that no node window holds.
 
@@ -271,7 +284,7 @@ def align_overlaps(
     fitting, placed = [0] * n_live, [0] * n_live
     # every node is checked at some depth, and the zero lattice's are zero
     mags = np.zeros((2, len(times), len(freqs)))
-    tables = {}  # the node checks' exponential tables, one NODE_BLOCK of nodes
+    tables = {}  # the exponential tables of one NODE_BLOCK of nodes
     sep_error: Optional[SeparableInputError] = None
     deepest: Tuple[int, str] = (-1, "")
 
@@ -285,32 +298,82 @@ def align_overlaps(
             tables[block] = node_exponentials(grid, cells, freqs.omegas)
         return tables[block][at : at + j1 - j0]
 
+    # position p straddles when its window abuts the filled cells at
+    # c = boundary[p] and row j halfway back was not recovered.  Row j's
+    # window holds cells lo[j]:c of the patch placed before it (the sparse
+    # windows abut, so that patch filled them, times its lambda) and c:hi[j]
+    # of p's.  So each pair (patch before, patch) is one junction row, row
+    # n in pair order from pair_at[p] on, solved before the search reaches
+    # it, and the patch's lambda is the one before it times jmu[n]
+    pair_at, blocks, sp = [-1] * n_live, [], ()
+    if n_live > 1:
+        blocks = (live // NODE_BLOCK).tolist()
+        mid = (live[:-1] + live[1:]) // 2
+        unrecovered = np.array([c is None for c in classes])
+        sp = 1 + ((lo[live[1:]] == boundary[1:-1]) & unrecovered[mid]).nonzero()[0]
+    if len(sp):
+        n_cur = start[sp + 1] - start[sp]
+        count = (start[sp] - start[sp - 1]) * n_cur
+        pair_at = np.full(n_live, -1)
+        pair_at[sp] = np.cumsum(count) - count
+        pos = np.repeat(sp, count)  # each pair's position and straddling row
+        rows = mid[pos - 1]
+        within, per = np.arange(len(pos)) - pair_at[pos], n_cur.repeat(count)
+        pairs = ((start[pos - 1] + within // per, live[pos - 1]),
+                 (start[pos] + within % per, live[pos]))
+        del mid, unrecovered, n_cur, count, within, per
+        jmu = np.empty(len(pos), dtype=np.complex128)
+        jdev, jdead = np.empty(len(pos)), np.empty(len(pos), dtype=bool)
+        solved = set()
+
+    def solve(block: int) -> None:
+        """Make and phase the junction rows whose straddling row is in
+        NODE_BLOCK ``block``, in one ``junction_phases`` call on the block's
+        tables, the ones its node checks read."""
+        solved.add(block)
+        j0 = block * NODE_BLOCK
+        r = slice(*rows.searchsorted((j0, j0 + NODE_BLOCK)))
+        j, c = rows[r], boundary[pos[r], None]
+        cells = first[j, None] + np.arange(L)
+        fv = np.zeros((len(j), 2, L), dtype=np.complex128)
+        runs = ((lo[j, None] <= cells) & (cells < c), (c <= cells) & (cells < hi[j, None]))
+        for side, (k, node), run in zip(fv.swapaxes(0, 1), pairs, runs):
+            slots = np.minimum(np.maximum(cells - first[node[r], None], 0), L - 1)
+            np.copyto(side, patches[k[r, None], slots], where=run)
+        dead = np.abs(fv).max(axis=2) <= DEAD_OVERLAP_RTOL * scale
+        jmu[r], dev = junction_phases(fv, conj_windows, table(j0, j0 + NODE_BLOCK)[j - j0],
+                                      grid.delta, lattice_mags[:, j])
+        jdead[r], jdev[r] = dead[:, 0], np.where(dead[:, 1], np.inf, dev)
+
     def enter(p: int) -> int:
-        """Rank position p's orientations against the assembly; returns how
-        many fit, none with the reason noted when nothing does."""
+        """Rank position p's orientations against the assembly, or its
+        junction rows; returns how many fit, none with the reason noted when
+        nothing does."""
         nonlocal sep_error, deepest
         ci, k0, k1 = live[p], start[p], start[p + 1]
         if p == 0:
             order[k0:k1], lams[k0:k1] = np.arange(k0, k1), 1.0
             return int(k1 - k0)
-        # a window abutting the filled cells at c is phased from row j halfway
-        # back, which straddles c; a patch with no energy in row j does not fit
-        j, c = (live[p - 1] + ci) // 2, boundary[p]
-        straddle = lo[ci] == c and classes[j] is None
-        u = assembled[lo[j if straddle else ci] : c]
-        if u.size == 0 or np.abs(u).max() <= DEAD_OVERLAP_RTOL * scale:
+        # a filled side with no energy breaks propagation; a patch with no
+        # energy in the straddling row does not fit
+        at, c = pair_at[p], boundary[p]
+        if at >= 0:
+            if rows[at] // NODE_BLOCK not in solved:
+                solve(rows[at] // NODE_BLOCK)
+            before = order[start[p - 1] + placed[p - 1] - 1]
+            at += (before - start[p - 1]) * (k1 - k0)
+            dead = jdead[at]
+        else:
+            u = assembled[lo[ci] : c]
+            dead = u.size == 0 or np.abs(u).max() <= DEAD_OVERLAP_RTOL * scale
+        if dead:
             if sep_error is None:
                 m = round(times[ci] / a)  # the lattice index
                 sep_error = SeparableInputError(f"separable input: propagation broken at node {m}")
             return 0
-        if straddle:
-            fv = np.zeros((1 + k1 - k0, L), dtype=np.complex128)
-            fv[0, lo[j] - first[j] : c - first[j]] = u
-            fv[1:, c - first[j] : hi[j] - first[j]] = patches[k0:k1, : hi[j] - c]  # ci's starts at c
-            lams[k0:k1], dev = junction_phases(fv, conj_windows, table(j, j + 1)[0], grid.delta,
-                                               lattice_mags[:, j])
-            dev[np.abs(fv[1:]).max(axis=1) <= DEAD_OVERLAP_RTOL * scale] = np.inf
-            mismatch = dict(zip(range(k0, k1), dev.tolist()))
+        if at >= 0:
+            lams[k0:k1] = lams[before] * jmu[at : at + k1 - k0]
+            mismatch = dict(zip(range(k0, k1), jdev[at : at + k1 - k0].tolist()))
         else:
             norm_u = vector_norm(u)
             slots = slice(lo[ci] - first[ci], c - first[ci])
@@ -339,18 +402,19 @@ def align_overlaps(
     depth_of[lo == hi] = 1
     ready = depth_of.argsort(kind="stable")
     ready_at = depth_of.searchsorted(np.arange(n_live + 2), sorter=ready)
-    del first_at, last_at, depth_of
+    del first_at, last_at
     mag_tol = ACCEPT_TOL * max(float(lattice_mags.max(initial=0.0)), 1e-300)
 
-    def fits(d: int) -> bool:
-        """Whether the nodes completed at depth d reproduce their lattice
-        magnitudes, measured into ``mags`` with ``measure``'s kernel and
-        tables: one call and one deviation per run of consecutive nodes
-        inside one NODE_BLOCK.  The maximum over nodes is the whole-horizon
-        deviation, and the first node in ready order that misses is named."""
-        nonlocal deepest
+    def first_miss(d0: int, d1: int) -> Optional[Tuple[int, str]]:
+        """The first of depths d0 + 1 .. d1 whose nodes miss their lattice
+        magnitudes, with its refusal, or None when they all fit.  The nodes
+        are measured into ``mags`` with ``measure``'s kernel and tables: one
+        call and one deviation per run of consecutive nodes inside one
+        NODE_BLOCK, each node its own product.  The maximum over nodes is the
+        whole-horizon deviation, and the first node in ready order (lattice
+        order within a depth) that misses is named."""
         runs: List[List[int]] = []
-        for j in ready[ready_at[d] : ready_at[d + 1]].tolist():  # in lattice order
+        for j in ready[ready_at[d0 + 1] : ready_at[d1 + 1]].tolist():
             if runs and runs[-1][1] == j and j % NODE_BLOCK:
                 runs[-1][1] = j + 1
             else:
@@ -361,40 +425,63 @@ def align_overlaps(
                             got[:, :, None])
             for j, dev in enumerate(sup_dev(got, lattice_mags[:, j0:j1], axis=(0, 2)).tolist(), j0):
                 if dev > mag_tol:
-                    if d > deepest[0]:
-                        deepest = (d, "no phase assignment reproduces the lattice magnitudes "
-                                   f"(best deviation {dev:.3e} at node index {j})")
-                    return False
-        return True
+                    return int(depth_of[j]), (
+                        "no phase assignment reproduces the lattice magnitudes "
+                        f"(best deviation {dev:.3e} at node index {j})")
+        return None
 
     # depth first: positions 0 .. depth - 1 are open, and the next one to
     # enter is always ``depth``.  Every placement takes a budget step, so
     # with one free step per live position only backtracking (an
-    # alternative, or a position entered again) runs it down
+    # alternative, or a position entered again) runs it down.  The nodes of
+    # depths up to ``checked`` fit; a placement whose next position's node
+    # is in the same NODE_BLOCK goes on unchecked, one placement per depth
+    # past ``checked``, and saved[d] holds the refusal notes as they stood
+    # when depth d was placed, so a miss at depth d gives back the later
+    # steps and leaves the state that checking every depth would
+    saved: List[tuple] = [()] * (n_live + 1)
     budget = SEARCH_BUDGET + n_live
-    depth = 0
+    depth = checked = 0
     while depth < n_live:
         fitting[depth], placed[depth] = enter(depth), 0
         depth += 1
         # place the next untried orientation at the deepest open position
         # over the cells the one before it filled, closing exhausted
-        # positions.  Cells past the boundary keep what a closed position
-        # wrote until they are filled again, and nothing reads them before
+        # positions once the depths up to them fit.  Cells past the
+        # boundary keep what a closed position wrote until they are filled
+        # again, and nothing reads them before
         while depth:
             p, i = depth - 1, placed[depth - 1]
-            if i == fitting[p]:
+            if i < fitting[p] and budget > 0:
+                budget -= 1
+                placed[p] = i + 1
+                k, j = order[start[p] + i], live[p]
+                values = patches[k, boundary[p] - first[j] : hi[j] - first[j]]
+                assembled[boundary[p] : hi[j]] = lams[k] * values if p else values
+                lam_of[j] = lams[k]
+                checked = min(checked, p)
+                saved[depth] = sep_error, deepest
+                if depth < n_live and blocks[depth] == blocks[p]:
+                    break  # the next position's node is in this block
+                due = depth
+            elif checked < p:
+                due = p  # checking every depth would have passed p first
+            elif i == fitting[p]:
                 depth -= 1
                 continue
-            if budget <= 0:
+            else:
                 raise InconsistentMeasurements("orientation search budget exhausted")
-            budget -= 1
-            placed[p] = i + 1
-            k, j = order[start[p] + i], live[p]
-            values = patches[k, boundary[p] - first[j] : hi[j] - first[j]]
-            assembled[boundary[p] : hi[j]] = lams[k] * values if p else values
-            lam_of[j] = lams[k]
-            if fits(depth):
-                break
+            miss = first_miss(checked, due)
+            if miss is None:
+                checked = due
+                if due == depth:
+                    break
+                continue
+            depth, checked = miss[0], miss[0] - 1
+            budget += due - depth
+            sep_error, deepest = saved[depth]
+            if depth > deepest[0]:
+                deepest = miss
         else:
             if sep_error is not None:
                 raise sep_error
@@ -402,8 +489,10 @@ def align_overlaps(
                 raise InconsistentMeasurements(deepest[1])
             raise InconsistentMeasurements("no phase assignment fits the overlaps")
     # a zero class vouches for its node's data, a node not recovered does not
-    if n_live == 0 and any(c is None for c in classes) and not fits(0):
-        raise InconsistentMeasurements(deepest[1])
+    if n_live == 0 and any(c is None for c in classes):
+        miss = first_miss(-1, 0)
+        if miss is not None:
+            raise InconsistentMeasurements(miss[1])
     # the search state goes before the output is made, not held beside it
     del patches, order, lams
     mags.setflags(write=False)

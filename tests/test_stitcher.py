@@ -1138,19 +1138,24 @@ def test_a_position_entered_again_after_a_backtrack_spends_a_search_step(monkeyp
 
 
 def _recursive_align_overlaps(
-    classes, pair, a, *, times=None, lattice_mags=None, freqs=None, accept_tol=1e-8
+    classes, pair, a, *, times=None, lattice_mags=None, freqs=None, accept_tol=1e-8,
+    relative=True,
 ):
     """The depth-first orientation search as it was written before the
     explicit stack: one Python frame per live node, and a completed
     assignment re-measured over the whole horizon before it is accepted.  A
     window that abuts the filled cells, with a row that was not recovered
     between it and the last one placed, is phased from that row by
-    ``stitcher.junction_phases``, as ``phase_fit`` phases an overlap."""
+    ``stitcher.junction_phases``, as ``phase_fit`` phases an overlap: its
+    filled side is the patch placed before, unscaled, and its phase that
+    patch's lambda times the junction's mu.  ``relative=False`` phases it
+    as the search did before the junctions were solved in stacks: against
+    the filled cells of the assembly, its phase the junction's mu."""
     grid = pair.grid
     phi = pair.slot_values("phi")
     assert float(np.max(np.abs(phi)) / np.min(np.abs(phi))) <= COND_MAX
     inv_phi = 1.0 / np.conj(phi)
-    conj_windows = (np.conj(phi), np.conj(pair.slot_values("psi")))
+    conj_windows = np.conj([phi, pair.slot_values("psi")])[:, None, None]
     if times is None:
         times = [m * a for m in range(len(classes))]
     scale = max(
@@ -1195,7 +1200,8 @@ def _recursive_align_overlaps(
     filled = np.zeros(grid.horizon, dtype=bool)
     lams: List[Tuple[int, complex]] = []
 
-    def search(pos):
+    def search(pos, prev=None):
+        # prev: the patch placed at pos - 1 and its lambda
         if budget[0] <= 0:
             raise InconsistentMeasurements("orientation search budget exhausted")
         budget[0] -= 1
@@ -1214,7 +1220,7 @@ def _recursive_align_overlaps(
             return assembled, lams
         ci, t, k, on, patches = live[pos]
         if pos == 0:
-            options = [(k[on], patch[on], 1.0 + 0.0j) for patch in patches]
+            options = [(k[on], patch[on], 1.0 + 0.0j, patch) for patch in patches]
         else:
             ov = on & filled[np.clip(k, 0, grid.horizon - 1)]
             j = (live[pos - 1][0] + ci) // 2
@@ -1227,7 +1233,10 @@ def _recursive_align_overlaps(
                 kj, onj = seg.cells, seg.on
                 left = onj & filled[np.clip(kj, 0, grid.horizon - 1)]
                 right = onj & ~left
-                u = assembled[kj[left]]
+                if relative:
+                    u = prev[0][kj[left] - live[pos - 1][2][0]]
+                else:
+                    u = assembled[kj[left]]
             else:
                 u = assembled[k[ov]]
             if u.size == 0 or np.max(np.abs(u)) <= DEAD_OVERLAP_RTOL * scale:
@@ -1239,15 +1248,19 @@ def _recursive_align_overlaps(
                 return None
             scored = []
             if straddle:
-                fv = np.zeros((1 + len(patches), grid.L), dtype=np.complex128)
-                fv[0, left] = u
-                for n, patch in enumerate(patches):
-                    fv[1 + n, right] = patch[kj[right] - k[0]]
-                E = node_exponentials(grid, kj[None], freqs.omegas)[0]
+                n = len(patches)
+                fv = np.zeros((n, 2, grid.L), dtype=np.complex128)
+                fv[:, 0, left] = u
+                for row, patch in zip(fv, patches):
+                    row[1, right] = patch[kj[right] - k[0]]
+                E = node_exponentials(grid, kj[None], freqs.omegas)
                 lams_, devs = stitcher.junction_phases(
-                    fv, conj_windows, E, grid.delta, lattice_mags[:, j]
+                    fv, conj_windows, E.repeat(n, axis=0), grid.delta,
+                    lattice_mags[:, [j] * n],
                 )
-                for v, lam, dev, patch in zip(fv[1:], lams_, devs, patches):
+                if relative:
+                    lams_ = prev[1] * lams_
+                for v, lam, dev, patch in zip(fv[:, 1], lams_, devs, patches):
                     dead = np.max(np.abs(v)) <= DEAD_OVERLAP_RTOL * scale
                     scored.append((np.inf if dead else float(dev), lam, patch))
             else:
@@ -1266,12 +1279,12 @@ def _recursive_align_overlaps(
             for mismatch, lam, patch in scored:
                 if mismatch > ORIENT_TOL:
                     break
-                options.append((k[new], lam * patch[new], complex(lam)))
-        for cells, values, lam in options:
+                options.append((k[new], lam * patch[new], complex(lam), patch))
+        for cells, values, lam, patch in options:
             assembled[cells] = values
             filled[cells] = True
             lams.append((ci, lam))
-            res = search(pos + 1)
+            res = search(pos + 1, (patch, lam))
             if res is not None:
                 return res
             assembled[cells] = 0.0
@@ -1320,10 +1333,32 @@ def _outcome(run):
     )
 
 
+def _drift(new, old):
+    """How far one search's assembly lies from another's on the same
+    classes: the largest change of a lambda and of a sample over the largest
+    sample, 0 for two refusals of one class and inf for differing classes
+    or ambiguities."""
+    try:
+        old = old()
+    except Exception as exc:
+        old = type(exc).__name__
+    try:
+        new = new()
+    except Exception as exc:
+        return 0.0 if type(exc).__name__ == old else np.inf
+    if isinstance(old, str) or new.ambiguity != old.ambiguity:
+        return np.inf
+    top = max(np.abs(old.signal.samples).max(), 1e-300)
+    return max(np.abs(np.subtract(new.lambdas, old.lambdas)).max(initial=0.0),
+               np.abs(new.signal.samples - old.signal.samples).max() / top)
+
+
 @pytest.fixture
 def against_reference(monkeypatch):
     """Runs the recursive reference beside every ``align_overlaps`` call that
-    ``reconstruct`` makes, on the same classes; yields the outcome pairs."""
+    ``reconstruct`` makes, on the same classes; yields, per call, the
+    outcomes of the search and of the reference, and the search's drift
+    from the reference that phases each straddle against the assembly."""
     pairs = []
 
     def both(*args, **kwargs):
@@ -1331,6 +1366,8 @@ def against_reference(monkeypatch):
             (
                 _outcome(lambda: align_overlaps(*args, **kwargs)),
                 _outcome(lambda: _recursive_align_overlaps(*args, **kwargs)),
+                _drift(lambda: align_overlaps(*args, **kwargs),
+                       lambda: _recursive_align_overlaps(*args, **kwargs, relative=False)),
             )
         )
         return align_overlaps(*args, **kwargs)
@@ -1363,8 +1400,9 @@ def test_search_matches_the_recursive_reference_on_criterion_10(a, against_refer
         # a = B row 1's, and the sparse pass that recovers it alone is never
         # refused
         assert len(against_reference) == before + 1
-    for new, ref in against_reference:
+    for new, ref, drift in against_reference:
         assert new == ref
+        assert drift <= 1e-13
 
 
 def test_search_matches_the_recursive_reference_on_the_forges(against_reference):
@@ -1375,8 +1413,9 @@ def test_search_matches_the_recursive_reference_on_the_forges(against_reference)
     ]
     assert "SeparableInputError" in outcomes and "ok" in outcomes
     assert against_reference
-    for new, ref in against_reference:
+    for new, ref, drift in against_reference:
         assert new == ref
+        assert drift <= 1e-13
 
 
 @pytest.mark.parametrize("a, b, seed", [(1.0, 0.5, 1495495394), (0.5, 0.25, 349134471)])
@@ -1387,8 +1426,21 @@ def test_search_matches_the_recursive_reference_near_the_circle(a, b, seed, agai
     f = random_nonseparable(grid, grid.horizon - n_gap + 1, gap, seed=seed)
     pair = build_window("rectangular", grid, b=b)
     assert _reconstruct_outcome(f, pair, TimeNodes.lattice_covering(grid, a)) == "ok"
-    [(new, ref)] = against_reference
+    [(new, ref, drift)] = against_reference
     assert new == ref
+    assert drift <= 1e-13
+
+
+def test_search_matches_the_recursive_reference_on_a_horizon_1024_lattice(against_reference):
+    # 128 live positions and 127 straddles: the phases chain through every
+    # junction, so the relative rule's roundoff could build up along them
+    grid = GridSpec(B=1.0, L=8, origin=512, horizon=1024)
+    f = random_nonseparable(grid, grid.horizon - 3, 1.0, seed=3)
+    pair = build_window("rectangular", grid, b=0.25)
+    assert _reconstruct_outcome(f, pair, TimeNodes.lattice_covering(grid, 1.0)) == "ok"
+    [(new, ref, drift)] = against_reference
+    assert new == ref
+    assert drift <= 1e-13
 
 
 def test_node_check_rejects_a_mate_before_the_leaf():
@@ -1477,6 +1529,178 @@ def test_node_check_names_the_node_on_a_lattice_with_no_branch_point():
         r"\(best deviation .* at node index 4\)$",
     ):
         reconstruct(ms_bad, pair)
+
+
+# --- the stacked junction solves and the block node checks ----------------
+
+
+@pytest.mark.parametrize("n_rows", [1, 17])
+def test_a_stacked_junction_solve_gives_each_row_the_bits_of_a_one_row_call(n_rows):
+    # pair rows on matmul's batch axis: each row's mu and deviation are the
+    # bytes a call with that row alone gives, a singular row (no energy on
+    # the filled side, so S = T = 0) and a dead patch (mu = 1, inf) included
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    pair = build_window("rectangular", grid, b=0.25)
+    conj_windows = np.conj([pair.slot_values("phi"), pair.slot_values("psi")])[:, None, None]
+    rng = np.random.default_rng(n_rows)
+    fv = np.zeros((n_rows, 2, grid.L), dtype=np.complex128)
+    fv[:, 0, :4], fv[:, 1, 4:] = rng.normal(size=(2, n_rows, 4)) + 1j * rng.normal(size=(2, n_rows, 4))
+    if n_rows > 1:
+        fv[3, 0] = 0.0
+        fv[9, 1] = 0.0
+    cells = first_cell(grid, 1.0 * rng.integers(-8, 8, n_rows))[:, None] + np.arange(grid.L)
+    E = node_exponentials(grid, cells, FrequencyGrid.critical(grid.L, grid.B).omegas)
+    M = rng.uniform(0.5, 2.0, size=(2, n_rows, 2 * grid.L))
+    mu, dev = stitcher.junction_phases(fv, conj_windows, E, grid.delta, M)
+    assert mu.shape == dev.shape == (n_rows,)
+    for n in range(n_rows):
+        one = stitcher.junction_phases(fv[n : n + 1], conj_windows, E[n : n + 1], grid.delta,
+                                       M[:, n : n + 1])
+        assert (mu[n : n + 1].tobytes(), dev[n : n + 1].tobytes()) == tuple(v.tobytes() for v in one)
+    if n_rows > 1:
+        assert mu[3] == mu[9] == 1.0 and dev[3] == dev[9] == np.inf
+        assert np.isfinite(np.delete(dev, [3, 9])).all()
+
+
+def _sparse_call(f, pair, a):
+    """The classes and times ``reconstruct`` hands its first search."""
+    seen = []
+
+    def recorded(classes, pair, a, **kwargs):
+        seen.append((list(classes), kwargs["times"]))
+        return align(classes, pair, a, **kwargs)
+
+    align = stitcher.align_overlaps
+    stitcher.align_overlaps = recorded
+    try:
+        reconstruct(measure(f, pair, TimeNodes.lattice_covering(pair.grid, a)), pair)
+    finally:
+        stitcher.align_overlaps = align
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["criterion 1 a = B", "criterion 1 a = B/2", "horizon 1024"])
+def test_every_straddles_filled_side_lies_in_the_run_its_predecessor_wrote(case):
+    # the stacked solves phase a straddle against the patch placed before
+    # it, unscaled; on reconstruct's sparse lattices that patch, times its
+    # lambda, is what the assembly holds on the straddling row's filled
+    # cells lo[j]:c, because they lie in the run boundary[p - 1]:c it wrote
+    if case == "horizon 1024":
+        grid = GridSpec(B=1.0, L=8, origin=512, horizon=1024)
+        f = random_nonseparable(grid, grid.horizon - 3, 1.0, seed=3)
+        pair, a = build_window("rectangular", grid, b=0.25), 1.0
+    else:
+        a = 1.0 if case.endswith("a = B") else 0.5
+        f, ms = _criterion1_input(a, 0)
+        pair = ms.pair
+    classes, times = _sparse_call(f, pair, a)
+    _, lo, hi = stitcher._window_runs(pair.grid, times)
+    live = [i for i, c in enumerate(classes) if c is not None and not c.is_zero]
+    boundary = [lo[live[0]], *hi[live]]
+    straddles = 0
+    for p in range(1, len(live)):
+        j = (live[p - 1] + live[p]) // 2
+        if lo[live[p]] == boundary[p] and classes[j] is None:
+            assert boundary[p - 1] <= lo[j] < boundary[p]
+            straddles += 1
+    assert straddles == len(live) - 1
+
+
+def _a_equal_b_sparse_classes():
+    """Criterion 1's input at a = B, its lattice measurements, and the
+    classes of the rows the sparse pass recovers (1, 3, ..., 15; None
+    elsewhere)."""
+    f, ms = _criterion1_input(1.0, 0)
+    scale = float(ms.mags.max())
+    return ms, [recover_local(*ms.mags[:, i], ms.pair, scale=scale) if i in A_EQUAL_B_ROWS else None
+                for i in range(len(ms.nodes.times))]
+
+
+def test_node_checks_that_miss_at_two_depths_of_one_block_name_the_shallower_node():
+    # recovered rows 5 and 11 (no junction is phased from them) complete at
+    # depths 3 and 6, both inside the first NODE_BLOCK, and row 12's data
+    # misfits the junction of rows 11 and 13, entered at depth 6: the block
+    # is placed before any node is checked, and the refusal is the one
+    # checking every depth gives, naming row 5 with its own deviation
+    ms, classes = _a_equal_b_sparse_classes()
+    bad = ms.mags.copy()
+    bad[:, 5] *= 1 + 1e-6
+    bad[:, [11, 12]] *= 1 + 1e-3
+    with pytest.raises(InconsistentMeasurements) as refused:
+        align_overlaps(classes, ms.pair, 1.0, times=ms.nodes.times, lattice_mags=bad,
+                       freqs=ms.freqs)
+    assert str(refused.value) == (
+        "no phase assignment reproduces the lattice magnitudes "
+        f"(best deviation {1e-6 * ms.mags[:, 5].max():.3e} at node index 5)"
+    )
+
+
+def test_a_dead_junction_past_a_missing_node_leaves_the_nodes_refusal():
+    # criterion 1's grid at a = B / 2 with cells 34 .. 39 zero: the junction
+    # of rows 19 and 23 (lattice index 6) has a dead filled side, met at
+    # depth 5 while the second NODE_BLOCK is placed unchecked.  With row
+    # 19's data scaled, its check misses at depth 5 first, so the search
+    # never reached that junction, and its refusal is row 19's
+    grid = GridSpec(B=1.0, L=8, origin=32, horizon=64)
+    samples = random_nonseparable(grid, grid.horizon, 1.5, seed=0).samples.copy()
+    samples[34:40] = 0.0
+    pair = build_window("rectangular", grid, b=0.25)
+    ms = measure(Signal(grid, samples), pair, TimeNodes.lattice_covering(grid, 0.5))
+    scale = float(ms.mags.max())
+    classes = [recover_local(*ms.mags[:, i], pair, scale=scale) if i in SPARSE_ROWS else None
+               for i in range(len(ms.nodes.times))]
+    bad = ms.mags.copy()
+    bad[:, 19] *= 1 + 1e-6
+    search = dict(times=ms.nodes.times, freqs=ms.freqs)
+    with pytest.raises(SeparableInputError, match="propagation broken at node 6$"):
+        align_overlaps(classes, pair, 0.5, lattice_mags=ms.mags, **search)
+    with pytest.raises(InconsistentMeasurements, match=r"best deviation \S+ at node index 19\)$"):
+        align_overlaps(classes, pair, 0.5, lattice_mags=bad, **search)
+
+
+def test_a_miss_inside_a_node_block_gives_back_the_unchecked_placements(monkeypatch):
+    # the whole criterion-1 lattice at a = B, the first position offering
+    # one orientation twice, and row 4's data no assignment reproduces: the
+    # search places 16 positions of the first block before it checks, misses
+    # at depth 5, and places 5 again from the second orientation.  Checking
+    # every depth spends 10 steps, inside the 17 free ones; kept, the 11
+    # unchecked placements past depth 5 would run the budget out
+    f, ms = _criterion1_input(1.0, 0)
+    scale = float(ms.mags.max())
+    classes = [recover_local(p, q, ms.pair, scale=scale) for p, q in zip(*ms.mags)]
+    classes[0] = dataclasses.replace(classes[0], representatives=classes[0].representatives[:1] * 2)
+    bad = ms.mags.copy()
+    bad[:, 4] *= 1 + 1e-6
+    monkeypatch.setattr(stitcher, "SEARCH_BUDGET", 0)
+    with pytest.raises(InconsistentMeasurements, match=r"best deviation \S+ at node index 4\)$"):
+        align_overlaps(classes, ms.pair, 1.0, times=ms.nodes.times, lattice_mags=bad,
+                       freqs=ms.freqs)
+
+
+def test_a_long_reconstruct_solves_and_checks_a_node_block_per_call(monkeypatch):
+    # horizon 1024 at a = B: 257 nodes, 127 straddles; one junction solve
+    # per NODE_BLOCK of straddling rows and at most two node-check kernel
+    # calls per block, against 127 and 129 when each junction and each depth
+    # was its own call
+    calls = {"junction_phases": 0, "node_magnitudes": 0}
+
+    def counted(name):
+        fn = getattr(stitcher, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(stitcher, name, call)
+
+    for name in calls:
+        counted(name)
+    grid = GridSpec(B=1.0, L=8, origin=512, horizon=1024)
+    f = random_nonseparable(grid, grid.horizon - 3, 1.0, seed=3)
+    rep, res = _roundtrip(f, build_window("rectangular", grid, b=0.25), 1.0)
+    assert res <= 1e-8
+    blocks = -(-257 // NODE_BLOCK)
+    assert 0 < calls["junction_phases"] <= blocks and 0 < calls["node_magnitudes"] <= 2 * blocks
 
 
 # --- the slot mate offered as a patch ---------------------------------------
