@@ -59,6 +59,24 @@ It prints each refusal with its message and one count line that gives the
 largest distance (``phase_residuals``) of a returned class to the truth or
 to the truth's slot mate.  A class farther than 1e-6 from both counts as wrong,
 and makes the script exit 1 like a wrong row of the first block.
+
+A fourth block reconstructs single-node contents whose unit-circle roots
+are all triple, the multiplicity at which the eigensolver splits a root
+farthest.  ``np.random.default_rng(TRIPLE_SEED)`` draws 300 contents once,
+each as:
+
+- one or two angles uniform in [-pi, pi), each a root of multiplicity 3;
+- L uniform in 7 .. 12, and L - 1 - (circle roots) free roots, complex
+  standard normal;
+- the content is the monic polynomial of those roots, lowest degree first,
+  on GridSpec(B=1, L=L, origin=L//2, horizon=L) with the rectangular
+  window and b = 0.25, measured at the one node of the lattice of step
+  L//2 cells (the widest whole-cell step up to B) and reconstructed.
+
+A returned signal is right or wrong by the first block's rule, and the
+block prints each refusal or wrong row with its message and one count line
+that gives the largest distance of a returned signal, as the first block
+measures it.  A wrong row makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -75,6 +93,8 @@ LETTERS = np.array([0, 1, 1j, -1], dtype=np.complex128)
 ROWS = {4: 300, 8: 300, 12: 300, 16: 15}
 CIRCLE_SEED = 2026
 CIRCLE_CONTENTS = 200
+TRIPLE_SEED = 20261020
+TRIPLE_CONTENTS = 300
 
 
 def sweep(tw, L: int, b: float, a: float):
@@ -175,6 +195,42 @@ def circle_recoveries(tw):
         )
 
 
+def triple_contents():
+    """The fourth block's contents, drawn once: a list of complex vectors."""
+    rng = np.random.default_rng(TRIPLE_SEED)
+    contents = []
+    for _ in range(TRIPLE_CONTENTS):
+        angles = rng.uniform(-np.pi, np.pi, rng.integers(1, 3))
+        roots = list(np.exp(1j * angles).repeat(3))
+        L = int(rng.integers(7, 13))
+        free = L - 1 - len(roots)
+        roots += list(rng.standard_normal(free) + 1j * rng.standard_normal(free))
+        contents.append(np.poly(roots)[::-1].astype(np.complex128))
+    return contents
+
+
+def triple_reconstructions(tw):
+    """Yield (row, outcome, detail, distance) per content of the fourth
+    block, as ``sweep`` yields them for the first."""
+    for row, h in enumerate(triple_contents()):
+        grid = tw.GridSpec(B=1.0, L=h.size, origin=h.size // 2, horizon=h.size)
+        pair = tw.build_window("rectangular", grid, b=0.25)
+        f = tw.Signal(grid, h)
+        nodes = tw.TimeNodes.lattice(h.size // 2 * grid.delta, [0])
+        try:
+            rep = tw.reconstruct(tw.measure(f, pair, nodes), pair)
+        except Exception as exc:  # every refusal is printed with its message
+            yield row, "refused", f"{type(exc).__name__}: {exc}", None
+            continue
+        right = tw.pair_equivalent(
+            rep.signal.samples, h, allow_reflection=rep.ambiguity != "phase_only", tol=1e-6
+        )
+        distance = min(
+            tw.phase_residuals(g.samples, h) for g in (rep.signal, rep.alternative) if g is not None
+        )
+        yield row, "ok" if right else "wrong", rep.ambiguity, distance
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(HERE.parent / "src"), help="the src/ directory to sweep")
@@ -233,6 +289,19 @@ def main(argv=None) -> int:
     print(
         f"circle: {refused} of {CIRCLE_CONTENTS} refused, "
         f"largest class distance {worst:.3e} (row {worst_row})"
+    )
+    counts = {"refused": 0, "wrong": 0}
+    worst, worst_row = 0.0, None
+    for row, outcome, detail, dist in triple_reconstructions(tw):
+        if outcome != "ok":
+            counts[outcome] += 1
+            print(f"  triple row {row}: {outcome}: {detail}")
+        if dist is not None and dist >= worst:
+            worst, worst_row = dist, row
+    wrong += counts["wrong"]
+    print(
+        f"triple: {counts['refused']} of {TRIPLE_CONTENTS} refused, {counts['wrong']} wrong, "
+        f"largest distance {worst:.3e} (row {worst_row})"
     )
     return 1 if wrong else 0
 

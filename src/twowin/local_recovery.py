@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,94 +177,56 @@ def _conjugate_closed(roots: np.ndarray) -> np.ndarray:
     return (np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1)).all(axis=1)
 
 
-def _branch_rows(
-    forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The roots of every branch and which of them sit on the circle.
-
-    One row per branch, in the order of itertools.product over the pairs:
-    the forced roots, then one choice per pair.
-    """
-    count = math.prod(len(o) for o in options)
-    pick = np.indices([len(o) for o in options]).reshape(len(options), count).T
-    chosen = np.empty((count, len(forced) + len(options)), dtype=np.complex128)
-    circ = np.ones(chosen.shape, dtype=bool)
-    chosen[:, : len(forced)] = forced
-    for j, opts in enumerate(options):
-        chosen[:, len(forced) + j] = np.array([z for z, _ in opts])[pick[:, j]]
-        circ[:, len(forced) + j] = np.array([c for _, c in opts])[pick[:, j]]
-    return chosen, circ
+def _closable(options: Sequence[Sequence[complex]]) -> bool:
+    """Whether any branch can be closed under conjugation: only when every
+    pair, a forced root being a pair of one option, offers a root whose
+    conjugate is among the roots."""
+    pool = set().union(*options)
+    return all(any(r.conjugate() in pool for r in o) for o in options)
 
 
-def _fan_out(
-    forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
-) -> np.ndarray:
-    """Monic coefficients, highest degree first, of each row of
-    ``_branch_rows``' roots, by shared prefix.
+def _poly_rows(roots: np.ndarray, closable: Union[bool, np.ndarray]) -> np.ndarray:
+    """Monic coefficients, highest degree first, of each row of ``roots``,
+    the module's one branch builder.
 
     A row is built like np.poly builds it: one linear factor multiplied in
     per step, in root order, and the imaginary part dropped where the roots
-    are closed under conjugation.  Branches that agree on their first
-    choices share those factors, so each factor is multiplied into one row
-    per distinct prefix (the forced roots into a single row).  The
-    conjugation check runs only when every pair offers a root whose
-    conjugate is among the roots, without which no row can be closed.
-
-    The fan is held coefficient-major, so each step's update runs over
-    contiguous memory, and is transposed to one row per branch at the end.
+    are closed under conjugation, checked only where ``closable`` (one flag
+    per row, or one for every row) is set.  The rows are held
+    coefficient-major, so each step's update runs over contiguous memory,
+    and are transposed to one row per branch at the end.
     """
-    k = len(forced) + len(options)
-    c = np.zeros((k + 1, 1), dtype=np.complex128)
-    c[0] = 1.0
-    for j, r in enumerate(forced):
-        c[1 : j + 2] -= r * c[: j + 1]
-    for j, opts in enumerate(options, start=len(forced)):
-        choice = np.array([r for r, _ in opts])
-        c = c.repeat(choice.size, axis=1)
-        # (coefficient, prefix, choice): every prefix takes each choice
-        fan = c.reshape(k + 1, -1, choice.size)
-        fan[1 : j + 2] -= choice * fan[: j + 1]
-    c = np.ascontiguousarray(c.T)
-    if _closable(forced, options):
-        real = _conjugate_closed(_branch_rows(forced, options)[0])
-        c[real] = c[real].real
-    return c
-
-
-def _closable(
-    forced: Sequence[complex], options: Sequence[Sequence[Tuple[complex, bool]]]
-) -> bool:
-    """Whether any branch can be closed under conjugation: only when every
-    pair offers a root whose conjugate is among the roots."""
-    pool = set(forced).union(*[[r for r, _ in o] for o in options])
-    return all(r.conjugate() in pool for r in forced) and all(
-        any(r.conjugate() in pool for r, _ in o) for o in options
-    )
-
-
-def _poly_rows(roots: np.ndarray, closable: np.ndarray) -> np.ndarray:
-    """Monic coefficients, highest degree first, of each row of ``roots``:
-    ``_fan_out``'s steps taken one row at a time, so a branch built here has
-    the bits the fan-out gives it, the conjugation check (where the row's
-    ``closable`` is set) included."""
     n, k = roots.shape
     c = np.zeros((k + 1, n), dtype=np.complex128)
     c[0] = 1.0
     for j in range(k):
         c[1 : j + 2] -= roots[:, j] * c[: j + 1]
     c = np.ascontiguousarray(c.T)
-    if closable.any():
+    if closable is True or (closable is not False and closable.any()):
         real = closable & _conjugate_closed(roots)
-        c[real] = c[real].real
+        c.imag[real] = 0.0
     return c
 
 
 def _picks(sizes: Tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """Each listed branch's option per pair, the branches being numbered as
-    ``_branch_rows`` numbers them over pairs of ``sizes`` options (the last
-    pair's choice varying fastest)."""
+    """Each listed branch's option per pair, over pairs of ``sizes``
+    options: branch n is the n-th in the C order of np.indices(sizes), as
+    itertools.product orders them, the last pair's choice varying fastest."""
     stride = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
     return rows[:, None] // np.array(stride, dtype=np.intp) % np.array(sizes, dtype=np.intp)
+
+
+@lru_cache(maxsize=32)
+def _every_pick(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """``_picks`` of every branch, in order, and each pick's place in the
+    flattened table of three options per pair; built once per ``sizes`` and
+    read-only.  Both are below 3 L_MAX, so each is held in one byte."""
+    picks = _picks(sizes, np.arange(math.prod(sizes)))
+    at = (picks + 3 * np.arange(len(sizes))).astype(np.int8)
+    picks = picks.astype(np.int8)
+    for table in (picks, at):
+        table.setflags(write=False)
+    return picks, at
 
 
 def _unit_cores(poly: np.ndarray, a0: float) -> np.ndarray:
@@ -296,7 +258,7 @@ def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
 
 
 Linearize = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-Screen = Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+Screen = Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _gauss_newton(h: np.ndarray, linearize: Linearize) -> np.ndarray:
@@ -377,6 +339,12 @@ def _mirror_pairs(
     return out
 
 
+def _chord(circle_tol: float) -> float:
+    """How close two circle roots sit to be split copies of one root, and a
+    mirror pair's roots to be fused, at a given circle tolerance."""
+    return max(2 * math.sqrt(PAIRING_TOL), 4 * circle_tol)
+
+
 def _fusable(r1: complex, r2: complex, chord: float) -> bool:
     """Whether a mirror pair sits right on the circle, its roots within
     ``chord`` of each other: indistinguishable from a split double circle
@@ -391,18 +359,20 @@ def _factor_once(
     a0: float,
     circle_tol: float,
     screen: Optional[Screen] = None,
+    rescue: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One classify/pair/build/validate pass at a given circle tolerance, with
-    the branches holding circle roots fitted to the lags only when no branch
-    validates.
+    """One classify/pair/build/validate pass at a given circle tolerance.
+    When no branch validates and ``rescue`` is set, the branches holding
+    circle roots (a forced root or a fused reading) are fitted to the lags
+    and validated again.
 
     With a ``screen`` (``_cross_angle_screen`` bound to the node's data),
-    only the branches that fit the data cleanly are built, with the
-    fan-out's steps, and none needs the lag check; when the screen defers
-    to the whole enumeration, or no branch fits, every branch is built and
-    checked, as without a screen.  Returns the cores, one per row, and a
-    mask of each one's placements that fit, or None when every placement
-    of every branch stands.
+    only the branches that fit the data cleanly are built, and none needs
+    the lag check; when the screen defers to the whole enumeration, or no
+    branch fits, every branch is built, in ``_picks`` order, and checked,
+    as without a screen.  Returns the cores, one per row, and a mask of
+    each one's placements that fit, or None when every placement of every
+    branch stands.
     """
     near = np.abs(np.hypot(roots.real, roots.imag) - 1.0) <= circle_tol
     on_circle = [complex(r) for r in roots[near]]
@@ -410,7 +380,7 @@ def _factor_once(
     # unit-circle roots arrive as even-multiplicity clusters; each cluster of
     # 2m split copies stands for one root of multiplicity m in the factor
     forced: List[complex] = []
-    chord = max(2 * math.sqrt(PAIRING_TOL), 4 * circle_tol)
+    chord = _chord(circle_tol)
     for cluster in _cluster_circle_roots(on_circle, chord):
         if len(cluster) % 2:
             raise UnrealizableAutocorrelation(
@@ -428,39 +398,43 @@ def _factor_once(
         raise UnrealizableAutocorrelation(f"autocorrelation not realizable: unpaired root {lost!r}")
 
     # a mirror pair sitting right on the circle is indistinguishable from a
-    # split double circle root; offer the fused reading as an extra branch
-    # and let validation and the second window decide
-    options: List[List[Tuple[complex, bool]]] = []
+    # split double circle root; offer the fused reading as a third option
+    # and let validation and the second window decide.  The options are
+    # rows of three: each forced root as a pair of one option (three copies
+    # of it), then each mirror pair's, a pair without a fused option
+    # repeating its second
+    options = [[r, r, r] for r in forced]
+    sizes = [1] * len(forced)
     branch_count = 1
     for r1, r2 in pairs:
-        opts = [(r1, False), (r2, False)]
+        size, third = 2, r2
         if _fusable(r1, r2, chord) and branch_count * 3 <= 8192:
             mid = (r1 + r2) / 2
             if mid != 0:
-                opts.append((mid / abs(mid), True))
-        options.append(opts)
-        branch_count *= len(opts)
-
-    tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+                size, third = 3, mid / abs(mid)
+        options.append([r1, r2, third])
+        sizes.append(size)
+        branch_count *= size
+    f = len(forced)
+    table = np.array(options, dtype=np.complex128).reshape(-1, 3)
+    sizes = tuple(sizes)
+    closable = _closable(options)
     if screen is not None:
-        # each pair's options as one row of three, a pair without a fused
-        # option repeating its second
-        table = np.array([[o[0][0], o[1][0], o[-1][0]] for o in options], dtype=np.complex128)
-        table = table.reshape(1, -1, 3)
-        rooted = np.array(forced, dtype=np.complex128).reshape(1, -1)
-        sizes = tuple(len(o) for o in options)
-        owner, rows, fits, _ = screen(rooted, table, sizes)
+        rooted, paired = table[None, :f, 0], table[None, f:]
+        owner, rows, fits = screen(rooted, paired, sizes[f:])
         if rows.size:
-            closable = np.array([_closable(forced, options)])
-            return _screened_cores(rooted, table, sizes, owner, rows, np.array([a0]), closable), fits
-    cores = _unit_cores(_fan_out(forced, options), a0)
+            return _screened_cores(rooted, paired, sizes[f:], owner, rows, np.array([a0]),
+                                   np.array([closable])), fits
+    picks, at = _every_pick(sizes)
+    cores = _unit_cores(_poly_rows(table.ravel()[at], closable), a0)
+    tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
     ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
-    if not ok.any():
+    if rescue and not ok.any():
         # a split multiple circle root can leave every branch short of the
         # lag tolerance; each branch holding circle roots is fitted to the
         # lags and validated again
         fit = _lag_fit(lags, s_eff)
-        for i in _branch_rows(forced, options)[1].any(axis=1).nonzero()[0]:
+        for i in ((picks == 2).any(axis=1) | bool(forced)).nonzero()[0]:
             cores[i] = _gauss_newton(cores[i], fit)
         ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
     if not ok.any():
@@ -480,22 +454,21 @@ def _cross_angle_screen(
     phi: np.ndarray,
     psi: np.ndarray,
     pair: WindowPair,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The branches of each node that fit its data cleanly, priced from their
     roots without building them, over a stack of nodes that share s_eff,
     the pair sizes and the forced-root count: row i of ``forced``,
     ``table``, ``a0``, ``phi`` and ``psi`` is node i's.  Pair j offers the
     first ``sizes[j]`` roots of ``table[i, j]``.
 
-    Returns (owner, rows, fits, deferred).  The kept branches are listed
-    node-major: ``owner`` names each one's node and ``rows`` its number, as
-    ``_branch_rows`` numbers them, and ``fits`` is its mask of the
-    placements that fit, a defect within ``POLISH_ABOVE``; every other
-    (branch, placement) of a node misses ``ACCEPT_TOL``.  ``deferred`` marks
-    the nodes, none of whose branches are kept, where some (branch,
-    placement) may fit only roughly, between the two give or take
-    ``SCREEN_MARGIN``, which the whole enumeration and the second window's
-    polish settle.
+    Returns (owner, rows, fits).  The kept branches are listed node-major:
+    ``owner`` names each one's node and ``rows`` its number, as ``_picks``
+    numbers them, and ``fits`` is its mask of the placements that fit, a
+    defect within ``POLISH_ABOVE``; every other (branch, placement) of a
+    node misses ``ACCEPT_TOL``.  A node keeps no branch, deferring to the
+    whole enumeration and the second window's polish, when some (branch,
+    placement) of it may fit only roughly, between the two give or take
+    ``SCREEN_MARGIN``.
 
     With w = exp(-2 i pi delta omega), a core at placement p has the
     spectrum H(omega) = delta K exp(-2 i pi (p - L // 2) delta omega) P(w),
@@ -554,7 +527,7 @@ def _cross_angle_screen(
     deferred = np.zeros(g, dtype=bool)
     deferred[owner[~(fits | (priced > out[owner, None])).all(axis=1)]] = True
     kept = fits.any(axis=1) & ~deferred[owner]
-    return owner[kept], rows[kept], fits[kept], deferred
+    return owner[kept], rows[kept], fits[kept]
 
 
 def _screened_cores(
@@ -567,7 +540,7 @@ def _screened_cores(
     closable: np.ndarray,
 ) -> np.ndarray:
     """The cores of the branches ``_cross_angle_screen`` kept, one per
-    (owner, row), built with the fan-out's steps and scaled to their node's
+    (owner, row), built by ``_poly_rows`` and scaled to their node's
     energy.  A branch within POLISH_ABOVE of the first window's data has
     lags within about 2 POLISH_ABOVE a0 of the node's, far inside the lag
     tolerance, so it stands without the lag check.
@@ -745,13 +718,19 @@ def _factor_ladder(
     """``_factor_once`` on a widening circle tolerance: a multiplicity-m root
     only comes back from the eigensolver to within about eps**(1/m), so
     circle classification retries, and the lag validation inside each pass
-    arbitrates what to accept; the last refusal is raised."""
+    arbitrates what to accept; the last refusal is raised.
+
+    Every rung is tried without the lag-fit rescue before any is tried with
+    it: a rung that reads a split triple circle root as mirror pairs can
+    validate only through the fit, which stalls short of the truth, where a
+    wider rung reads both clusters whole and validates exactly."""
     error: Optional[UnrealizableAutocorrelation] = None
-    for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
-        try:
-            return _factor_once(roots, lags, s_eff, a0, circle_tol, screen)
-        except UnrealizableAutocorrelation as exc:
-            error = exc
+    for rescue in (False, True):
+        for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
+            try:
+                return _factor_once(roots, lags, s_eff, a0, circle_tol, screen, rescue)
+            except UnrealizableAutocorrelation as exc:
+                error = exc
     assert error is not None
     raise error
 
@@ -779,7 +758,7 @@ def _screened_candidates(
     # _fusable and _closable decide, on the few nodes that pass a looser
     # test: a fused pair has both roots near the circle and close together,
     # and a closable node holds a root whose conjugate is among its roots
-    chord = max(2 * math.sqrt(PAIRING_TOL), 4 * PAIRING_TOL)
+    chord = _chord(PAIRING_TOL)
     ring = np.abs(np.abs(table) - 1.0) <= 0.06
     close = np.abs(table[..., 0] - table[..., 1]) <= 2 * chord
     maybe = (ring.all(axis=2) & close).any(axis=1).tolist()
@@ -793,11 +772,11 @@ def _screened_candidates(
     closable = np.zeros(len(nodes), dtype=bool)
     mirrored = (np.conj(roots[nodes])[:, :, None] == roots[nodes][:, None, :]).any(axis=(1, 2))
     for k in mirrored.nonzero()[0].tolist():
-        closable[k] = _closable((), [[(r, False) for r in p] for p in paired[nodes[k]][0]])
+        closable[k] = _closable(paired[nodes[k]][0])
     sizes = (2,) * table.shape[1]
     forced = np.empty((len(nodes), 0), dtype=np.complex128)
     a0 = a0[nodes]
-    owner, rows, fits, _ = _cross_angle_screen(
+    owner, rows, fits = _cross_angle_screen(
         forced, table, sizes, s_eff=s_eff, a0=a0, phi=phi[nodes], psi=psi[nodes], pair=pair
     )
     if not rows.size:

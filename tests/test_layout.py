@@ -292,6 +292,19 @@ def test_only_refit_runs_the_magnitude_fit():
     assert callers == {"local_recovery.py:refit"}
 
 
+def test_only_poly_rows_builds_factorization_branches():
+    # _poly_rows is local recovery's one branch builder: the whole
+    # enumeration and the screen's kept branches both call it, and a caller
+    # of _conjugate_closed elsewhere would be a second builder whose bits
+    # could drift from it
+    callers = {
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _top_level_callers(path, {"_conjugate_closed"})
+    }
+    assert callers == {"local_recovery.py:_poly_rows"}
+
+
 def test_the_stitcher_takes_no_matrix_product_of_its_own():
     # stft_engine.node_transforms is the one forward-map product: the node
     # checks and the junction fits take their transforms from it, and an @

@@ -18,8 +18,10 @@ from twowin import (
     enumerate_candidates,
     local_recovery,
     measure,
+    pair_equivalent,
     phase_residuals,
     random_nonseparable,
+    reconstruct,
     recover_local,
     recover_rows,
     slot_reflect,
@@ -36,15 +38,16 @@ from twowin.local_recovery import (
     InconsistentMeasurements,
     LocalClass,
     RecoveryError,
-    _branch_rows,
+    _closable,
     _cluster_circle_roots,
     _conjugate_closed,
-    _fan_out,
     _gauss_newton,
     _lag_defect,
     _lag_fit,
     _magnitude_fit,
     _phase_match,
+    _picks,
+    _poly_rows,
     _unit_cores,
     refit,
 )
@@ -155,8 +158,8 @@ def _poly_batch(roots: np.ndarray) -> np.ndarray:
     """Monic coefficients, highest degree first, for each row of ``roots``:
     one linear factor per step for the whole batch, in the root order
     np.poly uses, and like np.poly the imaginary part dropped from a row
-    whose roots are closed under conjugation.  The fan-out must build its
-    rows with this arithmetic, bit for bit."""
+    whose roots are closed under conjugation.  The branch builder,
+    ``_poly_rows``, must build its rows with this arithmetic, bit for bit."""
     n, k = roots.shape
     c = np.zeros((n, k + 1), dtype=np.complex128)
     c[:, 0] = 1.0
@@ -381,6 +384,23 @@ def test_recover_local_degenerate_contents(content):
     )
 
 
+def test_two_triple_circle_roots_come_back_right_by_the_sweeps_rule():
+    # the eigensolver splits each triple circle root into six copies 1e-3 to
+    # 3.2e-3 off the circle.  The 1e-3 rung pairs all twelve as mirror
+    # pairs, and only the lag-fit rescue validates that reading, 1.1e-6
+    # from the truth; the 1e-2 rung, tried first without the rescue, reads
+    # both clusters whole and is exact to roundoff
+    h = _circle_content([np.exp(1.4j)] * 3 + [np.exp(-1.4j)] * 3, 7)
+    grid = GridSpec(B=1.0, L=7, origin=3, horizon=7)
+    pair = build_window("rectangular", grid, b=0.25)
+    f = Signal(grid, h)
+    rep = reconstruct(measure(f, pair, TimeNodes.lattice(6 / 7, [0])), pair)
+    assert pair_equivalent(
+        rep.signal.samples, h, allow_reflection=rep.ambiguity != "phase_only", tol=1e-6
+    )
+    assert phase_residuals(rep.signal.samples, h) <= 1e-12
+
+
 def test_recover_local_flags_reflection_symmetry():
     # an even-length content with a live first slot has no admissible mate
     phi_mags, psi_mags, pair = _node_mags([1.0, 0.5j, -0.25, 0.125], 4)
@@ -430,7 +450,9 @@ def test_slot_reflect_matches_the_loop(L, seed, first):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_fan_out_matches_poly_batch_bit_for_bit(seed):
+def test_every_branch_built_matches_poly_batch_bit_for_bit(seed):
+    # the whole enumeration's rows: the forced roots, then one option per
+    # pair, every branch in _picks order, which is itertools.product's
     rng = np.random.default_rng(seed)
 
     def z():
@@ -448,15 +470,21 @@ def test_fan_out_matches_poly_batch_bit_for_bit(seed):
     # conjugate pair of near-circle pairs
     r, w = z(), complex((1 + 1e-4) * np.exp(0.3j))
     options = [
-        [(r, False), (z(), False)],
-        [(z(), False), (r.conjugate(), False)],
-        [(0.5 + 0j, False), (2.0 + 0j, False)],
-        [(1 + 1e-4 + 0j, False), (1 / (1 + 1e-4) + 0j, False), (1 + 0j, True)],
-        [(w, False), (1 / w.conjugate(), False), (complex(np.exp(0.3j)), True)],
-        [(w.conjugate(), False), (1 / w, False), (complex(np.exp(-0.3j)), True)],
+        [r, z()],
+        [z(), r.conjugate()],
+        [0.5 + 0j, 2.0 + 0j],
+        [1 + 1e-4 + 0j, 1 / (1 + 1e-4) + 0j, 1 + 0j],
+        [w, 1 / w.conjugate(), complex(np.exp(0.3j))],
+        [w.conjugate(), 1 / w, complex(np.exp(-0.3j))],
     ]
-    got = _fan_out(forced, options)
-    want = _poly_batch(_branch_rows(forced, options)[0])
+    sizes = tuple(len(o) for o in options)
+    count = int(np.prod(sizes))
+    picks = _picks(sizes, np.arange(count))
+    chosen = np.array([forced + [o[i] for o, i in zip(options, p)] for p in picks.tolist()])
+    rows = np.array([forced + list(choice) for choice in itertools.product(*options)])
+    assert chosen.tobytes() == rows.tobytes()
+    got = _poly_rows(chosen, _closable([[r] for r in forced] + options))
+    want = _poly_batch(rows)
     assert got.tobytes() == want.tobytes()
     if seed != 2:
         assert np.any(np.all(got.imag == 0.0, axis=1))
@@ -1024,25 +1052,28 @@ def test_cached_tables_follow_the_grid_step_and_window(monkeypatch):
 
 
 def test_reference_cases_reach_every_factoring_path(monkeypatch):
+    # every whole enumeration takes its branches' picks from _every_pick,
+    # over one option per forced root and two or three (a fused reading)
+    # per mirror pair
     seen = {"forced": 0, "fused": 0, "retried": 0, "fitted": 0}
-    fan_out, factor_once = local_recovery._fan_out, local_recovery._factor_once
+    every_pick, factor_once = local_recovery._every_pick, local_recovery._factor_once
     lag_fit = local_recovery._lag_fit
     rungs = []
 
-    def counted_fan_out(forced, options):
-        seen["forced"] += bool(forced)
-        seen["fused"] += any(len(o) > 2 for o in options)
-        return fan_out(forced, options)
+    def counted_every_pick(sizes):
+        seen["forced"] += 1 in sizes
+        seen["fused"] += 3 in sizes
+        return every_pick(sizes)
 
     def counted_lag_fit(lags, s_eff):
         seen["fitted"] += 1
         return lag_fit(lags, s_eff)
 
-    def counted_factor_once(roots, lags, s_eff, a0, circle_tol, screen=None):
+    def counted_factor_once(roots, lags, s_eff, a0, circle_tol, screen=None, rescue=True):
         rungs[-1] += 1
-        return factor_once(roots, lags, s_eff, a0, circle_tol, screen)
+        return factor_once(roots, lags, s_eff, a0, circle_tol, screen, rescue)
 
-    monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
+    monkeypatch.setattr(local_recovery, "_every_pick", counted_every_pick)
     monkeypatch.setattr(local_recovery, "_factor_once", counted_factor_once)
     monkeypatch.setattr(local_recovery, "_lag_fit", counted_lag_fit)
     for _, h in _special_contents():
@@ -1131,20 +1162,21 @@ def test_a_node_with_few_branches_takes_the_whole_enumeration(L, cells):
 def test_a_generic_node_builds_at_most_two_branches(monkeypatch):
     # a full-width L = 8 node has 2^7 = 128 branches, each scaled to the
     # node's energy once built; the screen prices them from the roots and
-    # builds only those that fit, without the whole fan-out
-    built, fanned = [], []
-    unit_cores, fan_out = local_recovery._unit_cores, local_recovery._fan_out
+    # builds only those that fit, and the whole enumeration, whose branches
+    # are validated on the lags, never runs
+    built, validated = [], []
+    unit_cores, lag_defect = local_recovery._unit_cores, local_recovery._lag_defect
 
     def counted_unit_cores(poly, a0):
         built.append(len(poly))
         return unit_cores(poly, a0)
 
-    def counted_fan_out(*args):
-        fanned.append(1)
-        return fan_out(*args)
+    def counted_lag_defect(*args):
+        validated.append(1)
+        return lag_defect(*args)
 
     monkeypatch.setattr(local_recovery, "_unit_cores", counted_unit_cores)
-    monkeypatch.setattr(local_recovery, "_fan_out", counted_fan_out)
+    monkeypatch.setattr(local_recovery, "_lag_defect", counted_lag_defect)
     for seed in range(8):
         rng = np.random.default_rng(seed)
         h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -1152,7 +1184,7 @@ def test_a_generic_node_builds_at_most_two_branches(monkeypatch):
         cls = recover_local(phi_mags, psi_mags, pair)
         assert any(_phase_match(rep, h, 1e-8) for rep in cls.representatives)
     assert len(built) == 8 and max(built) <= 2
-    assert not fanned
+    assert not validated
 
 
 @pytest.mark.parametrize("n", range(2, 13))

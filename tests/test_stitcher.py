@@ -1635,6 +1635,31 @@ def test_node_checks_that_miss_at_two_depths_of_one_block_name_the_shallower_nod
     )
 
 
+def test_a_shallower_miss_keeps_the_deeper_refusal_already_noted():
+    # the whole criterion-1 lattice at a = B, row 2 offering its class and
+    # then that class with its last cell off by 1e-7, which fits every
+    # overlap and misses row 2's own check.  With row 12's data scaled, the
+    # first orientation misses at row 12's depth, the second at row 2's;
+    # the refusal is the deeper one, noted first
+    f, ms = _criterion1_input(1.0, 0)
+    scale = float(ms.mags.max())
+    classes = [recover_local(p, q, ms.pair, scale=scale) for p, q in zip(*ms.mags)]
+    rep = classes[2].representative
+    bumped = rep.copy()
+    bumped[-1] += 1e-7 * np.abs(rep).max()
+    search = dict(times=ms.nodes.times, freqs=ms.freqs)
+    bad = ms.mags.copy()
+    bad[:, 12] *= 1 + 1e-6
+    classes[2] = dataclasses.replace(classes[2], representatives=(bumped,), mate=None)
+    with pytest.raises(InconsistentMeasurements, match=r"best deviation \S+ at node index 2\)$"):
+        align_overlaps(classes, ms.pair, 1.0, lattice_mags=ms.mags, **search)
+    classes[2] = dataclasses.replace(classes[2], representatives=(rep, bumped))
+    good = align_overlaps(classes, ms.pair, 1.0, lattice_mags=ms.mags, **search)
+    assert good.ambiguity == "phase_only"
+    with pytest.raises(InconsistentMeasurements, match=r"best deviation \S+ at node index 12\)$"):
+        align_overlaps(classes, ms.pair, 1.0, lattice_mags=bad, **search)
+
+
 def test_a_dead_junction_past_a_missing_node_leaves_the_nodes_refusal():
     # criterion 1's grid at a = B / 2 with cells 34 .. 39 zero: the junction
     # of rows 19 and 23 (lattice index 6) has a dead filled side, met at
