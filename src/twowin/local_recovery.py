@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -258,7 +258,6 @@ def _lag_defect(cores: np.ndarray, lags: np.ndarray, s_eff: int) -> np.ndarray:
 
 
 Linearize = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-Screen = Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _gauss_newton(h: np.ndarray, linearize: Linearize) -> np.ndarray:
@@ -352,28 +351,13 @@ def _fusable(r1: complex, r2: complex, chord: float) -> bool:
     return abs(abs(r1) - 1.0) <= 5e-2 and abs(abs(r2) - 1.0) <= 5e-2 and abs(r1 - r2) <= chord
 
 
-def _factor_once(
-    roots: np.ndarray,
-    lags: np.ndarray,
-    s_eff: int,
-    a0: float,
-    circle_tol: float,
-    screen: Optional[Screen] = None,
-    rescue: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One classify/pair/build/validate pass at a given circle tolerance.
-    When no branch validates and ``rescue`` is set, the branches holding
-    circle roots (a forced root or a fused reading) are fitted to the lags
-    and validated again.
-
-    With a ``screen`` (``_cross_angle_screen`` bound to the node's data),
-    only the branches that fit the data cleanly are built, and none needs
-    the lag check; when the screen defers to the whole enumeration, or no
-    branch fits, every branch is built, in ``_picks`` order, and checked,
-    as without a screen.  Returns the cores, one per row, and a mask of
-    each one's placements that fit, or None when every placement of every
-    branch stands.
-    """
+def _rung(roots: np.ndarray, circle_tol: float) -> Tuple[np.ndarray, Tuple[int, ...], int, bool]:
+    """One reading of a node's roots at a given circle tolerance: the
+    options as rows of three roots (each forced root a pair of one option,
+    three copies of it, then each mirror pair's, a pair without a fused
+    option repeating its second), each pair's option count, the forced-root
+    count and whether any branch can be closed under conjugation.  Raises
+    the refusals that come before validation."""
     near = np.abs(np.hypot(roots.real, roots.imag) - 1.0) <= circle_tol
     on_circle = [complex(r) for r in roots[near]]
 
@@ -399,10 +383,7 @@ def _factor_once(
 
     # a mirror pair sitting right on the circle is indistinguishable from a
     # split double circle root; offer the fused reading as a third option
-    # and let validation and the second window decide.  The options are
-    # rows of three: each forced root as a pair of one option (three copies
-    # of it), then each mirror pair's, a pair without a fused option
-    # repeating its second
+    # and let validation and the second window decide
     options = [[r, r, r] for r in forced]
     sizes = [1] * len(forced)
     branch_count = 1
@@ -415,33 +396,8 @@ def _factor_once(
         options.append([r1, r2, third])
         sizes.append(size)
         branch_count *= size
-    f = len(forced)
     table = np.array(options, dtype=np.complex128).reshape(-1, 3)
-    sizes = tuple(sizes)
-    closable = _closable(options)
-    if screen is not None:
-        rooted, paired = table[None, :f, 0], table[None, f:]
-        owner, rows, fits = screen(rooted, paired, sizes[f:])
-        if rows.size:
-            return _screened_cores(rooted, paired, sizes[f:], owner, rows, np.array([a0]),
-                                   np.array([closable])), fits
-    picks, at = _every_pick(sizes)
-    cores = _unit_cores(_poly_rows(table.ravel()[at], closable), a0)
-    tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
-    ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
-    if rescue and not ok.any():
-        # a split multiple circle root can leave every branch short of the
-        # lag tolerance; each branch holding circle roots is fitted to the
-        # lags and validated again
-        fit = _lag_fit(lags, s_eff)
-        for i in ((picks == 2).any(axis=1) | bool(forced)).nonzero()[0]:
-            cores[i] = _gauss_newton(cores[i], fit)
-        ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
-    if not ok.any():
-        raise UnrealizableAutocorrelation(
-            "autocorrelation not realizable: every pairing branch failed validation"
-        )
-    return cores[ok], None
+    return table, tuple(sizes), len(forced), _closable(options)
 
 
 def _cross_angle_screen(
@@ -609,7 +565,8 @@ def enumerate_candidates(
     Placement, phase canonicalization and dedup run over the whole batch.
     Returns one array, one candidate per row, sorted by the candidates'
     quantized byte keys.
-    Raises UnrealizableAutocorrelation when some root has no mirror partner.
+    Raises UnrealizableAutocorrelation when no circle tolerance reads the
+    roots into a branch that fits the lags, rescued or not.
     This is ``_candidate_rows`` on one node, the stage that ``recover_rows``
     runs on a block of nodes.
     """
@@ -650,7 +607,8 @@ def _candidate_rows(
     come from one ``eigvals`` call.  The nodes the screen serves and that
     have no circle root, no loose pairing and no fused reading are priced,
     built and placed together (``_screened_candidates``); every other node
-    goes on alone from its roots through the circle-tolerance ladder.
+    goes on alone from its roots through the circle-tolerance ladder
+    (``_factor_ladder``, which screens each rung where the group is).
     """
     out: List = [None] * len(a)
     energy: List[float] = []
@@ -685,12 +643,9 @@ def _candidate_rows(
             alone = sorted(set(alone).difference(j for j, _ in served))
         for j in alone:
             i = nodes[j]
-            screen = None
-            if screened:
-                screen = partial(_cross_angle_screen, s_eff=s_eff, a0=np.array([energy[i]]),
-                                 phi=phi[i : i + 1], psi=psi[i : i + 1], pair=pair)
+            mags = (pair, phi[i : i + 1], psi[i : i + 1]) if screened else (None, None, None)
             try:
-                cores, fits = _factor_ladder(roots[j], lags[j], s_eff, energy[i], screen)
+                cores, fits = _factor_ladder(roots[j], lags[j], s_eff, energy[i], *mags)
             except UnrealizableAutocorrelation as exc:
                 out[i] = exc
                 continue
@@ -713,24 +668,64 @@ def _lag_roots(a: np.ndarray, s_eff: int) -> np.ndarray:
 
 
 def _factor_ladder(
-    roots: np.ndarray, lags: np.ndarray, s_eff: int, a0: float, screen: Optional[Screen]
+    roots: np.ndarray, lags: np.ndarray, s_eff: int, a0: float,
+    pair: Optional[WindowPair], phi: Optional[np.ndarray], psi: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``_factor_once`` on a widening circle tolerance: a multiplicity-m root
+    """A node's cores on a widening circle tolerance: a multiplicity-m root
     only comes back from the eigensolver to within about eps**(1/m), so
-    circle classification retries, and the lag validation inside each pass
-    arbitrates what to accept; the last refusal is raised.
+    each rung reads the roots again (``_rung``) and the lag validation
+    arbitrates what to accept; the last rung's refusal is raised.
 
-    Every rung is tried without the lag-fit rescue before any is tried with
-    it: a rung that reads a split triple circle root as mirror pairs can
-    validate only through the fit, which stalls short of the truth, where a
-    wider rung reads both clusters whole and validates exactly."""
+    Given ``pair`` and the node's magnitude rows, a rung first runs
+    ``_cross_angle_screen``, and only the branches that fit the data
+    cleanly are built, none needing the lag check; when the screen defers,
+    or no branch fits, every branch is built, in ``_picks`` order, and
+    checked.  Returns the cores, one per row, and a mask of each one's
+    placements that fit, or None when every placement of every branch
+    stands.
+
+    Only when no rung validates are the rungs that failed validation
+    rescued, in rung order, from the cores they built: each branch holding
+    circle roots (a forced root or a fused reading) is fitted to the lags
+    and validated again.  A rung that reads a split triple circle root as
+    mirror pairs can validate only through the fit, which stalls short of
+    the truth, where a wider rung reads both clusters whole and validates
+    exactly."""
+    tol = CANDIDATE_AUTOCORR_TOL * max(1.0, a0)
+    failed: List[Tuple[np.ndarray, np.ndarray]] = []
     error: Optional[UnrealizableAutocorrelation] = None
-    for rescue in (False, True):
-        for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
-            try:
-                return _factor_once(roots, lags, s_eff, a0, circle_tol, screen, rescue)
-            except UnrealizableAutocorrelation as exc:
-                error = exc
+    for circle_tol in (PAIRING_TOL, 1e-4, 1e-3, 1e-2):
+        try:
+            table, sizes, f, closable = _rung(roots, circle_tol)
+        except UnrealizableAutocorrelation as exc:
+            error = exc
+            continue
+        if pair is not None:
+            rooted, paired = table[None, :f, 0], table[None, f:]
+            owner, rows, fits = _cross_angle_screen(
+                rooted, paired, sizes[f:], s_eff=s_eff, a0=np.array([a0]), phi=phi, psi=psi, pair=pair
+            )
+            if rows.size:
+                return _screened_cores(rooted, paired, sizes[f:], owner, rows, np.array([a0]),
+                                       np.array([closable])), fits
+        picks, at = _every_pick(sizes)
+        cores = _unit_cores(_poly_rows(table.ravel()[at], closable), a0)
+        ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
+        if ok.any():
+            return cores[ok], None
+        failed.append((cores, ((picks == 2).any(axis=1) | bool(f)).nonzero()[0]))
+        error = UnrealizableAutocorrelation(
+            "autocorrelation not realizable: every pairing branch failed validation"
+        )
+    # a split multiple circle root can leave every branch short of the lag
+    # tolerance
+    for cores, circled in failed:
+        fit = _lag_fit(lags, s_eff)
+        for i in circled:
+            cores[i] = _gauss_newton(cores[i], fit)
+        ok = (np.abs(_lag_defect(cores, lags, s_eff)) <= tol).all(axis=1)
+        if ok.any():
+            return cores[ok], None
     assert error is not None
     raise error
 
@@ -743,12 +738,12 @@ def _screened_candidates(
     psi: np.ndarray,
     pair: WindowPair,
 ) -> List[Tuple[int, np.ndarray]]:
-    """The candidates of the stacked nodes whose first ladder pass the screen
-    settles together, as (node, candidates) in node order: nodes with no
-    root near the circle, every root paired within ``PAIRING_TOL``, no fused
-    reading and at least one branch kept.  That pass takes the same steps
-    on each node alone, so each node's candidates carry the bits it gets
-    alone."""
+    """The candidates of the stacked nodes whose first circle-tolerance
+    rung the screen settles together, as (node, candidates) in node order:
+    nodes with no root near the circle, every root paired within
+    ``PAIRING_TOL``, no fused reading and at least one branch kept.  That
+    rung takes the same steps on each node alone, so each node's
+    candidates carry the bits it gets alone."""
     near = (np.abs(np.hypot(roots.real, roots.imag) - 1.0) <= PAIRING_TOL).any(axis=1).tolist()
     paired = _mirror_pairs(roots, PAIRING_TOL)
     nodes = [j for j, ((_, lost), circle) in enumerate(zip(paired, near)) if lost is None and not circle]

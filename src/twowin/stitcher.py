@@ -160,7 +160,8 @@ def align_overlaps(
 
     An internal step of ``reconstruct``, which establishes its precondition:
     the node times are on the grid, one step ``a`` (at least one cell and at
-    most B) apart, one class per time.  So consecutive node windows overlap
+    most B) apart, one class per time, and the window's max/min magnitude
+    ratio is within ``COND_MAX``.  So consecutive node windows overlap
     and their on-horizon runs (``_window_runs``, from which ``reconstruct``
     also picks the rows it recovers) rise with the node.  A class may be
     ``None``: that node was not recovered, so it offers no patch and stays
@@ -203,11 +204,6 @@ def align_overlaps(
     grid = pair.grid
     L, horizon = grid.L, grid.horizon
     phi = pair.slot_values("phi")
-    cond = float(np.abs(phi).max() / np.abs(phi).min())
-    if cond > COND_MAX:
-        raise ValueError(
-            f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"
-        )
     # the node checks' two windows, conjugated once and shaped to broadcast
     # over (nodes, rows, L); the patches divide by conj(phi)
     conj_windows = np.conj([phi, pair.slot_values("psi")])[:, None, None]
@@ -710,6 +706,13 @@ def reconstruct(
                 f"{times[i - 1]!r} and {times[i]!r} are {gap * grid.delta!r} apart"
             )
     _require_alias_period(ms, grid, "reconstruction")
+    # refused before any row is recovered: every patch is divided by phi
+    phi = pair.slot_values("phi")
+    cond = float(np.abs(phi).max() / np.abs(phi).min())
+    if cond > COND_MAX:
+        raise ValueError(
+            f"window division amplification {cond:.3e} exceeds cond_max {COND_MAX:.0e}"
+        )
 
     # the anchor is stored last, so the lattice rows are a view, not a copy
     lat_rows = nodes.lattice_rows

@@ -305,6 +305,19 @@ def test_only_poly_rows_builds_factorization_branches():
     assert callers == {"local_recovery.py:_poly_rows"}
 
 
+def test_the_circle_ladder_reads_each_rung_in_one_place_and_rescues_in_another():
+    # _rung is the one reading of a node's roots and _factor_ladder walks
+    # the rungs once, fitting only the cores of rungs that failed
+    # validation; a second caller of either would be a second walk
+    for name, owner in [("_cluster_circle_roots", "_rung"), ("_lag_fit", "_factor_ladder")]:
+        callers = {
+            f"{path.name}:{caller}"
+            for path in sorted(SRC.glob("*.py"))
+            for caller in _top_level_callers(path, {name})
+        }
+        assert callers == {f"local_recovery.py:{owner}"}, name
+
+
 def test_the_stitcher_takes_no_matrix_product_of_its_own():
     # stft_engine.node_transforms is the one forward-map product: the node
     # checks and the junction fits take their transforms from it, and an @

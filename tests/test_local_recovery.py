@@ -990,9 +990,9 @@ def test_dedup_keeps_each_keys_first_row_like_the_replaced_code(monkeypatch):
     def factored(*args):
         return cores.copy()
 
-    # the factoring pass also returns each core's placement grades, None
-    # when every placement stands
-    monkeypatch.setattr(local_recovery, "_factor_once", lambda *args: (factored(), None))
+    # the ladder also returns each core's placement grades, None when every
+    # placement stands
+    monkeypatch.setattr(local_recovery, "_factor_ladder", lambda *args: (factored(), None))
     monkeypatch.setattr(sys.modules[__name__], "_reference_factor_once", factored)
     acorr = direct_autocorrelation(c)
     got = enumerate_candidates(acorr, 3)
@@ -1056,7 +1056,7 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
     # over one option per forced root and two or three (a fused reading)
     # per mirror pair
     seen = {"forced": 0, "fused": 0, "retried": 0, "fitted": 0}
-    every_pick, factor_once = local_recovery._every_pick, local_recovery._factor_once
+    every_pick, rung = local_recovery._every_pick, local_recovery._rung
     lag_fit = local_recovery._lag_fit
     rungs = []
 
@@ -1069,18 +1069,35 @@ def test_reference_cases_reach_every_factoring_path(monkeypatch):
         seen["fitted"] += 1
         return lag_fit(lags, s_eff)
 
-    def counted_factor_once(roots, lags, s_eff, a0, circle_tol, screen=None, rescue=True):
+    def counted_rung(roots, circle_tol):
         rungs[-1] += 1
-        return factor_once(roots, lags, s_eff, a0, circle_tol, screen, rescue)
+        return rung(roots, circle_tol)
 
     monkeypatch.setattr(local_recovery, "_every_pick", counted_every_pick)
-    monkeypatch.setattr(local_recovery, "_factor_once", counted_factor_once)
+    monkeypatch.setattr(local_recovery, "_rung", counted_rung)
     monkeypatch.setattr(local_recovery, "_lag_fit", counted_lag_fit)
     for _, h in _special_contents():
         rungs.append(0)
         enumerate_candidates(direct_autocorrelation(h), h.size)
         seen["retried"] += rungs[-1] > 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_each_rung_reads_the_roots_once(monkeypatch):
+    # two simple circle roots are refused at every rung before validation,
+    # so the lag-fit rescue has nothing to retry: the four rungs read the
+    # roots once each, in order, and the last rung's refusal is raised
+    readings = []
+    cluster = local_recovery._cluster_circle_roots
+
+    def counted_cluster(roots, chord_tol):
+        readings.append(chord_tol)
+        return cluster(roots, chord_tol)
+
+    monkeypatch.setattr(local_recovery, "_cluster_circle_roots", counted_cluster)
+    with pytest.raises(UnrealizableAutocorrelation, match=r"unit-circle root .* has odd multiplicity"):
+        enumerate_candidates([1.0, 0.6], 2)
+    assert readings == [local_recovery._chord(t) for t in (PAIRING_TOL, 1e-4, 1e-3, 1e-2)]
 
 
 def _exact_defects(cands, phi_mags, psi_mags, pair):

@@ -28,6 +28,7 @@ from twowin import (
     OffGridError,
     PeriodicSpec,
     RecoveryError,
+    ReflectionRangeError,
     SeparableInputError,
     Signal,
     StitchError,
@@ -667,6 +668,36 @@ def test_conjugate_palindromic_input_collapses_to_phase_only():
     assert global_phase_align(rep.signal, f).residual <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "samples, mapped", [([1j, 0, 1j, 0], "[0, 2] to [2, 4]"), ([1, 0, -1, 1], "[0, 3] to [1, 4]")]
+)
+def test_a_reflected_branch_that_leaves_the_horizon_is_dropped(samples, mapped, monkeypatch):
+    # nodes -1 .. 2 reflect about 0.5, which maps horizon cell 0 to cell 4:
+    # the reflected branch cannot be represented, so it is no alternative
+    # and the direct branch comes back alone
+    grid = GridSpec(B=1.0, L=4, origin=1, horizon=4)
+    pair = build_window("rectangular", grid)
+    f = Signal(grid, samples)
+    with pytest.raises(ReflectionRangeError, match=re.escape(f"maps support {mapped}, outside")):
+        conj_reflect(f, 0.5)
+    refused = []
+    reflect = stitcher.conj_reflect
+
+    def spied(g, center):
+        try:
+            return reflect(g, center)
+        except ReflectionRangeError:
+            refused.append(center)
+            raise
+
+    monkeypatch.setattr(stitcher, "conj_reflect", spied)
+    rep = reconstruct(measure(f, pair, TimeNodes.lattice_covering(grid, 1.0)), pair)
+    assert refused == [0.5]
+    assert rep.ambiguity == "phase_only" and rep.alternative is None
+    assert rep.residual < 1e-15
+    assert pair_equivalent(f.samples, rep.signal.samples, allow_reflection=False)
+
+
 def test_a_palindrome_within_roundoff_of_its_reflection_comes_back_as_one_world(monkeypatch):
     # the input above at a = 0.8 recovers row 2 alone, whose window holds
     # every cell; a node at a branch point of its factorisation leaves its
@@ -796,6 +827,28 @@ def test_reconstruct_requires_full_alias_period():
     two = measure(f, PAIR, TimeNodes.two_lines(0.0, 1.0))
     with pytest.raises(ValueError, match="lattice"):
         reconstruct(two, PAIR)
+
+
+def test_an_ill_conditioned_window_is_refused_before_any_row_is_recovered(monkeypatch):
+    # the user window passes the nonvanishing check (1e-7 > EPS_WIN), but
+    # dividing a patch by it would amplify errors 1e7 times
+    grid = GridSpec(B=1.0, L=4, origin=8, horizon=16)
+    pair = build_window("user", grid, samples=[1, 1e-7, 1, 1e-7])
+    f = random_nonseparable(grid, 15, 1.0, seed=0)
+    ms = measure(f, pair, TimeNodes.lattice_covering(grid, 1.0))
+    recovered = []
+    recover = stitcher.recover_rows
+
+    def spied(*args, **kwargs):
+        recovered.append(len(args[0]))
+        return recover(*args, **kwargs)
+
+    monkeypatch.setattr(stitcher, "recover_rows", spied)
+    with pytest.raises(
+        ValueError, match=r"^window division amplification 1\.000e\+07 exceeds cond_max 1e\+06$"
+    ):
+        reconstruct(ms, pair)
+    assert recovered == []
 
 
 def test_corrupted_magnitudes_never_return_silently():
