@@ -18,6 +18,8 @@ n = -N .. N-1 (N = L by default) carries everything there is to know.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,6 +36,12 @@ DIFFERENCE_IDENTITY_TOL = 1e-10
 #: Nodes whose segments and exponential tables are built and held at a time,
 #: so a long lattice never holds a table for every node at once.
 NODE_BLOCK = 16
+
+#: Bytes of exponential tables ``block_exponentials`` holds at most, the
+#: least recently used block going first.  Every block of a horizon-4096
+#: lattice at L = 8 fits (65 tables, 2.1 MB); a horizon-16384 one (8.4 MB)
+#: does not, so a long lattice holds no more than this however long it is.
+TABLE_MEMO_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -309,9 +317,10 @@ def measure_batch(
 
     samples_matrix has shape (n_signals, horizon); the result has shape
     (n_signals, 2, n_nodes, n_bins).  The window pair, a critical frequency
-    grid and the rows must all belong to ``grid``.  Node segments and
-    exponential tables are built ``NODE_BLOCK`` nodes at a time, and each
-    block is one ``node_magnitudes`` call.
+    grid and the rows must all belong to ``grid``.  Node segments are built
+    ``NODE_BLOCK`` nodes at a time, each block reads its exponential tables
+    from ``block_exponentials``, and each block is one ``node_magnitudes``
+    call.
     """
     if pair.grid != grid:
         raise ValueError("window pair and signal live on different grids")
@@ -324,14 +333,13 @@ def measure_batch(
         freqs = FrequencyGrid.critical(grid.L, grid.B)
     if freqs.mode == "critical" and abs(freqs.B - grid.B) > 1e-12 * grid.B:
         raise ValueError("frequency grid was built for a different half-width B")
-    omegas = freqs.omegas
     n_sig = samples_matrix.shape[0]
-    mags = np.empty((n_sig, 2, len(nodes.times), len(omegas)), dtype=float)
+    mags = np.empty((n_sig, 2, len(nodes.times), len(freqs)), dtype=float)
     for lo in range(0, len(nodes.times), NODE_BLOCK):
         seg = node_segment(grid, nodes.times[lo : lo + NODE_BLOCK], samples_matrix, pair)
         node_magnitudes(
             seg.samples.swapaxes(0, 1), np.stack(seg.conj_windows)[:, :, None],
-            node_exponentials(grid, seg.cells, omegas), grid.delta,
+            block_exponentials(grid, seg.cells[:, 0], freqs), grid.delta,
             mags[:, :, lo : lo + NODE_BLOCK].transpose(1, 2, 0, 3),
         )
     return mags
@@ -342,6 +350,43 @@ def node_exponentials(grid: GridSpec, cells: np.ndarray, omegas: np.ndarray) -> 
     L, bins), exponentiated in place so no second table is made."""
     E = np.multiply(-2j * np.pi, grid.x(cells)[:, :, None] * omegas)
     return np.exp(E, out=E)
+
+
+#: ``block_exponentials``' tables, least recently used first, and the bytes
+#: they hold; the lock makes each lookup, insertion and eviction one step
+_tables: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_tables_held = 0
+_tables_lock = threading.Lock()
+
+
+def block_exponentials(grid: GridSpec, first: np.ndarray, freqs: FrequencyGrid) -> np.ndarray:
+    """``node_exponentials`` of one block of at most ``NODE_BLOCK`` nodes,
+    node j's cells being first[j] + 0 .. L - 1, at ``freqs``' frequencies.
+
+    The table depends on the lattice alone, so it is built once and held,
+    read-only, keyed by (grid, the block's first cells, frequency grid),
+    while it is among the ``TABLE_MEMO_BYTES`` most recently used:
+    ``measure_batch`` and the stitcher's node checks and junction solves
+    read it, so a reconstruct reads the tables its measure built.  A table
+    larger than the bound is built and not held.
+    """
+    global _tables_held
+    key = (grid, first.tobytes(), freqs)
+    with _tables_lock:
+        E = _tables.get(key)
+        if E is not None:
+            _tables.move_to_end(key)
+            return E
+    E = node_exponentials(grid, first[:, None] + np.arange(grid.L), freqs.omegas)
+    E.setflags(write=False)
+    if E.nbytes <= TABLE_MEMO_BYTES:
+        with _tables_lock:
+            if key not in _tables:
+                _tables[key] = E
+                _tables_held += E.nbytes
+            while _tables_held > TABLE_MEMO_BYTES:
+                _tables_held -= _tables.popitem(last=False)[1].nbytes
+    return E
 
 
 def node_transforms(

@@ -11,6 +11,7 @@ by re-measuring the reflected branch, and by anchor data when present.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,9 +38,9 @@ from .stft_engine import (
     FrequencyGrid,
     MeasurementSet,
     TimeNodes,
+    block_exponentials,
     first_cell,
     measure,
-    node_exponentials,
     node_magnitudes,
     node_segment,
     node_transforms,
@@ -106,13 +107,35 @@ class AlignedAssembly:
     uncovered: Tuple[int, ...] = ()
 
 
-def _window_runs(grid: GridSpec, times: Sequence[float]) -> Tuple[np.ndarray, ...]:
+@lru_cache(maxsize=32)
+def _window_runs(grid: GridSpec, times: Tuple[float, ...]) -> Tuple[np.ndarray, ...]:
     """The node windows' geometry, as arrays over the nodes: node j's window
     holds cells first[j] + 0 .. L - 1, and its on-horizon part is the run
-    lo[j]:hi[j]; with the times rising, so do lo and hi."""
+    lo[j]:hi[j]; with the times rising, so do lo and hi.  Built once per
+    (grid, times) and read-only."""
     first = first_cell(grid, np.asarray(times, dtype=float))
     lo, hi = (np.minimum(np.maximum(edge, 0), grid.horizon) for edge in (first, first + grid.L))
+    for runs in (first, lo, hi):
+        runs.setflags(write=False)
     return first, lo, hi
+
+
+@lru_cache(maxsize=32)
+def _lattice_step(grid: GridSpec, times: Tuple[float, ...], a: float) -> int:
+    """The lattice step a in grid cells, once every node time is checked on
+    the grid and one step after the one before it; the overlaps the phases
+    are chained across follow from the step.  Checked once per (grid, times,
+    a)."""
+    k_a = grid.cells(a, "lattice step a")
+    cells = [grid.cells(t, "lattice node time") for t in times]
+    for i in range(1, len(cells)):
+        gap = cells[i] - cells[i - 1]
+        if gap != k_a or gap < 1:
+            raise ValueError(
+                f"lattice node times must be one step a = {a!r} apart, but "
+                f"{times[i - 1]!r} and {times[i]!r} are {gap * grid.delta!r} apart"
+            )
+    return k_a
 
 
 def junction_phases(fv: np.ndarray, conj_windows: np.ndarray, E: np.ndarray,
@@ -214,7 +237,7 @@ def align_overlaps(
 
     # consecutive windows overlap, so the covered cells are the one run
     # lo[0]:hi[-1] (none without a node)
-    first, lo, hi = _window_runs(grid, times)
+    first, lo, hi = _window_runs(grid, tuple(times))
     covered = (lo[0], hi[-1]) if len(times) else (0, 0)
     uncovered = (*range(covered[0]), *range(covered[1], horizon))
 
@@ -280,19 +303,8 @@ def align_overlaps(
     fitting, placed = [0] * n_live, [0] * n_live
     # every node is checked at some depth, and the zero lattice's are zero
     mags = np.zeros((2, len(times), len(freqs)))
-    tables = {}  # the exponential tables of one NODE_BLOCK of nodes
     sep_error: Optional[SeparableInputError] = None
     deepest: Tuple[int, str] = (-1, "")
-
-    def table(j0: int, j1: int) -> np.ndarray:
-        """Nodes j0 .. j1 - 1's exponential tables, all in one NODE_BLOCK of
-        nodes and made with it."""
-        block, at = divmod(j0, NODE_BLOCK)
-        if block not in tables:
-            tables.clear()
-            cells = first[block * NODE_BLOCK : (block + 1) * NODE_BLOCK, None] + np.arange(L)
-            tables[block] = node_exponentials(grid, cells, freqs.omegas)
-        return tables[block][at : at + j1 - j0]
 
     # position p straddles when its window abuts the filled cells at
     # c = boundary[p] and row j halfway back was not recovered.  Row j's
@@ -337,8 +349,8 @@ def align_overlaps(
             slots = np.minimum(np.maximum(cells - first[node[r], None], 0), L - 1)
             np.copyto(side, patches[k[r, None], slots], where=run)
         dead = np.abs(fv).max(axis=2) <= DEAD_OVERLAP_RTOL * scale
-        jmu[r], dev = junction_phases(fv, conj_windows, table(j0, j0 + NODE_BLOCK)[j - j0],
-                                      grid.delta, lattice_mags[:, j])
+        E = block_exponentials(grid, first[j0 : j0 + NODE_BLOCK], freqs)
+        jmu[r], dev = junction_phases(fv, conj_windows, E[j - j0], grid.delta, lattice_mags[:, j])
         jdead[r], jdev[r] = dead[:, 0], np.where(dead[:, 1], np.inf, dev)
 
     def enter(p: int) -> int:
@@ -416,8 +428,9 @@ def align_overlaps(
             else:
                 runs.append([j, j + 1])
         for j0, j1 in runs:
-            got = mags[:, j0:j1]
-            node_magnitudes(windows[j0:j1, None], conj_windows, table(j0, j1), grid.delta,
+            got, b0 = mags[:, j0:j1], j0 - j0 % NODE_BLOCK
+            E = block_exponentials(grid, first[b0 : b0 + NODE_BLOCK], freqs)
+            node_magnitudes(windows[j0:j1, None], conj_windows, E[j0 - b0 : j1 - b0], grid.delta,
                             got[:, :, None])
             for j, dev in enumerate(sup_dev(got, lattice_mags[:, j0:j1], axis=(0, 2)).tolist(), j0):
                 if dev > mag_tol:
@@ -693,18 +706,8 @@ def reconstruct(
         raise ValueError("reconstruction needs a lattice step")
     if a > grid.B + 1e-12:
         raise ValueError("a > B unsupported for reconstruction")
-    k_a = grid.cells(a, "lattice step a")
     times = nodes.lattice_times  # the anchor may sit anywhere
-    cells = [grid.cells(t, "lattice node time") for t in times]
-    # the overlaps the phases are chained across follow from the step, so
-    # the lattice nodes must be exactly one step apart
-    for i in range(1, len(cells)):
-        gap = cells[i] - cells[i - 1]
-        if gap != k_a or gap < 1:
-            raise ValueError(
-                f"lattice node times must be one step a = {a!r} apart, but "
-                f"{times[i - 1]!r} and {times[i]!r} are {gap * grid.delta!r} apart"
-            )
+    k_a = _lattice_step(grid, times, a)
     _require_alias_period(ms, grid, "reconstruction")
     # refused before any row is recovered: every patch is divided by phi
     phi = pair.slot_values("phi")

@@ -1,7 +1,9 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from twowin import GridSpec, Signal
+from twowin import GridSpec, Signal, stft_engine, stitcher
 
 
 @pytest.fixture
@@ -29,3 +31,14 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return _run
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """An empty exponential-table memo and empty lattice memos for one test;
+    the process's own memo is put back after it.  Returns the memo."""
+    monkeypatch.setattr(stft_engine, "_tables", OrderedDict())
+    monkeypatch.setattr(stft_engine, "_tables_held", 0)
+    stitcher._window_runs.cache_clear()
+    stitcher._lattice_step.cache_clear()
+    return stft_engine._tables

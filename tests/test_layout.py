@@ -318,6 +318,21 @@ def test_the_circle_ladder_reads_each_rung_in_one_place_and_rescues_in_another()
         assert callers == {f"local_recovery.py:{owner}"}, name
 
 
+
+def test_only_the_memo_and_the_difference_check_build_exponential_tables():
+    # block_exponentials holds each block's table for measure_batch, the
+    # node checks and the junction solves alike; a caller of
+    # node_exponentials elsewhere would build a second copy of a held table.
+    # The difference check's tables at omega_n + b are its own
+    callers = {
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _top_level_callers(path, {"node_exponentials"})
+    }
+    assert callers == {"stft_engine.py:block_exponentials",
+                       "stft_engine.py:check_difference_identity"}
+
+
 def test_the_stitcher_takes_no_matrix_product_of_its_own():
     # stft_engine.node_transforms is the one forward-map product: the node
     # checks and the junction fits take their transforms from it, and an @

@@ -19,9 +19,10 @@ from twowin import (
     measure_batch,
     windowed_segment,
 )
+from twowin import stft_engine
 from twowin.stft_engine import (
-    DIFFERENCE_IDENTITY_TOL, NODE_BLOCK, node_exponentials, node_magnitudes, node_segment,
-    node_transforms,
+    DIFFERENCE_IDENTITY_TOL, NODE_BLOCK, TABLE_MEMO_BYTES, first_cell, node_exponentials,
+    node_magnitudes, node_segment, node_transforms,
 )
 
 
@@ -348,3 +349,104 @@ def test_magnitudes_ignore_global_phase(seed, theta):
     np.testing.assert_allclose(
         measure(f, PAIR, nodes).mags, measure(g, PAIR, nodes).mags, atol=1e-12
     )
+
+
+# --- the shared exponential tables ------------------------------------------
+
+
+def _block_keys(grid, times, freqs):
+    """The memo keys of a node set's blocks, in measure_batch's order."""
+    first = first_cell(grid, np.asarray(times, dtype=float))
+    return [(grid, first[lo : lo + NODE_BLOCK].tobytes(), freqs)
+            for lo in range(0, len(times), NODE_BLOCK)]
+
+
+def _table_cases():
+    grid = GridSpec(B=1.0, L=4, origin=24, horizon=48)
+    pair = build_window("raised_cosine", grid, b=0.25)
+    critical = FrequencyGrid.critical(grid.L, grid.B)
+    yield pytest.param(pair, TimeNodes.lattice_covering(grid, 0.5), critical, id="lattice")
+    yield pytest.param(
+        pair, TimeNodes.lattice_covering(grid, 0.5, anchor=default_anchor(0.5, grid.horizon)),
+        critical, id="lattice-plus-anchor",
+    )
+    two = GridSpec(B=1.0, L=9, origin=9, horizon=18)
+    yield pytest.param(build_window("raised_cosine", two), TimeNodes.two_lines(0.1, 3.3 * two.delta),
+                       FrequencyGrid.critical(two.L, two.B), id="off-grid-lines")
+    yield pytest.param(pair, TimeNodes.lattice_covering(grid, 1.0),
+                       FrequencyGrid.custom([-0.7, 0.0, 0.3, 1.9, 2.5], grid.B), id="custom-grid")
+
+
+@pytest.mark.parametrize("pair, nodes, freqs", _table_cases())
+def test_held_tables_are_read_only_fresh_builds_of_each_block(make_signal, cold_tables, pair,
+                                                             nodes, freqs):
+    # measure_batch holds one table per NODE_BLOCK of nodes, keyed by the
+    # block's first cells; each is the table node_exponentials builds for
+    # the block's cells, and no reader can write to it
+    grid = pair.grid
+    rows = np.stack([make_signal(grid, s).samples for s in range(2)])
+    mags = measure_batch(rows, grid, pair, nodes, freqs)
+    keys = _block_keys(grid, nodes.times, freqs)
+    assert list(cold_tables) == keys
+    for key in keys:
+        E = cold_tables[key]
+        first = np.frombuffer(key[1], dtype=np.int64)
+        fresh = node_exponentials(grid, first[:, None] + np.arange(grid.L), freqs.omegas)
+        assert E.tobytes() == fresh.tobytes() and E.shape == fresh.shape
+        with pytest.raises(ValueError, match="read-only"):
+            E[0, 0, 0] = 0.0
+    assert stft_engine._tables_held == sum(E.nbytes for E in cold_tables.values())
+    if nodes.anchor_index is not None:
+        # the anchor shares the last block, so the lattice rows' own last
+        # block, which the stitcher reads, is a key of its own
+        lattice_keys = _block_keys(grid, nodes.lattice_times, freqs)
+        assert lattice_keys[:-1] == keys[:-1] and lattice_keys[-1] not in cold_tables
+    # read back from the memo, the magnitudes are the same bytes
+    assert measure_batch(rows, grid, pair, nodes, freqs).tobytes() == mags.tobytes()
+    assert list(cold_tables) == keys
+
+
+def test_the_memo_holds_the_most_recent_blocks_within_its_bound(cold_tables, monkeypatch):
+    # a horizon-16384 lattice at a = B: 4,097 nodes in 257 blocks, 8.4 MB of
+    # tables, so the memo keeps only the blocks measured last
+    grid = GridSpec(B=1.0, L=8, origin=8192, horizon=16384)
+    pair = build_window("rectangular", grid, b=0.25)
+    nodes = TimeNodes.lattice_covering(grid, 1.0)
+    assert len(nodes.times) == 4097
+    measure(Signal(grid, np.ones(grid.horizon, dtype=np.complex128)), pair, nodes)
+    freqs = FrequencyGrid.critical(grid.L, grid.B)
+    keys = _block_keys(grid, nodes.times, freqs)
+    sizes = [16 * len(np.frombuffer(k[1], dtype=np.int64)) * grid.L * 2 * grid.L for k in keys]
+    assert len(keys) == 257 and sum(sizes) > TABLE_MEMO_BYTES
+    kept = 0
+    while sum(sizes[len(keys) - kept - 1 :]) <= TABLE_MEMO_BYTES:
+        kept += 1
+    assert list(cold_tables) == keys[len(keys) - kept :]
+    assert stft_engine._tables_held == sum(sizes[len(keys) - kept :]) <= TABLE_MEMO_BYTES
+    # a block read again becomes the most recent, and a new block evicts
+    # the least recent one
+    ones = Signal(grid, np.ones(grid.horizon))
+    order = list(cold_tables)
+    measure(ones, pair, TimeNodes(mode="lattice", times=nodes.times[-NODE_BLOCK - 1 : -1]))
+    measure(ones, pair, TimeNodes(mode="lattice", times=nodes.times[:NODE_BLOCK]))
+    assert list(cold_tables) == [*order[1:-2], keys[-1], keys[-2], keys[0]]
+    # a table larger than the bound is built and not held, and evicts nothing
+    order = list(cold_tables)
+    monkeypatch.setattr(stft_engine, "TABLE_MEMO_BYTES", sizes[0] - 1)
+    measure(ones, pair, TimeNodes(mode="lattice", times=nodes.times[NODE_BLOCK : 2 * NODE_BLOCK]))
+    assert list(cold_tables) == order
+
+
+def test_the_difference_identity_check_reads_no_held_table(make_signal):
+    # criterion 4's check builds its tables at omega_n and omega_n + b for
+    # itself, and leaves the memo as it found it
+    rows = np.stack([make_signal(GRID, seed).samples for seed in (3, 4)])
+    times = TimeNodes.lattice_covering(GRID, 0.5).times
+    measure_batch(rows, GRID, PAIR, TimeNodes.lattice(0.5, range(-20, 20)))
+    before = list(stft_engine._tables.items())
+    held = stft_engine._tables_held
+    assert check_difference_identity(rows, PAIR, times) <= 1e-12
+    after = list(stft_engine._tables.items())
+    assert [k for k, _ in after] == [k for k, _ in before]
+    assert all(E is F for (_, E), (_, F) in zip(after, before))
+    assert stft_engine._tables_held == held

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 
-from twowin import local_recovery, stitcher
+from twowin import local_recovery, stft_engine, stitcher
 from twowin.signal_model import EQUIV_TOL
 from twowin.stitcher import (
     COND_MAX,
@@ -1779,6 +1779,91 @@ def test_a_long_reconstruct_solves_and_checks_a_node_block_per_call(monkeypatch)
     assert res <= 1e-8
     blocks = -(-257 // NODE_BLOCK)
     assert 0 < calls["junction_phases"] <= blocks and 0 < calls["node_magnitudes"] <= 2 * blocks
+
+
+
+# --- the tables and window runs shared with measure ---------------------------
+
+
+def test_a_reconstruct_reads_the_tables_its_measure_built(cold_tables, monkeypatch):
+    # criterion 10's lattice at a = B / 2 is one NODE_BLOCK of 7 nodes: two
+    # roundtrips build its table once, and every kernel call, measure's and
+    # the node checks', reads that one array
+    built, read = [], {"measure": [], "checks": []}
+    build, kernel = stft_engine.node_exponentials, stft_engine.node_magnitudes
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def spied(where):
+        def call(samples, conj_windows, E, delta, out):
+            read[where].append(E)
+            return kernel(samples, conj_windows, E, delta, out)
+        return call
+
+    monkeypatch.setattr(stft_engine, "node_exponentials", counted)
+    monkeypatch.setattr(stft_engine, "node_magnitudes", spied("measure"))
+    monkeypatch.setattr(stitcher, "node_magnitudes", spied("checks"))
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    nodes = TimeNodes.lattice_covering(grid, 0.5)
+    assert len(nodes.times) <= NODE_BLOCK
+    for row in family[[27, 200]]:
+        f = Signal(grid, row.copy())
+        rep = reconstruct(measure(f, pair, nodes), pair)
+        assert pair_equivalent(rep.signal.samples, f.samples, allow_reflection=True, tol=1e-6)
+    assert len(built) == 1
+    assert read["measure"] and read["checks"]
+    assert all(E is built[0] for E in read["measure"])
+    assert all(E.base is built[0] for E in read["checks"])
+
+
+def _report_bytes(run):
+    """A reconstruction's report in comparable bytes, or its refusal."""
+    try:
+        rep = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    alt = None if rep.alternative is None else rep.alternative.samples.tobytes()
+    return (rep.signal.samples.tobytes(), np.array(rep.lambdas).tobytes(), rep.ambiguity,
+            rep.residual, rep.anchor_used, alt, rep.uncovered)
+
+
+def _memo_cases():
+    """Measurement sets on one lattice each: criterion 1's at both steps
+    (an anchored one too), and criterion 10's family at both steps."""
+    for a in (1.0, 0.5):
+        yield pytest.param([_criterion1_input(a, seed)[1] for seed in range(3)],
+                           id=f"criterion-1-a{a}")
+    f, _ = _criterion1_input(0.5, 7)
+    anchored = TimeNodes.lattice_covering(f.grid, 0.5, anchor=default_anchor(0.5, f.grid.horizon))
+    yield pytest.param([measure(f, build_window("rectangular", f.grid, b=0.25), anchored)],
+                       id="criterion-1-anchor")
+    grid = GridSpec(B=1.0, L=4, origin=2, horizon=4)
+    pair = build_window("rectangular", grid)
+    family, _ = alphabet_family(grid, [0, 1, 2, 3])
+    for a in (1.0, 0.5):
+        nodes = TimeNodes.lattice_covering(grid, a)
+        yield pytest.param([measure(Signal(grid, row.copy()), pair, nodes) for row in family],
+                           id=f"criterion-10-a{a}")
+
+
+@pytest.mark.parametrize("sets", _memo_cases())
+def test_reconstruct_gives_the_same_bytes_from_a_cold_a_warm_and_no_memo(cold_tables, monkeypatch,
+                                                                       sets):
+    # the held tables and runs are the ones each call would build: with
+    # nothing held, from a cold memo and from a warm one, every report and
+    # refusal is the same
+    cold = [_report_bytes(lambda: reconstruct(ms, ms.pair)) for ms in sets]
+    warm = [_report_bytes(lambda: reconstruct(ms, ms.pair)) for ms in sets]
+    monkeypatch.setattr(stft_engine, "TABLE_MEMO_BYTES", 0)
+    monkeypatch.setattr(stft_engine, "_tables", type(cold_tables)())
+    none = [_report_bytes(lambda: reconstruct(ms, ms.pair)) for ms in sets]
+    assert not stft_engine._tables
+    assert cold == warm == none
+    assert any(not isinstance(out[0], str) for out in cold)
 
 
 # --- the slot mate offered as a patch ---------------------------------------
