@@ -318,7 +318,6 @@ def test_the_circle_ladder_reads_each_rung_in_one_place_and_rescues_in_another()
         assert callers == {f"local_recovery.py:{owner}"}, name
 
 
-
 def test_only_the_memo_and_the_difference_check_build_exponential_tables():
     # block_exponentials holds each block's table for measure_batch, the
     # node checks and the junction solves alike; a caller of

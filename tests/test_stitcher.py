@@ -3,6 +3,7 @@ import inspect
 import re
 import sys
 import tracemalloc
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -1859,7 +1860,7 @@ def test_reconstruct_gives_the_same_bytes_from_a_cold_a_warm_and_no_memo(cold_ta
     cold = [_report_bytes(lambda: reconstruct(ms, ms.pair)) for ms in sets]
     warm = [_report_bytes(lambda: reconstruct(ms, ms.pair)) for ms in sets]
     monkeypatch.setattr(stft_engine, "TABLE_MEMO_BYTES", 0)
-    monkeypatch.setattr(stft_engine, "_tables", type(cold_tables)())
+    monkeypatch.setattr(stft_engine, "_tables", OrderedDict())
     none = [_report_bytes(lambda: reconstruct(ms, ms.pair)) for ms in sets]
     assert not stft_engine._tables
     assert cold == warm == none
